@@ -89,7 +89,7 @@ def marginal_tv_test(
         raise ValueError("batch index out of range")
     counts = np.zeros(stream.d)
     for transcript in _run_many(config, stream, n_runs, base_seed):
-        counts[transcript.records[s - 1].x] += 1
+        counts[transcript.models[s - 1]] += 1
     empirical = counts / n_runs
     exact = exact_batch_distributions(stream, config.eta, config.B)[s - 1]
     tv = 0.5 * float(np.abs(empirical - exact).sum())
@@ -164,8 +164,8 @@ def ratio_range_check(
 
 
 def _bucket(transcript: Transcript):
-    pattern = tuple(r.switched_x for r in transcript.records[1:])
-    return pattern, int(transcript.records[-1].x)
+    pattern = tuple(transcript.switched[1:, 0].tolist())
+    return pattern, int(transcript.models[-1])
 
 
 def _wilson(count: int, n: int) -> float:

@@ -24,19 +24,62 @@ the engine consumes three uniforms, in the order S, S', A, then at most
 one resample draw for the played chain followed by at most one for the
 reference chain. Identical seed, config and losses give bit-identical
 transcripts.
+
+The experts path does Python work per switch, not per batch. Each of
+its draws is one ``rng.random()`` double, so a run's doubles are drawn
+ahead in blocks and read in contract order. Every batch takes three and
+every resample one more, so the engine draws ahead only doubles the run
+is sure to use. Between switches x and y are fixed, and the keep tests
+of a stretch of batches are evaluated at once over the pre-drawn
+doubles; only the batches around a switch are tested one at a time. The
+S, S', A, x-resample, y-resample order, the transcripts and the
+generator's end state are those of a batch-by-batch loop. Ball runs
+keep that loop: their sampler draws normals, which cannot be pre-drawn
+bit-identically.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .measures import ETA_MAX, MeasureState, MwMeasure, log_batch_ratio
+
+# The experts engine tests batches one at a time, reading _CHUNK of them
+# per numpy call, until _PROBE keep in a row (events come densely in
+# short, high-p runs); it then searches vector windows for the next
+# event, of _WINDOW batches first and each twice the one before, up to
+# _WINDOW_MAX. Uniforms are drawn _BLOCK at a time, so a run's memory
+# does not grow with its length.
+_PROBE = 8
+_CHUNK = 16
+_WINDOW = 64
+_WINDOW_MAX = 2048
+_BLOCK = 3 * _WINDOW_MAX
+# A window's S uniform within this much of its np.exp acceptance is
+# re-decided by the scalar formula; the absolute term also sends every
+# subnormal acceptance there.
+_BOUNDARY_RTOL = 1e-12
+_BOUNDARY_ATOL = 1e-300
+# A batch's coins coded as 4 S + 2 S' + A index these tables of its
+# (S, S', A) row and its (switched_x, switched_y) bits; _KEEP is the
+# all-keep code and _FIRST marks batch 1, which has no coins.
+_KEEP, _FIRST = 7, 8
+_CODE_COINS = np.array(
+    [(S, Sp, A) for S in (0, 1) for Sp in (0, 1) for A in (0, 1)] + [(-1, -1, -1)],
+    dtype=np.int8,
+)
+_CODE_SWITCHED = np.array(
+    [(1 - (S & Sp), 1 - A) for S, Sp, A in _CODE_COINS[:_FIRST]] + [(0, 0)],
+    dtype=np.int8,
+)
 
 
 class ConfigError(ValueError):
@@ -289,75 +332,248 @@ class PreparedRun:
             self.grad_sums = np.vstack([m.grad_sum for m in measures])
             self.beta = measures[0].beta
 
-    def _sample(self, s: int, rng: np.random.Generator):
-        """Draw from the normalized batch-s measure (1-indexed)."""
-        if self.is_mw:
-            idx = int(self.cdfs[s - 1].searchsorted(rng.random(), side="right"))
-            return min(idx, self.cdfs.shape[1] - 1)
-        return self.measures[s - 1].sample(rng)
-
-    def _log_ratio(self, s: int, x) -> float:
-        """log of batch-s measure over batch-(s-1) measure at x, unnormalized."""
-        if self.is_mw:
-            col = self.log_weights[:, x]
-            return float(col[s - 1] - col[s - 2])
-        delta_g = self.grad_sums[s - 1] - self.grad_sums[s - 2]
-        return float(-self.beta * (delta_g @ x))
-
     def run(self, rng: np.random.Generator) -> Transcript:
+        events = self._mw_events(rng) if self.is_mw else self._ball_events(rng)
+        return self._assemble(events)
+
+    def _pick(self, s: int, v: float) -> int:
+        """The expert that uniform ``v`` selects from the normalized batch-s measure.
+
+        A CDF row is finite, nondecreasing up to its last entry and ends
+        at 1.0 > v, so ``v < cdf[i]`` is monotone in i and bisection finds
+        what ``searchsorted(side="right")`` finds, an index below d.
+        """
+        return bisect_right(self.cdfs[s - 1], v)
+
+    def _mw_events(self, rng: np.random.Generator) -> _Events:
+        """Switch events of one experts run, found over pre-drawn doubles.
+
+        Each draw of the contract is one ``rng.random()`` double, and
+        ``rng.random(k)`` yields the same doubles as k scalar calls. A
+        run uses ``3n - 1`` of them plus one per resample, so they are
+        drawn ahead in blocks, never past what the run is sure to use,
+        and read with a cursor. Between events x and y are fixed, so the
+        batches are tested one at a time until ``_PROBE`` keep in a row,
+        and from there in doubling vector windows up to the next event.
+        """
         config = self.config
-        T, B, n = config.T, config.B, config.n_batches
-        eta = config.eta_effective
-        cap = 2.0 * B * eta
+        n = config.n_batches
+        cap = 2.0 * config.B * config.eta_effective
         keep_y = 1.0 - config.p
+        lw = self.log_weights
+        u = _Uniforms(rng, 3 * n - 1)
 
-        x = self._sample(1, rng)
-        y = self._sample(1, rng)
-        models: list = [x]
-        ys: list = [y]
-        coins = np.full((n, 3), -1, dtype=np.int8)
-        switched = np.zeros((n, 2), dtype=np.int8)
-        batch_losses = np.empty(n)
-        round_losses = np.empty(T)
-        raw_log_ratios = np.empty(n - 1)
+        v0, v1 = u.span(0, 2).tolist()
+        row = self.cdfs[0].tolist()  # as in _pick, for both batch-1 draws
+        x, y = bisect_right(row, v0), bisect_right(row, v1)
+        events = _Events(x, y, n)
+        raw = events.raw_log_ratios
+        s, c = 2, 2  # next batch to test, cursor of its S uniform in u
+        quiet = 0  # batches kept in a row
+        while s <= n:
+            if quiet < _PROBE:
+                stop = min(s + _CHUNK, n + 1)
+                first, base = s, c
+                draws = u.span(c, 3 * (stop - s)).tolist()
+                cx = lw[s - 2 : stop - 1, x].tolist()
+                cy = lw[s - 2 : stop - 1, y].tolist()
+                ratios: list[float] = []
+                while s < stop and quiet < _PROBE:
+                    j, i = s - first, c - base
+                    if i + 3 > len(draws):  # resamples pushed the coins past the list
+                        u.extend(draws, base, i + 3 * (stop - s))
+                    lr = (cx[j + 1] - cx[j]) - (cy[j + 1] - cy[j])
+                    ratios.append(lr)
+                    S, Sp, A = _keep_test(lr, draws[i], draws[i + 1], draws[i + 2], cap, keep_y)
+                    c += 3
+                    if S and Sp and A:
+                        quiet += 1
+                    else:
+                        quiet = 0
+                        resamples = (not (S and Sp)) + (not A)
+                        u.owed += resamples
+                        if c - base + resamples > len(draws):
+                            u.extend(draws, base, c - base + resamples)
+                        if not (S and Sp):
+                            x = self._pick(s, draws[c - base])
+                            cx = lw[first - 2 : stop - 1, x].tolist()
+                            c += 1
+                        if not A:
+                            y = self._pick(s, draws[c - base])
+                            cy = lw[first - 2 : stop - 1, y].tolist()
+                            c += 1
+                        events.add(s, S, Sp, A, x, y)
+                    s += 1
+                raw[first - 2 : s - 2] = ratios
+                continue
+            start, width = s, _WINDOW
+            while start <= n:
+                end = min(start + width, n + 1)
+                cx = lw[start - 2 : end - 1, x]
+                cy = lw[start - 2 : end - 1, y]
+                lr = (cx[1:] - cx[:-1]) - (cy[1:] - cy[:-1])
+                at = c + 3 * (start - s)
+                kept = _kept_prefix(lr, u.span(at, 3 * (end - start)), cap, keep_y)
+                raw[start - 2 : start - 2 + kept] = lr[:kept]
+                start += kept
+                if start < end:
+                    break
+                width = min(2 * width, _WINDOW_MAX)
+            c += 3 * (start - s)
+            s, quiet = start, 0
+        return events
 
+    def _ball_events(self, rng: np.random.Generator) -> _Events:
+        """Switch events of one ball run, by the per-batch loop.
+
+        The ball sampler draws normals, which cannot be pre-drawn
+        bit-identically, so every batch draws its coins in turn.
+        """
+        config = self.config
+        n = config.n_batches
+        cap = 2.0 * config.B * config.eta_effective
+        keep_y = 1.0 - config.p
+        g, beta = self.grad_sums, self.beta
+        x = self.measures[0].sample(rng)
+        y = self.measures[0].sample(rng)
+        events = _Events(x, y, n)
         for s in range(2, n + 1):
-            lr = self._log_ratio(s, x) - self._log_ratio(s, y)
-            raw_log_ratios[s - 2] = lr
-            acc = 1.0 if lr >= cap else math.exp(lr - cap)
-            u = rng.random(3)
-            S = u[0] < acc
-            Sp = u[1] < keep_y
-            A = u[2] < keep_y
-            coins[s - 1] = (S, Sp, A)
+            delta_g = g[s - 1] - g[s - 2]
+            lr = float(-beta * (delta_g @ x)) - float(-beta * (delta_g @ y))
+            events.raw_log_ratios[s - 2] = lr
+            S, Sp, A = _keep_test(lr, *rng.random(3), cap, keep_y)
+            if S and Sp and A:
+                continue
             if not (S and Sp):
-                x = self._sample(s, rng)
-                switched[s - 1, 0] = 1
+                x = self.measures[s - 1].sample(rng)
             if not A:
-                y = self._sample(s, rng)
-                switched[s - 1, 1] = 1
-            models.append(x)
-            ys.append(y)
+                y = self.measures[s - 1].sample(rng)
+            events.add(s, S, Sp, A, x, y)
+        return events
 
-        for s in range(1, n + 1):
-            x = models[s - 1]
-            lo, hi = (s - 1) * B, min(s * B, T)
-            if self.is_mw:
-                round_losses[lo:hi] = self.loss_values[lo:hi, x]
-                batch_losses[s - 1] = self.batch_sums[s - 1, x]
+    def _assemble(self, events: _Events) -> Transcript:
+        """The transcript of one run from its switch events; every other batch keeps."""
+        T, B, n = self.config.T, self.config.B, self.config.n_batches
+        bounds = [0, *events.rows, n]
+        lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+
+        if self.is_mw:
+            xs, ys = np.array((events.xs, events.ys)).repeat(lengths, axis=1)
+            batch_losses = self.batch_sums[np.arange(n), xs]
+            if B == 1:  # each batch sum is then its one round's loss, bit for bit
+                round_losses = batch_losses.copy()
             else:
-                round_losses[lo:hi] = self.loss_values[lo:hi] @ x
-                batch_losses[s - 1] = self.batch_sums[s - 1] @ x
+                round_losses = self.loss_values[np.arange(T), xs.repeat(B)[:T]]
+            models, ys = tuple(xs.tolist()), tuple(ys.tolist())
+        else:
+            models = tuple(chain.from_iterable(map(repeat, events.xs, lengths)))
+            ys = tuple(chain.from_iterable(map(repeat, events.ys, lengths)))
+            round_losses = np.empty(T)
+            batch_losses = np.empty(n)
+            for s, x in enumerate(models):
+                round_losses[s * B : (s + 1) * B] = self.loss_values[s * B : (s + 1) * B] @ x
+                batch_losses[s] = self.batch_sums[s] @ x
 
         return Transcript(
-            tuple(models),
-            coins,
-            switched,
+            models,
+            _CODE_COINS.take(events.codes, axis=0),
+            _CODE_SWITCHED.take(events.codes, axis=0),
             batch_losses,
             round_losses,
-            tuple(ys),
-            raw_log_ratios,
+            ys,
+            events.raw_log_ratios,
         )
+
+
+class _Uniforms:
+    """A run's uniforms in contract order, drawn from its generator in blocks.
+
+    ``span(c, k)`` returns uniforms c to c + k - 1 of the run. Calls
+    never ask for an earlier c than before, so a block keeps only what
+    lies at or past the last c. Only uniforms the run is sure to use are
+    drawn: ``owed`` counts those not drawn yet, the caller adds one per
+    resample, and a run that ends has drawn exactly what it used.
+    """
+
+    __slots__ = ("rng", "owed", "block", "start")
+
+    def __init__(self, rng: np.random.Generator, owed: int):
+        first = min(owed, _BLOCK)
+        self.rng, self.owed = rng, owed - first
+        self.block, self.start = rng.random(first), 0
+
+    def span(self, c: int, k: int) -> np.ndarray:
+        lo, hi = c - self.start, c + k - self.start
+        if hi > self.block.size:
+            more = min(max(hi - self.block.size, _BLOCK), self.owed)
+            self.owed -= more
+            fresh = self.rng.random(more)
+            if lo < self.block.size:
+                fresh = np.concatenate((self.block[lo:], fresh))
+            self.block, self.start, lo, hi = fresh, c, 0, k
+        return self.block[lo:hi]
+
+    def extend(self, draws: list, base: int, k: int) -> None:
+        """Extend ``draws``, the uniforms from ``base`` on, to k of them."""
+        draws += self.span(base + len(draws), k - len(draws)).tolist()
+
+
+class _Events:
+    """The switch events of one run, in batch order, and its per-batch columns.
+
+    Event k happens at 0-based batch ``rows[k]``; the models ``xs[k + 1]``,
+    ``ys[k + 1]`` are in force from it on, and ``xs[0]``, ``ys[0]`` are the
+    batch-1 draws. ``codes[s - 1]`` is batch s's coins coded as
+    ``4 S + 2 S' + A`` (``_KEEP`` unless an event set it), and
+    ``raw_log_ratios[s - 2]`` is filled in for every batch s >= 2.
+    """
+
+    __slots__ = ("rows", "xs", "ys", "codes", "raw_log_ratios")
+
+    def __init__(self, x, y, n_batches: int):
+        self.rows: list[int] = []
+        self.xs, self.ys = [x], [y]
+        self.codes = np.full(n_batches, _KEEP, dtype=np.int8)
+        self.codes[0] = _FIRST
+        self.raw_log_ratios = np.empty(n_batches - 1)
+
+    def add(self, s: int, S: bool, Sp: bool, A: bool, x, y) -> None:
+        self.rows.append(s - 1)
+        self.codes[s - 1] = 4 * S + 2 * Sp + A
+        self.xs.append(x)
+        self.ys.append(y)
+
+
+def _keep_test(lr: float, u0, u1, u2, cap: float, keep_y: float) -> tuple[bool, bool, bool]:
+    """The coins (S, S', A) of one batch from its log ratio and three uniforms."""
+    acc = 1.0 if lr >= cap else math.exp(lr - cap)
+    return u0 < acc, u1 < keep_y, u2 < keep_y
+
+
+def _kept_prefix(lr: np.ndarray, draws: np.ndarray, cap: float, keep_y: float) -> int:
+    """How many leading batches of a window pass their keep test.
+
+    ``lr`` holds the window's raw log ratios and ``draws`` three
+    uniforms per batch. ``np.exp`` may differ from ``math.exp`` by one
+    ulp, so the vector test only rules batches in: a batch whose S
+    uniform lies within ``_BOUNDARY_RTOL`` of the vector acceptance is
+    re-decided by :func:`_keep_test`, like every batch it rules out.
+    """
+    bound = np.exp(np.minimum(lr - cap, 0.0))
+    bound *= 1.0 - _BOUNDARY_RTOL
+    bound -= _BOUNDARY_ATOL
+    triples = draws.reshape(-1, 3)
+    sure = triples[:, 0] < bound
+    sure &= np.maximum(triples[:, 1], triples[:, 2]) < keep_y
+    start = 0
+    while start < sure.size:
+        i = start + int(sure[start:].argmin())
+        if sure[i]:
+            break
+        if not all(_keep_test(float(lr[i]), *triples[i].tolist(), cap, keep_y)):
+            return i
+        start = i + 1
+    return sure.size
 
 
 def run_l2p(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from l2p import cli
 from l2p.cli import main
 
 
@@ -152,3 +153,24 @@ class TestThreads:
         monkeypatch.setenv("L2P_THREADS", "2")
         path = _write_config(tmp_path)
         assert main(["run", "--config", str(path), "--threads", "8"]) == 0
+
+    @pytest.mark.parametrize(
+        "env, flag, expect",
+        [(None, [], 1), ("3", [], 3), ("3", ["--threads", "2"], 2), (None, ["--threads", "2"], 2)],
+    )
+    def test_flag_beats_env_beats_default(self, tmp_path, monkeypatch, capsys, env, flag, expect):
+        seen = []
+        real = cli.monte_carlo
+
+        def spy(*args, threads, **kwargs):
+            seen.append(threads)
+            return real(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "monte_carlo", spy)
+        if env is None:
+            monkeypatch.delenv("L2P_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("L2P_THREADS", env)
+        path = _write_config(tmp_path)
+        assert main(["run", "--config", str(path), *flag]) == 0
+        assert seen == [expect]

@@ -1,10 +1,12 @@
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
 
-from l2p.adversaries import LossStream, bernoulli_experts
+from l2p.accountant import tune_oco, tune_ope
+from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
 from l2p.harness import measure_sequence
 from l2p.measures import LossVector, mw_init, mw_update, rmw_init, rmw_update, LinearLoss
 from l2p.transform import (
@@ -12,6 +14,9 @@ from l2p.transform import (
     ConfigError,
     L2PConfig,
     PreparedRun,
+    Transcript,
+    _keep_test,
+    _kept_prefix,
     acceptance_probability,
     run_l2p,
 )
@@ -252,3 +257,247 @@ class TestRunL2p:
             expected = n * ms[s].probabilities
             _, pval = chisquare(counts[s], expected)
             assert pval > 0.001, f"batch {s + 1} mismatch"
+
+
+def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> Transcript:
+    """The engine as a plain per-batch loop: three coins per batch, then resamples.
+
+    Kept as the specification the event-driven engine must reproduce
+    bit for bit, generator end state included.
+    """
+    config = prepared.config
+    T, B, n = config.T, config.B, config.n_batches
+    cap = 2.0 * B * config.eta_effective
+    keep_y = 1.0 - config.p
+
+    def sample(s):
+        if prepared.is_mw:
+            idx = int(prepared.cdfs[s - 1].searchsorted(rng.random(), side="right"))
+            return min(idx, prepared.cdfs.shape[1] - 1)
+        return prepared.measures[s - 1].sample(rng)
+
+    def log_ratio(s, x):
+        if prepared.is_mw:
+            col = prepared.log_weights[:, x]
+            return float(col[s - 1] - col[s - 2])
+        delta_g = prepared.grad_sums[s - 1] - prepared.grad_sums[s - 2]
+        return float(-prepared.beta * (delta_g @ x))
+
+    x, y = sample(1), sample(1)
+    models, ys = [x], [y]
+    coins = np.full((n, 3), -1, dtype=np.int8)
+    switched = np.zeros((n, 2), dtype=np.int8)
+    batch_losses = np.empty(n)
+    round_losses = np.empty(T)
+    raw_log_ratios = np.empty(n - 1)
+    for s in range(2, n + 1):
+        lr = log_ratio(s, x) - log_ratio(s, y)
+        raw_log_ratios[s - 2] = lr
+        acc = 1.0 if lr >= cap else math.exp(lr - cap)
+        u = rng.random(3)
+        S, Sp, A = u[0] < acc, u[1] < keep_y, u[2] < keep_y
+        coins[s - 1] = (S, Sp, A)
+        if not (S and Sp):
+            x = sample(s)
+            switched[s - 1, 0] = 1
+        if not A:
+            y = sample(s)
+            switched[s - 1, 1] = 1
+        models.append(x)
+        ys.append(y)
+    for s in range(1, n + 1):
+        x = models[s - 1]
+        lo, hi = (s - 1) * B, min(s * B, T)
+        if prepared.is_mw:
+            round_losses[lo:hi] = prepared.loss_values[lo:hi, x]
+            batch_losses[s - 1] = prepared.batch_sums[s - 1, x]
+        else:
+            round_losses[lo:hi] = prepared.loss_values[lo:hi] @ x
+            batch_losses[s - 1] = prepared.batch_sums[s - 1] @ x
+    return Transcript(
+        tuple(models), coins, switched, batch_losses, round_losses, tuple(ys), raw_log_ratios
+    )
+
+
+def _csv(t: Transcript) -> str:
+    buf = io.StringIO()
+    t.write_csv(buf)
+    return buf.getvalue()
+
+
+def _digest(t: Transcript, rng: np.random.Generator) -> str:
+    """SHA-256 of the CSV, the diagnostics and four doubles drawn after the run."""
+    h = hashlib.sha256(_csv(t).encode())
+    h.update(np.ascontiguousarray(t.raw_log_ratios).tobytes())
+    h.update(np.asarray(t.ys, dtype=np.float64).tobytes())
+    h.update(t.round_losses.tobytes())
+    h.update(rng.random(4).tobytes())
+    return h.hexdigest()
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _prepared(config, kind, stream):
+    return PreparedRun(config, measure_sequence(config, kind, stream), stream.values)
+
+
+# (config, measure kind, stream) triples pinned by the golden hashes and
+# the reference comparison; the generator seed is set per test.
+SHAPES = {
+    "ope-b1": lambda: (
+        tune_ope(20_000, 10, 1.0, 1e-6),
+        "mw",
+        bernoulli_experts(10, 20_000, np.linspace(0.35, 0.65, 10), 1),
+    ),
+    "marginal": lambda: (
+        L2PConfig(T=5, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6),
+        "mw",
+        bernoulli_experts(3, 5, (0.2, 0.5, 0.8), 1),
+    ),
+    "epsilon": lambda: (
+        tune_ope(10, 2, 0.5, 0.05),
+        "mw",
+        bernoulli_experts(2, 10, (0.25, 0.75), 1),
+    ),
+    "ball": lambda: (
+        tune_oco(200, 3, 1.0, 1e-6, 1.0, 1.0),
+        "rmw",
+        linear_oco_stream(3, 200, 1.0, 5, "iid-sphere"),
+    ),
+    # sparse events over long stretches: mostly vector windows
+    "sparse": lambda: (
+        L2PConfig(T=500, B=1, eta=0.002, p=0.005, delta0=0.0, delta1=1e-6),
+        "mw",
+        bernoulli_experts(4, 500, (0.1, 0.4, 0.6, 0.9), 2),
+    ),
+    # events every few batches, a short last batch: probe and windows mixed
+    "mixed": lambda: (
+        L2PConfig(T=301, B=3, eta=0.1, p=0.08, delta0=0.0, delta1=1e-6),
+        "mw",
+        bernoulli_experts(3, 301, (0.0, 0.5, 1.0), 3),
+    ),
+}
+
+
+class TestGoldenTranscripts:
+    """Transcripts and generator end states recorded from the per-batch loop."""
+
+    GOLDEN = {
+        ("ope-b1", 11): "51dc8818308505316e6d4bfac2cb583963cd3593ed9e6bf27dda82b6798d75a2",
+        ("marginal", 12): "473a5654a3ad33ea51be076f3c3289773e9b608d118ad21aa3d71442efa1899a",
+        ("epsilon", 13): "1c64cb5d720da16e25a936a5a0084f7ea099dd8c0dd62106a0ab755be294fdc2",
+        ("ball", 14): "332c89eb70da88790b1f2d9fb7cb88930cd37a9f39435e384c9f75e18116d9ca",
+    }
+
+    @pytest.mark.parametrize("shape, seed", sorted(GOLDEN))
+    def test_hash(self, shape, seed):
+        prepared = _prepared(*SHAPES[shape]())
+        rng = np.random.default_rng(seed)
+        assert _digest(prepared.run(rng), rng) == self.GOLDEN[shape, seed]
+
+
+class TestAgainstReferenceLoop:
+    @staticmethod
+    def _assert_same(prepared, rng_a, rng_b):
+        got, want = prepared.run(rng_a), _reference_run(prepared, rng_b)
+        assert _csv(got) == _csv(want)
+        assert len(got.ys) == len(want.ys)
+        for a, b in zip(got.ys, want.ys):
+            assert np.array_equal(a, b)
+        assert type(got.models[0]) is type(want.models[0])
+        for name in ("coins", "switched", "batch_losses", "round_losses", "raw_log_ratios"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize(
+        "shape, n_seeds",
+        [("marginal", 600), ("epsilon", 600), ("sparse", 200), ("mixed", 200), ("ope-b1", 3),
+         ("ball", 10)],
+    )
+    def test_seeds(self, shape, n_seeds):
+        prepared = _prepared(*SHAPES[shape]())
+        for seed in range(n_seeds):
+            self._assert_same(prepared, np.random.default_rng(seed), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_p(self, p):
+        config = L2PConfig(T=200, B=2, eta=0.05, p=p, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", bernoulli_experts(3, 200, (0.2, 0.5, 0.8), 4))
+        for seed in range(20):
+            self._assert_same(prepared, np.random.default_rng(seed), np.random.default_rng(seed))
+
+    def test_single_batch(self):
+        config = L2PConfig(T=4, B=4, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", bernoulli_experts(3, 4, (0.2, 0.5, 0.8), 4))
+        self._assert_same(prepared, np.random.default_rng(1), np.random.default_rng(1))
+
+    def test_other_generator_states(self):
+        # a bit generator without an exact advance, and a PCG64 holding a
+        # cached 32-bit half: both must end where the loop leaves them
+        prepared = _prepared(*SHAPES["sparse"]())
+        for seed in range(5):
+            self._assert_same(
+                prepared,
+                np.random.Generator(np.random.MT19937(seed)),
+                np.random.Generator(np.random.MT19937(seed)),
+            )
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng_a.integers(10, dtype=np.uint32)
+            rng_b.integers(10, dtype=np.uint32)
+            assert rng_a.bit_generator.state["has_uint32"] == 1
+            self._assert_same(prepared, rng_a, rng_b)
+            assert rng_a.integers(2**32, dtype=np.uint32) == rng_b.integers(2**32, dtype=np.uint32)
+
+
+class TestKeepBoundary:
+    """The keep test is exact where np.exp and math.exp round differently."""
+
+    CAP = 0.2
+    # each rounds differently under np.exp and math.exp on x86-64 with numpy 2.4
+    PINNED = (0.18951213247291926, -0.1138548746646266, 0.12230387077774979, -0.03327569936511432)
+
+    def _boundary_ratios(self):
+        lr = np.random.default_rng(0).uniform(-0.3, self.CAP, 20_000)
+        exact = np.array([math.exp(v - self.CAP) for v in lr])
+        differ = lr[np.exp(lr - self.CAP) != exact]
+        return np.concatenate([self.PINNED, differ[:200]])
+
+    def test_s_coin_at_exact_acceptance(self):
+        keep_y = 0.5
+        for lr in self._boundary_ratios().tolist():
+            acc = math.exp(lr - self.CAP)
+            below = float(np.nextafter(acc, 0.0))
+            assert _keep_test(lr, acc, 0.0, 0.0, self.CAP, keep_y) == (False, True, True)
+            assert _keep_test(lr, below, 0.0, 0.0, self.CAP, keep_y) == (True, True, True)
+            window = np.array([lr])
+            assert _kept_prefix(window, np.array([acc, 0.0, 0.0]), self.CAP, keep_y) == 0
+            assert _kept_prefix(window, np.array([below, 0.0, 0.0]), self.CAP, keep_y) == 1
+
+    def test_first_boundary_failure_in_a_window(self):
+        lr = self._boundary_ratios()
+        acc = np.array([math.exp(v - self.CAP) for v in lr.tolist()])
+        below = np.nextafter(acc, 0.0)
+        draws = np.zeros((lr.size, 3))
+        draws[:, 0] = below
+        assert _kept_prefix(lr, draws.ravel(), self.CAP, 1.0) == lr.size
+        for at in (0, 3, lr.size - 1):
+            draws[at, 0] = acc[at]
+            assert _kept_prefix(lr, draws.ravel(), self.CAP, 1.0) == at
+            draws[at, 0] = below[at]
+
+    def test_reference_coins(self):
+        # an S' or A uniform at or above 1 - p fails the batch too
+        lr = np.zeros(4)
+        draws = np.zeros((4, 3))
+        assert _kept_prefix(lr, draws.ravel(), self.CAP, 0.75) == 4
+        draws[2, 2] = 0.75
+        assert _kept_prefix(lr, draws.ravel(), self.CAP, 0.75) == 2
+        draws[1, 1] = 0.75
+        assert _kept_prefix(lr, draws.ravel(), self.CAP, 0.75) == 1
