@@ -16,6 +16,7 @@ from .accountant import (
     PrivacyBudget,
     TunerError,
     advanced_composition,
+    ball_config,
     cdp_to_approx,
     config_budget,
     group_privacy,
@@ -46,24 +47,17 @@ from .harness import (
     MonteCarloSummary,
     best_in_hindsight_oco_ball,
     best_in_hindsight_ope,
-    measure_sequence,
     monte_carlo,
     play_game,
     strawman_fixed_switch,
 )
 from .measures import (
-    LinearLoss,
-    LossVector,
     MwMeasure,
     RmwMeasure,
     SamplerError,
     effective_eta_rmw,
-    log_batch_ratio,
     mw_init,
-    mw_update,
     rmw_init,
-    rmw_update,
-    sample,
 )
 from .seeding import replicate_seed, splitmix64
 from .transform import (
@@ -73,8 +67,6 @@ from .transform import (
     L2PConfig,
     PreparedRun,
     Transcript,
-    acceptance_probability,
-    run_l2p,
 )
 
 __all__ = [
@@ -84,9 +76,7 @@ __all__ = [
     "ConfigReport",
     "GameResult",
     "L2PConfig",
-    "LinearLoss",
     "LossStream",
-    "LossVector",
     "MonteCarloSummary",
     "MwMeasure",
     "PreparedRun",
@@ -95,8 +85,8 @@ __all__ = [
     "SamplerError",
     "Transcript",
     "TunerError",
-    "acceptance_probability",
     "advanced_composition",
+    "ball_config",
     "bernoulli_experts",
     "best_in_hindsight_oco_ball",
     "best_in_hindsight_ope",
@@ -109,22 +99,16 @@ __all__ = [
     "l2p_privacy",
     "linear_oco_stream",
     "load_stream",
-    "log_batch_ratio",
     "marginal_tv_profile",
     "marginal_tv_test",
-    "measure_sequence",
     "modified_advanced_composition",
     "monte_carlo",
     "mw_init",
-    "mw_update",
     "neighbor_of",
     "play_game",
     "ratio_range_check",
     "replicate_seed",
     "rmw_init",
-    "rmw_update",
-    "run_l2p",
-    "sample",
     "save_stream",
     "splitmix64",
     "strawman_fixed_switch",

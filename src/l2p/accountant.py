@@ -223,6 +223,48 @@ def tune_ope(T: int, d: int, eps: float, delta: float) -> L2PConfig:
     )
 
 
+def ball_config(
+    T: int,
+    d: int,
+    B: int,
+    eta: float,
+    p: float,
+    delta: float,
+    lipschitz: float,
+    diameter: float,
+) -> L2PConfig:
+    """The ball run for a nominal step ``eta``, with the divergence it is accounted at.
+
+    The measure parameters are lam = (L/D) max(sqrt(T), sqrt(d log T)/eta)
+    and beta = eta^2 lam / (20 L^2) on the ball of radius D/2.
+    ``delta0`` is chosen so the budget's delta0 term spends at most a
+    quarter of the target ``delta`` and ``delta1 = delta / (4T)`` at most
+    half. The measure satisfies the divergence bound
+    ``eta_accounted = effective_eta_rmw(beta, lam, L, delta0)``, larger
+    than the nominal eta, which both the accountant and the engine's
+    acceptance cap use.
+    """
+    if eta <= 0.0 or not 0.0 < p <= 1.0:
+        raise ValueError("ball accounting needs eta > 0 and p in (0, 1]")
+    lam = (lipschitz / diameter) * max(math.sqrt(T), math.sqrt(d * math.log(T)) / eta)
+    beta = eta * eta * lam / (20.0 * lipschitz * lipschitz)
+    delta1 = delta / (4.0 * T)
+    delta0 = delta / (8.0 * T * (2.0 / eta + math.log(1.0 / delta1) / p) * _E * B)
+    return L2PConfig(
+        T=T,
+        B=B,
+        eta=eta,
+        p=p,
+        delta0=delta0,
+        delta1=delta1,
+        beta=beta,
+        lam=lam,
+        radius=diameter / 2.0,
+        lipschitz=lipschitz,
+        eta_accounted=effective_eta_rmw(beta, lam, lipschitz, delta0),
+    )
+
+
 def tune_oco(
     T: int, d: int, eps: float, delta: float, lipschitz: float, diameter: float
 ) -> L2PConfig:
@@ -230,15 +272,11 @@ def tune_oco(
 
     The nominal step is eta = eps^{2/3} / (T^{1/3} log(T/delta)) with
     B = max(1, round(1 / (2 eps log(1/delta)))) and p = min(eta/eps,
-    1 - 1e-9); the measure parameters are lam = (L/D) max(sqrt(T),
-    sqrt(d log T)/eta) and beta = eta^2 lam / (20 L^2) on the ball of
-    radius D/2. The accountant is always fed the recomputed divergence
-    ``eta' = effective_eta_rmw(beta, lam, L, delta0)``, which exceeds the
-    nominal eta, so the verification loop halves the nominal eta (with p
-    frozen at its initial value: p scales with eta, so re-deriving it
-    would leave eta'/p invariant and the loop could never terminate).
-    ``delta0`` is chosen so the budget's delta0 term spends at most a
-    quarter of the target and ``delta1 = delta / (4T)`` at most half.
+    1 - 1e-9); :func:`ball_config` derives the measure, the slacks and
+    the accounted divergence ``eta'``. That exceeds the nominal eta, so
+    the verification loop halves the nominal eta (with p frozen at its
+    initial value: p scales with eta, so re-deriving it would leave
+    eta'/p invariant and the loop could never terminate).
     """
     _check_tuner_inputs(T, d, eps, delta)
     if lipschitz <= 0.0 or diameter <= 0.0:
@@ -246,29 +284,11 @@ def tune_oco(
     eta = min(eps ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta)), ETA_MAX)
     B = max(1, round(1.0 / (2.0 * eps * math.log(1.0 / delta))))
     p = min(max(eta / eps, B / T), _P_CAP)
-    delta1 = delta / (4.0 * T)
-    radius = diameter / 2.0
-    log1 = math.log(1.0 / delta1)
     for _ in range(_MAX_SHRINKS + 1):
-        lam = (lipschitz / diameter) * max(math.sqrt(T), math.sqrt(d * math.log(T)) / eta)
-        beta = eta * eta * lam / (20.0 * lipschitz * lipschitz)
-        delta0 = delta / (8.0 * T * (2.0 / eta + log1 / p) * _E * B)
-        eta_acc = effective_eta_rmw(beta, lam, lipschitz, delta0)
-        budget = l2p_privacy(eta_acc, p, T, B, delta0, delta1)
+        config = ball_config(T, d, B, eta, p, delta, lipschitz, diameter)
+        budget = config_budget(config)
         if budget.epsilon <= eps and budget.delta <= delta and T * p / B >= 1.0:
-            return L2PConfig(
-                T=T,
-                B=B,
-                eta=eta,
-                p=p,
-                delta0=delta0,
-                delta1=delta1,
-                beta=beta,
-                lam=lam,
-                radius=radius,
-                lipschitz=lipschitz,
-                eta_accounted=eta_acc,
-            )
+            return config
         eta /= 2.0
     raise TunerError(
         f"no feasible ball tuning for T={T}, eps={eps:g} within {_MAX_SHRINKS} shrinks"

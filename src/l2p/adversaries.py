@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import LinearLoss, LossVector
-
 _MAGIC = b"L2PS"
 _VERSION = 1
 
@@ -62,10 +60,9 @@ class LossStream:
     def is_oco(self) -> bool:
         return self.kind in _OCO_KINDS
 
-    def loss_at(self, t: int):
-        if self.is_oco:
-            return LinearLoss(self.values[t], self.lipschitz)
-        return LossVector(self.values[t])
+    def loss_at(self, t: int) -> np.ndarray:
+        """Round ``t``'s loss vector (experts) or gradient (linear losses)."""
+        return self.values[t]
 
 
 def bernoulli_experts(d: int, T: int, means, seed: int) -> LossStream:
@@ -130,15 +127,12 @@ def linear_oco_stream(d: int, T: int, lipschitz: float, seed: int, kind: str) ->
 def neighbor_of(stream: LossStream, index: int, replacement) -> LossStream:
     """Copy of ``stream`` with round ``index`` replaced.
 
-    ``replacement`` may be a loss object or a raw vector; it is validated
-    against the stream's loss type.
+    ``replacement`` is a raw vector; it is validated against the
+    stream's loss type.
     """
     if not 0 <= index < stream.T:
         raise ValueError(f"index {index} outside [0, {stream.T})")
-    if isinstance(replacement, (LossVector, LinearLoss)):
-        row = replacement.gradient if isinstance(replacement, LinearLoss) else replacement.values
-    else:
-        row = np.asarray(replacement, dtype=np.float64)
+    row = np.asarray(replacement, dtype=np.float64)
     if row.shape != (stream.d,):
         raise ValueError("replacement has the wrong dimension")
     values = stream.values.copy()

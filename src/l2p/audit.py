@@ -17,8 +17,7 @@ import numpy as np
 
 from .accountant import config_budget
 from .adversaries import LossStream
-from .harness import measure_sequence
-from .measures import mw_sequence
+from .measures import mw_log_weights, normalized
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
 
@@ -60,14 +59,18 @@ def _report(name, n, stat, thr, notes=()) -> AuditReport:
 
 
 def _run_many(config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int):
-    prepared = PreparedRun(config, measure_sequence(config, "mw", stream), stream.values)
+    prepared = PreparedRun(config, "mw", stream.values)
     for i in range(n_runs):
         yield prepared.run(np.random.default_rng(replicate_seed(base_seed, i)))
 
 
 def exact_batch_distributions(stream: LossStream, eta: float, B: int) -> np.ndarray:
-    """Oracle: the exact normalized expert distribution at each batch start."""
-    return np.vstack([s.probabilities for s in mw_sequence(stream.values, eta, B)])
+    """Oracle: the exact normalized expert distribution at each batch start.
+
+    The same table the engine samples from: row ``s - 1`` normalizes the
+    batch-s log-weights.
+    """
+    return normalized(mw_log_weights(stream.values, eta, B))
 
 
 def marginal_tv_test(

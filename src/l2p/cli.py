@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .accountant import (
     TunerError,
+    ball_config,
     config_budget,
     l2p_privacy,
     tune_oco,
@@ -126,19 +127,8 @@ def _build_config(cfg: dict) -> L2PConfig:
     D = float(cfg.get("diameter", 1.0))
     if override is None:
         return tune_oco(T, d, eps, delta, L, D)
-    eta = float(override["eta"])
-    lam = (L / D) * max(math.sqrt(T), math.sqrt(d * math.log(T)) / eta)
-    return L2PConfig(
-        T=T,
-        B=int(override["B"]),
-        eta=eta,
-        p=float(override["p"]),
-        delta0=0.0,
-        delta1=delta / (2.0 * T),
-        beta=eta * eta * lam / (20.0 * L * L),
-        lam=lam,
-        radius=D / 2.0,
-        lipschitz=L,
+    return ball_config(
+        T, d, int(override["B"]), float(override["eta"]), float(override["p"]), delta, L, D
     )
 
 

@@ -1,9 +1,12 @@
 """Algorithm-vs-adversary games: regret, replicates, baselines.
 
-Regret is always measured against the best fixed decision in hindsight.
-Replicates are embarrassingly parallel: replicate ``i`` derives its own
-generator from ``replicate_seed(base_seed, i)`` and results are folded
-in replicate order, so summaries do not depend on the thread count.
+Regret is always measured against the best fixed decision in hindsight,
+which follows from the column totals of the loss matrix; a
+:class:`PreparedRun` computes those once, so a game costs its engine
+run and no pass over the stream. Replicates are embarrassingly
+parallel: replicate ``i`` derives its own generator from
+``replicate_seed(base_seed, i)`` and results are folded in replicate
+order, so summaries do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversaries import LossStream
-from .measures import MeasureState, mw_sequence, rmw_sequence
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
 
@@ -55,41 +57,33 @@ class GameResult:
     fake_switch_count: int = 0
 
 
-def best_in_hindsight_ope(stream: LossStream) -> tuple[int, float]:
-    """Best fixed expert; ties break toward the lowest index."""
-    totals = stream.values.sum(axis=0)
+def _best_expert(totals: np.ndarray) -> tuple[int, float]:
     best = int(np.argmin(totals))
     return best, float(totals[best])
 
 
-def best_in_hindsight_oco_ball(stream: LossStream, radius: float) -> tuple[np.ndarray, float]:
-    """Best fixed point in the ball for linear losses: -R * G/|G|, loss -R |G|."""
-    total = stream.values.sum(axis=0)
+def _best_ball_point(total: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
     norm = float(np.linalg.norm(total))
     if norm == 0.0:
-        return np.zeros(stream.d), 0.0
+        return np.zeros(total.size), 0.0
     return -radius * total / norm, -radius * norm
 
 
-def measure_sequence(config: L2PConfig, measure_kind: str, stream: LossStream) -> list[MeasureState]:
-    """Precompute the per-batch measures for a (config, stream) pair.
-
-    The measures depend only on the losses, never on the run's coins, so
-    one sequence serves every replicate.
-    """
-    if measure_kind == "mw":
-        return mw_sequence(stream.values, config.eta, config.B)
-    if measure_kind == "rmw":
-        if config.beta is None:
-            raise ValueError("ball runs need beta/lam/radius on the config")
-        return rmw_sequence(stream.values, config.beta, config.lam, config.radius, config.B)
-    raise ValueError(f"unknown measure kind {measure_kind!r}")
+def best_in_hindsight_ope(stream: LossStream) -> tuple[int, float]:
+    """Best fixed expert; ties break toward the lowest index."""
+    return _best_expert(stream.values.sum(axis=0))
 
 
-def comparator_loss(measure_kind: str, stream: LossStream, config: L2PConfig) -> float:
-    if measure_kind == "mw":
-        return best_in_hindsight_ope(stream)[1]
-    return best_in_hindsight_oco_ball(stream, config.radius)[1]
+def best_in_hindsight_oco_ball(stream: LossStream, radius: float) -> tuple[np.ndarray, float]:
+    """Best fixed point in the ball for linear losses: -R * G/|G|, loss -R |G|."""
+    return _best_ball_point(stream.values.sum(axis=0), radius)
+
+
+def comparator_loss(prepared: PreparedRun) -> float:
+    """Best-in-hindsight loss of a prepared run's stream, from its column totals."""
+    if prepared.is_mw:
+        return _best_expert(prepared.column_totals)[1]
+    return _best_ball_point(prepared.column_totals, prepared.config.radius)[1]
 
 
 def play_game(
@@ -100,16 +94,19 @@ def play_game(
     prepared: PreparedRun | None = None,
     keep_transcript: bool = True,
 ) -> GameResult:
-    """One seeded run against a fixed stream, with its regret."""
+    """One seeded run against a fixed stream, with its regret.
+
+    ``prepared``, when given, must be built from the same config,
+    measure kind and stream; replicated callers pass one to share its
+    tables and comparator between games.
+    """
     if prepared is None:
-        prepared = PreparedRun(
-            config, measure_sequence(config, measure_kind, stream), stream.values
-        )
+        prepared = PreparedRun(config, measure_kind, stream.values)
     start = time.perf_counter()
     transcript = prepared.run(np.random.default_rng(seed))
     elapsed = time.perf_counter() - start
     total = transcript.total_loss
-    comp = comparator_loss(measure_kind, stream, config)
+    comp = comparator_loss(prepared)
     return GameResult(
         transcript=transcript if keep_transcript else None,
         total_loss=total,
@@ -188,7 +185,7 @@ def monte_carlo(
     """Replicated runs on one fixed stream with derived per-rep seeds."""
     if n_reps < 1:
         raise ValueError("need at least one replicate")
-    prepared = PreparedRun(config, measure_sequence(config, measure_kind, stream), stream.values)
+    prepared = PreparedRun(config, measure_kind, stream.values)
     seeds = [replicate_seed(base_seed, i) for i in range(n_reps)]
 
     def one(seed: int) -> GameResult:

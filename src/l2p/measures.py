@@ -19,6 +19,13 @@ Two families are implemented:
   ``-G / (2 lam)`` and isotropic variance ``1 / (2 beta lam)`` truncated
   to the ball.
 
+Either measure at a batch start is a function of the cumulative losses
+before that batch alone, so a whole run's measures are one table built
+from the loss matrix: :func:`cumulative_table` gives the gradient sums
+of the ball, and :func:`mw_log_weights` the experts' log-weights, which
+:func:`normalized` turns into densities row by row. The single-state
+classes are the samplers and exact oracles for one row.
+
 All logarithms are natural.
 """
 
@@ -29,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
 
 # Divergence parameter cap required by the switching layer's analysis.
 ETA_MAX = 0.1
@@ -38,9 +44,6 @@ ETA_MAX = 0.1
 # and hit-and-run mixing steps per dimension.
 REJECTION_CAP = 10_000
 HIT_AND_RUN_STEPS_PER_DIM = 200
-
-# Norm checks tolerate float32 round-trips of serialized streams.
-_NORM_SLACK = 1e-6
 
 
 class SamplerError(RuntimeError):
@@ -56,49 +59,50 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LossVector:
-    """One round of per-expert losses, each entry in [0, 1]."""
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a)))`` over the last axis of finite input, kept as a length-1 axis.
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_vector(self.values, "loss values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("expert losses must lie in [0, 1]")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def d(self) -> int:
-        return self.values.size
-
-    def value_at(self, x: int) -> float:
-        return float(self.values[x])
+    The steps are those of ``scipy.special.logsumexp`` on finite real
+    input: the maximum terms are counted rather than summed, and the
+    result is ``log1p(rest / count) + log(count) + max``, so the two
+    agree bit for bit.
+    """
+    top = a.max(axis=-1, keepdims=True)
+    ties = a == top
+    count = ties.sum(axis=-1, keepdims=True, dtype=np.float64)
+    rest = np.exp(np.where(ties, -np.inf, a - top)).sum(axis=-1, keepdims=True)
+    rest = np.where(rest == 0, rest, rest / count)
+    return np.log1p(rest) + np.log(count) + top
 
 
-@dataclass(frozen=True)
-class LinearLoss:
-    """A linear loss ``x -> <gradient, x>`` with ``|gradient| <= lipschitz_bound``."""
+def normalized(log_weights: np.ndarray) -> np.ndarray:
+    """Normalized densities of log-weights, along the last axis."""
+    p = np.exp(log_weights - logsumexp(log_weights))
+    return p / p.sum(axis=-1, keepdims=True)
 
-    gradient: np.ndarray
-    lipschitz_bound: float
 
-    def __post_init__(self):
-        grad = _as_float_vector(self.gradient, "gradient")
-        bound = float(self.lipschitz_bound)
-        if bound <= 0.0:
-            raise ValueError("lipschitz bound must be positive")
-        if float(np.linalg.norm(grad)) > bound * (1.0 + _NORM_SLACK):
-            raise ValueError("gradient norm exceeds the Lipschitz bound")
-        object.__setattr__(self, "gradient", grad)
-        object.__setattr__(self, "lipschitz_bound", bound)
+def cumulative_table(values: np.ndarray, B: int) -> np.ndarray:
+    """Per-batch cumulative sums of a (T, d) loss or gradient matrix.
 
-    @property
-    def d(self) -> int:
-        return self.gradient.size
+    Row ``s - 1`` is the sum of all rounds before batch ``s`` starts, so
+    row 0 is zero; the measure in force for batch ``s`` is a function of
+    that row alone.
+    """
+    T, d = values.shape
+    n_batches = -(-T // B)
+    cum = np.zeros((n_batches, d))
+    if n_batches > 1:
+        sums = np.cumsum(values, axis=0)
+        cum[1:] = sums[np.arange(1, n_batches) * B - 1]
+    return cum
 
-    def value_at(self, x: np.ndarray) -> float:
-        return float(self.gradient @ np.asarray(x, dtype=np.float64))
+
+def mw_log_weights(values: np.ndarray, eta: float, B: int) -> np.ndarray:
+    """Log-weights of the experts measure of every batch: ``-eta`` times the cumulative losses."""
+    log_weights = -eta * cumulative_table(values, B)
+    if not np.isfinite(log_weights).all():
+        raise ValueError("log weights must be finite")
+    return log_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +130,7 @@ class MwMeasure:
     @cached_property
     def probabilities(self) -> np.ndarray:
         """Normalized density, computed once per state via log-sum-exp."""
-        p = np.exp(self.log_weights - logsumexp(self.log_weights))
-        return p / p.sum()
+        return normalized(self.log_weights)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -185,6 +188,9 @@ class RmwMeasure:
         return self._hit_and_run(rng)
 
     def _hit_and_run(self, rng: np.random.Generator) -> np.ndarray:
+        # scipy is loaded only here, by the rare fallback
+        from scipy.special import ndtr, ndtri
+
         mean = self.gaussian_mean
         sigma = self.gaussian_sigma
         r = self.radius
@@ -219,10 +225,6 @@ class RmwMeasure:
         return z
 
 
-MeasureState = MwMeasure | RmwMeasure
-Loss = LossVector | LinearLoss
-
-
 def mw_init(d: int, eta: float) -> MwMeasure:
     """Uniform measure over ``d`` experts (all log-weights zero)."""
     if d < 1:
@@ -230,57 +232,10 @@ def mw_init(d: int, eta: float) -> MwMeasure:
     return MwMeasure(np.zeros(int(d)), eta)
 
 
-def mw_update(state: MwMeasure, loss: LossVector) -> MwMeasure:
-    if loss.d != state.d:
-        raise ValueError("loss dimension does not match the measure")
-    return MwMeasure(state.log_weights - state.eta * loss.values, state.eta)
-
-
 def rmw_init(d: int, beta: float, lam: float, radius: float) -> RmwMeasure:
     if d < 1:
         raise ValueError("dimension must be at least 1")
     return RmwMeasure(np.zeros(int(d)), beta, lam, radius)
-
-
-def rmw_update(state: RmwMeasure, loss: LinearLoss) -> RmwMeasure:
-    if loss.d != state.d:
-        raise ValueError("gradient dimension does not match the measure")
-    return RmwMeasure(state.grad_sum + loss.gradient, state.beta, state.lam, state.radius)
-
-
-def update(state: MeasureState, loss: Loss) -> MeasureState:
-    """Advance either measure family by one loss."""
-    if isinstance(state, MwMeasure):
-        if not isinstance(loss, LossVector):
-            raise TypeError("expert measure expects a LossVector")
-        return mw_update(state, loss)
-    if isinstance(state, RmwMeasure):
-        if not isinstance(loss, LinearLoss):
-            raise TypeError("ball measure expects a LinearLoss")
-        return rmw_update(state, loss)
-    raise TypeError(f"unknown measure state {type(state)!r}")
-
-
-def sample(state: MeasureState, rng: np.random.Generator):
-    """Draw one point from the normalized density of ``state``."""
-    return state.sample(rng)
-
-
-def log_batch_ratio(prev: MeasureState, cur: MeasureState, x) -> float:
-    """log of ``cur(x) / prev(x)`` on unnormalized measures.
-
-    For the experts measure this is the log-weight difference, i.e.
-    ``-eta`` times the batch losses of expert ``x``; for the ball measure
-    the quadratic term cancels and it is ``-beta * <G_cur - G_prev, x>``.
-    """
-    if type(prev) is not type(cur):
-        raise TypeError("measure states must come from the same family")
-    if prev.d != cur.d:
-        raise ValueError("measure states differ in dimension")
-    if isinstance(prev, MwMeasure):
-        return float(cur.log_weights[x] - prev.log_weights[x])
-    xv = np.asarray(x, dtype=np.float64)
-    return float(-cur.beta * ((cur.grad_sum - prev.grad_sum) @ xv))
 
 
 def effective_eta_rmw(beta: float, lam: float, lipschitz: float, delta0: float) -> float:
@@ -297,49 +252,3 @@ def effective_eta_rmw(beta: float, lam: float, lipschitz: float, delta0: float) 
         raise ValueError("delta0 must lie in (0, 1)")
     bl2 = beta * lipschitz * lipschitz
     return 2.0 * bl2 / lam + math.sqrt(8.0 * bl2 * math.log(2.0 / delta0) / lam)
-
-
-def mw_sequence(loss_values: np.ndarray, eta: float, batch: int) -> list[MwMeasure]:
-    """Per-batch expert measures for a full loss matrix, built in one pass.
-
-    Row ``s`` of the result is the measure in force for batch ``s + 1``,
-    i.e. the one determined by all losses before that batch starts.
-    """
-    loss_values = np.asarray(loss_values, dtype=np.float64)
-    T, d = loss_values.shape
-    n_batches = -(-T // batch)
-    cum = np.zeros((n_batches, d))
-    if n_batches > 1:
-        sums = np.cumsum(loss_values, axis=0)
-        starts = np.arange(1, n_batches) * batch
-        cum[1:] = sums[starts - 1]
-    return [MwMeasure(-eta * row, eta) for row in cum]
-
-
-def rmw_sequence(
-    gradients: np.ndarray, beta: float, lam: float, radius: float, batch: int
-) -> list[RmwMeasure]:
-    """Per-batch ball measures for a full gradient matrix."""
-    gradients = np.asarray(gradients, dtype=np.float64)
-    T, d = gradients.shape
-    n_batches = -(-T // batch)
-    cum = np.zeros((n_batches, d))
-    if n_batches > 1:
-        sums = np.cumsum(gradients, axis=0)
-        starts = np.arange(1, n_batches) * batch
-        cum[1:] = sums[starts - 1]
-    return [RmwMeasure(row, beta, lam, radius) for row in cum]
-
-
-def sequence_by_updates(initial: MeasureState, losses, batch: int) -> list[MeasureState]:
-    """Reference builder: advance one loss at a time, snapshot at batch starts.
-
-    Slow but direct; used to cross-check the vectorized builders.
-    """
-    states = [initial]
-    cur = initial
-    for t, loss in enumerate(losses, start=1):
-        cur = update(cur, loss)
-        if t % batch == 0 and t < len(losses):
-            states.append(cur)
-    return states

@@ -19,6 +19,12 @@ Everything is computed on unnormalized measures in log-space and
 exponentiated once: normalization constants cancel in the ratios, and
 the min() then acts on an exact quantity.
 
+A :class:`PreparedRun` is built from the measure kind (``"mw"`` for
+experts, ``"rmw"`` for the ball) and the loss matrix alone: the
+measure of every batch is a row of one cumulative table, so set-up
+makes no per-batch objects. The ball sampler is built only for the
+batch that resamples.
+
 Randomness contract (frozen for reproducibility): at each batch s >= 2
 the engine consumes three uniforms, in the order S, S', A, then at most
 one resample draw for the played chain followed by at most one for the
@@ -48,9 +54,8 @@ from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .measures import ETA_MAX, MeasureState, MwMeasure, log_batch_ratio
+from .measures import ETA_MAX, RmwMeasure, cumulative_table, mw_log_weights, normalized
 
 # The experts engine tests batches one at a time, reading _CHUNK of them
 # per numpy call, until _PROBE keep in a row (events come densely in
@@ -153,6 +158,8 @@ class L2PConfig:
         if any(v is not None for v in oco_fields):
             if any(v is None or v <= 0.0 for v in oco_fields):
                 hard.append("ball runs need beta, lam, radius and lipschitz, all positive")
+            elif self.eta_accounted is None:
+                hard.append("ball runs need eta_accounted, the divergence bound of their measure")
         if hard:
             return ConfigReport(tuple(hard), ())
         if self.T * self.p / self.B < 1.0:
@@ -201,7 +208,10 @@ class Transcript:
 
     Column storage: ``models[s-1]`` is the played model of batch s,
     ``coins`` holds (S, S', A) per batch with -1 sentinels in batch 1,
-    and ``switched`` holds the (switched_x, switched_y) bits. ``ys``
+    and ``switched`` holds the (switched_x, switched_y) bits. The three
+    counts are taken from the run's switch events: batches that switched
+    x, batches that switched y, and batches with a data-free refresh on
+    either chain (S'=0 or A=0). ``ys``
     and ``raw_log_ratios`` (the log correlated-sampling ratio before
     the acceptance cap, one entry per batch s >= 2) are diagnostics for
     audits and are never serialized.
@@ -212,6 +222,9 @@ class Transcript:
     switched: np.ndarray
     batch_losses: np.ndarray
     round_losses: np.ndarray
+    switch_count_x: int
+    switch_count_y: int
+    fake_switch_count: int
     ys: tuple = field(default=(), repr=False)
     raw_log_ratios: np.ndarray | None = field(default=None, repr=False)
 
@@ -242,20 +255,6 @@ class Transcript:
     def total_loss(self) -> float:
         return float(self.round_losses.sum())
 
-    @property
-    def switch_count_x(self) -> int:
-        return int(self.switched[:, 0].sum())
-
-    @property
-    def switch_count_y(self) -> int:
-        return int(self.switched[:, 1].sum())
-
-    @property
-    def fake_switch_count(self) -> int:
-        """Batches with a data-free refresh on either chain (A=0 or S'=0)."""
-        c = self.coins[1:]
-        return int(np.count_nonzero((c[:, 1] == 0) | (c[:, 2] == 0)))
-
     def write_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -272,65 +271,46 @@ class Transcript:
             )
 
 
-def acceptance_probability(
-    prev: MeasureState,
-    cur: MeasureState,
-    x_prev,
-    y_prev,
-    B: int,
-    eta: float,
-) -> float:
-    """Keep probability for the played chain at one batch boundary.
-
-    Equals ``min(1, exp(r(x) - r(y) - 2 B eta))`` with ``r`` the
-    unnormalized log batch ratio; invariant to rescaling both measures.
-    """
-    log_ratio = (
-        log_batch_ratio(prev, cur, x_prev)
-        - log_batch_ratio(prev, cur, y_prev)
-        - 2.0 * B * eta
-    )
-    return 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-
-
 class PreparedRun:
-    """One (config, stream) pair, precomputed once and run many times.
+    """One (config, measure kind, loss matrix) triple, precomputed once and run many times.
 
-    The per-batch measures and every data-dependent table (log-weights,
-    sampling CDFs, per-batch loss sums) are functions of the losses
-    alone, so replicates share them; only the coin and resample draws
-    differ between runs.
+    ``kind`` is ``"mw"`` (experts; ``loss_values`` holds losses in
+    [0, 1]) or ``"rmw"`` (the ball; ``loss_values`` holds gradients, and
+    the config carries beta, lam and radius). Every data-dependent
+    table is a function of the losses alone, so replicates share them;
+    only the coin and resample draws differ between runs. Experts runs
+    keep the log-weights and sampling CDFs of every batch, ball runs
+    the gradient sums; both keep the per-batch loss sums and the
+    column totals of the loss matrix, from which the comparator follows.
+    The acceptance cap always uses the full ``2 B eta`` exponent, also on
+    a short final batch.
     """
 
-    def __init__(self, config: L2PConfig, measures: list[MeasureState], loss_values: np.ndarray):
+    def __init__(self, config: L2PConfig, kind: str, loss_values: np.ndarray):
         report = config.report
         if not report.ok:
             raise ConfigError("; ".join(report.hard_errors))
+        if kind not in ("mw", "rmw"):
+            raise ValueError(f"unknown measure kind {kind!r}")
         loss_values = np.asarray(loss_values, dtype=np.float64)
-        if loss_values.shape[0] != config.T:
-            raise ValueError("loss matrix rows must equal T")
-        if len(measures) != config.n_batches:
-            raise ValueError(
-                f"expected {config.n_batches} per-batch measures, got {len(measures)}"
-            )
+        if loss_values.ndim != 2 or loss_values.shape[0] != config.T:
+            raise ValueError("loss matrix must have T rows of one loss each")
         self.config = config
-        self.measures = measures
         self.loss_values = loss_values
-        self.is_mw = isinstance(measures[0], MwMeasure)
-        n = config.n_batches
-        starts = np.arange(n) * config.B
+        self.is_mw = kind == "mw"
+        starts = np.arange(config.n_batches) * config.B
         self.batch_sums = np.add.reduceat(loss_values, starts, axis=0)
+        self.column_totals = loss_values.sum(axis=0)
         if self.is_mw:
-            lw = np.vstack([m.log_weights for m in measures])
-            self.log_weights = lw
-            probs = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
-            probs /= probs.sum(axis=1, keepdims=True)
-            cdfs = np.cumsum(probs, axis=1)
-            cdfs[:, -1] = 1.0
+            self.log_weights = mw_log_weights(loss_values, config.eta, config.B)
+            cdfs = np.cumsum(normalized(self.log_weights), axis=1)
+            cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
             self.cdfs = cdfs
         else:
-            self.grad_sums = np.vstack([m.grad_sum for m in measures])
-            self.beta = measures[0].beta
+            if config.beta is None:
+                raise ValueError("ball runs need beta/lam/radius on the config")
+            self.grad_sums = cumulative_table(loss_values, config.B)
+            self.beta = config.beta
 
     def run(self, rng: np.random.Generator) -> Transcript:
         events = self._mw_events(rng) if self.is_mw else self._ball_events(rng)
@@ -434,8 +414,8 @@ class PreparedRun:
         cap = 2.0 * config.B * config.eta_effective
         keep_y = 1.0 - config.p
         g, beta = self.grad_sums, self.beta
-        x = self.measures[0].sample(rng)
-        y = self.measures[0].sample(rng)
+        x = self._ball_sample(1, rng)
+        y = self._ball_sample(1, rng)
         events = _Events(x, y, n)
         for s in range(2, n + 1):
             delta_g = g[s - 1] - g[s - 2]
@@ -445,11 +425,16 @@ class PreparedRun:
             if S and Sp and A:
                 continue
             if not (S and Sp):
-                x = self.measures[s - 1].sample(rng)
+                x = self._ball_sample(s, rng)
             if not A:
-                y = self.measures[s - 1].sample(rng)
+                y = self._ball_sample(s, rng)
             events.add(s, S, Sp, A, x, y)
         return events
+
+    def _ball_sample(self, s: int, rng: np.random.Generator) -> np.ndarray:
+        """A draw from the batch-s ball measure, built for this one draw."""
+        config = self.config
+        return RmwMeasure(self.grad_sums[s - 1], self.beta, config.lam, config.radius).sample(rng)
 
     def _assemble(self, events: _Events) -> Transcript:
         """The transcript of one run from its switch events; every other batch keeps."""
@@ -480,6 +465,9 @@ class PreparedRun:
             _CODE_SWITCHED.take(events.codes, axis=0),
             batch_losses,
             round_losses,
+            events.switches_x,
+            events.switches_y,
+            events.fakes,
             ys,
             events.raw_log_ratios,
         )
@@ -525,10 +513,14 @@ class _Events:
     ``ys[k + 1]`` are in force from it on, and ``xs[0]``, ``ys[0]`` are the
     batch-1 draws. ``codes[s - 1]`` is batch s's coins coded as
     ``4 S + 2 S' + A`` (``_KEEP`` unless an event set it), and
-    ``raw_log_ratios[s - 2]`` is filled in for every batch s >= 2.
+    ``raw_log_ratios[s - 2]`` is filled in for every batch s >= 2. The
+    counts tally the events that switch x, that switch y, and that
+    refresh a chain by the data-free coins (S'=0 or A=0).
     """
 
-    __slots__ = ("rows", "xs", "ys", "codes", "raw_log_ratios")
+    __slots__ = (
+        "rows", "xs", "ys", "codes", "raw_log_ratios", "switches_x", "switches_y", "fakes"
+    )
 
     def __init__(self, x, y, n_batches: int):
         self.rows: list[int] = []
@@ -536,12 +528,16 @@ class _Events:
         self.codes = np.full(n_batches, _KEEP, dtype=np.int8)
         self.codes[0] = _FIRST
         self.raw_log_ratios = np.empty(n_batches - 1)
+        self.switches_x = self.switches_y = self.fakes = 0
 
     def add(self, s: int, S: bool, Sp: bool, A: bool, x, y) -> None:
         self.rows.append(s - 1)
         self.codes[s - 1] = 4 * S + 2 * Sp + A
         self.xs.append(x)
         self.ys.append(y)
+        self.switches_x += not (S and Sp)
+        self.switches_y += not A
+        self.fakes += not (Sp and A)
 
 
 def _keep_test(lr: float, u0, u1, u2, cap: float, keep_y: float) -> tuple[bool, bool, bool]:
@@ -574,21 +570,3 @@ def _kept_prefix(lr: np.ndarray, draws: np.ndarray, cap: float, keep_y: float) -
             return i
         start = i + 1
     return sure.size
-
-
-def run_l2p(
-    config: L2PConfig,
-    measures: list[MeasureState],
-    loss_values: np.ndarray,
-    rng: np.random.Generator,
-) -> Transcript:
-    """Run the switcher once over precomputed per-batch measures.
-
-    ``measures[s-1]`` must be the measure in force for batch ``s``
-    (reflecting exactly the losses of batches ``1..s-1``);
-    ``loss_values`` is the (T, d) matrix of per-round expert losses or
-    gradients. The acceptance cap always uses the full ``2 B eta``
-    exponent, also on a short final batch. Replicated callers should
-    build one :class:`PreparedRun` and call ``run`` per seed instead.
-    """
-    return PreparedRun(config, measures, loss_values).run(rng)

@@ -8,6 +8,7 @@ from l2p.accountant import (
     PrivacyBudget,
     TunerError,
     advanced_composition,
+    ball_config,
     cdp_to_approx,
     config_budget,
     group_privacy,
@@ -229,6 +230,13 @@ class TestTuneOco:
         expected_lam = max(math.sqrt(T), math.sqrt(d * math.log(T)) / cfg.eta)
         assert cfg.lam == pytest.approx(expected_lam, rel=1e-12)
         assert cfg.beta == pytest.approx(cfg.eta**2 * cfg.lam / 20.0, rel=1e-12)
+
+    def test_tuner_returns_the_ball_config_of_its_step(self):
+        # one home for lam, beta, delta0 and the accounted eta, shared with the CLI
+        cfg = tune_oco(10**4, 3, 0.5, 1e-6, 1.0, 2.0)
+        assert cfg == ball_config(10**4, 3, cfg.B, cfg.eta, cfg.p, 1e-6, 1.0, 2.0)
+        with pytest.raises(ValueError):
+            ball_config(100, 3, 1, 0.01, 0.0, 1e-6, 1.0, 1.0)
 
 
 class TestPrivacyBudget:

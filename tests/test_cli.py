@@ -3,6 +3,7 @@ import json
 import pytest
 
 from l2p import cli
+from l2p.accountant import ball_config, config_budget, l2p_privacy
 from l2p.cli import main
 
 
@@ -50,6 +51,24 @@ class TestRun:
     def test_full_override_accepted(self, tmp_path):
         path = _write_config(tmp_path, override={"B": 1, "eta": 0.01, "p": 0.5})
         assert main(["run", "--config", str(path)]) == 0
+
+    def test_ball_override_reports_accounted_budget(self, tmp_path, capsys):
+        # the budget of a ball override uses the divergence bound of its measure;
+        # with the nominal eta=0.01, delta0=0 it read eps 3.51 here
+        path = _write_config(
+            tmp_path, problem="oco", T=400, reps=2,
+            adversary={"kind": "iid-sphere", "seed": 1},
+            override={"B": 1, "eta": 0.01, "p": 0.1},
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        tuned, budget = provenance["tuned"], provenance["budget"]
+        config = ball_config(400, 3, 1, 0.01, 0.1, 1e-6, 1.0, 1.0)
+        assert tuned["eta_accounted"] == config.eta_accounted > 0.03
+        assert tuned["delta0"] == config.delta0 > 0.0
+        assert budget == config_budget(config).to_dict()
+        nominal = l2p_privacy(0.01, 0.1, 400, 1, 0.0, 1e-6 / 800)
+        assert budget["epsilon"] > 3 * nominal.epsilon
 
     def test_bad_schema(self, tmp_path):
         path = _write_config(tmp_path, schema=2)

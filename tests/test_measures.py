@@ -1,46 +1,71 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 from scipy.stats import chisquare
 
+from l2p.accountant import tune_ope
+from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
 from l2p.measures import (
-    LinearLoss,
-    LossVector,
     MwMeasure,
     RmwMeasure,
+    cumulative_table,
     effective_eta_rmw,
-    log_batch_ratio,
+    logsumexp,
     mw_init,
-    mw_sequence,
-    mw_update,
+    mw_log_weights,
+    normalized,
     rmw_init,
-    rmw_sequence,
-    rmw_update,
-    sample,
-    sequence_by_updates,
 )
+from l2p.transform import L2PConfig, PreparedRun
+
+
+def _reference_sums(values, B):
+    """Cumulative sums snapshotted at batch starts, advanced one round at a time."""
+    cur = np.zeros(values.shape[1])
+    rows = [cur]
+    for t, row in enumerate(values, start=1):
+        cur = cur + row
+        if t % B == 0 and t < len(values):
+            rows.append(cur)
+    return np.array(rows)
+
+
+def _reference_log_weights(values, eta, B):
+    """Experts log-weights at batch starts, one multiplicative update per round."""
+    cur = np.zeros(values.shape[1])
+    rows = [cur]
+    for t, row in enumerate(values, start=1):
+        cur = cur - eta * row
+        if t % B == 0 and t < len(values):
+            rows.append(cur)
+    return np.array(rows)
 
 
 class TestLossTypes:
+    """Losses are rows of a stream, validated once for the whole matrix."""
+
     def test_loss_vector_bounds(self):
-        LossVector([0.0, 1.0, 0.5])
+        LossStream("bernoulli", 3, 1, 0, [[0.0, 1.0, 0.5]])
         with pytest.raises(ValueError):
-            LossVector([1.2, 0.0])
+            LossStream("bernoulli", 2, 1, 0, [[1.2, 0.0]])
         with pytest.raises(ValueError):
-            LossVector([-0.1])
+            LossStream("bernoulli", 1, 1, 0, [[-0.1]])
 
     def test_linear_loss_norm_cap(self):
-        LinearLoss([0.3, 0.4], 0.5)
+        LossStream("iid-sphere", 2, 1, 0, [[0.3, 0.4]], lipschitz=0.5)
         with pytest.raises(ValueError):
-            LinearLoss([3.0, 4.0], 1.0)
+            LossStream("iid-sphere", 2, 1, 0, [[3.0, 4.0]], lipschitz=1.0)
 
     def test_linear_loss_value(self):
-        loss = LinearLoss([1.0, -2.0], 3.0)
-        assert loss.value_at(np.array([0.5, 0.25])) == 0.0
+        stream = LossStream("iid-sphere", 2, 1, 0, [[1.0, -2.0]], lipschitz=3.0)
+        assert stream.loss_at(0) @ np.array([0.5, 0.25]) == 0.0
 
 
 class TestMwInit:
@@ -61,23 +86,26 @@ class TestMwInit:
 
 
 class TestMwUpdate:
+    """Row s of the log-weight table is row s - 1 moved by -eta times batch s's losses."""
+
     def test_zero_loss_identity(self):
-        state = mw_init(3, 0.1)
-        out = mw_update(state, LossVector([0.0, 0.0, 0.0]))
-        assert np.array_equal(out.log_weights, np.zeros(3))
+        assert np.array_equal(mw_log_weights(np.zeros((2, 3)), 0.1, 1), np.zeros((2, 3)))
 
     def test_single_step(self):
-        out = mw_update(mw_init(3, 0.1), LossVector([1.0, 0.0, 0.5]))
-        np.testing.assert_allclose(out.log_weights, [-0.1, 0.0, -0.05], rtol=1e-15)
+        table = mw_log_weights(np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.0]]), 0.1, 1)
+        np.testing.assert_allclose(table[1], [-0.1, 0.0, -0.05], rtol=1e-15)
 
     def test_additivity(self):
-        state = MwMeasure(np.array([-0.1, 0.0, -0.05]), 0.1)
-        out = mw_update(state, LossVector([1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(out.log_weights, [-0.2, -0.1, -0.15], rtol=1e-12)
+        losses = np.array([[1.0, 0.0, 0.5], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        table = mw_log_weights(losses, 0.1, 1)
+        np.testing.assert_allclose(table[2], [-0.2, -0.1, -0.15], rtol=1e-12)
 
     def test_dimension_mismatch(self):
+        config = L2PConfig(T=3, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         with pytest.raises(ValueError):
-            mw_update(mw_init(3, 0.1), LossVector([1.0, 0.0]))
+            PreparedRun(config, "mw", np.zeros(3))
+        with pytest.raises(ValueError):
+            PreparedRun(config, "mw", np.zeros((2, 3)))
 
     @given(
         st.lists(st.floats(0, 1), min_size=1, max_size=6),
@@ -87,10 +115,9 @@ class TestMwUpdate:
     def test_ratio_identity(self, losses, eta):
         # one update moves each unnormalized log-weight by exactly -eta * loss
         d = len(losses)
-        state = mw_init(d, eta)
-        new = mw_update(state, LossVector(losses))
+        table = mw_log_weights(np.array([losses, [0.0] * d]), eta, 1)
         for x in range(d):
-            got = math.exp(log_batch_ratio(state, new, x))
+            got = math.exp(table[1, x] - table[0, x])
             np.testing.assert_allclose(got, math.exp(-eta * losses[x]), rtol=1e-12)
 
     @given(st.lists(st.floats(0, 1), min_size=2, max_size=6), st.floats(0.001, 0.1))
@@ -98,10 +125,8 @@ class TestMwUpdate:
     def test_normalized_step_divergence(self, losses, eta):
         # normalized log-densities move by at most eta per update
         d = len(losses)
-        state = mw_init(d, eta)
-        new = mw_update(state, LossVector(losses))
-        before = state.log_weights - logsumexp(state.log_weights)
-        after = new.log_weights - logsumexp(new.log_weights)
+        table = mw_log_weights(np.array([losses, [0.0] * d]), eta, 1)
+        before, after = table - logsumexp(table)
         assert np.abs(after - before).max() <= eta + 1e-12
 
 
@@ -136,24 +161,23 @@ class TestMwSampling:
         np.testing.assert_allclose(state.log_weights, -1e5, rtol=1e-9)
         assert np.isfinite(state.log_weights).all()
         np.testing.assert_allclose(state.probabilities, 1.0 / 3, rtol=1e-12)
-        # incremental tail: the last thousand of those updates, step by step
-        inc = MwMeasure(state.log_weights + eta * 1000.0, eta)
-        ones = LossVector(np.ones(3))
+        # incremental tail: the last thousand of those updates, one round at a time
+        inc = state.log_weights + eta * 1000.0
         for _ in range(1000):
-            inc = mw_update(inc, ones)
-        np.testing.assert_allclose(inc.log_weights, -1e5, rtol=1e-9)
+            inc = inc - eta * np.ones(3)
+        np.testing.assert_allclose(inc, -1e5, rtol=1e-9)
 
 
 class TestRmw:
     def test_init_and_update(self):
         state = rmw_init(2, 0.1, 1.0, 1.0)
         assert np.array_equal(state.grad_sum, np.zeros(2))
-        out = rmw_update(state, LinearLoss([0.3, 0.4], 1.0))
-        np.testing.assert_allclose(out.grad_sum, [0.3, 0.4])
+        table = cumulative_table(np.array([[0.3, 0.4], [0.0, 0.0]]), 1)
+        np.testing.assert_allclose(table, [[0.0, 0.0], [0.3, 0.4]])
 
     def test_rejects_oversized_gradient(self):
         with pytest.raises(ValueError):
-            LinearLoss([2.0, 0.0], 1.0)
+            LossStream("iid-sphere", 2, 1, 0, [[2.0, 0.0]], lipschitz=1.0)
 
     def test_log_density_identity(self):
         state = RmwMeasure(np.array([1.0, -2.0]), 0.2, 1.5, 1.0)
@@ -162,10 +186,14 @@ class TestRmw:
         np.testing.assert_allclose(state.log_unnorm(x), expected, rtol=1e-12)
 
     def test_batch_ratio_linear(self):
-        prev = RmwMeasure(np.zeros(2), 0.2, 1.0, 1.0)
-        cur = RmwMeasure(np.array([1.0, 0.0]), 0.2, 1.0, 1.0)
-        got = log_batch_ratio(prev, cur, np.array([0.5, 0.0]))
+        # adjacent rows of the gradient-sum table: the quadratic term cancels,
+        # leaving the -beta <G_cur - G_prev, x> the engine uses
+        table = cumulative_table(np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
+        prev, cur = (RmwMeasure(g, 0.2, 1.0, 1.0) for g in table)
+        x = np.array([0.5, 0.0])
+        got = cur.log_unnorm(x) - prev.log_unnorm(x)
         np.testing.assert_allclose(got, -0.1, rtol=1e-12)
+        np.testing.assert_allclose(got, -0.2 * ((table[1] - table[0]) @ x), rtol=1e-12)
 
     def test_gaussian_shape(self):
         state = RmwMeasure(np.array([2.0, 0.0]), 0.5, 2.0, 1.0)
@@ -221,32 +249,102 @@ class TestEffectiveEta:
 
 
 class TestSequences:
+    """The array tables against one-round-at-a-time reference builders."""
+
     def test_mw_sequence_matches_reference(self):
         rng = np.random.default_rng(0)
         losses = rng.random((11, 3))
-        fast = mw_sequence(losses, 0.07, 4)
-        slow = sequence_by_updates(mw_init(3, 0.07), [LossVector(r) for r in losses], 4)
-        assert len(fast) == len(slow) == 3
-        for a, b in zip(fast, slow):
-            np.testing.assert_allclose(a.log_weights, b.log_weights, atol=1e-12)
+        fast = mw_log_weights(losses, 0.07, 4)
+        slow = _reference_log_weights(losses, 0.07, 4)
+        assert fast.shape == slow.shape == (3, 3)
+        np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_rmw_sequence_matches_reference(self):
         rng = np.random.default_rng(1)
         grads = rng.standard_normal((10, 2))
         grads /= np.linalg.norm(grads, axis=1, keepdims=True)
-        fast = rmw_sequence(grads, 0.05, 2.0, 1.0, 3)
-        slow = sequence_by_updates(
-            rmw_init(2, 0.05, 2.0, 1.0), [LinearLoss(g, 1.0) for g in grads], 3
+        fast = cumulative_table(grads, 3)
+        slow = _reference_sums(grads, 3)
+        assert fast.shape == slow.shape == (4, 2)
+        np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+    @pytest.mark.parametrize("T, B", [(1, 1), (7, 7), (30, 1), (31, 4)])
+    def test_prepared_tables_match_reference(self, T, B):
+        stream = bernoulli_experts(3, T, (0.2, 0.5, 0.8), T)
+        config = L2PConfig(T=T, B=B, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
+        prepared = PreparedRun(config, "mw", stream.values)
+        slow = _reference_log_weights(stream.values, 0.05, B)
+        np.testing.assert_allclose(prepared.log_weights, slow, atol=1e-12)
+        for row, cdf in zip(slow, prepared.cdfs):
+            want = np.cumsum(MwMeasure(row, 0.05).probabilities)
+            np.testing.assert_allclose(cdf, want, atol=1e-12)
+            assert cdf[-1] == 1.0
+        grads = linear_oco_stream(2, T, 1.0, T, "iid-sphere")
+        config = L2PConfig(
+            T=T, B=B, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
+            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
         )
-        for a, b in zip(fast, slow):
-            np.testing.assert_allclose(a.grad_sum, b.grad_sum, atol=1e-12)
+        prepared = PreparedRun(config, "rmw", grads.values)
+        np.testing.assert_allclose(prepared.grad_sums, _reference_sums(grads.values, B), atol=1e-12)
 
     def test_ratio_cross_family_rejected(self):
-        with pytest.raises(TypeError):
-            log_batch_ratio(mw_init(2, 0.1), rmw_init(2, 0.1, 1.0, 1.0), 0)
+        # a run is of one family: unknown kinds, and ball runs on a config
+        # without ball parameters, are refused
+        config = L2PConfig(T=2, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        with pytest.raises(ValueError):
+            PreparedRun(config, "ball", np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            PreparedRun(config, "rmw", np.zeros((2, 2)))
+
+
+class TestLogsumexp:
+    """The numpy log-sum-exp equals scipy.special.logsumexp bit for bit."""
+
+    @staticmethod
+    def _assert_bit_equal(a):
+        got = logsumexp(a)
+        want = scipy.special.logsumexp(a, axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        p = np.exp(a - want)
+        assert normalized(a).tobytes() == (p / p.sum(axis=-1, keepdims=True)).tobytes()
+
+    def test_ties_at_the_max(self):
+        self._assert_bit_equal(np.array([[0.0, 0.0, -1.0], [-2.0, -2.0, -2.0], [3.0, 1.0, 3.0]]))
+        self._assert_bit_equal(np.zeros(5))
+
+    def test_single_expert(self):
+        self._assert_bit_equal(np.array([[-3.5], [0.0], [-1e4]]))
+        self._assert_bit_equal(np.array([7.25]))
+
+    def test_rows_near_minus_1e4(self):
+        rng = np.random.default_rng(3)
+        self._assert_bit_equal(-1e4 + rng.uniform(-50.0, 0.0, (200, 7)))
+        self._assert_bit_equal(-1e4 - rng.integers(0, 3, (200, 4)).astype(float))
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(4)
+        for d in (2, 3, 8, 9, 17, 130):
+            self._assert_bit_equal(rng.normal(0.0, 30.0, (50, d)))
+
+    def test_ope_b1_table(self):
+        T, d = 20_000, 10
+        stream = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), 1)
+        config = tune_ope(T, d, 1.0, 1e-6)
+        self._assert_bit_equal(mw_log_weights(stream.values, config.eta, config.B))
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, l2p, l2p.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60, env=env,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sample_dispatch():
     rng = np.random.default_rng(0)
-    assert isinstance(sample(mw_init(2, 0.1), rng), int)
-    assert sample(rmw_init(2, 0.1, 1.0, 1.0), rng).shape == (2,)
+    assert isinstance(mw_init(2, 0.1).sample(rng), int)
+    assert rmw_init(2, 0.1, 1.0, 1.0).sample(rng).shape == (2,)

@@ -7,8 +7,9 @@ import pytest
 
 from l2p.accountant import tune_oco, tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
-from l2p.harness import measure_sequence
-from l2p.measures import LossVector, mw_init, mw_update, rmw_init, rmw_update, LinearLoss
+from l2p.audit import exact_batch_distributions
+from l2p.harness import play_game
+from l2p.measures import RmwMeasure, normalized
 from l2p.transform import (
     CSV_COLUMNS,
     ConfigError,
@@ -17,52 +18,71 @@ from l2p.transform import (
     Transcript,
     _keep_test,
     _kept_prefix,
-    acceptance_probability,
-    run_l2p,
 )
 
 
-def _mw_pair(eta, losses):
-    prev = mw_init(len(losses), eta)
-    cur = mw_update(prev, LossVector(losses))
-    return prev, cur
+def _log_ratio(prepared: PreparedRun, s: int, x) -> float:
+    """log of cur(x) / prev(x) between the batch s-1 and batch s rows of the tables."""
+    if prepared.is_mw:
+        col = prepared.log_weights[:, x]
+        return float(col[s - 1] - col[s - 2])
+    delta_g = prepared.grad_sums[s - 1] - prepared.grad_sums[s - 2]
+    return float(-prepared.beta * (delta_g @ x))
+
+
+def _acceptance(prepared: PreparedRun, s: int, x, y) -> float:
+    """Keep probability at batch s: min(1, exp(r(x) - r(y) - 2 B eta))."""
+    cap = 2.0 * prepared.config.B * prepared.config.eta_effective
+    lr = _log_ratio(prepared, s, x) - _log_ratio(prepared, s, y) - cap
+    return 1.0 if lr >= 0.0 else math.exp(lr)
+
+
+def _mw_run(eta, rows, B=1):
+    values = np.array(rows, dtype=float)
+    config = L2PConfig(T=len(values), B=B, eta=eta, p=0.5, delta0=0.0, delta1=1e-6)
+    return PreparedRun(config, "mw", values)
 
 
 class TestAcceptanceProbability:
+    """The keep probability read off the prepared tables."""
+
     def test_identical_measures(self):
-        prev = mw_init(3, 0.1)
         for B in (1, 2, 5):
-            got = acceptance_probability(prev, prev, 0, 1, B, 0.1)
+            prepared = _mw_run(0.1, np.zeros((2 * B, 3)), B)
+            got = _acceptance(prepared, 2, 0, 1)
             np.testing.assert_allclose(got, math.exp(-2 * B * 0.1), rtol=1e-12)
 
     def test_y_heavier_than_x(self):
         # batch loss 0 at x, 1 at y: ratio exp(0 + eta - 2*eta) = e^{-0.1}
-        prev, cur = _mw_pair(0.1, [0.0, 1.0])
-        got = acceptance_probability(prev, cur, 0, 1, 1, 0.1)
-        np.testing.assert_allclose(got, math.exp(-0.1), rtol=1e-12)
+        prepared = _mw_run(0.1, [[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_allclose(_acceptance(prepared, 2, 0, 1), math.exp(-0.1), rtol=1e-12)
 
     def test_x_heavier_than_y(self):
         # batch loss 1 at x, 0 at y: ratio exp(-eta - 0 - 2*eta) = e^{-0.3}
-        prev, cur = _mw_pair(0.1, [1.0, 0.0])
-        got = acceptance_probability(prev, cur, 0, 1, 1, 0.1)
-        np.testing.assert_allclose(got, math.exp(-0.3), rtol=1e-12)
+        prepared = _mw_run(0.1, [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_allclose(_acceptance(prepared, 2, 0, 1), math.exp(-0.3), rtol=1e-12)
 
     def test_rescaling_invariance(self):
-        prev, cur = _mw_pair(0.05, [0.3, 0.9, 0.1])
-        shifted_prev = type(prev)(prev.log_weights + 7.7, prev.eta)
-        shifted_cur = type(cur)(cur.log_weights + 7.7, cur.eta)
-        a = acceptance_probability(prev, cur, 0, 2, 3, 0.05)
-        b = acceptance_probability(shifted_prev, shifted_cur, 0, 2, 3, 0.05)
+        prepared = _mw_run(0.05, [[0.3, 0.9, 0.1]] * 3 + [[0.0, 0.0, 0.0]] * 3, B=3)
+        a = _acceptance(prepared, 2, 0, 2)
+        normal = normalized(prepared.log_weights)
+        prepared.log_weights = prepared.log_weights + 7.7
+        b = _acceptance(prepared, 2, 0, 2)
         np.testing.assert_allclose(a, b, rtol=1e-12)
+        np.testing.assert_allclose(normalized(prepared.log_weights), normal, rtol=1e-12)
         assert 0.0 < a <= 1.0
 
     def test_rmw_ratio(self):
-        prev = rmw_init(2, 0.2, 1.0, 1.0)
-        cur = rmw_update(prev, LinearLoss([1.0, 0.0], 1.0))
+        stream = LossStream("iid-sphere", 2, 2, 0, [[1.0, 0.0], [0.0, 0.0]], lipschitz=1.0)
+        config = L2PConfig(
+            T=2, B=1, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
+            beta=0.2, lam=1.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+        )
+        prepared = PreparedRun(config, "rmw", stream.values)
         x = np.array([0.5, 0.0])
         y = np.array([-0.5, 0.0])
         # r(x) = -0.1, r(y) = +0.1, cap 2*1*0.05 = 0.1
-        got = acceptance_probability(prev, cur, x, y, 1, 0.05)
+        got = _acceptance(prepared, 2, x, y)
         np.testing.assert_allclose(got, math.exp(-0.1 - 0.1 - 0.1), rtol=1e-12)
 
 
@@ -72,7 +92,18 @@ class TestConfigValidation:
         report = bad.validate()
         assert not report.ok
         with pytest.raises(ConfigError):
-            run_l2p(bad, [], np.zeros((10, 2)), np.random.default_rng(0))
+            PreparedRun(bad, "mw", np.zeros((10, 2)))
+
+    def test_ball_needs_accounted_eta(self):
+        # the budget and the acceptance cap must use the divergence the ball
+        # measure satisfies, so a ball config without it cannot run
+        fields = dict(T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
+                      beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0)
+        report = L2PConfig(**fields).validate()
+        assert any("eta_accounted" in e for e in report.hard_errors)
+        with pytest.raises(ConfigError):
+            PreparedRun(L2PConfig(**fields), "rmw", np.zeros((6, 2)))
+        assert L2PConfig(**fields, eta_accounted=0.05).validate().ok
 
     def test_negative_p_rejected(self):
         assert not L2PConfig(T=10, B=1, eta=0.1, p=-0.1, delta0=0.0, delta1=1e-6).validate().ok
@@ -94,6 +125,10 @@ class TestConfigValidation:
         assert report.preconditions_met
 
 
+def _run(config, stream, seed, kind="mw"):
+    return PreparedRun(config, kind, stream.values).run(np.random.default_rng(seed))
+
+
 def _uniform_stream(d, T, seed=0):
     rng = np.random.default_rng(seed)
     return LossStream("bernoulli", d, T, seed, (rng.random((T, d)) < 0.5).astype(float))
@@ -103,8 +138,7 @@ class TestRunL2p:
     def test_single_batch_no_coins(self):
         stream = _uniform_stream(3, 4)
         config = L2PConfig(T=4, B=4, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        ms = measure_sequence(config, "mw", stream)
-        t = run_l2p(config, ms, stream.values, np.random.default_rng(0))
+        t = _run(config, stream, 0)
         assert t.n_batches == 1
         rec = t.records[0]
         assert rec.S is None and rec.Sprime is None and rec.A is None
@@ -115,9 +149,9 @@ class TestRunL2p:
         # seed whose first coins are all "keep", the model never moves
         stream = LossStream("bernoulli", 2, 6, 0, np.zeros((6, 2)))
         config = L2PConfig(T=6, B=2, eta=0.001, p=0.0, delta0=0.0, delta1=1e-6)
-        ms = measure_sequence(config, "mw", stream)
+        prepared = PreparedRun(config, "mw", stream.values)
         for seed in range(20):
-            t = run_l2p(config, ms, stream.values, np.random.default_rng(seed))
+            t = prepared.run(np.random.default_rng(seed))
             if t.switch_count_x == 0:
                 assert len(set(t.models)) == 1
                 break
@@ -127,8 +161,7 @@ class TestRunL2p:
     def test_p_one_always_resamples(self):
         stream = _uniform_stream(2, 10, seed=3)
         config = L2PConfig(T=10, B=1, eta=0.1, p=1.0, delta0=0.0, delta1=1e-6)
-        ms = measure_sequence(config, "mw", stream)
-        t = run_l2p(config, ms, stream.values, np.random.default_rng(1))
+        t = _run(config, stream, 1)
         assert t.switch_count_x == t.n_batches - 1
         assert t.switch_count_y == t.n_batches - 1
         assert all(r.Sprime == 0 and r.A == 0 for r in t.records[1:])
@@ -138,7 +171,7 @@ class TestRunL2p:
         T, B, eta = 4, 2, 0.1
         stream = LossStream("bernoulli", 2, T, 0, np.zeros((T, 2)))
         config = L2PConfig(T=T, B=B, eta=eta, p=0.0, delta0=0.0, delta1=1e-6)
-        prepared = PreparedRun(config, measure_sequence(config, "mw", stream), stream.values)
+        prepared = PreparedRun(config, "mw", stream.values)
         n = 40_000
         switches = 0
         for i in range(n):
@@ -150,8 +183,7 @@ class TestRunL2p:
     def test_transcript_shape_and_identities(self):
         stream = _uniform_stream(3, 11, seed=5)
         config = L2PConfig(T=11, B=3, eta=0.05, p=0.4, delta0=0.0, delta1=1e-6)
-        ms = measure_sequence(config, "mw", stream)
-        t = run_l2p(config, ms, stream.values, np.random.default_rng(2))
+        t = _run(config, stream, 2)
         assert t.n_batches == 4  # ceil(11/3), short last batch
         assert t.round_losses.shape == (11,)
         for rec in t.records[1:]:
@@ -165,8 +197,7 @@ class TestRunL2p:
     def test_no_switch_means_same_model(self):
         stream = _uniform_stream(3, 20, seed=9)
         config = L2PConfig(T=20, B=2, eta=0.1, p=0.3, delta0=0.0, delta1=1e-6)
-        ms = measure_sequence(config, "mw", stream)
-        t = run_l2p(config, ms, stream.values, np.random.default_rng(4))
+        t = _run(config, stream, 4)
         for i in range(1, t.n_batches):
             if not t.switched[i, 0]:
                 assert t.models[i] == t.models[i - 1]
@@ -176,9 +207,9 @@ class TestRunL2p:
     def test_bit_identical_replay(self):
         stream = _uniform_stream(4, 30, seed=11)
         config = L2PConfig(T=30, B=4, eta=0.08, p=0.25, delta0=0.0, delta1=1e-5)
-        ms = measure_sequence(config, "mw", stream)
-        t1 = run_l2p(config, ms, stream.values, np.random.default_rng(99))
-        t2 = run_l2p(config, ms, stream.values, np.random.default_rng(99))
+        prepared = PreparedRun(config, "mw", stream.values)
+        t1 = prepared.run(np.random.default_rng(99))
+        t2 = prepared.run(np.random.default_rng(99))
         assert t1.models == t2.models
         assert np.array_equal(t1.coins, t2.coins)
         assert np.array_equal(t1.round_losses, t2.round_losses)
@@ -190,8 +221,7 @@ class TestRunL2p:
     def test_csv_format(self):
         stream = _uniform_stream(2, 4, seed=1)
         config = L2PConfig(T=4, B=2, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        ms = measure_sequence(config, "mw", stream)
-        t = run_l2p(config, ms, stream.values, np.random.default_rng(0))
+        t = _run(config, stream, 0)
         buf = io.StringIO()
         t.write_csv(buf)
         lines = buf.getvalue().splitlines()
@@ -207,10 +237,9 @@ class TestRunL2p:
         stream = LossStream("iid-sphere", 2, 6, 0, grads, lipschitz=1.0)
         config = L2PConfig(
             T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
-            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
+            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
         )
-        ms = measure_sequence(config, "rmw", stream)
-        t = run_l2p(config, ms, stream.values, np.random.default_rng(1))
+        t = _run(config, stream, 1, kind="rmw")
         buf = io.StringIO()
         t.write_csv(buf)
         row = buf.getvalue().splitlines()[1]
@@ -222,7 +251,7 @@ class TestRunL2p:
         # per-batch switch probability is 1 - acc * (1 - p) <= 2p + (1 - acc)
         stream = _uniform_stream(3, 60, seed=13)
         config = L2PConfig(T=60, B=3, eta=0.1, p=0.2, delta0=0.0, delta1=1e-6)
-        prepared = PreparedRun(config, measure_sequence(config, "mw", stream), stream.values)
+        prepared = PreparedRun(config, "mw", stream.values)
         n = 2000
         cap = 2.0 * config.B * config.eta
         switches = np.empty(n)
@@ -243,8 +272,7 @@ class TestRunL2p:
         d, T = 3, 5
         stream = bernoulli_experts(d, T, [0.2, 0.5, 0.8], seed=21)
         config = L2PConfig(T=T, B=1, eta=0.1, p=1.0, delta0=0.0, delta1=1e-6)
-        ms = measure_sequence(config, "mw", stream)
-        prepared = PreparedRun(config, ms, stream.values)
+        prepared = PreparedRun(config, "mw", stream.values)
         n = 60_000
         counts = np.zeros((T, d))
         for i in range(n):
@@ -253,8 +281,9 @@ class TestRunL2p:
                 counts[s, x] += 1
         from scipy.stats import chisquare
 
+        exact = exact_batch_distributions(stream, config.eta, config.B)
         for s in range(T):
-            expected = n * ms[s].probabilities
+            expected = n * exact[s]
             _, pval = chisquare(counts[s], expected)
             assert pval > 0.001, f"batch {s + 1} mismatch"
 
@@ -274,14 +303,8 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> Transcrip
         if prepared.is_mw:
             idx = int(prepared.cdfs[s - 1].searchsorted(rng.random(), side="right"))
             return min(idx, prepared.cdfs.shape[1] - 1)
-        return prepared.measures[s - 1].sample(rng)
-
-    def log_ratio(s, x):
-        if prepared.is_mw:
-            col = prepared.log_weights[:, x]
-            return float(col[s - 1] - col[s - 2])
-        delta_g = prepared.grad_sums[s - 1] - prepared.grad_sums[s - 2]
-        return float(-prepared.beta * (delta_g @ x))
+        g = prepared.grad_sums[s - 1]
+        return RmwMeasure(g, prepared.beta, config.lam, config.radius).sample(rng)
 
     x, y = sample(1), sample(1)
     models, ys = [x], [y]
@@ -291,7 +314,7 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> Transcrip
     round_losses = np.empty(T)
     raw_log_ratios = np.empty(n - 1)
     for s in range(2, n + 1):
-        lr = log_ratio(s, x) - log_ratio(s, y)
+        lr = _log_ratio(prepared, s, x) - _log_ratio(prepared, s, y)
         raw_log_ratios[s - 2] = lr
         acc = 1.0 if lr >= cap else math.exp(lr - cap)
         u = rng.random(3)
@@ -314,8 +337,18 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> Transcrip
         else:
             round_losses[lo:hi] = prepared.loss_values[lo:hi] @ x
             batch_losses[s - 1] = prepared.batch_sums[s - 1] @ x
+    c = coins[1:]
     return Transcript(
-        tuple(models), coins, switched, batch_losses, round_losses, tuple(ys), raw_log_ratios
+        tuple(models),
+        coins,
+        switched,
+        batch_losses,
+        round_losses,
+        int(switched[:, 0].sum()),
+        int(switched[:, 1].sum()),
+        int(np.count_nonzero((c[:, 1] == 0) | (c[:, 2] == 0))),
+        tuple(ys),
+        raw_log_ratios,
     )
 
 
@@ -342,7 +375,7 @@ def _same_state(a, b) -> bool:
 
 
 def _prepared(config, kind, stream):
-    return PreparedRun(config, measure_sequence(config, kind, stream), stream.values)
+    return PreparedRun(config, kind, stream.values)
 
 
 # (config, measure kind, stream) triples pinned by the golden hashes and
@@ -400,6 +433,37 @@ class TestGoldenTranscripts:
         assert _digest(prepared.run(rng), rng) == self.GOLDEN[shape, seed]
 
 
+class TestGameResults:
+    """Every GameResult field but the wall clock, recorded before the comparator
+    and the switch counts moved into the prepared run and the switch events."""
+
+    GOLDEN = {
+        ("ball", 10): "ddd4ba921aa4193f54593f54ed5895da68e794b8f27ec5b7a82854e988bab1ed",
+        ("epsilon", 50): "8083036b4bdbcfa7d1b90123f511b3c3e8cd971692e5be08a34f774bd812d5a8",
+        ("marginal", 50): "37c08b4139f09e48b4af71a566bad85325fc3fdedd478e56928663637784f0d3",
+        ("mixed", 30): "31578d8671b2d572fc75f86fd37ac221d5113a0fcc8a463ca694c2e41b7d4a43",
+        ("ope-b1", 4): "7ed70aa1b20eb3625c80011803efe161f0ae2922f5193f4353d2f435af941bc0",
+        ("sparse", 30): "93d1ca4b47cc9349e2dee472692aba005866e1f410d724a5ee0d2a2b71874399",
+    }
+
+    @pytest.mark.parametrize("shape, n_seeds", sorted(GOLDEN))
+    def test_fields(self, shape, n_seeds):
+        config, kind, stream = SHAPES[shape]()
+        prepared = _prepared(config, kind, stream)
+        digest = hashlib.sha256()
+        for seed in range(n_seeds):
+            g = play_game(config, kind, stream, seed, prepared=prepared, keep_transcript=False)
+            fields = (g.total_loss, g.comparator_loss, g.regret, g.switch_count_x,
+                      g.switch_count_y, g.fake_switch_count)
+            digest.update(repr(fields).encode())
+            if seed == 0:
+                alone = play_game(config, kind, stream, seed)
+                assert (alone.total_loss, alone.comparator_loss, alone.regret,
+                        alone.switch_count_x, alone.switch_count_y,
+                        alone.fake_switch_count) == fields
+        assert digest.hexdigest() == self.GOLDEN[shape, n_seeds]
+
+
 class TestAgainstReferenceLoop:
     @staticmethod
     def _assert_same(prepared, rng_a, rng_b):
@@ -413,6 +477,9 @@ class TestAgainstReferenceLoop:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
+        for name in ("switch_count_x", "switch_count_y", "fake_switch_count"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b) and a == b, name
         assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
         assert rng_a.random() == rng_b.random()
 
