@@ -35,12 +35,12 @@ print()
 
 print("first switching decisions (S=keep coin, S'=fake coin, A=reference coin):")
 shown = 0
-for rec in t.records[1:]:
-    if rec.switched_x or shown < 3:
-        kind = "real" if rec.switched_x and rec.S == 0 else (
-            "fake" if rec.switched_x else "kept"
-        )
-        print(f"  s={rec.s:3d} x={rec.x} S={rec.S} S'={rec.Sprime} A={rec.A}  -> {kind}")
+for s in range(2, t.n_batches + 1):
+    S, Sp, A = t.coins[s - 1].tolist()
+    switched_x = t.switched[s - 1, 0]
+    if switched_x or shown < 3:
+        kind = "real" if switched_x and S == 0 else ("fake" if switched_x else "kept")
+        print(f"  s={s:3d} x={t.models[s - 1]} S={S} S'={Sp} A={A}  -> {kind}")
         shown += 1
     if shown >= 10:
         break

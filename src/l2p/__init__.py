@@ -61,7 +61,6 @@ from .measures import (
 )
 from .seeding import replicate_seed, splitmix64
 from .transform import (
-    BatchRecord,
     ConfigError,
     ConfigReport,
     L2PConfig,
@@ -71,7 +70,6 @@ from .transform import (
 
 __all__ = [
     "AuditReport",
-    "BatchRecord",
     "ConfigError",
     "ConfigReport",
     "GameResult",

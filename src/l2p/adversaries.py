@@ -16,7 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _MAGIC = b"L2PS"
-_VERSION = 1
+# Version 1 stored the rows as float32, which loses the low bits of ball
+# gradients; version 2 stores them as float64. Both are read.
+_VERSION = 2
+_ROW_DTYPES = {1: "<f4", 2: "<f8"}
 
 _OPE_KINDS = ("bernoulli", "epoch_lower_bound")
 _OCO_KINDS = ("iid-sphere", "drift")
@@ -141,7 +144,7 @@ def neighbor_of(stream: LossStream, index: int, replacement) -> LossStream:
 
 
 def save_stream(stream: LossStream, path) -> None:
-    """Binary dump: header (kind, d, T, seed, aux fields), then float32 rows."""
+    """Binary dump: header (kind, d, T, seed, aux fields), then float64 rows."""
     kind_bytes = stream.kind.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -160,7 +163,7 @@ def save_stream(stream: LossStream, path) -> None:
                 int(stream.clamped),
             )
         )
-        fh.write(stream.values.astype("<f4").tobytes())
+        fh.write(stream.values.astype(_ROW_DTYPES[_VERSION]).tobytes())
 
 
 def load_stream(path) -> LossStream:
@@ -168,12 +171,14 @@ def load_stream(path) -> LossStream:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a loss-stream file")
         (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
+        if version not in _ROW_DTYPES:
             raise ValueError(f"unsupported stream file version {version}")
         (kind_len,) = struct.unpack("<I", fh.read(4))
         kind = fh.read(kind_len).decode("utf-8")
         d, T, seed, lip, n_epochs, epoch_len, clamped = struct.unpack("<qqqdqqB", fh.read(49))
-        values = np.frombuffer(fh.read(4 * T * d), dtype="<f4").reshape(T, d).astype(np.float64)
+        row = np.dtype(_ROW_DTYPES[version])
+        values = np.frombuffer(fh.read(row.itemsize * T * d), dtype=row).reshape(T, d)
+        values = values.astype(np.float64)
     return LossStream(
         kind,
         d,

@@ -35,20 +35,23 @@ The experts path does Python work per switch, not per batch. Each of
 its draws is one ``rng.random()`` double, so a run's doubles are drawn
 ahead in blocks and read in contract order. Every batch takes three and
 every resample one more, so the engine draws ahead only doubles the run
-is sure to use. Between switches x and y are fixed, and the keep tests
-of a stretch of batches are evaluated at once over the pre-drawn
-doubles; only the batches around a switch are tested one at a time. The
-S, S', A, x-resample, y-resample order, the transcripts and the
-generator's end state are those of a batch-by-batch loop. Ball runs
-keep that loop: their sampler draws normals, which cannot be pre-drawn
-bit-identically.
+is sure to use. The S' and A coins and the resamples use no data, and
+the S coin's keep probability is never below ``sure``, a floor set-up
+derives from the widest spread of the log ratios. So a batch whose S
+double is below ``sure`` and whose S' and A doubles are below ``1 - p``
+keeps, whatever x and y are: a screen of each block finds the other
+positions, and only there does the exact keep test run. Runs of at most
+``_WALK`` batches test every batch instead. The S, S', A, x-resample,
+y-resample order, the transcripts and the generator's end state are
+those of a batch-by-batch loop. Ball runs keep that loop: their sampler
+draws normals, which cannot be pre-drawn bit-identically.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -57,34 +60,24 @@ import numpy as np
 
 from .measures import ETA_MAX, RmwMeasure, cumulative_table, mw_log_weights, normalized
 
-# The experts engine tests batches one at a time, reading _CHUNK of them
-# per numpy call, until _PROBE keep in a row (events come densely in
-# short, high-p runs); it then searches vector windows for the next
-# event, of _WINDOW batches first and each twice the one before, up to
-# _WINDOW_MAX. Uniforms are drawn _BLOCK at a time, so a run's memory
-# does not grow with its length.
-_PROBE = 8
-_CHUNK = 16
-_WINDOW = 64
-_WINDOW_MAX = 2048
-_BLOCK = 3 * _WINDOW_MAX
-# A window's S uniform within this much of its np.exp acceptance is
-# re-decided by the scalar formula; the absolute term also sends every
-# subnormal acceptance there.
-_BOUNDARY_RTOL = 1e-12
-_BOUNDARY_ATOL = 1e-300
-# A batch's coins coded as 4 S + 2 S' + A index these tables of its
-# (S, S', A) row and its (switched_x, switched_y) bits; _KEEP is the
-# all-keep code and _FIRST marks batch 1, which has no coins.
-_KEEP, _FIRST = 7, 8
+# Runs of at most _WALK batches test every batch in turn: screening a
+# block costs a few numpy passes, more than walking so few batches.
+# Longer runs draw uniforms _BLOCK at a time, so a run's memory does not
+# grow with its length, and screen each block for the positions whose
+# S, S' or A uniform could fail a keep test.
+_WALK = 48
+_BLOCK = 6144
+# The screen's floor under every keep probability is shrunk by this
+# much, so exp's rounding can only add candidates; the absolute term
+# makes a floor at or near the subnormal range screen nothing out.
+_FLOOR_RTOL = 1e-12
+_FLOOR_ATOL = 1e-300
+# An event's coins coded as 4 S + 2 S' + A index its (S, S', A) row and
+# its (switched_x, switched_y) bits; every other batch keeps.
 _CODE_COINS = np.array(
-    [(S, Sp, A) for S in (0, 1) for Sp in (0, 1) for A in (0, 1)] + [(-1, -1, -1)],
-    dtype=np.int8,
+    [(S, Sp, A) for S in (0, 1) for Sp in (0, 1) for A in (0, 1)], dtype=np.int8
 )
-_CODE_SWITCHED = np.array(
-    [(1 - (S & Sp), 1 - A) for S, Sp, A in _CODE_COINS[:_FIRST]] + [(0, 0)],
-    dtype=np.int8,
-)
+_CODE_SWITCHED = np.array([(1 - (S & Sp), 1 - A) for S, Sp, A in _CODE_COINS], dtype=np.int8)
 
 
 class ConfigError(ValueError):
@@ -178,20 +171,6 @@ class L2PConfig:
         return self.report
 
 
-@dataclass(frozen=True, slots=True)
-class BatchRecord:
-    """One batch of the released transcript. Coins are None for s=1."""
-
-    s: int
-    x: int | np.ndarray
-    S: int | None
-    Sprime: int | None
-    A: int | None
-    switched_x: int
-    switched_y: int
-    batch_loss: float
-
-
 # CSV column order is part of the file contract; never reorder.
 CSV_COLUMNS = ("s", "x", "S", "Sprime", "A", "switched_x", "switched_y", "batch_loss")
 
@@ -232,25 +211,6 @@ class Transcript:
     def n_batches(self) -> int:
         return len(self.models)
 
-    @cached_property
-    def records(self) -> tuple[BatchRecord, ...]:
-        out = []
-        for i, x in enumerate(self.models):
-            S, Sp, A = (None, None, None) if i == 0 else map(int, self.coins[i])
-            out.append(
-                BatchRecord(
-                    i + 1,
-                    x,
-                    S,
-                    Sp,
-                    A,
-                    int(self.switched[i, 0]),
-                    int(self.switched[i, 1]),
-                    float(self.batch_losses[i]),
-                )
-            )
-        return tuple(out)
-
     @property
     def total_loss(self) -> float:
         return float(self.round_losses.sum())
@@ -279,11 +239,12 @@ class PreparedRun:
     the config carries beta, lam and radius). Every data-dependent
     table is a function of the losses alone, so replicates share them;
     only the coin and resample draws differ between runs. Experts runs
-    keep the log-weights and sampling CDFs of every batch, ball runs
-    the gradient sums; both keep the per-batch loss sums and the
-    column totals of the loss matrix, from which the comparator follows.
-    The acceptance cap always uses the full ``2 B eta`` exponent, also on
-    a short final batch.
+    keep the log-weights and sampling CDFs of every batch, and ``sure``,
+    a floor under the keep probability of every batch and every pair of
+    models; ball runs keep the gradient sums. Both keep the per-batch
+    loss sums and the column totals of the loss matrix, from which the
+    comparator follows. The acceptance cap always uses the full
+    ``2 B eta`` exponent, also on a short final batch.
     """
 
     def __init__(self, config: L2PConfig, kind: str, loss_values: np.ndarray):
@@ -298,6 +259,7 @@ class PreparedRun:
         self.config = config
         self.loss_values = loss_values
         self.is_mw = kind == "mw"
+        self.cap = 2.0 * config.B * config.eta_effective
         starts = np.arange(config.n_batches) * config.B
         self.batch_sums = np.add.reduceat(loss_values, starts, axis=0)
         self.column_totals = loss_values.sum(axis=0)
@@ -306,6 +268,12 @@ class PreparedRun:
             cdfs = np.cumsum(normalized(self.log_weights), axis=1)
             cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
             self.cdfs = cdfs
+            # A batch's log ratio is r[x] - r[y] for r the difference of two
+            # rows, so it is at least minus the widest such row's spread;
+            # rounding is monotone, so this holds for the computed values too.
+            spread = np.ptp(np.diff(self.log_weights, axis=0), axis=1).max(initial=0.0)
+            floor = math.exp(min(-self.cap - float(spread), 0.0))
+            self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
             if config.beta is None:
                 raise ValueError("ball runs need beta/lam/radius on the config")
@@ -331,77 +299,105 @@ class PreparedRun:
         Each draw of the contract is one ``rng.random()`` double, and
         ``rng.random(k)`` yields the same doubles as k scalar calls. A
         run uses ``3n - 1`` of them plus one per resample, so they are
-        drawn ahead in blocks, never past what the run is sure to use,
-        and read with a cursor. Between events x and y are fixed, so the
-        batches are tested one at a time until ``_PROBE`` keep in a row,
-        and from there in doubling vector windows up to the next event.
+        drawn ahead, never past what the run is sure to use, and read
+        with a cursor.
         """
-        config = self.config
-        n = config.n_batches
-        cap = 2.0 * config.B * config.eta_effective
-        keep_y = 1.0 - config.p
-        lw = self.log_weights
+        n = self.config.n_batches
         u = _Uniforms(rng, 3 * n - 1)
-
-        v0, v1 = u.span(0, 2).tolist()
+        v0, v1 = u.block[:2].tolist()
         row = self.cdfs[0].tolist()  # as in _pick, for both batch-1 draws
-        x, y = bisect_right(row, v0), bisect_right(row, v1)
-        events = _Events(x, y, n)
-        raw = events.raw_log_ratios
-        s, c = 2, 2  # next batch to test, cursor of its S uniform in u
-        quiet = 0  # batches kept in a row
-        while s <= n:
-            if quiet < _PROBE:
-                stop = min(s + _CHUNK, n + 1)
-                first, base = s, c
-                draws = u.span(c, 3 * (stop - s)).tolist()
-                cx = lw[s - 2 : stop - 1, x].tolist()
-                cy = lw[s - 2 : stop - 1, y].tolist()
-                ratios: list[float] = []
-                while s < stop and quiet < _PROBE:
-                    j, i = s - first, c - base
-                    if i + 3 > len(draws):  # resamples pushed the coins past the list
-                        u.extend(draws, base, i + 3 * (stop - s))
-                    lr = (cx[j + 1] - cx[j]) - (cy[j + 1] - cy[j])
-                    ratios.append(lr)
-                    S, Sp, A = _keep_test(lr, draws[i], draws[i + 1], draws[i + 2], cap, keep_y)
-                    c += 3
-                    if S and Sp and A:
-                        quiet += 1
-                    else:
-                        quiet = 0
-                        resamples = (not (S and Sp)) + (not A)
-                        u.owed += resamples
-                        if c - base + resamples > len(draws):
-                            u.extend(draws, base, c - base + resamples)
-                        if not (S and Sp):
-                            x = self._pick(s, draws[c - base])
-                            cx = lw[first - 2 : stop - 1, x].tolist()
-                            c += 1
-                        if not A:
-                            y = self._pick(s, draws[c - base])
-                            cy = lw[first - 2 : stop - 1, y].tolist()
-                            c += 1
-                        events.add(s, S, Sp, A, x, y)
-                    s += 1
-                raw[first - 2 : s - 2] = ratios
-                continue
-            start, width = s, _WINDOW
-            while start <= n:
-                end = min(start + width, n + 1)
-                cx = lw[start - 2 : end - 1, x]
-                cy = lw[start - 2 : end - 1, y]
-                lr = (cx[1:] - cx[:-1]) - (cy[1:] - cy[:-1])
-                at = c + 3 * (start - s)
-                kept = _kept_prefix(lr, u.span(at, 3 * (end - start)), cap, keep_y)
-                raw[start - 2 : start - 2 + kept] = lr[:kept]
-                start += kept
-                if start < end:
-                    break
-                width = min(2 * width, _WINDOW_MAX)
-            c += 3 * (start - s)
-            s, quiet = start, 0
+        events = _Events(bisect_right(row, v0), bisect_right(row, v1))
+        if n <= _WALK:
+            self._walk(events, u, n)
+        else:
+            self._screen(events, u, n)
         return events
+
+    def _walk(self, events: _Events, u: _Uniforms, n: int) -> None:
+        """A short run: every batch's keep test in turn, over lists.
+
+        All ``3n - 1`` uniforms fit in the first block; those the
+        resamples add are drawn when the walk first reads past the list.
+        """
+        cap, keep_y = self.cap, 1.0 - self.config.p
+        lw = self.log_weights
+        x, y = events.xs[0], events.ys[0]
+        cx, cy = lw[:, x].tolist(), lw[:, y].tolist()
+        draws = u.block.tolist()
+        ratios = events.raw_log_ratios = []
+        c = 2  # cursor of the next S uniform in draws
+        for s in range(2, n + 1):
+            if c + 3 > len(draws):  # earlier resamples pushed the coins past the list
+                draws += u.draw(u.owed).tolist()
+            lr = (cx[s - 1] - cx[s - 2]) - (cy[s - 1] - cy[s - 2])
+            ratios.append(lr)
+            S, Sp, A = _keep_test(lr, draws[c], draws[c + 1], draws[c + 2], cap, keep_y)
+            c += 3
+            if S and Sp and A:
+                continue
+            resamples = (not (S and Sp)) + (not A)
+            u.owed += resamples
+            if c + resamples > len(draws):
+                draws += u.draw(u.owed).tolist()
+            if not (S and Sp):
+                x = self._pick(s, draws[c])
+                cx = lw[:, x].tolist()
+                c += 1
+            if not A:
+                y = self._pick(s, draws[c])
+                cy = lw[:, y].tolist()
+                c += 1
+            events.add(s, S, Sp, A, x, y)
+
+    def _screen(self, events: _Events, u: _Uniforms, n: int) -> None:
+        """A long run: keep tests only where a pre-drawn uniform can fail one.
+
+        A batch whose S uniform is below ``sure`` and whose S' and A
+        uniforms are below ``1 - p`` keeps, whatever x and y are. So each
+        block of uniforms is screened once for the other positions, the
+        candidates, and split by position mod 3: batches read three
+        uniforms, so they sit on one phase of the cursor until a resample
+        shifts it. The loop skips to the next candidate on the cursor's
+        phase and runs the exact keep test there only.
+        """
+        cap, keep_y, sure = self.cap, 1.0 - self.config.p, self.sure
+        lw = self.log_weights.item
+        x, y = events.xs[0], events.ys[0]
+        block, start = u.block, u.start
+        found, end = _candidates(block, start, sure, keep_y)
+        s, c = 2, 2  # next batch to test, cursor of its S uniform
+        while s <= n:
+            phase = found[c % 3]
+            k = bisect_left(phase, c)
+            if k == len(phase):  # every batch up to the screened end keeps
+                skip = max(0, -(-(end - c) // 3))
+                s, c = s + skip, c + 3 * skip
+                if s <= n:
+                    u.refill(c)
+                    block, start = u.block, u.start
+                    found, end = _candidates(block, start, sure, keep_y)
+                continue
+            s, c = s + (phase[k] - c) // 3, phase[k]
+            i = c - start
+            lr = (lw(s - 1, x) - lw(s - 2, x)) - (lw(s - 1, y) - lw(s - 2, y))
+            u0, u1, u2 = block.item(i), block.item(i + 1), block.item(i + 2)
+            S, Sp, A = _keep_test(lr, u0, u1, u2, cap, keep_y)
+            c += 3
+            if not (S and Sp and A):
+                resamples = (not (S and Sp)) + (not A)
+                u.owed += resamples
+                if c + resamples > start + block.size:
+                    u.refill(c)
+                    block, start = u.block, u.start
+                    found, end = _candidates(block, start, sure, keep_y)
+                if not (S and Sp):
+                    x = self._pick(s, block.item(c - start))
+                    c += 1
+                if not A:
+                    y = self._pick(s, block.item(c - start))
+                    c += 1
+                events.add(s, S, Sp, A, x, y)
+            s += 1
 
     def _ball_events(self, rng: np.random.Generator) -> _Events:
         """Switch events of one ball run, by the per-batch loop.
@@ -411,16 +407,16 @@ class PreparedRun:
         """
         config = self.config
         n = config.n_batches
-        cap = 2.0 * config.B * config.eta_effective
-        keep_y = 1.0 - config.p
+        cap, keep_y = self.cap, 1.0 - config.p
         g, beta = self.grad_sums, self.beta
         x = self._ball_sample(1, rng)
         y = self._ball_sample(1, rng)
-        events = _Events(x, y, n)
+        events = _Events(x, y)
+        ratios = events.raw_log_ratios = []
         for s in range(2, n + 1):
             delta_g = g[s - 1] - g[s - 2]
             lr = float(-beta * (delta_g @ x)) - float(-beta * (delta_g @ y))
-            events.raw_log_ratios[s - 2] = lr
+            ratios.append(lr)
             S, Sp, A = _keep_test(lr, *rng.random(3), cap, keep_y)
             if S and Sp and A:
                 continue
@@ -430,6 +426,18 @@ class PreparedRun:
                 y = self._ball_sample(s, rng)
             events.add(s, S, Sp, A, x, y)
         return events
+
+    def _log_ratios(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The raw log ratio of every batch s >= 2 from the models in force before it.
+
+        Batch s tests the models of batch s - 1 on log-weight rows s - 1 and
+        s - 2, in the order (lw[s-1, x] - lw[s-2, x]) - (lw[s-1, y] - lw[s-2, y])
+        of the keep test, so the values are its values bit for bit.
+        """
+        flat, d = self.log_weights.ravel(), self.log_weights.shape[1]
+        at_x = np.arange(d, xs.size * d, d) + xs[:-1]
+        at_y = at_x + (ys[:-1] - xs[:-1])
+        return (flat.take(at_x) - flat.take(at_x - d)) - (flat.take(at_y) - flat.take(at_y - d))
 
     def _ball_sample(self, s: int, rng: np.random.Generator) -> np.ndarray:
         """A draw from the batch-s ball measure, built for this one draw."""
@@ -441,6 +449,7 @@ class PreparedRun:
         T, B, n = self.config.T, self.config.B, self.config.n_batches
         bounds = [0, *events.rows, n]
         lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+        raw_log_ratios = events.raw_log_ratios
 
         if self.is_mw:
             xs, ys = np.array((events.xs, events.ys)).repeat(lengths, axis=1)
@@ -449,6 +458,8 @@ class PreparedRun:
                 round_losses = batch_losses.copy()
             else:
                 round_losses = self.loss_values[np.arange(T), xs.repeat(B)[:T]]
+            if raw_log_ratios is None:  # a screened run tested few batches
+                raw_log_ratios = self._log_ratios(xs, ys)
             models, ys = tuple(xs.tolist()), tuple(ys.tolist())
         else:
             models = tuple(chain.from_iterable(map(repeat, events.xs, lengths)))
@@ -459,80 +470,100 @@ class PreparedRun:
                 round_losses[s * B : (s + 1) * B] = self.loss_values[s * B : (s + 1) * B] @ x
                 batch_losses[s] = self.batch_sums[s] @ x
 
+        coins = np.empty((n, 3), dtype=np.int8)
+        coins.fill(1)
+        coins[0] = -1
+        switched = np.zeros((n, 2), dtype=np.int8)
+        if events.rows:
+            rows, codes = np.array(events.rows), np.array(events.codes)
+            coins[rows] = _CODE_COINS.take(codes, axis=0)
+            switched[rows] = _CODE_SWITCHED.take(codes, axis=0)
         return Transcript(
             models,
-            _CODE_COINS.take(events.codes, axis=0),
-            _CODE_SWITCHED.take(events.codes, axis=0),
+            coins,
+            switched,
             batch_losses,
             round_losses,
             events.switches_x,
             events.switches_y,
             events.fakes,
             ys,
-            events.raw_log_ratios,
+            np.asarray(raw_log_ratios, dtype=np.float64),
         )
 
 
 class _Uniforms:
     """A run's uniforms in contract order, drawn from its generator in blocks.
 
-    ``span(c, k)`` returns uniforms c to c + k - 1 of the run. Calls
-    never ask for an earlier c than before, so a block keeps only what
-    lies at or past the last c. Only uniforms the run is sure to use are
-    drawn: ``owed`` counts those not drawn yet, the caller adds one per
-    resample, and a run that ends has drawn exactly what it used.
+    ``block`` holds uniforms ``start`` to ``start + block.size - 1`` of
+    the run. Only uniforms the run is sure to use are drawn: ``owed``
+    counts those not drawn yet, the caller adds one per resample, and a
+    run that ends has drawn exactly what it used.
     """
 
     __slots__ = ("rng", "owed", "block", "start")
 
     def __init__(self, rng: np.random.Generator, owed: int):
-        first = min(owed, _BLOCK)
-        self.rng, self.owed = rng, owed - first
-        self.block, self.start = rng.random(first), 0
+        self.rng, self.owed, self.start = rng, owed, 0
+        self.block = self.draw(_BLOCK)
 
-    def span(self, c: int, k: int) -> np.ndarray:
-        lo, hi = c - self.start, c + k - self.start
-        if hi > self.block.size:
-            more = min(max(hi - self.block.size, _BLOCK), self.owed)
-            self.owed -= more
-            fresh = self.rng.random(more)
-            if lo < self.block.size:
-                fresh = np.concatenate((self.block[lo:], fresh))
-            self.block, self.start, lo, hi = fresh, c, 0, k
-        return self.block[lo:hi]
+    def draw(self, k: int) -> np.ndarray:
+        """The next k uniforms owed, or all of them if fewer are."""
+        k = min(k, self.owed)
+        self.owed -= k
+        return self.rng.random(k)
 
-    def extend(self, draws: list, base: int, k: int) -> None:
-        """Extend ``draws``, the uniforms from ``base`` on, to k of them."""
-        draws += self.span(base + len(draws), k - len(draws)).tolist()
+    def refill(self, c: int) -> None:
+        """Start the block at uniform c and fill it to ``_BLOCK`` uniforms, as far as owed."""
+        rest = self.block[c - self.start :]
+        self.block = np.concatenate((rest, self.draw(_BLOCK - rest.size)))
+        self.start = c
+
+
+def _candidates(
+    block: np.ndarray, start: int, sure: float, keep_y: float
+) -> tuple[list[list[int]], int]:
+    """The screen of a block of uniforms that starts at run position ``start``.
+
+    Position i of the run is a candidate if its S uniform is at or above
+    ``sure`` or its S' or A uniform at or above ``keep_y``; ``found[r]``
+    lists the candidates i with i % 3 == r, ascending. Positions below
+    ``end`` have all three uniforms in the block and are screened.
+    """
+    flag = block[:-2] >= sure
+    flag |= block[1:-1] >= keep_y
+    flag |= block[2:] >= keep_y
+    found = []
+    for r in range(3):
+        off = (r - start) % 3
+        found.append((np.flatnonzero(flag[off::3]) * 3 + (start + off)).tolist())
+    return found, start + flag.size
 
 
 class _Events:
-    """The switch events of one run, in batch order, and its per-batch columns.
+    """The switch events of one run, in batch order.
 
-    Event k happens at 0-based batch ``rows[k]``; the models ``xs[k + 1]``,
-    ``ys[k + 1]`` are in force from it on, and ``xs[0]``, ``ys[0]`` are the
-    batch-1 draws. ``codes[s - 1]`` is batch s's coins coded as
-    ``4 S + 2 S' + A`` (``_KEEP`` unless an event set it), and
-    ``raw_log_ratios[s - 2]`` is filled in for every batch s >= 2. The
-    counts tally the events that switch x, that switch y, and that
-    refresh a chain by the data-free coins (S'=0 or A=0).
+    Event k happens at 0-based batch ``rows[k]`` with coins coded as
+    ``codes[k]`` = 4 S + 2 S' + A; the models
+    ``xs[k + 1]``, ``ys[k + 1]`` are in force from it on, and ``xs[0]``,
+    ``ys[0]`` are the batch-1 draws. The counts tally the events that
+    switch x, that switch y, and that refresh a chain by the data-free
+    coins (S'=0 or A=0). Runs that test every batch also list
+    ``raw_log_ratios``, the log ratio of every batch s >= 2 at ``s - 2``.
     """
 
-    __slots__ = (
-        "rows", "xs", "ys", "codes", "raw_log_ratios", "switches_x", "switches_y", "fakes"
-    )
+    __slots__ = ("rows", "codes", "xs", "ys", "raw_log_ratios", "switches_x", "switches_y", "fakes")
 
-    def __init__(self, x, y, n_batches: int):
+    def __init__(self, x, y):
         self.rows: list[int] = []
+        self.codes: list[int] = []
         self.xs, self.ys = [x], [y]
-        self.codes = np.full(n_batches, _KEEP, dtype=np.int8)
-        self.codes[0] = _FIRST
-        self.raw_log_ratios = np.empty(n_batches - 1)
+        self.raw_log_ratios = None
         self.switches_x = self.switches_y = self.fakes = 0
 
     def add(self, s: int, S: bool, Sp: bool, A: bool, x, y) -> None:
         self.rows.append(s - 1)
-        self.codes[s - 1] = 4 * S + 2 * Sp + A
+        self.codes.append(4 * S + 2 * Sp + A)
         self.xs.append(x)
         self.ys.append(y)
         self.switches_x += not (S and Sp)
@@ -544,29 +575,3 @@ def _keep_test(lr: float, u0, u1, u2, cap: float, keep_y: float) -> tuple[bool, 
     """The coins (S, S', A) of one batch from its log ratio and three uniforms."""
     acc = 1.0 if lr >= cap else math.exp(lr - cap)
     return u0 < acc, u1 < keep_y, u2 < keep_y
-
-
-def _kept_prefix(lr: np.ndarray, draws: np.ndarray, cap: float, keep_y: float) -> int:
-    """How many leading batches of a window pass their keep test.
-
-    ``lr`` holds the window's raw log ratios and ``draws`` three
-    uniforms per batch. ``np.exp`` may differ from ``math.exp`` by one
-    ulp, so the vector test only rules batches in: a batch whose S
-    uniform lies within ``_BOUNDARY_RTOL`` of the vector acceptance is
-    re-decided by :func:`_keep_test`, like every batch it rules out.
-    """
-    bound = np.exp(np.minimum(lr - cap, 0.0))
-    bound *= 1.0 - _BOUNDARY_RTOL
-    bound -= _BOUNDARY_ATOL
-    triples = draws.reshape(-1, 3)
-    sure = triples[:, 0] < bound
-    sure &= np.maximum(triples[:, 1], triples[:, 2]) < keep_y
-    start = 0
-    while start < sure.size:
-        i = start + int(sure[start:].argmin())
-        if sure[i]:
-            break
-        if not all(_keep_test(float(lr[i]), *triples[i].tolist(), cap, keep_y)):
-            return i
-        start = i + 1
-    return sure.size

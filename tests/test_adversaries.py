@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ class TestSerialization:
         save_stream(s, path)
         loaded = load_stream(path)
         assert loaded.lipschitz == 1.5
-        np.testing.assert_allclose(loaded.values, s.values, atol=1e-6)
+        assert np.array_equal(loaded.values, s.values)  # float64 rows, lossless
 
     def test_roundtrip_epoch_metadata(self, tmp_path):
         s = epoch_lower_bound_stream(1000, 0.05, 2, seed=1)
@@ -170,6 +171,31 @@ class TestSerialization:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,v0,v1"
         assert len(lines) == 4
+
+    def test_reads_version_1(self, tmp_path):
+        # a file as version 1 wrote it, float32 rows; other versions are refused
+        values = np.array([[0.6, -0.8], [0.1, 0.2], [0.0, 1.0]])
+
+        def file_bytes(version, rows):
+            return (
+                b"L2PS"
+                + struct.pack("<II", version, len(b"drift"))
+                + b"drift"
+                + struct.pack("<qqqdqqB", 2, 3, 9, 1.0, -1, -1, 0)
+                + rows.tobytes()
+            )
+
+        path = tmp_path / "v1.l2ps"
+        path.write_bytes(file_bytes(1, values.astype("<f4")))
+        loaded = load_stream(path)
+        assert (loaded.kind, loaded.d, loaded.T, loaded.seed) == ("drift", 2, 3, 9)
+        assert loaded.lipschitz == 1.0 and loaded.n_epochs is None and not loaded.clamped
+        assert loaded.values.dtype == np.float64
+        assert np.array_equal(loaded.values, values.astype(np.float32).astype(np.float64))
+        for version in (0, 3):
+            path.write_bytes(file_bytes(version, values.astype("<f8")))
+            with pytest.raises(ValueError, match="version"):
+                load_stream(path)
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad.l2ps"

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from l2p.accountant import tune_oco, tune_ope
-from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
+from l2p.adversaries import (
+    LossStream,
+    bernoulli_experts,
+    epoch_lower_bound_stream,
+    linear_oco_stream,
+)
 from l2p.audit import exact_batch_distributions
 from l2p.harness import play_game
 from l2p.measures import RmwMeasure, normalized
@@ -16,8 +21,10 @@ from l2p.transform import (
     L2PConfig,
     PreparedRun,
     Transcript,
+    _BLOCK,
+    _WALK,
+    _candidates,
     _keep_test,
-    _kept_prefix,
 )
 
 
@@ -140,9 +147,9 @@ class TestRunL2p:
         config = L2PConfig(T=4, B=4, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         t = _run(config, stream, 0)
         assert t.n_batches == 1
-        rec = t.records[0]
-        assert rec.S is None and rec.Sprime is None and rec.A is None
-        np.testing.assert_allclose(t.total_loss, stream.values[:, rec.x].sum(), rtol=1e-12)
+        assert t.coins.tolist() == [[-1, -1, -1]]
+        assert t.switched.tolist() == [[0, 0]]
+        np.testing.assert_allclose(t.total_loss, stream.values[:, t.models[0]].sum(), rtol=1e-12)
 
     def test_forced_keep_branch(self):
         # all-zero losses keep the acceptance ratio at e^{-2B eta}; with a
@@ -164,7 +171,7 @@ class TestRunL2p:
         t = _run(config, stream, 1)
         assert t.switch_count_x == t.n_batches - 1
         assert t.switch_count_y == t.n_batches - 1
-        assert all(r.Sprime == 0 and r.A == 0 for r in t.records[1:])
+        assert (t.coins[1:, 1:] == 0).all()
 
     def test_switch_rate_zero_losses(self):
         # with prev == cur each batch: P(switch) = 1 - e^{-2B eta} (1-p), p=0
@@ -186,13 +193,15 @@ class TestRunL2p:
         t = _run(config, stream, 2)
         assert t.n_batches == 4  # ceil(11/3), short last batch
         assert t.round_losses.shape == (11,)
-        for rec in t.records[1:]:
-            assert rec.switched_x == int(rec.S == 0 or rec.Sprime == 0)
-            assert rec.switched_y == int(rec.A == 0)
+        S, Sp, A = t.coins[1:].T
+        assert t.switched[1:, 0].tolist() == ((S == 0) | (Sp == 0)).tolist()
+        assert t.switched[1:, 1].tolist() == (A == 0).tolist()
         # per-batch losses recompute from round losses
-        for s, rec in enumerate(t.records, start=1):
+        for s in range(1, t.n_batches + 1):
             lo, hi = (s - 1) * 3, min(s * 3, 11)
-            np.testing.assert_allclose(rec.batch_loss, t.round_losses[lo:hi].sum(), rtol=1e-12)
+            np.testing.assert_allclose(
+                t.batch_losses[s - 1], t.round_losses[lo:hi].sum(), rtol=1e-12
+            )
 
     def test_no_switch_means_same_model(self):
         stream = _uniform_stream(3, 20, seed=9)
@@ -401,17 +410,41 @@ SHAPES = {
         "rmw",
         linear_oco_stream(3, 200, 1.0, 5, "iid-sphere"),
     ),
-    # sparse events over long stretches: mostly vector windows
+    # sparse events over long stretches: few candidates per block
     "sparse": lambda: (
         L2PConfig(T=500, B=1, eta=0.002, p=0.005, delta0=0.0, delta1=1e-6),
         "mw",
         bernoulli_experts(4, 500, (0.1, 0.4, 0.6, 0.9), 2),
     ),
-    # events every few batches, a short last batch: probe and windows mixed
+    # events every few batches and a short last batch
     "mixed": lambda: (
         L2PConfig(T=301, B=3, eta=0.1, p=0.08, delta0=0.0, delta1=1e-6),
         "mw",
         bernoulli_experts(3, 301, (0.0, 0.5, 1.0), 3),
+    ),
+    # resamples nearly every batch over more than three blocks of uniforms,
+    # so the run reads far past the doubles it drew at the start
+    "dense": lambda: (
+        L2PConfig(T=6200, B=1, eta=0.05, p=0.9, delta0=0.0, delta1=1e-6),
+        "mw",
+        bernoulli_experts(3, 6200, (0.2, 0.5, 0.8), 5),
+    ),
+    # one expert: x = y throughout
+    "one-expert": lambda: (
+        L2PConfig(T=400, B=2, eta=0.05, p=0.05, delta0=0.0, delta1=1e-6),
+        "mw",
+        bernoulli_experts(1, 400, (0.5,), 6),
+    ),
+    # all losses equal: every row has spread 0, so the floor is exp(-2 B eta)
+    "flat": lambda: (
+        L2PConfig(T=400, B=1, eta=0.05, p=0.05, delta0=0.0, delta1=1e-6),
+        "mw",
+        LossStream("bernoulli", 3, 400, 0, np.full((400, 3), 0.5)),
+    ),
+    "epoch": lambda: (
+        L2PConfig(T=2000, B=2, eta=0.02, p=0.02, delta0=0.0, delta1=1e-6),
+        "mw",
+        epoch_lower_bound_stream(2000, 0.05, 4, 7),
     ),
 }
 
@@ -486,7 +519,7 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize(
         "shape, n_seeds",
         [("marginal", 600), ("epsilon", 600), ("sparse", 200), ("mixed", 200), ("ope-b1", 3),
-         ("ball", 10)],
+         ("ball", 10), ("dense", 3), ("one-expert", 50), ("flat", 50), ("epoch", 30)],
     )
     def test_seeds(self, shape, n_seeds):
         prepared = _prepared(*SHAPES[shape]())
@@ -523,8 +556,52 @@ class TestAgainstReferenceLoop:
             assert rng_a.integers(2**32, dtype=np.uint32) == rng_b.integers(2**32, dtype=np.uint32)
 
 
+    def test_block_boundary(self):
+        # a candidate triple at the end of the first block of uniforms, which
+        # only the next block completes, on each phase of the cursor: an
+        # early event with one or two resamples shifts the phase
+        config = L2PConfig(T=3000, B=1, eta=0.01, p=0.01, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", bernoulli_experts(3, 3000, (0.2, 0.5, 0.8), 8))
+        assert 3 * config.n_batches > _BLOCK
+        for early in ((), (5,), (5, 7)):  # fail S of batch 3, and also its A
+            for at in range(_BLOCK - 4, _BLOCK + 4):
+                values = np.zeros(_BLOCK + 8)
+                values[list(early)] = 0.999
+                values[at] = 0.999
+                t = _same_scripted(prepared, values)
+                assert t.switch_count_x + t.switch_count_y >= 1 + len(early)
+
+
+class _Scripted:
+    """A stand-in generator that hands out preset doubles in order, then zeros."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.used = 0
+
+    def random(self, size=None):
+        k = 1 if size is None else size
+        out = np.zeros(k)
+        got = self.values[self.used : self.used + k]
+        out[: got.size] = got
+        self.used += k
+        return float(out[0]) if size is None else out
+
+
+def _same_scripted(prepared: PreparedRun, values) -> Transcript:
+    """The engine's transcript on preset doubles, checked against the per-batch loop."""
+    a, b = _Scripted(values), _Scripted(values)
+    got, want = prepared.run(a), _reference_run(prepared, b)
+    assert _csv(got) == _csv(want)
+    assert got.ys == want.ys
+    assert got.raw_log_ratios.tobytes() == want.raw_log_ratios.tobytes()
+    assert a.used == b.used
+    return got
+
+
 class TestKeepBoundary:
-    """The keep test is exact where np.exp and math.exp round differently."""
+    """The keep test is exact where np.exp and math.exp round differently, and
+    the screen passes over no batch whose keep test can fail."""
 
     CAP = 0.2
     # each rounds differently under np.exp and math.exp on x86-64 with numpy 2.4
@@ -536,6 +613,21 @@ class TestKeepBoundary:
         differ = lr[np.exp(lr - self.CAP) != exact]
         return np.concatenate([self.PINNED, differ[:200]])
 
+    @staticmethod
+    def _two_experts(values, eta=0.1, p=0.5):
+        """A screened run on two experts; batch 1 draws x = 0 and y = 1 from
+        doubles 0.0 and 0.999, and batch k reads its S uniform at 3k - 4 while
+        nothing has resampled."""
+        values = np.asarray(values, dtype=float)
+        config = L2PConfig(T=len(values), B=1, eta=eta, p=p, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", LossStream("bernoulli", 2, len(values), 0, values))
+        assert config.n_batches > _WALK
+        doubles = np.zeros(3 * config.n_batches + 8)
+        doubles[1] = 0.999
+        lw = prepared.log_weights
+        lr = (lw[1:, 0] - lw[:-1, 0]) - (lw[1:, 1] - lw[:-1, 1])  # batch s at s - 2
+        return prepared, doubles, lr
+
     def test_s_coin_at_exact_acceptance(self):
         keep_y = 0.5
         for lr in self._boundary_ratios().tolist():
@@ -543,28 +635,80 @@ class TestKeepBoundary:
             below = float(np.nextafter(acc, 0.0))
             assert _keep_test(lr, acc, 0.0, 0.0, self.CAP, keep_y) == (False, True, True)
             assert _keep_test(lr, below, 0.0, 0.0, self.CAP, keep_y) == (True, True, True)
-            window = np.array([lr])
-            assert _kept_prefix(window, np.array([acc, 0.0, 0.0]), self.CAP, keep_y) == 0
-            assert _kept_prefix(window, np.array([below, 0.0, 0.0]), self.CAP, keep_y) == 1
+        # through the screen: batches whose np.exp and math.exp acceptances differ
+        prepared, doubles, lr = self._two_experts(np.random.default_rng(1).random((120, 2)))
+        cap = prepared.cap
+        exact = np.array([math.exp(v - cap) for v in lr.tolist()])
+        batches = np.flatnonzero(np.exp(lr - cap) != exact)[:12] + 2
+        assert batches.size > 0
+        for k in batches.tolist():
+            acc = math.exp(float(lr[k - 2]) - cap)
+            doubles[3 * k - 4] = acc
+            t = _same_scripted(prepared, doubles)
+            assert t.coins[k - 1].tolist() == [0, 1, 1] and t.switch_count_x == 1
+            doubles[3 * k - 4] = np.nextafter(acc, 0.0)
+            t = _same_scripted(prepared, doubles)
+            assert t.switch_count_x == t.switch_count_y == 0
+            doubles[3 * k - 4] = 0.0
 
     def test_first_boundary_failure_in_a_window(self):
-        lr = self._boundary_ratios()
-        acc = np.array([math.exp(v - self.CAP) for v in lr.tolist()])
-        below = np.nextafter(acc, 0.0)
-        draws = np.zeros((lr.size, 3))
-        draws[:, 0] = below
-        assert _kept_prefix(lr, draws.ravel(), self.CAP, 1.0) == lr.size
-        for at in (0, 3, lr.size - 1):
-            draws[at, 0] = acc[at]
-            assert _kept_prefix(lr, draws.ravel(), self.CAP, 1.0) == at
-            draws[at, 0] = below[at]
+        # S uniforms one double below the acceptance of every batch keep the
+        # whole run, over more than one block; the first batch at its
+        # acceptance is the first event
+        prepared, doubles, lr = self._two_experts(np.random.default_rng(2).random((2500, 2)))
+        acc = np.array([math.exp(v - prepared.cap) for v in lr.tolist()])
+        at = 3 * np.arange(2, prepared.config.n_batches + 1) - 4
+        doubles[at] = np.nextafter(acc, 0.0)
+        t = _same_scripted(prepared, doubles)
+        assert t.switch_count_x == t.switch_count_y == 0
+        for k in (2, 40, _BLOCK // 3 + 1, prepared.config.n_batches):
+            doubles[3 * k - 4] = acc[k - 2]
+            t = _same_scripted(prepared, doubles)
+            assert t.switched[:, 0].argmax() == k - 1
+            doubles[3 * k - 4] = np.nextafter(acc[k - 2], 0.0)
 
     def test_reference_coins(self):
-        # an S' or A uniform at or above 1 - p fails the batch too
-        lr = np.zeros(4)
-        draws = np.zeros((4, 3))
-        assert _kept_prefix(lr, draws.ravel(), self.CAP, 0.75) == 4
-        draws[2, 2] = 0.75
-        assert _kept_prefix(lr, draws.ravel(), self.CAP, 0.75) == 2
-        draws[1, 1] = 0.75
-        assert _kept_prefix(lr, draws.ravel(), self.CAP, 0.75) == 1
+        # an S' or A uniform at or above 1 - p fails the batch too; one below keeps
+        prepared, doubles, _ = self._two_experts(np.full((60, 2), 0.5), p=0.25)
+        for k, coin in ((30, 1), (31, 2), (60, 1)):
+            doubles[3 * k - 4 + coin] = 0.75
+            t = _same_scripted(prepared, doubles)
+            assert t.coins[k - 1, coin] == 0 and t.coins[k - 1].sum() == 2
+            doubles[3 * k - 4 + coin] = np.nextafter(0.75, 0.0)
+            t = _same_scripted(prepared, doubles)
+            assert t.switch_count_x == t.switch_count_y == 0
+            doubles[3 * k - 4 + coin] = 0.0
+
+    def test_uniform_at_the_floor(self):
+        # the screen passes over an S uniform one double below sure and tests
+        # one at or above it; every one of them keeps
+        prepared, doubles, _ = self._two_experts(np.random.default_rng(3).random((60, 2)))
+        sure = prepared.sure
+        k = 30
+        for u, candidate in ((np.nextafter(sure, 0.0), False), (sure, True),
+                             (np.nextafter(sure, 1.0), True)):
+            doubles[3 * k - 4] = u
+            found, end = _candidates(doubles, 0, sure, 0.5)
+            assert (3 * k - 4 in found[(3 * k - 4) % 3]) == candidate
+            assert end == doubles.size - 2
+            t = _same_scripted(prepared, doubles)
+            assert t.switch_count_x == t.switch_count_y == 0
+
+    def test_widest_row_meets_the_floor(self):
+        # batch k's log ratio reads the losses of batch k - 1; these differ by
+        # 1 and every other batch's are equal, so with x on the lossy expert
+        # it is minus the widest spread
+        k = 40
+        values = np.full((80, 2), 0.5)
+        values[k - 2] = (1.0, 0.0)
+        prepared, doubles, lr = self._two_experts(values)
+        lw = prepared.log_weights
+        spread = np.ptp(np.diff(lw, axis=0), axis=1).max()
+        assert lr[k - 2] == -spread
+        acc = math.exp(-spread - prepared.cap)
+        assert prepared.sure < acc < prepared.sure * (1 + 1e-11)
+        for u, switched in ((acc, 1), (np.nextafter(acc, 0.0), 0), (prepared.sure, 0)):
+            doubles[3 * k - 4] = u
+            t = _same_scripted(prepared, doubles)
+            assert t.switch_count_x == switched
+            assert t.coins[k - 1, 0] == 1 - switched
