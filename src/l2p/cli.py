@@ -144,7 +144,9 @@ def cmd_run(args) -> int:
     config = _build_config(cfg)
     kind = "mw" if cfg["problem"] == "ope" else "rmw"
     reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
-    summary = monte_carlo(config, kind, stream, reps, base_seed, threads=_threads(args))
+    summary = monte_carlo(
+        config, kind, stream, reps, base_seed, threads=_threads(args), keep_transcripts=False
+    )
     outdir = Path(cfg.get("output_dir", args.output or "."))
     buf = io.StringIO()
     summary.write_csv(buf)
@@ -183,7 +185,8 @@ def cmd_sweep(args) -> int:
         config = _build_config(local)
         kind = "mw" if cfg["problem"] == "ope" else "rmw"
         summary = monte_carlo(
-            config, kind, stream, int(cfg["reps"]), int(cfg["base_seed"]), threads=_threads(args)
+            config, kind, stream, int(cfg["reps"]), int(cfg["base_seed"]),
+            threads=_threads(args), keep_transcripts=False,
         )
         bound = _theory_bound_ope(T, d, eps, delta)
         rows.append(
@@ -276,7 +279,10 @@ def cmd_audit(args) -> int:
     elif args.test == "switches":
         from .harness import monte_carlo
 
-        summary = monte_carlo(config, "mw", stream, args.runs, args.seed, threads=_threads(args))
+        summary = monte_carlo(
+            config, "mw", stream, args.runs, args.seed,
+            threads=_threads(args), keep_transcripts=False,
+        )
         print(switch_statistics(summary.results, config).to_json_line())
     else:
         raise ConfigError(f"unknown audit {args.test!r}")

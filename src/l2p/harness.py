@@ -42,8 +42,10 @@ REP_CSV_COLUMNS = (
 class GameResult:
     """One full game: transcript, losses, and the exact regret identity.
 
-    ``transcript`` may be dropped (None) by replicated drivers to bound
-    memory; the switch and fake-switch counts survive either way.
+    A kept transcript costs O(switches) until its columns are read, and
+    it keeps its prepared run alive. ``transcript`` may be dropped
+    (None) by replicated drivers that never read it; the switch and
+    fake-switch counts survive either way.
     """
 
     transcript: Transcript | None

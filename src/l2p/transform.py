@@ -45,6 +45,12 @@ positions, and only there does the exact keep test run. Runs of at most
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
+
+A run returns its switch events as a :class:`Transcript`, and nothing
+per batch. The per-batch columns (models, coins, losses, log ratios)
+are derived from the events on first read, so a game that reads only
+its total loss pays for its switches plus one gather of the played
+losses.
 """
 
 from __future__ import annotations
@@ -183,37 +189,114 @@ def _format_model(x) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Released record of one run plus in-memory diagnostics.
+    """Released record of one run: its switch events, with columns derived on read.
 
-    Column storage: ``models[s-1]`` is the played model of batch s,
-    ``coins`` holds (S, S', A) per batch with -1 sentinels in batch 1,
-    and ``switched`` holds the (switched_x, switched_y) bits. The three
-    counts are taken from the run's switch events: batches that switched
-    x, batches that switched y, and batches with a data-free refresh on
-    either chain (S'=0 or A=0). ``ys``
-    and ``raw_log_ratios`` (the log correlated-sampling ratio before
-    the acceptance cap, one entry per batch s >= 2) are diagnostics for
-    audits and are never serialized.
+    A run is its switch events; every other batch keeps both models.
+    Event k happens at 0-based batch ``rows[k]`` with coins coded as
+    ``codes[k]`` = 4 S + 2 S' + A, and ``event_xs[k + 1]``,
+    ``event_ys[k + 1]`` are the played and reference models in force
+    from it on; ``event_xs[0]``, ``event_ys[0]`` are the batch-1 draws.
+    The three counts are eager: batches that switched x, batches that
+    switched y, and batches with a data-free refresh on either chain
+    (S'=0 or A=0). ``recorded_ratios`` lists the log ratio of every
+    batch s >= 2 when the run tested every batch (short experts runs
+    and ball runs); screened runs leave it None.
+
+    The per-batch columns are derived from the events and ``prepared``,
+    the run that produced them, on first read and then cached, so a
+    transcript costs O(switches) until they are read. ``models[s-1]``
+    is the played model of batch s, ``coins`` holds (S, S', A) per batch
+    with -1 sentinels in batch 1, ``switched`` holds the (switched_x,
+    switched_y) bits, and ``batch_losses`` and ``round_losses`` the
+    played losses. ``ys`` and ``raw_log_ratios`` (the log
+    correlated-sampling ratio before the acceptance cap, one entry per
+    batch s >= 2) are diagnostics for audits and are never serialized.
     """
 
-    models: tuple
-    coins: np.ndarray
-    switched: np.ndarray
-    batch_losses: np.ndarray
-    round_losses: np.ndarray
+    prepared: PreparedRun = field(repr=False)
+    rows: list[int]
+    codes: list[int]
+    event_xs: list
+    event_ys: list = field(repr=False)
     switch_count_x: int
     switch_count_y: int
     fake_switch_count: int
-    ys: tuple = field(default=(), repr=False)
-    raw_log_ratios: np.ndarray | None = field(default=None, repr=False)
+    recorded_ratios: list[float] | None = field(repr=False)
 
     @property
     def n_batches(self) -> int:
-        return len(self.models)
+        return self.prepared.config.n_batches
 
     @property
     def total_loss(self) -> float:
         return float(self.round_losses.sum())
+
+    @cached_property
+    def _lengths(self) -> list[int]:
+        """The number of batches each model pair is in force: from batch 1, then from each event."""
+        bounds = [0, *self.rows, self.n_batches]
+        return [b - a for a, b in zip(bounds, bounds[1:])]
+
+    def _per_batch(self, models: list):
+        return chain.from_iterable(map(repeat, models, self._lengths))
+
+    @cached_property
+    def _batch_xs(self) -> np.ndarray:
+        """The played expert of every batch, as an index array (experts runs)."""
+        return np.repeat(self.event_xs, self._lengths)
+
+    @cached_property
+    def models(self) -> tuple:
+        return tuple(self._per_batch(self.event_xs))
+
+    @cached_property
+    def ys(self) -> tuple:
+        return tuple(self._per_batch(self.event_ys))
+
+    @cached_property
+    def coins(self) -> np.ndarray:
+        coins = np.empty((self.n_batches, 3), dtype=np.int8)
+        coins.fill(1)
+        coins[0] = -1
+        if self.rows:
+            coins[self.rows] = _CODE_COINS.take(self.codes, axis=0)
+        return coins
+
+    @cached_property
+    def switched(self) -> np.ndarray:
+        switched = np.zeros((self.n_batches, 2), dtype=np.int8)
+        if self.rows:
+            switched[self.rows] = _CODE_SWITCHED.take(self.codes, axis=0)
+        return switched
+
+    @cached_property
+    def batch_losses(self) -> np.ndarray:
+        prepared, n = self.prepared, self.n_batches
+        if prepared.is_mw:
+            return _picks(prepared.batch_sums, self._batch_xs)
+        batch_losses = np.empty(n)
+        for s, x in enumerate(self._per_batch(self.event_xs)):
+            batch_losses[s] = prepared.batch_sums[s] @ x
+        return batch_losses
+
+    @cached_property
+    def round_losses(self) -> np.ndarray:
+        prepared = self.prepared
+        T, B = prepared.config.T, prepared.config.B
+        if prepared.is_mw:
+            xs = self._batch_xs if B == 1 else self._batch_xs.repeat(B)[:T]
+            return _picks(prepared.loss_values, xs)
+        round_losses = np.empty(T)
+        for s, x in enumerate(self._per_batch(self.event_xs)):
+            round_losses[s * B : (s + 1) * B] = prepared.loss_values[s * B : (s + 1) * B] @ x
+        return round_losses
+
+    @cached_property
+    def raw_log_ratios(self) -> np.ndarray:
+        if self.recorded_ratios is not None:
+            return np.asarray(self.recorded_ratios, dtype=np.float64)
+        ys = np.repeat(self.event_ys, self._lengths)
+        return self.prepared._log_ratios(self._batch_xs, ys)
 
     def write_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -281,8 +364,11 @@ class PreparedRun:
             self.beta = config.beta
 
     def run(self, rng: np.random.Generator) -> Transcript:
-        events = self._mw_events(rng) if self.is_mw else self._ball_events(rng)
-        return self._assemble(events)
+        e = self._mw_events(rng) if self.is_mw else self._ball_events(rng)
+        return Transcript(
+            self, e.rows, e.codes, e.xs, e.ys, e.switches_x, e.switches_y, e.fakes,
+            e.raw_log_ratios,
+        )
 
     def _pick(self, s: int, v: float) -> int:
         """The expert that uniform ``v`` selects from the normalized batch-s measure.
@@ -444,52 +530,13 @@ class PreparedRun:
         config = self.config
         return RmwMeasure(self.grad_sums[s - 1], self.beta, config.lam, config.radius).sample(rng)
 
-    def _assemble(self, events: _Events) -> Transcript:
-        """The transcript of one run from its switch events; every other batch keeps."""
-        T, B, n = self.config.T, self.config.B, self.config.n_batches
-        bounds = [0, *events.rows, n]
-        lengths = [b - a for a, b in zip(bounds, bounds[1:])]
-        raw_log_ratios = events.raw_log_ratios
 
-        if self.is_mw:
-            xs, ys = np.array((events.xs, events.ys)).repeat(lengths, axis=1)
-            batch_losses = self.batch_sums[np.arange(n), xs]
-            if B == 1:  # each batch sum is then its one round's loss, bit for bit
-                round_losses = batch_losses.copy()
-            else:
-                round_losses = self.loss_values[np.arange(T), xs.repeat(B)[:T]]
-            if raw_log_ratios is None:  # a screened run tested few batches
-                raw_log_ratios = self._log_ratios(xs, ys)
-            models, ys = tuple(xs.tolist()), tuple(ys.tolist())
-        else:
-            models = tuple(chain.from_iterable(map(repeat, events.xs, lengths)))
-            ys = tuple(chain.from_iterable(map(repeat, events.ys, lengths)))
-            round_losses = np.empty(T)
-            batch_losses = np.empty(n)
-            for s, x in enumerate(models):
-                round_losses[s * B : (s + 1) * B] = self.loss_values[s * B : (s + 1) * B] @ x
-                batch_losses[s] = self.batch_sums[s] @ x
-
-        coins = np.empty((n, 3), dtype=np.int8)
-        coins.fill(1)
-        coins[0] = -1
-        switched = np.zeros((n, 2), dtype=np.int8)
-        if events.rows:
-            rows, codes = np.array(events.rows), np.array(events.codes)
-            coins[rows] = _CODE_COINS.take(codes, axis=0)
-            switched[rows] = _CODE_SWITCHED.take(codes, axis=0)
-        return Transcript(
-            models,
-            coins,
-            switched,
-            batch_losses,
-            round_losses,
-            events.switches_x,
-            events.switches_y,
-            events.fakes,
-            ys,
-            np.asarray(raw_log_ratios, dtype=np.float64),
-        )
+def _picks(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[i, cols[i]]`` for every row i, by one take from the flat table."""
+    n, d = table.shape
+    at = np.arange(0, n * d, d)
+    at += cols
+    return table.ravel().take(at)
 
 
 class _Uniforms:
@@ -533,23 +580,21 @@ def _candidates(
     flag = block[:-2] >= sure
     flag |= block[1:-1] >= keep_y
     flag |= block[2:] >= keep_y
-    found = []
-    for r in range(3):
-        off = (r - start) % 3
-        found.append((np.flatnonzero(flag[off::3]) * 3 + (start + off)).tolist())
+    found = [[], [], []]
+    # tuned runs screen out nearly every position, so splitting the few
+    # candidates in Python beats three strided passes over the flag
+    for i in (np.flatnonzero(flag) + start).tolist():
+        found[i % 3].append(i)
     return found, start + flag.size
 
 
 class _Events:
-    """The switch events of one run, in batch order.
+    """The switch events of one run as the engine finds them, in batch order.
 
-    Event k happens at 0-based batch ``rows[k]`` with coins coded as
-    ``codes[k]`` = 4 S + 2 S' + A; the models
-    ``xs[k + 1]``, ``ys[k + 1]`` are in force from it on, and ``xs[0]``,
-    ``ys[0]`` are the batch-1 draws. The counts tally the events that
-    switch x, that switch y, and that refresh a chain by the data-free
-    coins (S'=0 or A=0). Runs that test every batch also list
-    ``raw_log_ratios``, the log ratio of every batch s >= 2 at ``s - 2``.
+    ``rows``, ``codes``, ``xs`` and ``ys`` are those of :class:`Transcript`
+    (its ``event_xs`` and ``event_ys``), as are the three counts; runs
+    that test every batch also list ``raw_log_ratios``, the log ratio of
+    every batch s >= 2 at ``s - 2``.
     """
 
     __slots__ = ("rows", "codes", "xs", "ys", "raw_log_ratios", "switches_x", "switches_y", "fakes")

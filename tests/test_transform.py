@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -297,11 +298,29 @@ class TestRunL2p:
             assert pval > 0.001, f"batch {s + 1} mismatch"
 
 
-def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> Transcript:
+@dataclass(frozen=True)
+class _Record:
+    """The columns of a transcript, built batch by batch; ``Transcript.write_csv``
+    serializes it as it does an engine transcript."""
+
+    models: tuple
+    coins: np.ndarray
+    switched: np.ndarray
+    batch_losses: np.ndarray
+    round_losses: np.ndarray
+    switch_count_x: int
+    switch_count_y: int
+    fake_switch_count: int
+    ys: tuple
+    raw_log_ratios: np.ndarray
+
+
+def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> _Record:
     """The engine as a plain per-batch loop: three coins per batch, then resamples.
 
     Kept as the specification the event-driven engine must reproduce
-    bit for bit, generator end state included.
+    bit for bit, generator end state included. It builds its columns
+    itself, not from switch events.
     """
     config = prepared.config
     T, B, n = config.T, config.B, config.n_batches
@@ -347,7 +366,7 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> Transcrip
             round_losses[lo:hi] = prepared.loss_values[lo:hi] @ x
             batch_losses[s - 1] = prepared.batch_sums[s - 1] @ x
     c = coins[1:]
-    return Transcript(
+    return _Record(
         tuple(models),
         coins,
         switched,
@@ -361,9 +380,9 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> Transcrip
     )
 
 
-def _csv(t: Transcript) -> str:
+def _csv(t: Transcript | _Record) -> str:
     buf = io.StringIO()
-    t.write_csv(buf)
+    Transcript.write_csv(t, buf)
     return buf.getvalue()
 
 
@@ -495,6 +514,41 @@ class TestGameResults:
                         alone.switch_count_x, alone.switch_count_y,
                         alone.fake_switch_count) == fields
         assert digest.hexdigest() == self.GOLDEN[shape, n_seeds]
+
+
+# the per-batch columns a transcript derives from its switch events
+COLUMNS = ("models", "ys", "coins", "switched", "batch_losses", "round_losses", "raw_log_ratios")
+
+
+class TestLazyColumns:
+    """A transcript is its switch events; each column is built on first read."""
+
+    @pytest.mark.parametrize("shape", ["marginal", "mixed", "sparse", "ball"])
+    def test_game_builds_round_losses_only(self, shape, monkeypatch):
+        config, kind, stream = SHAPES[shape]()
+        prepared = _prepared(config, kind, stream)
+        seen = []
+        run = prepared.run
+        monkeypatch.setattr(prepared, "run", lambda rng: seen.append(run(rng)) or seen[-1])
+        g = play_game(config, kind, stream, 3, prepared=prepared, keep_transcript=False)
+        assert g.transcript is None and len(seen) == 1
+        assert set(COLUMNS) & vars(seen[0]).keys() == {"round_losses"}
+
+    @pytest.mark.parametrize("shape, seed", sorted(TestGoldenTranscripts.GOLDEN))
+    def test_reverse_read_order(self, shape, seed):
+        prepared = _prepared(*SHAPES[shape]())
+        rng = np.random.default_rng(seed)
+        t = prepared.run(rng)
+        for name in reversed(COLUMNS):
+            assert getattr(t, name) is getattr(t, name)  # built once, then cached
+        assert _digest(t, rng) == TestGoldenTranscripts.GOLDEN[shape, seed]
+
+    def test_n_batches_without_models(self):
+        config, kind, stream = SHAPES["mixed"]()
+        t = _prepared(config, kind, stream).run(np.random.default_rng(0))
+        assert t.n_batches == config.n_batches == 101
+        assert not set(COLUMNS) & vars(t).keys()
+        assert len(t.models) == t.n_batches
 
 
 class TestAgainstReferenceLoop:
@@ -712,3 +766,28 @@ class TestKeepBoundary:
             t = _same_scripted(prepared, doubles)
             assert t.switch_count_x == switched
             assert t.coins[k - 1, 0] == 1 - switched
+
+
+def _three_views(block, start, sure, keep_y):
+    """The screen as three passes over strided views of the flag, one per phase."""
+    flag = block[:-2] >= sure
+    flag |= block[1:-1] >= keep_y
+    flag |= block[2:] >= keep_y
+    found = []
+    for r in range(3):
+        off = (r - start) % 3
+        found.append((np.flatnonzero(flag[off::3]) * 3 + (start + off)).tolist())
+    return found, start + flag.size
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 6143, 6145, 20_000])
+    def test_matches_strided_views(self, start):
+        rng = np.random.default_rng(start)
+        for size, sure, keep_y in ((_BLOCK, 0.99, 0.995), (_BLOCK, 0.5, 0.4), (40, 0.9, 0.9)):
+            block = rng.random(size)
+            block[-3] = 0.9999  # the last screened position is a candidate
+            found, end = _candidates(block, start, sure, keep_y)
+            assert (found, end) == _three_views(block, start, sure, keep_y)
+            assert end - 1 in found[(end - 1) % 3]
+            assert all(i % 3 == r for r in range(3) for i in found[r])
