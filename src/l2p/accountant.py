@@ -201,10 +201,10 @@ def tune_ope(T: int, d: int, eps: float, delta: float) -> L2PConfig:
     (T^{1/3} log(T/delta)) with eps0 = T^{-1/4} log^{3/4}(d),
     p = min(10 eta / eps, 1 - 1e-9), delta1 = delta / (2T), delta0 = 0.
     ``p`` is floored at B/T: below that the switch-rate precondition
-    T p / B >= 1 cannot hold, and the floor only binds when it costs at
-    most eps/5 of the budget. If the recomputed budget misses the
-    target, or T p / B < 1, eta is halved (p re-derived) for at most 10
-    shrinks before giving up.
+    T p / B >= 1 cannot hold. The floor is not priced separately: like
+    every candidate, a floored one is accepted only if its recomputed
+    budget meets (eps, delta) and T p / B >= 1. Otherwise eta is halved
+    (p re-derived) for at most 10 shrinks before giving up.
     """
     _check_tuner_inputs(T, d, eps, delta)
     eps0 = T ** -0.25 * math.log(d) ** 0.75

@@ -148,7 +148,7 @@ def ratio_range_check(
     """Fraction of raw correlated-sampling ratios outside [e^{-2B eta}, e^{2B eta}]."""
     if stream.is_oco:
         raise ValueError("ratio audit targets the expert instantiation")
-    cap = 2.0 * config.B * config.eta_effective
+    cap = config.cap
     outside = 0
     total = 0
     for transcript in _run_many(config, stream, n_runs, base_seed):
@@ -167,8 +167,16 @@ def ratio_range_check(
 
 
 def _bucket(transcript: Transcript):
-    pattern = tuple(transcript.switched[1:, 0].tolist())
-    return pattern, int(transcript.models[-1])
+    """A run's (switch pattern, final model): the batches s >= 2 that switched x, and x_n.
+
+    Read off the switch events: x switches at an event unless both S and
+    S' are 1, i.e. unless its code 4 S + 2 S' + A is at least 6.
+    """
+    pattern = [0] * (transcript.n_batches - 1)
+    for row, code in zip(transcript.rows, transcript.codes):
+        if code < 6:
+            pattern[row - 1] = 1
+    return tuple(pattern), int(transcript.event_xs[-1])
 
 
 def _wilson(count: int, n: int) -> float:

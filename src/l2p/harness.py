@@ -1,12 +1,13 @@
 """Algorithm-vs-adversary games: regret, replicates, baselines.
 
 Regret is always measured against the best fixed decision in hindsight,
-which follows from the column totals of the loss matrix; a
-:class:`PreparedRun` computes those once, so a game costs its engine
-run and no pass over the stream. Replicates are embarrassingly
-parallel: replicate ``i`` derives its own generator from
-``replicate_seed(base_seed, i)`` and results are folded in replicate
-order, so summaries do not depend on the thread count.
+which follows from the column totals of the loss matrix. A
+:class:`PreparedRun` computes the comparator once per prepared run, at
+set-up, so a game costs its engine run and no pass over the stream or
+its totals. Replicates are embarrassingly parallel: replicate ``i``
+derives its own generator from ``replicate_seed(base_seed, i)`` and
+results are folded in replicate order, so summaries do not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .adversaries import LossStream
 from .seeding import replicate_seed
-from .transform import L2PConfig, PreparedRun, Transcript
+from .transform import L2PConfig, PreparedRun, Transcript, _best_ball_point, _best_expert
 
 REP_CSV_COLUMNS = (
     "rep",
@@ -59,18 +60,6 @@ class GameResult:
     fake_switch_count: int = 0
 
 
-def _best_expert(totals: np.ndarray) -> tuple[int, float]:
-    best = int(np.argmin(totals))
-    return best, float(totals[best])
-
-
-def _best_ball_point(total: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(total))
-    if norm == 0.0:
-        return np.zeros(total.size), 0.0
-    return -radius * total / norm, -radius * norm
-
-
 def best_in_hindsight_ope(stream: LossStream) -> tuple[int, float]:
     """Best fixed expert; ties break toward the lowest index."""
     return _best_expert(stream.values.sum(axis=0))
@@ -82,10 +71,8 @@ def best_in_hindsight_oco_ball(stream: LossStream, radius: float) -> tuple[np.nd
 
 
 def comparator_loss(prepared: PreparedRun) -> float:
-    """Best-in-hindsight loss of a prepared run's stream, from its column totals."""
-    if prepared.is_mw:
-        return _best_expert(prepared.column_totals)[1]
-    return _best_ball_point(prepared.column_totals, prepared.config.radius)[1]
+    """Best-in-hindsight loss of a prepared run's stream, computed once at its set-up."""
+    return prepared.comparator_loss
 
 
 def play_game(
@@ -108,7 +95,7 @@ def play_game(
     transcript = prepared.run(np.random.default_rng(seed))
     elapsed = time.perf_counter() - start
     total = transcript.total_loss
-    comp = comparator_loss(prepared)
+    comp = prepared.comparator_loss
     return GameResult(
         transcript=transcript if keep_transcript else None,
         total_loss=total,

@@ -41,7 +41,10 @@ derives from the widest spread of the log ratios. So a batch whose S
 double is below ``sure`` and whose S' and A doubles are below ``1 - p``
 keeps, whatever x and y are: a screen of each block finds the other
 positions, and only there does the exact keep test run. Runs of at most
-``_WALK`` batches test every batch instead. The S, S', A, x-resample,
+``_WALK`` batches whose loss matrix has at most ``_LIST_CELLS`` entries
+walk instead: they test every batch, reading log-weight columns, CDF
+rows and loss columns that set-up keeps as Python lists, so a short run
+makes no numpy call per batch or per resample. The S, S', A, x-resample,
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
@@ -50,7 +53,9 @@ A run returns its switch events as a :class:`Transcript`, and nothing
 per batch. The per-batch columns (models, coins, losses, log ratios)
 are derived from the events on first read, so a game that reads only
 its total loss pays for its switches plus one gather of the played
-losses.
+losses: slices of the list loss columns on a walked run, one numpy
+``take`` on any other. Set-up also computes the run's best-in-hindsight
+comparator, which depends only on the loss matrix.
 """
 
 from __future__ import annotations
@@ -67,11 +72,14 @@ import numpy as np
 from .measures import ETA_MAX, RmwMeasure, cumulative_table, mw_log_weights, normalized
 
 # Runs of at most _WALK batches test every batch in turn: screening a
-# block costs a few numpy passes, more than walking so few batches.
-# Longer runs draw uniforms _BLOCK at a time, so a run's memory does not
-# grow with its length, and screen each block for the positions whose
-# S, S' or A uniform could fail a keep test.
+# block costs a few numpy passes, more than walking so few batches. A
+# walk reads its tables as Python lists, which hold a float object per
+# entry, so it is taken only where the loss matrix has at most
+# _LIST_CELLS entries. Other runs draw uniforms _BLOCK at a time, so a
+# run's memory does not grow with its length, and screen each block for
+# the positions whose S, S' or A uniform could fail a keep test.
 _WALK = 48
+_LIST_CELLS = 4096
 _BLOCK = 6144
 # The screen's floor under every keep probability is shrunk by this
 # much, so exp's rounding can only add candidates; the absolute term
@@ -136,6 +144,11 @@ class L2PConfig:
     @property
     def eta_effective(self) -> float:
         return self.eta if self.eta_accounted is None else self.eta_accounted
+
+    @property
+    def cap(self) -> float:
+        """The acceptance cap ``2 B eta_effective``, also on a short final batch."""
+        return 2.0 * self.B * self.eta_effective
 
     @cached_property
     def report(self) -> ConfigReport:
@@ -283,6 +296,11 @@ class Transcript:
     def round_losses(self) -> np.ndarray:
         prepared = self.prepared
         T, B = prepared.config.T, prepared.config.B
+        if prepared.walks:  # the rounds of each model's stretch, sliced from its loss column
+            columns, bounds, out = prepared._loss_columns, [0, *self.rows, self.n_batches], []
+            for x, a, b in zip(self.event_xs, bounds, bounds[1:]):
+                out += columns[x][a * B : b * B]
+            return np.array(out)
         if prepared.is_mw:
             xs = self._batch_xs if B == 1 else self._batch_xs.repeat(B)[:T]
             return _picks(prepared.loss_values, xs)
@@ -324,9 +342,12 @@ class PreparedRun:
     only the coin and resample draws differ between runs. Experts runs
     keep the log-weights and sampling CDFs of every batch, and ``sure``,
     a floor under the keep probability of every batch and every pair of
-    models; ball runs keep the gradient sums. Both keep the per-batch
-    loss sums and the column totals of the loss matrix, from which the
-    comparator follows. The acceptance cap always uses the full
+    models; ball runs keep the gradient sums. Short experts runs with a
+    small loss matrix (``walks``) also keep the log-weight columns, CDF
+    rows and loss columns as Python lists. Both kinds keep the per-batch
+    loss sums, the column totals of the loss matrix and
+    ``comparator_loss``, the best-in-hindsight loss they give. The
+    acceptance cap ``cap`` is the config's, which always uses the full
     ``2 B eta`` exponent, also on a short final batch.
     """
 
@@ -342,15 +363,24 @@ class PreparedRun:
         self.config = config
         self.loss_values = loss_values
         self.is_mw = kind == "mw"
-        self.cap = 2.0 * config.B * config.eta_effective
-        starts = np.arange(config.n_batches) * config.B
+        self.cap = config.cap
+        n = config.n_batches
+        starts = np.arange(n) * config.B
         self.batch_sums = np.add.reduceat(loss_values, starts, axis=0)
         self.column_totals = loss_values.sum(axis=0)
+        # A run walks when it is short and its loss matrix small: then the
+        # tables the walk and the round losses read are kept as lists.
+        self.walks = self.is_mw and n <= _WALK and loss_values.size <= _LIST_CELLS
         if self.is_mw:
+            self.comparator_loss = _best_expert(self.column_totals)[1]
             self.log_weights = mw_log_weights(loss_values, config.eta, config.B)
             cdfs = np.cumsum(normalized(self.log_weights), axis=1)
             cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
             self.cdfs = cdfs
+            if self.walks:
+                self._lw_columns = self.log_weights.T.tolist()
+                self._cdf_rows = cdfs.tolist()
+                self._loss_columns = loss_values.T.tolist()
             # A batch's log ratio is r[x] - r[y] for r the difference of two
             # rows, so it is at least minus the widest such row's spread;
             # rounding is monotone, so this holds for the computed values too.
@@ -360,11 +390,17 @@ class PreparedRun:
         else:
             if config.beta is None:
                 raise ValueError("ball runs need beta/lam/radius on the config")
+            self.comparator_loss = _best_ball_point(self.column_totals, config.radius)[1]
             self.grad_sums = cumulative_table(loss_values, config.B)
             self.beta = config.beta
 
     def run(self, rng: np.random.Generator) -> Transcript:
-        e = self._mw_events(rng) if self.is_mw else self._ball_events(rng)
+        if not self.is_mw:
+            e = self._ball_events(rng)
+        elif self.walks:
+            e = self._walk(rng)
+        else:
+            e = self._screen(rng)
         return Transcript(
             self, e.rows, e.codes, e.xs, e.ys, e.switches_x, e.switches_y, e.fakes,
             e.raw_log_ratios,
@@ -375,46 +411,35 @@ class PreparedRun:
 
         A CDF row is finite, nondecreasing up to its last entry and ends
         at 1.0 > v, so ``v < cdf[i]`` is monotone in i and bisection finds
-        what ``searchsorted(side="right")`` finds, an index below d.
+        what ``searchsorted(side="right")`` finds, an index below d. The
+        walk bisects the same rows as lists.
         """
         return bisect_right(self.cdfs[s - 1], v)
 
-    def _mw_events(self, rng: np.random.Generator) -> _Events:
-        """Switch events of one experts run, found over pre-drawn doubles.
+    def _walk(self, rng: np.random.Generator) -> _Events:
+        """A short experts run: every batch's keep test in turn, over list tables.
 
         Each draw of the contract is one ``rng.random()`` double, and
         ``rng.random(k)`` yields the same doubles as k scalar calls. A
-        run uses ``3n - 1`` of them plus one per resample, so they are
-        drawn ahead, never past what the run is sure to use, and read
-        with a cursor.
+        run uses ``3n - 1`` of them plus one per resample. The ``3n - 1``
+        are drawn at the start, and those the resamples add when the walk
+        first reads past the list, so no double is drawn that the run
+        does not use.
         """
         n = self.config.n_batches
-        u = _Uniforms(rng, 3 * n - 1)
-        v0, v1 = u.block[:2].tolist()
-        row = self.cdfs[0].tolist()  # as in _pick, for both batch-1 draws
-        events = _Events(bisect_right(row, v0), bisect_right(row, v1))
-        if n <= _WALK:
-            self._walk(events, u, n)
-        else:
-            self._screen(events, u, n)
-        return events
-
-    def _walk(self, events: _Events, u: _Uniforms, n: int) -> None:
-        """A short run: every batch's keep test in turn, over lists.
-
-        All ``3n - 1`` uniforms fit in the first block; those the
-        resamples add are drawn when the walk first reads past the list.
-        """
         cap, keep_y = self.cap, 1.0 - self.config.p
-        lw = self.log_weights
-        x, y = events.xs[0], events.ys[0]
-        cx, cy = lw[:, x].tolist(), lw[:, y].tolist()
-        draws = u.block.tolist()
+        columns, cdf_rows = self._lw_columns, self._cdf_rows
+        draws = rng.random(3 * n - 1).tolist()
+        owed = 0  # resample doubles the run will use and has not drawn
+        x, y = bisect_right(cdf_rows[0], draws[0]), bisect_right(cdf_rows[0], draws[1])
+        events = _Events(x, y)
+        cx, cy = columns[x], columns[y]
         ratios = events.raw_log_ratios = []
         c = 2  # cursor of the next S uniform in draws
         for s in range(2, n + 1):
             if c + 3 > len(draws):  # earlier resamples pushed the coins past the list
-                draws += u.draw(u.owed).tolist()
+                draws += rng.random(owed).tolist()
+                owed = 0
             lr = (cx[s - 1] - cx[s - 2]) - (cy[s - 1] - cy[s - 2])
             ratios.append(lr)
             S, Sp, A = _keep_test(lr, draws[c], draws[c + 1], draws[c + 2], cap, keep_y)
@@ -422,30 +447,39 @@ class PreparedRun:
             if S and Sp and A:
                 continue
             resamples = (not (S and Sp)) + (not A)
-            u.owed += resamples
+            owed += resamples
             if c + resamples > len(draws):
-                draws += u.draw(u.owed).tolist()
+                draws += rng.random(owed).tolist()
+                owed = 0
             if not (S and Sp):
-                x = self._pick(s, draws[c])
-                cx = lw[:, x].tolist()
+                x = bisect_right(cdf_rows[s - 1], draws[c])
+                cx = columns[x]
                 c += 1
             if not A:
-                y = self._pick(s, draws[c])
-                cy = lw[:, y].tolist()
+                y = bisect_right(cdf_rows[s - 1], draws[c])
+                cy = columns[y]
                 c += 1
             events.add(s, S, Sp, A, x, y)
+        return events
 
-    def _screen(self, events: _Events, u: _Uniforms, n: int) -> None:
-        """A long run: keep tests only where a pre-drawn uniform can fail one.
+    def _screen(self, rng: np.random.Generator) -> _Events:
+        """An experts run that keep-tests only where a pre-drawn uniform can fail.
 
-        A batch whose S uniform is below ``sure`` and whose S' and A
-        uniforms are below ``1 - p`` keeps, whatever x and y are. So each
-        block of uniforms is screened once for the other positions, the
-        candidates, and split by position mod 3: batches read three
-        uniforms, so they sit on one phase of the cursor until a resample
-        shifts it. The loop skips to the next candidate on the cursor's
-        phase and runs the exact keep test there only.
+        The doubles are drawn as in :meth:`_walk`, but in blocks, so a
+        run's memory does not grow with its length. A batch whose S
+        uniform is below ``sure`` and whose S' and A uniforms are below
+        ``1 - p`` keeps, whatever x and y are. So each block of uniforms
+        is screened once for the other positions, the candidates, and
+        split by position mod 3: batches read three uniforms, so they
+        sit on one phase of the cursor until a resample shifts it. The
+        loop skips to the next candidate on the cursor's phase and runs
+        the exact keep test there only.
         """
+        n = self.config.n_batches
+        u = _Uniforms(rng, 3 * n - 1)
+        v0, v1 = u.block[:2].tolist()
+        row = self.cdfs[0].tolist()  # as in _pick, for both batch-1 draws
+        events = _Events(bisect_right(row, v0), bisect_right(row, v1))
         cap, keep_y, sure = self.cap, 1.0 - self.config.p, self.sure
         lw = self.log_weights.item
         x, y = events.xs[0], events.ys[0]
@@ -484,6 +518,7 @@ class PreparedRun:
                     c += 1
                 events.add(s, S, Sp, A, x, y)
             s += 1
+        return events
 
     def _ball_events(self, rng: np.random.Generator) -> _Events:
         """Switch events of one ball run, by the per-batch loop.
@@ -529,6 +564,20 @@ class PreparedRun:
         """A draw from the batch-s ball measure, built for this one draw."""
         config = self.config
         return RmwMeasure(self.grad_sums[s - 1], self.beta, config.lam, config.radius).sample(rng)
+
+
+def _best_expert(totals: np.ndarray) -> tuple[int, float]:
+    """The expert of least total loss and that loss; ties break toward the lowest index."""
+    best = int(np.argmin(totals))
+    return best, float(totals[best])
+
+
+def _best_ball_point(total: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """The point of the radius ball with least linear loss against ``total``: -R G/|G|."""
+    norm = float(np.linalg.norm(total))
+    if norm == 0.0:
+        return np.zeros(total.size), 0.0
+    return -radius * total / norm, -radius * norm
 
 
 def _picks(table: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -176,6 +176,16 @@ class TestTuneOpe:
         with pytest.raises(TunerError):
             tune_ope(10, 2, 1e-6, 1e-6)
 
+    @pytest.mark.parametrize("T, d, eps, delta", [(20, 2, 0.1, 0.05), (50, 2, 0.05, 0.05)])
+    def test_floor_binds(self, T, d, eps, delta):
+        # 10 eta / eps falls below B/T here, so p sits on the floor, and the
+        # config is still accepted only on its recomputed budget
+        cfg = tune_ope(T, d, eps, delta)
+        assert 10.0 * cfg.eta / eps < cfg.B / T == cfg.p
+        budget = config_budget(cfg)
+        assert budget.epsilon <= eps and budget.delta <= delta
+        assert T * cfg.p / cfg.B >= 1
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             tune_ope(100, 1, 1.0, 1e-6)

@@ -8,6 +8,7 @@ from l2p.accountant import tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, neighbor_of
 from l2p.audit import (
     AuditReport,
+    _bucket,
     empirical_epsilon,
     exact_batch_distributions,
     marginal_tv_profile,
@@ -16,7 +17,7 @@ from l2p.audit import (
     switch_statistics,
 )
 from l2p.harness import monte_carlo
-from l2p.transform import L2PConfig
+from l2p.transform import L2PConfig, PreparedRun
 
 
 def _fixed_stream():
@@ -97,6 +98,15 @@ class TestEmpiricalEpsilon:
         # at worst ~sqrt(2/min_bucket) per bucket for the max over buckets
         assert report.statistic < 4 * math.sqrt(2 / 100)
         assert report.passed
+
+    @pytest.mark.parametrize("T, B, p", [(10, 2, None), (1, 1, 0.5), (20, 1, 0.9), (9, 2, 0.05)])
+    def test_bucket_from_events(self, T, B, p):
+        # the bucket read off the switch events is the one the columns give
+        config = tune_ope(10, 2, 0.5, 0.05) if p is None else _small_config(p=p, B=B, T=T)
+        prepared = PreparedRun(config, "mw", bernoulli_experts(2, T, [0.3, 0.7], seed=4).values)
+        for seed in range(300):
+            t = prepared.run(np.random.default_rng(seed))
+            assert _bucket(t) == (tuple(t.switched[1:, 0].tolist()), int(t.models[-1]))
 
     def test_shape_preconditions(self):
         stream = bernoulli_experts(3, 10, [0.3, 0.5, 0.7], seed=0)

@@ -14,7 +14,7 @@ from l2p.adversaries import (
     linear_oco_stream,
 )
 from l2p.audit import exact_batch_distributions
-from l2p.harness import play_game
+from l2p.harness import best_in_hindsight_oco_ball, best_in_hindsight_ope, play_game
 from l2p.measures import RmwMeasure, normalized
 from l2p.transform import (
     CSV_COLUMNS,
@@ -23,9 +23,11 @@ from l2p.transform import (
     PreparedRun,
     Transcript,
     _BLOCK,
+    _LIST_CELLS,
     _WALK,
     _candidates,
     _keep_test,
+    _picks,
 )
 
 
@@ -791,3 +793,82 @@ class TestCandidates:
             assert (found, end) == _three_views(block, start, sure, keep_y)
             assert end - 1 in found[(end - 1) % 3]
             assert all(i % 3 == r for r in range(3) for i in found[r])
+
+
+def _gathered(t: Transcript) -> np.ndarray:
+    """The round losses of an experts transcript by one numpy gather over its models."""
+    config = t.prepared.config
+    xs = np.repeat(np.asarray(t.models), config.B)[: config.T]
+    return _picks(t.prepared.loss_values, xs)
+
+
+class TestShortRuns:
+    """Walked runs read list tables built at set-up; the comparator is stored there."""
+
+    def test_walked_round_losses_match_the_gather(self):
+        rng = np.random.default_rng(20)
+        shapes = [(5, 1, 3), (10, 2, 2), (7, 3, 4), (11, 4, 1), (1, 1, 3), (48, 1, 5), (95, 2, 2)]
+        shapes += [(int(T), int(B), int(d)) for T, B, d in zip(
+            rng.integers(1, 200, 30), rng.integers(1, 6, 30), rng.integers(1, 9, 30))]
+        walked = 0
+        for T, B, d in shapes:
+            config = L2PConfig(T=T, B=B, eta=0.1, p=0.4, delta0=0.0, delta1=1e-6)
+            prepared = PreparedRun(config, "mw", rng.random((T, d)))
+            if not prepared.walks:
+                assert config.n_batches > _WALK
+                continue
+            walked += 1
+            for seed in range(15):
+                t = prepared.run(np.random.default_rng(seed))
+                want = _gathered(t)
+                assert t.round_losses.dtype == want.dtype
+                assert t.round_losses.tobytes() == want.tobytes(), (T, B, d, seed)
+                assert t.total_loss == float(want.sum())
+        assert walked >= 20
+
+    def test_long_batches_keep_the_numpy_gather(self, monkeypatch):
+        # 20 batches, but a 1e6-entry loss matrix: no list tables are built,
+        # the run is screened and its round losses are gathered by numpy
+        config = L2PConfig(T=100_000, B=5000, eta=1e-4, p=0.5, delta0=0.0, delta1=1e-6)
+        stream = bernoulli_experts(10, 100_000, np.linspace(0.3, 0.7, 10), 9)
+        prepared = PreparedRun(config, "mw", stream.values)
+        assert config.n_batches <= _WALK and stream.values.size > _LIST_CELLS
+        assert not prepared.walks
+        assert not {"_lw_columns", "_cdf_rows", "_loss_columns"} & vars(prepared).keys()
+        gathers = []
+        monkeypatch.setattr("l2p.transform._picks", lambda *a: gathers.append(a) or _picks(*a))
+        for seed in range(3):
+            g = play_game(config, "mw", stream, seed, prepared=prepared)
+            assert g.total_loss == float(_gathered(g.transcript).sum())
+            TestAgainstReferenceLoop._assert_same(
+                prepared, np.random.default_rng(seed), np.random.default_rng(seed)
+            )
+        assert len(gathers) >= 3
+
+    def test_short_wide_runs_are_screened(self):
+        # too many experts for list tables: a short run is screened, and is
+        # still the per-batch loop's run
+        d = _LIST_CELLS // 8 + 1
+        config = L2PConfig(T=8, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        values = np.random.default_rng(21).random((8, d))
+        prepared = PreparedRun(config, "mw", values)
+        assert not prepared.walks
+        for seed in range(40):
+            TestAgainstReferenceLoop._assert_same(
+                prepared, np.random.default_rng(seed), np.random.default_rng(seed)
+            )
+
+    @pytest.mark.parametrize("shape", ["marginal", "epsilon", "mixed", "one-expert", "epoch"])
+    def test_stored_comparator_ope(self, shape):
+        config, kind, stream = SHAPES[shape]()
+        prepared = _prepared(config, kind, stream)
+        assert prepared.comparator_loss == best_in_hindsight_ope(stream)[1]
+        g = play_game(config, kind, stream, 0, prepared=prepared)
+        assert g.comparator_loss == prepared.comparator_loss
+
+    def test_stored_comparator_ball(self):
+        config, kind, stream = SHAPES["ball"]()
+        prepared = _prepared(config, kind, stream)
+        want = best_in_hindsight_oco_ball(stream, config.radius)[1]
+        assert prepared.comparator_loss == want
+        assert prepared.cap == config.cap == 2.0 * config.B * config.eta_accounted
