@@ -95,7 +95,7 @@ def play_game(
     transcript = prepared.run(np.random.default_rng(seed))
     elapsed = time.perf_counter() - start
     total = transcript.total_loss
-    comp = prepared.comparator_loss
+    comp = comparator_loss(prepared)
     return GameResult(
         transcript=transcript if keep_transcript else None,
         total_loss=total,

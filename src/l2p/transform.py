@@ -41,10 +41,11 @@ derives from the widest spread of the log ratios. So a batch whose S
 double is below ``sure`` and whose S' and A doubles are below ``1 - p``
 keeps, whatever x and y are: a screen of each block finds the other
 positions, and only there does the exact keep test run. Runs of at most
-``_WALK`` batches whose loss matrix has at most ``_LIST_CELLS`` entries
-walk instead: they test every batch, reading log-weight columns, CDF
-rows and loss columns that set-up keeps as Python lists, so a short run
-makes no numpy call per batch or per resample. The S, S', A, x-resample,
+``_WALK`` batches walk instead: they test every batch, reading
+log-weight columns and CDF rows that set-up keeps as Python lists, so a
+short run makes no numpy call per batch or per resample. Where those
+tables would hold more than ``_LIST_CELLS`` entries each, the walk reads
+the same values from numpy views of them. The S, S', A, x-resample,
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
@@ -53,8 +54,8 @@ A run returns its switch events as a :class:`Transcript`, and nothing
 per batch. The per-batch columns (models, coins, losses, log ratios)
 are derived from the events on first read, so a game that reads only
 its total loss pays for its switches plus one gather of the played
-losses: slices of the list loss columns on a walked run, one numpy
-``take`` on any other. Set-up also computes the run's best-in-hindsight
+losses: slices of loss columns kept as lists on a walked run of at most
+``_LIST_ROUNDS`` rounds, one numpy ``take`` on any other. Set-up also computes the run's best-in-hindsight
 comparator, which depends only on the loss matrix.
 """
 
@@ -73,13 +74,23 @@ from .measures import ETA_MAX, RmwMeasure, cumulative_table, mw_log_weights, nor
 
 # Runs of at most _WALK batches test every batch in turn: screening a
 # block costs a few numpy passes, more than walking so few batches. A
-# walk reads its tables as Python lists, which hold a float object per
-# entry, so it is taken only where the loss matrix has at most
-# _LIST_CELLS entries. Other runs draw uniforms _BLOCK at a time, so a
-# run's memory does not grow with its length, and screen each block for
-# the positions whose S, S' or A uniform could fail a keep test.
+# walk reads its log-weight columns and CDF rows as Python lists, which
+# hold a float object per entry (about 32 bytes) and cost about 40 ns
+# per entry to build. On a 2-vCPU Xeon host, at 48 batches and 85
+# experts the two lists of 4080 entries add 0.15 ms and 0.25 MiB to a
+# 0.4 ms set-up and take a run from 77 to 48 us, so they are kept up to
+# _LIST_CELLS entries each; a wider walk reads numpy views of the same
+# tables. Round losses are sliced from list loss columns only on runs of
+# at most _LIST_ROUNDS rounds: slicing costs per round and per switch,
+# and on the same host it matches the one numpy take that other runs use
+# at 64 rounds with a switch at nearly every batch, and is slower from about
+# 100 rounds on.
+# Other runs draw uniforms _BLOCK at a time, so a run's memory does not
+# grow with its length, and screen each block for the positions whose
+# S, S' or A uniform could fail a keep test.
 _WALK = 48
 _LIST_CELLS = 4096
+_LIST_ROUNDS = 64
 _BLOCK = 6144
 # The screen's floor under every keep probability is shrunk by this
 # much, so exp's rounding can only add candidates; the absolute term
@@ -296,8 +307,9 @@ class Transcript:
     def round_losses(self) -> np.ndarray:
         prepared = self.prepared
         T, B = prepared.config.T, prepared.config.B
-        if prepared.walks:  # the rounds of each model's stretch, sliced from its loss column
-            columns, bounds, out = prepared._loss_columns, [0, *self.rows, self.n_batches], []
+        columns = prepared._loss_columns
+        if columns is not None:  # the rounds of each model's stretch, sliced from its loss column
+            bounds, out = [0, *self.rows, self.n_batches], []
             for x, a, b in zip(self.event_xs, bounds, bounds[1:]):
                 out += columns[x][a * B : b * B]
             return np.array(out)
@@ -342,9 +354,10 @@ class PreparedRun:
     only the coin and resample draws differ between runs. Experts runs
     keep the log-weights and sampling CDFs of every batch, and ``sure``,
     a floor under the keep probability of every batch and every pair of
-    models; ball runs keep the gradient sums. Short experts runs with a
-    small loss matrix (``walks``) also keep the log-weight columns, CDF
-    rows and loss columns as Python lists. Both kinds keep the per-batch
+    models; ball runs keep the gradient sums. Short experts runs
+    (``walks``) also keep the log-weight columns and CDF rows as Python
+    lists if they are small, and the loss columns if the run has few
+    rounds as well. Both kinds keep the per-batch
     loss sums, the column totals of the loss matrix and
     ``comparator_loss``, the best-in-hindsight loss they give. The
     acceptance cap ``cap`` is the config's, which always uses the full
@@ -368,19 +381,20 @@ class PreparedRun:
         starts = np.arange(n) * config.B
         self.batch_sums = np.add.reduceat(loss_values, starts, axis=0)
         self.column_totals = loss_values.sum(axis=0)
-        # A run walks when it is short and its loss matrix small: then the
-        # tables the walk and the round losses read are kept as lists.
-        self.walks = self.is_mw and n <= _WALK and loss_values.size <= _LIST_CELLS
+        self.walks = self.is_mw and n <= _WALK
+        self._loss_columns = None
         if self.is_mw:
             self.comparator_loss = _best_expert(self.column_totals)[1]
             self.log_weights = mw_log_weights(loss_values, config.eta, config.B)
             cdfs = np.cumsum(normalized(self.log_weights), axis=1)
             cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
             self.cdfs = cdfs
-            if self.walks:
-                self._lw_columns = self.log_weights.T.tolist()
-                self._cdf_rows = cdfs.tolist()
-                self._loss_columns = loss_values.T.tolist()
+            if self.walks:  # the tables a walk reads, as lists where they are small
+                small = cdfs.size <= _LIST_CELLS
+                self._lw_columns = self.log_weights.T.tolist() if small else self.log_weights.T
+                self._cdf_rows = cdfs.tolist() if small else cdfs
+                if config.T <= _LIST_ROUNDS and loss_values.size <= _LIST_CELLS:
+                    self._loss_columns = loss_values.T.tolist()
             # A batch's log ratio is r[x] - r[y] for r the difference of two
             # rows, so it is at least minus the widest such row's spread;
             # rounding is monotone, so this holds for the computed values too.
@@ -417,7 +431,10 @@ class PreparedRun:
         return bisect_right(self.cdfs[s - 1], v)
 
     def _walk(self, rng: np.random.Generator) -> _Events:
-        """A short experts run: every batch's keep test in turn, over list tables.
+        """A short experts run: every batch's keep test in turn, over the walk tables.
+
+        The tables are lists or numpy views of the same values; either
+        way each read is one double, so the ratios and picks are the same.
 
         Each draw of the contract is one ``rng.random()`` double, and
         ``rng.random(k)`` yields the same doubles as k scalar calls. A

@@ -24,6 +24,7 @@ from l2p.transform import (
     Transcript,
     _BLOCK,
     _LIST_CELLS,
+    _LIST_ROUNDS,
     _WALK,
     _candidates,
     _keep_test,
@@ -808,33 +809,35 @@ class TestShortRuns:
     def test_walked_round_losses_match_the_gather(self):
         rng = np.random.default_rng(20)
         shapes = [(5, 1, 3), (10, 2, 2), (7, 3, 4), (11, 4, 1), (1, 1, 3), (48, 1, 5), (95, 2, 2)]
+        shapes += [(_LIST_ROUNDS, 2, 3), (_LIST_ROUNDS + 1, 2, 3)]
         shapes += [(int(T), int(B), int(d)) for T, B, d in zip(
             rng.integers(1, 200, 30), rng.integers(1, 6, 30), rng.integers(1, 9, 30))]
-        walked = 0
+        walked = listed = 0
         for T, B, d in shapes:
             config = L2PConfig(T=T, B=B, eta=0.1, p=0.4, delta0=0.0, delta1=1e-6)
             prepared = PreparedRun(config, "mw", rng.random((T, d)))
+            assert prepared.walks == (config.n_batches <= _WALK)
+            assert (prepared._loss_columns is not None) == (prepared.walks and T <= _LIST_ROUNDS)
             if not prepared.walks:
-                assert config.n_batches > _WALK
                 continue
             walked += 1
+            listed += prepared._loss_columns is not None
             for seed in range(15):
                 t = prepared.run(np.random.default_rng(seed))
                 want = _gathered(t)
                 assert t.round_losses.dtype == want.dtype
                 assert t.round_losses.tobytes() == want.tobytes(), (T, B, d, seed)
                 assert t.total_loss == float(want.sum())
-        assert walked >= 20
+        assert walked >= 25 and listed >= 15
 
     def test_long_batches_keep_the_numpy_gather(self, monkeypatch):
-        # 20 batches, but a 1e6-entry loss matrix: no list tables are built,
-        # the run is screened and its round losses are gathered by numpy
+        # 20 batches of 5000 rounds: the run walks over list tables of
+        # 20 x 10 entries, but lists no loss columns and gathers by numpy
         config = L2PConfig(T=100_000, B=5000, eta=1e-4, p=0.5, delta0=0.0, delta1=1e-6)
         stream = bernoulli_experts(10, 100_000, np.linspace(0.3, 0.7, 10), 9)
         prepared = PreparedRun(config, "mw", stream.values)
-        assert config.n_batches <= _WALK and stream.values.size > _LIST_CELLS
-        assert not prepared.walks
-        assert not {"_lw_columns", "_cdf_rows", "_loss_columns"} & vars(prepared).keys()
+        assert prepared.walks and prepared._loss_columns is None
+        assert type(prepared._lw_columns) is list and type(prepared._cdf_rows) is list
         gathers = []
         monkeypatch.setattr("l2p.transform._picks", lambda *a: gathers.append(a) or _picks(*a))
         for seed in range(3):
@@ -845,18 +848,27 @@ class TestShortRuns:
             )
         assert len(gathers) >= 3
 
-    def test_short_wide_runs_are_screened(self):
-        # too many experts for list tables: a short run is screened, and is
-        # still the per-batch loop's run
+    def test_short_wide_runs_walk_numpy_views(self):
+        # too many experts for list tables: a short run still walks, over
+        # numpy views, and is the per-batch loop's run and the list walk's
         d = _LIST_CELLS // 8 + 1
         config = L2PConfig(T=8, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         values = np.random.default_rng(21).random((8, d))
         prepared = PreparedRun(config, "mw", values)
-        assert not prepared.walks
+        assert prepared.walks and prepared._loss_columns is None
+        assert isinstance(prepared._lw_columns, np.ndarray)
+        assert isinstance(prepared._cdf_rows, np.ndarray)
+        listed = PreparedRun(config, "mw", values)
+        listed._lw_columns = listed.log_weights.T.tolist()
+        listed._cdf_rows = listed.cdfs.tolist()
         for seed in range(40):
             TestAgainstReferenceLoop._assert_same(
                 prepared, np.random.default_rng(seed), np.random.default_rng(seed)
             )
+            a = prepared.run(np.random.default_rng(seed))
+            b = listed.run(np.random.default_rng(seed))
+            assert (a.rows, a.codes, a.event_xs, a.event_ys) == (b.rows, b.codes, b.event_xs, b.event_ys)
+            assert a.raw_log_ratios.tobytes() == b.raw_log_ratios.tobytes()
 
     @pytest.mark.parametrize("shape", ["marginal", "epsilon", "mixed", "one-expert", "epoch"])
     def test_stored_comparator_ope(self, shape):
