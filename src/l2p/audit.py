@@ -121,10 +121,7 @@ def marginal_tv_profile(
         raise ValueError("marginal audit is exact-oracle only: d <= 8 and s <= 10")
     if n_runs < 10_000:
         raise ValueError("need at least 1e4 runs for a meaningful TV estimate")
-    counts = np.zeros((config.n_batches, stream.d))
-    for transcript in _run_many(config, stream, n_runs, base_seed):
-        for i, x in enumerate(transcript.models):
-            counts[i, x] += 1
+    counts = _marginal_counts(config, stream, n_runs, base_seed)
     exact = exact_batch_distributions(stream, config.eta, config.B)
     slack = 3.0 * math.sqrt(stream.d / n_runs)
     reports = []
@@ -140,6 +137,26 @@ def marginal_tv_profile(
             )
         )
     return reports
+
+
+def _marginal_counts(
+    config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int
+) -> np.ndarray:
+    """How many of the runs play expert x at batch s, as ``counts[s - 1, x]``.
+
+    Counted from each run's switch events: its k-th model pair is in
+    force from batch ``rows[k - 1] + 1`` (batch 1 for k = 0) up to the
+    next event, so the per-batch model column is never built.
+    """
+    n, d = config.n_batches, stream.d
+    counts = [0] * (n * d)
+    for transcript in _run_many(config, stream, n_runs, base_seed):
+        since = 0
+        for x, until in zip(transcript.event_xs, [*transcript.rows, n]):
+            for i in range(since * d + x, until * d, d):
+                counts[i] += 1
+            since = until
+    return np.array(counts, dtype=np.float64).reshape(n, d)
 
 
 def ratio_range_check(

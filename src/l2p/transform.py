@@ -39,8 +39,14 @@ is sure to use. The S' and A coins and the resamples use no data, and
 the S coin's keep probability is never below ``sure``, a floor set-up
 derives from the widest spread of the log ratios. So a batch whose S
 double is below ``sure`` and whose S' and A doubles are below ``1 - p``
-keeps, whatever x and y are: a screen of each block finds the other
-positions, and only there does the exact keep test run. Runs of at most
+keeps, whatever x and y are. Only a rare double, one at or above the
+lower of the two, can make a batch fail, and in a tuned run nearly all
+doubles are below both. So the screen finds a block's rare doubles with
+one compare, walks them in order, and visits the batch a rare double
+falls in only if it is that batch's S double at or above ``sure`` or
+its S' or A double at or above ``1 - p``. The visit runs the keep test,
+and computes the exact ratio only for an S double at or above ``sure``:
+below it, S is 1 for every pair of models. Runs of at most
 ``_WALK`` batches walk instead: they test every batch, reading
 log-weight columns and CDF rows that set-up keeps as Python lists, so a
 short run makes no numpy call per batch or per resample. Where those
@@ -63,7 +69,7 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -86,14 +92,17 @@ from .measures import ETA_MAX, RmwMeasure, cumulative_table, mw_log_weights, nor
 # at 64 rounds with a switch at nearly every batch, and is slower from about
 # 100 rounds on.
 # Other runs draw uniforms _BLOCK at a time, so a run's memory does not
-# grow with its length, and screen each block for the positions whose
-# S, S' or A uniform could fail a keep test.
+# grow with its length. One compare per block finds its rare uniforms,
+# those at or above the lower of the floor and 1 - p, and the run visits
+# only the batches whose S uniform is at or above the floor or whose S'
+# or A uniform is at or above 1 - p; an S uniform below the floor keeps
+# without the exact ratio.
 _WALK = 48
 _LIST_CELLS = 4096
 _LIST_ROUNDS = 64
 _BLOCK = 6144
 # The screen's floor under every keep probability is shrunk by this
-# much, so exp's rounding can only add candidates; the absolute term
+# much, so exp's rounding can only add visits; the absolute term
 # makes a floor at or near the subnormal range screen nothing out.
 _FLOOR_RTOL = 1e-12
 _FLOOR_ATOL = 1e-300
@@ -256,18 +265,18 @@ class Transcript:
         return float(self.round_losses.sum())
 
     @cached_property
-    def _lengths(self) -> list[int]:
+    def _spans(self) -> np.ndarray:
         """The number of batches each model pair is in force: from batch 1, then from each event."""
-        bounds = [0, *self.rows, self.n_batches]
-        return [b - a for a, b in zip(bounds, bounds[1:])]
+        bounds = np.array([0, *self.rows, self.n_batches])
+        return bounds[1:] - bounds[:-1]
 
     def _per_batch(self, models: list):
-        return chain.from_iterable(map(repeat, models, self._lengths))
+        return chain.from_iterable(map(repeat, models, self._spans.tolist()))
 
     @cached_property
     def _batch_xs(self) -> np.ndarray:
         """The played expert of every batch, as an index array (experts runs)."""
-        return np.repeat(self.event_xs, self._lengths)
+        return np.array(self.event_xs).repeat(self._spans)
 
     @cached_property
     def models(self) -> tuple:
@@ -325,7 +334,7 @@ class Transcript:
     def raw_log_ratios(self) -> np.ndarray:
         if self.recorded_ratios is not None:
             return np.asarray(self.recorded_ratios, dtype=np.float64)
-        ys = np.repeat(self.event_ys, self._lengths)
+        ys = np.array(self.event_ys).repeat(self._spans)
         return self.prepared._log_ratios(self._batch_xs, ys)
 
     def write_csv(self, fh) -> None:
@@ -420,16 +429,6 @@ class PreparedRun:
             e.raw_log_ratios,
         )
 
-    def _pick(self, s: int, v: float) -> int:
-        """The expert that uniform ``v`` selects from the normalized batch-s measure.
-
-        A CDF row is finite, nondecreasing up to its last entry and ends
-        at 1.0 > v, so ``v < cdf[i]`` is monotone in i and bisection finds
-        what ``searchsorted(side="right")`` finds, an index below d. The
-        walk bisects the same rows as lists.
-        """
-        return bisect_right(self.cdfs[s - 1], v)
-
     def _walk(self, rng: np.random.Generator) -> _Events:
         """A short experts run: every batch's keep test in turn, over the walk tables.
 
@@ -480,61 +479,85 @@ class PreparedRun:
         return events
 
     def _screen(self, rng: np.random.Generator) -> _Events:
-        """An experts run that keep-tests only where a pre-drawn uniform can fail.
+        """An experts run that visits only the batches whose keep test can fail.
 
         The doubles are drawn as in :meth:`_walk`, but in blocks, so a
         run's memory does not grow with its length. A batch whose S
         uniform is below ``sure`` and whose S' and A uniforms are below
-        ``1 - p`` keeps, whatever x and y are. So each block of uniforms
-        is screened once for the other positions, the candidates, and
-        split by position mod 3: batches read three uniforms, so they
-        sit on one phase of the cursor until a resample shifts it. The
-        loop skips to the next candidate on the cursor's phase and runs
-        the exact keep test there only.
+        ``1 - p`` keeps, whatever x and y are. So only the rare uniforms,
+        those at or above the lower of the two, can make a batch fail:
+        :func:`_visits` finds them with one compare per block and names
+        the batches among them to visit. At a visit the exact log ratio
+        is computed only if the S uniform is at or above ``sure``; below
+        it S is 1 for every pair of models. Tables are read through flat
+        memoryviews, so a pick is a bisection of one row's span.
         """
-        n = self.config.n_batches
-        u = _Uniforms(rng, 3 * n - 1)
-        v0, v1 = u.block[:2].tolist()
-        row = self.cdfs[0].tolist()  # as in _pick, for both batch-1 draws
-        events = _Events(bisect_right(row, v0), bisect_right(row, v1))
+        n, d = self.log_weights.shape
         cap, keep_y, sure = self.cap, 1.0 - self.config.p, self.sure
-        lw = self.log_weights.item
-        x, y = events.xs[0], events.ys[0]
+        lw = memoryview(self.log_weights.reshape(-1))
+        cdf = memoryview(self.cdfs.reshape(-1))
+        exp = math.exp
+        u = _Uniforms(rng, 3 * n - 1)
         block, start = u.block, u.start
-        found, end = _candidates(block, start, sure, keep_y)
+        ub = memoryview(block)
+        x, y = bisect_right(cdf, ub[0], 0, d), bisect_right(cdf, ub[1], 0, d)
+        events = _Events(x, y)
+        rows, codes, xs, ys = events.rows, events.codes, events.xs, events.ys
+        moved_x = moved_y = fakes = 0
+        visits = _visits(block, start, sure, keep_y)
+        next(visits)
         s, c = 2, 2  # next batch to test, cursor of its S uniform
-        while s <= n:
-            phase = found[c % 3]
-            k = bisect_left(phase, c)
-            if k == len(phase):  # every batch up to the screened end keeps
-                skip = max(0, -(-(end - c) // 3))
+        while True:
+            try:
+                b = visits.send(c)
+            except StopIteration:  # every batch up to the block's end keeps
+                skip = max(0, -(-(start + block.size - 2 - c) // 3))
                 s, c = s + skip, c + 3 * skip
-                if s <= n:
-                    u.refill(c)
-                    block, start = u.block, u.start
-                    found, end = _candidates(block, start, sure, keep_y)
+                if s > n:
+                    break
+                u.refill(c)
+                block, start = u.block, u.start
+                ub = memoryview(block)
+                visits = _visits(block, start, sure, keep_y)
+                next(visits)
                 continue
-            s, c = s + (phase[k] - c) // 3, phase[k]
-            i = c - start
-            lr = (lw(s - 1, x) - lw(s - 2, x)) - (lw(s - 1, y) - lw(s - 2, y))
-            u0, u1, u2 = block.item(i), block.item(i + 1), block.item(i + 2)
-            S, Sp, A = _keep_test(lr, u0, u1, u2, cap, keep_y)
-            c += 3
+            s += (b - c) // 3
+            i = b - start
+            u0 = ub[i]
+            if u0 < sure:  # below every pair's keep probability
+                S = True
+            else:
+                at_x, at_y = (s - 1) * d + x, (s - 1) * d + y
+                lr = (lw[at_x] - lw[at_x - d]) - (lw[at_y] - lw[at_y - d])
+                S = lr >= cap or u0 < exp(lr - cap)
+            Sp, A = ub[i + 1] < keep_y, ub[i + 2] < keep_y
+            c = b + 3
             if not (S and Sp and A):
-                resamples = (not (S and Sp)) + (not A)
+                move_x = not (S and Sp)
+                resamples = move_x + (not A)
                 u.owed += resamples
                 if c + resamples > start + block.size:
                     u.refill(c)
                     block, start = u.block, u.start
-                    found, end = _candidates(block, start, sure, keep_y)
-                if not (S and Sp):
-                    x = self._pick(s, block.item(c - start))
+                    ub = memoryview(block)
+                    visits = _visits(block, start, sure, keep_y)
+                    next(visits)
+                lo = (s - 1) * d
+                if move_x:
+                    x = bisect_right(cdf, ub[c - start], lo, lo + d) - lo
                     c += 1
                 if not A:
-                    y = self._pick(s, block.item(c - start))
+                    y = bisect_right(cdf, ub[c - start], lo, lo + d) - lo
                     c += 1
-                events.add(s, S, Sp, A, x, y)
+                rows.append(s - 1)
+                codes.append(4 * S + 2 * Sp + A)
+                xs.append(x)
+                ys.append(y)
+                moved_x += move_x
+                moved_y += not A
+                fakes += not (Sp and A)
             s += 1
+        events.switches_x, events.switches_y, events.fakes = moved_x, moved_y, fakes
         return events
 
     def _ball_events(self, rng: np.random.Generator) -> _Events:
@@ -633,25 +656,31 @@ class _Uniforms:
         self.start = c
 
 
-def _candidates(
-    block: np.ndarray, start: int, sure: float, keep_y: float
-) -> tuple[list[list[int]], int]:
-    """The screen of a block of uniforms that starts at run position ``start``.
+def _visits(block: np.ndarray, start: int, sure: float, keep_y: float):
+    """The batches of a block of uniforms whose keep test can fail, as a coroutine.
 
-    Position i of the run is a candidate if its S uniform is at or above
-    ``sure`` or its S' or A uniform at or above ``keep_y``; ``found[r]``
-    lists the candidates i with i % 3 == r, ascending. Positions below
-    ``end`` have all three uniforms in the block and are screened.
+    ``block`` holds the run's uniforms from position ``start`` on.
+    Prime it with ``next``; then each ``send(c)`` of the cursor c (the
+    S position of the next batch to test) returns the S position of the
+    next batch at or after c that can fail, and StopIteration once no
+    batch that starts below the block's last two doubles, and so lies
+    in the block, can. A batch can fail only through a rare uniform:
+    its S at or above ``sure``, or its S' or A at or above ``keep_y``.
+    So one compare finds the uniforms at or above the lower of the two,
+    and a rare uniform j sits in the batch that starts at
+    j - (j - c) % 3, in the role (j - c) % 3 (0 for S, 1 for S', 2 for A).
     """
-    flag = block[:-2] >= sure
-    flag |= block[1:-1] >= keep_y
-    flag |= block[2:] >= keep_y
-    found = [[], [], []]
-    # tuned runs screen out nearly every position, so splitting the few
-    # candidates in Python beats three strided passes over the flag
-    for i in (np.flatnonzero(flag) + start).tolist():
-        found[i % 3].append(i)
-    return found, start + flag.size
+    hits = np.flatnonzero(block >= min(sure, keep_y))
+    end = start + block.size - 2
+    c = yield
+    for j, v in zip((hits + start).tolist(), block[hits].tolist()):
+        if j < c:  # a uniform of a batch already tested, or a resample's
+            continue
+        role = (j - c) % 3
+        if j - role >= end:
+            return
+        if v >= (keep_y if role else sure):
+            c = yield j - role
 
 
 class _Events:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -9,6 +10,8 @@ from l2p.adversaries import LossStream, bernoulli_experts, neighbor_of
 from l2p.audit import (
     AuditReport,
     _bucket,
+    _marginal_counts,
+    _run_many,
     empirical_epsilon,
     exact_batch_distributions,
     marginal_tv_profile,
@@ -73,6 +76,31 @@ class TestMarginalAudit:
         big = bernoulli_experts(9, 5, [0.5] * 9, seed=0)
         with pytest.raises(ValueError):
             marginal_tv_test(_small_config(), big, 1, 20_000)
+
+
+    @pytest.mark.parametrize(
+        "config, stream",
+        [
+            (_small_config(), bernoulli_experts(3, 5, (0.2, 0.5, 0.8), 1)),  # the audit-tiny shape
+            (_small_config(p=0.3, B=2, T=9), bernoulli_experts(4, 9, (0.1, 0.4, 0.6, 0.9), 2)),
+            (_small_config(p=1.0), _fixed_stream()),
+        ],
+    )
+    def test_counts_from_events(self, config, stream):
+        # the event-built counts equal those of the per-batch model column
+        want = np.zeros((config.n_batches, stream.d))
+        for transcript in _run_many(config, stream, 2000, 9):
+            for i, x in enumerate(transcript.models):
+                want[i, x] += 1
+        got = _marginal_counts(config, stream, 2000, 9)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_report_lines_pinned(self):
+        # recorded when the counts were built from the per-batch model column
+        config, stream = _small_config(), bernoulli_experts(3, 5, (0.2, 0.5, 0.8), 1)
+        text = "".join(r.to_json_line() + "\n" for r in marginal_tv_profile(config, stream, 10_000, 5))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "b5cfdc35b401fec65b40ab7f7fa4e93ec5f2993ce5fed60fbdda1c282935159d"
 
 
 class TestRatioAudit:

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2p.accountant import tune_oco, tune_ope
 from l2p.adversaries import (
@@ -26,9 +28,9 @@ from l2p.transform import (
     _LIST_CELLS,
     _LIST_ROUNDS,
     _WALK,
-    _candidates,
     _keep_test,
     _picks,
+    _visits,
 )
 
 
@@ -745,9 +747,7 @@ class TestKeepBoundary:
         for u, candidate in ((np.nextafter(sure, 0.0), False), (sure, True),
                              (np.nextafter(sure, 1.0), True)):
             doubles[3 * k - 4] = u
-            found, end = _candidates(doubles, 0, sure, 0.5)
-            assert (3 * k - 4 in found[(3 * k - 4) % 3]) == candidate
-            assert end == doubles.size - 2
+            assert (3 * k - 4 in _visited(doubles, 0, 2, sure, 0.5)) == candidate
             t = _same_scripted(prepared, doubles)
             assert t.switch_count_x == t.switch_count_y == 0
 
@@ -783,6 +783,19 @@ def _three_views(block, start, sure, keep_y):
     return found, start + flag.size
 
 
+def _visited(block, start, c, sure, keep_y) -> list[int]:
+    """The S positions the screen visits in a block from cursor c, if every visited batch keeps."""
+    visits = _visits(block, start, sure, keep_y)
+    next(visits)
+    found = []
+    try:
+        while True:
+            found.append(visits.send(c))
+            c = found[-1] + 3
+    except StopIteration:
+        return found
+
+
 class TestCandidates:
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 6143, 6145, 20_000])
     def test_matches_strided_views(self, start):
@@ -790,10 +803,144 @@ class TestCandidates:
         for size, sure, keep_y in ((_BLOCK, 0.99, 0.995), (_BLOCK, 0.5, 0.4), (40, 0.9, 0.9)):
             block = rng.random(size)
             block[-3] = 0.9999  # the last screened position is a candidate
-            found, end = _candidates(block, start, sure, keep_y)
-            assert (found, end) == _three_views(block, start, sure, keep_y)
+            found, end = _three_views(block, start, sure, keep_y)
             assert end - 1 in found[(end - 1) % 3]
-            assert all(i % 3 == r for r in range(3) for i in found[r])
+            for c in (start, start + 1, start + 2, start + size // 2):
+                assert _visited(block, start, c, sure, keep_y) == [i for i in found[c % 3] if i >= c]
+
+
+class _Noted:
+    """A generator wrapper that notes the S uniform of every batch s >= 2 a per-batch loop draws."""
+
+    def __init__(self, rng):
+        self.rng, self.s_uniforms = rng, []
+
+    def random(self, size=None):
+        out = self.rng.random(size)
+        if size == 3:
+            self.s_uniforms.append(float(out[0]))
+        return out
+
+
+def _exact_tests(prepared: PreparedRun, rng, monkeypatch) -> tuple[Transcript, int]:
+    """A run of the engine and the number of exact keep probabilities it computed."""
+    calls = []
+    exp = math.exp
+    with monkeypatch.context() as m:
+        m.setattr(math, "exp", lambda v: calls.append(v) or exp(v))
+        t = prepared.run(rng)
+    return t, len(calls)
+
+
+# screened experts runs of 2100 batches, so 6300 uniforms or more: the
+# first block is full and a second one follows
+BOUNDARY_SHAPES = {
+    # as on ope-b1, the floor lies above 1 - p
+    "sure-above": lambda: (
+        tune_ope(2100, 10, 1.0, 1e-6),
+        "mw",
+        bernoulli_experts(10, 2100, np.linspace(0.35, 0.65, 10), 1),
+    ),
+    # as on the sparse shape, the floor lies below 1 - p
+    "sure-below": lambda: (
+        L2PConfig(T=2100, B=1, eta=0.002, p=0.005, delta0=0.0, delta1=1e-6),
+        "mw",
+        bernoulli_experts(4, 2100, (0.1, 0.4, 0.6, 0.9), 2),
+    ),
+}
+
+
+class TestRareWalk:
+    """The screen visits a batch only through a rare uniform, and computes
+    the exact keep probability only where the S uniform is at or above the floor."""
+
+    @staticmethod
+    def _prepared(shape):
+        prepared = _prepared(*BOUNDARY_SHAPES[shape]())
+        assert 3 * prepared.config.n_batches > _BLOCK
+        return prepared
+
+    @staticmethod
+    def _edges(prepared):
+        """``sure`` and ``1 - p`` and one double either side of each."""
+        keep_y = 1.0 - prepared.config.p
+        return [v for t in (prepared.sure, keep_y) for v in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))]
+
+    @staticmethod
+    def _check(prepared, values, monkeypatch) -> Transcript:
+        """The per-batch loop's transcript, with one exact test per S uniform at or above sure."""
+        t = _same_scripted(prepared, values)
+        got, n_exact = _exact_tests(prepared, _Scripted(values), monkeypatch)
+        assert _csv(got) == _csv(t)
+        noted = _Noted(_Scripted(values))
+        _reference_run(prepared, noted)
+        assert n_exact == sum(u >= prepared.sure for u in noted.s_uniforms)
+        return t
+
+    @pytest.mark.parametrize("shape", sorted(BOUNDARY_SHAPES))
+    def test_thresholds_in_each_role(self, shape, monkeypatch):
+        # batch 1 plays x = 0 and y = the last expert; batch k reads S, S', A at
+        # 3k - 4, 3k - 3, 3k - 2. An S' or A uniform fails its coin from 1 - p
+        # on; an S uniform at the floor keeps, as the floor is below every
+        # keep probability, but is tested exactly
+        prepared = self._prepared(shape)
+        keep_y = 1.0 - prepared.config.p
+        k = 700
+        for role in range(3):
+            for u in self._edges(prepared):
+                values = np.zeros(3 * prepared.config.n_batches + 8)
+                values[1] = 0.999
+                values[3 * k - 4 + role] = u
+                t = self._check(prepared, values, monkeypatch)
+                fails = role > 0 and bool(u >= keep_y)
+                assert t.rows == ([k - 1] if fails else [])
+
+    @pytest.mark.parametrize("shape", sorted(BOUNDARY_SHAPES))
+    def test_rare_uniform_at_the_block_end(self, shape, monkeypatch):
+        # a uniform at a threshold in the last two doubles of the first block:
+        # an early event with one or two resamples shifts the cursor's phase,
+        # so it is an S, S' or A uniform of a batch the next block completes
+        prepared = self._prepared(shape)
+        keep_y = 1.0 - prepared.config.p
+        roles = set()
+        for early in ((), (5,), (5, 7)):  # fail S of batch 3, and also its A
+            for at in (_BLOCK - 2, _BLOCK - 1):
+                role = (at - 2 - len(early)) % 3
+                roles.add(role)
+                for u in self._edges(prepared):
+                    values = np.zeros(3 * prepared.config.n_batches + 8)
+                    values[list(early)] = 0.999
+                    values[at] = u
+                    t = self._check(prepared, values, monkeypatch)
+                    fails = role > 0 and bool(u >= keep_y)
+                    assert len(t.rows) == (len(early) > 0) + fails
+        assert roles == {0, 1, 2}
+
+    def test_exact_ratio_only_above_the_floor(self, monkeypatch):
+        # work, not time: on ope-b1 the exact ratio is computed once per S
+        # uniform at or above sure, about one batch in 200
+        prepared = _prepared(*SHAPES["ope-b1"]())
+        n = prepared.config.n_batches
+        for seed in range(3):
+            t, n_exact = _exact_tests(prepared, np.random.default_rng(seed), monkeypatch)
+            noted = _Noted(np.random.default_rng(seed))
+            assert _csv(_reference_run(prepared, noted)) == _csv(t)
+            above = sum(u >= prepared.sure for u in noted.s_uniforms)
+            assert n_exact == above and 0 < above < n // 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_visits_match_the_oracle(self, data):
+        sure = data.draw(st.floats(-0.01, 1.0), label="sure")
+        keep_y = data.draw(st.floats(0.0, 1.0), label="keep_y")
+        edges = [v for t in (sure, keep_y) for v in (np.nextafter(t, -1.0), t, np.nextafter(t, 2.0))]
+        uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
+        values = data.draw(st.lists(uniform, min_size=1, max_size=60), label="block")
+        block = np.array([v for v in values if 0.0 <= v < 1.0] or [0.5])
+        start = data.draw(st.integers(0, 10**6), label="start")
+        c = start + data.draw(st.integers(0, block.size), label="cursor")
+        found, _ = _three_views(block, start, sure, keep_y)
+        assert _visited(block, start, c, sure, keep_y) == [i for i in found[c % 3] if i >= c]
 
 
 def _gathered(t: Transcript) -> np.ndarray:
