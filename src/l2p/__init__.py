@@ -38,7 +38,6 @@ from .audit import (
     AuditReport,
     empirical_epsilon,
     marginal_tv_profile,
-    marginal_tv_test,
     ratio_range_check,
     switch_statistics,
 )
@@ -52,11 +51,9 @@ from .harness import (
     strawman_fixed_switch,
 )
 from .measures import (
-    MwMeasure,
     RmwMeasure,
     SamplerError,
     effective_eta_rmw,
-    mw_init,
     rmw_init,
 )
 from .seeding import replicate_seed, splitmix64
@@ -76,7 +73,6 @@ __all__ = [
     "L2PConfig",
     "LossStream",
     "MonteCarloSummary",
-    "MwMeasure",
     "PreparedRun",
     "PrivacyBudget",
     "RmwMeasure",
@@ -98,10 +94,8 @@ __all__ = [
     "linear_oco_stream",
     "load_stream",
     "marginal_tv_profile",
-    "marginal_tv_test",
     "modified_advanced_composition",
     "monte_carlo",
-    "mw_init",
     "neighbor_of",
     "play_game",
     "ratio_range_check",

@@ -73,47 +73,16 @@ def exact_batch_distributions(stream: LossStream, eta: float, B: int) -> np.ndar
     return normalized(mw_log_weights(stream.values, eta, B))
 
 
-def marginal_tv_test(
-    config: L2PConfig, stream: LossStream, s: int, n_runs: int, base_seed: int = 0
-) -> AuditReport:
-    """TV distance between the empirical law of the batch-s model and the oracle.
-
-    With zero measure slack the played model's marginal is exactly the
-    current normalized measure, so the whole allowance is Monte-Carlo
-    slack 3*sqrt(d/n_runs).
-    """
-    if stream.is_oco or config.delta0 != 0.0:
-        raise ValueError("marginal audit needs the expert instantiation with delta0=0")
-    if stream.d > 8 or s > 10:
-        raise ValueError("marginal audit is exact-oracle only: d <= 8 and s <= 10")
-    if n_runs < 10_000:
-        raise ValueError("need at least 1e4 runs for a meaningful TV estimate")
-    if not 1 <= s <= config.n_batches:
-        raise ValueError("batch index out of range")
-    counts = np.zeros(stream.d)
-    for transcript in _run_many(config, stream, n_runs, base_seed):
-        counts[transcript.models[s - 1]] += 1
-    empirical = counts / n_runs
-    exact = exact_batch_distributions(stream, config.eta, config.B)[s - 1]
-    tv = 0.5 * float(np.abs(empirical - exact).sum())
-    slack = 3.0 * math.sqrt(stream.d / n_runs)
-    return _report(
-        f"marginal_tv[s={s}]",
-        n_runs,
-        tv,
-        0.0 + slack,
-        (f"claim bound 0 (delta0=0), monte-carlo slack {slack:.4g}",),
-    )
-
-
 def marginal_tv_profile(
     config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int = 0
 ) -> list[AuditReport]:
-    """Marginal TV check at every batch index from one shared set of runs.
+    """TV distance between the empirical law of each batch's model and the oracle.
 
-    Same statistic and threshold as :func:`marginal_tv_test`; each run
+    One report per batch index s, named ``marginal_tv[s=<s>]``. Each run
     contributes one model per batch, so a single fleet of ``n_runs``
-    runs measures all marginals at once.
+    runs measures all marginals at once. With zero measure slack the
+    played model's marginal is exactly the current normalized measure,
+    so the whole allowance is Monte-Carlo slack 3*sqrt(d/n_runs).
     """
     if stream.is_oco or config.delta0 != 0.0:
         raise ValueError("marginal audit needs the expert instantiation with delta0=0")

@@ -4,8 +4,6 @@ Subcommands: run, sweep, lower-bound, account, audit, tune. Long-form
 flags only. Exit codes: 0 success, 2 configuration or usage error,
 3 tuner infeasibility, 4 sampler failure. All CSV output is RFC-4180,
 UTF-8, LF-terminated, and byte-reproducible from (config, version).
-Replicates run on one thread unless --threads asks for more; without
-the flag the L2P_THREADS environment variable sets the count.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -33,10 +30,11 @@ from .adversaries import (
     bernoulli_experts,
     epoch_lower_bound_stream,
     linear_oco_stream,
+    neighbor_of,
 )
 from .audit import (
     empirical_epsilon,
-    marginal_tv_test,
+    marginal_tv_profile,
     ratio_range_check,
     switch_statistics,
 )
@@ -51,21 +49,6 @@ EXIT_TUNER = 3
 EXIT_SAMPLER = 4
 
 SCHEMA_VERSION = 1
-
-
-def _threads(args) -> int:
-    """Replicate threads: --threads, else L2P_THREADS, else 1.
-
-    The engine holds the GIL, so more threads rarely help: on one
-    measured workload 2 threads gained 4% over one and 4 lost 25%.
-    """
-    flag = getattr(args, "threads", None)
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("L2P_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return 1
 
 
 def _theory_bound_ope(T: int, d: int, eps: float, delta: float) -> float:
@@ -144,9 +127,7 @@ def cmd_run(args) -> int:
     config = _build_config(cfg)
     kind = "mw" if cfg["problem"] == "ope" else "rmw"
     reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
-    summary = monte_carlo(
-        config, kind, stream, reps, base_seed, threads=_threads(args), keep_transcripts=False
-    )
+    summary = monte_carlo(config, kind, stream, reps, base_seed, keep_transcripts=False)
     outdir = Path(cfg.get("output_dir", args.output or "."))
     buf = io.StringIO()
     summary.write_csv(buf)
@@ -185,8 +166,7 @@ def cmd_sweep(args) -> int:
         config = _build_config(local)
         kind = "mw" if cfg["problem"] == "ope" else "rmw"
         summary = monte_carlo(
-            config, kind, stream, int(cfg["reps"]), int(cfg["base_seed"]),
-            threads=_threads(args), keep_transcripts=False,
+            config, kind, stream, int(cfg["reps"]), int(cfg["base_seed"]), keep_transcripts=False
         )
         bound = _theory_bound_ope(T, d, eps, delta)
         rows.append(
@@ -264,25 +244,20 @@ def cmd_audit(args) -> int:
     else:
         config = tune_ope(T, d, args.epsilon, delta)
     if args.test == "marginal":
-        for s in range(1, config.n_batches + 1) if args.s is None else [args.s]:
-            report = marginal_tv_test(config, stream, s, args.runs, args.seed)
+        if args.s is not None and not 1 <= args.s <= config.n_batches:
+            raise ConfigError(f"--s must lie in 1..{config.n_batches}")
+        reports = marginal_tv_profile(config, stream, args.runs, args.seed)
+        for report in reports if args.s is None else [reports[args.s - 1]]:
             print(report.to_json_line())
     elif args.test == "ratio":
         print(ratio_range_check(config, stream, args.runs, args.seed).to_json_line())
     elif args.test == "epsilon":
-        from .adversaries import neighbor_of
-
         flipped = 1.0 - stream.values[T // 2]
         neighbor = neighbor_of(stream, T // 2, flipped)
         report = empirical_epsilon(config, stream, neighbor, args.runs, args.seed)
         print(report.to_json_line())
     elif args.test == "switches":
-        from .harness import monte_carlo
-
-        summary = monte_carlo(
-            config, "mw", stream, args.runs, args.seed,
-            threads=_threads(args), keep_transcripts=False,
-        )
+        summary = monte_carlo(config, "mw", stream, args.runs, args.seed, keep_transcripts=False)
         print(switch_statistics(summary.results, config).to_json_line())
     else:
         raise ConfigError(f"unknown audit {args.test!r}")
@@ -299,14 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run replicated games from a JSON config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--output", default=None)
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="regret vs epsilon over a grid")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--epsilon-grid", nargs="+", required=True)
     p_sweep.add_argument("--output", default=None)
-    p_sweep.add_argument("--threads", type=int, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_lb = sub.add_parser("lower-bound", help="epoch-stream demo for limited switching")
@@ -350,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--s", type=int, default=None)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--override-eta", type=float, default=None)
-    p_audit.add_argument("--threads", type=int, default=None)
     p_audit.set_defaults(func=cmd_audit)
     return parser
 

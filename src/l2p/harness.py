@@ -4,10 +4,9 @@ Regret is always measured against the best fixed decision in hindsight,
 which follows from the column totals of the loss matrix. A
 :class:`PreparedRun` computes the comparator once per prepared run, at
 set-up, so a game costs its engine run and no pass over the stream or
-its totals. Replicates are embarrassingly parallel: replicate ``i``
-derives its own generator from ``replicate_seed(base_seed, i)`` and
-results are folded in replicate order, so summaries do not depend on
-the thread count.
+its totals. Replicate ``i`` derives its own generator from
+``replicate_seed(base_seed, i)``. Replicates run in order on one
+thread, because the engine holds the GIL.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +68,6 @@ def best_in_hindsight_oco_ball(stream: LossStream, radius: float) -> tuple[np.nd
     return _best_ball_point(stream.values.sum(axis=0), radius)
 
 
-def comparator_loss(prepared: PreparedRun) -> float:
-    """Best-in-hindsight loss of a prepared run's stream, computed once at its set-up."""
-    return prepared.comparator_loss
-
-
 def play_game(
     config: L2PConfig,
     measure_kind: str,
@@ -95,7 +88,7 @@ def play_game(
     transcript = prepared.run(np.random.default_rng(seed))
     elapsed = time.perf_counter() - start
     total = transcript.total_loss
-    comp = comparator_loss(prepared)
+    comp = prepared.comparator_loss
     return GameResult(
         transcript=transcript if keep_transcript else None,
         total_loss=total,
@@ -168,26 +161,19 @@ def monte_carlo(
     stream: LossStream,
     n_reps: int,
     base_seed: int,
-    threads: int = 1,
     keep_transcripts: bool = True,
 ) -> MonteCarloSummary:
     """Replicated runs on one fixed stream with derived per-rep seeds."""
     if n_reps < 1:
         raise ValueError("need at least one replicate")
     prepared = PreparedRun(config, measure_kind, stream.values)
-    seeds = [replicate_seed(base_seed, i) for i in range(n_reps)]
-
-    def one(seed: int) -> GameResult:
-        return play_game(
-            config, measure_kind, stream, seed,
+    results = [
+        play_game(
+            config, measure_kind, stream, replicate_seed(base_seed, i),
             prepared=prepared, keep_transcript=keep_transcripts,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
+        for i in range(n_reps)
+    ]
     regrets = np.array([r.regret for r in results])
     sx = np.array([r.switch_count_x for r in results], dtype=np.float64)
     sy = np.array([r.switch_count_y for r in results], dtype=np.float64)

@@ -9,9 +9,9 @@ to be computed (or leaked).
 
 Two families are implemented:
 
-* :class:`MwMeasure` -- multiplicative weights over ``d`` experts, kept
-  in log-space (linear-space weights underflow after a few thousand
-  rounds).
+* experts -- multiplicative weights over ``d`` experts, kept in
+  log-space (linear-space weights underflow after a few thousand
+  rounds): the log-weights are ``-eta`` times the cumulative losses.
 * :class:`RmwMeasure` -- a quadratically regularized measure over the
   Euclidean ball of radius ``radius``, specialized to linear losses.
   With gradient sum ``G`` the unnormalized log-density is
@@ -23,8 +23,9 @@ Either measure at a batch start is a function of the cumulative losses
 before that batch alone, so a whole run's measures are one table built
 from the loss matrix: :func:`cumulative_table` gives the gradient sums
 of the ball, and :func:`mw_log_weights` the experts' log-weights, which
-:func:`normalized` turns into densities row by row. The single-state
-classes are the samplers and exact oracles for one row.
+:func:`normalized` turns into densities row by row. The experts measure
+exists only as these tables; :class:`RmwMeasure` is the ball's sampler
+and exact oracle for one row.
 
 All logarithms are natural.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -103,44 +103,6 @@ def mw_log_weights(values: np.ndarray, eta: float, B: int) -> np.ndarray:
     if not np.isfinite(log_weights).all():
         raise ValueError("log weights must be finite")
     return log_weights
-
-
-@dataclass(frozen=True, eq=False)
-class MwMeasure:
-    """Multiplicative-weights measure: ``log_weights[x] = -eta * cumloss[x]``."""
-
-    log_weights: np.ndarray
-    eta: float
-
-    def __post_init__(self):
-        lw = _as_float_vector(self.log_weights, "log weights")
-        eta = float(self.eta)
-        if not 0.0 < eta <= ETA_MAX:
-            raise ValueError(f"eta must lie in (0, {ETA_MAX}]")
-        object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "eta", eta)
-
-    @property
-    def d(self) -> int:
-        return self.log_weights.size
-
-    def log_unnorm(self, x: int) -> float:
-        return float(self.log_weights[x])
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        """Normalized density, computed once per state via log-sum-exp."""
-        return normalized(self.log_weights)
-
-    @cached_property
-    def _cdf(self) -> np.ndarray:
-        cdf = np.cumsum(self.probabilities)
-        cdf[-1] = 1.0  # guard against cumulative round-off at the top
-        return cdf
-
-    def sample(self, rng: np.random.Generator) -> int:
-        idx = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        return min(idx, self.d - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +185,6 @@ class RmwMeasure:
         if not np.all(np.isfinite(z)) or float(z @ z) > r * r * (1.0 + 1e-9):
             raise SamplerError("hit-and-run fallback left the ball or diverged")
         return z
-
-
-def mw_init(d: int, eta: float) -> MwMeasure:
-    """Uniform measure over ``d`` experts (all log-weights zero)."""
-    if d < 1:
-        raise ValueError("need at least one expert")
-    return MwMeasure(np.zeros(int(d)), eta)
 
 
 def rmw_init(d: int, beta: float, lam: float, radius: float) -> RmwMeasure:

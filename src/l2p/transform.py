@@ -206,9 +206,6 @@ class L2PConfig:
             soft.append(f"degenerate fake-switch probability p={self.p:g}; run is not private")
         return ConfigReport((), tuple(soft))
 
-    def validate(self) -> ConfigReport:
-        return self.report
-
 
 # CSV column order is part of the file contract; never reorder.
 CSV_COLUMNS = ("s", "x", "S", "Sprime", "A", "switched_x", "switched_y", "batch_loss")

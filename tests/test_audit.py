@@ -15,7 +15,6 @@ from l2p.audit import (
     empirical_epsilon,
     exact_batch_distributions,
     marginal_tv_profile,
-    marginal_tv_test,
     ratio_range_check,
     switch_statistics,
 )
@@ -67,15 +66,16 @@ class TestMarginalAudit:
             assert report.passed, report
 
     def test_correlated_chain_single_index(self):
-        report = marginal_tv_test(_small_config(), _fixed_stream(), 3, 20_000, base_seed=2)
+        report = marginal_tv_profile(_small_config(), _fixed_stream(), 20_000, base_seed=2)[2]
+        assert report.name == "marginal_tv[s=3]"
         assert report.passed
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            marginal_tv_test(_small_config(), _fixed_stream(), 3, 10)
+            marginal_tv_profile(_small_config(), _fixed_stream(), 10)
         big = bernoulli_experts(9, 5, [0.5] * 9, seed=0)
         with pytest.raises(ValueError):
-            marginal_tv_test(_small_config(), big, 1, 20_000)
+            marginal_tv_profile(_small_config(), big, 20_000)
 
 
     @pytest.mark.parametrize(

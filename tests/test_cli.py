@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from l2p import cli
 from l2p.accountant import ball_config, config_budget, l2p_privacy
+from l2p.adversaries import bernoulli_experts
+from l2p.audit import marginal_tv_profile
 from l2p.cli import main
+from l2p.transform import L2PConfig
 
 
 def _write_config(tmp_path, **overrides):
@@ -163,33 +166,29 @@ class TestAudit:
         obj = json.loads(capsys.readouterr().out.strip())
         assert obj["passed"] is True
 
+    def test_marginal_prints_the_profile(self, capsys):
+        # every row of marginal_tv_profile on the command's config, stream and seed;
+        # --s picks one of them
+        args = ["audit", "marginal", "--d", "3", "--T", "5", "--runs", "20000",
+                "--override-eta", "0.1", "--seed", "3"]
+        stream = bernoulli_experts(3, 5, np.linspace(0.3, 0.7, 3), 3)
+        config = L2PConfig(T=5, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6 / 10)
+        want = [r.to_json_line() for r in marginal_tv_profile(config, stream, 20_000, 3)]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == want
+        assert main([*args, "--s", "4"]) == 0
+        assert capsys.readouterr().out.splitlines() == [want[3]]
+
+    @pytest.mark.parametrize("s", ["0", "6"])
+    def test_marginal_batch_out_of_range_exit_2(self, capsys, s):
+        args = ["audit", "marginal", "--d", "3", "--T", "5", "--runs", "20000",
+                "--override-eta", "0.1", "--s", s]
+        assert main(args) == 2
+        assert "--s must lie in 1..5" in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
-
-class TestThreads:
-    def test_env_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("L2P_THREADS", "2")
+    def test_threads_flag_gone(self, tmp_path, capsys):
         path = _write_config(tmp_path)
-        assert main(["run", "--config", str(path), "--threads", "8"]) == 0
-
-    @pytest.mark.parametrize(
-        "env, flag, expect",
-        [(None, [], 1), ("3", [], 3), ("3", ["--threads", "2"], 2), (None, ["--threads", "2"], 2)],
-    )
-    def test_flag_beats_env_beats_default(self, tmp_path, monkeypatch, capsys, env, flag, expect):
-        seen = []
-        real = cli.monte_carlo
-
-        def spy(*args, threads, **kwargs):
-            seen.append(threads)
-            return real(*args, threads=threads, **kwargs)
-
-        monkeypatch.setattr(cli, "monte_carlo", spy)
-        if env is None:
-            monkeypatch.delenv("L2P_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("L2P_THREADS", env)
-        path = _write_config(tmp_path)
-        assert main(["run", "--config", str(path), *flag]) == 0
-        assert seen == [expect]
+        assert main(["run", "--config", str(path), "--threads", "2"]) == 2

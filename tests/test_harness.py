@@ -120,14 +120,6 @@ class TestMonteCarlo:
         assert a.mean_regret == b.mean_regret
         assert a.to_json() == b.to_json()
 
-    def test_threaded_matches_serial(self):
-        s = bernoulli_experts(3, 40, [0.3, 0.5, 0.7], seed=4)
-        cfg = L2PConfig(T=40, B=4, eta=0.08, p=0.3, delta0=0.0, delta1=1e-6)
-        serial = monte_carlo(cfg, "mw", s, 12, base_seed=9, threads=1)
-        threaded = monte_carlo(cfg, "mw", s, 12, base_seed=9, threads=4)
-        assert serial.mean_regret == threaded.mean_regret
-        assert [r.seed for r in serial.results] == [r.seed for r in threaded.results]
-
     def test_zero_loss_stream(self):
         s = LossStream("bernoulli", 2, 10, 0, np.zeros((10, 2)))
         cfg = L2PConfig(T=10, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)

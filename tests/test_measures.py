@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -13,12 +14,10 @@ from scipy.stats import chisquare
 from l2p.accountant import tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
 from l2p.measures import (
-    MwMeasure,
     RmwMeasure,
     cumulative_table,
     effective_eta_rmw,
     logsumexp,
-    mw_init,
     mw_log_weights,
     normalized,
     rmw_init,
@@ -68,23 +67,6 @@ class TestLossTypes:
         assert stream.loss_at(0) @ np.array([0.5, 0.25]) == 0.0
 
 
-class TestMwInit:
-    def test_uniform_start(self):
-        state = mw_init(3, 0.1)
-        assert np.array_equal(state.log_weights, np.zeros(3))
-
-    def test_single_expert(self):
-        assert np.array_equal(mw_init(1, 0.05).log_weights, np.zeros(1))
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            mw_init(0, 0.1)
-        with pytest.raises(ValueError):
-            mw_init(3, 0.2)
-        with pytest.raises(ValueError):
-            mw_init(3, 0.0)
-
-
 class TestMwUpdate:
     """Row s of the log-weight table is row s - 1 moved by -eta times batch s's losses."""
 
@@ -130,39 +112,54 @@ class TestMwUpdate:
         assert np.abs(after - before).max() <= eta + 1e-12
 
 
+def _second_batch(losses, eta=0.1):
+    """A two-batch experts run whose first batch has the given losses; batch 2 is row 1."""
+    losses = np.asarray(losses, dtype=np.float64)
+    config = L2PConfig(T=2, B=1, eta=eta, p=0.5, delta0=0.0, delta1=1e-6)
+    return PreparedRun(config, "mw", np.vstack([losses, np.zeros_like(losses)]))
+
+
+def _draws(prepared, rng, n=100_000):
+    """``n`` batch-2 picks, made as the engine makes them."""
+    cdf = prepared.cdfs[1].tolist()
+    return np.array([bisect_right(cdf, u) for u in rng.random(n)])
+
+
 class TestMwSampling:
+    """The engine's pick, ``bisect_right`` on a CDF row, draws from the normalized measure."""
+
     def test_symmetric_split(self):
-        state = MwMeasure(np.zeros(2), 0.1)
-        rng = np.random.default_rng(0)
-        draws = np.array([state.sample(rng) for _ in range(100_000)])
+        prepared = _second_batch([0.0, 0.0])
+        draws = _draws(prepared, np.random.default_rng(0))
         freq = draws.mean()
         assert abs(freq - 0.5) <= 3 * 0.5 / math.sqrt(100_000)
 
     def test_dominant_expert(self):
-        state = MwMeasure(np.array([0.0, -20.0]), 0.1)
-        assert state.probabilities[1] == pytest.approx(math.exp(-20), rel=1e-6)
-        rng = np.random.default_rng(1)
-        draws = np.array([state.sample(rng) for _ in range(100_000)])
+        prepared = _second_batch([0.0, 200.0])  # log-weights (0, -20)
+        assert normalized(prepared.log_weights[1])[1] == pytest.approx(math.exp(-20), rel=1e-6)
+        draws = _draws(prepared, np.random.default_rng(1))
         assert (draws == 0).mean() >= 0.999
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_chisquare_gof(self, d):
         rng = np.random.default_rng(d)
-        state = MwMeasure(rng.uniform(-2, 0, size=d), 0.1)
-        draws = np.array([state.sample(rng) for _ in range(100_000)])
+        prepared = _second_batch(rng.uniform(0, 20, size=d))  # log-weights in (-2, 0)
+        draws = _draws(prepared, rng)
         counts = np.bincount(draws, minlength=d)
-        _, pval = chisquare(counts, 100_000 * state.probabilities)
+        _, pval = chisquare(counts, 100_000 * normalized(prepared.log_weights[1]))
         assert pval > 0.001
 
     def test_log_space_stability(self):
         # a million worst-case updates stay finite and exactly representable
-        eta = 0.1
-        state = MwMeasure(-eta * 1.0 * np.full(3, 1_000_000.0), eta)
-        np.testing.assert_allclose(state.log_weights, -1e5, rtol=1e-9)
-        assert np.isfinite(state.log_weights).all()
-        np.testing.assert_allclose(state.probabilities, 1.0 / 3, rtol=1e-12)
+        eta, T = 0.1, 1_000_000
+        config = L2PConfig(T=T + 1, B=T, eta=eta, p=0.5, delta0=0.0, delta1=1e-6)
+        prepared = PreparedRun(config, "mw", np.ones((T + 1, 3)))
+        log_weights = prepared.log_weights[1]
+        np.testing.assert_allclose(log_weights, -1e5, rtol=1e-9)
+        assert np.isfinite(log_weights).all()
+        np.testing.assert_allclose(normalized(log_weights), 1.0 / 3, rtol=1e-12)
         # incremental tail: the last thousand of those updates, one round at a time
-        inc = state.log_weights + eta * 1000.0
+        inc = log_weights + eta * 1000.0
         for _ in range(1000):
             inc = inc - eta * np.ones(3)
         np.testing.assert_allclose(inc, -1e5, rtol=1e-9)
@@ -276,7 +273,7 @@ class TestSequences:
         slow = _reference_log_weights(stream.values, 0.05, B)
         np.testing.assert_allclose(prepared.log_weights, slow, atol=1e-12)
         for row, cdf in zip(slow, prepared.cdfs):
-            want = np.cumsum(MwMeasure(row, 0.05).probabilities)
+            want = np.cumsum(scipy.special.softmax(row))
             np.testing.assert_allclose(cdf, want, atol=1e-12)
             assert cdf[-1] == 1.0
         grads = linear_oco_stream(2, T, 1.0, T, "iid-sphere")
@@ -335,16 +332,19 @@ class TestLogsumexp:
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, l2p, l2p.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    code = (
+        "import sys, l2p, l2p.cli; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+        "'concurrent.futures' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, timeout=60, env=env,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_sample_dispatch():
     rng = np.random.default_rng(0)
-    assert isinstance(mw_init(2, 0.1).sample(rng), int)
     assert rmw_init(2, 0.1, 1.0, 1.0).sample(rng).shape == (2,)

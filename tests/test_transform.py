@@ -102,7 +102,7 @@ class TestAcceptanceProbability:
 class TestConfigValidation:
     def test_hard_errors(self):
         bad = L2PConfig(T=10, B=1, eta=0.5, p=0.5, delta0=0.0, delta1=1e-6)
-        report = bad.validate()
+        report = bad.report
         assert not report.ok
         with pytest.raises(ConfigError):
             PreparedRun(bad, "mw", np.zeros((10, 2)))
@@ -112,29 +112,29 @@ class TestConfigValidation:
         # measure satisfies, so a ball config without it cannot run
         fields = dict(T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
                       beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0)
-        report = L2PConfig(**fields).validate()
+        report = L2PConfig(**fields).report
         assert any("eta_accounted" in e for e in report.hard_errors)
         with pytest.raises(ConfigError):
             PreparedRun(L2PConfig(**fields), "rmw", np.zeros((6, 2)))
-        assert L2PConfig(**fields, eta_accounted=0.05).validate().ok
+        assert L2PConfig(**fields, eta_accounted=0.05).report.ok
 
     def test_negative_p_rejected(self):
-        assert not L2PConfig(T=10, B=1, eta=0.1, p=-0.1, delta0=0.0, delta1=1e-6).validate().ok
-        assert not L2PConfig(T=10, B=1, eta=0.1, p=1.5, delta0=0.0, delta1=1e-6).validate().ok
+        assert not L2PConfig(T=10, B=1, eta=0.1, p=-0.1, delta0=0.0, delta1=1e-6).report.ok
+        assert not L2PConfig(T=10, B=1, eta=0.1, p=1.5, delta0=0.0, delta1=1e-6).report.ok
 
     def test_degenerate_p_allowed_with_warning(self):
-        report = L2PConfig(T=10, B=1, eta=0.1, p=1.0, delta0=0.0, delta1=1e-6).validate()
+        report = L2PConfig(T=10, B=1, eta=0.1, p=1.0, delta0=0.0, delta1=1e-6).report
         assert report.ok and not report.preconditions_met
 
     def test_analysis_preconditions_flagged(self):
         # T*p/B = 0.5 < 1 and eta*B*log(1/delta1)/p large
-        report = L2PConfig(T=10, B=2, eta=0.1, p=0.1, delta0=0.0, delta1=1e-6).validate()
+        report = L2PConfig(T=10, B=2, eta=0.1, p=0.1, delta0=0.0, delta1=1e-6).report
         assert report.ok
         assert any("T*p/B" in w for w in report.warnings)
         assert any("eta*B*log" in w for w in report.warnings)
 
     def test_clean_config(self):
-        report = L2PConfig(T=1000, B=1, eta=0.001, p=0.9, delta0=0.0, delta1=1e-3).validate()
+        report = L2PConfig(T=1000, B=1, eta=0.001, p=0.9, delta0=0.0, delta1=1e-3).report
         assert report.preconditions_met
 
 
