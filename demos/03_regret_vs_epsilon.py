@@ -8,11 +8,9 @@ analysis prices in. Uses modest sizes so it finishes in about a minute;
 scale T and reps up for smoother curves.
 """
 
-import math
-
 import numpy as np
 
-from l2p import bernoulli_experts, monte_carlo, tune_ope
+from l2p import bernoulli_experts, monte_carlo, regret_bound_ope, tune_ope
 
 T, d, delta, reps = 20_000, 10, 1e-6, 30
 stream = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), seed=4)
@@ -22,9 +20,7 @@ print(f"{'eps':>6} {'B':>4} {'eta':>10} {'mean regret':>12} {'std':>8} {'theory'
 for eps in (0.05, 0.1, 0.2, 0.5, 1.0):
     config = tune_ope(T, d, eps, delta)
     mc = monte_carlo(config, "mw", stream, reps, base_seed=11, keep_transcripts=False)
-    theory = math.sqrt(T * math.log(d)) + T ** (1 / 3) * math.log(d) * math.log(
-        T / delta
-    ) / eps ** (2 / 3)
+    theory = regret_bound_ope(T, d, eps, delta)
     print(
         f"{eps:>6} {config.B:>4} {config.eta:>10.2e} "
         f"{mc.mean_regret:>12.1f} {mc.std_regret:>8.1f} {theory:>10.0f}"

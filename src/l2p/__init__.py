@@ -22,6 +22,8 @@ from .accountant import (
     group_privacy,
     l2p_privacy,
     modified_advanced_composition,
+    regret_bound_oco,
+    regret_bound_ope,
     tune_oco,
     tune_ope,
 )
@@ -99,6 +101,8 @@ __all__ = [
     "neighbor_of",
     "play_game",
     "ratio_range_check",
+    "regret_bound_oco",
+    "regret_bound_ope",
     "replicate_seed",
     "rmw_init",
     "save_stream",

@@ -1,4 +1,5 @@
-"""Privacy arithmetic: run budgets, composition, group privacy, tuners.
+"""Privacy arithmetic: run budgets, composition, group privacy, tuners,
+and the theoretical regret rates of both problems.
 
 Every function here is pure and uses natural logarithms. The run budget
 for the switching engine with step size ``eta``, fake-switch rate ``p``,
@@ -292,6 +293,22 @@ def tune_oco(
         eta /= 2.0
     raise TunerError(
         f"no feasible ball tuning for T={T}, eps={eps:g} within {_MAX_SHRINKS} shrinks"
+    )
+
+
+def regret_bound_ope(T: int, d: int, eps: float, delta: float) -> float:
+    """The experts regret rate ``sqrt(T log d) + T^{1/3} log(d) log(T/delta) / eps^{2/3}``."""
+    return math.sqrt(T * math.log(d)) + T ** (1.0 / 3.0) * math.log(d) * math.log(
+        T / delta
+    ) / eps ** (2.0 / 3.0)
+
+
+def regret_bound_oco(
+    T: int, d: int, eps: float, delta: float, lipschitz: float, diameter: float
+) -> float:
+    """The DP-OCO regret rate ``L D (sqrt(T) + T^{1/3} sqrt(d) log(T/delta) / eps^{2/3})``."""
+    return lipschitz * diameter * (
+        math.sqrt(T) + T ** (1.0 / 3.0) * math.sqrt(d) * math.log(T / delta) / eps ** (2.0 / 3.0)
     )
 
 

@@ -23,6 +23,8 @@ from .accountant import (
     ball_config,
     config_budget,
     l2p_privacy,
+    regret_bound_oco,
+    regret_bound_ope,
     tune_oco,
     tune_ope,
 )
@@ -49,12 +51,6 @@ EXIT_TUNER = 3
 EXIT_SAMPLER = 4
 
 SCHEMA_VERSION = 1
-
-
-def _theory_bound_ope(T: int, d: int, eps: float, delta: float) -> float:
-    return math.sqrt(T * math.log(d)) + T ** (1.0 / 3.0) * math.log(d) * math.log(
-        T / delta
-    ) / eps ** (2.0 / 3.0)
 
 
 def _load_run_config(path: str) -> dict:
@@ -91,6 +87,11 @@ def _build_stream(cfg: dict):
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
 
+def _lipschitz_diameter(cfg: dict) -> tuple[float, float]:
+    """The oco problem's Lipschitz bound L and ball diameter D, each 1.0 unless set."""
+    return float(cfg.get("lipschitz", 1.0)), float(cfg.get("diameter", 1.0))
+
+
 def _build_config(cfg: dict) -> L2PConfig:
     T, d = int(cfg["T"]), int(cfg["d"])
     eps, delta = float(cfg["epsilon"]), float(cfg["delta"])
@@ -106,8 +107,7 @@ def _build_config(cfg: dict) -> L2PConfig:
             delta0=0.0,
             delta1=delta / (2.0 * T),
         )
-    L = float(cfg.get("lipschitz", 1.0))
-    D = float(cfg.get("diameter", 1.0))
+    L, D = _lipschitz_diameter(cfg)
     if override is None:
         return tune_oco(T, d, eps, delta, L, D)
     return ball_config(
@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
     kind = "mw" if cfg["problem"] == "ope" else "rmw"
     reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
     summary = monte_carlo(config, kind, stream, reps, base_seed, keep_transcripts=False)
-    outdir = Path(cfg.get("output_dir", args.output or "."))
+    outdir = Path(args.output or cfg.get("output_dir", "."))
     buf = io.StringIO()
     summary.write_csv(buf)
     _write(outdir / "reps.csv", buf.getvalue())
@@ -168,7 +168,10 @@ def cmd_sweep(args) -> int:
         summary = monte_carlo(
             config, kind, stream, int(cfg["reps"]), int(cfg["base_seed"]), keep_transcripts=False
         )
-        bound = _theory_bound_ope(T, d, eps, delta)
+        if cfg["problem"] == "ope":
+            bound = regret_bound_ope(T, d, eps, delta)
+        else:
+            bound = regret_bound_oco(T, d, eps, delta, *_lipschitz_diameter(cfg))
         rows.append(
             f"{eps!r},{summary.mean_regret!r},{summary.std_regret!r},{bound!r}"
         )

@@ -33,25 +33,21 @@ transcripts.
 
 The experts path does Python work per switch, not per batch. Each of
 its draws is one ``rng.random()`` double, so a run's doubles are drawn
-ahead in blocks and read in contract order. Every batch takes three and
-every resample one more, so the engine draws ahead only doubles the run
-is sure to use. The S' and A coins and the resamples use no data, and
-the S coin's keep probability is never below ``sure``, a floor set-up
+ahead and read in contract order. Every batch takes three and every
+resample one more, so the engine draws ahead only doubles the run is
+sure to use. The S' and A coins and the resamples use no data, and the
+S coin's keep probability is never below ``sure``, a floor set-up
 derives from the widest spread of the log ratios. So a batch whose S
 double is below ``sure`` and whose S' and A doubles are below ``1 - p``
-keeps, whatever x and y are. Only a rare double, one at or above the
-lower of the two, can make a batch fail, and in a tuned run nearly all
-doubles are below both. So the screen finds a block's rare doubles with
-one compare, walks them in order, and visits the batch a rare double
-falls in only if it is that batch's S double at or above ``sure`` or
-its S' or A double at or above ``1 - p``. The visit runs the keep test,
-and computes the exact ratio only for an S double at or above ``sure``:
-below it, S is 1 for every pair of models. Runs of at most
-``_WALK`` batches walk instead: they test every batch, reading
-log-weight columns and CDF rows that set-up keeps as Python lists, so a
-short run makes no numpy call per batch or per resample. Where those
-tables would hold more than ``_LIST_CELLS`` entries each, the walk reads
-the same values from numpy views of them. The S, S', A, x-resample,
+keeps, whatever x and y are: its exact ratio is never computed. One
+loop runs every experts run, and only two things in it depend on the
+run's length. A run of at most ``_WALK`` batches reads its doubles as
+one Python list and steps through every batch. A longer run reads its
+doubles a block at a time: one compare per block finds the rare
+doubles, those at or above the lower of ``sure`` and ``1 - p``, and
+the loop visits only the batches they can fail. In a tuned run nearly
+all doubles are below both. Both read the log-weight and CDF tables
+through flat memoryviews built at set-up. The S, S', A, x-resample,
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
@@ -61,8 +57,9 @@ per batch. The per-batch columns (models, coins, losses, log ratios)
 are derived from the events on first read, so a game that reads only
 its total loss pays for its switches plus one gather of the played
 losses: slices of loss columns kept as lists on a walked run of at most
-``_LIST_ROUNDS`` rounds, one numpy ``take`` on any other. Set-up also computes the run's best-in-hindsight
-comparator, which depends only on the loss matrix.
+``_LIST_ROUNDS`` rounds, one numpy ``take`` on any other. Set-up also
+computes the run's best-in-hindsight comparator, which depends only on
+the loss matrix.
 """
 
 from __future__ import annotations
@@ -78,25 +75,17 @@ import numpy as np
 
 from .measures import ETA_MAX, RmwMeasure, cumulative_table, mw_log_weights, normalized
 
-# Runs of at most _WALK batches test every batch in turn: screening a
-# block costs a few numpy passes, more than walking so few batches. A
-# walk reads its log-weight columns and CDF rows as Python lists, which
-# hold a float object per entry (about 32 bytes) and cost about 40 ns
-# per entry to build. On a 2-vCPU Xeon host, at 48 batches and 85
-# experts the two lists of 4080 entries add 0.15 ms and 0.25 MiB to a
-# 0.4 ms set-up and take a run from 77 to 48 us, so they are kept up to
-# _LIST_CELLS entries each; a wider walk reads numpy views of the same
-# tables. Round losses are sliced from list loss columns only on runs of
-# at most _LIST_ROUNDS rounds: slicing costs per round and per switch,
-# and on the same host it matches the one numpy take that other runs use
-# at 64 rounds with a switch at nearly every batch, and is slower from about
-# 100 rounds on.
-# Other runs draw uniforms _BLOCK at a time, so a run's memory does not
-# grow with its length. One compare per block finds its rare uniforms,
-# those at or above the lower of the floor and 1 - p, and the run visits
-# only the batches whose S uniform is at or above the floor or whose S'
-# or A uniform is at or above 1 - p; an S uniform below the floor keeps
-# without the exact ratio.
+# Runs of at most _WALK batches step through every batch: finding a
+# block's rare doubles costs a few numpy calls, more than testing so few
+# batches, and their doubles fit one short Python list. Longer runs draw
+# doubles _BLOCK at a time, so a run's memory does not grow with its
+# length, and visit only the batches a rare double can fail. Round
+# losses are sliced from list loss columns only on walked runs of at
+# most _LIST_ROUNDS rounds and _LIST_CELLS losses: slicing costs per
+# round and per switch, and on a 2-vCPU Xeon host it matches the one
+# numpy take that other runs use at 64 rounds with a switch at nearly
+# every batch, and is slower from about 100 rounds on. A list holds a
+# float object per entry (about 32 bytes), hence the size limit.
 _WALK = 48
 _LIST_CELLS = 4096
 _LIST_ROUNDS = 64
@@ -228,9 +217,7 @@ class Transcript:
     from it on; ``event_xs[0]``, ``event_ys[0]`` are the batch-1 draws.
     The three counts are eager: batches that switched x, batches that
     switched y, and batches with a data-free refresh on either chain
-    (S'=0 or A=0). ``recorded_ratios`` lists the log ratio of every
-    batch s >= 2 when the run tested every batch (short experts runs
-    and ball runs); screened runs leave it None.
+    (S'=0 or A=0).
 
     The per-batch columns are derived from the events and ``prepared``,
     the run that produced them, on first read and then cached, so a
@@ -240,7 +227,8 @@ class Transcript:
     switched_y) bits, and ``batch_losses`` and ``round_losses`` the
     played losses. ``ys`` and ``raw_log_ratios`` (the log
     correlated-sampling ratio before the acceptance cap, one entry per
-    batch s >= 2) are diagnostics for audits and are never serialized.
+    batch s >= 2, computed as the keep test computes it) are
+    diagnostics for audits and are never serialized.
     """
 
     prepared: PreparedRun = field(repr=False)
@@ -251,7 +239,6 @@ class Transcript:
     switch_count_x: int
     switch_count_y: int
     fake_switch_count: int
-    recorded_ratios: list[float] | None = field(repr=False)
 
     @property
     def n_batches(self) -> int:
@@ -329,10 +316,14 @@ class Transcript:
 
     @cached_property
     def raw_log_ratios(self) -> np.ndarray:
-        if self.recorded_ratios is not None:
-            return np.asarray(self.recorded_ratios, dtype=np.float64)
-        ys = np.array(self.event_ys).repeat(self._spans)
-        return self.prepared._log_ratios(self._batch_xs, ys)
+        prepared = self.prepared
+        if prepared.is_mw:
+            ys = np.array(self.event_ys).repeat(self._spans)
+            return prepared._log_ratios(self._batch_xs, ys)
+        n, g, beta = self.n_batches, prepared.grad_sums, prepared.beta
+        xs, ys = self._per_batch(self.event_xs), self._per_batch(self.event_ys)
+        ratios = [_ball_log_ratio(g, beta, s, x, y) for s, x, y in zip(range(2, n + 1), xs, ys)]
+        return np.array(ratios, dtype=np.float64)
 
     def write_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -358,12 +349,12 @@ class PreparedRun:
     the config carries beta, lam and radius). Every data-dependent
     table is a function of the losses alone, so replicates share them;
     only the coin and resample draws differ between runs. Experts runs
-    keep the log-weights and sampling CDFs of every batch, and ``sure``,
-    a floor under the keep probability of every batch and every pair of
-    models; ball runs keep the gradient sums. Short experts runs
-    (``walks``) also keep the log-weight columns and CDF rows as Python
-    lists if they are small, and the loss columns if the run has few
-    rounds as well. Both kinds keep the per-batch
+    keep the log-weights and sampling CDFs of every batch, with one flat
+    memoryview of each that the engine loop reads, and ``sure``, a floor
+    under the keep probability of every batch and every pair of models.
+    Runs of at most ``_WALK`` batches (``walks``) step through every
+    batch, and keep the loss columns as lists if they have few rounds.
+    Ball runs keep the gradient sums. Both kinds keep the per-batch
     loss sums, the column totals of the loss matrix and
     ``comparator_loss``, the best-in-hindsight loss they give. The
     acceptance cap ``cap`` is the config's, which always uses the full
@@ -389,18 +380,16 @@ class PreparedRun:
         self.column_totals = loss_values.sum(axis=0)
         self.walks = self.is_mw and n <= _WALK
         self._loss_columns = None
+        if self.walks and config.T <= _LIST_ROUNDS and loss_values.size <= _LIST_CELLS:
+            self._loss_columns = loss_values.T.tolist()
         if self.is_mw:
             self.comparator_loss = _best_expert(self.column_totals)[1]
             self.log_weights = mw_log_weights(loss_values, config.eta, config.B)
             cdfs = np.cumsum(normalized(self.log_weights), axis=1)
             cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
             self.cdfs = cdfs
-            if self.walks:  # the tables a walk reads, as lists where they are small
-                small = cdfs.size <= _LIST_CELLS
-                self._lw_columns = self.log_weights.T.tolist() if small else self.log_weights.T
-                self._cdf_rows = cdfs.tolist() if small else cdfs
-                if config.T <= _LIST_ROUNDS and loss_values.size <= _LIST_CELLS:
-                    self._loss_columns = loss_values.T.tolist()
+            self._lw = memoryview(self.log_weights.reshape(-1))
+            self._cdf = memoryview(cdfs.reshape(-1))
             # A batch's log ratio is r[x] - r[y] for r the difference of two
             # rows, so it is at least minus the widest such row's spread;
             # rounding is monotone, so this holds for the computed values too.
@@ -415,136 +404,77 @@ class PreparedRun:
             self.beta = config.beta
 
     def run(self, rng: np.random.Generator) -> Transcript:
-        if not self.is_mw:
-            e = self._ball_events(rng)
-        elif self.walks:
-            e = self._walk(rng)
-        else:
-            e = self._screen(rng)
-        return Transcript(
-            self, e.rows, e.codes, e.xs, e.ys, e.switches_x, e.switches_y, e.fakes,
-            e.raw_log_ratios,
-        )
+        return self._experts(rng) if self.is_mw else self._ball(rng)
 
-    def _walk(self, rng: np.random.Generator) -> _Events:
-        """A short experts run: every batch's keep test in turn, over the walk tables.
-
-        The tables are lists or numpy views of the same values; either
-        way each read is one double, so the ratios and picks are the same.
+    def _experts(self, rng: np.random.Generator) -> Transcript:
+        """An experts run: the keep test of every batch that can fail, in contract order.
 
         Each draw of the contract is one ``rng.random()`` double, and
         ``rng.random(k)`` yields the same doubles as k scalar calls. A
-        run uses ``3n - 1`` of them plus one per resample. The ``3n - 1``
-        are drawn at the start, and those the resamples add when the walk
-        first reads past the list, so no double is drawn that the run
-        does not use.
-        """
-        n = self.config.n_batches
-        cap, keep_y = self.cap, 1.0 - self.config.p
-        columns, cdf_rows = self._lw_columns, self._cdf_rows
-        draws = rng.random(3 * n - 1).tolist()
-        owed = 0  # resample doubles the run will use and has not drawn
-        x, y = bisect_right(cdf_rows[0], draws[0]), bisect_right(cdf_rows[0], draws[1])
-        events = _Events(x, y)
-        cx, cy = columns[x], columns[y]
-        ratios = events.raw_log_ratios = []
-        c = 2  # cursor of the next S uniform in draws
-        for s in range(2, n + 1):
-            if c + 3 > len(draws):  # earlier resamples pushed the coins past the list
-                draws += rng.random(owed).tolist()
-                owed = 0
-            lr = (cx[s - 1] - cx[s - 2]) - (cy[s - 1] - cy[s - 2])
-            ratios.append(lr)
-            S, Sp, A = _keep_test(lr, draws[c], draws[c + 1], draws[c + 2], cap, keep_y)
-            c += 3
-            if S and Sp and A:
-                continue
-            resamples = (not (S and Sp)) + (not A)
-            owed += resamples
-            if c + resamples > len(draws):
-                draws += rng.random(owed).tolist()
-                owed = 0
-            if not (S and Sp):
-                x = bisect_right(cdf_rows[s - 1], draws[c])
-                cx = columns[x]
-                c += 1
-            if not A:
-                y = bisect_right(cdf_rows[s - 1], draws[c])
-                cy = columns[y]
-                c += 1
-            events.add(s, S, Sp, A, x, y)
-        return events
-
-    def _screen(self, rng: np.random.Generator) -> _Events:
-        """An experts run that visits only the batches whose keep test can fail.
-
-        The doubles are drawn as in :meth:`_walk`, but in blocks, so a
-        run's memory does not grow with its length. A batch whose S
-        uniform is below ``sure`` and whose S' and A uniforms are below
-        ``1 - p`` keeps, whatever x and y are. So only the rare uniforms,
-        those at or above the lower of the two, can make a batch fail:
-        :func:`_visits` finds them with one compare per block and names
-        the batches among them to visit. At a visit the exact log ratio
-        is computed only if the S uniform is at or above ``sure``; below
-        it S is 1 for every pair of models. Tables are read through flat
-        memoryviews, so a pick is a bisection of one row's span.
+        run uses ``3n - 1`` of them plus one per resample, and
+        :class:`_Uniforms` draws no others. A walked run reads them as one
+        Python list, extended by the owed resample doubles when it
+        first reads past it, and tests every batch. A longer run reads
+        them a block at a time and tests the batches :func:`_visits`
+        names; every other batch keeps. At a test the exact log ratio is
+        computed only if the S double is at or above ``sure``; below it
+        S is 1 for every pair of models. A pick is a bisection of one
+        row's span of the flat CDF table.
         """
         n, d = self.log_weights.shape
         cap, keep_y, sure = self.cap, 1.0 - self.config.p, self.sure
-        lw = memoryview(self.log_weights.reshape(-1))
-        cdf = memoryview(self.cdfs.reshape(-1))
-        exp = math.exp
-        u = _Uniforms(rng, 3 * n - 1)
-        block, start = u.block, u.start
-        ub = memoryview(block)
-        x, y = bisect_right(cdf, ub[0], 0, d), bisect_right(cdf, ub[1], 0, d)
-        events = _Events(x, y)
-        rows, codes, xs, ys = events.rows, events.codes, events.xs, events.ys
+        lw, cdf, exp = self._lw, self._cdf, math.exp
+        walks = self.walks
+        draws = _Uniforms(rng, 3 * n - 1)
+        if walks:
+            u, start = draws.block.tolist(), 0
+        else:
+            u, start, visits = _block_visits(draws, sure, keep_y)
+        x, y = bisect_right(cdf, u[0], 0, d), bisect_right(cdf, u[1], 0, d)
+        rows, codes, xs, ys = [], [], [x], [y]
         moved_x = moved_y = fakes = 0
-        visits = _visits(block, start, sure, keep_y)
-        next(visits)
-        s, c = 2, 2  # next batch to test, cursor of its S uniform
-        while True:
-            try:
-                b = visits.send(c)
-            except StopIteration:  # every batch up to the block's end keeps
-                skip = max(0, -(-(start + block.size - 2 - c) // 3))
-                s, c = s + skip, c + 3 * skip
-                if s > n:
-                    break
-                u.refill(c)
-                block, start = u.block, u.start
-                ub = memoryview(block)
-                visits = _visits(block, start, sure, keep_y)
-                next(visits)
-                continue
-            s += (b - c) // 3
-            i = b - start
-            u0 = ub[i]
+        s, c = 2, 2  # next batch to test, position of its S double
+        while s <= n:
+            if walks:
+                if c + 3 > len(u):  # earlier resamples pushed the coins past the list
+                    u += draws.draw(draws.owed).tolist()
+            else:
+                try:
+                    b = visits.send(c)
+                except StopIteration:  # every batch up to the block's end keeps
+                    skip = max(0, -(-(start + len(u) - 2 - c) // 3))
+                    s, c = s + skip, c + 3 * skip
+                    if s <= n:
+                        draws.refill(c)
+                        u, start, visits = _block_visits(draws, sure, keep_y)
+                    continue
+                s, c = s + (b - c) // 3, b
+            i = c - start
+            u0 = u[i]
             if u0 < sure:  # below every pair's keep probability
                 S = True
             else:
                 at_x, at_y = (s - 1) * d + x, (s - 1) * d + y
                 lr = (lw[at_x] - lw[at_x - d]) - (lw[at_y] - lw[at_y - d])
                 S = lr >= cap or u0 < exp(lr - cap)
-            Sp, A = ub[i + 1] < keep_y, ub[i + 2] < keep_y
-            c = b + 3
+            Sp, A = u[i + 1] < keep_y, u[i + 2] < keep_y
+            c += 3
             if not (S and Sp and A):
                 move_x = not (S and Sp)
                 resamples = move_x + (not A)
-                u.owed += resamples
-                if c + resamples > start + block.size:
-                    u.refill(c)
-                    block, start = u.block, u.start
-                    ub = memoryview(block)
-                    visits = _visits(block, start, sure, keep_y)
-                    next(visits)
+                draws.owed += resamples
+                if c + resamples > start + len(u):
+                    if walks:
+                        u += draws.draw(draws.owed).tolist()
+                    else:
+                        draws.refill(c)
+                        u, start, visits = _block_visits(draws, sure, keep_y)
                 lo = (s - 1) * d
                 if move_x:
-                    x = bisect_right(cdf, ub[c - start], lo, lo + d) - lo
+                    x = bisect_right(cdf, u[c - start], lo, lo + d) - lo
                     c += 1
                 if not A:
-                    y = bisect_right(cdf, ub[c - start], lo, lo + d) - lo
+                    y = bisect_right(cdf, u[c - start], lo, lo + d) - lo
                     c += 1
                 rows.append(s - 1)
                 codes.append(4 * S + 2 * Sp + A)
@@ -554,36 +484,37 @@ class PreparedRun:
                 moved_y += not A
                 fakes += not (Sp and A)
             s += 1
-        events.switches_x, events.switches_y, events.fakes = moved_x, moved_y, fakes
-        return events
+        return Transcript(self, rows, codes, xs, ys, moved_x, moved_y, fakes)
 
-    def _ball_events(self, rng: np.random.Generator) -> _Events:
-        """Switch events of one ball run, by the per-batch loop.
+    def _ball(self, rng: np.random.Generator) -> Transcript:
+        """A ball run, by the per-batch loop.
 
         The ball sampler draws normals, which cannot be pre-drawn
         bit-identically, so every batch draws its coins in turn.
         """
-        config = self.config
-        n = config.n_batches
-        cap, keep_y = self.cap, 1.0 - config.p
+        n = self.config.n_batches
+        cap, keep_y = self.cap, 1.0 - self.config.p
         g, beta = self.grad_sums, self.beta
         x = self._ball_sample(1, rng)
         y = self._ball_sample(1, rng)
-        events = _Events(x, y)
-        ratios = events.raw_log_ratios = []
+        rows, codes, xs, ys = [], [], [x], [y]
+        moved_x = moved_y = fakes = 0
         for s in range(2, n + 1):
-            delta_g = g[s - 1] - g[s - 2]
-            lr = float(-beta * (delta_g @ x)) - float(-beta * (delta_g @ y))
-            ratios.append(lr)
-            S, Sp, A = _keep_test(lr, *rng.random(3), cap, keep_y)
+            S, Sp, A = _keep_test(_ball_log_ratio(g, beta, s, x, y), *rng.random(3), cap, keep_y)
             if S and Sp and A:
                 continue
             if not (S and Sp):
                 x = self._ball_sample(s, rng)
             if not A:
                 y = self._ball_sample(s, rng)
-            events.add(s, S, Sp, A, x, y)
-        return events
+            rows.append(s - 1)
+            codes.append(4 * S + 2 * Sp + A)
+            xs.append(x)
+            ys.append(y)
+            moved_x += not (S and Sp)
+            moved_y += not A
+            fakes += not (Sp and A)
+        return Transcript(self, rows, codes, xs, ys, moved_x, moved_y, fakes)
 
     def _log_ratios(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The raw log ratio of every batch s >= 2 from the models in force before it.
@@ -653,6 +584,13 @@ class _Uniforms:
         self.start = c
 
 
+def _block_visits(draws: _Uniforms, sure: float, keep_y: float):
+    """The block ``draws`` holds, as a memoryview; its start; and its primed :func:`_visits`."""
+    visits = _visits(draws.block, draws.start, sure, keep_y)
+    next(visits)
+    return memoryview(draws.block), draws.start, visits
+
+
 def _visits(block: np.ndarray, start: int, sure: float, keep_y: float):
     """The batches of a block of uniforms whose keep test can fail, as a coroutine.
 
@@ -680,32 +618,10 @@ def _visits(block: np.ndarray, start: int, sure: float, keep_y: float):
             c = yield j - role
 
 
-class _Events:
-    """The switch events of one run as the engine finds them, in batch order.
-
-    ``rows``, ``codes``, ``xs`` and ``ys`` are those of :class:`Transcript`
-    (its ``event_xs`` and ``event_ys``), as are the three counts; runs
-    that test every batch also list ``raw_log_ratios``, the log ratio of
-    every batch s >= 2 at ``s - 2``.
-    """
-
-    __slots__ = ("rows", "codes", "xs", "ys", "raw_log_ratios", "switches_x", "switches_y", "fakes")
-
-    def __init__(self, x, y):
-        self.rows: list[int] = []
-        self.codes: list[int] = []
-        self.xs, self.ys = [x], [y]
-        self.raw_log_ratios = None
-        self.switches_x = self.switches_y = self.fakes = 0
-
-    def add(self, s: int, S: bool, Sp: bool, A: bool, x, y) -> None:
-        self.rows.append(s - 1)
-        self.codes.append(4 * S + 2 * Sp + A)
-        self.xs.append(x)
-        self.ys.append(y)
-        self.switches_x += not (S and Sp)
-        self.switches_y += not A
-        self.fakes += not (Sp and A)
+def _ball_log_ratio(g: np.ndarray, beta: float, s: int, x: np.ndarray, y: np.ndarray) -> float:
+    """The ball's raw log ratio at batch s >= 2 for played model x and reference model y."""
+    delta_g = g[s - 1] - g[s - 2]
+    return float(-beta * (delta_g @ x)) - float(-beta * (delta_g @ y))
 
 
 def _keep_test(lr: float, u0, u1, u2, cap: float, keep_y: float) -> tuple[bool, bool, bool]:

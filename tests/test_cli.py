@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from l2p.accountant import ball_config, config_budget, l2p_privacy
+from l2p.accountant import ball_config, config_budget, l2p_privacy, regret_bound_oco
 from l2p.adversaries import bernoulli_experts
 from l2p.audit import marginal_tv_profile
 from l2p.cli import main
@@ -72,6 +73,15 @@ class TestRun:
         assert budget == config_budget(config).to_dict()
         nominal = l2p_privacy(0.01, 0.1, 400, 1, 0.0, 1e-6 / 800)
         assert budget["epsilon"] > 3 * nominal.epsilon
+
+    def test_output_flag_beats_output_dir(self, tmp_path, capsys):
+        # the config names out/, the flag flag/: the files go to flag/ only
+        path = _write_config(tmp_path)
+        flag = tmp_path / "flag"
+        assert main(["run", "--config", str(path), "--output", str(flag)]) == 0
+        for name in ("reps.csv", "summary.json", "provenance.json"):
+            assert (flag / name).exists()
+        assert not (tmp_path / "out").exists()
 
     def test_bad_schema(self, tmp_path):
         path = _write_config(tmp_path, schema=2)
@@ -143,6 +153,22 @@ class TestSweepAndLowerBound:
         lines = out.read_text().splitlines()
         assert lines[0] == "epsilon,mean_regret,std_regret,theory_bound"
         assert len(lines) == 3
+
+    def test_sweep_oco_bound(self, tmp_path, capsys):
+        # an oco sweep overlays the DP-OCO rate, with L and D from the config
+        path = _write_config(
+            tmp_path, problem="oco", T=200, reps=2, lipschitz=2.0, diameter=0.5,
+            adversary={"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0},
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.5", "1.0",
+                     "--output", str(out)]) == 0
+        for line, eps in zip(out.read_text().splitlines()[1:], (0.5, 1.0)):
+            want = 2.0 * 0.5 * (
+                math.sqrt(200) + 200 ** (1 / 3) * math.sqrt(3) * math.log(200 / 1e-6) / eps ** (2 / 3)
+            )
+            assert float(line.split(",")[3]) == want
+            assert float(line.split(",")[3]) == regret_bound_oco(200, 3, eps, 1e-6, 2.0, 0.5)
 
     def test_lower_bound_csv(self, tmp_path, capsys):
         out = tmp_path / "lb.csv"
