@@ -22,6 +22,7 @@ from .accountant import (
     group_privacy,
     l2p_privacy,
     modified_advanced_composition,
+    ope_config,
     regret_bound_oco,
     regret_bound_ope,
     tune_oco,
@@ -61,7 +62,6 @@ from .measures import (
 from .seeding import replicate_seed, splitmix64
 from .transform import (
     ConfigError,
-    ConfigReport,
     L2PConfig,
     PreparedRun,
     Transcript,
@@ -70,7 +70,6 @@ from .transform import (
 __all__ = [
     "AuditReport",
     "ConfigError",
-    "ConfigReport",
     "GameResult",
     "L2PConfig",
     "LossStream",
@@ -99,6 +98,7 @@ __all__ = [
     "modified_advanced_composition",
     "monte_carlo",
     "neighbor_of",
+    "ope_config",
     "play_game",
     "ratio_range_check",
     "regret_bound_oco",

@@ -11,6 +11,10 @@ horizon ``T``, batch ``B`` and slacks ``delta0``, ``delta1`` is
 
 valid when T p / B >= 1 and eta B log(1/delta1) / p <= 1. The budget is
 always computed; unmet preconditions only clear ``preconditions_met``.
+
+This module is the one home of the config formulas (``ope_config``,
+``ball_config`` and the tuners built on them) and of every precondition
+note a config's budget carries (``config_budget``).
 """
 
 from __future__ import annotations
@@ -195,12 +199,35 @@ def _check_tuner_inputs(T: int, d: int, eps: float, delta: float) -> None:
         raise ValueError("target delta must lie in (0, 1)")
 
 
+def _first_feasible(problem: str, eps: float, delta: float, eta: float, candidate) -> L2PConfig:
+    """The first of ``candidate(eta)``, ``candidate(eta / 2)``, ... that the accountant accepts.
+
+    A candidate is accepted if its recomputed budget meets (eps, delta)
+    and T p / B >= 1; eta is halved at most ``_MAX_SHRINKS`` times.
+    """
+    for _ in range(_MAX_SHRINKS + 1):
+        config = candidate(eta)
+        budget = config_budget(config)
+        feasible = config.T * config.p / config.B >= 1.0
+        if budget.epsilon <= eps and budget.delta <= delta and feasible:
+            return config
+        eta /= 2.0
+    raise TunerError(
+        f"no feasible {problem} tuning for T={config.T}, eps={eps:g} within {_MAX_SHRINKS} shrinks"
+    )
+
+
+def ope_config(T: int, B: int, eta: float, p: float, delta: float) -> L2PConfig:
+    """The experts run for step ``eta``, with delta0 = 0 and delta1 = delta / (2T)."""
+    return L2PConfig(T=T, B=B, eta=eta, p=p, delta0=0.0, delta1=delta / (2.0 * T))
+
+
 def tune_ope(T: int, d: int, eps: float, delta: float) -> L2PConfig:
     """Closed-form experts tuning, self-verified through the accountant.
 
     Sets B = max(1, round(1/eps)), eta = min(eps0, eps)^{2/3} /
     (T^{1/3} log(T/delta)) with eps0 = T^{-1/4} log^{3/4}(d),
-    p = min(10 eta / eps, 1 - 1e-9), delta1 = delta / (2T), delta0 = 0.
+    p = min(10 eta / eps, 1 - 1e-9) and :func:`ope_config`'s slacks.
     ``p`` is floored at B/T: below that the switch-rate precondition
     T p / B >= 1 cannot hold. The floor is not priced separately: like
     every candidate, a floored one is accepted only if its recomputed
@@ -210,17 +237,10 @@ def tune_ope(T: int, d: int, eps: float, delta: float) -> L2PConfig:
     _check_tuner_inputs(T, d, eps, delta)
     eps0 = T ** -0.25 * math.log(d) ** 0.75
     eta = min(eps0, eps) ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta))
-    eta = min(eta, ETA_MAX)
     B = max(1, round(1.0 / eps))
-    delta1 = delta / (2.0 * T)
-    for _ in range(_MAX_SHRINKS + 1):
-        p = min(max(10.0 * eta / eps, B / T), _P_CAP)
-        budget = l2p_privacy(eta, p, T, B, 0.0, delta1)
-        if budget.epsilon <= eps and budget.delta <= delta and T * p / B >= 1.0:
-            return L2PConfig(T=T, B=B, eta=eta, p=p, delta0=0.0, delta1=delta1)
-        eta /= 2.0
-    raise TunerError(
-        f"no feasible experts tuning for T={T}, eps={eps:g} within {_MAX_SHRINKS} shrinks"
+    return _first_feasible(
+        "experts", eps, delta, min(eta, ETA_MAX),
+        lambda eta: ope_config(T, B, eta, min(max(10.0 * eta / eps, B / T), _P_CAP), delta),
     )
 
 
@@ -285,14 +305,9 @@ def tune_oco(
     eta = min(eps ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta)), ETA_MAX)
     B = max(1, round(1.0 / (2.0 * eps * math.log(1.0 / delta))))
     p = min(max(eta / eps, B / T), _P_CAP)
-    for _ in range(_MAX_SHRINKS + 1):
-        config = ball_config(T, d, B, eta, p, delta, lipschitz, diameter)
-        budget = config_budget(config)
-        if budget.epsilon <= eps and budget.delta <= delta and T * p / B >= 1.0:
-            return config
-        eta /= 2.0
-    raise TunerError(
-        f"no feasible ball tuning for T={T}, eps={eps:g} within {_MAX_SHRINKS} shrinks"
+    return _first_feasible(
+        "ball", eps, delta, eta,
+        lambda eta: ball_config(T, d, B, eta, p, delta, lipschitz, diameter),
     )
 
 
@@ -313,7 +328,18 @@ def regret_bound_oco(
 
 
 def config_budget(config: L2PConfig) -> PrivacyBudget:
-    """Recompute the budget a config actually enjoys (accounted eta when set)."""
-    return l2p_privacy(
-        config.eta_effective, config.p, config.T, config.B, config.delta0, config.delta1
-    )
+    """The budget a config actually enjoys (accounted eta when set), with every unmet precondition.
+
+    Beyond the formula's own, an accounted eta above the divergence cap
+    ``ETA_MAX`` and a fake-switch rate of 0 or 1 clear ``preconditions_met``.
+    """
+    eta = config.eta_effective
+    budget = l2p_privacy(eta, config.p, config.T, config.B, config.delta0, config.delta1)
+    notes = []
+    if eta > ETA_MAX:
+        notes.append("accounted eta exceeds the divergence cap; budget is nominal only")
+    if config.p in (0.0, 1.0):
+        notes.append(f"degenerate fake-switch probability p={config.p:g}; run is not private")
+    if not notes:
+        return budget
+    return replace(budget, preconditions_met=False, notes=budget.notes + tuple(notes))

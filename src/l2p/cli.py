@@ -23,6 +23,7 @@ from .accountant import (
     ball_config,
     config_budget,
     l2p_privacy,
+    ope_config,
     regret_bound_oco,
     regret_bound_ope,
     tune_oco,
@@ -92,6 +93,11 @@ def _lipschitz_diameter(cfg: dict) -> tuple[float, float]:
     return float(cfg.get("lipschitz", 1.0)), float(cfg.get("diameter", 1.0))
 
 
+def _kind(cfg: dict) -> str:
+    """The measure kind of the config's problem: multiplicative weights or the ball."""
+    return "mw" if cfg["problem"] == "ope" else "rmw"
+
+
 def _build_config(cfg: dict) -> L2PConfig:
     T, d = int(cfg["T"]), int(cfg["d"])
     eps, delta = float(cfg["epsilon"]), float(cfg["delta"])
@@ -99,13 +105,8 @@ def _build_config(cfg: dict) -> L2PConfig:
     if cfg["problem"] == "ope":
         if override is None:
             return tune_ope(T, d, eps, delta)
-        return L2PConfig(
-            T=T,
-            B=int(override["B"]),
-            eta=float(override["eta"]),
-            p=float(override["p"]),
-            delta0=0.0,
-            delta1=delta / (2.0 * T),
+        return ope_config(
+            T, int(override["B"]), float(override["eta"]), float(override["p"]), delta
         )
     L, D = _lipschitz_diameter(cfg)
     if override is None:
@@ -125,9 +126,8 @@ def cmd_run(args) -> int:
     cfg = _load_run_config(args.config)
     stream = _build_stream(cfg)
     config = _build_config(cfg)
-    kind = "mw" if cfg["problem"] == "ope" else "rmw"
     reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
-    summary = monte_carlo(config, kind, stream, reps, base_seed, keep_transcripts=False)
+    summary = monte_carlo(config, _kind(cfg), stream, reps, base_seed, keep_transcripts=False)
     outdir = Path(args.output or cfg.get("output_dir", "."))
     buf = io.StringIO()
     summary.write_csv(buf)
@@ -159,12 +159,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one epsilon")
     stream = _build_stream(cfg)
     T, d, delta = int(cfg["T"]), int(cfg["d"]), float(cfg["delta"])
+    kind = _kind(cfg)
     rows = ["epsilon,mean_regret,std_regret,theory_bound"]
     for eps in grid:
         local = dict(cfg)
         local["epsilon"] = eps
         config = _build_config(local)
-        kind = "mw" if cfg["problem"] == "ope" else "rmw"
         summary = monte_carlo(
             config, kind, stream, int(cfg["reps"]), int(cfg["base_seed"]), keep_transcripts=False
         )
@@ -238,14 +238,11 @@ def cmd_tune(args) -> int:
 
 def cmd_audit(args) -> int:
     d, T = args.d, args.T
-    delta = args.delta
     stream = bernoulli_experts(d, T, np.linspace(0.3, 0.7, d), args.seed)
     if args.override_eta is not None:
-        config = L2PConfig(
-            T=T, B=args.B, eta=args.override_eta, p=args.p, delta0=0.0, delta1=delta / (2 * T)
-        )
+        config = ope_config(T, args.B, args.override_eta, args.p, args.delta)
     else:
-        config = tune_ope(T, d, args.epsilon, delta)
+        config = tune_ope(T, d, args.epsilon, args.delta)
     if args.test == "marginal":
         if args.s is not None and not 1 <= args.s <= config.n_batches:
             raise ConfigError(f"--s must lie in 1..{config.n_batches}")

@@ -104,23 +104,7 @@ _CODE_SWITCHED = np.array([(1 - (S & Sp), 1 - A) for S, Sp, A in _CODE_COINS], d
 
 
 class ConfigError(ValueError):
-    """Configuration violates a hard constraint; the run cannot start."""
-
-
-@dataclass(frozen=True)
-class ConfigReport:
-    """Validation outcome: hard errors stop a run, warnings only mark it."""
-
-    hard_errors: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.hard_errors
-
-    @property
-    def preconditions_met(self) -> bool:
-        return not self.hard_errors and not self.warnings
+    """A configuration violates a hard constraint; raised when it is built."""
 
 
 @dataclass(frozen=True)
@@ -131,7 +115,10 @@ class L2PConfig:
     ``eta_accounted`` carries the (larger) divergence bound the measure
     actually satisfies, and both the engine's acceptance cap and the
     accountant use it when present. ``beta``, ``lam``, ``radius`` and
-    ``lipschitz`` are only set for ball (OCO) runs.
+    ``lipschitz`` are only set for ball (OCO) runs. Building a config
+    that breaks a hard constraint raises :class:`ConfigError`, naming
+    every constraint it breaks; the analysis preconditions, which only
+    mark a run, are the accountant's (``config_budget``).
     """
 
     T: int
@@ -146,6 +133,31 @@ class L2PConfig:
     lipschitz: float | None = None
     eta_accounted: float | None = None
 
+    def __post_init__(self):
+        errors: list[str] = []
+        if self.T < 1:
+            errors.append("T must be a positive integer")
+        if self.B < 1:
+            errors.append("B must be a positive integer")
+        if not 0.0 < self.eta <= ETA_MAX:
+            errors.append(f"eta must lie in (0, {ETA_MAX}]")
+        if not 0.0 <= self.p <= 1.0:
+            errors.append("p must lie in [0, 1]")
+        if self.delta0 < 0.0:
+            errors.append("delta0 must be nonnegative")
+        if not 0.0 < self.delta1 < 1.0:
+            errors.append("delta1 must lie in (0, 1)")
+        oco_fields = (self.beta, self.lam, self.radius, self.lipschitz)
+        if any(v is not None for v in oco_fields):
+            if any(v is None or v <= 0.0 for v in oco_fields):
+                errors.append("ball runs need beta, lam, radius and lipschitz, all positive")
+            elif self.eta_accounted is None:
+                errors.append(
+                    "ball runs need eta_accounted, the divergence bound of their measure"
+                )
+        if errors:
+            raise ConfigError("; ".join(errors))
+
     @property
     def n_batches(self) -> int:
         return -(-self.T // self.B)
@@ -158,42 +170,6 @@ class L2PConfig:
     def cap(self) -> float:
         """The acceptance cap ``2 B eta_effective``, also on a short final batch."""
         return 2.0 * self.B * self.eta_effective
-
-    @cached_property
-    def report(self) -> ConfigReport:
-        hard: list[str] = []
-        soft: list[str] = []
-        if self.T < 1:
-            hard.append("T must be a positive integer")
-        if self.B < 1:
-            hard.append("B must be a positive integer")
-        if not 0.0 < self.eta <= ETA_MAX:
-            hard.append(f"eta must lie in (0, {ETA_MAX}]")
-        if not 0.0 <= self.p <= 1.0:
-            hard.append("p must lie in [0, 1]")
-        if self.delta0 < 0.0:
-            hard.append("delta0 must be nonnegative")
-        if not 0.0 < self.delta1 < 1.0:
-            hard.append("delta1 must lie in (0, 1)")
-        oco_fields = (self.beta, self.lam, self.radius, self.lipschitz)
-        if any(v is not None for v in oco_fields):
-            if any(v is None or v <= 0.0 for v in oco_fields):
-                hard.append("ball runs need beta, lam, radius and lipschitz, all positive")
-            elif self.eta_accounted is None:
-                hard.append("ball runs need eta_accounted, the divergence bound of their measure")
-        if hard:
-            return ConfigReport(tuple(hard), ())
-        if self.T * self.p / self.B < 1.0:
-            soft.append("switch-rate precondition T*p/B >= 1 not met")
-        log_term = math.log(1.0 / self.delta1)
-        eta_eff = self.eta_effective
-        if self.p == 0.0 or eta_eff * self.B * log_term / max(self.p, 1e-300) > 1.0:
-            soft.append("ratio-concentration precondition eta*B*log(1/delta1)/p <= 1 not met")
-        if eta_eff > ETA_MAX:
-            soft.append("accounted eta exceeds the divergence cap; budget is nominal only")
-        if self.p in (0.0, 1.0):
-            soft.append(f"degenerate fake-switch probability p={self.p:g}; run is not private")
-        return ConfigReport((), tuple(soft))
 
 
 # CSV column order is part of the file contract; never reorder.
@@ -362,9 +338,6 @@ class PreparedRun:
     """
 
     def __init__(self, config: L2PConfig, kind: str, loss_values: np.ndarray):
-        report = config.report
-        if not report.ok:
-            raise ConfigError("; ".join(report.hard_errors))
         if kind not in ("mw", "rmw"):
             raise ValueError(f"unknown measure kind {kind!r}")
         loss_values = np.asarray(loss_values, dtype=np.float64)

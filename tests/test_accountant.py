@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,10 +15,12 @@ from l2p.accountant import (
     group_privacy,
     l2p_privacy,
     modified_advanced_composition,
+    ope_config,
     tune_oco,
     tune_ope,
 )
 from l2p.measures import ETA_MAX, effective_eta_rmw
+from l2p.transform import L2PConfig
 
 
 class TestL2pPrivacy:
@@ -247,6 +250,69 @@ class TestTuneOco:
         assert cfg == ball_config(10**4, 3, cfg.B, cfg.eta, cfg.p, 1e-6, 1.0, 2.0)
         with pytest.raises(ValueError):
             ball_config(100, 3, 1, 0.01, 0.0, 1e-6, 1.0, 1.0)
+
+
+def _report_preconditions_met(c: L2PConfig) -> bool:
+    """The rule configs marked themselves with before the accountant took it over."""
+    log_term = math.log(1.0 / c.delta1)
+    eta_eff = c.eta_effective
+    return not (
+        c.T * c.p / c.B < 1.0
+        or c.p == 0.0
+        or eta_eff * c.B * log_term / max(c.p, 1e-300) > 1.0
+        or eta_eff > ETA_MAX
+        or c.p in (0.0, 1.0)
+    )
+
+
+_PS = (0.0, 1e-3, 0.5, 1.0 - 1e-9, 1.0)
+
+
+def _grid():
+    # T p / B runs from 0 through exactly 1 (T=1000, B=1, p=1e-3) to 1000
+    for T, B, eta, p, delta in itertools.product(
+        (10, 1000), (1, 4), (1e-4, 0.01, 0.1), _PS, (1e-6, 0.1)
+    ):
+        yield ope_config(T, B, eta, p, delta)
+    # ball runs, with the accounted eta on either side of ETA_MAX
+    for T, B, p, eta_accounted in itertools.product(
+        (10, 1000), (1, 4), _PS, (1e-4, 0.05, ETA_MAX, 0.1000001, 0.5)
+    ):
+        yield L2PConfig(
+            T=T, B=B, eta=min(eta_accounted, 0.01), p=p, delta0=1e-12, delta1=1e-6,
+            beta=0.01, lam=10.0, radius=0.5, lipschitz=1.0, eta_accounted=eta_accounted,
+        )
+    for T, B, eta, p in itertools.product((200, 10**4), (1, 4), (1e-3, 0.05), _PS[1:]):
+        yield ball_config(T, 3, B, eta, p, 1e-6, 1.0, 1.0)
+
+
+class TestConfigBudgetPreconditions:
+    def test_matches_the_config_report_rule(self):
+        configs = list(_grid())
+        outcomes = [config_budget(c).preconditions_met for c in configs]
+        assert outcomes == [_report_preconditions_met(c) for c in configs]
+        assert any(outcomes) and not all(outcomes)
+        # the grid crosses every boundary the rule draws
+        assert {c.T * c.p / c.B >= 1.0 for c in configs} == {True, False}
+        assert {c.eta_effective > ETA_MAX for c in configs} == {True, False}
+        assert any(c.T * c.p / c.B == 1.0 for c in configs)
+
+    def test_notes_name_each_extra_precondition(self):
+        above = ball_config(200, 3, 1, 0.05, 0.5, 1e-6, 1.0, 1.0)
+        assert above.eta_accounted > ETA_MAX
+        assert config_budget(above).notes[-1] == (
+            "accounted eta exceeds the divergence cap; budget is nominal only"
+        )
+        for p in (0.0, 1.0):
+            notes = config_budget(ope_config(1000, 1, 0.001, p, 1e-6)).notes
+            assert notes[-1] == f"degenerate fake-switch probability p={p:g}; run is not private"
+
+
+class TestOpeConfig:
+    def test_slacks(self):
+        config = ope_config(400, 2, 0.01, 0.3, 1e-6)
+        assert config == L2PConfig(T=400, B=2, eta=0.01, p=0.3, delta0=0.0, delta1=1e-6 / 800)
+        assert config_budget(config).delta == pytest.approx(1e-6, rel=1e-12)
 
 
 class TestPrivacyBudget:

@@ -74,6 +74,36 @@ class TestRun:
         nominal = l2p_privacy(0.01, 0.1, 400, 1, 0.0, 1e-6 / 800)
         assert budget["epsilon"] > 3 * nominal.epsilon
 
+    def test_degenerate_override_is_flagged(self, tmp_path, capsys):
+        # at p=1 every batch refreshes both chains, so the coin hides nothing
+        path = _write_config(tmp_path, T=200, reps=2, override={"B": 1, "eta": 0.05, "p": 1.0})
+        assert main(["run", "--config", str(path)]) == 0
+        budget = json.loads((tmp_path / "out" / "provenance.json").read_text())["budget"]
+        assert budget["preconditions_met"] is False
+        assert "degenerate fake-switch probability p=1; run is not private" in budget["notes"]
+
+    def test_ball_override_above_the_cap_is_nominal(self, tmp_path, capsys):
+        # nominal eta 0.05 is accounted at about 0.165, above ETA_MAX
+        path = _write_config(
+            tmp_path, problem="oco", T=200, reps=2,
+            adversary={"kind": "iid-sphere", "seed": 1},
+            override={"B": 1, "eta": 0.05, "p": 0.5},
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        assert provenance["tuned"]["eta_accounted"] > 0.1
+        budget = provenance["budget"]
+        assert budget["preconditions_met"] is False
+        assert (
+            "accounted eta exceeds the divergence cap; budget is nominal only" in budget["notes"]
+        )
+
+    def test_invalid_override_exit_2_writes_nothing(self, tmp_path, capsys):
+        path = _write_config(tmp_path, override={"B": 1, "eta": 0.5, "p": 0.5})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "eta must lie in (0, 0.1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_flag_beats_output_dir(self, tmp_path, capsys):
         # the config names out/, the flag flag/: the files go to flag/ only
         path = _write_config(tmp_path)
@@ -135,6 +165,18 @@ class TestTune:
         obj = json.loads(capsys.readouterr().out)
         assert obj["eta_accounted"] > obj["eta"]
         assert obj["budget"]["epsilon"] <= 1.0
+
+    def test_oco_nominal_budget_noted(self, capsys):
+        # this tuned ball config is accepted with its accounted eta above ETA_MAX
+        assert main(["tune", "oco", "--T", "10", "--d", "2",
+                     "--epsilon", "8", "--delta", "0.05"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["eta_accounted"] > 0.1
+        assert obj["budget"]["preconditions_met"] is False
+        assert (
+            "accounted eta exceeds the divergence cap; budget is nominal only"
+            in obj["budget"]["notes"]
+        )
 
     def test_infeasible_exit_3(self, capsys):
         assert main(["tune", "ope", "--T", "10", "--d", "2",
@@ -211,6 +253,10 @@ class TestAudit:
                 "--override-eta", "0.1", "--s", s]
         assert main(args) == 2
         assert "--s must lie in 1..5" in capsys.readouterr().err
+
+    def test_invalid_override_exit_2(self, capsys):
+        assert main(["audit", "ratio", "--runs", "10", "--override-eta", "0.5"]) == 2
+        assert "eta must lie in (0, 0.1]" in capsys.readouterr().err
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2

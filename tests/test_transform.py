@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2p.accountant import tune_oco, tune_ope
+from l2p.accountant import config_budget, tune_oco, tune_ope
 from l2p.adversaries import (
     LossStream,
     bernoulli_experts,
@@ -99,42 +99,47 @@ class TestAcceptanceProbability:
 
 
 class TestConfigValidation:
+    """Hard constraints raise at construction; the accountant notes the soft ones."""
+
     def test_hard_errors(self):
-        bad = L2PConfig(T=10, B=1, eta=0.5, p=0.5, delta0=0.0, delta1=1e-6)
-        report = bad.report
-        assert not report.ok
-        with pytest.raises(ConfigError):
-            PreparedRun(bad, "mw", np.zeros((10, 2)))
+        with pytest.raises(ConfigError, match=r"^eta must lie in \(0, 0\.1\]$"):
+            L2PConfig(T=10, B=1, eta=0.5, p=0.5, delta0=0.0, delta1=1e-6)
+        # every broken constraint is named, joined by "; "
+        with pytest.raises(
+            ConfigError, match="^T must be a positive integer; B must be a positive integer$"
+        ):
+            L2PConfig(T=0, B=0, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
 
     def test_ball_needs_accounted_eta(self):
         # the budget and the acceptance cap must use the divergence the ball
-        # measure satisfies, so a ball config without it cannot run
+        # measure satisfies, so a ball config without it cannot be built
         fields = dict(T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
                       beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0)
-        report = L2PConfig(**fields).report
-        assert any("eta_accounted" in e for e in report.hard_errors)
-        with pytest.raises(ConfigError):
-            PreparedRun(L2PConfig(**fields), "rmw", np.zeros((6, 2)))
-        assert L2PConfig(**fields, eta_accounted=0.05).report.ok
+        with pytest.raises(ConfigError, match="eta_accounted"):
+            L2PConfig(**fields)
+        PreparedRun(L2PConfig(**fields, eta_accounted=0.05), "rmw", np.zeros((6, 2)))
 
     def test_negative_p_rejected(self):
-        assert not L2PConfig(T=10, B=1, eta=0.1, p=-0.1, delta0=0.0, delta1=1e-6).report.ok
-        assert not L2PConfig(T=10, B=1, eta=0.1, p=1.5, delta0=0.0, delta1=1e-6).report.ok
+        with pytest.raises(ConfigError, match=r"p must lie in \[0, 1\]"):
+            L2PConfig(T=10, B=1, eta=0.1, p=-0.1, delta0=0.0, delta1=1e-6)
+        with pytest.raises(ConfigError, match=r"p must lie in \[0, 1\]"):
+            L2PConfig(T=10, B=1, eta=0.1, p=1.5, delta0=0.0, delta1=1e-6)
 
     def test_degenerate_p_allowed_with_warning(self):
-        report = L2PConfig(T=10, B=1, eta=0.1, p=1.0, delta0=0.0, delta1=1e-6).report
-        assert report.ok and not report.preconditions_met
+        budget = config_budget(L2PConfig(T=10, B=1, eta=0.1, p=1.0, delta0=0.0, delta1=1e-6))
+        assert not budget.preconditions_met
+        assert "degenerate fake-switch probability p=1; run is not private" in budget.notes
 
     def test_analysis_preconditions_flagged(self):
         # T*p/B = 0.5 < 1 and eta*B*log(1/delta1)/p large
-        report = L2PConfig(T=10, B=2, eta=0.1, p=0.1, delta0=0.0, delta1=1e-6).report
-        assert report.ok
-        assert any("T*p/B" in w for w in report.warnings)
-        assert any("eta*B*log" in w for w in report.warnings)
+        budget = config_budget(L2PConfig(T=10, B=2, eta=0.1, p=0.1, delta0=0.0, delta1=1e-6))
+        assert not budget.preconditions_met
+        assert any("T*p/B" in w for w in budget.notes)
+        assert any("eta*B*log" in w for w in budget.notes)
 
     def test_clean_config(self):
-        report = L2PConfig(T=1000, B=1, eta=0.001, p=0.9, delta0=0.0, delta1=1e-3).report
-        assert report.preconditions_met
+        config = L2PConfig(T=1000, B=1, eta=0.001, p=0.9, delta0=0.0, delta1=1e-3)
+        assert config_budget(config).preconditions_met
 
 
 def _run(config, stream, seed, kind="mw"):
