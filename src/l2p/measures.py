@@ -23,9 +23,16 @@ Either measure at a batch start is a function of the cumulative losses
 before that batch alone, so a whole run's measures are one table built
 from the loss matrix: :func:`cumulative_table` gives the gradient sums
 of the ball, and :func:`mw_log_weights` the experts' log-weights, which
-:func:`normalized` turns into densities row by row. The experts measure
-exists only as these tables; :class:`RmwMeasure` is the ball's sampler
-and exact oracle for one row.
+:func:`normalized` turns into densities row by row and
+:func:`cdf_table` into the sampling CDFs. The experts measure exists
+only as these tables; :class:`RmwMeasure` is the ball's sampler and
+exact oracle for one row.
+
+The tables are built ``_CHUNK`` rows at a time, so a build makes no
+temporary the size of a table. Every entry is the double the one-shot
+expression gives: a cumulative sum is one ``np.cumsum`` carried across
+chunks in its own order of additions, and every other step works row
+by row.
 
 All logarithms are natural.
 """
@@ -39,6 +46,10 @@ import numpy as np
 
 # Divergence parameter cap required by the switching layer's analysis.
 ETA_MAX = 0.1
+
+# Rows per chunk of a table build: a chunk's temporaries stay small
+# (160 KB at d = 10) while the per-chunk numpy calls stay few.
+_CHUNK = 2048
 
 # Ball sampler: rejection attempts before falling back to hit-and-run,
 # and hit-and-run mixing steps per dimension.
@@ -81,25 +92,64 @@ def normalized(log_weights: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def cdf_table(log_weights: np.ndarray) -> np.ndarray:
+    """Sampling CDFs of every row of a log-weight table, the last entry of each set to 1."""
+    n = log_weights.shape[0]
+    cdfs = np.empty(log_weights.shape)
+    for a in range(0, n, _CHUNK):
+        np.cumsum(normalized(log_weights[a : a + _CHUNK]), axis=1, out=cdfs[a : a + _CHUNK])
+    cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
+    return cdfs
+
+
+def step_spread(log_weights: np.ndarray) -> float:
+    """The widest spread, max minus min, of a change between consecutive rows; 0 for one row."""
+    spread = 0.0
+    for a in range(0, log_weights.shape[0], _CHUNK):
+        steps = np.diff(log_weights[max(a - 1, 0) : a + _CHUNK], axis=0)
+        spread = max(spread, float(np.ptp(steps, axis=1).max(initial=0.0)))
+    return spread
+
+
 def cumulative_table(values: np.ndarray, B: int) -> np.ndarray:
     """Per-batch cumulative sums of a (T, d) loss or gradient matrix.
 
     Row ``s - 1`` is the sum of all rounds before batch ``s`` starts, so
     row 0 is zero; the measure in force for batch ``s`` is a function of
-    that row alone.
+    that row alone. The running sum is taken over chunks of rounds in
+    one reused buffer, and every B-th row is kept. Each chunk's first
+    round is added to the last running sum before the chunk is summed,
+    the order ``np.cumsum`` adds in, so the table is bit for bit
+    ``np.cumsum(values, axis=0)`` at the batch ends.
     """
     T, d = values.shape
     n_batches = -(-T // B)
     cum = np.zeros((n_batches, d))
-    if n_batches > 1:
-        sums = np.cumsum(values, axis=0)
-        cum[1:] = sums[np.arange(1, n_batches) * B - 1]
+    rounds = (n_batches - 1) * B  # the rounds before the last batch starts
+    buf = np.empty((min(_CHUNK, rounds), d))
+    for a in range(0, rounds, _CHUNK):
+        part = buf[: min(_CHUNK, rounds - a)]
+        if a:  # the previous chunk, a full one, left its last running sum in buf[-1]
+            np.add(buf[-1], values[a], out=part[0])
+        else:
+            part[0] = values[0]
+        part[1:] = values[a + 1 : a + part.shape[0]]
+        np.cumsum(part, axis=0, out=part)
+        first = a + (B - 1 - a) % B  # the first batch end in the chunk
+        kept = part[first - a :: B]
+        k = (first + 1) // B
+        cum[k : k + kept.shape[0]] = kept
     return cum
 
 
 def mw_log_weights(values: np.ndarray, eta: float, B: int) -> np.ndarray:
-    """Log-weights of the experts measure of every batch: ``-eta`` times the cumulative losses."""
-    log_weights = -eta * cumulative_table(values, B)
+    """Log-weights of the experts measure of every batch: ``-eta`` times the cumulative losses.
+
+    The cumulative table is scaled in place, which gives ``-eta * cum``
+    bit for bit.
+    """
+    log_weights = cumulative_table(values, B)
+    np.multiply(log_weights, -eta, out=log_weights)
     if not np.isfinite(log_weights).all():
         raise ValueError("log weights must be finite")
     return log_weights

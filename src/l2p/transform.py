@@ -22,8 +22,12 @@ the min() then acts on an exact quantity.
 A :class:`PreparedRun` is built from the measure kind (``"mw"`` for
 experts, ``"rmw"`` for the ball) and the loss matrix alone: the
 measure of every batch is a row of one cumulative table, so set-up
-makes no per-batch objects. The ball sampler is built only for the
-batch that resamples.
+makes no per-batch objects. It keeps only the tables the engine reads,
+two per-batch tables for an experts run (log-weights and sampling
+CDFs) and one for the ball (gradient sums), built chunk by chunk with
+no temporary of their size; the per-batch loss sums are computed on
+first read. The ball sampler is built only for the batch that
+resamples.
 
 Randomness contract (frozen for reproducibility): at each batch s >= 2
 the engine consumes three uniforms, in the order S, S', A, then at most
@@ -73,7 +77,14 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .measures import ETA_MAX, RmwMeasure, cumulative_table, mw_log_weights, normalized
+from .measures import (
+    ETA_MAX,
+    RmwMeasure,
+    cdf_table,
+    cumulative_table,
+    mw_log_weights,
+    step_spread,
+)
 
 # Runs of at most _WALK batches step through every batch: finding a
 # block's rare doubles costs a few numpy calls, more than testing so few
@@ -324,15 +335,18 @@ class PreparedRun:
     [0, 1]) or ``"rmw"`` (the ball; ``loss_values`` holds gradients, and
     the config carries beta, lam and radius). Every data-dependent
     table is a function of the losses alone, so replicates share them;
-    only the coin and resample draws differ between runs. Experts runs
-    keep the log-weights and sampling CDFs of every batch, with one flat
-    memoryview of each that the engine loop reads, and ``sure``, a floor
-    under the keep probability of every batch and every pair of models.
-    Runs of at most ``_WALK`` batches (``walks``) step through every
-    batch, and keep the loss columns as lists if they have few rounds.
-    Ball runs keep the gradient sums. Both kinds keep the per-batch
-    loss sums, the column totals of the loss matrix and
-    ``comparator_loss``, the best-in-hindsight loss they give. The
+    only the coin and resample draws differ between runs. The loss
+    matrix is kept in C order, copied only if it comes in another.
+    Experts runs keep two n x d tables, the log-weights and sampling
+    CDFs of every batch, with one flat memoryview of each that the
+    engine loop reads, and ``sure``, a floor under the keep probability
+    of every batch and every pair of models. Runs of at most ``_WALK``
+    batches (``walks``) step through every batch, and keep the loss
+    columns as lists if they have few rounds. Ball runs keep one, the
+    gradient sums. Both kinds keep the column totals of the loss matrix
+    and ``comparator_loss``, the best-in-hindsight loss they give; the
+    per-batch loss sums ``batch_sums``, which only
+    ``Transcript.batch_losses`` reads, are computed on first read. The
     acceptance cap ``cap`` is the config's, which always uses the full
     ``2 B eta`` exponent, also on a short final batch.
     """
@@ -340,7 +354,8 @@ class PreparedRun:
     def __init__(self, config: L2PConfig, kind: str, loss_values: np.ndarray):
         if kind not in ("mw", "rmw"):
             raise ValueError(f"unknown measure kind {kind!r}")
-        loss_values = np.asarray(loss_values, dtype=np.float64)
+        # C order, so a gather from the flat matrix copies nothing
+        loss_values = np.ascontiguousarray(loss_values, dtype=np.float64)
         if loss_values.ndim != 2 or loss_values.shape[0] != config.T:
             raise ValueError("loss matrix must have T rows of one loss each")
         self.config = config
@@ -348,8 +363,6 @@ class PreparedRun:
         self.is_mw = kind == "mw"
         self.cap = config.cap
         n = config.n_batches
-        starts = np.arange(n) * config.B
-        self.batch_sums = np.add.reduceat(loss_values, starts, axis=0)
         self.column_totals = loss_values.sum(axis=0)
         self.walks = self.is_mw and n <= _WALK
         self._loss_columns = None
@@ -358,16 +371,13 @@ class PreparedRun:
         if self.is_mw:
             self.comparator_loss = _best_expert(self.column_totals)[1]
             self.log_weights = mw_log_weights(loss_values, config.eta, config.B)
-            cdfs = np.cumsum(normalized(self.log_weights), axis=1)
-            cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
-            self.cdfs = cdfs
+            self.cdfs = cdf_table(self.log_weights)
             self._lw = memoryview(self.log_weights.reshape(-1))
-            self._cdf = memoryview(cdfs.reshape(-1))
+            self._cdf = memoryview(self.cdfs.reshape(-1))
             # A batch's log ratio is r[x] - r[y] for r the difference of two
             # rows, so it is at least minus the widest such row's spread;
             # rounding is monotone, so this holds for the computed values too.
-            spread = np.ptp(np.diff(self.log_weights, axis=0), axis=1).max(initial=0.0)
-            floor = math.exp(min(-self.cap - float(spread), 0.0))
+            floor = math.exp(min(-self.cap - step_spread(self.log_weights), 0.0))
             self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
             if config.beta is None:
@@ -375,6 +385,12 @@ class PreparedRun:
             self.comparator_loss = _best_ball_point(self.column_totals, config.radius)[1]
             self.grad_sums = cumulative_table(loss_values, config.B)
             self.beta = config.beta
+
+    @cached_property
+    def batch_sums(self) -> np.ndarray:
+        """The per-batch sums of the loss matrix, built on first read."""
+        starts = np.arange(self.config.n_batches) * self.config.B
+        return np.add.reduceat(self.loss_values, starts, axis=0)
 
     def run(self, rng: np.random.Generator) -> Transcript:
         return self._experts(rng) if self.is_mw else self._ball(rng)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from l2p.accountant import tune_ope
+from l2p import measures
+from l2p.accountant import tune_oco, tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
 from l2p.measures import (
     RmwMeasure,
@@ -292,6 +294,174 @@ class TestSequences:
             PreparedRun(config, "ball", np.zeros((2, 2)))
         with pytest.raises(ValueError):
             PreparedRun(config, "rmw", np.zeros((2, 2)))
+
+
+def _one_shot_cumulative(values, B):
+    """The cumulative table as one ``np.cumsum`` over the whole matrix builds it."""
+    T, d = values.shape
+    n_batches = -(-T // B)
+    cum = np.zeros((n_batches, d))
+    if n_batches > 1:
+        sums = np.cumsum(values, axis=0)
+        cum[1:] = sums[np.arange(1, n_batches) * B - 1]
+    return cum
+
+
+def _one_shot_cdfs(log_weights):
+    cdfs = np.cumsum(normalized(log_weights), axis=1)
+    cdfs[:, -1] = 1.0
+    return cdfs
+
+
+def _one_shot_sure(log_weights, cap):
+    spread = np.ptp(np.diff(log_weights, axis=0), axis=1).max(initial=0.0)
+    floor = math.exp(min(-cap - float(spread), 0.0))
+    return floor * (1.0 - 1e-12) - 1e-300
+
+
+def _ball_config(T, B):
+    return L2PConfig(
+        T=T, B=B, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
+        beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+    )
+
+
+def _signed_zero_gradients(rng, T, d):
+    """Gradients with negative entries, scattered zeros of both signs and a column of -0.0."""
+    g = rng.standard_normal((T, d))
+    g[rng.random((T, d)) < 0.2] = 0.0
+    g[rng.random((T, d)) < 0.2] = -0.0
+    g[:, -1] = -0.0
+    return g
+
+
+# The tables the golden transcripts are built from, by (config, kind, values).
+GOLDEN_TABLES = {
+    "ope-b1": lambda: (
+        tune_ope(20_000, 10, 1.0, 1e-6),
+        "mw",
+        bernoulli_experts(10, 20_000, np.linspace(0.35, 0.65, 10), 1).values,
+    ),
+    "marginal": lambda: (
+        L2PConfig(T=5, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6),
+        "mw",
+        bernoulli_experts(3, 5, (0.2, 0.5, 0.8), 1).values,
+    ),
+    "epsilon": lambda: (tune_ope(10, 2, 0.5, 0.05), "mw", bernoulli_experts(2, 10, (0.25, 0.75), 1).values),
+    "ball": lambda: (
+        tune_oco(200, 3, 1.0, 1e-6, 1.0, 1.0),
+        "rmw",
+        linear_oco_stream(3, 200, 1.0, 5, "iid-sphere").values,
+    ),
+}
+
+
+class TestChunkedTables:
+    """Every table built chunk by chunk equals the one-shot expression byte for byte."""
+
+    @pytest.fixture(params=[1, 7, None], ids=["chunk-1", "chunk-7", "chunk-default"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(measures, "_CHUNK", request.param)
+        return measures._CHUNK
+
+    @staticmethod
+    def _assert_tables(config, kind, values):
+        prepared = PreparedRun(config, kind, values)
+        want = _one_shot_cumulative(values, config.B)
+        assert cumulative_table(values, config.B).tobytes() == want.tobytes()
+        if kind == "rmw":
+            assert prepared.grad_sums.tobytes() == want.tobytes()
+            return
+        lw = -config.eta * want
+        assert mw_log_weights(values, config.eta, config.B).tobytes() == lw.tobytes()
+        assert prepared.log_weights.tobytes() == lw.tobytes()
+        assert prepared.cdfs.tobytes() == _one_shot_cdfs(lw).tobytes()
+        assert prepared.sure == _one_shot_sure(lw, config.cap)
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_TABLES))
+    def test_golden_shapes(self, chunk, shape):
+        self._assert_tables(*GOLDEN_TABLES[shape]())
+
+    def test_random_shapes(self, chunk):
+        rng = np.random.default_rng(chunk)
+        for n in sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 2}):
+            for B in range(1, 6):
+                T = int(rng.integers((n - 1) * B + 1, n * B + 1))  # a short last batch too
+                d = int(rng.choice([1, 2, 3, 10, 17, 130] if T * 130 <= 10**6 else [1, 3, 10]))
+                config = L2PConfig(T=T, B=B, eta=0.07, p=0.5, delta0=0.0, delta1=1e-6)
+                self._assert_tables(config, "mw", (rng.random((T, d)) < 0.5).astype(np.float64))
+                self._assert_tables(config, "mw", rng.random((T, d)))
+                self._assert_tables(_ball_config(T, B), "rmw", _signed_zero_gradients(rng, T, d))
+
+    def test_round_chunk_boundaries(self, chunk):
+        # rounds, not batches, are chunked in the cumulative sum
+        rng = np.random.default_rng(100 + chunk)
+        for T in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+            for B in (1, 2, 3, 5):
+                if T < 1:
+                    continue
+                values = _signed_zero_gradients(rng, T, 4)
+                want = _one_shot_cumulative(values, B)
+                assert cumulative_table(values, B).tobytes() == want.tobytes()
+                lw = mw_log_weights(values, 0.07, B)
+                assert lw.tobytes() == (-0.07 * want).tobytes()
+
+    def test_signed_zeros_survive(self, chunk):
+        values = np.full((2 * chunk + 3, 2), -0.0)
+        cum = cumulative_table(values, 1)
+        assert np.signbit(cum[1:]).all() and not np.signbit(cum[0]).any()
+        lw = mw_log_weights(values, 0.1, 1)
+        assert np.signbit(lw[0]).all() and not np.signbit(lw[1:]).any()
+
+
+def _traced(build):
+    """What ``build`` returns, with the bytes it leaves allocated and its peak, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return kept, retained - base, peak - base
+
+
+class TestSetUpMemory:
+    """Set-up keeps the tables the engine reads, and builds them with no table-size temporary."""
+
+    def test_experts_keep_two_tables(self):
+        T, d = 20_000, 10
+        values = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), 1).values
+        config = tune_ope(T, d, 1.0, 1e-6)
+        prepared, retained, peak = _traced(lambda: PreparedRun(config, "mw", values))
+        table = config.n_batches * d * 8
+        assert prepared.log_weights.nbytes == prepared.cdfs.nbytes == table
+        assert retained <= 2.1 * table
+        assert peak <= 2.5 * table
+
+    def test_ball_keeps_one_table(self):
+        T, d = 10**4, 3
+        values = linear_oco_stream(d, T, 1.0, 3, "iid-sphere").values
+        config = tune_oco(T, d, 1.0, 1e-6, 1.0, 1.0)
+        prepared, retained, _ = _traced(lambda: PreparedRun(config, "rmw", values))
+        table = config.n_batches * d * 8
+        assert prepared.grad_sums.nbytes == table
+        assert retained <= 1.1 * table + 4096  # and a few O(d) arrays
+
+    def test_batch_sums_built_on_first_read(self):
+        rng = np.random.default_rng(6)
+        values = rng.random((11, 3))
+        config = L2PConfig(T=11, B=4, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
+        prepared = PreparedRun(config, "mw", values)
+        assert "batch_sums" not in vars(prepared)
+        want = np.add.reduceat(values, [0, 4, 8], axis=0)
+        assert prepared.batch_sums.tobytes() == want.tobytes()
+        assert prepared.batch_sums is prepared.batch_sums
 
 
 class TestLogsumexp:

@@ -494,6 +494,30 @@ class TestGoldenTranscripts:
         assert _digest(prepared.run(rng), rng) == self.GOLDEN[shape, seed]
 
 
+class TestLossLayout:
+    """A prepared run keeps its loss matrix in C order, whatever order it was given in."""
+
+    @pytest.mark.parametrize("shape", ["ope-b1", "ball"])
+    def test_strided_matrix_runs_as_the_c_one(self, shape):
+        config, kind, stream = SHAPES[shape]()
+        want = PreparedRun(config, kind, stream.values)
+        rng = np.random.default_rng(7)
+        digest, total = _digest(want.run(rng), rng), want.run(np.random.default_rng(8)).total_loss
+        fortran = np.asfortranarray(stream.values)
+        strided = np.repeat(stream.values, 2, axis=1)[:, ::2]
+        for values in (fortran, strided):
+            assert not values.flags.c_contiguous
+            prepared = PreparedRun(config, kind, values)
+            assert prepared.loss_values.flags.c_contiguous
+            rng = np.random.default_rng(7)
+            assert _digest(prepared.run(rng), rng) == digest
+            assert prepared.run(np.random.default_rng(8)).total_loss == total
+
+    def test_c_matrix_is_not_copied(self):
+        config, kind, stream = SHAPES["ope-b1"]()
+        assert PreparedRun(config, kind, stream.values).loss_values is stream.values
+
+
 class TestGameResults:
     """Every GameResult field but the wall clock, recorded before the comparator
     and the switch counts moved into the prepared run and the switch events."""
