@@ -31,7 +31,7 @@ print(f"strawman ({budget} scheduled uniform switches): "
       f"mean regret {np.mean(straw):.1f} +- {np.std(straw) / np.sqrt(len(straw)):.1f}")
 
 config = tune_ope(T, d, eps=0.5, delta=0.01)
-mc = monte_carlo(config, "mw", stream, 500, base_seed=1, keep_transcripts=False)
+mc = monte_carlo(config, stream, 500, base_seed=1)
 print(f"tuned engine (eps=0.5 target, B={config.B}): "
       f"mean regret {mc.mean_regret:.1f} +- {mc.std_regret / np.sqrt(500):.1f}")
 print()

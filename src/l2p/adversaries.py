@@ -8,7 +8,6 @@ streams are neighbors when they differ in exactly one round.
 
 from __future__ import annotations
 
-import csv
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -62,10 +61,6 @@ class LossStream:
     @property
     def is_oco(self) -> bool:
         return self.kind in _OCO_KINDS
-
-    def loss_at(self, t: int) -> np.ndarray:
-        """Round ``t``'s loss vector (experts) or gradient (linear losses)."""
-        return self.values[t]
 
 
 def bernoulli_experts(d: int, T: int, means, seed: int) -> LossStream:
@@ -191,10 +186,3 @@ def load_stream(path) -> LossStream:
         clamped=bool(clamped),
     )
 
-
-def stream_to_csv(stream: LossStream, fh) -> None:
-    """Debug dump: one row per round, one column per expert/coordinate."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t"] + [f"v{j}" for j in range(stream.d)])
-    for t in range(stream.T):
-        writer.writerow([t] + [repr(float(v)) for v in stream.values[t]])

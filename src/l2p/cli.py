@@ -93,11 +93,6 @@ def _lipschitz_diameter(cfg: dict) -> tuple[float, float]:
     return float(cfg.get("lipschitz", 1.0)), float(cfg.get("diameter", 1.0))
 
 
-def _kind(cfg: dict) -> str:
-    """The measure kind of the config's problem: multiplicative weights or the ball."""
-    return "mw" if cfg["problem"] == "ope" else "rmw"
-
-
 def _build_config(cfg: dict) -> L2PConfig:
     T, d = int(cfg["T"]), int(cfg["d"])
     eps, delta = float(cfg["epsilon"]), float(cfg["delta"])
@@ -127,7 +122,7 @@ def cmd_run(args) -> int:
     stream = _build_stream(cfg)
     config = _build_config(cfg)
     reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
-    summary = monte_carlo(config, _kind(cfg), stream, reps, base_seed, keep_transcripts=False)
+    summary = monte_carlo(config, stream, reps, base_seed)
     outdir = Path(args.output or cfg.get("output_dir", "."))
     buf = io.StringIO()
     summary.write_csv(buf)
@@ -159,15 +154,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one epsilon")
     stream = _build_stream(cfg)
     T, d, delta = int(cfg["T"]), int(cfg["d"]), float(cfg["delta"])
-    kind = _kind(cfg)
     rows = ["epsilon,mean_regret,std_regret,theory_bound"]
     for eps in grid:
         local = dict(cfg)
         local["epsilon"] = eps
         config = _build_config(local)
-        summary = monte_carlo(
-            config, kind, stream, int(cfg["reps"]), int(cfg["base_seed"]), keep_transcripts=False
-        )
+        summary = monte_carlo(config, stream, int(cfg["reps"]), int(cfg["base_seed"]))
         if cfg["problem"] == "ope":
             bound = regret_bound_ope(T, d, eps, delta)
         else:
@@ -257,7 +249,7 @@ def cmd_audit(args) -> int:
         report = empirical_epsilon(config, stream, neighbor, args.runs, args.seed)
         print(report.to_json_line())
     elif args.test == "switches":
-        summary = monte_carlo(config, "mw", stream, args.runs, args.seed, keep_transcripts=False)
+        summary = monte_carlo(config, stream, args.runs, args.seed)
         print(switch_statistics(summary.results, config).to_json_line())
     else:
         raise ConfigError(f"unknown audit {args.test!r}")

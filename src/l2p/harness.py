@@ -20,7 +20,8 @@ import numpy as np
 
 from .adversaries import LossStream
 from .seeding import replicate_seed
-from .transform import L2PConfig, PreparedRun, Transcript, _best_ball_point, _best_expert
+from .transform import ConfigError, L2PConfig, PreparedRun, Transcript
+from .transform import _best_ball_point, _best_expert
 
 REP_CSV_COLUMNS = (
     "rep",
@@ -68,6 +69,12 @@ def best_in_hindsight_oco_ball(stream: LossStream, radius: float) -> tuple[np.nd
     return _best_ball_point(stream.values.sum(axis=0), radius)
 
 
+def _check_stream(config: L2PConfig, stream: LossStream) -> None:
+    """Refuse a stream of the other kind: the ball plays gradients, experts play losses."""
+    if stream.is_oco != (config.measure_kind == "rmw"):
+        raise ConfigError(f"a {stream.kind!r} stream cannot drive a {config.measure_kind!r} run")
+
+
 def play_game(
     config: L2PConfig,
     measure_kind: str,
@@ -78,11 +85,14 @@ def play_game(
 ) -> GameResult:
     """One seeded run against a fixed stream, with its regret.
 
-    ``prepared``, when given, must be built from the same config,
-    measure kind and stream; replicated callers pass one to share its
-    tables and comparator between games.
+    ``measure_kind`` echoes the config's. A game that builds its run
+    raises :class:`ConfigError` if it or the stream's kind differs.
+    ``prepared``, when given, must be built from the same config and
+    stream; replicated callers pass one to share its tables and
+    comparator between games.
     """
     if prepared is None:
+        _check_stream(config, stream)
         prepared = PreparedRun(config, measure_kind, stream.values)
     start = time.perf_counter()
     transcript = prepared.run(np.random.default_rng(seed))
@@ -156,21 +166,18 @@ class MonteCarloSummary:
 
 
 def monte_carlo(
-    config: L2PConfig,
-    measure_kind: str,
-    stream: LossStream,
-    n_reps: int,
-    base_seed: int,
-    keep_transcripts: bool = True,
+    config: L2PConfig, stream: LossStream, n_reps: int, base_seed: int
 ) -> MonteCarloSummary:
-    """Replicated runs on one fixed stream with derived per-rep seeds."""
+    """Replicated runs on one fixed stream with derived per-rep seeds, transcripts dropped."""
     if n_reps < 1:
         raise ValueError("need at least one replicate")
-    prepared = PreparedRun(config, measure_kind, stream.values)
+    _check_stream(config, stream)
+    kind = config.measure_kind
+    prepared = PreparedRun(config, kind, stream.values)
     results = [
         play_game(
-            config, measure_kind, stream, replicate_seed(base_seed, i),
-            prepared=prepared, keep_transcript=keep_transcripts,
+            config, kind, stream, replicate_seed(base_seed, i),
+            prepared=prepared, keep_transcript=False,
         )
         for i in range(n_reps)
     ]

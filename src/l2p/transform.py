@@ -19,10 +19,10 @@ Everything is computed on unnormalized measures in log-space and
 exponentiated once: normalization constants cancel in the ratios, and
 the min() then acts on an exact quantity.
 
-A :class:`PreparedRun` is built from the measure kind (``"mw"`` for
-experts, ``"rmw"`` for the ball) and the loss matrix alone: the
-measure of every batch is a row of one cumulative table, so set-up
-makes no per-batch objects. It keeps only the tables the engine reads,
+A :class:`PreparedRun` is built from the config, whose ``measure_kind``
+is ``"mw"`` (experts) or ``"rmw"`` (the ball), and the loss matrix
+alone: the measure of every batch is a row of one cumulative table, so
+set-up makes no per-batch objects. It keeps only the tables the engine reads,
 two per-batch tables for an experts run (log-weights and sampling
 CDFs) and one for the ball (gradient sums), built chunk by chunk with
 no temporary of their size; the per-batch loss sums are computed on
@@ -182,6 +182,11 @@ class L2PConfig:
         """The acceptance cap ``2 B eta_effective``, also on a short final batch."""
         return 2.0 * self.B * self.eta_effective
 
+    @property
+    def measure_kind(self) -> str:
+        """``"rmw"`` (the ball) when the ball fields are set, else ``"mw"`` (experts)."""
+        return "mw" if self.beta is None else "rmw"
+
 
 # CSV column order is part of the file contract; never reorder.
 CSV_COLUMNS = ("s", "x", "S", "Sprime", "A", "switched_x", "switched_y", "batch_loss")
@@ -329,14 +334,15 @@ class Transcript:
 
 
 class PreparedRun:
-    """One (config, measure kind, loss matrix) triple, precomputed once and run many times.
+    """One (config, loss matrix) pair, precomputed once and run many times.
 
-    ``kind`` is ``"mw"`` (experts; ``loss_values`` holds losses in
-    [0, 1]) or ``"rmw"`` (the ball; ``loss_values`` holds gradients, and
-    the config carries beta, lam and radius). Every data-dependent
-    table is a function of the losses alone, so replicates share them;
-    only the coin and resample draws differ between runs. The loss
-    matrix is kept in C order, copied only if it comes in another.
+    The config's ``measure_kind`` is ``"mw"`` (experts; ``loss_values``
+    holds losses in [0, 1]) or ``"rmw"`` (the ball; ``loss_values`` holds
+    gradients). ``kind`` echoes it, and :class:`ConfigError` is raised
+    if it differs. Every data-dependent table is a function of the
+    losses alone, so replicates share them; only the coin and resample
+    draws differ between runs. The loss matrix is kept in C order,
+    copied only if it comes in another.
     Experts runs keep two n x d tables, the log-weights and sampling
     CDFs of every batch, with one flat memoryview of each that the
     engine loop reads, and ``sure``, a floor under the keep probability
@@ -352,15 +358,15 @@ class PreparedRun:
     """
 
     def __init__(self, config: L2PConfig, kind: str, loss_values: np.ndarray):
-        if kind not in ("mw", "rmw"):
-            raise ValueError(f"unknown measure kind {kind!r}")
+        if kind != config.measure_kind:
+            raise ConfigError(f"measure kind {kind!r} is not the config's {config.measure_kind!r}")
         # C order, so a gather from the flat matrix copies nothing
         loss_values = np.ascontiguousarray(loss_values, dtype=np.float64)
         if loss_values.ndim != 2 or loss_values.shape[0] != config.T:
             raise ValueError("loss matrix must have T rows of one loss each")
         self.config = config
         self.loss_values = loss_values
-        self.is_mw = kind == "mw"
+        self.is_mw = config.measure_kind == "mw"
         self.cap = config.cap
         n = config.n_batches
         self.column_totals = loss_values.sum(axis=0)
@@ -380,8 +386,6 @@ class PreparedRun:
             floor = math.exp(min(-self.cap - step_spread(self.log_weights), 0.0))
             self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
-            if config.beta is None:
-                raise ValueError("ball runs need beta/lam/radius on the config")
             self.comparator_loss = _best_ball_point(self.column_totals, config.radius)[1]
             self.grad_sums = cumulative_table(loss_values, config.B)
             self.beta = config.beta

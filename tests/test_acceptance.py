@@ -82,7 +82,7 @@ def test_criterion_03_non_private_envelope():
     eta = math.sqrt(math.log(d) / T)
     config = L2PConfig(T=T, B=1, eta=eta, p=1.0, delta0=0.0, delta1=1e-6)
     start = time.perf_counter()
-    mc = monte_carlo(config, "mw", stream, 100, 3, keep_transcripts=False)
+    mc = monte_carlo(config, stream, 100, 3)
     elapsed = time.perf_counter() - start
     bound = 2.0 * math.sqrt(T * math.log(d))
     ok = mc.mean_regret <= bound and elapsed < 60.0
@@ -114,7 +114,7 @@ def test_criterion_05_fake_switch_bound():
     T, B, p, delta1 = 400, 2, 0.3, 1e-4
     config = L2PConfig(T=T, B=B, eta=0.01, p=p, delta0=0.0, delta1=delta1)
     stream = bernoulli_experts(3, T, [0.3, 0.5, 0.7], seed=7)
-    mc = monte_carlo(config, "mw", stream, 1000, 9, keep_transcripts=False)
+    mc = monte_carlo(config, stream, 1000, 9)
     bound = 2.0 * T * p * math.log(1.0 / delta1) / B
     frac = float(np.mean([r.fake_switch_count > bound for r in mc.results]))
     ok = frac <= 0.01
@@ -150,7 +150,7 @@ def test_criterion_07_scaling_trend():
     rows = []
     for eps in (0.05, 0.1, 0.2, 0.5, 1.0):
         config = tune_ope(T, d, eps, delta)
-        mc = monte_carlo(config, "mw", stream, 50, 11, keep_transcripts=False)
+        mc = monte_carlo(config, stream, 50, 11)
         bound = math.sqrt(T * math.log(d)) + T ** (1 / 3) * math.log(d) * math.log(
             T / delta
         ) / eps ** (2 / 3)
@@ -179,7 +179,7 @@ def test_criterion_08_batching_degradation():
     means = {}
     for B in (1, 4, 16):
         config = L2PConfig(T=T, B=B, eta=eta, p=0.2, delta0=0.0, delta1=1e-4)
-        mc = monte_carlo(config, "mw", stream, reps, 7, keep_transcripts=False)
+        mc = monte_carlo(config, stream, reps, 7)
         means[B] = (mc.mean_regret, mc.std_regret)
     details = []
     ok = True
@@ -212,7 +212,7 @@ def test_criterion_09_lower_bound_demo():
 
     config = tune_ope(T, d, 0.5, 0.01)
     reps = 2000
-    l2p_mc = monte_carlo(config, "mw", stream, reps, 1, keep_transcripts=False)
+    l2p_mc = monte_carlo(config, stream, reps, 1)
     straw2k = [
         strawman_fixed_switch(stream, budget, seed=10_000 + k).regret for k in range(reps)
     ]

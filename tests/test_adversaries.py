@@ -1,4 +1,3 @@
-import io
 import struct
 
 import numpy as np
@@ -12,7 +11,6 @@ from l2p.adversaries import (
     load_stream,
     neighbor_of,
     save_stream,
-    stream_to_csv,
 )
 
 
@@ -163,14 +161,6 @@ class TestSerialization:
         save_stream(s, path)
         loaded = load_stream(path)
         assert loaded.n_epochs == s.n_epochs and loaded.epoch_len == s.epoch_len
-
-    def test_csv_dump(self):
-        s = bernoulli_experts(2, 3, [0.0, 1.0], seed=0)
-        buf = io.StringIO()
-        stream_to_csv(s, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,v0,v1"
-        assert len(lines) == 4
 
     def test_reads_version_1(self, tmp_path):
         # a file as version 1 wrote it, float32 rows; other versions are refused

@@ -155,7 +155,7 @@ class TestSwitchStatistics:
     def test_counts_below_bound(self):
         stream = bernoulli_experts(2, 200, [0.4, 0.6], seed=6)
         config = L2PConfig(T=200, B=2, eta=0.01, p=0.3, delta0=0.0, delta1=1e-4)
-        summary = monte_carlo(config, "mw", stream, 200, base_seed=0)
+        summary = monte_carlo(config, stream, 200, base_seed=0)
         report = switch_statistics(summary.results, config)
         assert report.passed
         # mean fake-switch count matches the two-coin expectation
@@ -168,13 +168,13 @@ class TestSwitchStatistics:
     def test_p_zero_no_fake_switches(self):
         stream = bernoulli_experts(2, 100, [0.4, 0.6], seed=7)
         config = L2PConfig(T=100, B=1, eta=0.01, p=0.0, delta0=0.0, delta1=1e-4)
-        summary = monte_carlo(config, "mw", stream, 100, base_seed=1)
+        summary = monte_carlo(config, stream, 100, base_seed=1)
         assert all(r.fake_switch_count == 0 for r in summary.results)
         assert switch_statistics(summary.results, config).passed
 
     def test_needs_enough_runs(self):
         stream = bernoulli_experts(2, 50, [0.4, 0.6], seed=8)
         config = L2PConfig(T=50, B=1, eta=0.01, p=0.3, delta0=0.0, delta1=1e-4)
-        summary = monte_carlo(config, "mw", stream, 99, base_seed=0)
+        summary = monte_carlo(config, stream, 99, base_seed=0)
         with pytest.raises(ValueError):
             switch_statistics(summary.results, config)

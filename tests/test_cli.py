@@ -30,6 +30,26 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--epsilon-grid", "1.0"]], ids=["run", "sweep"]
+)
+@pytest.mark.parametrize(
+    "problem, adversary",
+    [
+        ("ope", {"kind": "iid-sphere", "seed": 1}),
+        ("ope", {"kind": "drift", "seed": 1}),
+        ("oco", {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": 1}),
+    ],
+    ids=["ope-iid-sphere", "ope-drift", "oco-bernoulli"],
+)
+def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, problem, adversary):
+    # a problem whose measure kind does not fit its adversary's losses
+    path = _write_config(tmp_path, problem=problem, adversary=adversary)
+    assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestRun:
     def test_smoke_writes_three_files(self, tmp_path, capsys):
         path = _write_config(tmp_path)

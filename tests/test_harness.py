@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from l2p.adversaries import LossStream, bernoulli_experts, epoch_lower_bound_stream
+from l2p.accountant import tune_oco, tune_ope
+from l2p.adversaries import (
+    LossStream,
+    bernoulli_experts,
+    epoch_lower_bound_stream,
+    linear_oco_stream,
+)
 from l2p.harness import (
     REP_CSV_COLUMNS,
     best_in_hindsight_oco_ball,
@@ -14,7 +20,7 @@ from l2p.harness import (
     strawman_fixed_switch,
 )
 from l2p.seeding import replicate_seed, splitmix64
-from l2p.transform import L2PConfig
+from l2p.transform import ConfigError, L2PConfig
 
 
 class TestSeeding:
@@ -107,7 +113,7 @@ class TestMonteCarlo:
     def test_single_rep_equals_game(self):
         s = bernoulli_experts(2, 30, [0.4, 0.6], seed=3)
         cfg = L2PConfig(T=30, B=2, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        summary = monte_carlo(cfg, "mw", s, 1, base_seed=17)
+        summary = monte_carlo(cfg, s, 1, base_seed=17)
         direct = play_game(cfg, "mw", s, replicate_seed(17, 0))
         assert summary.mean_regret == direct.regret
         assert summary.std_regret == 0.0
@@ -115,21 +121,21 @@ class TestMonteCarlo:
     def test_deterministic_summary(self):
         s = bernoulli_experts(2, 30, [0.4, 0.6], seed=3)
         cfg = L2PConfig(T=30, B=2, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        a = monte_carlo(cfg, "mw", s, 10, base_seed=5)
-        b = monte_carlo(cfg, "mw", s, 10, base_seed=5)
+        a = monte_carlo(cfg, s, 10, base_seed=5)
+        b = monte_carlo(cfg, s, 10, base_seed=5)
         assert a.mean_regret == b.mean_regret
         assert a.to_json() == b.to_json()
 
     def test_zero_loss_stream(self):
         s = LossStream("bernoulli", 2, 10, 0, np.zeros((10, 2)))
         cfg = L2PConfig(T=10, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        summary = monte_carlo(cfg, "mw", s, 7, base_seed=0)
+        summary = monte_carlo(cfg, s, 7, base_seed=0)
         assert summary.mean_regret == 0.0 and summary.std_regret == 0.0
 
     def test_csv_columns(self):
         s = bernoulli_experts(2, 10, [0.4, 0.6], seed=0)
         cfg = L2PConfig(T=10, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        summary = monte_carlo(cfg, "mw", s, 3, base_seed=0)
+        summary = monte_carlo(cfg, s, 3, base_seed=0)
         buf = io.StringIO()
         summary.write_csv(buf)
         lines = buf.getvalue().splitlines()
@@ -137,15 +143,42 @@ class TestMonteCarlo:
         assert len(lines) == 4
 
     def test_transcripts_droppable(self):
+        # replicates drop their transcripts and keep the counts a game gives
         s = bernoulli_experts(2, 10, [0.4, 0.6], seed=0)
         cfg = L2PConfig(T=10, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        summary = monte_carlo(cfg, "mw", s, 3, base_seed=0, keep_transcripts=False)
+        summary = monte_carlo(cfg, s, 3, base_seed=0)
         assert all(r.transcript is None for r in summary.results)
-        kept = monte_carlo(cfg, "mw", s, 3, base_seed=0)
-        assert summary.mean_regret == kept.mean_regret
-        assert [r.fake_switch_count for r in summary.results] == [
-            r.fake_switch_count for r in kept.results
-        ]
+        for i, r in enumerate(summary.results):
+            game = play_game(cfg, "mw", s, replicate_seed(0, i))
+            counts = (r.switch_count_x, r.switch_count_y, r.fake_switch_count)
+            assert counts == (game.switch_count_x, game.switch_count_y, game.fake_switch_count)
+            assert (r.regret, r.total_loss) == (game.regret, game.total_loss)
+
+
+class TestKindMismatch:
+    """A stream of the other kind than the config's is refused before any game is played."""
+
+    def test_experts_config_refuses_gradients(self):
+        config = tune_ope(1000, 3, 1.0, 1e-6)
+        grads = linear_oco_stream(3, 1000, 1.0, 0, "iid-sphere")
+        with pytest.raises(ConfigError, match="'iid-sphere' stream cannot drive a 'mw' run"):
+            play_game(config, "mw", grads, 1)
+        with pytest.raises(ConfigError, match="'iid-sphere' stream cannot drive a 'mw' run"):
+            monte_carlo(config, grads, 3, 1)
+
+    def test_ball_config_refuses_expert_losses(self):
+        config = tune_oco(1000, 3, 1.0, 1e-6, 1.0, 1.0)
+        losses = bernoulli_experts(3, 1000, [0.3, 0.5, 0.7], seed=0)
+        with pytest.raises(ConfigError, match="'bernoulli' stream cannot drive a 'rmw' run"):
+            play_game(config, "rmw", losses, 1)
+        with pytest.raises(ConfigError, match="'bernoulli' stream cannot drive a 'rmw' run"):
+            monte_carlo(config, losses, 3, 1)
+
+    def test_ball_config_refuses_the_experts_kind(self):
+        # this call once ran multiplicative weights over the gradient columns
+        stream = linear_oco_stream(3, 1000, 1.0, 0, "iid-sphere")
+        with pytest.raises(ConfigError, match="'mw' is not the config's 'rmw'"):
+            play_game(tune_oco(1000, 3, 1, 1e-6, 1, 1), "mw", stream, 1)
 
 
 class TestStrawman:

@@ -66,7 +66,7 @@ class TestLossTypes:
 
     def test_linear_loss_value(self):
         stream = LossStream("iid-sphere", 2, 1, 0, [[1.0, -2.0]], lipschitz=3.0)
-        assert stream.loss_at(0) @ np.array([0.5, 0.25]) == 0.0
+        assert stream.values[0] @ np.array([0.5, 0.25]) == 0.0
 
 
 class TestMwUpdate:

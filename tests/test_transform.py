@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2p.accountant import config_budget, tune_oco, tune_ope
+from l2p.accountant import ball_config, config_budget, ope_config, tune_oco, tune_ope
 from l2p.adversaries import (
     LossStream,
     bernoulli_experts,
@@ -140,6 +140,26 @@ class TestConfigValidation:
     def test_clean_config(self):
         config = L2PConfig(T=1000, B=1, eta=0.001, p=0.9, delta0=0.0, delta1=1e-3)
         assert config_budget(config).preconditions_met
+
+
+class TestMeasureKind:
+    """The config names its measure kind; a run given the other kind is refused."""
+
+    def test_kind_of_each_config_builder(self):
+        assert ope_config(100, 2, 0.05, 0.5, 1e-6).measure_kind == "mw"
+        assert tune_ope(1000, 3, 1.0, 1e-6).measure_kind == "mw"
+        assert ball_config(100, 3, 2, 0.05, 0.5, 1e-6, 1.0, 1.0).measure_kind == "rmw"
+        assert tune_oco(1000, 3, 1.0, 1e-6, 1.0, 1.0).measure_kind == "rmw"
+
+    def test_prepared_run_refuses_the_other_kind(self):
+        experts = ope_config(6, 2, 0.05, 0.5, 1e-6)
+        with pytest.raises(ConfigError, match="'rmw' is not the config's 'mw'"):
+            PreparedRun(experts, "rmw", np.zeros((6, 2)))
+        ball = ball_config(6, 2, 2, 0.05, 0.5, 1e-6, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="'mw' is not the config's 'rmw'"):
+            PreparedRun(ball, "mw", np.zeros((6, 2)))
+        with pytest.raises(ConfigError, match="'ball' is not the config's 'mw'"):
+            PreparedRun(experts, "ball", np.zeros((6, 2)))
 
 
 def _run(config, stream, seed, kind="mw"):
