@@ -4,7 +4,8 @@
 Builds a small Bernoulli stream, tunes the engine, plays a single seeded
 game, and dissects the transcript: which batches kept the model, which
 switched for real, and which switches were fakes forced by the data-free
-coin. Ends by dumping the released CSV.
+coin. Ends by dumping the run's CSV, a diagnostic log: its batch_loss
+column is the played expert's raw loss, so it is not a private release.
 """
 
 import io

@@ -2,10 +2,10 @@
 """Linear losses on a Euclidean ball: the continuous instantiation.
 
 The measure over the ball is a Gaussian shaped by the accumulated
-gradient, truncated to the ball; sampling is rejection with a
-hit-and-run fallback. Shows the tuner's recomputed divergence, a full
-run staying inside the ball, and the sampler centered at the origin
-when no gradients have arrived.
+gradient, truncated to the ball; sampling is exact rejection, which
+raises rather than return an approximate point. Shows the tuner's
+recomputed divergence, a full run staying inside the ball, and the
+sampler centered at the origin when no gradients have arrived.
 """
 
 import numpy as np

@@ -44,6 +44,8 @@ class LossStream:
     clamped: bool = False
 
     def __post_init__(self):
+        if self.kind not in _OPE_KINDS + _OCO_KINDS:
+            raise ValueError(f"unknown stream kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.T, self.d):
             raise ValueError("values must have shape (T, d)")

@@ -176,13 +176,12 @@ def empirical_epsilon(
     neighbor: LossStream,
     n_runs: int,
     base_seed: int = 0,
-    min_bucket: int = _MIN_BUCKET,
 ) -> AuditReport:
     """Transcript-bucketing lower-bound estimate of the realized epsilon.
 
     Buckets each run by (switch pattern, final model), shrinks the two
     empirical bucket masses toward 1/2 a la Wilson, and takes the worst
-    absolute log-ratio over buckets seen at least ``min_bucket`` times.
+    absolute log-ratio over buckets seen at least ``_MIN_BUCKET`` (100) times.
     Passes when the estimate stays under the accountant's epsilon plus
     three combined standard errors. Raw ratios on rare buckets explode,
     hence the count filter; an empty filter yields an inconclusive pass.
@@ -203,7 +202,7 @@ def empirical_epsilon(
     qualifying = 0
     for key in set(counts_a) | set(counts_b):
         ca, cb = counts_a.get(key, 0), counts_b.get(key, 0)
-        if max(ca, cb) < min_bucket:
+        if max(ca, cb) < _MIN_BUCKET:
             continue
         qualifying += 1
         pa, pb = _wilson(ca, n_runs), _wilson(cb, n_runs)

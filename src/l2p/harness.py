@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,6 @@ class GameResult:
     switch_count_x: int
     switch_count_y: int
     seed: int
-    wallclock: float
     fake_switch_count: int = 0
 
 
@@ -94,9 +92,7 @@ def play_game(
     if prepared is None:
         _check_stream(config, stream)
         prepared = PreparedRun(config, measure_kind, stream.values)
-    start = time.perf_counter()
     transcript = prepared.run(np.random.default_rng(seed))
-    elapsed = time.perf_counter() - start
     total = transcript.total_loss
     comp = prepared.comparator_loss
     return GameResult(
@@ -107,7 +103,6 @@ def play_game(
         switch_count_x=transcript.switch_count_x,
         switch_count_y=transcript.switch_count_y,
         seed=seed,
-        wallclock=elapsed,
         fake_switch_count=transcript.fake_switch_count,
     )
 
@@ -207,14 +202,12 @@ def strawman_fixed_switch(stream: LossStream, switch_budget: int, seed: int) -> 
         raise ValueError("switch budget must lie in [1, T]")
     rng = np.random.default_rng(seed)
     switch_rounds = sorted({(k * T) // switch_budget for k in range(switch_budget)})
-    start = time.perf_counter()
     total = 0.0
     bounds = switch_rounds + [T]
     for k in range(len(switch_rounds)):
         expert = int(rng.integers(d))
         lo, hi = bounds[k], bounds[k + 1]
         total += float(stream.values[lo:hi, expert].sum())
-    elapsed = time.perf_counter() - start
     _, comp = best_in_hindsight_ope(stream)
     return GameResult(
         transcript=None,
@@ -224,5 +217,4 @@ def strawman_fixed_switch(stream: LossStream, switch_budget: int, seed: int) -> 
         switch_count_x=len(switch_rounds),
         switch_count_y=0,
         seed=seed,
-        wallclock=elapsed,
     )

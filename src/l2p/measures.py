@@ -51,10 +51,10 @@ ETA_MAX = 0.1
 # (160 KB at d = 10) while the per-chunk numpy calls stay few.
 _CHUNK = 2048
 
-# Ball sampler: rejection attempts before falling back to hit-and-run,
-# and hit-and-run mixing steps per dimension.
+# Ball sampler: proposals drawn one at a time, then blocks of that many
+# proposals drawn per numpy call, at most REJECTION_BLOCKS of them.
 REJECTION_CAP = 10_000
-HIT_AND_RUN_STEPS_PER_DIM = 200
+REJECTION_BLOCKS = 100
 
 
 class SamplerError(RuntimeError):
@@ -190,51 +190,30 @@ class RmwMeasure:
         return math.sqrt(1.0 / (2.0 * self.beta * self.lam))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Exact draw by rejection; hit-and-run fallback when rejection stalls."""
+        """Exact draw from the measure, by rejection from ``N(gaussian_mean, gaussian_sigma^2 I)``.
+
+        The first ``REJECTION_CAP`` proposals are drawn one at a time, the
+        draw order every pinned transcript uses. Later ones come
+        ``REJECTION_CAP`` rows per numpy call, at most ``REJECTION_BLOCKS``
+        times, and the first row inside the ball is returned: the first
+        success in a sequence of i.i.d. proposals is an exact draw however
+        the proposals are batched. Raises :class:`SamplerError` if none
+        lands.
+        """
         mean = self.gaussian_mean
         sigma = self.gaussian_sigma
+        r2 = self.radius * self.radius
         for _ in range(REJECTION_CAP):
             z = mean + sigma * rng.standard_normal(self.d)
-            if float(z @ z) <= self.radius * self.radius:
+            if float(z @ z) <= r2:
                 return z
-        return self._hit_and_run(rng)
-
-    def _hit_and_run(self, rng: np.random.Generator) -> np.ndarray:
-        # scipy is loaded only here, by the rare fallback
-        from scipy.special import ndtr, ndtri
-
-        mean = self.gaussian_mean
-        sigma = self.gaussian_sigma
-        r = self.radius
-        z = mean.copy()
-        norm = float(np.linalg.norm(z))
-        if norm >= r:
-            z *= (r / norm) * (1.0 - 1e-9)
-        for _ in range(HIT_AND_RUN_STEPS_PER_DIM * self.d):
-            u = rng.standard_normal(self.d)
-            u /= float(np.linalg.norm(u))
-            # chord through the ball along direction u: t in [t_lo, t_hi]
-            zu = float(z @ u)
-            disc = zu * zu + r * r - float(z @ z)
-            if disc <= 0.0:
-                continue
-            root = math.sqrt(disc)
-            t_lo, t_hi = -zu - root, -zu + root
-            # restricted density along the chord is a 1-d Gaussian
-            t_mean = float((mean - z) @ u)
-            a = (t_lo - t_mean) / sigma
-            b = (t_hi - t_mean) / sigma
-            fa, fb = float(ndtr(a)), float(ndtr(b))
-            if fb - fa < 1e-15:
-                # whole chord in one far tail; step to the nearer endpoint
-                t = t_lo if a > 0 else t_hi
-            else:
-                t = t_mean + sigma * float(ndtri(fa + rng.random() * (fb - fa)))
-                t = min(max(t, t_lo), t_hi)
-            z = z + t * u
-        if not np.all(np.isfinite(z)) or float(z @ z) > r * r * (1.0 + 1e-9):
-            raise SamplerError("hit-and-run fallback left the ball or diverged")
-        return z
+        for _ in range(REJECTION_BLOCKS):
+            z = mean + sigma * rng.standard_normal((REJECTION_CAP, self.d))
+            inside = np.flatnonzero(np.einsum("ij,ij->i", z, z) <= r2)
+            if inside.size:
+                return z[inside[0]].copy()  # not a view that keeps the block alive
+        n = REJECTION_CAP * (1 + REJECTION_BLOCKS)
+        raise SamplerError(f"no proposal of {n} landed in the ball at d={self.d}")
 
 
 def rmw_init(d: int, beta: float, lam: float, radius: float) -> RmwMeasure:

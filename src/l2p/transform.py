@@ -200,7 +200,7 @@ def _format_model(x) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Released record of one run: its switch events, with columns derived on read.
+    """Record of one run: its switch events, with columns derived on read.
 
     A run is its switch events; every other batch keeps both models.
     Event k happens at 0-based batch ``rows[k]`` with coins coded as

@@ -109,6 +109,12 @@ class TestLinearStream:
             linear_oco_stream(2, 10, 1.0, seed=0, kind="mystery")
 
 
+def test_unknown_stream_kind_refused():
+    # a misspelt gradient kind whose rows lie in [0, 1] would pass as expert losses
+    with pytest.raises(ValueError, match="unknown stream kind 'sphere'"):
+        LossStream("sphere", 2, 1, 0, [[0.5, 0.5]])
+
+
 class TestNeighborOf:
     def test_identical_replacement(self):
         s = bernoulli_experts(3, 20, [0.5] * 3, seed=4)
@@ -186,6 +192,14 @@ class TestSerialization:
             path.write_bytes(file_bytes(version, values.astype("<f8")))
             with pytest.raises(ValueError, match="version"):
                 load_stream(path)
+
+    def test_misspelt_kind_refused_on_load(self, tmp_path):
+        path = tmp_path / "g.l2ps"
+        save_stream(linear_oco_stream(2, 5, 1.0, seed=7, kind="iid-sphere"), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"iid-sphere", b"iid-spheer", 1))
+        with pytest.raises(ValueError, match="unknown stream kind 'iid-spheer'"):
+            load_stream(path)
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad.l2ps"

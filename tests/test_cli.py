@@ -124,6 +124,17 @@ class TestRun:
         assert "eta must lie in (0, 0.1]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sampler_failure_exit_4_writes_nothing(self, tmp_path, capsys):
+        # a tuned ball at d=50, T=1000 accepts about 8e-12 of its proposals at the
+        # centre, so no proposal of about a million lands
+        path = _write_config(
+            tmp_path, problem="oco", T=1000, d=50, reps=1,
+            adversary={"kind": "iid-sphere", "seed": 1},
+        )
+        assert main(["run", "--config", str(path)]) == 4
+        assert "sampler failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_output_flag_beats_output_dir(self, tmp_path, capsys):
         # the config names out/, the flag flag/: the files go to flag/ only
         path = _write_config(tmp_path)

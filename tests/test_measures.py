@@ -10,13 +10,15 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chisquare, ks_2samp, kstest
 
 from l2p import measures
 from l2p.accountant import tune_oco, tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
 from l2p.measures import (
+    REJECTION_CAP,
     RmwMeasure,
+    SamplerError,
     cumulative_table,
     effective_eta_rmw,
     logsumexp,
@@ -216,14 +218,63 @@ class TestRmw:
         # mass concentrates toward the mean side of the ball
         assert pts[:, 0].mean() < -0.3
 
-    def test_hit_and_run_fallback(self):
-        # mean far outside a tiny ball: rejection nearly always fails
+    def test_unreachable_ball_raises(self):
+        # mean far outside a tiny ball: no proposal of about a million lands
         state = RmwMeasure(np.array([2000.0, 0.0]), 0.5, 1.0, 0.01)
-        rng = np.random.default_rng(5)
-        pts = np.array([state.sample(rng) for _ in range(50)])
-        assert (np.linalg.norm(pts, axis=1) <= 0.01 * (1 + 1e-9)).all()
-        # density maximized at the ball edge nearest the mean
-        assert pts[:, 0].mean() < -0.008
+        with pytest.raises(SamplerError, match="d=2"):
+            state.sample(np.random.default_rng(5))
+
+
+class TestRejectionBlocks:
+    """Past the one-at-a-time prefix, proposals come in blocks and the draw stays exact."""
+
+    def test_draw_after_a_missed_prefix(self):
+        # acceptance about 2e-5; seed 0's first REJECTION_CAP proposals all miss
+        state = RmwMeasure(np.array([6.0, 0.0]), 2.0, 1.0, 1.0)
+        mean, sigma = state.gaussian_mean, state.gaussian_sigma
+        x = state.sample(np.random.default_rng(0))
+        assert float(x @ x) <= 1.0
+        replay = np.random.default_rng(0)
+        for _ in range(REJECTION_CAP):
+            z = mean + sigma * replay.standard_normal(2)
+            assert float(z @ z) > 1.0
+        # the draw is the first proposal inside the ball, block by block
+        while True:
+            z = mean + sigma * replay.standard_normal((REJECTION_CAP, 2))
+            inside = np.flatnonzero(np.einsum("ij,ij->i", z, z) <= 1.0)
+            if inside.size:
+                break
+        assert np.array_equal(x, z[inside[0]])
+
+    def test_blocked_norms_follow_truncated_chi2(self, monkeypatch):
+        # centred: |x|^2 / sigma^2 is chi2_d truncated at R^2 / sigma^2. The
+        # centre accepts 2% of proposals, so with blocks of 50 about a third
+        # of the draws come from blocks, and 40% of the blocks that land hold
+        # more than one point: picking by norm among them would show.
+        monkeypatch.setattr(measures, "REJECTION_CAP", 50)
+        d, accept = 10, 0.02
+        c = 2.0 * scipy.special.gammaincinv(d / 2, accept)  # R^2 / sigma^2, with R = 1
+        state = RmwMeasure(np.zeros(d), c / 2.0, 1.0, 1.0)
+        rng = np.random.default_rng(11)
+        x = np.array([state.sample(rng) for _ in range(5000)])
+        s = (x * x).sum(axis=1) * c
+
+        def cdf(v):
+            return scipy.special.gammainc(d / 2, np.minimum(v, c) / 2) / accept
+
+        assert kstest(s, cdf).pvalue > 1e-3
+
+    def test_blocked_matches_one_at_a_time_off_centre(self, monkeypatch):
+        # mean (-1.5, 0, 0, 0), sigma 0.5: about 5% of proposals land, so with
+        # blocks of 20 about a third of the blocked draws come from blocks
+        state = RmwMeasure(np.array([3.0, 0.0, 0.0, 0.0]), 2.0, 1.0, 1.0)
+        rng = np.random.default_rng(1)
+        single = np.array([state.sample(rng) for _ in range(4000)])
+        monkeypatch.setattr(measures, "REJECTION_CAP", 20)
+        rng = np.random.default_rng(2)
+        blocked = np.array([state.sample(rng) for _ in range(4000)])
+        assert ks_2samp(single[:, 0], blocked[:, 0]).pvalue > 1e-3
+        assert ks_2samp((single**2).sum(axis=1), (blocked**2).sum(axis=1)).pvalue > 1e-3
 
 
 class TestEffectiveEta:

@@ -436,10 +436,15 @@ def _prepared(config, kind, stream):
 
 
 # (config, measure kind, stream) triples pinned by the golden hashes and
-# the reference comparison; the generator seed is set per test.
+# the reference comparison; the generator seed is set per test. Tuned
+# configs are written out, so a tuner change moves no engine pin.
 SHAPES = {
+    # what tune_ope(20_000, 10, 1.0, 1e-6) returned when pinned
     "ope-b1": lambda: (
-        tune_ope(20_000, 10, 1.0, 1e-6),
+        L2PConfig(
+            T=20000, B=1, eta=0.0004523728228932503, p=0.0045237282289325035,
+            delta0=0.0, delta1=2.4999999999999998e-11,
+        ),
         "mw",
         bernoulli_experts(10, 20_000, np.linspace(0.35, 0.65, 10), 1),
     ),
@@ -448,13 +453,23 @@ SHAPES = {
         "mw",
         bernoulli_experts(3, 5, (0.2, 0.5, 0.8), 1),
     ),
+    # what tune_ope(10, 2, 0.5, 0.05) returned when pinned
     "epsilon": lambda: (
-        tune_ope(10, 2, 0.5, 0.05),
+        L2PConfig(
+            T=10, B=2, eta=0.01242266490280792, p=0.2484532980561584,
+            delta0=0.0, delta1=0.0025,
+        ),
         "mw",
         bernoulli_experts(2, 10, (0.25, 0.75), 1),
     ),
+    # what tune_oco(200, 3, 1.0, 1e-6, 1.0, 1.0) returned when pinned
     "ball": lambda: (
-        tune_oco(200, 3, 1.0, 1e-6, 1.0, 1.0),
+        L2PConfig(
+            T=200, B=1, eta=0.0005591422978661165, p=0.008946276765857865,
+            delta0=3.9180281324905885e-14, delta1=1.25e-09, beta=0.00011146075050396551,
+            lam=7130.2911687637525, radius=0.5, lipschitz=1.0,
+            eta_accounted=0.001986796901254446,
+        ),
         "rmw",
         linear_oco_stream(3, 200, 1.0, 5, "iid-sphere"),
     ),
@@ -883,9 +898,13 @@ def _exact_tests(prepared: PreparedRun, rng, monkeypatch) -> tuple[Transcript, i
 # screened experts runs of 2100 batches, so 6300 uniforms or more: the
 # first block is full and a second one follows
 BOUNDARY_SHAPES = {
-    # as on ope-b1, the floor lies above 1 - p
+    # as on ope-b1, the floor lies above 1 - p; what tune_ope(2100, 10, 1.0, 1e-6)
+    # returned when pinned
     "sure-above": lambda: (
-        tune_ope(2100, 10, 1.0, 1e-6),
+        L2PConfig(
+            T=2100, B=1, eta=0.0015426350450013938, p=0.015426350450013938,
+            delta0=0.0, delta1=2.380952380952381e-10,
+        ),
         "mw",
         bernoulli_experts(10, 2100, np.linspace(0.35, 0.65, 10), 1),
     ),
