@@ -50,7 +50,7 @@ print()
 buf = io.StringIO()
 t.write_csv(buf)
 lines = buf.getvalue().splitlines()
-print("released CSV (head):")
+print("diagnostic log (head):")
 for line in lines[:6]:
     print(" ", line)
 print(f"  ... {len(lines) - 6} more rows")

@@ -57,12 +57,19 @@ SCHEMA_VERSION = 1
 def _load_run_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
-    required = ["problem", "T", "d", "epsilon", "delta", "reps", "base_seed", "adversary"]
-    missing = [k for k in required if k not in cfg]
+    numeric = ["T", "d", "epsilon", "delta", "reps", "base_seed"]
+    missing = [k for k in ["problem", *numeric, "adversary"] if k not in cfg]
     if missing:
         raise ConfigError(f"config missing fields: {', '.join(missing)}")
+    bad = [k for k in numeric if type(cfg[k]) not in (int, float) or not abs(cfg[k]) < math.inf]
+    if bad:
+        raise ConfigError(f"config fields must be finite numbers: {', '.join(bad)}")
+    if not isinstance(cfg["adversary"], dict):
+        raise ConfigError("adversary must be a JSON object")
     if cfg["problem"] not in ("ope", "oco"):
         raise ConfigError("problem must be 'ope' or 'oco'")
     override = cfg.get("override")

@@ -21,12 +21,13 @@ Two families are implemented:
 
 Either measure at a batch start is a function of the cumulative losses
 before that batch alone, so a whole run's measures are one table built
-from the loss matrix: :func:`cumulative_table` gives the gradient sums
-of the ball, and :func:`mw_log_weights` the experts' log-weights, which
-:func:`normalized` turns into densities row by row and
-:func:`cdf_table` into the sampling CDFs. The experts measure exists
-only as these tables; :class:`RmwMeasure` is the ball's sampler and
-exact oracle for one row.
+from the loss matrix by :func:`cumulative_table`: the ball's gradient
+sums, and the experts' cumulative losses, which an experts run keeps
+and scales by ``-eta`` into log-weights where it reads them, as
+:func:`mw_log_weights` does for a whole table. :func:`normalized` turns
+log-weights into densities and :func:`cdf_table` cumulative losses into
+sampling CDFs, row by row. The experts measure exists only as these
+tables; :class:`RmwMeasure` is the ball's sampler and exact oracle for one row.
 
 The tables are built ``_CHUNK`` rows at a time, so a build makes no
 temporary the size of a table. Every entry is the double the one-shot
@@ -92,21 +93,21 @@ def normalized(log_weights: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def cdf_table(log_weights: np.ndarray) -> np.ndarray:
-    """Sampling CDFs of every row of a log-weight table, the last entry of each set to 1."""
-    n = log_weights.shape[0]
-    cdfs = np.empty(log_weights.shape)
+def cdf_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
+    """Sampling CDFs of every row of the log-weights ``loss_sums * -eta``, each ending in 1."""
+    n = loss_sums.shape[0]
+    cdfs = np.empty(loss_sums.shape)
     for a in range(0, n, _CHUNK):
-        np.cumsum(normalized(log_weights[a : a + _CHUNK]), axis=1, out=cdfs[a : a + _CHUNK])
+        np.cumsum(normalized(loss_sums[a : a + _CHUNK] * -eta), axis=1, out=cdfs[a : a + _CHUNK])
     cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
     return cdfs
 
 
-def step_spread(log_weights: np.ndarray) -> float:
-    """The widest spread, max minus min, of a change between consecutive rows; 0 for one row."""
+def step_spread(loss_sums: np.ndarray, eta: float) -> float:
+    """The widest spread, max - min, of a row step of ``loss_sums * -eta``; 0 for one row."""
     spread = 0.0
-    for a in range(0, log_weights.shape[0], _CHUNK):
-        steps = np.diff(log_weights[max(a - 1, 0) : a + _CHUNK], axis=0)
+    for a in range(0, loss_sums.shape[0], _CHUNK):
+        steps = np.diff(loss_sums[max(a - 1, 0) : a + _CHUNK] * -eta, axis=0)
         spread = max(spread, float(np.ptp(steps, axis=1).max(initial=0.0)))
     return spread
 

@@ -23,7 +23,7 @@ A :class:`PreparedRun` is built from the config, whose ``measure_kind``
 is ``"mw"`` (experts) or ``"rmw"`` (the ball), and the loss matrix
 alone: the measure of every batch is a row of one cumulative table, so
 set-up makes no per-batch objects. It keeps only the tables the engine reads,
-two per-batch tables for an experts run (log-weights and sampling
+two per-batch tables for an experts run (cumulative losses and sampling
 CDFs) and one for the ball (gradient sums), built chunk by chunk with
 no temporary of their size; the per-batch loss sums are computed on
 first read. The ball sampler is built only for the batch that
@@ -47,23 +47,23 @@ keeps, whatever x and y are: its exact ratio is never computed. One
 loop runs every experts run, and only two things in it depend on the
 run's length. A run of at most ``_WALK`` batches reads its doubles as
 one Python list and steps through every batch. A longer run reads its
-doubles a block at a time: one compare per block finds the rare
+doubles ``_BLOCK`` at a time: one compare per block finds the rare
 doubles, those at or above the lower of ``sure`` and ``1 - p``, and
 the loop visits only the batches they can fail. In a tuned run nearly
-all doubles are below both. Both read the log-weight and CDF tables
-through flat memoryviews built at set-up. The S, S', A, x-resample,
+all doubles are below both. Both read the cumulative loss and CDF
+tables through flat memoryviews built at set-up. The S, S', A, x-resample,
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
 
 A run returns its switch events as a :class:`Transcript`, and nothing
 per batch. The per-batch columns (models, coins, losses, log ratios)
-are derived from the events on first read, so a game that reads only
-its total loss pays for its switches plus one gather of the played
-losses: slices of loss columns kept as lists on a walked run of at most
-``_LIST_ROUNDS`` rounds, one numpy ``take`` on any other. Set-up also
-computes the run's best-in-hindsight comparator, which depends only on
-the loss matrix.
+are derived from the events on first read. A game reads only its total
+loss. On a binary experts run, one whose every loss is 0.0 or 1.0, that
+is a sum over the switch events of differences of the cumulative loss
+table, so the game costs its switches alone; on any other run it is one
+gather of the played losses. Set-up also computes the run's
+best-in-hindsight comparator, which depends only on the loss matrix.
 """
 
 from __future__ import annotations
@@ -82,25 +82,18 @@ from .measures import (
     RmwMeasure,
     cdf_table,
     cumulative_table,
-    mw_log_weights,
     step_spread,
 )
 
 # Runs of at most _WALK batches step through every batch: finding a
 # block's rare doubles costs a few numpy calls, more than testing so few
 # batches, and their doubles fit one short Python list. Longer runs draw
-# doubles _BLOCK at a time, so a run's memory does not grow with its
-# length, and visit only the batches a rare double can fail. Round
-# losses are sliced from list loss columns only on walked runs of at
-# most _LIST_ROUNDS rounds and _LIST_CELLS losses: slicing costs per
-# round and per switch, and on a 2-vCPU Xeon host it matches the one
-# numpy take that other runs use at 64 rounds with a switch at nearly
-# every batch, and is slower from about 100 rounds on. A list holds a
-# float object per entry (about 32 bytes), hence the size limit.
+# doubles _BLOCK (512 KB) at a time, so a run's memory does not grow with
+# its length, and visit only the batches a rare double can fail. Each
+# block costs a draw, a compare and a hit list, so a block holds the
+# doubles of a 20,000-batch run.
 _WALK = 48
-_LIST_CELLS = 4096
-_LIST_ROUNDS = 64
-_BLOCK = 6144
+_BLOCK = 65536
 # The screen's floor under every keep probability is shrunk by this
 # much, so exp's rounding can only add visits; the absolute term
 # makes a floor at or near the subnormal range screen nothing out.
@@ -217,10 +210,11 @@ class Transcript:
     is the played model of batch s, ``coins`` holds (S, S', A) per batch
     with -1 sentinels in batch 1, ``switched`` holds the (switched_x,
     switched_y) bits, and ``batch_losses`` and ``round_losses`` the
-    played losses. ``ys`` and ``raw_log_ratios`` (the log
-    correlated-sampling ratio before the acceptance cap, one entry per
-    batch s >= 2, computed as the keep test computes it) are
-    diagnostics for audits and are never serialized.
+    played losses, gathered from the loss matrix. ``ys`` and
+    ``raw_log_ratios`` (the log correlated-sampling ratio before the
+    acceptance cap, one entry per batch s >= 2, computed as the keep
+    test computes it) are diagnostics for audits and are never
+    serialized. ``total_loss`` is a sum over the events on a binary run.
     """
 
     prepared: PreparedRun = field(repr=False)
@@ -238,6 +232,23 @@ class Transcript:
 
     @property
     def total_loss(self) -> float:
+        """``round_losses.sum()``; on a binary run, the same double in O(switches).
+
+        There the model x in force over batches [a, b) played
+        ``loss_sums[b, x] - loss_sums[a, x]``, the last one up to the column
+        total. Every partial sum is an integer below 2**53, so the sum is
+        exact. A zero total is gathered, as only the gather knows its sign.
+        """
+        prepared = self.prepared
+        if prepared.binary:
+            sums, d, total, a = prepared._sums, prepared.loss_sums.shape[1], 0.0, 0
+            for x, b in zip(self.event_xs, self.rows):
+                total += sums[b * d + x] - sums[a * d + x]
+                a = b
+            x = self.event_xs[-1]
+            total += float(prepared.column_totals[x]) - sums[a * d + x]
+            if total:
+                return total
         return float(self.round_losses.sum())
 
     @cached_property
@@ -292,12 +303,6 @@ class Transcript:
     def round_losses(self) -> np.ndarray:
         prepared = self.prepared
         T, B = prepared.config.T, prepared.config.B
-        columns = prepared._loss_columns
-        if columns is not None:  # the rounds of each model's stretch, sliced from its loss column
-            bounds, out = [0, *self.rows, self.n_batches], []
-            for x, a, b in zip(self.event_xs, bounds, bounds[1:]):
-                out += columns[x][a * B : b * B]
-            return np.array(out)
         if prepared.is_mw:
             xs = self._batch_xs if B == 1 else self._batch_xs.repeat(B)[:T]
             return _picks(prepared.loss_values, xs)
@@ -343,13 +348,15 @@ class PreparedRun:
     losses alone, so replicates share them; only the coin and resample
     draws differ between runs. The loss matrix is kept in C order,
     copied only if it comes in another.
-    Experts runs keep two n x d tables, the log-weights and sampling
-    CDFs of every batch, with one flat memoryview of each that the
-    engine loop reads, and ``sure``, a floor under the keep probability
-    of every batch and every pair of models. Runs of at most ``_WALK``
-    batches (``walks``) step through every batch, and keep the loss
-    columns as lists if they have few rounds. Ball runs keep one, the
-    gradient sums. Both kinds keep the column totals of the loss matrix
+    Experts runs keep two n x d tables, the cumulative losses
+    ``loss_sums`` and sampling CDFs of every batch, with one flat
+    memoryview of each that the engine loop reads, and ``sure``, a floor
+    under the keep probability of every batch and every pair of models.
+    The log-weights ``loss_sums * -eta`` are formed where they are read
+    (``log_weights`` on first read). ``binary`` is whether every loss is
+    0.0 or 1.0. Runs of at most ``_WALK`` batches (``walks``) step
+    through every batch. Ball runs keep one table, the gradient sums.
+    Both kinds keep the column totals of the loss matrix
     and ``comparator_loss``, the best-in-hindsight loss they give; the
     per-batch loss sums ``batch_sums``, which only
     ``Transcript.batch_losses`` reads, are computed on first read. The
@@ -371,24 +378,31 @@ class PreparedRun:
         n = config.n_batches
         self.column_totals = loss_values.sum(axis=0)
         self.walks = self.is_mw and n <= _WALK
-        self._loss_columns = None
-        if self.walks and config.T <= _LIST_ROUNDS and loss_values.size <= _LIST_CELLS:
-            self._loss_columns = loss_values.T.tolist()
         if self.is_mw:
+            zeros = np.count_nonzero(loss_values == 0.0)
+            self.binary = zeros + np.count_nonzero(loss_values == 1.0) == loss_values.size
             self.comparator_loss = _best_expert(self.column_totals)[1]
-            self.log_weights = mw_log_weights(loss_values, config.eta, config.B)
-            self.cdfs = cdf_table(self.log_weights)
-            self._lw = memoryview(self.log_weights.reshape(-1))
+            self.loss_sums = cumulative_table(loss_values, config.B)
+            if not np.isfinite(self.loss_sums).all():
+                raise ValueError("cumulative losses must be finite")
+            self.cdfs = cdf_table(self.loss_sums, config.eta)
+            self._sums = memoryview(self.loss_sums.reshape(-1))
             self._cdf = memoryview(self.cdfs.reshape(-1))
             # A batch's log ratio is r[x] - r[y] for r the difference of two
             # rows, so it is at least minus the widest such row's spread;
             # rounding is monotone, so this holds for the computed values too.
-            floor = math.exp(min(-self.cap - step_spread(self.log_weights), 0.0))
+            floor = math.exp(min(-self.cap - step_spread(self.loss_sums, config.eta), 0.0))
             self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
+            self.binary = False
             self.comparator_loss = _best_ball_point(self.column_totals, config.radius)[1]
             self.grad_sums = cumulative_table(loss_values, config.B)
             self.beta = config.beta
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """The experts log-weights ``loss_sums * -eta`` of every batch."""
+        return self.loss_sums * -self.config.eta
 
     @cached_property
     def batch_sums(self) -> np.ndarray:
@@ -414,9 +428,9 @@ class PreparedRun:
         S is 1 for every pair of models. A pick is a bisection of one
         row's span of the flat CDF table.
         """
-        n, d = self.log_weights.shape
-        cap, keep_y, sure = self.cap, 1.0 - self.config.p, self.sure
-        lw, cdf, exp = self._lw, self._cdf, math.exp
+        n, d = self.loss_sums.shape
+        cap, keep_y, sure, m = self.cap, 1.0 - self.config.p, self.sure, -self.config.eta
+        sums, cdf, exp = self._sums, self._cdf, math.exp
         walks = self.walks
         draws = _Uniforms(rng, 3 * n - 1)
         if walks:
@@ -448,7 +462,7 @@ class PreparedRun:
                 S = True
             else:
                 at_x, at_y = (s - 1) * d + x, (s - 1) * d + y
-                lr = (lw[at_x] - lw[at_x - d]) - (lw[at_y] - lw[at_y - d])
+                lr = (sums[at_x] * m - sums[at_x - d] * m) - (sums[at_y] * m - sums[at_y - d] * m)
                 S = lr >= cap or u0 < exp(lr - cap)
             Sp, A = u[i + 1] < keep_y, u[i + 2] < keep_y
             c += 3
@@ -514,12 +528,14 @@ class PreparedRun:
 
         Batch s tests the models of batch s - 1 on log-weight rows s - 1 and
         s - 2, in the order (lw[s-1, x] - lw[s-2, x]) - (lw[s-1, y] - lw[s-2, y])
-        of the keep test, so the values are its values bit for bit.
+        of the keep test, each lw entry formed as it forms them, so the
+        values are its values bit for bit.
         """
-        flat, d = self.log_weights.ravel(), self.log_weights.shape[1]
+        flat, d, m = self.loss_sums.ravel(), self.loss_sums.shape[1], -self.config.eta
         at_x = np.arange(d, xs.size * d, d) + xs[:-1]
         at_y = at_x + (ys[:-1] - xs[:-1])
-        return (flat.take(at_x) - flat.take(at_x - d)) - (flat.take(at_y) - flat.take(at_y - d))
+        x1, x0, y1, y0 = (flat.take(at) * m for at in (at_x, at_x - d, at_y, at_y - d))
+        return (x1 - x0) - (y1 - y0)
 
     def _ball_sample(self, s: int, rng: np.random.Generator) -> np.ndarray:
         """A draw from the batch-s ball measure, built for this one draw."""

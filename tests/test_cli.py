@@ -50,6 +50,27 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--epsilon-grid", "1.0"]], ids=["run", "sweep"]
+)
+@pytest.mark.parametrize(
+    "overrides",
+    [None, {"T": None}, {"epsilon": "1.0"}, {"reps": True}, {"T": math.inf},
+     {"delta": math.nan}, {"adversary": "bernoulli"}],
+    ids=["array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
+         "string-adversary"],
+)
+def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overrides):
+    # a top level that is not an object, a field that is not a finite
+    # number, or an adversary that is not an object
+    path = _write_config(tmp_path, **(overrides or {}))
+    if overrides is None:
+        path.write_text("[1, 2]")
+    assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestRun:
     def test_smoke_writes_three_files(self, tmp_path, capsys):
         path = _write_config(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l2p import transform
 from l2p.accountant import ball_config, config_budget, ope_config, tune_oco, tune_ope
 from l2p.adversaries import (
     LossStream,
@@ -25,7 +26,6 @@ from l2p.transform import (
     PreparedRun,
     Transcript,
     _BLOCK,
-    _LIST_ROUNDS,
     _WALK,
     _keep_test,
     _picks,
@@ -485,8 +485,8 @@ SHAPES = {
         "mw",
         bernoulli_experts(3, 301, (0.0, 0.5, 1.0), 3),
     ),
-    # resamples nearly every batch over more than three blocks of uniforms,
-    # so the run reads far past the doubles it drew at the start
+    # resamples nearly every batch, so the run reads far past the doubles it
+    # drew at the start
     "dense": lambda: (
         L2PConfig(T=6200, B=1, eta=0.05, p=0.9, delta0=0.0, delta1=1e-6),
         "mw",
@@ -548,6 +548,14 @@ class TestLossLayout:
             assert _digest(prepared.run(rng), rng) == digest
             assert prepared.run(np.random.default_rng(8)).total_loss == total
 
+    def test_non_finite_losses_refused(self):
+        config = L2PConfig(T=4, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        for bad in (math.inf, math.nan):
+            values = np.zeros((4, 2))
+            values[2, 1] = bad
+            with pytest.raises(ValueError, match="cumulative losses must be finite"):
+                PreparedRun(config, "mw", values)
+
     def test_c_matrix_is_not_copied(self):
         config, kind, stream = SHAPES["ope-b1"]()
         assert PreparedRun(config, kind, stream.values).loss_values is stream.values
@@ -600,7 +608,10 @@ class TestLazyColumns:
         monkeypatch.setattr(prepared, "run", lambda rng: seen.append(run(rng)) or seen[-1])
         g = play_game(config, kind, stream, 3, prepared=prepared, keep_transcript=False)
         assert g.transcript is None and len(seen) == 1
-        assert set(COLUMNS) & vars(seen[0]).keys() == {"round_losses"}
+        assert prepared.binary == (kind == "mw") and g.total_loss != 0.0
+        # a binary experts total is a sum over the switch events
+        want = set() if prepared.binary else {"round_losses"}
+        assert set(COLUMNS) & vars(seen[0]).keys() == want
 
     @pytest.mark.parametrize("shape, seed", sorted(TestGoldenTranscripts.GOLDEN))
     def test_reverse_read_order(self, shape, seed):
@@ -617,6 +628,17 @@ class TestLazyColumns:
         assert t.n_batches == config.n_batches == 101
         assert not set(COLUMNS) & vars(t).keys()
         assert len(t.models) == t.n_batches
+
+
+# The block size the block-boundary tests were written for: their runs of
+# 2100 and 3000 batches draw more doubles than one block of it holds.
+SMALL_BLOCK = 6144
+
+
+@pytest.fixture
+def small_block(monkeypatch):
+    monkeypatch.setattr(transform, "_BLOCK", SMALL_BLOCK)
+    return SMALL_BLOCK
 
 
 class TestAgainstReferenceLoop:
@@ -678,16 +700,16 @@ class TestAgainstReferenceLoop:
             assert rng_a.integers(2**32, dtype=np.uint32) == rng_b.integers(2**32, dtype=np.uint32)
 
 
-    def test_block_boundary(self):
+    def test_block_boundary(self, small_block):
         # a candidate triple at the end of the first block of uniforms, which
         # only the next block completes, on each phase of the cursor: an
         # early event with one or two resamples shifts the phase
         config = L2PConfig(T=3000, B=1, eta=0.01, p=0.01, delta0=0.0, delta1=1e-6)
         prepared = _prepared(config, "mw", bernoulli_experts(3, 3000, (0.2, 0.5, 0.8), 8))
-        assert 3 * config.n_batches > _BLOCK
+        assert 3 * config.n_batches > small_block
         for early in ((), (5,), (5, 7)):  # fail S of batch 3, and also its A
-            for at in range(_BLOCK - 4, _BLOCK + 4):
-                values = np.zeros(_BLOCK + 8)
+            for at in range(small_block - 4, small_block + 4):
+                values = np.zeros(small_block + 8)
                 values[list(early)] = 0.999
                 values[at] = 0.999
                 t = _same_scripted(prepared, values)
@@ -773,7 +795,7 @@ class TestKeepBoundary:
             assert t.switch_count_x == t.switch_count_y == 0
             doubles[3 * k - 4] = 0.0
 
-    def test_first_boundary_failure_in_a_window(self):
+    def test_first_boundary_failure_in_a_window(self, small_block):
         # S uniforms one double below the acceptance of every batch keep the
         # whole run, over more than one block; the first batch at its
         # acceptance is the first event
@@ -783,7 +805,7 @@ class TestKeepBoundary:
         doubles[at] = np.nextafter(acc, 0.0)
         t = _same_scripted(prepared, doubles)
         assert t.switch_count_x == t.switch_count_y == 0
-        for k in (2, 40, _BLOCK // 3 + 1, prepared.config.n_batches):
+        for k in (2, 40, small_block // 3 + 1, prepared.config.n_batches):
             doubles[3 * k - 4] = acc[k - 2]
             t = _same_scripted(prepared, doubles)
             assert t.switched[:, 0].argmax() == k - 1
@@ -922,9 +944,9 @@ class TestRareWalk:
     the exact keep probability only where the S uniform is at or above the floor."""
 
     @staticmethod
-    def _prepared(shape):
+    def _prepared(shape, block):
         prepared = _prepared(*BOUNDARY_SHAPES[shape]())
-        assert 3 * prepared.config.n_batches > _BLOCK
+        assert 3 * prepared.config.n_batches > block
         return prepared
 
     @staticmethod
@@ -945,12 +967,12 @@ class TestRareWalk:
         return t
 
     @pytest.mark.parametrize("shape", sorted(BOUNDARY_SHAPES))
-    def test_thresholds_in_each_role(self, shape, monkeypatch):
+    def test_thresholds_in_each_role(self, shape, monkeypatch, small_block):
         # batch 1 plays x = 0 and y = the last expert; batch k reads S, S', A at
         # 3k - 4, 3k - 3, 3k - 2. An S' or A uniform fails its coin from 1 - p
         # on; an S uniform at the floor keeps, as the floor is below every
         # keep probability, but is tested exactly
-        prepared = self._prepared(shape)
+        prepared = self._prepared(shape, small_block)
         keep_y = 1.0 - prepared.config.p
         k = 700
         for role in range(3):
@@ -963,15 +985,15 @@ class TestRareWalk:
                 assert t.rows == ([k - 1] if fails else [])
 
     @pytest.mark.parametrize("shape", sorted(BOUNDARY_SHAPES))
-    def test_rare_uniform_at_the_block_end(self, shape, monkeypatch):
+    def test_rare_uniform_at_the_block_end(self, shape, monkeypatch, small_block):
         # a uniform at a threshold in the last two doubles of the first block:
         # an early event with one or two resamples shifts the cursor's phase,
         # so it is an S, S' or A uniform of a batch the next block completes
-        prepared = self._prepared(shape)
+        prepared = self._prepared(shape, small_block)
         keep_y = 1.0 - prepared.config.p
         roles = set()
         for early in ((), (5,), (5, 7)):  # fail S of batch 3, and also its A
-            for at in (_BLOCK - 2, _BLOCK - 1):
+            for at in (small_block - 2, small_block - 1):
                 role = (at - 2 - len(early)) % 3
                 roles.add(role)
                 for u in self._edges(prepared):
@@ -982,6 +1004,23 @@ class TestRareWalk:
                     fails = role > 0 and bool(u >= keep_y)
                     assert len(t.rows) == (len(early) > 0) + fails
         assert roles == {0, 1, 2}
+
+    def test_rare_uniforms_at_the_end_of_a_full_block(self, monkeypatch):
+        # a run whose doubles fill the default block: both of its last two
+        # doubles at 1 - p, in each phase of the cursor, so a coin of the
+        # batch the next block completes fails
+        T = _BLOCK // 3 + 50
+        config = L2PConfig(T=T, B=1, eta=0.002, p=0.005, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", bernoulli_experts(4, T, (0.1, 0.4, 0.6, 0.9), 2))
+        assert 3 * config.n_batches > _BLOCK
+        for early in ((), (5,), (5, 7)):  # fail S of batch 3, and also its A
+            values = np.zeros(3 * config.n_batches + 8)
+            values[list(early)] = 0.999
+            values[[_BLOCK - 2, _BLOCK - 1]] = 1.0 - config.p
+            t = self._check(prepared, values, monkeypatch)
+            for at in (_BLOCK - 2, _BLOCK - 1):
+                if (at - 2 - len(early)) % 3:  # an S' or A uniform: its batch switches
+                    assert (at + 1 - len(early)) // 3 in t.rows
 
     @pytest.mark.parametrize("shape", ["ope-b1", "marginal", "epsilon"])
     def test_exact_ratio_only_above_the_floor(self, shape, monkeypatch):
@@ -1027,40 +1066,39 @@ def _gathered(t: Transcript) -> np.ndarray:
 
 
 class TestShortRuns:
-    """Walked runs of few rounds slice list loss columns built at set-up; the
-    comparator is stored there."""
+    """Walked runs gather their round losses as longer runs do; the comparator
+    is stored at set-up."""
 
     def test_walked_round_losses_match_the_gather(self):
         rng = np.random.default_rng(20)
         shapes = [(5, 1, 3), (10, 2, 2), (7, 3, 4), (11, 4, 1), (1, 1, 3), (48, 1, 5), (95, 2, 2)]
-        shapes += [(_LIST_ROUNDS, 2, 3), (_LIST_ROUNDS + 1, 2, 3)]
+        shapes += [(64, 2, 3), (65, 2, 3)]
         shapes += [(int(T), int(B), int(d)) for T, B, d in zip(
             rng.integers(1, 200, 30), rng.integers(1, 6, 30), rng.integers(1, 9, 30))]
-        walked = listed = 0
+        walked = 0
         for T, B, d in shapes:
             config = L2PConfig(T=T, B=B, eta=0.1, p=0.4, delta0=0.0, delta1=1e-6)
             prepared = PreparedRun(config, "mw", rng.random((T, d)))
             assert prepared.walks == (config.n_batches <= _WALK)
-            assert (prepared._loss_columns is not None) == (prepared.walks and T <= _LIST_ROUNDS)
             if not prepared.walks:
                 continue
             walked += 1
-            listed += prepared._loss_columns is not None
             for seed in range(15):
                 t = prepared.run(np.random.default_rng(seed))
                 want = _gathered(t)
                 assert t.round_losses.dtype == want.dtype
                 assert t.round_losses.tobytes() == want.tobytes(), (T, B, d, seed)
                 assert t.total_loss == float(want.sum())
-        assert walked >= 25 and listed >= 15
+        assert walked >= 25
 
     def test_long_batches_keep_the_numpy_gather(self, monkeypatch):
-        # 20 batches of 5000 rounds: the run walks, but lists no loss
-        # columns and gathers by numpy
+        # 20 batches of 5000 rounds of fractional losses: the run walks, and
+        # its total loss is summed from a numpy gather
         config = L2PConfig(T=100_000, B=5000, eta=1e-4, p=0.5, delta0=0.0, delta1=1e-6)
-        stream = bernoulli_experts(10, 100_000, np.linspace(0.3, 0.7, 10), 9)
+        values = np.random.default_rng(9).random((100_000, 10))
+        stream = LossStream("bernoulli", 10, 100_000, 9, values)
         prepared = PreparedRun(config, "mw", stream.values)
-        assert prepared.walks and prepared._loss_columns is None
+        assert prepared.walks and not prepared.binary
         gathers = []
         monkeypatch.setattr("l2p.transform._picks", lambda *a: gathers.append(a) or _picks(*a))
         for seed in range(3):
@@ -1072,13 +1110,12 @@ class TestShortRuns:
         assert len(gathers) >= 3
 
     def test_short_wide_runs_walk_numpy_views(self):
-        # too many losses for list loss columns: a short run over 513
-        # experts still walks, and is the per-batch loop's run
+        # a short run over 513 experts walks, and is the per-batch loop's run
         d = 513
         config = L2PConfig(T=8, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         values = np.random.default_rng(21).random((8, d))
         prepared = PreparedRun(config, "mw", values)
-        assert prepared.walks and prepared._loss_columns is None
+        assert prepared.walks
         for seed in range(40):
             TestAgainstReferenceLoop._assert_same(
                 prepared, np.random.default_rng(seed), np.random.default_rng(seed)
@@ -1098,3 +1135,109 @@ class TestShortRuns:
         want = best_in_hindsight_oco_ball(stream, config.radius)[1]
         assert prepared.comparator_loss == want
         assert prepared.cap == config.cap == 2.0 * config.B * config.eta_accounted
+
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+class TestSpanSums:
+    """A binary experts run sums its total loss over spans of the cumulative
+    table, and reads it bit for bit as the gather of its played losses sums it."""
+
+    @staticmethod
+    def _assert_spans(prepared, rngs) -> list[Transcript]:
+        assert prepared.binary
+        runs = []
+        for rng in rngs:
+            t = prepared.run(rng)
+            got = t.total_loss
+            # only a zero total, whose sign the span sum cannot know, is gathered
+            assert ("round_losses" in vars(t)) == (got == 0.0)
+            assert type(got) is float
+            assert _bits(got) == _bits(float(_gathered(t).sum()))
+            assert _bits(got) == _bits(float(t.round_losses.sum()))
+            runs.append(t)
+        return runs
+
+    @classmethod
+    def _assert_seeds(cls, prepared, n_seeds) -> list[Transcript]:
+        return cls._assert_spans(prepared, (np.random.default_rng(s) for s in range(n_seeds)))
+
+    @pytest.mark.parametrize(
+        "shape, n_seeds",
+        [("marginal", 200), ("epsilon", 200), ("sparse", 50), ("mixed", 50), ("dense", 3),
+         ("one-expert", 30), ("epoch", 30)],
+    )
+    def test_shapes(self, shape, n_seeds):
+        config, kind, stream = SHAPES[shape]()
+        runs = self._assert_seeds(_prepared(config, kind, stream), n_seeds)
+        if shape in ("mixed", "dense", "epoch"):
+            assert all(t.rows for t in runs) and any(t.total_loss for t in runs)
+
+    @pytest.mark.parametrize("B, T", [(1, 40), (1, 700), (3, 301), (4, 11), (7, 200), (8, 8)])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_batch_sizes_and_degenerate_p(self, B, T, p):
+        # B = 1, and B > 1 with a short last batch where T is not a multiple of B
+        config = L2PConfig(T=T, B=B, eta=0.05, p=p, delta0=0.0, delta1=1e-6)
+        for d in (1, 2, 5):
+            stream = _uniform_stream(d, T, seed=T + d)
+            self._assert_seeds(_prepared(config, "mw", stream), 20)
+
+    @pytest.mark.parametrize("T", [30, 200])
+    def test_no_event_and_an_event_at_the_last_batch(self, T):
+        config = L2PConfig(T=T, B=1, eta=0.05, p=0.3, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", _uniform_stream(3, T, seed=4))
+        n = config.n_batches
+        values = np.zeros(3 * n + 8)
+        values[1] = 0.999  # y on the last expert, x on the first
+        (t,) = self._assert_spans(prepared, [_Scripted(values)])
+        assert t.rows == [] and t.total_loss == prepared.column_totals[0] > 0
+        values[3 * n - 3] = 0.999  # the S' uniform of batch n
+        (t,) = self._assert_spans(prepared, [_Scripted(values)])
+        assert t.rows == [n - 1] and t.total_loss > 0
+
+    @pytest.mark.parametrize("fill", [0.0, 1.0, -0.0], ids=["zeros", "ones", "negative-zeros"])
+    def test_constant_matrices(self, fill):
+        for T, B, d in ((1, 1, 3), (50, 1, 2), (301, 3, 4)):
+            config = L2PConfig(T=T, B=B, eta=0.05, p=0.3, delta0=0.0, delta1=1e-6)
+            prepared = PreparedRun(config, "mw", np.full((T, d), fill))
+            for t in self._assert_seeds(prepared, 10):
+                assert t.total_loss == T * fill
+
+    def test_zeros_of_both_signs(self):
+        # -0.0 is a binary loss; a zero total takes its sign from the gather
+        values = np.full((60, 2), -0.0)
+        values[::7, 1] = 0.0
+        values[5, 1] = 1.0
+        config = L2PConfig(T=60, B=2, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
+        runs = self._assert_seeds(PreparedRun(config, "mw", values), 40)
+        assert {t.total_loss for t in runs} == {0.0, 1.0}
+
+    def test_ope_b1_over_seeds(self):
+        config, kind, stream = SHAPES["ope-b1"]()
+        prepared = _prepared(config, kind, stream)
+        runs = self._assert_seeds(prepared, 20)
+        assert min(len(t.rows) for t in runs) > 50
+
+    @pytest.mark.parametrize("kind", ["fractional", "one-half"])
+    def test_other_losses_take_the_gather(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "fractional":
+            values = rng.random((300, 4))
+        else:
+            values = (rng.random((300, 4)) < 0.5).astype(float)
+            values[150, 2] = 0.5
+        config = L2PConfig(T=300, B=2, eta=0.05, p=0.2, delta0=0.0, delta1=1e-6)
+        prepared = PreparedRun(config, "mw", values)
+        assert not prepared.binary
+        for seed in range(10):
+            t = prepared.run(np.random.default_rng(seed))
+            assert t.total_loss == float(_gathered(t).sum())
+            assert "round_losses" in vars(t)
+
+    def test_ball_takes_the_gather(self):
+        prepared = _prepared(*SHAPES["ball"]())
+        assert not prepared.binary
+        t = prepared.run(np.random.default_rng(3))
+        assert t.total_loss == float(t.round_losses.sum())
