@@ -11,11 +11,11 @@ sampler centered at the origin when no gradients have arrived.
 import numpy as np
 
 from l2p import (
+    RmwMeasure,
     best_in_hindsight_oco_ball,
     config_budget,
     linear_oco_stream,
     play_game,
-    rmw_init,
     tune_oco,
 )
 
@@ -37,7 +37,7 @@ print(f"total loss {game.total_loss:.1f} vs best fixed point {best:.1f} "
       f"-> regret {game.regret:.1f}")
 print()
 
-center = rmw_init(d, config.beta, config.lam, config.radius)
+center = RmwMeasure(np.zeros(d), config.beta, config.lam, config.radius)
 rng = np.random.default_rng(0)
 pts = np.array([center.sample(rng) for _ in range(20_000)])
 print("sampler with zero gradient sum (should be centered at the origin):")

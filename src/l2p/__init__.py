@@ -57,7 +57,6 @@ from .measures import (
     RmwMeasure,
     SamplerError,
     effective_eta_rmw,
-    rmw_init,
 )
 from .seeding import replicate_seed, splitmix64
 from .transform import (
@@ -104,7 +103,6 @@ __all__ = [
     "regret_bound_oco",
     "regret_bound_ope",
     "replicate_seed",
-    "rmw_init",
     "save_stream",
     "splitmix64",
     "strawman_fixed_switch",

@@ -33,12 +33,11 @@ class AuditReport:
     n_samples: int
     statistic: float
     threshold: float
-    passed: bool
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.passed != (self.statistic <= self.threshold):
-            raise ValueError("pass flag must equal (statistic <= threshold)")
+    @property
+    def passed(self) -> bool:
+        return bool(self.statistic <= self.threshold)
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -55,7 +54,7 @@ class AuditReport:
 
 
 def _report(name, n, stat, thr, notes=()) -> AuditReport:
-    return AuditReport(name, n, float(stat), float(thr), bool(stat <= thr), tuple(notes))
+    return AuditReport(name, n, float(stat), float(thr), tuple(notes))
 
 
 def _run_many(config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int):

@@ -192,8 +192,6 @@ def cmd_lower_bound(args) -> int:
         rows.append(f"{i},{seed},{result.regret!r},{comparator!r},{int(stream.clamped)}")
     out = Path(args.output or "lower_bound.csv")
     _write(out, "\n".join(rows) + "\n")
-    if stream.clamped:
-        print("warning: epoch count clamped to T", file=sys.stderr)
     if d == 1:
         print("note: single expert, regret is identically 0", file=sys.stderr)
     print(f"wrote {out}")
@@ -239,7 +237,10 @@ def cmd_audit(args) -> int:
     d, T = args.d, args.T
     stream = bernoulli_experts(d, T, np.linspace(0.3, 0.7, d), args.seed)
     if args.override_eta is not None:
-        config = ope_config(T, args.B, args.override_eta, args.p, args.delta)
+        B, p = 1 if args.B is None else args.B, 0.5 if args.p is None else args.p
+        config = ope_config(T, B, args.override_eta, p, args.delta)
+    elif args.B is not None or args.p is not None:
+        raise ConfigError("--B and --p need --override-eta")
     else:
         config = tune_ope(T, d, args.epsilon, args.delta)
     if args.test == "marginal":
@@ -314,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("test", choices=["marginal", "ratio", "epsilon", "switches"])
     p_audit.add_argument("--d", type=int, default=3)
     p_audit.add_argument("--T", type=int, default=5)
-    p_audit.add_argument("--B", type=int, default=1)
-    p_audit.add_argument("--p", type=float, default=0.5)
+    p_audit.add_argument("--B", type=int, default=None)
+    p_audit.add_argument("--p", type=float, default=None)
     p_audit.add_argument("--epsilon", type=float, default=1.0)
     p_audit.add_argument("--delta", type=float, default=1e-6)
     p_audit.add_argument("--runs", type=int, default=100_000)

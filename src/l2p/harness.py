@@ -39,7 +39,7 @@ REP_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class GameResult:
-    """One full game: transcript, losses, and the exact regret identity.
+    """One full game: transcript, losses and switch counts; ``regret`` is read off the losses.
 
     A kept transcript costs O(switches) until its columns are read, and
     it keeps its prepared run alive. ``transcript`` may be dropped
@@ -50,11 +50,14 @@ class GameResult:
     transcript: Transcript | None
     total_loss: float
     comparator_loss: float
-    regret: float
     switch_count_x: int
     switch_count_y: int
     seed: int
     fake_switch_count: int = 0
+
+    @property
+    def regret(self) -> float:
+        return self.total_loss - self.comparator_loss
 
 
 def best_in_hindsight_ope(stream: LossStream) -> tuple[int, float]:
@@ -68,9 +71,17 @@ def best_in_hindsight_oco_ball(stream: LossStream, radius: float) -> tuple[np.nd
 
 
 def _check_stream(config: L2PConfig, stream: LossStream) -> None:
-    """Refuse a stream of the other kind: the ball plays gradients, experts play losses."""
+    """Refuse a stream of the other kind, or gradients bounded above the config's lipschitz.
+
+    The ball plays gradients, tuned for norms up to ``config.lipschitz``; experts play losses.
+    """
     if stream.is_oco != (config.measure_kind == "rmw"):
         raise ConfigError(f"a {stream.kind!r} stream cannot drive a {config.measure_kind!r} run")
+    if stream.is_oco and stream.lipschitz > config.lipschitz:
+        raise ConfigError(
+            f"stream gradient bound {stream.lipschitz!r} exceeds the config's "
+            f"lipschitz {config.lipschitz!r}"
+        )
 
 
 def play_game(
@@ -93,13 +104,10 @@ def play_game(
         _check_stream(config, stream)
         prepared = PreparedRun(config, measure_kind, stream.values)
     transcript = prepared.run(np.random.default_rng(seed))
-    total = transcript.total_loss
-    comp = prepared.comparator_loss
     return GameResult(
         transcript=transcript if keep_transcript else None,
-        total_loss=total,
-        comparator_loss=comp,
-        regret=total - comp,
+        total_loss=transcript.total_loss,
+        comparator_loss=prepared.comparator_loss,
         switch_count_x=transcript.switch_count_x,
         switch_count_y=transcript.switch_count_y,
         seed=seed,
@@ -213,7 +221,6 @@ def strawman_fixed_switch(stream: LossStream, switch_budget: int, seed: int) -> 
         transcript=None,
         total_loss=total,
         comparator_loss=comp,
-        regret=total - comp,
         switch_count_x=len(switch_rounds),
         switch_count_y=0,
         seed=seed,

@@ -217,12 +217,6 @@ class RmwMeasure:
         raise SamplerError(f"no proposal of {n} landed in the ball at d={self.d}")
 
 
-def rmw_init(d: int, beta: float, lam: float, radius: float) -> RmwMeasure:
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    return RmwMeasure(np.zeros(int(d)), beta, lam, radius)
-
-
 def effective_eta_rmw(beta: float, lam: float, lipschitz: float, delta0: float) -> float:
     """Divergence parameter the accountant must use for the ball measure.
 

@@ -200,9 +200,11 @@ class Transcript:
     ``codes[k]`` = 4 S + 2 S' + A, and ``event_xs[k + 1]``,
     ``event_ys[k + 1]`` are the played and reference models in force
     from it on; ``event_xs[0]``, ``event_ys[0]`` are the batch-1 draws.
-    The three counts are eager: batches that switched x, batches that
-    switched y, and batches with a data-free refresh on either chain
-    (S'=0 or A=0).
+    Every event fails a coin, so its code is below 7, and the counts
+    are read off the codes: x stays put only at code 6 (S = S' = 1), y
+    at the odd codes (A = 1), and only code 3 (S' = A = 1) has no
+    data-free refresh on either chain. ``switch_count_x``,
+    ``switch_count_y`` and ``fake_switch_count`` count the other events.
 
     The per-batch columns are derived from the events and ``prepared``,
     the run that produced them, on first read and then cached, so a
@@ -222,13 +224,23 @@ class Transcript:
     codes: list[int]
     event_xs: list
     event_ys: list = field(repr=False)
-    switch_count_x: int
-    switch_count_y: int
-    fake_switch_count: int
 
     @property
     def n_batches(self) -> int:
         return self.prepared.config.n_batches
+
+    @property
+    def switch_count_x(self) -> int:
+        return len(self.codes) - self.codes.count(6)
+
+    @property
+    def switch_count_y(self) -> int:
+        codes = self.codes
+        return len(codes) - codes.count(1) - codes.count(3) - codes.count(5)
+
+    @property
+    def fake_switch_count(self) -> int:
+        return len(self.codes) - self.codes.count(3)
 
     @property
     def total_loss(self) -> float:
@@ -352,13 +364,12 @@ class PreparedRun:
     ``loss_sums`` and sampling CDFs of every batch, with one flat
     memoryview of each that the engine loop reads, and ``sure``, a floor
     under the keep probability of every batch and every pair of models.
-    The log-weights ``loss_sums * -eta`` are formed where they are read
-    (``log_weights`` on first read). ``binary`` is whether every loss is
-    0.0 or 1.0. Runs of at most ``_WALK`` batches (``walks``) step
-    through every batch. Ball runs keep one table, the gradient sums.
-    Both kinds keep the column totals of the loss matrix
-    and ``comparator_loss``, the best-in-hindsight loss they give; the
-    per-batch loss sums ``batch_sums``, which only
+    The log-weights ``loss_sums * -eta`` are formed where they are read.
+    ``binary`` is whether every loss is 0.0 or 1.0. Runs of at most
+    ``_WALK`` batches (``walks``) step through every batch. Ball runs
+    keep one table, the gradient sums. Both kinds keep the column totals
+    of the loss matrix and ``comparator_loss``, the best-in-hindsight
+    loss they give; the per-batch loss sums ``batch_sums``, which only
     ``Transcript.batch_losses`` reads, are computed on first read. The
     acceptance cap ``cap`` is the config's, which always uses the full
     ``2 B eta`` exponent, also on a short final batch.
@@ -400,11 +411,6 @@ class PreparedRun:
             self.beta = config.beta
 
     @cached_property
-    def log_weights(self) -> np.ndarray:
-        """The experts log-weights ``loss_sums * -eta`` of every batch."""
-        return self.loss_sums * -self.config.eta
-
-    @cached_property
     def batch_sums(self) -> np.ndarray:
         """The per-batch sums of the loss matrix, built on first read."""
         starts = np.arange(self.config.n_batches) * self.config.B
@@ -439,7 +445,6 @@ class PreparedRun:
             u, start, visits = _block_visits(draws, sure, keep_y)
         x, y = bisect_right(cdf, u[0], 0, d), bisect_right(cdf, u[1], 0, d)
         rows, codes, xs, ys = [], [], [x], [y]
-        moved_x = moved_y = fakes = 0
         s, c = 2, 2  # next batch to test, position of its S double
         while s <= n:
             if walks:
@@ -487,11 +492,8 @@ class PreparedRun:
                 codes.append(4 * S + 2 * Sp + A)
                 xs.append(x)
                 ys.append(y)
-                moved_x += move_x
-                moved_y += not A
-                fakes += not (Sp and A)
             s += 1
-        return Transcript(self, rows, codes, xs, ys, moved_x, moved_y, fakes)
+        return Transcript(self, rows, codes, xs, ys)
 
     def _ball(self, rng: np.random.Generator) -> Transcript:
         """A ball run, by the per-batch loop.
@@ -505,7 +507,6 @@ class PreparedRun:
         x = self._ball_sample(1, rng)
         y = self._ball_sample(1, rng)
         rows, codes, xs, ys = [], [], [x], [y]
-        moved_x = moved_y = fakes = 0
         for s in range(2, n + 1):
             S, Sp, A = _keep_test(_ball_log_ratio(g, beta, s, x, y), *rng.random(3), cap, keep_y)
             if S and Sp and A:
@@ -518,10 +519,7 @@ class PreparedRun:
             codes.append(4 * S + 2 * Sp + A)
             xs.append(x)
             ys.append(y)
-            moved_x += not (S and Sp)
-            moved_y += not A
-            fakes += not (Sp and A)
-        return Transcript(self, rows, codes, xs, ys, moved_x, moved_y, fakes)
+        return Transcript(self, rows, codes, xs, ys)
 
     def _log_ratios(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The raw log ratio of every batch s >= 2 from the models in force before it.

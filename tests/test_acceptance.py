@@ -27,7 +27,7 @@ from l2p.adversaries import (
 )
 from l2p.audit import empirical_epsilon, marginal_tv_profile, ratio_range_check
 from l2p.harness import monte_carlo, play_game, strawman_fixed_switch
-from l2p.measures import rmw_init
+from l2p.measures import RmwMeasure
 from l2p.transform import L2PConfig
 
 
@@ -239,7 +239,7 @@ def test_criterion_10_oco_smoke_and_shape():
     inside = max(norms) <= config.radius * (1 + 1e-9)
     sane = game.regret < T
 
-    center = rmw_init(d, config.beta, config.lam, config.radius)
+    center = RmwMeasure(np.zeros(d), config.beta, config.lam, config.radius)
     rng = np.random.default_rng(0)
     pts = np.array([center.sample(rng) for _ in range(100_000)])
     se = pts.std(axis=0, ddof=1) / math.sqrt(len(pts))

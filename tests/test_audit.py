@@ -35,12 +35,16 @@ def _small_config(p=0.5, eta=0.1, B=1, T=5):
 
 class TestReportInvariant:
     def test_pass_flag_consistency(self):
-        AuditReport("x", 10, 0.5, 1.0, True)
-        with pytest.raises(ValueError):
-            AuditReport("x", 10, 2.0, 1.0, True)
+        # the flag is read off its terms, so no report can disagree with them
+        assert AuditReport("x", 10, 0.5, 1.0).passed is True
+        assert AuditReport("x", 10, 1.0, 1.0).passed is True
+        assert AuditReport("x", 10, 2.0, 1.0).passed is False
+        assert AuditReport("x", 10, math.nan, 1.0).passed is False
+        with pytest.raises(TypeError):
+            AuditReport("x", 10, 2.0, 1.0, passed=True)
 
     def test_json_line(self):
-        line = AuditReport("x", 10, 0.5, 1.0, True, ("note",)).to_json_line()
+        line = AuditReport("x", 10, 0.5, 1.0, ("note",)).to_json_line()
         obj = json.loads(line)
         assert obj["name"] == "x" and obj["passed"] is True
 

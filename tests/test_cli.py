@@ -71,6 +71,20 @@ def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overr
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--epsilon-grid", "1.0"]], ids=["run", "sweep"]
+)
+def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, capsys, command):
+    # no top-level lipschitz, so the run is tuned and accounted for L=1;
+    # without the check this config ran and reported that budget
+    path = _write_config(
+        tmp_path, problem="oco", adversary={"kind": "iid-sphere", "lipschitz": 3.0, "seed": 1}
+    )
+    assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "exceeds the config's lipschitz 1.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestRun:
     def test_smoke_writes_three_files(self, tmp_path, capsys):
         path = _write_config(tmp_path)
@@ -275,6 +289,17 @@ class TestSweepAndLowerBound:
         assert lines[0] == "rep,seed,strawman_regret,comparator,clamped"
         assert len(lines) == 11
 
+    def test_lower_bound_clamp_reported_once(self, tmp_path, capsys):
+        # the library's warning is the one report; the CSV marks every row
+        out = tmp_path / "lb.csv"
+        args = ["lower-bound", "--T", "16", "--epsilon", "1", "--d", "2", "--reps", "3",
+                "--output", str(out)]
+        with pytest.warns(UserWarning, match="clamped to T") as record:
+            assert main(args) == 0
+        assert len(record) == 1
+        assert capsys.readouterr().err == ""
+        assert [line[-2:] for line in out.read_text().splitlines()[1:]] == [",1"] * 3
+
 
 class TestAudit:
     def test_marginal_json_lines(self, capsys):
@@ -305,6 +330,14 @@ class TestAudit:
                 "--override-eta", "0.1", "--s", s]
         assert main(args) == 2
         assert "--s must lie in 1..5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--B", "5"], ["--p", "0.9"], ["--B", "1", "--p", "0.5"]])
+    def test_B_and_p_need_override_exit_2(self, capsys, flags):
+        # without --override-eta the tuner sets B and p; these flags were ignored
+        args = ["audit", "marginal", "--T", "5", "--runs", "10000", "--seed", "3", *flags]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--B and --p need --override-eta" in captured.err
 
     def test_invalid_override_exit_2(self, capsys):
         assert main(["audit", "ratio", "--runs", "10", "--override-eta", "0.5"]) == 2

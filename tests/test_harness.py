@@ -181,6 +181,26 @@ class TestKindMismatch:
             play_game(tune_oco(1000, 3, 1, 1e-6, 1, 1), "mw", stream, 1)
 
 
+class TestGradientBound:
+    """A ball config is tuned and accounted for gradients of norm at most its lipschitz."""
+
+    def test_stream_bound_above_the_config_refused(self):
+        # without the check this game ran as if every gradient had norm at most 1
+        config = tune_oco(200, 3, 1.0, 1e-6, 1.0, 1.0)
+        grads = linear_oco_stream(3, 200, 3.0, 1, "iid-sphere")
+        with pytest.raises(ConfigError, match="bound 3.0 exceeds the config's lipschitz 1.0"):
+            play_game(config, "rmw", grads, 1)
+        with pytest.raises(ConfigError, match="bound 3.0 exceeds the config's lipschitz 1.0"):
+            monte_carlo(config, grads, 3, 1)
+
+    @pytest.mark.parametrize("bound", [0.5, 2.0])
+    def test_stream_bound_up_to_the_config_played(self, bound):
+        config = tune_oco(200, 3, 1.0, 1e-6, 2.0, 1.0)
+        grads = linear_oco_stream(3, 200, bound, 1, "iid-sphere")
+        assert play_game(config, "rmw", grads, 1).transcript.n_batches == config.n_batches
+        assert len(monte_carlo(config, grads, 2, 1).results) == 2
+
+
 class TestStrawman:
     def test_single_switch_is_constant(self):
         s = bernoulli_experts(4, 100, [0.2, 0.4, 0.6, 0.8], seed=5)

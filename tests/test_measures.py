@@ -24,7 +24,6 @@ from l2p.measures import (
     logsumexp,
     mw_log_weights,
     normalized,
-    rmw_init,
 )
 from l2p.transform import L2PConfig, PreparedRun
 
@@ -123,6 +122,11 @@ def _second_batch(losses, eta=0.1):
     return PreparedRun(config, "mw", np.vstack([losses, np.zeros_like(losses)]))
 
 
+def _log_weights(prepared):
+    """A prepared experts run's log-weights, formed as the engine forms them."""
+    return prepared.loss_sums * -prepared.config.eta
+
+
 def _draws(prepared, rng, n=100_000):
     """``n`` batch-2 picks, made as the engine makes them."""
     cdf = prepared.cdfs[1].tolist()
@@ -140,7 +144,7 @@ class TestMwSampling:
 
     def test_dominant_expert(self):
         prepared = _second_batch([0.0, 200.0])  # log-weights (0, -20)
-        assert normalized(prepared.log_weights[1])[1] == pytest.approx(math.exp(-20), rel=1e-6)
+        assert normalized(_log_weights(prepared)[1])[1] == pytest.approx(math.exp(-20), rel=1e-6)
         draws = _draws(prepared, np.random.default_rng(1))
         assert (draws == 0).mean() >= 0.999
 
@@ -150,7 +154,7 @@ class TestMwSampling:
         prepared = _second_batch(rng.uniform(0, 20, size=d))  # log-weights in (-2, 0)
         draws = _draws(prepared, rng)
         counts = np.bincount(draws, minlength=d)
-        _, pval = chisquare(counts, 100_000 * normalized(prepared.log_weights[1]))
+        _, pval = chisquare(counts, 100_000 * normalized(_log_weights(prepared)[1]))
         assert pval > 0.001
 
     def test_log_space_stability(self):
@@ -158,7 +162,7 @@ class TestMwSampling:
         eta, T = 0.1, 1_000_000
         config = L2PConfig(T=T + 1, B=T, eta=eta, p=0.5, delta0=0.0, delta1=1e-6)
         prepared = PreparedRun(config, "mw", np.ones((T + 1, 3)))
-        log_weights = prepared.log_weights[1]
+        log_weights = _log_weights(prepared)[1]
         np.testing.assert_allclose(log_weights, -1e5, rtol=1e-9)
         assert np.isfinite(log_weights).all()
         np.testing.assert_allclose(normalized(log_weights), 1.0 / 3, rtol=1e-12)
@@ -171,7 +175,7 @@ class TestMwSampling:
 
 class TestRmw:
     def test_init_and_update(self):
-        state = rmw_init(2, 0.1, 1.0, 1.0)
+        state = RmwMeasure(np.zeros(2), 0.1, 1.0, 1.0)
         assert np.array_equal(state.grad_sum, np.zeros(2))
         table = cumulative_table(np.array([[0.3, 0.4], [0.0, 0.0]]), 1)
         np.testing.assert_allclose(table, [[0.0, 0.0], [0.3, 0.4]])
@@ -202,7 +206,7 @@ class TestRmw:
         np.testing.assert_allclose(state.gaussian_sigma, math.sqrt(1 / 2.0))
 
     def test_sampler_centered_at_origin(self):
-        state = rmw_init(3, 0.01, 10.0, 1.0)
+        state = RmwMeasure(np.zeros(3), 0.01, 10.0, 1.0)
         rng = np.random.default_rng(7)
         pts = np.array([state.sample(rng) for _ in range(20_000)])
         assert np.linalg.norm(pts, axis=1).max() <= 1.0
@@ -324,7 +328,7 @@ class TestSequences:
         config = L2PConfig(T=T, B=B, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
         prepared = PreparedRun(config, "mw", stream.values)
         slow = _reference_log_weights(stream.values, 0.05, B)
-        np.testing.assert_allclose(prepared.log_weights, slow, atol=1e-12)
+        np.testing.assert_allclose(_log_weights(prepared), slow, atol=1e-12)
         for row, cdf in zip(slow, prepared.cdfs):
             want = np.cumsum(scipy.special.softmax(row))
             np.testing.assert_allclose(cdf, want, atol=1e-12)
@@ -426,7 +430,7 @@ class TestChunkedTables:
             return
         lw = -config.eta * want
         assert mw_log_weights(values, config.eta, config.B).tobytes() == lw.tobytes()
-        assert prepared.log_weights.tobytes() == lw.tobytes()
+        assert prepared.loss_sums.tobytes() == want.tobytes()
         assert prepared.cdfs.tobytes() == _one_shot_cdfs(lw).tobytes()
         assert prepared.sure == _one_shot_sure(lw, config.cap)
 
@@ -491,7 +495,7 @@ class TestSetUpMemory:
         config = tune_ope(T, d, 1.0, 1e-6)
         prepared, retained, peak = _traced(lambda: PreparedRun(config, "mw", values))
         table = config.n_batches * d * 8
-        assert prepared.log_weights.nbytes == prepared.cdfs.nbytes == table
+        assert prepared.loss_sums.nbytes == prepared.cdfs.nbytes == table
         assert retained <= 2.1 * table
         assert peak <= 2.5 * table
 
@@ -568,4 +572,4 @@ def test_import_leaves_scipy_unloaded():
 
 def test_sample_dispatch():
     rng = np.random.default_rng(0)
-    assert rmw_init(2, 0.1, 1.0, 1.0).sample(rng).shape == (2,)
+    assert RmwMeasure(np.zeros(2), 0.1, 1.0, 1.0).sample(rng).shape == (2,)

@@ -36,7 +36,7 @@ from l2p.transform import (
 def _log_ratio(prepared: PreparedRun, s: int, x) -> float:
     """log of cur(x) / prev(x) between the batch s-1 and batch s rows of the tables."""
     if prepared.is_mw:
-        col = prepared.log_weights[:, x]
+        col = prepared.loss_sums[:, x] * -prepared.config.eta
         return float(col[s - 1] - col[s - 2])
     delta_g = prepared.grad_sums[s - 1] - prepared.grad_sums[s - 2]
     return float(-prepared.beta * (delta_g @ x))
@@ -77,11 +77,11 @@ class TestAcceptanceProbability:
     def test_rescaling_invariance(self):
         prepared = _mw_run(0.05, [[0.3, 0.9, 0.1]] * 3 + [[0.0, 0.0, 0.0]] * 3, B=3)
         a = _acceptance(prepared, 2, 0, 2)
-        normal = normalized(prepared.log_weights)
-        prepared.log_weights = prepared.log_weights + 7.7
+        normal = normalized(prepared.loss_sums * -0.05)
+        prepared.loss_sums = prepared.loss_sums + 154.0  # every log-weight moves by -7.7
         b = _acceptance(prepared, 2, 0, 2)
         np.testing.assert_allclose(a, b, rtol=1e-12)
-        np.testing.assert_allclose(normalized(prepared.log_weights), normal, rtol=1e-12)
+        np.testing.assert_allclose(normalized(prepared.loss_sums * -0.05), normal, rtol=1e-12)
         assert 0.0 < a <= 1.0
 
     def test_rmw_ratio(self):
@@ -220,18 +220,27 @@ class TestRunL2p:
     def test_transcript_shape_and_identities(self):
         stream = _uniform_stream(3, 11, seed=5)
         config = L2PConfig(T=11, B=3, eta=0.05, p=0.4, delta0=0.0, delta1=1e-6)
-        t = _run(config, stream, 2)
-        assert t.n_batches == 4  # ceil(11/3), short last batch
-        assert t.round_losses.shape == (11,)
-        S, Sp, A = t.coins[1:].T
-        assert t.switched[1:, 0].tolist() == ((S == 0) | (Sp == 0)).tolist()
-        assert t.switched[1:, 1].tolist() == (A == 0).tolist()
-        # per-batch losses recompute from round losses
-        for s in range(1, t.n_batches + 1):
-            lo, hi = (s - 1) * 3, min(s * 3, 11)
-            np.testing.assert_allclose(
-                t.batch_losses[s - 1], t.round_losses[lo:hi].sum(), rtol=1e-12
-            )
+        grads = linear_oco_stream(2, 11, 1.0, 5, "iid-sphere")
+        ball = L2PConfig(
+            T=11, B=3, eta=0.05, p=0.4, delta0=1e-12, delta1=1e-6,
+            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+        )
+        for t in (_run(config, stream, 2), _run(ball, grads, 2, "rmw")):
+            assert t.n_batches == 4  # ceil(11/3), short last batch
+            assert t.round_losses.shape == (11,)
+            S, Sp, A = t.coins[1:].T
+            assert t.switched[1:, 0].tolist() == ((S == 0) | (Sp == 0)).tolist()
+            assert t.switched[1:, 1].tolist() == (A == 0).tolist()
+            # the counts read off the event codes agree with the columns
+            assert t.codes and t.switch_count_x == t.switched[:, 0].sum()
+            assert t.switch_count_y == t.switched[:, 1].sum()
+            assert t.fake_switch_count == ((Sp == 0) | (A == 0)).sum()
+            # per-batch losses recompute from round losses
+            for s in range(1, t.n_batches + 1):
+                lo, hi = (s - 1) * 3, min(s * 3, 11)
+                np.testing.assert_allclose(
+                    t.batch_losses[s - 1], t.round_losses[lo:hi].sum(), rtol=1e-12
+                )
 
     def test_no_switch_means_same_model(self):
         stream = _uniform_stream(3, 20, seed=9)
@@ -768,7 +777,7 @@ class TestKeepBoundary:
         assert config.n_batches > _WALK
         doubles = np.zeros(3 * config.n_batches + 8)
         doubles[1] = 0.999
-        lw = prepared.log_weights
+        lw = prepared.loss_sums * -eta
         lr = (lw[1:, 0] - lw[:-1, 0]) - (lw[1:, 1] - lw[:-1, 1])  # batch s at s - 2
         return prepared, doubles, lr
 
@@ -844,7 +853,7 @@ class TestKeepBoundary:
         values = np.full((80, 2), 0.5)
         values[k - 2] = (1.0, 0.0)
         prepared, doubles, lr = self._two_experts(values)
-        lw = prepared.log_weights
+        lw = prepared.loss_sums * -prepared.config.eta
         spread = np.ptp(np.diff(lw, axis=0), axis=1).max()
         assert lr[k - 2] == -spread
         acc = math.exp(-spread - prepared.cap)
