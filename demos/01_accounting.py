@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Tour of the privacy accountant.
 
-Walks through the budget of a single switching run, the composition
-helpers, group privacy, the concentrated-DP conversion, and the two
-closed-form tuners. Everything here is pure arithmetic; nothing is
-simulated.
+Walks through the budget of a single switching run, group privacy,
+the concentrated-DP conversion, and the two closed-form tuners.
+Everything here is pure arithmetic; nothing is simulated.
 """
 
 import math
 
 from l2p import (
-    advanced_composition,
     cdp_to_approx,
     config_budget,
     group_privacy,
     l2p_privacy,
-    modified_advanced_composition,
     tune_oco,
     tune_ope,
 )
@@ -28,16 +25,6 @@ print(f"  delta   = {budget.delta}")
 print(f"  preconditions met: {budget.preconditions_met}")
 for note in budget.notes:
     print(f"  note: {note}")
-
-print()
-print("=== composition ===")
-k = 100
-comp = advanced_composition([0.1] * k, [0.0] * k, tilde_delta=1e-6)
-print(f"{k} mechanisms at eps=0.1 each:")
-print(f"  formula epsilon = {comp.epsilon:.4f} (sum {k * 0.1:.1f} + sqrt slack)")
-print(f"  basic floor     = {comp.floor:.4f}  <- tighter here, callers pick")
-cond = modified_advanced_composition([0.1] * k, [0.0] * k, 1e-6, [1e-6] * k)
-print(f"  with per-round conditioning slack 1e-6: delta grows to {cond.delta:.6g}")
 
 print()
 print("=== group privacy and CDP conversion ===")

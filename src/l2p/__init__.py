@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 from .accountant import (
     PrivacyBudget,
     TunerError,
-    advanced_composition,
     ball_config,
     cdp_to_approx,
     config_budget,
     group_privacy,
     l2p_privacy,
-    modified_advanced_composition,
     ope_config,
     regret_bound_oco,
     regret_bound_ope,
@@ -79,7 +77,6 @@ __all__ = [
     "SamplerError",
     "Transcript",
     "TunerError",
-    "advanced_composition",
     "ball_config",
     "bernoulli_experts",
     "best_in_hindsight_oco_ball",
@@ -94,7 +91,6 @@ __all__ = [
     "linear_oco_stream",
     "load_stream",
     "marginal_tv_profile",
-    "modified_advanced_composition",
     "monte_carlo",
     "neighbor_of",
     "ope_config",

@@ -1,5 +1,5 @@
-"""Privacy arithmetic: run budgets, composition, group privacy, tuners,
-and the theoretical regret rates of both problems.
+"""Privacy arithmetic: run budgets, group privacy, tuners, and the
+theoretical regret rates of both problems.
 
 Every function here is pure and uses natural logarithms. The run budget
 for the switching engine with step size ``eta``, fake-switch rate ``p``,
@@ -36,18 +36,12 @@ class TunerError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """An (epsilon, delta) pair with provenance notes.
-
-    ``floor`` is only set by the composition routines: the basic
-    composition bound ``min(formula, sum of epsilons)``, which is also a
-    valid budget and can undercut the formula value.
-    """
+    """An (epsilon, delta) pair with provenance notes."""
 
     epsilon: float
     delta: float
     preconditions_met: bool = True
     notes: tuple[str, ...] = ()
-    floor: float | None = None
 
     def __post_init__(self):
         if self.epsilon < 0.0 or math.isnan(self.epsilon):
@@ -56,15 +50,12 @@ class PrivacyBudget:
             raise ValueError("delta must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "epsilon": self.epsilon,
             "delta": self.delta,
             "preconditions_met": self.preconditions_met,
             "notes": list(self.notes),
         }
-        if self.floor is not None:
-            out["floor"] = self.floor
-        return out
 
 
 def _capped_delta(value: float, notes: list[str]) -> float:
@@ -111,57 +102,6 @@ def l2p_privacy(
         notes.append("epsilon is infinite")
         eps = math.inf
     return PrivacyBudget(eps, delta, pre_switch and pre_ratio, tuple(notes))
-
-
-def advanced_composition(epsilons, deltas, tilde_delta: float) -> PrivacyBudget:
-    """k-fold composition bound plus the basic-composition floor.
-
-    The formula value is ``sum(eps) + min(sqrt(2 sum(eps^2) log(e +
-    sqrt(sum(eps^2))/d~)), sqrt(2 sum(eps^2) log(1/d~)))`` and can exceed
-    plain summation; ``floor`` reports ``min(formula, sum(eps))`` so
-    callers can take the tighter of the two.
-    """
-    epsilons = [float(e) for e in epsilons]
-    deltas = [float(d) for d in deltas]
-    if len(epsilons) != len(deltas):
-        raise ValueError("epsilons and deltas must have equal length")
-    if not 0.0 < tilde_delta < 1.0:
-        raise ValueError("tilde_delta must lie in (0, 1)")
-    if not epsilons:
-        return PrivacyBudget(0.0, tilde_delta, True, (), floor=0.0)
-    if any(e <= 0.0 for e in epsilons):
-        raise ValueError("per-mechanism epsilons must be positive")
-    if any(not 0.0 <= d < 1.0 for d in deltas):
-        raise ValueError("per-mechanism deltas must lie in [0, 1)")
-    eps_sum = sum(epsilons)
-    sq = sum(e * e for e in epsilons)
-    slack = min(
-        math.sqrt(2.0 * sq * math.log(_E + math.sqrt(sq) / tilde_delta)),
-        math.sqrt(2.0 * sq * math.log(1.0 / tilde_delta)),
-    )
-    eps = eps_sum + slack
-    prod = 1.0
-    for d in deltas:
-        prod *= 1.0 - d
-    delta = 1.0 - (1.0 - tilde_delta) * prod
-    return PrivacyBudget(eps, delta, True, (), floor=min(eps, eps_sum))
-
-
-def modified_advanced_composition(
-    epsilons, deltas, tilde_delta: float, lambdas
-) -> PrivacyBudget:
-    """Composition with conditioning slack: delta grows by ``2 sum(lambdas)``.
-
-    Used when each mechanism is only private conditional on a
-    per-round event of probability at least ``1 - lambda_t``.
-    """
-    lambdas = [float(v) for v in lambdas]
-    if any(not 0.0 <= v <= 1.0 for v in lambdas):
-        raise ValueError("lambdas must lie in [0, 1]")
-    base = advanced_composition(epsilons, deltas, tilde_delta)
-    notes = list(base.notes)
-    delta = _capped_delta(base.delta + 2.0 * sum(lambdas), notes)
-    return replace(base, delta=delta, notes=tuple(notes))
 
 
 def group_privacy(eps: float, delta: float, k: int) -> PrivacyBudget:

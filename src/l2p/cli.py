@@ -235,14 +235,18 @@ def cmd_tune(args) -> int:
 
 def cmd_audit(args) -> int:
     d, T = args.d, args.T
+    if args.s is not None and args.test != "marginal":
+        raise ConfigError("--s applies to the marginal audit only")
     stream = bernoulli_experts(d, T, np.linspace(0.3, 0.7, d), args.seed)
     if args.override_eta is not None:
+        if args.epsilon is not None:
+            raise ConfigError("--epsilon is unused with --override-eta")
         B, p = 1 if args.B is None else args.B, 0.5 if args.p is None else args.p
         config = ope_config(T, B, args.override_eta, p, args.delta)
     elif args.B is not None or args.p is not None:
         raise ConfigError("--B and --p need --override-eta")
     else:
-        config = tune_ope(T, d, args.epsilon, args.delta)
+        config = tune_ope(T, d, 1.0 if args.epsilon is None else args.epsilon, args.delta)
     if args.test == "marginal":
         if args.s is not None and not 1 <= args.s <= config.n_batches:
             raise ConfigError(f"--s must lie in 1..{config.n_batches}")
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--T", type=int, default=5)
     p_audit.add_argument("--B", type=int, default=None)
     p_audit.add_argument("--p", type=float, default=None)
-    p_audit.add_argument("--epsilon", type=float, default=1.0)
+    p_audit.add_argument("--epsilon", type=float, default=None)
     p_audit.add_argument("--delta", type=float, default=1e-6)
     p_audit.add_argument("--runs", type=int, default=100_000)
     p_audit.add_argument("--s", type=int, default=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,16 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import l2p
 from l2p.accountant import (
     PrivacyBudget,
     TunerError,
-    advanced_composition,
     ball_config,
     cdp_to_approx,
     config_budget,
     group_privacy,
     l2p_privacy,
-    modified_advanced_composition,
     ope_config,
     tune_oco,
     tune_ope,
@@ -80,51 +80,6 @@ class TestL2pPrivacy:
         a = l2p_privacy(0.013, 0.21, 777, 3, 1e-13, 1e-7)
         b = l2p_privacy(0.013, 0.21, 777, 3, 1e-13, 1e-7)
         assert a == b
-
-
-class TestAdvancedComposition:
-    def test_single_mechanism_floor(self):
-        b = advanced_composition([0.5], [0.0], 1e-6)
-        assert b.floor == pytest.approx(0.5)
-        assert b.epsilon > 0.5  # formula value exceeds the floor here
-
-    def test_hundred_copies(self):
-        b = advanced_composition([0.1] * 100, [0.0] * 100, 1e-6)
-        # sum = 10, sqrt slack = sqrt(2 * 1 * log(1e6)) ~ 5.257
-        assert b.epsilon == pytest.approx(10 + 5.257, abs=5e-3)
-        assert b.floor == pytest.approx(10.0)
-        assert b.delta == pytest.approx(1e-6)
-
-    def test_empty(self):
-        b = advanced_composition([], [], 1e-6)
-        assert b.epsilon == 0.0 and b.delta == 1e-6 and b.floor == 0.0
-
-    def test_delta_product(self):
-        b = advanced_composition([0.1, 0.1], [0.01, 0.02], 1e-3)
-        expected = 1 - (1 - 1e-3) * 0.99 * 0.98
-        assert b.delta == pytest.approx(expected, rel=1e-12)
-
-    @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=20))
-    @settings(max_examples=40, deadline=None)
-    def test_floor_never_exceeds_sum(self, epsilons):
-        b = advanced_composition(epsilons, [0.0] * len(epsilons), 1e-6)
-        assert b.floor <= sum(epsilons) + 1e-12
-        assert b.floor <= b.epsilon + 1e-12
-
-
-class TestModifiedComposition:
-    def test_zero_lambdas_identical(self):
-        args = ([0.1] * 5, [1e-8] * 5, 1e-6)
-        assert modified_advanced_composition(*args, [0.0] * 5) == advanced_composition(*args)
-
-    def test_lambda_slack_added(self):
-        base = advanced_composition([0.1] * 100, [0.0] * 100, 1e-6)
-        mod = modified_advanced_composition([0.1] * 100, [0.0] * 100, 1e-6, [1e-6] * 100)
-        assert mod.delta == pytest.approx(base.delta + 2e-4)
-
-    def test_single_large_lambda(self):
-        mod = modified_advanced_composition([0.1], [0.0], 1e-6, [0.3])
-        assert mod.delta == pytest.approx(1e-6 + 0.6)
 
 
 class TestGroupPrivacy:
@@ -323,5 +278,14 @@ class TestPrivacyBudget:
             PrivacyBudget(1.0, 1.5)
 
     def test_to_dict(self):
-        d = PrivacyBudget(1.0, 0.1, False, ("x",), floor=0.5).to_dict()
-        assert d["epsilon"] == 1.0 and d["floor"] == 0.5 and d["notes"] == ["x"]
+        d = PrivacyBudget(1.0, 0.1, False, ("x",)).to_dict()
+        assert d["epsilon"] == 1.0 and d["notes"] == ["x"]
+
+
+def test_package_exports():
+    # every exported name resolves, and the removed composition routines stay gone
+    assert all(hasattr(l2p, name) for name in l2p.__all__)
+    for name in ("advanced_composition", "modified_advanced_composition"):
+        assert name not in l2p.__all__
+        assert not hasattr(l2p, name)
+    assert "floor" not in {f.name for f in dataclasses.fields(PrivacyBudget)}

@@ -339,6 +339,22 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.out == "" and "--B and --p need --override-eta" in captured.err
 
+    def test_epsilon_with_override_exit_2(self, capsys):
+        # the override sets eta, so the tuner's target epsilon was ignored
+        args = ["audit", "marginal", "--T", "5", "--runs", "10000", "--seed", "1",
+                "--override-eta", "0.1", "--s", "2", "--epsilon", "0.3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--epsilon is unused with --override-eta" in captured.err
+
+    @pytest.mark.parametrize("test", ["ratio", "epsilon", "switches"])
+    def test_s_outside_marginal_exit_2(self, capsys, test):
+        # only the marginal audit reads one batch; the others ignored --s
+        args = ["audit", test, "--T", "20", "--runs", "50", "--seed", "1", "--s", "3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--s applies to the marginal audit only" in captured.err
+
     def test_invalid_override_exit_2(self, capsys):
         assert main(["audit", "ratio", "--runs", "10", "--override-eta", "0.5"]) == 2
         assert "eta must lie in (0, 0.1]" in capsys.readouterr().err
