@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .transform import L2PConfig
-from .measures import ETA_MAX, effective_eta_rmw
+from .measures import ETA_MAX
 
 _E = math.e
 _P_CAP = 1.0 - 1e-9
@@ -194,16 +194,12 @@ def ball_config(
     lipschitz: float,
     diameter: float,
 ) -> L2PConfig:
-    """The ball run for a nominal step ``eta``, with the divergence it is accounted at.
+    """The ball run for a nominal step ``eta``; its config derives the larger accounted eta.
 
     The measure parameters are lam = (L/D) max(sqrt(T), sqrt(d log T)/eta)
     and beta = eta^2 lam / (20 L^2) on the ball of radius D/2.
-    ``delta0`` is chosen so the budget's delta0 term spends at most a
-    quarter of the target ``delta`` and ``delta1 = delta / (4T)`` at most
-    half. The measure satisfies the divergence bound
-    ``eta_accounted = effective_eta_rmw(beta, lam, L, delta0)``, larger
-    than the nominal eta, which both the accountant and the engine's
-    acceptance cap use.
+    ``delta0`` is chosen so the budget's delta0 term spends at most a quarter
+    of the target ``delta``, and ``delta1 = delta / (4T)`` at most half.
     """
     if eta <= 0.0 or not 0.0 < p <= 1.0:
         raise ValueError("ball accounting needs eta > 0 and p in (0, 1]")
@@ -222,7 +218,6 @@ def ball_config(
         lam=lam,
         radius=diameter / 2.0,
         lipschitz=lipschitz,
-        eta_accounted=effective_eta_rmw(beta, lam, lipschitz, delta0),
     )
 
 
@@ -233,8 +228,8 @@ def tune_oco(
 
     The nominal step is eta = eps^{2/3} / (T^{1/3} log(T/delta)) with
     B = max(1, round(1 / (2 eps log(1/delta)))) and p = min(eta/eps,
-    1 - 1e-9); :func:`ball_config` derives the measure, the slacks and
-    the accounted divergence ``eta'``. That exceeds the nominal eta, so
+    1 - 1e-9); :func:`ball_config` derives the measure and the slacks, and
+    its config the accounted divergence ``eta'``. That exceeds the nominal eta, so
     the verification loop halves the nominal eta (with p frozen at its
     initial value: p scales with eta, so re-deriving it would leave
     eta'/p invariant and the loop could never terminate).

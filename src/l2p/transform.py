@@ -82,6 +82,7 @@ from .measures import (
     RmwMeasure,
     cdf_table,
     cumulative_table,
+    effective_eta_rmw,
     step_spread,
 )
 
@@ -115,11 +116,11 @@ class ConfigError(ValueError):
 class L2PConfig:
     """All tuned parameters of one run.
 
-    ``eta`` is the nominal divergence step; for the ball instantiation
-    ``eta_accounted`` carries the (larger) divergence bound the measure
-    actually satisfies, and both the engine's acceptance cap and the
-    accountant use it when present. ``beta``, ``lam``, ``radius`` and
-    ``lipschitz`` are only set for ball (OCO) runs. Building a config
+    ``eta`` is the nominal divergence step. Only ball (OCO) runs set
+    ``beta``, ``lam``, ``radius`` and ``lipschitz``, and their ``delta0``
+    lies in (0, 1); from these ``eta_accounted`` derives the larger
+    divergence bound the measure satisfies, which the engine's acceptance
+    cap and the accountant use. Building a config
     that breaks a hard constraint raises :class:`ConfigError`, naming
     every constraint it breaks; the analysis preconditions, which only
     mark a run, are the accountant's (``config_budget``).
@@ -135,7 +136,6 @@ class L2PConfig:
     lam: float | None = None
     radius: float | None = None
     lipschitz: float | None = None
-    eta_accounted: float | None = None
 
     def __post_init__(self):
         errors: list[str] = []
@@ -155,10 +155,8 @@ class L2PConfig:
         if any(v is not None for v in oco_fields):
             if any(v is None or v <= 0.0 for v in oco_fields):
                 errors.append("ball runs need beta, lam, radius and lipschitz, all positive")
-            elif self.eta_accounted is None:
-                errors.append(
-                    "ball runs need eta_accounted, the divergence bound of their measure"
-                )
+            if not 0.0 < self.delta0 < 1.0:
+                errors.append("ball runs need delta0 in (0, 1), their divergence bound's domain")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -167,8 +165,15 @@ class L2PConfig:
         return -(-self.T // self.B)
 
     @property
+    def eta_accounted(self) -> float | None:
+        """The ball measure's divergence bound at ``delta0``; None for experts."""
+        if self.beta is None:
+            return None
+        return effective_eta_rmw(self.beta, self.lam, self.lipschitz, self.delta0)
+
+    @property
     def eta_effective(self) -> float:
-        return self.eta if self.eta_accounted is None else self.eta_accounted
+        return self.eta if self.beta is None else self.eta_accounted
 
     @property
     def cap(self) -> float:

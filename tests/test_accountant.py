@@ -223,6 +223,17 @@ def _report_preconditions_met(c: L2PConfig) -> bool:
 _PS = (0.0, 1e-3, 0.5, 1.0 - 1e-9, 1.0)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Accounted(L2PConfig):
+    """A ball config whose accounted eta is fixed, so it can sit exactly at ETA_MAX."""
+
+    accounted: float = 0.0
+
+    @property
+    def eta_accounted(self) -> float:
+        return self.accounted
+
+
 def _grid():
     # T p / B runs from 0 through exactly 1 (T=1000, B=1, p=1e-3) to 1000
     for T, B, eta, p, delta in itertools.product(
@@ -233,9 +244,9 @@ def _grid():
     for T, B, p, eta_accounted in itertools.product(
         (10, 1000), (1, 4), _PS, (1e-4, 0.05, ETA_MAX, 0.1000001, 0.5)
     ):
-        yield L2PConfig(
+        yield _Accounted(
             T=T, B=B, eta=min(eta_accounted, 0.01), p=p, delta0=1e-12, delta1=1e-6,
-            beta=0.01, lam=10.0, radius=0.5, lipschitz=1.0, eta_accounted=eta_accounted,
+            beta=0.01, lam=10.0, radius=0.5, lipschitz=1.0, accounted=eta_accounted,
         )
     for T, B, eta, p in itertools.product((200, 10**4), (1, 4), (1e-3, 0.05), _PS[1:]):
         yield ball_config(T, 3, B, eta, p, 1e-6, 1.0, 1.0)

@@ -336,7 +336,7 @@ class TestSequences:
         grads = linear_oco_stream(2, T, 1.0, T, "iid-sphere")
         config = L2PConfig(
             T=T, B=B, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
-            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
         )
         prepared = PreparedRun(config, "rmw", grads.values)
         np.testing.assert_allclose(prepared.grad_sums, _reference_sums(grads.values, B), atol=1e-12)
@@ -377,7 +377,7 @@ def _one_shot_sure(log_weights, cap):
 def _ball_config(T, B):
     return L2PConfig(
         T=T, B=B, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
-        beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+        beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
     )
 
 

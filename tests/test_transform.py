@@ -18,7 +18,7 @@ from l2p.adversaries import (
 )
 from l2p.audit import exact_batch_distributions
 from l2p.harness import best_in_hindsight_oco_ball, best_in_hindsight_ope, play_game
-from l2p.measures import RmwMeasure, normalized
+from l2p.measures import RmwMeasure, effective_eta_rmw, normalized
 from l2p.transform import (
     CSV_COLUMNS,
     ConfigError,
@@ -88,14 +88,14 @@ class TestAcceptanceProbability:
         stream = LossStream("iid-sphere", 2, 2, 0, [[1.0, 0.0], [0.0, 0.0]], lipschitz=1.0)
         config = L2PConfig(
             T=2, B=1, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
-            beta=0.2, lam=1.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+            beta=0.2, lam=1.0, radius=1.0, lipschitz=1.0,
         )
         prepared = PreparedRun(config, "rmw", stream.values)
         x = np.array([0.5, 0.0])
         y = np.array([-0.5, 0.0])
-        # r(x) = -0.1, r(y) = +0.1, cap 2*1*0.05 = 0.1
+        # r(x) = -0.1, r(y) = +0.1, cap 2 B eta_accounted
         got = _acceptance(prepared, 2, x, y)
-        np.testing.assert_allclose(got, math.exp(-0.1 - 0.1 - 0.1), rtol=1e-12)
+        np.testing.assert_allclose(got, math.exp(-0.1 - 0.1 - config.cap), rtol=1e-12)
 
 
 class TestConfigValidation:
@@ -110,14 +110,22 @@ class TestConfigValidation:
         ):
             L2PConfig(T=0, B=0, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
 
-    def test_ball_needs_accounted_eta(self):
-        # the budget and the acceptance cap must use the divergence the ball
-        # measure satisfies, so a ball config without it cannot be built
+    def test_ball_derives_accounted_eta(self):
+        # the budget and the acceptance cap use the divergence the ball measure
+        # satisfies, derived from the config's own fields, so it cannot be set
         fields = dict(T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
                       beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0)
-        with pytest.raises(ConfigError, match="eta_accounted"):
-            L2PConfig(**fields)
-        PreparedRun(L2PConfig(**fields, eta_accounted=0.05), "rmw", np.zeros((6, 2)))
+        config = L2PConfig(**fields)
+        assert config.eta_accounted == effective_eta_rmw(0.05, 10.0, 1.0, 1e-12)
+        assert config.cap == PreparedRun(config, "rmw", np.zeros((6, 2))).cap
+        assert config.cap == 2.0 * 2 * config.eta_accounted
+        assert L2PConfig(T=6, B=2, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6).eta_accounted is None
+        with pytest.raises(TypeError):
+            L2PConfig(**fields, eta_accounted=0.05)
+        # the bound is defined for delta0 in (0, 1) only
+        for delta0 in (0.0, 1.0, 2.0):
+            with pytest.raises(ConfigError, match=r"delta0 in \(0, 1\)"):
+                L2PConfig(**{**fields, "delta0": delta0})
 
     def test_negative_p_rejected(self):
         with pytest.raises(ConfigError, match=r"p must lie in \[0, 1\]"):
@@ -223,7 +231,7 @@ class TestRunL2p:
         grads = linear_oco_stream(2, 11, 1.0, 5, "iid-sphere")
         ball = L2PConfig(
             T=11, B=3, eta=0.05, p=0.4, delta0=1e-12, delta1=1e-6,
-            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
         )
         for t in (_run(config, stream, 2), _run(ball, grads, 2, "rmw")):
             assert t.n_batches == 4  # ceil(11/3), short last batch
@@ -285,7 +293,7 @@ class TestRunL2p:
         stream = LossStream("iid-sphere", 2, 6, 0, grads, lipschitz=1.0)
         config = L2PConfig(
             T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
-            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0, eta_accounted=0.05,
+            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
         )
         t = _run(config, stream, 1, kind="rmw")
         buf = io.StringIO()
@@ -477,7 +485,6 @@ SHAPES = {
             T=200, B=1, eta=0.0005591422978661165, p=0.008946276765857865,
             delta0=3.9180281324905885e-14, delta1=1.25e-09, beta=0.00011146075050396551,
             lam=7130.2911687637525, radius=0.5, lipschitz=1.0,
-            eta_accounted=0.001986796901254446,
         ),
         "rmw",
         linear_oco_stream(3, 200, 1.0, 5, "iid-sphere"),
