@@ -17,6 +17,7 @@ import numpy as np
 
 from .accountant import config_budget
 from .adversaries import LossStream
+from .harness import _check_stream
 from .measures import mw_log_weights, normalized
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
@@ -58,6 +59,7 @@ def _report(name, n, stat, thr, notes=()) -> AuditReport:
 
 
 def _run_many(config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int):
+    _check_stream(config, stream)
     prepared = PreparedRun(config, "mw", stream.values)
     for i in range(n_runs):
         yield prepared.run(np.random.default_rng(replicate_seed(base_seed, i)))
@@ -184,11 +186,14 @@ def empirical_epsilon(
     Passes when the estimate stays under the accountant's epsilon plus
     three combined standard errors. Raw ratios on rare buckets explode,
     hence the count filter; an empty filter yields an inconclusive pass.
+    The two streams must differ in at most one round.
     """
     if stream.d != 2 or config.T > 20 or config.B > 2:
         raise ValueError("bucketing audit needs d=2, T <= 20, B <= 2")
     if stream.T != neighbor.T or stream.d != neighbor.d:
         raise ValueError("neighbor stream has mismatched shape")
+    if np.count_nonzero((stream.values != neighbor.values).any(axis=1)) > 1:
+        raise ValueError("neighbor stream differs in more than one round")
     counts_a: Counter = Counter()
     counts_b: Counter = Counter()
     for transcript in _run_many(config, stream, n_runs, base_seed):

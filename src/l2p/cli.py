@@ -54,6 +54,15 @@ EXIT_SAMPLER = 4
 SCHEMA_VERSION = 1
 
 
+# The numeric fields the commands read, as "block.key" for nested ones:
+# each must be a finite number when present, the integral ones a whole one.
+_INTEGRAL = ("T", "d", "reps", "base_seed", "override.B", "adversary.seed")
+_NUMERIC = (
+    *_INTEGRAL, "epsilon", "delta", "lipschitz", "diameter", "override.eta", "override.p",
+    "adversary.lipschitz", "adversary.epsilon",
+)
+
+
 def _load_run_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -61,22 +70,27 @@ def _load_run_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
-    numeric = ["T", "d", "epsilon", "delta", "reps", "base_seed"]
-    missing = [k for k in ["problem", *numeric, "adversary"] if k not in cfg]
+    required = ["T", "d", "epsilon", "delta", "reps", "base_seed"]
+    missing = [k for k in ["problem", *required, "adversary"] if k not in cfg]
     if missing:
         raise ConfigError(f"config missing fields: {', '.join(missing)}")
-    bad = [k for k in numeric if type(cfg[k]) not in (int, float) or not abs(cfg[k]) < math.inf]
-    if bad:
-        raise ConfigError(f"config fields must be finite numbers: {', '.join(bad)}")
     if not isinstance(cfg["adversary"], dict):
         raise ConfigError("adversary must be a JSON object")
     if cfg["problem"] not in ("ope", "oco"):
         raise ConfigError("problem must be 'ope' or 'oco'")
     override = cfg.get("override")
-    if override is not None:
-        keys = set(override)
-        if keys != {"B", "eta", "p"}:
-            raise ConfigError("override block must set exactly B, eta and p")
+    if override is not None and (type(override) is not dict or set(override) != {"B", "eta", "p"}):
+        raise ConfigError("override block must be an object setting exactly B, eta and p")
+    fields = dict(cfg)
+    for block in ("override", "adversary"):
+        fields.update((f"{block}.{k}", v) for k, v in (cfg.get(block) or {}).items())
+    values = {k: fields[k] for k in _NUMERIC if k in fields}
+    bad = [k for k, v in values.items() if type(v) not in (int, float) or not abs(v) < math.inf]
+    if bad:
+        raise ConfigError(f"config fields must be finite numbers: {', '.join(bad)}")
+    fractional = [k for k in _INTEGRAL if k in values and values[k] != int(values[k])]
+    if fractional:
+        raise ConfigError(f"config fields must be integers: {', '.join(fractional)}")
     return cfg
 
 
@@ -156,6 +170,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
+    if cfg.get("override") is not None:
+        raise ConfigError("sweep tunes a config per epsilon; it takes no override block")
     grid = [float(v) for v in args.epsilon_grid]
     if len(grid) < 1:
         raise ConfigError("sweep needs at least one epsilon")
@@ -213,9 +229,12 @@ def cmd_account(args) -> int:
 
 def cmd_tune(args) -> int:
     if args.problem == "ope":
+        if args.L is not None or args.D is not None:
+            raise ConfigError("--L and --D apply to oco only")
         config = tune_ope(args.T, args.d, args.epsilon, args.delta)
     else:
-        config = tune_oco(args.T, args.d, args.epsilon, args.delta, args.L, args.D)
+        L, D = 1.0 if args.L is None else args.L, 1.0 if args.D is None else args.D
+        config = tune_oco(args.T, args.d, args.epsilon, args.delta, L, D)
     out = {
         "T": config.T,
         "B": config.B,
@@ -263,8 +282,6 @@ def cmd_audit(args) -> int:
     elif args.test == "switches":
         summary = monte_carlo(config, stream, args.runs, args.seed)
         print(switch_statistics(summary.results, config).to_json_line())
-    else:
-        raise ConfigError(f"unknown audit {args.test!r}")
     return EXIT_OK
 
 
@@ -311,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--d", type=int, required=True)
     p_tune.add_argument("--epsilon", type=float, required=True)
     p_tune.add_argument("--delta", type=float, required=True)
-    p_tune.add_argument("--L", type=float, default=1.0)
-    p_tune.add_argument("--D", type=float, default=1.0)
+    p_tune.add_argument("--L", type=float, default=None)
+    p_tune.add_argument("--D", type=float, default=None)
     p_tune.set_defaults(func=cmd_tune)
 
     p_audit = sub.add_parser("audit", help="empirical distribution and privacy checks")

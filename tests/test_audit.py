@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from l2p.accountant import tune_ope
-from l2p.adversaries import LossStream, bernoulli_experts, neighbor_of
+from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream, neighbor_of
 from l2p.audit import (
     AuditReport,
     _bucket,
@@ -144,6 +144,21 @@ class TestEmpiricalEpsilon:
         stream = bernoulli_experts(3, 10, [0.3, 0.5, 0.7], seed=0)
         with pytest.raises(ValueError):
             empirical_epsilon(_small_config(T=10), stream, stream, 1000)
+
+    def test_refuses_a_gradient_stream(self):
+        # the experts engine ran on the gradients and reported on them
+        grads = linear_oco_stream(2, 10, 1.0, 3, "iid-sphere")
+        with pytest.raises(ValueError, match="cannot drive a 'mw' run"):
+            empirical_epsilon(tune_ope(10, 2, 0.5, 0.05), grads, grads, 1000)
+
+    def test_refuses_a_neighbor_two_rounds_away(self):
+        stream = bernoulli_experts(2, 10, [0.3, 0.7], seed=5)
+        one = neighbor_of(stream, 5, 1.0 - stream.values[5])
+        two = neighbor_of(one, 6, 1.0 - stream.values[6])
+        config = tune_ope(10, 2, 0.5, 0.05)
+        empirical_epsilon(config, stream, one, 200)
+        with pytest.raises(ValueError, match="differs in more than one round"):
+            empirical_epsilon(config, stream, two, 200)
 
     def test_symmetry(self):
         stream = bernoulli_experts(2, 10, [0.3, 0.7], seed=5)

@@ -4,10 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from l2p.accountant import ball_config, config_budget, l2p_privacy, regret_bound_oco
-from l2p.adversaries import bernoulli_experts
-from l2p.audit import marginal_tv_profile
+from l2p.accountant import (
+    ball_config,
+    config_budget,
+    l2p_privacy,
+    regret_bound_oco,
+    tune_ope,
+)
+from l2p.adversaries import bernoulli_experts, epoch_lower_bound_stream, neighbor_of
+from l2p.audit import (
+    empirical_epsilon,
+    marginal_tv_profile,
+    ratio_range_check,
+    switch_statistics,
+)
 from l2p.cli import main
+from l2p.harness import monte_carlo
 from l2p.transform import L2PConfig
 
 
@@ -56,13 +68,23 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
 @pytest.mark.parametrize(
     "overrides",
     [None, {"T": None}, {"epsilon": "1.0"}, {"reps": True}, {"T": math.inf},
-     {"delta": math.nan}, {"adversary": "bernoulli"}],
+     {"delta": math.nan}, {"adversary": "bernoulli"},
+     {"override": ["B", "eta", "p"]},
+     {"override": {"B": None, "eta": 0.01, "p": 0.5}},
+     {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1}, "lipschitz": None},
+     {"adversary": {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": None}},
+     {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1, "lipschitz": None}},
+     {"T": 200.5}, {"reps": 2.9}, {"base_seed": 0.5},
+     {"override": {"B": 2.7, "eta": 0.01, "p": 0.5}}],
     ids=["array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
-         "string-adversary"],
+         "string-adversary", "list-override", "null-override-B", "null-lipschitz",
+         "null-adversary-seed", "null-adversary-lipschitz", "fractional-T", "fractional-reps",
+         "fractional-base_seed", "fractional-override-B"],
 )
 def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overrides):
     # a top level that is not an object, a field that is not a finite
-    # number, or an adversary that is not an object
+    # number or not a whole one where one is read, or an adversary or
+    # override that is not an object
     path = _write_config(tmp_path, **(overrides or {}))
     if overrides is None:
         path.write_text("[1, 2]")
@@ -179,6 +201,24 @@ class TestRun:
             assert (flag / name).exists()
         assert not (tmp_path / "out").exists()
 
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        # 4e2 and 3.0 are whole numbers, so they run as the integers do
+        runs = {}
+        for name, numbers in [("int", {"T": 400, "reps": 3}), ("float", {"T": 4e2, "reps": 3.0})]:
+            path = _write_config(tmp_path, **numbers, base_seed=0.0)
+            assert main(["run", "--config", str(path), "--output", str(tmp_path / name)]) == 0
+            runs[name] = (tmp_path / name / "reps.csv").read_bytes()
+        assert runs["int"] == runs["float"]
+
+    def test_epoch_adversary(self, tmp_path, capsys):
+        path = _write_config(
+            tmp_path, reps=3, adversary={"kind": "epoch_lower_bound", "epsilon": 0.05, "seed": 1}
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        stream = epoch_lower_bound_stream(400, 0.05, 3, 1)
+        want = monte_carlo(tune_ope(400, 3, 1.0, 1e-6), stream, 3, 0).to_json() + "\n"
+        assert (tmp_path / "out" / "summary.json").read_text() == want
+
     def test_bad_schema(self, tmp_path):
         path = _write_config(tmp_path, schema=2)
         assert main(["run", "--config", str(path)]) == 2
@@ -244,6 +284,14 @@ class TestTune:
             in obj["budget"]["notes"]
         )
 
+    @pytest.mark.parametrize("flags", [["--L", "5"], ["--D", "9"], ["--L", "1", "--D", "1"]])
+    def test_ope_refuses_L_and_D_exit_2(self, capsys, flags):
+        # the experts tuner has no Lipschitz bound or diameter; these flags were ignored
+        args = ["tune", "ope", "--T", "20000", "--d", "10", "--epsilon", "1", "--delta", "1e-6"]
+        assert main([*args, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--L and --D apply to oco only" in captured.err
+
     def test_infeasible_exit_3(self, capsys):
         assert main(["tune", "ope", "--T", "10", "--d", "2",
                      "--epsilon", "1e-6", "--delta", "1e-6"]) == 3
@@ -277,6 +325,15 @@ class TestSweepAndLowerBound:
             )
             assert float(line.split(",")[3]) == want
             assert float(line.split(",")[3]) == regret_bound_oco(200, 3, eps, 1e-6, 2.0, 0.5)
+
+    def test_sweep_refuses_an_override_exit_2_writes_nothing(self, tmp_path, capsys):
+        # the override fixes one config, so every epsilon of the grid ran it
+        path = _write_config(tmp_path, override={"B": 1, "eta": 0.01, "p": 0.5})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.1", "1", "5",
+                     "--output", str(out)]) == 2
+        assert "it takes no override block" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_lower_bound_csv(self, tmp_path, capsys):
         out = tmp_path / "lb.csv"
@@ -323,6 +380,30 @@ class TestAudit:
         assert capsys.readouterr().out.splitlines() == want
         assert main([*args, "--s", "4"]) == 0
         assert capsys.readouterr().out.splitlines() == [want[3]]
+
+    def test_tuned_marginal_prints_the_profile(self, capsys):
+        stream = bernoulli_experts(3, 5, np.linspace(0.3, 0.7, 3), 2)
+        want = marginal_tv_profile(tune_ope(5, 3, 1.0, 1e-6), stream, 10_000, 2)
+        assert main(["audit", "marginal", "--runs", "10000", "--seed", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [r.to_json_line() for r in want]
+
+    @pytest.mark.parametrize("test", ["ratio", "epsilon", "switches"])
+    def test_tuned_audit_prints_its_report(self, capsys, test):
+        # the report the library gives on the command's tuned config, stream and seed
+        T, d, runs, seed = 10, 2, 200, 4
+        stream = bernoulli_experts(d, T, np.linspace(0.3, 0.7, d), seed)
+        config = tune_ope(T, d, 1.0, 1e-6)
+        if test == "ratio":
+            report = ratio_range_check(config, stream, runs, seed)
+        elif test == "epsilon":
+            neighbor = neighbor_of(stream, T // 2, 1.0 - stream.values[T // 2])
+            report = empirical_epsilon(config, stream, neighbor, runs, seed)
+        else:
+            report = switch_statistics(monte_carlo(config, stream, runs, seed).results, config)
+        args = ["audit", test, "--T", str(T), "--d", str(d), "--runs", str(runs),
+                "--seed", str(seed)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == report.to_json_line() + "\n"
 
     @pytest.mark.parametrize("s", ["0", "6"])
     def test_marginal_batch_out_of_range_exit_2(self, capsys, s):
