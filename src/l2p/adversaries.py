@@ -20,6 +20,9 @@ _MAGIC = b"L2PS"
 _VERSION = 2
 _ROW_DTYPES = {1: "<f4", 2: "<f8"}
 
+# The relative slack a gradient norm may exceed a lipschitz bound by.
+LIPSCHITZ_RTOL = 1e-6
+
 _OPE_KINDS = ("bernoulli", "epoch_lower_bound")
 _OCO_KINDS = ("iid-sphere", "drift")
 
@@ -49,11 +52,13 @@ class LossStream:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.T, self.d):
             raise ValueError("values must have shape (T, d)")
+        if not np.isfinite(vals).all():
+            raise ValueError("stream values must be finite")
         if self.is_oco:
             if self.lipschitz is None or self.lipschitz <= 0:
                 raise ValueError("linear streams need a positive lipschitz bound")
             norms = np.linalg.norm(vals, axis=1)
-            if norms.max(initial=0.0) > self.lipschitz * (1 + 1e-6):
+            if norms.max(initial=0.0) > self.lipschitz * (1 + LIPSCHITZ_RTOL):
                 raise ValueError("gradient norm exceeds the lipschitz bound")
         else:
             if vals.min(initial=0.0) < 0 or vals.max(initial=0.0) > 1:
@@ -70,7 +75,7 @@ def bernoulli_experts(d: int, T: int, means, seed: int) -> LossStream:
     means = np.asarray(means, dtype=np.float64)
     if means.shape != (d,):
         raise ValueError("means must have length d")
-    if means.min() < 0 or means.max() > 1:
+    if not (means.min() >= 0 and means.max() <= 1):  # NaN fails both
         raise ValueError("means must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     values = (rng.random((T, d)) < means).astype(np.float64)
@@ -163,19 +168,30 @@ def save_stream(stream: LossStream, path) -> None:
         fh.write(stream.values.astype(_ROW_DTYPES[_VERSION]).tobytes())
 
 
+def _unpack(fh, fmt: str) -> tuple:
+    """The next ``struct.calcsize(fmt)`` bytes of ``fh``, unpacked; ValueError if cut short."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError("loss-stream file is truncated")
+    return struct.unpack(fmt, raw)
+
+
 def load_stream(path) -> LossStream:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a loss-stream file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = _unpack(fh, "<I")
         if version not in _ROW_DTYPES:
             raise ValueError(f"unsupported stream file version {version}")
-        (kind_len,) = struct.unpack("<I", fh.read(4))
+        (kind_len,) = _unpack(fh, "<I")
         kind = fh.read(kind_len).decode("utf-8")
-        d, T, seed, lip, n_epochs, epoch_len, clamped = struct.unpack("<qqqdqqB", fh.read(49))
+        d, T, seed, lip, n_epochs, epoch_len, clamped = _unpack(fh, "<qqqdqqB")
         row = np.dtype(_ROW_DTYPES[version])
         values = np.frombuffer(fh.read(row.itemsize * T * d), dtype=row).reshape(T, d)
         values = values.astype(np.float64)
+        if fh.read(1):
+            raise ValueError("loss-stream file has bytes after its rows")
     return LossStream(
         kind,
         d,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .accountant import config_budget
 from .adversaries import LossStream
-from .harness import _check_stream
 from .measures import mw_log_weights, normalized
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
@@ -59,7 +58,6 @@ def _report(name, n, stat, thr, notes=()) -> AuditReport:
 
 
 def _run_many(config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int):
-    _check_stream(config, stream)
     prepared = PreparedRun(config, "mw", stream.values)
     for i in range(n_runs):
         yield prepared.run(np.random.default_rng(replicate_seed(base_seed, i)))
@@ -85,7 +83,7 @@ def marginal_tv_profile(
     played model's marginal is exactly the current normalized measure,
     so the whole allowance is Monte-Carlo slack 3*sqrt(d/n_runs).
     """
-    if stream.is_oco or config.delta0 != 0.0:
+    if config.delta0 != 0.0:
         raise ValueError("marginal audit needs the expert instantiation with delta0=0")
     if stream.d > 8 or config.n_batches > 10:
         raise ValueError("marginal audit is exact-oracle only: d <= 8 and s <= 10")
@@ -133,8 +131,6 @@ def ratio_range_check(
     config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int = 0
 ) -> AuditReport:
     """Fraction of raw correlated-sampling ratios outside [e^{-2B eta}, e^{2B eta}]."""
-    if stream.is_oco:
-        raise ValueError("ratio audit targets the expert instantiation")
     cap = config.cap
     outside = 0
     total = 0

@@ -173,8 +173,6 @@ def cmd_sweep(args) -> int:
     if cfg.get("override") is not None:
         raise ConfigError("sweep tunes a config per epsilon; it takes no override block")
     grid = [float(v) for v in args.epsilon_grid]
-    if len(grid) < 1:
-        raise ConfigError("sweep needs at least one epsilon")
     stream = _build_stream(cfg)
     T, d, delta = int(cfg["T"]), int(cfg["d"]), float(cfg["delta"])
     rows = ["epsilon,mean_regret,std_regret,theory_bound"]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .adversaries import LossStream
 from .seeding import replicate_seed
-from .transform import ConfigError, L2PConfig, PreparedRun, Transcript
+from .transform import L2PConfig, PreparedRun, Transcript
 from .transform import _best_ball_point, _best_expert
 
 REP_CSV_COLUMNS = (
@@ -70,20 +70,6 @@ def best_in_hindsight_oco_ball(stream: LossStream, radius: float) -> tuple[np.nd
     return _best_ball_point(stream.values.sum(axis=0), radius)
 
 
-def _check_stream(config: L2PConfig, stream: LossStream) -> None:
-    """Refuse a stream of the other kind, or gradients bounded above the config's lipschitz.
-
-    The ball plays gradients, tuned for norms up to ``config.lipschitz``; experts play losses.
-    """
-    if stream.is_oco != (config.measure_kind == "rmw"):
-        raise ConfigError(f"a {stream.kind!r} stream cannot drive a {config.measure_kind!r} run")
-    if stream.is_oco and stream.lipschitz > config.lipschitz:
-        raise ConfigError(
-            f"stream gradient bound {stream.lipschitz!r} exceeds the config's "
-            f"lipschitz {config.lipschitz!r}"
-        )
-
-
 def play_game(
     config: L2PConfig,
     measure_kind: str,
@@ -94,14 +80,13 @@ def play_game(
 ) -> GameResult:
     """One seeded run against a fixed stream, with its regret.
 
-    ``measure_kind`` echoes the config's. A game that builds its run
-    raises :class:`ConfigError` if it or the stream's kind differs.
+    ``measure_kind`` echoes the config's. A game raises :class:`ConfigError`
+    if it differs, or if the losses lie outside the config's domain.
     ``prepared``, when given, must be built from the same config and
     stream; replicated callers pass one to share its tables and
     comparator between games.
     """
     if prepared is None:
-        _check_stream(config, stream)
         prepared = PreparedRun(config, measure_kind, stream.values)
     transcript = prepared.run(np.random.default_rng(seed))
     return GameResult(
@@ -174,7 +159,6 @@ def monte_carlo(
     """Replicated runs on one fixed stream with derived per-rep seeds, transcripts dropped."""
     if n_reps < 1:
         raise ValueError("need at least one replicate")
-    _check_stream(config, stream)
     kind = config.measure_kind
     prepared = PreparedRun(config, kind, stream.values)
     results = [

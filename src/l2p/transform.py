@@ -77,6 +77,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .adversaries import LIPSCHITZ_RTOL
 from .measures import (
     ETA_MAX,
     RmwMeasure,
@@ -365,6 +366,9 @@ class PreparedRun:
     losses alone, so replicates share them; only the coin and resample
     draws differ between runs. The loss matrix is kept in C order,
     copied only if it comes in another.
+    ``domain_error`` is None for a matrix in the domain the config's
+    budget holds on (losses in [0, 1]; gradient norms at most its
+    ``lipschitz``), else the message of the :class:`ConfigError` :meth:`run` raises.
     Experts runs keep two n x d tables, the cumulative losses
     ``loss_sums`` and sampling CDFs of every batch, with one flat
     memoryview of each that the engine loop reads, and ``sure``, a floor
@@ -397,6 +401,8 @@ class PreparedRun:
         if self.is_mw:
             zeros = np.count_nonzero(loss_values == 0.0)
             self.binary = zeros + np.count_nonzero(loss_values == 1.0) == loss_values.size
+            inside = self.binary or (loss_values.min() >= 0.0 and loss_values.max() <= 1.0)
+            self.domain_error = None if inside else "an experts run needs every loss in [0, 1]"
             self.comparator_loss = _best_expert(self.column_totals)[1]
             self.loss_sums = cumulative_table(loss_values, config.B)
             if not np.isfinite(self.loss_sums).all():
@@ -411,6 +417,12 @@ class PreparedRun:
             self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
             self.binary = False
+            largest = float(np.linalg.norm(loss_values, axis=1).max())
+            inside = largest <= config.lipschitz * (1.0 + LIPSCHITZ_RTOL)
+            self.domain_error = None if inside else (
+                f"largest gradient norm {largest!r} exceeds the config's "
+                f"lipschitz {config.lipschitz!r}"
+            )
             self.comparator_loss = _best_ball_point(self.column_totals, config.radius)[1]
             self.grad_sums = cumulative_table(loss_values, config.B)
             self.beta = config.beta
@@ -422,6 +434,8 @@ class PreparedRun:
         return np.add.reduceat(self.loss_values, starts, axis=0)
 
     def run(self, rng: np.random.Generator) -> Transcript:
+        if self.domain_error:
+            raise ConfigError(self.domain_error)
         return self._experts(rng) if self.is_mw else self._ball(rng)
 
     def _experts(self, rng: np.random.Generator) -> Transcript:

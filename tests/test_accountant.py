@@ -100,6 +100,16 @@ class TestGroupPrivacy:
         with pytest.raises(ValueError):
             group_privacy(0.1, 1e-6, 0)
 
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="need eps >= 0"):
+            group_privacy(-0.1, 1e-6, 2)
+
+    def test_overflow_is_a_vacuous_delta(self):
+        # e^{999} overflows a double; the grown delta is reported as 1
+        b = group_privacy(1.0, 1e-6, 1000)
+        assert b.epsilon == 1000.0 and b.delta == 1.0
+        assert b.notes == ("delta exceeded 1; reported as 1 (vacuous)",)
+
 
 class TestCdpConversion:
     def test_golden(self):
@@ -129,6 +139,20 @@ class TestTuneOpe:
 
     def test_large_epsilon_clamps_B(self):
         assert tune_ope(10**4, 5, 100.0, 1e-6).B == 1
+
+    @pytest.mark.parametrize(
+        "T, eps, match",
+        [(0, 1.0, "T must be at least 1"), (100, 0.0, "epsilon must be positive"),
+         (100, -1.0, "epsilon must be positive")],
+        ids=["T-0", "eps-0", "eps-negative"],
+    )
+    @pytest.mark.parametrize("tune", ["ope", "oco"])
+    def test_inputs_refused(self, tune, T, eps, match):
+        with pytest.raises(ValueError, match=match):
+            if tune == "ope":
+                tune_ope(T, 3, eps, 1e-6)
+            else:
+                tune_oco(T, 3, eps, 1e-6, 1.0, 1.0)
 
     def test_infeasible(self):
         with pytest.raises(TunerError):
@@ -191,6 +215,11 @@ class TestTuneOco:
     def test_delta_invalid(self):
         with pytest.raises(ValueError):
             tune_oco(1000, 3, 1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("L, D", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    def test_lipschitz_and_diameter_positive(self, L, D):
+        with pytest.raises(ValueError, match="lipschitz and diameter must be positive"):
+            tune_oco(1000, 3, 1.0, 1e-6, L, D)
 
     def test_lambda_formula(self):
         T, d = 10**4, 3

@@ -37,6 +37,11 @@ class TestBernoulliExperts:
     def test_bad_means(self):
         with pytest.raises(ValueError):
             bernoulli_experts(2, 10, [0.5, 1.5], seed=0)
+        # a JSON null reads as NaN, which made an expert that never loses
+        with pytest.raises(ValueError, match=r"means must lie in \[0, 1\]"):
+            bernoulli_experts(3, 10, [None, 0.5, 0.7], seed=0)
+        with pytest.raises(ValueError, match="means must have length d"):
+            bernoulli_experts(3, 10, [0.5, 0.5], seed=0)
 
 
 class TestEpochStream:
@@ -108,11 +113,30 @@ class TestLinearStream:
         with pytest.raises(ValueError):
             linear_oco_stream(2, 10, 1.0, seed=0, kind="mystery")
 
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0])
+    def test_nonpositive_lipschitz(self, lipschitz):
+        with pytest.raises(ValueError, match="lipschitz must be positive"):
+            linear_oco_stream(2, 10, lipschitz, seed=0, kind="iid-sphere")
+
 
 def test_unknown_stream_kind_refused():
     # a misspelt gradient kind whose rows lie in [0, 1] would pass as expert losses
     with pytest.raises(ValueError, match="unknown stream kind 'sphere'"):
         LossStream("sphere", 2, 1, 0, [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "kind, values, lipschitz, match",
+    [("bernoulli", [[0.5, 0.5, 0.5]], None, r"shape \(T, d\)"),
+     ("bernoulli", [0.5, 0.5], None, r"shape \(T, d\)"),
+     ("iid-sphere", [[0.3, 0.4]], None, "positive lipschitz"),
+     ("iid-sphere", [[0.0, 0.0]], 0.0, "positive lipschitz")],
+    ids=["experts-wrong-width", "experts-flat", "gradients-no-lipschitz",
+         "gradients-zero-lipschitz"],
+)
+def test_malformed_stream_refused(kind, values, lipschitz, match):
+    with pytest.raises(ValueError, match=match):
+        LossStream(kind, 2, 1, 0, values, lipschitz=lipschitz)
 
 
 class TestNeighborOf:
@@ -137,6 +161,11 @@ class TestNeighborOf:
         s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)
         with pytest.raises(ValueError):
             neighbor_of(s, 10, [0.0, 0.0])
+
+    def test_bad_dimension(self):
+        s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            neighbor_of(s, 3, [0.0, 0.0, 0.0])
 
     def test_validates_loss_type(self):
         s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)
@@ -206,3 +235,10 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(ValueError):
             load_stream(path)
+        # a header cut short, and rows followed by more bytes
+        save_stream(bernoulli_experts(2, 4, [0.3, 0.7], seed=0), path)
+        raw = path.read_bytes()
+        for cut in (raw[:10], raw[:30], raw + b"\x00"):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match="truncated|bytes after its rows"):
+                load_stream(path)

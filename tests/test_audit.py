@@ -148,7 +148,7 @@ class TestEmpiricalEpsilon:
     def test_refuses_a_gradient_stream(self):
         # the experts engine ran on the gradients and reported on them
         grads = linear_oco_stream(2, 10, 1.0, 3, "iid-sphere")
-        with pytest.raises(ValueError, match="cannot drive a 'mw' run"):
+        with pytest.raises(ValueError, match=r"an experts run needs every loss in \[0, 1\]"):
             empirical_epsilon(tune_ope(10, 2, 0.5, 0.05), grads, grads, 1000)
 
     def test_refuses_a_neighbor_two_rounds_away(self):

@@ -23,6 +23,9 @@ from l2p.harness import monte_carlo
 from l2p.transform import L2PConfig
 
 
+_MISSING = object()  # an override that drops the field
+
+
 def _write_config(tmp_path, **overrides):
     cfg = {
         "schema": 1,
@@ -37,6 +40,7 @@ def _write_config(tmp_path, **overrides):
         "output_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not _MISSING}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -75,16 +79,21 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
      {"adversary": {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": None}},
      {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1, "lipschitz": None}},
      {"T": 200.5}, {"reps": 2.9}, {"base_seed": 0.5},
-     {"override": {"B": 2.7, "eta": 0.01, "p": 0.5}}],
+     {"override": {"B": 2.7, "eta": 0.01, "p": 0.5}},
+     {"reps": _MISSING}, {"adversary": _MISSING}, {"problem": "mystery"},
+     {"adversary": {"kind": "mystery", "seed": 1}}, {"reps": 0},
+     {"adversary": {"kind": "bernoulli", "means": [None, 0.5, 0.7], "seed": 1}}],
     ids=["array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
          "string-adversary", "list-override", "null-override-B", "null-lipschitz",
          "null-adversary-seed", "null-adversary-lipschitz", "fractional-T", "fractional-reps",
-         "fractional-base_seed", "fractional-override-B"],
+         "fractional-base_seed", "fractional-override-B", "missing-reps", "missing-adversary",
+         "unknown-problem", "unknown-adversary-kind", "zero-reps", "null-mean"],
 )
 def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overrides):
     # a top level that is not an object, a field that is not a finite
     # number or not a whole one where one is read, or an adversary or
-    # override that is not an object
+    # override that is not an object; a missing field, an unknown problem
+    # or adversary kind, no replicates, or a null Bernoulli mean
     path = _write_config(tmp_path, **(overrides or {}))
     if overrides is None:
         path.write_text("[1, 2]")
@@ -333,6 +342,13 @@ class TestSweepAndLowerBound:
         assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.1", "1", "5",
                      "--output", str(out)]) == 2
         assert "it takes no override block" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_empty_epsilon_grid_exit_2(self, tmp_path, capsys):
+        # argparse refuses the empty grid before the command runs
+        path = _write_config(tmp_path)
+        assert main(["sweep", "--config", str(path), "--epsilon-grid"]) == 2
+        assert "--epsilon-grid" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     def test_lower_bound_csv(self, tmp_path, capsys):

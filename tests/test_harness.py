@@ -142,6 +142,12 @@ class TestMonteCarlo:
         assert lines[0] == ",".join(REP_CSV_COLUMNS)
         assert len(lines) == 4
 
+    def test_needs_a_replicate(self):
+        s = bernoulli_experts(2, 10, [0.4, 0.6], seed=0)
+        cfg = L2PConfig(T=10, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        with pytest.raises(ValueError, match="need at least one replicate"):
+            monte_carlo(cfg, s, 0, base_seed=0)
+
     def test_transcripts_droppable(self):
         # replicates drop their transcripts and keep the counts a game gives
         s = bernoulli_experts(2, 10, [0.4, 0.6], seed=0)
@@ -161,17 +167,17 @@ class TestKindMismatch:
     def test_experts_config_refuses_gradients(self):
         config = tune_ope(1000, 3, 1.0, 1e-6)
         grads = linear_oco_stream(3, 1000, 1.0, 0, "iid-sphere")
-        with pytest.raises(ConfigError, match="'iid-sphere' stream cannot drive a 'mw' run"):
+        with pytest.raises(ConfigError, match=r"an experts run needs every loss in \[0, 1\]"):
             play_game(config, "mw", grads, 1)
-        with pytest.raises(ConfigError, match="'iid-sphere' stream cannot drive a 'mw' run"):
+        with pytest.raises(ConfigError, match=r"an experts run needs every loss in \[0, 1\]"):
             monte_carlo(config, grads, 3, 1)
 
     def test_ball_config_refuses_expert_losses(self):
         config = tune_oco(1000, 3, 1.0, 1e-6, 1.0, 1.0)
         losses = bernoulli_experts(3, 1000, [0.3, 0.5, 0.7], seed=0)
-        with pytest.raises(ConfigError, match="'bernoulli' stream cannot drive a 'rmw' run"):
+        with pytest.raises(ConfigError, match=r"norm [\d.]+ exceeds the config's lipschitz 1\.0"):
             play_game(config, "rmw", losses, 1)
-        with pytest.raises(ConfigError, match="'bernoulli' stream cannot drive a 'rmw' run"):
+        with pytest.raises(ConfigError, match=r"norm [\d.]+ exceeds the config's lipschitz 1\.0"):
             monte_carlo(config, losses, 3, 1)
 
     def test_ball_config_refuses_the_experts_kind(self):
@@ -188,9 +194,9 @@ class TestGradientBound:
         # without the check this game ran as if every gradient had norm at most 1
         config = tune_oco(200, 3, 1.0, 1e-6, 1.0, 1.0)
         grads = linear_oco_stream(3, 200, 3.0, 1, "iid-sphere")
-        with pytest.raises(ConfigError, match="bound 3.0 exceeds the config's lipschitz 1.0"):
+        with pytest.raises(ConfigError, match=r"norm [\d.]+ exceeds the config's lipschitz 1\.0"):
             play_game(config, "rmw", grads, 1)
-        with pytest.raises(ConfigError, match="bound 3.0 exceeds the config's lipschitz 1.0"):
+        with pytest.raises(ConfigError, match=r"norm [\d.]+ exceeds the config's lipschitz 1\.0"):
             monte_carlo(config, grads, 3, 1)
 
     @pytest.mark.parametrize("bound", [0.5, 2.0])

@@ -59,11 +59,18 @@ class TestLossTypes:
             LossStream("bernoulli", 2, 1, 0, [[1.2, 0.0]])
         with pytest.raises(ValueError):
             LossStream("bernoulli", 1, 1, 0, [[-0.1]])
+        # NaN passes every comparison of the range check
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                LossStream("bernoulli", 2, 1, 0, [[bad, 0.0]])
 
     def test_linear_loss_norm_cap(self):
         LossStream("iid-sphere", 2, 1, 0, [[0.3, 0.4]], lipschitz=0.5)
         with pytest.raises(ValueError):
             LossStream("iid-sphere", 2, 1, 0, [[3.0, 4.0]], lipschitz=1.0)
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                LossStream("iid-sphere", 2, 1, 0, [[0.0, bad]], lipschitz=1.0)
 
     def test_linear_loss_value(self):
         stream = LossStream("iid-sphere", 2, 1, 0, [[1.0, -2.0]], lipschitz=3.0)
@@ -179,6 +186,19 @@ class TestRmw:
         assert np.array_equal(state.grad_sum, np.zeros(2))
         table = cumulative_table(np.array([[0.3, 0.4], [0.0, 0.0]]), 1)
         np.testing.assert_allclose(table, [[0.0, 0.0], [0.3, 0.4]])
+
+    @pytest.mark.parametrize(
+        "grad_sum, beta, lam, radius, match",
+        [([], 0.1, 1.0, 1.0, "nonempty 1-d"), ([[0.0, 0.0]], 0.1, 1.0, 1.0, "nonempty 1-d"),
+         ([0.0, math.nan], 0.1, 1.0, 1.0, "must be finite"),
+         ([0.0, 0.0], 0.0, 1.0, 1.0, "beta must be positive"),
+         ([0.0, 0.0], 0.1, -1.0, 1.0, "lam must be positive"),
+         ([0.0, 0.0], 0.1, 1.0, 0.0, "radius must be positive")],
+        ids=["empty", "matrix", "nan", "beta-0", "lam-negative", "radius-0"],
+    )
+    def test_refuses_bad_parameters(self, grad_sum, beta, lam, radius, match):
+        with pytest.raises(ValueError, match=match):
+            RmwMeasure(np.array(grad_sum), beta, lam, radius)
 
     def test_rejects_oversized_gradient(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,19 @@ class TestConfigValidation:
         ):
             L2PConfig(T=0, B=0, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"delta0": -0.1}, "delta0 must be nonnegative"),
+         ({"delta1": 0.0}, r"delta1 must lie in \(0, 1\)"),
+         ({"delta1": 1.0}, r"delta1 must lie in \(0, 1\)"),
+         ({"delta0": 1e-9, "beta": 0.05, "lam": 10.0, "radius": 1.0},
+          "ball runs need beta, lam, radius and lipschitz, all positive")],
+        ids=["delta0-negative", "delta1-0", "delta1-1", "ball-without-lipschitz"],
+    )
+    def test_each_broken_constraint_named(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            L2PConfig(**{**dict(T=10, B=1, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6), **fields})
+
     def test_ball_derives_accounted_eta(self):
         # the budget and the acceptance cap use the divergence the ball measure
         # satisfies, derived from the config's own fields, so it cannot be set
@@ -168,6 +181,61 @@ class TestMeasureKind:
             PreparedRun(ball, "mw", np.zeros((6, 2)))
         with pytest.raises(ConfigError, match="'ball' is not the config's 'mw'"):
             PreparedRun(experts, "ball", np.zeros((6, 2)))
+
+
+class TestDomain:
+    """The budget holds for losses in [0, 1] (experts) or gradients of norm at most
+    the config's lipschitz (the ball): any finite matrix builds its tables, and a run
+    on one outside that domain is refused."""
+
+    CONFIGS = {
+        "mw": lambda: ope_config(6, 2, 0.05, 0.5, 1e-6),
+        "rmw": lambda: ball_config(6, 2, 2, 0.05, 0.5, 1e-6, 1.0, 1.0),
+    }
+    REFUSALS = {"mw": r"an experts run needs every loss in \[0, 1\]",
+                "rmw": r"largest gradient norm \S+ exceeds the config's lipschitz 1\.0"}
+
+    @pytest.mark.parametrize(
+        "kind, row, value",
+        [("mw", 0, 40.0), ("mw", 3, -0.5), ("mw", 5, math.nan),
+         ("rmw", 0, 2.0), ("rmw", 3, -1.0 - 2e-6), ("rmw", 5, math.nan)],
+        ids=["experts-above-1", "experts-negative", "experts-nan-last-round",
+             "ball-norm-2", "ball-norm-past-the-slack", "ball-nan-last-round"],
+    )
+    def test_outside_builds_its_tables_but_does_not_run(self, kind, row, value):
+        config = self.CONFIGS[kind]()
+        values = np.zeros((6, 2))
+        values[row, 0] = value
+        prepared = PreparedRun(config, kind, values)
+        assert prepared.domain_error is not None
+        with pytest.raises(ConfigError, match=self.REFUSALS[kind]):
+            prepared.run(np.random.default_rng(0))
+        # a game on a prepared run reads no stream, and is refused all the same
+        with pytest.raises(ConfigError, match=self.REFUSALS[kind]):
+            play_game(config, kind, None, 0, prepared=prepared)
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [("mw", [[0.0, 1.0], [1.0, 0.0], [0.25, 0.75], [-0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]),
+         ("rmw", [[0.0, 1.0], [-1.0, 0.0], [0.6, -0.8], [1.0 + 1e-7, 0.0], [0.5, 0.5],
+                  [0.0, 0.0]])],
+        ids=["experts", "ball"],
+    )
+    def test_inside_runs(self, kind, rows):
+        # the edges of each domain: losses of exactly 0 and 1, a norm within the slack
+        prepared = PreparedRun(self.CONFIGS[kind](), kind, np.array(rows))
+        assert prepared.domain_error is None
+        assert prepared.run(np.random.default_rng(0)).n_batches == prepared.config.n_batches
+
+    def test_binary_losses_of_norm_at_most_lipschitz_run_on_the_ball(self):
+        # the run checks the losses, not the stream's label: one-hot 0/1 rows
+        # are gradients of norm 1, a valid ball game
+        values = np.eye(2)[[0, 1, 1, 0, 0, 1]]
+        stream = LossStream("bernoulli", 2, 6, 0, values)
+        config = self.CONFIGS["rmw"]()
+        game = play_game(config, "rmw", stream, 3)
+        assert game.transcript.n_batches == config.n_batches
+        assert game.comparator_loss == best_in_hindsight_oco_ball(stream, config.radius)[1]
 
 
 def _run(config, stream, seed, kind="mw"):
