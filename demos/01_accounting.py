@@ -9,16 +9,16 @@ Everything here is pure arithmetic; nothing is simulated.
 import math
 
 from l2p import (
+    L2PConfig,
     cdp_to_approx,
     config_budget,
     group_privacy,
-    l2p_privacy,
     tune_oco,
     tune_ope,
 )
 
 print("=== one run of the switching engine ===")
-budget = l2p_privacy(eta=0.01, p=0.1, T=1000, B=10, delta0=0.0, delta1=1e-6)
+budget = config_budget(L2PConfig(T=1000, B=10, eta=0.01, p=0.1, delta0=0.0, delta1=1e-6))
 print(f"eta=0.01 p=0.1 T=1000 B=10 delta1=1e-6 ->")
 print(f"  epsilon = {budget.epsilon:.4f}")
 print(f"  delta   = {budget.delta}")

@@ -19,7 +19,6 @@ from .accountant import (
     cdp_to_approx,
     config_budget,
     group_privacy,
-    l2p_privacy,
     ope_config,
     regret_bound_oco,
     regret_bound_ope,
@@ -87,7 +86,6 @@ __all__ = [
     "empirical_epsilon",
     "epoch_lower_bound_stream",
     "group_privacy",
-    "l2p_privacy",
     "linear_oco_stream",
     "load_stream",
     "marginal_tv_profile",

@@ -1,26 +1,30 @@
 """Privacy arithmetic: run budgets, group privacy, tuners, and the
 theoretical regret rates of both problems.
 
-Every function here is pure and uses natural logarithms. The run budget
-for the switching engine with step size ``eta``, fake-switch rate ``p``,
-horizon ``T``, batch ``B`` and slacks ``delta0``, ``delta1`` is
+Every function here is pure and uses natural logarithms. One function,
+``config_budget``, prices every run: ``l2p tune``, ``run`` and
+``account``, the audits and the tuners' own checks all read it. For a
+config with accounted step size ``eta``, fake-switch rate ``p``,
+horizon ``T``, batch ``B`` and slacks ``delta0``, ``delta1`` it reports
 
     eps   = 2 eta / p + eta + 3 T eta^2 p log(1/delta1) / (2 B)
             + sqrt(6 T eta^2 p log^2(1/delta1) / B)
     delta = 2 T (2/eta + log(1/delta1)/p) e B delta0 + 2 T delta1
 
-valid when T p / B >= 1 and eta B log(1/delta1) / p <= 1. The budget is
-always computed; unmet preconditions only clear ``preconditions_met``.
+valid when T p / B >= 1, eta B log(1/delta1) / p <= 1, eta <= ETA_MAX
+and 0 < p < 1. The budget is always computed; each unmet precondition
+adds a note and clears ``preconditions_met``. The config's own checks
+keep eta in (0, ETA_MAX] for the nominal step, so the formula never
+meets eta = 0.
 
-This module is the one home of the config formulas (``ope_config``,
-``ball_config`` and the tuners built on them) and of every precondition
-note a config's budget carries (``config_budget``).
+This module is also the one home of the config formulas (``ope_config``,
+``ball_config`` and the tuners built on them).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .transform import L2PConfig
 from .measures import ETA_MAX
@@ -65,45 +69,6 @@ def _capped_delta(value: float, notes: list[str]) -> float:
     return value
 
 
-def l2p_privacy(
-    eta: float, p: float, T: int, B: int, delta0: float, delta1: float
-) -> PrivacyBudget:
-    """Budget of one run of the switching engine."""
-    notes: list[str] = []
-    log1 = math.log(1.0 / delta1)
-    if eta == 0.0:
-        eps = 0.0
-        notes.append("eta=0: degenerate, all epsilon terms vanish")
-    elif p == 0.0:
-        eps = math.inf
-        notes.append("p=0: no fake switches, epsilon unbounded")
-    else:
-        eps = (
-            2.0 * eta / p
-            + eta
-            + 3.0 * T * eta * eta * p * log1 / (2.0 * B)
-            + math.sqrt(6.0 * T * eta * eta * p * log1 * log1 / B)
-        )
-    if delta0 == 0.0:
-        delta_mass = 0.0
-    elif eta == 0.0 or p == 0.0:
-        delta_mass = math.inf
-    else:
-        delta_mass = 2.0 * T * (2.0 / eta + log1 / p) * _E * B * delta0
-    delta = _capped_delta(delta_mass + 2.0 * T * delta1, notes)
-
-    pre_switch = T * p / B >= 1.0
-    pre_ratio = eta == 0.0 or (p > 0.0 and eta * B * log1 / p <= 1.0)
-    if not pre_switch:
-        notes.append("precondition T*p/B >= 1 not met")
-    if not pre_ratio:
-        notes.append("precondition eta*B*log(1/delta1)/p <= 1 not met")
-    if math.isinf(eps):
-        notes.append("epsilon is infinite")
-        eps = math.inf
-    return PrivacyBudget(eps, delta, pre_switch and pre_ratio, tuple(notes))
-
-
 def group_privacy(eps: float, delta: float, k: int) -> PrivacyBudget:
     """Budget against inputs differing in ``k`` elements: (k eps, k e^{(k-1) eps} delta)."""
     if k < 1 or int(k) != k:
@@ -133,8 +98,8 @@ def _check_tuner_inputs(T: int, d: int, eps: float, delta: float) -> None:
         raise ValueError("T must be at least 1")
     if d < 2:
         raise ValueError("need at least two experts / dimensions")
-    if eps <= 0.0:
-        raise ValueError("target epsilon must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("target epsilon must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("target delta must lie in (0, 1)")
 
@@ -235,8 +200,8 @@ def tune_oco(
     eta'/p invariant and the loop could never terminate).
     """
     _check_tuner_inputs(T, d, eps, delta)
-    if lipschitz <= 0.0 or diameter <= 0.0:
-        raise ValueError("lipschitz and diameter must be positive")
+    if not (0.0 < lipschitz < math.inf and 0.0 < diameter < math.inf):
+        raise ValueError("lipschitz and diameter must be positive and finite")
     eta = min(eps ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta)), ETA_MAX)
     B = max(1, round(1.0 / (2.0 * eps * math.log(1.0 / delta))))
     p = min(max(eta / eps, B / T), _P_CAP)
@@ -263,18 +228,45 @@ def regret_bound_oco(
 
 
 def config_budget(config: L2PConfig) -> PrivacyBudget:
-    """The budget a config actually enjoys (accounted eta when set), with every unmet precondition.
+    """The budget of one run of ``config``, with a note for every unmet precondition.
 
-    Beyond the formula's own, an accounted eta above the divergence cap
-    ``ETA_MAX`` and a fake-switch rate of 0 or 1 clear ``preconditions_met``.
+    The formula is priced at the config's accounted eta (its nominal one
+    for experts). Beyond the formula's own two preconditions, an accounted
+    eta above the divergence cap ``ETA_MAX`` and a fake-switch rate of 0
+    or 1 clear ``preconditions_met``.
     """
-    eta = config.eta_effective
-    budget = l2p_privacy(eta, config.p, config.T, config.B, config.delta0, config.delta1)
-    notes = []
+    eta, p, T, B = config.eta_effective, config.p, config.T, config.B
+    notes: list[str] = []
+    log1 = math.log(1.0 / config.delta1)
+    if p == 0.0:
+        eps = math.inf
+        notes.append("p=0: no fake switches, epsilon unbounded")
+    else:
+        eps = (
+            2.0 * eta / p
+            + eta
+            + 3.0 * T * eta * eta * p * log1 / (2.0 * B)
+            + math.sqrt(6.0 * T * eta * eta * p * log1 * log1 / B)
+        )
+    if config.delta0 == 0.0:
+        delta_mass = 0.0
+    elif p == 0.0:
+        delta_mass = math.inf
+    else:
+        delta_mass = 2.0 * T * (2.0 / eta + log1 / p) * _E * B * config.delta0
+    delta = _capped_delta(delta_mass + 2.0 * T * config.delta1, notes)
+
+    pre_switch = T * p / B >= 1.0
+    pre_ratio = p > 0.0 and eta * B * log1 / p <= 1.0
+    if not pre_switch:
+        notes.append("precondition T*p/B >= 1 not met")
+    if not pre_ratio:
+        notes.append("precondition eta*B*log(1/delta1)/p <= 1 not met")
+    if math.isinf(eps):
+        notes.append("epsilon is infinite")
     if eta > ETA_MAX:
         notes.append("accounted eta exceeds the divergence cap; budget is nominal only")
-    if config.p in (0.0, 1.0):
-        notes.append(f"degenerate fake-switch probability p={config.p:g}; run is not private")
-    if not notes:
-        return budget
-    return replace(budget, preconditions_met=False, notes=budget.notes + tuple(notes))
+    if p in (0.0, 1.0):
+        notes.append(f"degenerate fake-switch probability p={p:g}; run is not private")
+    met = pre_switch and pre_ratio and eta <= ETA_MAX and p not in (0.0, 1.0)
+    return PrivacyBudget(eps, delta, met, tuple(notes))

@@ -8,6 +8,7 @@ streams are neighbors when they differ in exactly one round.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -91,6 +92,8 @@ def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStrea
     learner must either sit out an epoch at expected loss 1/2 per round
     or spend privacy budget on a switch inside it.
     """
+    if T < 1 or d < 1 or not 0.0 < eps < math.inf:
+        raise ValueError("the epoch construction needs T >= 1, d >= 1 and a finite epsilon > 0")
     if (T * eps) ** (2.0 / 3.0) < 1.0:
         raise ValueError("need (T*eps)^(2/3) >= 1 for the epoch construction")
     raw = round((T * eps) ** (4.0 / 3.0))

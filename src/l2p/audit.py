@@ -131,6 +131,8 @@ def ratio_range_check(
     config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int = 0
 ) -> AuditReport:
     """Fraction of raw correlated-sampling ratios outside [e^{-2B eta}, e^{2B eta}]."""
+    if n_runs < 1:
+        raise ValueError("ratio audit needs at least 1 run")
     cap = config.cap
     outside = 0
     total = 0
@@ -182,8 +184,11 @@ def empirical_epsilon(
     Passes when the estimate stays under the accountant's epsilon plus
     three combined standard errors. Raw ratios on rare buckets explode,
     hence the count filter; an empty filter yields an inconclusive pass.
-    The two streams must differ in at most one round.
+    Fewer than ``_MIN_BUCKET`` runs per stream are refused: no bucket
+    could reach the filter. The two streams must differ in at most one round.
     """
+    if n_runs < _MIN_BUCKET:
+        raise ValueError(f"bucketing audit needs at least {_MIN_BUCKET} runs per stream")
     if stream.d != 2 or config.T > 20 or config.B > 2:
         raise ValueError("bucketing audit needs d=2, T <= 20, B <= 2")
     if stream.T != neighbor.T or stream.d != neighbor.d:

@@ -22,7 +22,6 @@ from .accountant import (
     TunerError,
     ball_config,
     config_budget,
-    l2p_privacy,
     ope_config,
     regret_bound_oco,
     regret_bound_ope,
@@ -196,6 +195,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     T, eps, d, reps = args.T, args.epsilon, args.d, args.reps
+    if reps < 1:
+        raise ConfigError("--reps must be at least 1")
     stream = epoch_lower_bound_stream(T, eps, d, args.seed)
     comparator = math.sqrt(stream.n_epochs) * stream.epoch_len
     budget = max(1, round((T * eps) ** (2.0 / 3.0)))
@@ -213,7 +214,10 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_account(args) -> int:
-    budget = l2p_privacy(args.eta, args.p, args.T, args.B, args.delta0, args.delta1)
+    config = L2PConfig(
+        T=args.T, B=args.B, eta=args.eta, p=args.p, delta0=args.delta0, delta1=args.delta1
+    )
+    budget = config_budget(config)
     if args.json:
         print(json.dumps(budget.to_dict(), sort_keys=True))
     else:
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--output", default=None)
     p_lb.set_defaults(func=cmd_lower_bound)
 
-    p_acc = sub.add_parser("account", help="print the budget for explicit parameters")
+    p_acc = sub.add_parser("account", help="print the budget of the experts run these flags set")
     p_acc.add_argument("--eta", type=float, required=True)
     p_acc.add_argument("--p", type=float, required=True)
     p_acc.add_argument("--T", type=int, required=True)

@@ -140,9 +140,10 @@ class L2PConfig:
 
     def __post_init__(self):
         errors: list[str] = []
-        if self.T < 1:
+        # a bool's type is not int, so True is refused as a count
+        if not ((type(self.T) is int or isinstance(self.T, np.integer)) and self.T >= 1):
             errors.append("T must be a positive integer")
-        if self.B < 1:
+        if not ((type(self.B) is int or isinstance(self.B, np.integer)) and self.B >= 1):
             errors.append("B must be a positive integer")
         if not 0.0 < self.eta <= ETA_MAX:
             errors.append(f"eta must lie in (0, {ETA_MAX}]")
@@ -150,6 +151,8 @@ class L2PConfig:
             errors.append("p must lie in [0, 1]")
         if self.delta0 < 0.0:
             errors.append("delta0 must be nonnegative")
+        elif not self.delta0 < 1.0:
+            errors.append("delta0 must lie in [0, 1)")
         if not 0.0 < self.delta1 < 1.0:
             errors.append("delta1 must lie in (0, 1)")
         oco_fields = (self.beta, self.lam, self.radius, self.lipschitz)

@@ -14,7 +14,6 @@ from l2p.accountant import (
     cdp_to_approx,
     config_budget,
     group_privacy,
-    l2p_privacy,
     tune_oco,
     tune_ope,
 )
@@ -54,7 +53,7 @@ def test_criterion_01_exact_oracle_marginal():
 
 
 def test_criterion_02_accountant_golden_values():
-    run = l2p_privacy(0.01, 0.1, 1000, 10, 0.0, 1e-6)
+    run = config_budget(L2PConfig(T=1000, B=10, eta=0.01, p=0.1, delta0=0.0, delta1=1e-6))
     cdp = cdp_to_approx(0.01, 1e-6)
     grp = group_privacy(0.1, 1e-6, 3)
     ok = (

@@ -14,7 +14,6 @@ from l2p.accountant import (
     cdp_to_approx,
     config_budget,
     group_privacy,
-    l2p_privacy,
     ope_config,
     tune_oco,
     tune_ope,
@@ -23,33 +22,33 @@ from l2p.measures import ETA_MAX, effective_eta_rmw
 from l2p.transform import L2PConfig
 
 
+def _budget(eta, p, T, B, delta0, delta1):
+    """The budget of the experts run with these parameters."""
+    return config_budget(L2PConfig(T=T, B=B, eta=eta, p=p, delta0=delta0, delta1=delta1))
+
+
 class TestL2pPrivacy:
     def test_golden_value(self):
         # 0.2 + 0.01 + 3*1000*1e-4*0.1*log(1e6)/20 + sqrt(6*1000*1e-4*0.1*log^2(1e6)/10)
-        b = l2p_privacy(0.01, 0.1, 1000, 10, 0.0, 1e-6)
+        b = _budget(0.01, 0.1, 1000, 10, 0.0, 1e-6)
         assert b.epsilon == pytest.approx(1.3009, abs=1e-3)
         assert b.delta == 2 * 1000 * 1e-6
 
     def test_delta0_term(self):
         log1 = math.log(1e6)
         expected = 0.002 + 2 * 1000 * (200 + log1 / 0.1) * math.e * 10 * 1e-12
-        b = l2p_privacy(0.01, 0.1, 1000, 10, 1e-12, 1e-6)
+        b = _budget(0.01, 0.1, 1000, 10, 1e-12, 1e-6)
         assert b.delta == pytest.approx(expected, rel=1e-12)
 
-    def test_eta_zero_degenerates(self):
-        b = l2p_privacy(0.0, 0.1, 1000, 10, 0.0, 1e-6)
-        assert b.epsilon == 0.0
-        assert b.delta == 2 * 1000 * 1e-6
-
     def test_p_zero_notes_not_raises(self):
-        b = l2p_privacy(0.01, 0.0, 1000, 10, 0.0, 1e-6)
+        b = _budget(0.01, 0.0, 1000, 10, 0.0, 1e-6)
         assert math.isinf(b.epsilon)
         assert not b.preconditions_met
 
     def test_preconditions(self):
-        good = l2p_privacy(0.001, 0.9, 10_000, 1, 0.0, 1e-3)
+        good = _budget(0.001, 0.9, 10_000, 1, 0.0, 1e-3)
         assert good.preconditions_met
-        bad = l2p_privacy(0.01, 0.1, 1000, 10, 0.0, 1e-6)
+        bad = _budget(0.01, 0.1, 1000, 10, 0.0, 1e-6)
         assert not bad.preconditions_met
 
     @given(
@@ -62,23 +61,23 @@ class TestL2pPrivacy:
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_eta(self, eta_lo, gap, p, T, B):
         d1 = 1e-6
-        lo = l2p_privacy(eta_lo, p, T, B, 0.0, d1).epsilon
-        hi = l2p_privacy(min(eta_lo + gap, ETA_MAX), p, T, B, 0.0, d1).epsilon
+        lo = _budget(eta_lo, p, T, B, 0.0, d1).epsilon
+        hi = _budget(min(eta_lo + gap, ETA_MAX), p, T, B, 0.0, d1).epsilon
         assert hi >= lo - 1e-12
 
     @given(st.integers(10, 5000), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_T_and_B(self, T, B):
-        base = l2p_privacy(0.01, 0.3, T, B, 0.0, 1e-6)
-        more_T = l2p_privacy(0.01, 0.3, 2 * T, B, 0.0, 1e-6)
+        base = _budget(0.01, 0.3, T, B, 0.0, 1e-6)
+        more_T = _budget(0.01, 0.3, 2 * T, B, 0.0, 1e-6)
         assert more_T.epsilon >= base.epsilon
         assert more_T.delta >= base.delta
-        bigger_B = l2p_privacy(0.01, 0.3, T, 2 * B, 0.0, 1e-6)
+        bigger_B = _budget(0.01, 0.3, T, 2 * B, 0.0, 1e-6)
         assert bigger_B.epsilon <= base.epsilon + 1e-12
 
     def test_pure_function(self):
-        a = l2p_privacy(0.013, 0.21, 777, 3, 1e-13, 1e-7)
-        b = l2p_privacy(0.013, 0.21, 777, 3, 1e-13, 1e-7)
+        a = _budget(0.013, 0.21, 777, 3, 1e-13, 1e-7)
+        b = _budget(0.013, 0.21, 777, 3, 1e-13, 1e-7)
         assert a == b
 
 
@@ -323,9 +322,10 @@ class TestPrivacyBudget:
 
 
 def test_package_exports():
-    # every exported name resolves, and the removed composition routines stay gone
+    # every exported name resolves, and the removed composition routines and
+    # the budget function that config_budget replaced stay gone
     assert all(hasattr(l2p, name) for name in l2p.__all__)
-    for name in ("advanced_composition", "modified_advanced_composition"):
+    for name in ("advanced_composition", "modified_advanced_composition", "l2p_privacy"):
         assert name not in l2p.__all__
         assert not hasattr(l2p, name)
     assert "floor" not in {f.name for f in dataclasses.fields(PrivacyBudget)}

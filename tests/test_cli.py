@@ -7,7 +7,6 @@ import pytest
 from l2p.accountant import (
     ball_config,
     config_budget,
-    l2p_privacy,
     regret_bound_oco,
     tune_ope,
 )
@@ -116,6 +115,61 @@ def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == [path]
 
 
+_ACCOUNT = ["account", "--eta", "0.01", "--p", "0.5", "--T", "100", "--B", "1", "--delta1", "1e-6"]
+_LOWER_BOUND = ["lower-bound", "--T", "1000", "--epsilon", "0.1", "--d", "2", "--reps", "3"]
+_TUNE_OPE = ["tune", "ope", "--T", "1000", "--d", "3", "--epsilon", "1", "--delta", "1e-6"]
+_TUNE_OCO = ["tune", "oco", *_TUNE_OPE[2:]]
+
+
+def _with(argv, flag, value):
+    """``argv`` with ``flag`` set to ``value``."""
+    i = argv.index(flag)
+    return [*argv[: i + 1], value, *argv[i + 2:]]
+
+
+_ETA = "eta must lie in (0, 0.1]"
+_EPOCH = "the epoch construction needs T >= 1, d >= 1 and a finite epsilon > 0"
+_TARGET = "target epsilon must be positive and finite"
+_L_D = "lipschitz and diameter must be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(_with(_ACCOUNT, "--eta", "-0.1"), _ETA),
+     (_with(_ACCOUNT, "--eta", "0.5"), _ETA),
+     (_with(_ACCOUNT, "--B", "0"), "B must be a positive integer"),
+     (_with(_ACCOUNT, "--delta1", "0"), "delta1 must lie in (0, 1)"),
+     ([*_ACCOUNT, "--delta0", "nan"], "delta0 must lie in [0, 1)"),
+     (_with(_LOWER_BOUND, "--T", "-100"), _EPOCH),
+     (_with(_LOWER_BOUND, "--epsilon", "-1"), _EPOCH),
+     (_with(_LOWER_BOUND, "--epsilon", "inf"), _EPOCH),
+     (_with(_LOWER_BOUND, "--reps", "0"), "--reps must be at least 1"),
+     (_with(_LOWER_BOUND, "--reps", "-1"), "--reps must be at least 1"),
+     (["audit", "ratio", "--runs", "0"], "ratio audit needs at least 1 run"),
+     (["audit", "epsilon", "--d", "2", "--runs", "50"],
+      "bucketing audit needs at least 100 runs per stream"),
+     (_with(_TUNE_OPE, "--epsilon", "inf"), _TARGET),
+     (_with(_TUNE_OPE, "--epsilon", "nan"), _TARGET),
+     ([*_TUNE_OCO, "--L", "nan"], _L_D),
+     ([*_TUNE_OCO, "--D", "nan"], _L_D)],
+    ids=["account-eta-negative", "account-eta-above-cap", "account-B-0", "account-delta1-0",
+         "account-delta0-nan", "lower-bound-T-negative", "lower-bound-epsilon-negative",
+         "lower-bound-epsilon-inf", "lower-bound-reps-0", "lower-bound-reps-negative",
+         "audit-ratio-runs-0", "audit-epsilon-runs-50", "tune-ope-epsilon-inf",
+         "tune-ope-epsilon-nan", "tune-oco-L-nan", "tune-oco-D-nan"],
+)
+def test_bad_flags_exit_2_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    # input a command cannot honour ends in its own configuration error: no
+    # traceback, no budget or result printed, no file written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestRun:
     def test_smoke_writes_three_files(self, tmp_path, capsys):
         path = _write_config(tmp_path)
@@ -157,7 +211,9 @@ class TestRun:
         assert tuned["eta_accounted"] == config.eta_accounted > 0.03
         assert tuned["delta0"] == config.delta0 > 0.0
         assert budget == config_budget(config).to_dict()
-        nominal = l2p_privacy(0.01, 0.1, 400, 1, 0.0, 1e-6 / 800)
+        nominal = config_budget(
+            L2PConfig(T=400, B=1, eta=0.01, p=0.1, delta0=0.0, delta1=1e-6 / 800)
+        )
         assert budget["epsilon"] > 3 * nominal.epsilon
 
     def test_degenerate_override_is_flagged(self, tmp_path, capsys):
@@ -254,6 +310,14 @@ class TestAccount:
         assert float(lines["epsilon"]) == pytest.approx(1.3009, abs=1e-3)
         assert float(lines["delta"]) == pytest.approx(0.002)
 
+    def test_degenerate_p_is_flagged(self, capsys):
+        # at p=1 the fake-switch coin hides nothing; the config's own budget says so
+        argv = ["account", "--eta", "0.01", "--p", "1", "--T", "1000", "--B", "1", "--delta1", "1e-6"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "preconditions_met=False" in out
+        assert out[-1] == "note=degenerate fake-switch probability p=1; run is not private"
+
     def test_json_mode(self, capsys):
         main(
             [
@@ -349,6 +413,15 @@ class TestSweepAndLowerBound:
         path = _write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--epsilon-grid"]) == 2
         assert "--epsilon-grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_epsilon_in_grid_exit_2(self, tmp_path, capsys, value):
+        path = _write_config(tmp_path)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(path), "--epsilon-grid", "1.0", value, "--output", str(out)]
+        assert main(argv) == 2
+        assert "target epsilon must be positive and finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     def test_lower_bound_csv(self, tmp_path, capsys):

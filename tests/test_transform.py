@@ -116,12 +116,26 @@ class TestConfigValidation:
          ({"delta1": 0.0}, r"delta1 must lie in \(0, 1\)"),
          ({"delta1": 1.0}, r"delta1 must lie in \(0, 1\)"),
          ({"delta0": 1e-9, "beta": 0.05, "lam": 10.0, "radius": 1.0},
-          "ball runs need beta, lam, radius and lipschitz, all positive")],
-        ids=["delta0-negative", "delta1-0", "delta1-1", "ball-without-lipschitz"],
+          "ball runs need beta, lam, radius and lipschitz, all positive"),
+         ({"T": math.nan}, "T must be a positive integer"),
+         ({"B": math.nan}, "B must be a positive integer"),
+         ({"T": 5.5}, "T must be a positive integer"),
+         ({"B": 2.5}, "B must be a positive integer"),
+         ({"T": True}, "T must be a positive integer"),
+         ({"delta0": math.nan}, r"delta0 must lie in \[0, 1\)"),
+         ({"delta0": math.inf}, r"delta0 must lie in \[0, 1\)"),
+         ({"delta0": 5.0}, r"delta0 must lie in \[0, 1\)")],
+        ids=["delta0-negative", "delta1-0", "delta1-1", "ball-without-lipschitz",
+             "T-nan", "B-nan", "T-fractional", "B-fractional", "T-bool",
+             "delta0-nan", "delta0-inf", "delta0-5"],
     )
     def test_each_broken_constraint_named(self, fields, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             L2PConfig(**{**dict(T=10, B=1, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6), **fields})
+
+    def test_numpy_integers_accepted(self):
+        config = L2PConfig(T=np.int64(10), B=np.int32(2), eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
+        assert config.n_batches == 5
 
     def test_ball_derives_accounted_eta(self):
         # the budget and the acceptance cap use the divergence the ball measure
