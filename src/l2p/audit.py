@@ -17,6 +17,7 @@ import numpy as np
 
 from .accountant import config_budget
 from .adversaries import LossStream
+from .harness import monte_carlo
 from .measures import mw_log_weights, normalized
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
@@ -130,9 +131,15 @@ def _marginal_counts(
 def ratio_range_check(
     config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int = 0
 ) -> AuditReport:
-    """Fraction of raw correlated-sampling ratios outside [e^{-2B eta}, e^{2B eta}]."""
+    """Fraction of raw correlated-sampling ratios outside [e^{-2B eta}, e^{2B eta}].
+
+    A ratio is drawn at each batch after the first, so a one-batch
+    config, which has none to check, is refused.
+    """
     if n_runs < 1:
         raise ValueError("ratio audit needs at least 1 run")
+    if config.n_batches < 2:
+        raise ValueError("ratio audit needs at least two batches")
     cap = config.cap
     outside = 0
     total = 0
@@ -225,26 +232,28 @@ def empirical_epsilon(
     )
 
 
-def switch_statistics(results, config: L2PConfig) -> AuditReport:
-    """Fraction of runs whose fake-switch count exceeds 2 T p log(1/delta1) / B.
+def switch_statistics(
+    config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int = 0
+) -> AuditReport:
+    """Fraction of ``n_runs`` runs whose fake-switch count exceeds 2 T p log(1/delta1) / B.
 
     The engine's analysis gives each run probability at most delta1 of
     exceeding the bound; the threshold adds binomial slack plus a 3/n
     allowance so that a handful of unlucky runs in a small sample does
-    not flip the audit.
+    not flip the audit. The runs are :func:`~l2p.harness.monte_carlo`'s
+    replicates, so a ball config is audited on its own measure.
     """
-    results = list(results)
-    n = len(results)
-    if n < 100:
+    if n_runs < 100:
         raise ValueError("need at least 100 runs from an identical config")
+    results = monte_carlo(config, stream, n_runs, base_seed).results
     bound = 2.0 * config.T * config.p * math.log(1.0 / config.delta1) / config.B
     exceed = sum(1 for r in results if r.fake_switch_count > bound)
-    frac = exceed / n
+    frac = exceed / n_runs
     d1 = config.delta1
-    slack = 3.0 * math.sqrt(d1 * (1.0 - d1) / n) + 3.0 / n
+    slack = 3.0 * math.sqrt(d1 * (1.0 - d1) / n_runs) + 3.0 / n_runs
     return _report(
         "switch_statistics",
-        n,
+        n_runs,
         frac,
         d1 + slack,
         (f"bound {bound:.4g} fake switches per run",),

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: run, sweep, lower-bound, account, audit, tune. Long-form
-flags only. Exit codes: 0 success, 2 configuration or usage error,
-3 tuner infeasibility, 4 sampler failure. All CSV output is RFC-4180,
-UTF-8, LF-terminated, and byte-reproducible from (config, version).
+flags only. ``run``, ``sweep`` and ``audit`` read the same JSON run
+config (``--config``): one adversary stream, a tuned or overridden
+config, and ``reps`` replicate runs seeded from ``base_seed``. Exit
+codes: 0 success, 2 configuration or usage error, 3 tuner
+infeasibility, 4 sampler failure. All CSV output is RFC-4180, UTF-8,
+LF-terminated, and byte-reproducible from (config, version).
 """
 
 from __future__ import annotations
@@ -255,35 +258,29 @@ def cmd_tune(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    d, T = args.d, args.T
     if args.s is not None and args.test != "marginal":
         raise ConfigError("--s applies to the marginal audit only")
-    stream = bernoulli_experts(d, T, np.linspace(0.3, 0.7, d), args.seed)
-    if args.override_eta is not None:
-        if args.epsilon is not None:
-            raise ConfigError("--epsilon is unused with --override-eta")
-        B, p = 1 if args.B is None else args.B, 0.5 if args.p is None else args.p
-        config = ope_config(T, B, args.override_eta, p, args.delta)
-    elif args.B is not None or args.p is not None:
-        raise ConfigError("--B and --p need --override-eta")
-    else:
-        config = tune_ope(T, d, 1.0 if args.epsilon is None else args.epsilon, args.delta)
+    cfg = _load_run_config(args.config)
+    if cfg["problem"] != "ope":
+        raise ConfigError("audits run on experts configs")
+    if "output_dir" in cfg:
+        raise ConfigError("an audit writes no files; output_dir is unused")
+    stream = _build_stream(cfg)
+    config = _build_config(cfg)
+    reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
     if args.test == "marginal":
         if args.s is not None and not 1 <= args.s <= config.n_batches:
             raise ConfigError(f"--s must lie in 1..{config.n_batches}")
-        reports = marginal_tv_profile(config, stream, args.runs, args.seed)
+        reports = marginal_tv_profile(config, stream, reps, base_seed)
         for report in reports if args.s is None else [reports[args.s - 1]]:
             print(report.to_json_line())
-    elif args.test == "ratio":
-        print(ratio_range_check(config, stream, args.runs, args.seed).to_json_line())
     elif args.test == "epsilon":
-        flipped = 1.0 - stream.values[T // 2]
-        neighbor = neighbor_of(stream, T // 2, flipped)
-        report = empirical_epsilon(config, stream, neighbor, args.runs, args.seed)
-        print(report.to_json_line())
-    elif args.test == "switches":
-        summary = monte_carlo(config, stream, args.runs, args.seed)
-        print(switch_statistics(summary.results, config).to_json_line())
+        t = config.T // 2
+        neighbor = neighbor_of(stream, t, 1.0 - stream.values[t])
+        print(empirical_epsilon(config, stream, neighbor, reps, base_seed).to_json_line())
+    else:
+        audit = ratio_range_check if args.test == "ratio" else switch_statistics
+        print(audit(config, stream, reps, base_seed).to_json_line())
     return EXIT_OK
 
 
@@ -334,18 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--D", type=float, default=None)
     p_tune.set_defaults(func=cmd_tune)
 
-    p_audit = sub.add_parser("audit", help="empirical distribution and privacy checks")
+    p_audit = sub.add_parser("audit", help="distribution and privacy checks on a run config")
     p_audit.add_argument("test", choices=["marginal", "ratio", "epsilon", "switches"])
-    p_audit.add_argument("--d", type=int, default=3)
-    p_audit.add_argument("--T", type=int, default=5)
-    p_audit.add_argument("--B", type=int, default=None)
-    p_audit.add_argument("--p", type=float, default=None)
-    p_audit.add_argument("--epsilon", type=float, default=None)
-    p_audit.add_argument("--delta", type=float, default=1e-6)
-    p_audit.add_argument("--runs", type=int, default=100_000)
+    p_audit.add_argument("--config", required=True)
     p_audit.add_argument("--s", type=int, default=None)
-    p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--override-eta", type=float, default=None)
     p_audit.set_defaults(func=cmd_audit)
     return parser
 

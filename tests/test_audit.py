@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from l2p.accountant import tune_ope
+from l2p.accountant import ball_config, tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream, neighbor_of
 from l2p.audit import (
     AuditReport,
@@ -174,10 +174,10 @@ class TestSwitchStatistics:
     def test_counts_below_bound(self):
         stream = bernoulli_experts(2, 200, [0.4, 0.6], seed=6)
         config = L2PConfig(T=200, B=2, eta=0.01, p=0.3, delta0=0.0, delta1=1e-4)
-        summary = monte_carlo(config, stream, 200, base_seed=0)
-        report = switch_statistics(summary.results, config)
+        report = switch_statistics(config, stream, 200, base_seed=0)
         assert report.passed
         # mean fake-switch count matches the two-coin expectation
+        summary = monte_carlo(config, stream, 200, base_seed=0)
         n_batches = config.n_batches
         mean = np.mean([r.fake_switch_count for r in summary.results])
         expect = (n_batches - 1) * (1 - (1 - config.p) ** 2)
@@ -189,11 +189,73 @@ class TestSwitchStatistics:
         config = L2PConfig(T=100, B=1, eta=0.01, p=0.0, delta0=0.0, delta1=1e-4)
         summary = monte_carlo(config, stream, 100, base_seed=1)
         assert all(r.fake_switch_count == 0 for r in summary.results)
-        assert switch_statistics(summary.results, config).passed
+        assert switch_statistics(config, stream, 100, base_seed=1).passed
 
     def test_needs_enough_runs(self):
         stream = bernoulli_experts(2, 50, [0.4, 0.6], seed=8)
         config = L2PConfig(T=50, B=1, eta=0.01, p=0.3, delta0=0.0, delta1=1e-4)
-        summary = monte_carlo(config, stream, 99, base_seed=0)
         with pytest.raises(ValueError):
-            switch_statistics(summary.results, config)
+            switch_statistics(config, stream, 99, base_seed=0)
+
+    @pytest.mark.parametrize(
+        "config, stream, n, seed, statistic, threshold, bound",
+        [
+            (L2PConfig(T=200, B=2, eta=0.01, p=0.3, delta0=0.0, delta1=1e-4),
+             bernoulli_experts(2, 200, [0.4, 0.6], seed=6), 200, 0,
+             0.0, 0.01722121427489068, "552.6"),
+            (L2PConfig(T=100, B=1, eta=0.01, p=0.0, delta0=0.0, delta1=1e-4),
+             bernoulli_experts(2, 100, [0.4, 0.6], seed=7), 100, 1,
+             0.0, 0.03309984999624981, "0"),
+            (L2PConfig(T=50, B=1, eta=0.1, p=0.01, delta0=0.0, delta1=0.9),
+             bernoulli_experts(2, 50, [0.4, 0.6], seed=8), 150, 3,
+             0.5866666666666667, 0.9934846922834953, "0.1054"),
+            (ball_config(40, 2, 2, 0.05, 0.5, 1e-3, 1.0, 1.0),
+             linear_oco_stream(2, 40, 1.0, 9, "iid-sphere"), 100, 4,
+             0.0, 0.030756247656246335, "239.7"),
+        ],
+        ids=["experts-B2", "experts-p0", "experts-exceeding", "ball"],
+    )
+    def test_report_pinned(self, config, stream, n, seed, statistic, threshold, bound):
+        # recorded when the audit took monte_carlo(config, stream, n, seed).results
+        want = AuditReport("switch_statistics", n, statistic, threshold,
+                           (f"bound {bound} fake switches per run",))
+        assert switch_statistics(config, stream, n, seed) == want
+
+
+def _shifted(stream):
+    """``stream`` one round shorter: a neighbour of another shape."""
+    return LossStream(stream.kind, stream.d, stream.T - 1, stream.seed, stream.values[1:])
+
+
+_EPS_STREAM = bernoulli_experts(2, 10, [0.3, 0.7], seed=4)
+
+
+@pytest.mark.parametrize(
+    "audit, message",
+    [
+        (lambda: marginal_tv_profile(_small_config(), _fixed_stream(), 9_999),
+         "need at least 1e4 runs"),
+        (lambda: marginal_tv_profile(
+            L2PConfig(T=5, B=1, eta=0.1, p=0.5, delta0=1e-3, delta1=1e-6), _fixed_stream(), 20_000),
+         "needs the expert instantiation with delta0=0"),
+        (lambda: ratio_range_check(_small_config(), _fixed_stream(), 0),
+         "ratio audit needs at least 1 run"),
+        (lambda: ratio_range_check(_small_config(T=4, B=4), _fixed_stream(), 10),
+         "ratio audit needs at least two batches"),
+        (lambda: empirical_epsilon(_small_config(T=10), _EPS_STREAM, _EPS_STREAM, 99),
+         "needs at least 100 runs per stream"),
+        (lambda: empirical_epsilon(_small_config(T=10), _EPS_STREAM, _shifted(_EPS_STREAM), 200),
+         "neighbor stream has mismatched shape"),
+        (lambda: switch_statistics(_small_config(), _fixed_stream(), 99),
+         "need at least 100 runs from an identical config"),
+    ],
+    ids=["marginal-9999-runs", "marginal-delta0", "ratio-0-runs", "ratio-one-batch",
+         "epsilon-99-runs", "epsilon-neighbor-shape", "switches-99-runs"],
+)
+def test_every_audit_refuses_before_it_runs(monkeypatch, audit, message):
+    def no_run(self, rng):
+        raise AssertionError("an audit ran a game before it refused")
+
+    monkeypatch.setattr(PreparedRun, "run", no_run)
+    with pytest.raises(ValueError, match=message):
+        audit()

@@ -19,7 +19,7 @@ from l2p.audit import (
 )
 from l2p.cli import main
 from l2p.harness import monte_carlo
-from l2p.transform import L2PConfig
+from l2p.transform import L2PConfig, PreparedRun
 
 
 _MISSING = object()  # an override that drops the field
@@ -133,6 +133,25 @@ _TARGET = "target epsilon must be positive and finite"
 _L_D = "lipschitz and diameter must be positive and finite"
 
 
+def _audit_config(T=5, d=3, reps=10_000, seed=0, **fields):
+    """An experts run config: means ``linspace(0.3, 0.7, d)``, epsilon 1, delta 1e-6.
+
+    ``seed`` seeds both the stream and the replicates; ``fields`` set or
+    add top-level keys.
+    """
+    means = [float(m) for m in np.linspace(0.3, 0.7, d)]
+    return {"schema": 1, "problem": "ope", "T": T, "d": d, "epsilon": 1.0, "delta": 1e-6,
+            "reps": reps, "base_seed": seed,
+            "adversary": {"kind": "bernoulli", "means": means, "seed": seed}, **fields}
+
+
+def _audit(directory, test, *flags, **config):
+    """``audit test --config <file> *flags``; the file holds ``_audit_config(**config)``."""
+    path = directory / f"audit-{test}.json"
+    path.write_text(json.dumps(_audit_config(**config)))
+    return ["audit", test, "--config", str(path), *flags]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(_with(_ACCOUNT, "--eta", "-0.1"), _ETA),
@@ -145,9 +164,15 @@ _L_D = "lipschitz and diameter must be positive and finite"
      (_with(_LOWER_BOUND, "--epsilon", "inf"), _EPOCH),
      (_with(_LOWER_BOUND, "--reps", "0"), "--reps must be at least 1"),
      (_with(_LOWER_BOUND, "--reps", "-1"), "--reps must be at least 1"),
-     (["audit", "ratio", "--runs", "0"], "ratio audit needs at least 1 run"),
-     (["audit", "epsilon", "--d", "2", "--runs", "50"],
+     (["audit", "ratio", {"reps": 0}], "ratio audit needs at least 1 run"),
+     (["audit", "epsilon", {"d": 2, "reps": 50}],
       "bucketing audit needs at least 100 runs per stream"),
+     (["audit", "ratio", {"T": 1, "reps": 10, "override": {"B": 1, "eta": 0.05, "p": 0.5}}],
+      "ratio audit needs at least two batches"),
+     (["audit", "switches", {"reps": 50}], "need at least 100 runs from an identical config"),
+     (["audit", "marginal", {"problem": "oco"}], "audits run on experts configs"),
+     (["audit", "marginal", {"output_dir": "out"}],
+      "an audit writes no files; output_dir is unused"),
      (_with(_TUNE_OPE, "--epsilon", "inf"), _TARGET),
      (_with(_TUNE_OPE, "--epsilon", "nan"), _TARGET),
      ([*_TUNE_OCO, "--L", "nan"], _L_D),
@@ -155,12 +180,23 @@ _L_D = "lipschitz and diameter must be positive and finite"
     ids=["account-eta-negative", "account-eta-above-cap", "account-B-0", "account-delta1-0",
          "account-delta0-nan", "lower-bound-T-negative", "lower-bound-epsilon-negative",
          "lower-bound-epsilon-inf", "lower-bound-reps-0", "lower-bound-reps-negative",
-         "audit-ratio-runs-0", "audit-epsilon-runs-50", "tune-ope-epsilon-inf",
+         "audit-ratio-runs-0", "audit-epsilon-runs-50", "audit-ratio-one-batch",
+         "audit-switches-runs-50", "audit-oco-config", "audit-output-dir", "tune-ope-epsilon-inf",
          "tune-ope-epsilon-nan", "tune-oco-L-nan", "tune-oco-D-nan"],
 )
-def test_bad_flags_exit_2_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+def test_bad_flags_exit_2_writes_nothing(
+    tmp_path, tmp_path_factory, monkeypatch, capsys, argv, message
+):
     # input a command cannot honour ends in its own configuration error: no
-    # traceback, no budget or result printed, no file written
+    # traceback, no game played, no budget or result printed, no file
+    # written. An audit row names its config's fields, and the config is
+    # written outside the cwd.
+    def no_game(self, rng):
+        raise AssertionError("a game was played")
+
+    monkeypatch.setattr(PreparedRun, "run", no_game)
+    if argv[0] == "audit":
+        argv = _audit(tmp_path_factory.mktemp("config"), argv[1], **argv[2])
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -435,6 +471,14 @@ class TestSweepAndLowerBound:
         assert lines[0] == "rep,seed,strawman_regret,comparator,clamped"
         assert len(lines) == 11
 
+    def test_lower_bound_single_expert_note(self, tmp_path, capsys):
+        out = tmp_path / "lb.csv"
+        args = ["lower-bound", "--T", "100", "--epsilon", "0.1", "--d", "1", "--reps", "2",
+                "--output", str(out)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == "note: single expert, regret is identically 0\n"
+        assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0.0"] * 2
+
     def test_lower_bound_clamp_reported_once(self, tmp_path, capsys):
         # the library's warning is the one report; the CSV marks every row
         out = tmp_path / "lb.csv"
@@ -448,37 +492,35 @@ class TestSweepAndLowerBound:
 
 
 class TestAudit:
-    def test_marginal_json_lines(self, capsys):
-        code = main(
-            ["audit", "marginal", "--d", "3", "--T", "5", "--runs", "20000",
-             "--override-eta", "0.1", "--B", "1", "--p", "0.5", "--s", "2"]
-        )
-        assert code == 0
+    _OVERRIDE = {"B": 1, "eta": 0.1, "p": 0.5}
+
+    def test_marginal_json_lines(self, tmp_path, capsys):
+        argv = _audit(tmp_path, "marginal", "--s", "2", reps=20_000, override=self._OVERRIDE)
+        assert main(argv) == 0
         obj = json.loads(capsys.readouterr().out.strip())
         assert obj["passed"] is True
 
-    def test_marginal_prints_the_profile(self, capsys):
-        # every row of marginal_tv_profile on the command's config, stream and seed;
+    def test_marginal_prints_the_profile(self, tmp_path, capsys):
+        # every row of marginal_tv_profile on the config's run, stream and seed;
         # --s picks one of them
-        args = ["audit", "marginal", "--d", "3", "--T", "5", "--runs", "20000",
-                "--override-eta", "0.1", "--seed", "3"]
+        argv = _audit(tmp_path, "marginal", reps=20_000, seed=3, override=self._OVERRIDE)
         stream = bernoulli_experts(3, 5, np.linspace(0.3, 0.7, 3), 3)
         config = L2PConfig(T=5, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6 / 10)
         want = [r.to_json_line() for r in marginal_tv_profile(config, stream, 20_000, 3)]
-        assert main(args) == 0
+        assert main(argv) == 0
         assert capsys.readouterr().out.splitlines() == want
-        assert main([*args, "--s", "4"]) == 0
+        assert main([*argv, "--s", "4"]) == 0
         assert capsys.readouterr().out.splitlines() == [want[3]]
 
-    def test_tuned_marginal_prints_the_profile(self, capsys):
+    def test_tuned_marginal_prints_the_profile(self, tmp_path, capsys):
         stream = bernoulli_experts(3, 5, np.linspace(0.3, 0.7, 3), 2)
         want = marginal_tv_profile(tune_ope(5, 3, 1.0, 1e-6), stream, 10_000, 2)
-        assert main(["audit", "marginal", "--runs", "10000", "--seed", "2"]) == 0
+        assert main(_audit(tmp_path, "marginal", seed=2)) == 0
         assert capsys.readouterr().out.splitlines() == [r.to_json_line() for r in want]
 
     @pytest.mark.parametrize("test", ["ratio", "epsilon", "switches"])
-    def test_tuned_audit_prints_its_report(self, capsys, test):
-        # the report the library gives on the command's tuned config, stream and seed
+    def test_tuned_audit_prints_its_report(self, tmp_path, capsys, test):
+        # the report the library gives on the config's tuned run, stream and seed
         T, d, runs, seed = 10, 2, 200, 4
         stream = bernoulli_experts(d, T, np.linspace(0.3, 0.7, d), seed)
         config = tune_ope(T, d, 1.0, 1e-6)
@@ -488,46 +530,52 @@ class TestAudit:
             neighbor = neighbor_of(stream, T // 2, 1.0 - stream.values[T // 2])
             report = empirical_epsilon(config, stream, neighbor, runs, seed)
         else:
-            report = switch_statistics(monte_carlo(config, stream, runs, seed).results, config)
-        args = ["audit", test, "--T", str(T), "--d", str(d), "--runs", str(runs),
-                "--seed", str(seed)]
-        assert main(args) == 0
+            report = switch_statistics(config, stream, runs, seed)
+        assert main(_audit(tmp_path, test, T=T, d=d, reps=runs, seed=seed)) == 0
         assert capsys.readouterr().out == report.to_json_line() + "\n"
 
+    def test_epoch_adversary(self, tmp_path, capsys):
+        # the lower bound's epoch stream, with the replicates seeded apart from it
+        path = _write_config(
+            tmp_path, T=20, d=2, reps=300, base_seed=7, output_dir=_MISSING,
+            adversary={"kind": "epoch_lower_bound", "epsilon": 0.2, "seed": 1},
+        )
+        stream = epoch_lower_bound_stream(20, 0.2, 2, 1)
+        config = tune_ope(20, 2, 1.0, 1e-6)
+        neighbor = neighbor_of(stream, 10, 1.0 - stream.values[10])
+        want = empirical_epsilon(config, stream, neighbor, 300, 7).to_json_line() + "\n"
+        assert main(["audit", "epsilon", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("s", ["0", "6"])
-    def test_marginal_batch_out_of_range_exit_2(self, capsys, s):
-        args = ["audit", "marginal", "--d", "3", "--T", "5", "--runs", "20000",
-                "--override-eta", "0.1", "--s", s]
-        assert main(args) == 2
+    def test_marginal_batch_out_of_range_exit_2(self, tmp_path, capsys, s):
+        argv = _audit(tmp_path, "marginal", "--s", s, reps=20_000, override=self._OVERRIDE)
+        assert main(argv) == 2
         assert "--s must lie in 1..5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--B", "5"], ["--p", "0.9"], ["--B", "1", "--p", "0.5"]])
-    def test_B_and_p_need_override_exit_2(self, capsys, flags):
-        # without --override-eta the tuner sets B and p; these flags were ignored
-        args = ["audit", "marginal", "--T", "5", "--runs", "10000", "--seed", "3", *flags]
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--B and --p need --override-eta" in captured.err
-
-    def test_epsilon_with_override_exit_2(self, capsys):
-        # the override sets eta, so the tuner's target epsilon was ignored
-        args = ["audit", "marginal", "--T", "5", "--runs", "10000", "--seed", "1",
-                "--override-eta", "0.1", "--s", "2", "--epsilon", "0.3"]
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--epsilon is unused with --override-eta" in captured.err
-
     @pytest.mark.parametrize("test", ["ratio", "epsilon", "switches"])
-    def test_s_outside_marginal_exit_2(self, capsys, test):
+    def test_s_outside_marginal_exit_2(self, tmp_path, capsys, test):
         # only the marginal audit reads one batch; the others ignored --s
-        args = ["audit", test, "--T", "20", "--runs", "50", "--seed", "1", "--s", "3"]
-        assert main(args) == 2
+        argv = _audit(tmp_path, test, "--s", "3", T=20, reps=50, seed=1)
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--s applies to the marginal audit only" in captured.err
 
-    def test_invalid_override_exit_2(self, capsys):
-        assert main(["audit", "ratio", "--runs", "10", "--override-eta", "0.5"]) == 2
+    def test_invalid_override_exit_2(self, tmp_path, capsys):
+        argv = _audit(tmp_path, "ratio", reps=10, override={"B": 1, "eta": 0.5, "p": 0.5})
+        assert main(argv) == 2
         assert "eta must lie in (0, 0.1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--d", "3"), ("--T", "5"), ("--B", "1"), ("--p", "0.5"), ("--epsilon", "1"),
+         ("--delta", "1e-6"), ("--runs", "10000"), ("--seed", "0"), ("--override-eta", "0.1")],
+    )
+    def test_removed_flags_exit_2(self, tmp_path, capsys, flag, value):
+        # the config names the run; the flags that used to build one are gone
+        assert main([*_audit(tmp_path, "marginal"), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2

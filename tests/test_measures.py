@@ -92,6 +92,15 @@ class TestMwUpdate:
         table = mw_log_weights(losses, 0.1, 1)
         np.testing.assert_allclose(table[2], [-0.2, -0.1, -0.15], rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "losses",
+        [[[math.inf, 0.0], [0.0, 0.0]], [[math.nan, 0.0], [0.0, 0.0]]],
+        ids=["inf", "nan"],
+    )
+    def test_refuses_a_table_that_is_not_finite(self, losses):
+        with pytest.raises(ValueError, match="log weights must be finite"):
+            mw_log_weights(np.array(losses), 0.1, 1)
+
     def test_dimension_mismatch(self):
         config = L2PConfig(T=3, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         with pytest.raises(ValueError):
