@@ -65,6 +65,11 @@ _NUMERIC = (
 )
 
 
+def _is_number(v) -> bool:
+    """Whether ``v`` is a JSON number a finite double holds; a bool is not one."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def _load_run_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -87,12 +92,18 @@ def _load_run_config(path: str) -> dict:
     for block in ("override", "adversary"):
         fields.update((f"{block}.{k}", v) for k, v in (cfg.get(block) or {}).items())
     values = {k: fields[k] for k in _NUMERIC if k in fields}
-    bad = [k for k, v in values.items() if type(v) not in (int, float) or not abs(v) < math.inf]
+    bad = [k for k, v in values.items() if not _is_number(v)]
     if bad:
         raise ConfigError(f"config fields must be finite numbers: {', '.join(bad)}")
     fractional = [k for k in _INTEGRAL if k in values and values[k] != int(values[k])]
     if fractional:
         raise ConfigError(f"config fields must be integers: {', '.join(fractional)}")
+    adversary = cfg["adversary"]
+    means = adversary.get("means", [])
+    if type(means) is not list or not all(map(_is_number, means)):
+        raise ConfigError("adversary.means must be a list of finite numbers")
+    if adversary.get("kind") == "epoch_lower_bound" and "epsilon" not in adversary:
+        raise ConfigError("an epoch_lower_bound adversary needs epsilon")
     return cfg
 
 

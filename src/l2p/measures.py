@@ -24,9 +24,12 @@ before that batch alone, so a whole run's measures are one table built
 from the loss matrix by :func:`cumulative_table`: the ball's gradient
 sums, and the experts' cumulative losses, which an experts run keeps
 and scales by ``-eta`` into log-weights where it reads them, as
-:func:`mw_log_weights` does for a whole table. :func:`normalized` turns
-log-weights into densities and :func:`cdf_table` cumulative losses into
-sampling CDFs, row by row. The experts measure exists only as these
+:func:`mw_log_weights` does for a whole table. When every loss is 0 or
+1 the cumulative losses are counts, and a table of them can be kept in
+the smallest unsigned integer type that holds T; scaled in float64, a
+count gives the same log-weight as the float sum it equals.
+:func:`normalized` turns log-weights into densities and
+:func:`cdf_table` cumulative losses into sampling CDFs, row by row. The experts measure exists only as these
 tables; :class:`RmwMeasure` is the ball's sampler and exact oracle for one row.
 
 The tables are built ``_CHUNK`` rows at a time, so a build makes no
@@ -94,25 +97,33 @@ def normalized(log_weights: np.ndarray) -> np.ndarray:
 
 
 def cdf_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
-    """Sampling CDFs of every row of the log-weights ``loss_sums * -eta``, each ending in 1."""
+    """Sampling CDFs of every row of the log-weights ``loss_sums * -eta``, each ending in 1.
+
+    ``loss_sums`` is a float or a count table; either is scaled in float64.
+    """
     n = loss_sums.shape[0]
     cdfs = np.empty(loss_sums.shape)
     for a in range(0, n, _CHUNK):
-        np.cumsum(normalized(loss_sums[a : a + _CHUNK] * -eta), axis=1, out=cdfs[a : a + _CHUNK])
+        log_weights = np.multiply(loss_sums[a : a + _CHUNK], -eta, dtype=np.float64)
+        np.cumsum(normalized(log_weights), axis=1, out=cdfs[a : a + _CHUNK])
     cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
     return cdfs
 
 
 def step_spread(loss_sums: np.ndarray, eta: float) -> float:
-    """The widest spread, max - min, of a row step of ``loss_sums * -eta``; 0 for one row."""
+    """The widest spread, max - min, of a row step of ``loss_sums * -eta``; 0 for one row.
+
+    ``loss_sums`` is a float or a count table; either is scaled in float64.
+    """
     spread = 0.0
     for a in range(0, loss_sums.shape[0], _CHUNK):
-        steps = np.diff(loss_sums[max(a - 1, 0) : a + _CHUNK] * -eta, axis=0)
+        log_weights = np.multiply(loss_sums[max(a - 1, 0) : a + _CHUNK], -eta, dtype=np.float64)
+        steps = np.diff(log_weights, axis=0)
         spread = max(spread, float(np.ptp(steps, axis=1).max(initial=0.0)))
     return spread
 
 
-def cumulative_table(values: np.ndarray, B: int) -> np.ndarray:
+def cumulative_table(values: np.ndarray, B: int, dtype=np.float64) -> np.ndarray:
     """Per-batch cumulative sums of a (T, d) loss or gradient matrix.
 
     Row ``s - 1`` is the sum of all rounds before batch ``s`` starts, so
@@ -122,10 +133,15 @@ def cumulative_table(values: np.ndarray, B: int) -> np.ndarray:
     round is added to the last running sum before the chunk is summed,
     the order ``np.cumsum`` adds in, so the table is bit for bit
     ``np.cumsum(values, axis=0)`` at the batch ends.
+
+    The table is allocated in ``dtype`` and the kept rows are cast into
+    it as they are stored. An unsigned integer ``dtype`` that holds T
+    stores the losses of a matrix of 0s and 1s as exact counts: each
+    running sum is then an integer below 2**53, so the cast loses nothing.
     """
     T, d = values.shape
     n_batches = -(-T // B)
-    cum = np.zeros((n_batches, d))
+    cum = np.zeros((n_batches, d), dtype=dtype)
     rounds = (n_batches - 1) * B  # the rounds before the last batch starts
     buf = np.empty((min(_CHUNK, rounds), d))
     for a in range(0, rounds, _CHUNK):

@@ -26,8 +26,11 @@ set-up makes no per-batch objects. It keeps only the tables the engine reads,
 two per-batch tables for an experts run (cumulative losses and sampling
 CDFs) and one for the ball (gradient sums), built chunk by chunk with
 no temporary of their size; the per-batch loss sums are computed on
-first read. The ball sampler is built only for the batch that
-resamples.
+first read. A binary experts run, one whose every loss is +0.0 or 1.0,
+keeps its cumulative losses as integer counts in the smallest unsigned
+type that holds T; a count times ``-eta`` is the double the float sum
+gives, so the run is the one a float table gives, bit for bit. The
+ball sampler is built only for the batch that resamples.
 
 Randomness contract (frozen for reproducibility): at each batch s >= 2
 the engine consumes three uniforms, in the order S, S', A, then at most
@@ -59,11 +62,11 @@ draws normals, which cannot be pre-drawn bit-identically.
 A run returns its switch events as a :class:`Transcript`, and nothing
 per batch. The per-batch columns (models, coins, losses, log ratios)
 are derived from the events on first read. A game reads only its total
-loss. On a binary experts run, one whose every loss is 0.0 or 1.0, that
-is a sum over the switch events of differences of the cumulative loss
-table, so the game costs its switches alone; on any other run it is one
-gather of the played losses. Set-up also computes the run's
-best-in-hindsight comparator, which depends only on the loss matrix.
+loss. On a binary experts run that is a sum over the switch events of
+differences of the count table, so the game costs its switches alone;
+on any other run it is one gather of the played losses. Set-up also
+computes the run's best-in-hindsight comparator, which depends only on
+the loss matrix.
 """
 
 from __future__ import annotations
@@ -107,6 +110,8 @@ _CODE_COINS = np.array(
     [(S, Sp, A) for S in (0, 1) for Sp in (0, 1) for A in (0, 1)], dtype=np.int8
 )
 _CODE_SWITCHED = np.array([(1 - (S & Sp), 1 - A) for S, Sp, A in _CODE_COINS], dtype=np.int8)
+# The bits of the double 1.0: a binary loss has these bits or none.
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
 class ConfigError(ValueError):
@@ -258,7 +263,8 @@ class Transcript:
         There the model x in force over batches [a, b) played
         ``loss_sums[b, x] - loss_sums[a, x]``, the last one up to the column
         total. Every partial sum is an integer below 2**53, so the sum is
-        exact. A zero total is gathered, as only the gather knows its sign.
+        exact, and a +0.0/1.0 matrix cannot sum to -0.0, so a zero total
+        is +0.0 as the gather's is.
         """
         prepared = self.prepared
         if prepared.binary:
@@ -268,8 +274,7 @@ class Transcript:
                 a = b
             x = self.event_xs[-1]
             total += float(prepared.column_totals[x]) - sums[a * d + x]
-            if total:
-                return total
+            return total
         return float(self.round_losses.sum())
 
     @cached_property
@@ -376,9 +381,12 @@ class PreparedRun:
     ``loss_sums`` and sampling CDFs of every batch, with one flat
     memoryview of each that the engine loop reads, and ``sure``, a floor
     under the keep probability of every batch and every pair of models.
-    The log-weights ``loss_sums * -eta`` are formed where they are read.
-    ``binary`` is whether every loss is 0.0 or 1.0. Runs of at most
-    ``_WALK`` batches (``walks``) step through every batch. Ball runs
+    The log-weights ``loss_sums * -eta`` are formed in float64 where they
+    are read. ``binary`` is whether every loss is +0.0 or 1.0 (a -0.0
+    is not); a binary run's ``loss_sums`` holds exact counts in
+    ``np.min_scalar_type(T)``, whose memoryview reads Python ints, and
+    any other run's holds float64. Runs of at most ``_WALK`` batches
+    (``walks``) step through every batch. Ball runs
     keep one table, the gradient sums. Both kinds keep the column totals
     of the loss matrix and ``comparator_loss``, the best-in-hindsight
     loss they give; the per-batch loss sums ``batch_sums``, which only
@@ -402,12 +410,14 @@ class PreparedRun:
         self.column_totals = loss_values.sum(axis=0)
         self.walks = self.is_mw and n <= _WALK
         if self.is_mw:
-            zeros = np.count_nonzero(loss_values == 0.0)
-            self.binary = zeros + np.count_nonzero(loss_values == 1.0) == loss_values.size
+            bits = loss_values.view(np.uint64)
+            zeros = np.count_nonzero(bits == 0)
+            self.binary = zeros + np.count_nonzero(bits == _ONE_BITS) == loss_values.size
             inside = self.binary or (loss_values.min() >= 0.0 and loss_values.max() <= 1.0)
             self.domain_error = None if inside else "an experts run needs every loss in [0, 1]"
             self.comparator_loss = _best_expert(self.column_totals)[1]
-            self.loss_sums = cumulative_table(loss_values, config.B)
+            dtype = np.min_scalar_type(config.T) if self.binary else np.float64
+            self.loss_sums = cumulative_table(loss_values, config.B, dtype)
             if not np.isfinite(self.loss_sums).all():
                 raise ValueError("cumulative losses must be finite")
             self.cdfs = cdf_table(self.loss_sums, config.eta)
@@ -554,7 +564,8 @@ class PreparedRun:
         flat, d, m = self.loss_sums.ravel(), self.loss_sums.shape[1], -self.config.eta
         at_x = np.arange(d, xs.size * d, d) + xs[:-1]
         at_y = at_x + (ys[:-1] - xs[:-1])
-        x1, x0, y1, y0 = (flat.take(at) * m for at in (at_x, at_x - d, at_y, at_y - d))
+        ats = (at_x, at_x - d, at_y, at_y - d)
+        x1, x0, y1, y0 = (np.multiply(flat.take(at), m, dtype=np.float64) for at in ats)
         return (x1 - x0) - (y1 - y0)
 
     def _ball_sample(self, s: int, rng: np.random.Generator) -> np.ndarray:

@@ -81,18 +81,25 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
      {"override": {"B": 2.7, "eta": 0.01, "p": 0.5}},
      {"reps": _MISSING}, {"adversary": _MISSING}, {"problem": "mystery"},
      {"adversary": {"kind": "mystery", "seed": 1}}, {"reps": 0},
-     {"adversary": {"kind": "bernoulli", "means": [None, 0.5, 0.7], "seed": 1}}],
+     {"adversary": {"kind": "bernoulli", "means": [None, 0.5, 0.7], "seed": 1}},
+     {"adversary": {"kind": "bernoulli", "means": [True, False, 0.5], "seed": 1}},
+     {"adversary": {"kind": "bernoulli", "means": [0.1, {"a": 1}, 0.3], "seed": 1}},
+     {"adversary": {"kind": "bernoulli", "means": [10**400, 0.5, 0.7], "seed": 1}},
+     {"adversary": {"kind": "epoch_lower_bound", "seed": 1}}],
     ids=["array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
          "string-adversary", "list-override", "null-override-B", "null-lipschitz",
          "null-adversary-seed", "null-adversary-lipschitz", "fractional-T", "fractional-reps",
          "fractional-base_seed", "fractional-override-B", "missing-reps", "missing-adversary",
-         "unknown-problem", "unknown-adversary-kind", "zero-reps", "null-mean"],
+         "unknown-problem", "unknown-adversary-kind", "zero-reps", "null-mean", "bool-means",
+         "object-mean", "huge-mean", "epoch-without-epsilon"],
 )
 def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overrides):
     # a top level that is not an object, a field that is not a finite
     # number or not a whole one where one is read, or an adversary or
     # override that is not an object; a missing field, an unknown problem
-    # or adversary kind, no replicates, or a null Bernoulli mean
+    # or adversary kind, no replicates, a Bernoulli mean that is null, a
+    # bool, an object or beyond a double's range, or an epoch adversary
+    # without its epsilon
     path = _write_config(tmp_path, **(overrides or {}))
     if overrides is None:
         path.write_text("[1, 2]")
@@ -131,6 +138,7 @@ _ETA = "eta must lie in (0, 0.1]"
 _EPOCH = "the epoch construction needs T >= 1, d >= 1 and a finite epsilon > 0"
 _TARGET = "target epsilon must be positive and finite"
 _L_D = "lipschitz and diameter must be positive and finite"
+_MEANS = "adversary.means must be a list of finite numbers"
 
 
 def _audit_config(T=5, d=3, reps=10_000, seed=0, **fields):
@@ -173,6 +181,12 @@ def _audit(directory, test, *flags, **config):
      (["audit", "marginal", {"problem": "oco"}], "audits run on experts configs"),
      (["audit", "marginal", {"output_dir": "out"}],
       "an audit writes no files; output_dir is unused"),
+     (["audit", "marginal", {"adversary": {"kind": "epoch_lower_bound", "seed": 1}}],
+      "an epoch_lower_bound adversary needs epsilon"),
+     (["audit", "marginal", {"adversary": {"kind": "bernoulli", "means": [True, False, 0.5]}}],
+      _MEANS),
+     (["audit", "marginal", {"adversary": {"kind": "bernoulli", "means": [0.1, {"a": 1}, 0.3]}}],
+      _MEANS),
      (_with(_TUNE_OPE, "--epsilon", "inf"), _TARGET),
      (_with(_TUNE_OPE, "--epsilon", "nan"), _TARGET),
      ([*_TUNE_OCO, "--L", "nan"], _L_D),
@@ -181,7 +195,9 @@ def _audit(directory, test, *flags, **config):
          "account-delta0-nan", "lower-bound-T-negative", "lower-bound-epsilon-negative",
          "lower-bound-epsilon-inf", "lower-bound-reps-0", "lower-bound-reps-negative",
          "audit-ratio-runs-0", "audit-epsilon-runs-50", "audit-ratio-one-batch",
-         "audit-switches-runs-50", "audit-oco-config", "audit-output-dir", "tune-ope-epsilon-inf",
+         "audit-switches-runs-50", "audit-oco-config", "audit-output-dir",
+         "audit-epoch-without-epsilon", "audit-bool-means", "audit-object-mean",
+         "tune-ope-epsilon-inf",
          "tune-ope-epsilon-nan", "tune-oco-L-nan", "tune-oco-D-nan"],
 )
 def test_bad_flags_exit_2_writes_nothing(

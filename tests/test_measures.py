@@ -459,7 +459,10 @@ class TestChunkedTables:
             return
         lw = -config.eta * want
         assert mw_log_weights(values, config.eta, config.B).tobytes() == lw.tobytes()
-        assert prepared.loss_sums.tobytes() == want.tobytes()
+        # a binary run keeps its cumulative losses as counts
+        counts = np.min_scalar_type(config.T) if prepared.binary else np.float64
+        assert prepared.loss_sums.dtype == counts
+        assert prepared.loss_sums.astype(np.float64).tobytes() == want.tobytes()
         assert prepared.cdfs.tobytes() == _one_shot_cdfs(lw).tobytes()
         assert prepared.sure == _one_shot_sure(lw, config.cap)
 
@@ -499,6 +502,68 @@ class TestChunkedTables:
         assert np.signbit(lw[0]).all() and not np.signbit(lw[1:]).any()
 
 
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def _one_shot_ratios(lw, xs, ys):
+    """The raw log ratio of every batch s >= 2 from one-shot log-weights and each batch's models."""
+    r, x, y = np.arange(1, lw.shape[0]), xs[:-1], ys[:-1]
+    return (lw[r, x] - lw[r - 1, x]) - (lw[r, y] - lw[r - 1, y])
+
+
+class TestCountTable:
+    """A binary run keeps its cumulative losses as counts in the smallest
+    unsigned type that holds T; every double formed from them is the one
+    the float table gives, byte for byte."""
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize(
+        "T, counts", [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)]
+    )
+    def test_dtype_boundaries(self, monkeypatch, T, counts, B):
+        rng = np.random.default_rng(T + B)
+        values = (rng.random((T, 2)) < 0.5).astype(np.float64)
+        values[:, 0] = 1.0  # a column that counts every round, up to the table's top
+        config = L2PConfig(T=T, B=B, eta=0.005, p=0.01, delta0=0.0, delta1=1e-6)
+        prepared = PreparedRun(config, "mw", values)
+        assert prepared.binary and prepared.loss_sums.dtype == counts
+        assert prepared.loss_sums[-1, 0] == (config.n_batches - 1) * B
+        want = _one_shot_cumulative(values, B)
+        lw = -config.eta * want
+        assert prepared.loss_sums.astype(np.float64).tobytes() == want.tobytes()
+        assert prepared.cdfs.tobytes() == _one_shot_cdfs(lw).tobytes()
+        assert _bits(prepared.sure) == _bits(_one_shot_sure(lw, config.cap))
+        # the same run on a float table, as a matrix that is not binary builds it
+        monkeypatch.setattr(
+            "l2p.transform.cumulative_table", lambda v, B, dtype: cumulative_table(v, B)
+        )
+        floats = PreparedRun(config, "mw", values)
+        assert floats.loss_sums.dtype == np.float64
+        for seed in range(20):
+            t = prepared.run(np.random.default_rng(seed))
+            f = floats.run(np.random.default_rng(seed))
+            assert (t.rows, t.codes, t.event_xs, t.event_ys) == (
+                f.rows, f.codes, f.event_xs, f.event_ys
+            )
+            ratios = _one_shot_ratios(lw, np.asarray(t.models), np.asarray(t.ys))
+            assert t.raw_log_ratios.tobytes() == ratios.tobytes()
+            assert _bits(t.total_loss) == _bits(float(t.round_losses.sum()))
+
+    def test_a_negative_zero_keeps_floats(self):
+        values = (np.random.default_rng(3).random((300, 3)) < 0.5).astype(np.float64)
+        values[values[:, 1] == 0.0, 1] = -0.0
+        config = L2PConfig(T=300, B=2, eta=0.05, p=0.2, delta0=0.0, delta1=1e-6)
+        prepared = PreparedRun(config, "mw", values)
+        assert not prepared.binary and prepared.loss_sums.dtype == np.float64
+        assert prepared.loss_sums.tobytes() == _one_shot_cumulative(values, 2).tobytes()
+        for seed in range(10):
+            t = prepared.run(np.random.default_rng(seed))
+            got = t.total_loss
+            assert "round_losses" in vars(t)  # gathered
+            assert _bits(got) == _bits(float(t.round_losses.sum()))
+
+
 def _traced(build):
     """What ``build`` returns, with the bytes it leaves allocated and its peak, by tracemalloc."""
     tracing = tracemalloc.is_tracing()
@@ -519,11 +584,26 @@ class TestSetUpMemory:
     """Set-up keeps the tables the engine reads, and builds them with no table-size temporary."""
 
     def test_experts_keep_two_tables(self):
+        # at ope-b1's shape a binary run keeps uint16 counts, a quarter of
+        # a float table, and builds them with no float table of their size
         T, d = 20_000, 10
         values = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), 1).values
         config = tune_ope(T, d, 1.0, 1e-6)
         prepared, retained, peak = _traced(lambda: PreparedRun(config, "mw", values))
         table = config.n_batches * d * 8
+        assert prepared.binary and prepared.loss_sums.dtype == np.uint16
+        assert prepared.loss_sums.nbytes == table / 4
+        assert prepared.cdfs.nbytes == table
+        assert retained <= 1.3 * table
+        assert peak <= 1.7 * table
+
+    def test_fractional_experts_keep_two_float_tables(self):
+        T, d = 20_000, 10
+        values = np.random.default_rng(1).random((T, d))
+        config = tune_ope(T, d, 1.0, 1e-6)
+        prepared, retained, peak = _traced(lambda: PreparedRun(config, "mw", values))
+        table = config.n_batches * d * 8
+        assert not prepared.binary and prepared.loss_sums.dtype == np.float64
         assert prepared.loss_sums.nbytes == prepared.cdfs.nbytes == table
         assert retained <= 2.1 * table
         assert peak <= 2.5 * table

@@ -1253,8 +1253,8 @@ class TestSpanSums:
         for rng in rngs:
             t = prepared.run(rng)
             got = t.total_loss
-            # only a zero total, whose sign the span sum cannot know, is gathered
-            assert ("round_losses" in vars(t)) == (got == 0.0)
+            # a +0.0/1.0 matrix cannot sum to -0.0, so even a zero total is not gathered
+            assert "round_losses" not in vars(t)
             assert type(got) is float
             assert _bits(got) == _bits(float(_gathered(t).sum()))
             assert _bits(got) == _bits(float(t.round_losses.sum()))
@@ -1298,21 +1298,38 @@ class TestSpanSums:
         (t,) = self._assert_spans(prepared, [_Scripted(values)])
         assert t.rows == [n - 1] and t.total_loss > 0
 
+    @staticmethod
+    def _assert_gathers(prepared, n_seeds) -> list[Transcript]:
+        """A run that is not binary: its total is the gather's sum, sign included."""
+        assert not prepared.binary and prepared.loss_sums.dtype == np.float64
+        runs = []
+        for seed in range(n_seeds):
+            t = prepared.run(np.random.default_rng(seed))
+            assert _bits(t.total_loss) == _bits(float(_gathered(t).sum()))
+            assert "round_losses" in vars(t)
+            runs.append(t)
+        return runs
+
     @pytest.mark.parametrize("fill", [0.0, 1.0, -0.0], ids=["zeros", "ones", "negative-zeros"])
     def test_constant_matrices(self, fill):
         for T, B, d in ((1, 1, 3), (50, 1, 2), (301, 3, 4)):
             config = L2PConfig(T=T, B=B, eta=0.05, p=0.3, delta0=0.0, delta1=1e-6)
             prepared = PreparedRun(config, "mw", np.full((T, d), fill))
-            for t in self._assert_seeds(prepared, 10):
+            if _bits(fill) == _bits(-0.0):  # -0.0 is not a binary loss
+                runs = self._assert_gathers(prepared, 10)
+            else:
+                runs = self._assert_seeds(prepared, 10)
+            for t in runs:
                 assert t.total_loss == T * fill
 
     def test_zeros_of_both_signs(self):
-        # -0.0 is a binary loss; a zero total takes its sign from the gather
+        # a -0.0 loss makes a run fractional: it keeps a float table and
+        # gathers its total, whose sign only the gather knows
         values = np.full((60, 2), -0.0)
         values[::7, 1] = 0.0
         values[5, 1] = 1.0
         config = L2PConfig(T=60, B=2, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
-        runs = self._assert_seeds(PreparedRun(config, "mw", values), 40)
+        runs = self._assert_gathers(PreparedRun(config, "mw", values), 40)
         assert {t.total_loss for t in runs} == {0.0, 1.0}
 
     def test_ope_b1_over_seeds(self):
