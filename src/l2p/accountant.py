@@ -2,8 +2,8 @@
 theoretical regret rates of both problems.
 
 Every function here is pure and uses natural logarithms. One function,
-``config_budget``, prices every run: ``l2p tune``, ``run`` and
-``account``, the audits and the tuners' own checks all read it. For a
+``config_budget``, prices every run: ``l2p plan`` and ``run``, the
+audits and the tuners' own checks all read it. For a
 config with accounted step size ``eta``, fake-switch rate ``p``,
 horizon ``T``, batch ``B`` and slacks ``delta0``, ``delta1`` it reports
 
@@ -166,8 +166,10 @@ def ball_config(
     ``delta0`` is chosen so the budget's delta0 term spends at most a quarter
     of the target ``delta``, and ``delta1 = delta / (4T)`` at most half.
     """
-    if eta <= 0.0 or not 0.0 < p <= 1.0:
-        raise ValueError("ball accounting needs eta > 0 and p in (0, 1]")
+    if eta <= 0.0 or not 0.0 < p <= 1.0 or not delta > 0.0:
+        raise ValueError("ball accounting needs eta > 0, p in (0, 1] and delta > 0")
+    if not (0.0 < lipschitz < math.inf and 0.0 < diameter < math.inf):
+        raise ValueError("lipschitz and diameter must be positive and finite")
     lam = (lipschitz / diameter) * max(math.sqrt(T), math.sqrt(d * math.log(T)) / eta)
     beta = eta * eta * lam / (20.0 * lipschitz * lipschitz)
     delta1 = delta / (4.0 * T)

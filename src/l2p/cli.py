@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: run, sweep, lower-bound, account, audit, tune. Long-form
-flags only. ``run``, ``sweep`` and ``audit`` read the same JSON run
+Subcommands: run, sweep, lower-bound, audit, plan. Long-form flags
+only. ``run``, ``sweep``, ``audit`` and ``plan`` read the same JSON run
 config (``--config``): one adversary stream, a tuned or overridden
 config, and ``reps`` replicate runs seeded from ``base_seed``. Exit
 codes: 0 success, 2 configuration or usage error, 3 tuner
@@ -64,6 +64,9 @@ _NUMERIC = (
     "adversary.lipschitz", "adversary.epsilon",
 )
 
+# The fields of a built config that provenance.json records as "tuned"
+_TUNED = ("B", "eta", "p", "delta0", "delta1", "eta_accounted")
+
 
 def _is_number(v) -> bool:
     """Whether ``v`` is a JSON number a finite double holds; a bool is not one."""
@@ -75,7 +78,8 @@ def _load_run_config(path: str) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    if cfg.get("schema") != SCHEMA_VERSION:
+    schema = cfg.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
     required = ["T", "d", "epsilon", "delta", "reps", "base_seed"]
     missing = [k for k in ["problem", *required, "adversary"] if k not in cfg]
@@ -85,6 +89,8 @@ def _load_run_config(path: str) -> dict:
         raise ConfigError("adversary must be a JSON object")
     if cfg["problem"] not in ("ope", "oco"):
         raise ConfigError("problem must be 'ope' or 'oco'")
+    if cfg["problem"] == "ope" and ("lipschitz" in cfg or "diameter" in cfg):
+        raise ConfigError("lipschitz and diameter apply to oco problems only")
     override = cfg.get("override")
     if override is not None and (type(override) is not dict or set(override) != {"B", "eta", "p"}):
         raise ConfigError("override block must be an object setting exactly B, eta and p")
@@ -98,11 +104,17 @@ def _load_run_config(path: str) -> dict:
     fractional = [k for k in _INTEGRAL if k in values and values[k] != int(values[k])]
     if fractional:
         raise ConfigError(f"config fields must be integers: {', '.join(fractional)}")
+    small = [k for k in ("T", "d") if values[k] < 1]
+    if small:
+        raise ConfigError(f"config fields must be at least 1: {', '.join(small)}")
     adversary = cfg["adversary"]
+    kind = adversary.get("kind")
+    if kind not in ("bernoulli", "epoch_lower_bound", "iid-sphere", "drift"):
+        raise ConfigError(f"unknown adversary kind {kind!r}")
     means = adversary.get("means", [])
     if type(means) is not list or not all(map(_is_number, means)):
         raise ConfigError("adversary.means must be a list of finite numbers")
-    if adversary.get("kind") == "epoch_lower_bound" and "epsilon" not in adversary:
+    if kind == "epoch_lower_bound" and "epsilon" not in adversary:
         raise ConfigError("an epoch_lower_bound adversary needs epsilon")
     return cfg
 
@@ -117,9 +129,7 @@ def _build_stream(cfg: dict):
         return bernoulli_experts(d, T, means, seed)
     if kind == "epoch_lower_bound":
         return epoch_lower_bound_stream(T, float(adv["epsilon"]), d, seed)
-    if kind in ("iid-sphere", "drift"):
-        return linear_oco_stream(d, T, float(adv.get("lipschitz", 1.0)), seed, kind)
-    raise ConfigError(f"unknown adversary kind {kind!r}")
+    return linear_oco_stream(d, T, float(adv.get("lipschitz", 1.0)), seed, kind)
 
 
 def _lipschitz_diameter(cfg: dict) -> tuple[float, float]:
@@ -145,6 +155,16 @@ def _build_config(cfg: dict) -> L2PConfig:
     )
 
 
+def _regret_bound(cfg: dict, eps: float) -> float:
+    """The regret rate of the config's problem at target ``eps``."""
+    T, d, delta = int(cfg["T"]), int(cfg["d"]), float(cfg["delta"])
+    if not (eps > 0.0 and delta > 0.0):
+        raise ConfigError("a regret bound needs epsilon and delta above 0")
+    if cfg["problem"] == "ope":
+        return regret_bound_ope(T, d, eps, delta)
+    return regret_bound_oco(T, d, eps, delta, *_lipschitz_diameter(cfg))
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -165,14 +185,7 @@ def cmd_run(args) -> int:
     provenance = {
         "config": cfg,
         "library_version": __version__,
-        "tuned": {
-            "B": config.B,
-            "eta": config.eta,
-            "p": config.p,
-            "delta0": config.delta0,
-            "delta1": config.delta1,
-            "eta_accounted": config.eta_accounted,
-        },
+        "tuned": {k: getattr(config, k) for k in _TUNED},
         "budget": config_budget(config).to_dict(),
         "seeds": [replicate_seed(base_seed, i) for i in range(reps)],
     }
@@ -187,17 +200,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep tunes a config per epsilon; it takes no override block")
     grid = [float(v) for v in args.epsilon_grid]
     stream = _build_stream(cfg)
-    T, d, delta = int(cfg["T"]), int(cfg["d"]), float(cfg["delta"])
     rows = ["epsilon,mean_regret,std_regret,theory_bound"]
     for eps in grid:
         local = dict(cfg)
         local["epsilon"] = eps
         config = _build_config(local)
         summary = monte_carlo(config, stream, int(cfg["reps"]), int(cfg["base_seed"]))
-        if cfg["problem"] == "ope":
-            bound = regret_bound_ope(T, d, eps, delta)
-        else:
-            bound = regret_bound_oco(T, d, eps, delta, *_lipschitz_diameter(cfg))
+        bound = _regret_bound(cfg, eps)
         rows.append(
             f"{eps!r},{summary.mean_regret!r},{summary.std_regret!r},{bound!r}"
         )
@@ -224,47 +233,6 @@ def cmd_lower_bound(args) -> int:
     if d == 1:
         print("note: single expert, regret is identically 0", file=sys.stderr)
     print(f"wrote {out}")
-    return EXIT_OK
-
-
-def cmd_account(args) -> int:
-    config = L2PConfig(
-        T=args.T, B=args.B, eta=args.eta, p=args.p, delta0=args.delta0, delta1=args.delta1
-    )
-    budget = config_budget(config)
-    if args.json:
-        print(json.dumps(budget.to_dict(), sort_keys=True))
-    else:
-        print(f"epsilon={budget.epsilon!r}")
-        print(f"delta={budget.delta!r}")
-        print(f"preconditions_met={budget.preconditions_met}")
-        for note in budget.notes:
-            print(f"note={note}")
-    return EXIT_OK
-
-
-def cmd_tune(args) -> int:
-    if args.problem == "ope":
-        if args.L is not None or args.D is not None:
-            raise ConfigError("--L and --D apply to oco only")
-        config = tune_ope(args.T, args.d, args.epsilon, args.delta)
-    else:
-        L, D = 1.0 if args.L is None else args.L, 1.0 if args.D is None else args.D
-        config = tune_oco(args.T, args.d, args.epsilon, args.delta, L, D)
-    out = {
-        "T": config.T,
-        "B": config.B,
-        "eta": config.eta,
-        "p": config.p,
-        "delta0": config.delta0,
-        "delta1": config.delta1,
-        "beta": config.beta,
-        "lam": config.lam,
-        "radius": config.radius,
-        "eta_accounted": config.eta_accounted,
-        "budget": config_budget(config).to_dict(),
-    }
-    print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 
@@ -295,6 +263,16 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+def cmd_plan(args) -> int:
+    cfg = _load_run_config(args.config)
+    config = _build_config(cfg)
+    out = {k: getattr(config, k) for k in (*_TUNED, "T", "beta", "lam", "radius")}
+    out["budget"] = config_budget(config).to_dict()
+    out["regret_bound"] = _regret_bound(cfg, float(cfg["epsilon"]))
+    print(json.dumps(out, sort_keys=True))
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l2p", description="Private online learning by lazy switching"
@@ -322,31 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--output", default=None)
     p_lb.set_defaults(func=cmd_lower_bound)
 
-    p_acc = sub.add_parser("account", help="print the budget of the experts run these flags set")
-    p_acc.add_argument("--eta", type=float, required=True)
-    p_acc.add_argument("--p", type=float, required=True)
-    p_acc.add_argument("--T", type=int, required=True)
-    p_acc.add_argument("--B", type=int, required=True)
-    p_acc.add_argument("--delta0", type=float, default=0.0)
-    p_acc.add_argument("--delta1", type=float, required=True)
-    p_acc.add_argument("--json", action="store_true")
-    p_acc.set_defaults(func=cmd_account)
-
-    p_tune = sub.add_parser("tune", help="closed-form parameter tuning")
-    p_tune.add_argument("problem", choices=["ope", "oco"])
-    p_tune.add_argument("--T", type=int, required=True)
-    p_tune.add_argument("--d", type=int, required=True)
-    p_tune.add_argument("--epsilon", type=float, required=True)
-    p_tune.add_argument("--delta", type=float, required=True)
-    p_tune.add_argument("--L", type=float, default=None)
-    p_tune.add_argument("--D", type=float, default=None)
-    p_tune.set_defaults(func=cmd_tune)
-
     p_audit = sub.add_parser("audit", help="distribution and privacy checks on a run config")
     p_audit.add_argument("test", choices=["marginal", "ratio", "epsilon", "switches"])
     p_audit.add_argument("--config", required=True)
     p_audit.add_argument("--s", type=int, default=None)
     p_audit.set_defaults(func=cmd_audit)
+
+    p_plan = sub.add_parser("plan", help="tuned config, budget and regret bound of a run config")
+    p_plan.add_argument("--config", required=True)
+    p_plan.set_defaults(func=cmd_plan)
     return parser
 
 

@@ -418,7 +418,8 @@ class PreparedRun:
             self.comparator_loss = _best_expert(self.column_totals)[1]
             dtype = np.min_scalar_type(config.T) if self.binary else np.float64
             self.loss_sums = cumulative_table(loss_values, config.B, dtype)
-            if not np.isfinite(self.loss_sums).all():
+            # a binary run's count table cannot hold a non-finite value
+            if not self.binary and not np.isfinite(self.loss_sums).all():
                 raise ValueError("cumulative losses must be finite")
             self.cdfs = cdf_table(self.loss_sums, config.eta)
             self._sums = memoryview(self.loss_sums.reshape(-1))

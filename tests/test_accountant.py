@@ -234,6 +234,15 @@ class TestTuneOco:
         with pytest.raises(ValueError):
             ball_config(100, 3, 1, 0.01, 0.0, 1e-6, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "delta, L, D", [(0.0, 1.0, 1.0), (1e-6, 0.0, 1.0), (1e-6, 1.0, 0.0)],
+        ids=["delta-0", "lipschitz-0", "diameter-0"],
+    )
+    def test_ball_config_refuses_what_it_cannot_price(self, delta, L, D):
+        # each of these divided by zero before it was refused
+        with pytest.raises(ValueError):
+            ball_config(100, 3, 1, 0.01, 0.5, delta, L, D)
+
 
 def _report_preconditions_met(c: L2PConfig) -> bool:
     """The rule configs marked themselves with before the accountant took it over."""

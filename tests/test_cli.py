@@ -8,6 +8,7 @@ from l2p.accountant import (
     ball_config,
     config_budget,
     regret_bound_oco,
+    regret_bound_ope,
     tune_ope,
 )
 from l2p.adversaries import bernoulli_experts, epoch_lower_bound_stream, neighbor_of
@@ -23,6 +24,12 @@ from l2p.transform import L2PConfig, PreparedRun
 
 
 _MISSING = object()  # an override that drops the field
+_SPHERE = {"kind": "iid-sphere", "seed": 0}
+
+
+def _override(B=1, eta=0.01, p=0.5):
+    """An override block."""
+    return {"B": B, "eta": eta, "p": p}
 
 
 def _write_config(tmp_path, **overrides):
@@ -65,41 +72,59 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
     assert list(tmp_path.iterdir()) == [path]
 
 
+# Configs every command refuses, each with its id: a top level that is not
+# an object, a schema that is not the int 1, a field that is not a finite
+# number or not a whole one where one is read, or an adversary or override
+# that is not an object; a missing field, an unknown problem or adversary
+# kind, no replicates, T or d below 1, a Bernoulli mean that is null, a
+# bool, an object or beyond a double's range, an epoch adversary without
+# its epsilon, a ball override without a delta to spend, or an experts
+# config that sets the oco problem's lipschitz or diameter, which it would
+# ignore.
+_MALFORMED = (
+    None, {"T": None}, {"epsilon": "1.0"}, {"reps": True}, {"T": math.inf},
+    {"delta": math.nan}, {"adversary": "bernoulli"},
+    {"override": ["B", "eta", "p"]},
+    {"override": {"B": None, "eta": 0.01, "p": 0.5}},
+    {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1}, "lipschitz": None},
+    {"adversary": {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": None}},
+    {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1, "lipschitz": None}},
+    {"T": 200.5}, {"reps": 2.9}, {"base_seed": 0.5},
+    {"override": {"B": 2.7, "eta": 0.01, "p": 0.5}},
+    {"reps": _MISSING}, {"adversary": _MISSING}, {"problem": "mystery"},
+    {"adversary": {"kind": "mystery", "seed": 1}}, {"reps": 0},
+    {"adversary": {"kind": "bernoulli", "means": [None, 0.5, 0.7], "seed": 1}},
+    {"adversary": {"kind": "bernoulli", "means": [True, False, 0.5], "seed": 1}},
+    {"adversary": {"kind": "bernoulli", "means": [0.1, {"a": 1}, 0.3], "seed": 1}},
+    {"adversary": {"kind": "bernoulli", "means": [10**400, 0.5, 0.7], "seed": 1}},
+    {"adversary": {"kind": "epoch_lower_bound", "seed": 1}},
+    {"schema": True}, {"schema": 1.0},
+    {"T": 0, "override": _override()},
+    {"problem": "oco", "adversary": _SPHERE, "T": 0, "override": _override()},
+    {"d": 0}, {"T": -5},
+    {"problem": "oco", "adversary": _SPHERE, "delta": 0.0, "override": _override()},
+    {"problem": "oco", "adversary": _SPHERE, "lipschitz": 0.0, "override": _override()},
+    {"problem": "oco", "adversary": _SPHERE, "diameter": 0.0, "override": _override()},
+    {"lipschitz": 5.0}, {"diameter": 9.0}, {"lipschitz": 1.0, "diameter": 1.0},
+)
+_MALFORMED_IDS = [
+    "array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
+    "string-adversary", "list-override", "null-override-B", "null-lipschitz",
+    "null-adversary-seed", "null-adversary-lipschitz", "fractional-T", "fractional-reps",
+    "fractional-base_seed", "fractional-override-B", "missing-reps", "missing-adversary",
+    "unknown-problem", "unknown-adversary-kind", "zero-reps", "null-mean", "bool-means",
+    "object-mean", "huge-mean", "epoch-without-epsilon", "bool-schema", "float-schema",
+    "zero-T-override", "zero-T-ball-override", "zero-d", "negative-T", "zero-delta-ball-override",
+    "zero-lipschitz-ball-override", "zero-diameter-ball-override",
+    "ope-lipschitz", "ope-diameter", "ope-lipschitz-and-diameter",
+]
+
+
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--epsilon-grid", "1.0"]], ids=["run", "sweep"]
 )
-@pytest.mark.parametrize(
-    "overrides",
-    [None, {"T": None}, {"epsilon": "1.0"}, {"reps": True}, {"T": math.inf},
-     {"delta": math.nan}, {"adversary": "bernoulli"},
-     {"override": ["B", "eta", "p"]},
-     {"override": {"B": None, "eta": 0.01, "p": 0.5}},
-     {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1}, "lipschitz": None},
-     {"adversary": {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": None}},
-     {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1, "lipschitz": None}},
-     {"T": 200.5}, {"reps": 2.9}, {"base_seed": 0.5},
-     {"override": {"B": 2.7, "eta": 0.01, "p": 0.5}},
-     {"reps": _MISSING}, {"adversary": _MISSING}, {"problem": "mystery"},
-     {"adversary": {"kind": "mystery", "seed": 1}}, {"reps": 0},
-     {"adversary": {"kind": "bernoulli", "means": [None, 0.5, 0.7], "seed": 1}},
-     {"adversary": {"kind": "bernoulli", "means": [True, False, 0.5], "seed": 1}},
-     {"adversary": {"kind": "bernoulli", "means": [0.1, {"a": 1}, 0.3], "seed": 1}},
-     {"adversary": {"kind": "bernoulli", "means": [10**400, 0.5, 0.7], "seed": 1}},
-     {"adversary": {"kind": "epoch_lower_bound", "seed": 1}}],
-    ids=["array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
-         "string-adversary", "list-override", "null-override-B", "null-lipschitz",
-         "null-adversary-seed", "null-adversary-lipschitz", "fractional-T", "fractional-reps",
-         "fractional-base_seed", "fractional-override-B", "missing-reps", "missing-adversary",
-         "unknown-problem", "unknown-adversary-kind", "zero-reps", "null-mean", "bool-means",
-         "object-mean", "huge-mean", "epoch-without-epsilon"],
-)
+@pytest.mark.parametrize("overrides", _MALFORMED, ids=_MALFORMED_IDS)
 def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overrides):
-    # a top level that is not an object, a field that is not a finite
-    # number or not a whole one where one is read, or an adversary or
-    # override that is not an object; a missing field, an unknown problem
-    # or adversary kind, no replicates, a Bernoulli mean that is null, a
-    # bool, an object or beyond a double's range, or an epoch adversary
-    # without its epsilon
     path = _write_config(tmp_path, **(overrides or {}))
     if overrides is None:
         path.write_text("[1, 2]")
@@ -122,10 +147,7 @@ def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == [path]
 
 
-_ACCOUNT = ["account", "--eta", "0.01", "--p", "0.5", "--T", "100", "--B", "1", "--delta1", "1e-6"]
 _LOWER_BOUND = ["lower-bound", "--T", "1000", "--epsilon", "0.1", "--d", "2", "--reps", "3"]
-_TUNE_OPE = ["tune", "ope", "--T", "1000", "--d", "3", "--epsilon", "1", "--delta", "1e-6"]
-_TUNE_OCO = ["tune", "oco", *_TUNE_OPE[2:]]
 
 
 def _with(argv, flag, value):
@@ -162,11 +184,12 @@ def _audit(directory, test, *flags, **config):
 
 @pytest.mark.parametrize(
     "argv, message",
-    [(_with(_ACCOUNT, "--eta", "-0.1"), _ETA),
-     (_with(_ACCOUNT, "--eta", "0.5"), _ETA),
-     (_with(_ACCOUNT, "--B", "0"), "B must be a positive integer"),
-     (_with(_ACCOUNT, "--delta1", "0"), "delta1 must lie in (0, 1)"),
-     ([*_ACCOUNT, "--delta0", "nan"], "delta0 must lie in [0, 1)"),
+    [(["plan", {"override": _override(eta=-0.1)}], _ETA),
+     (["plan", {"override": _override(eta=0.5)}], _ETA),
+     (["plan", {"override": _override(B=0)}], "B must be a positive integer"),
+     (["plan", {"delta": 0.0, "override": _override()}], "delta1 must lie in (0, 1)"),
+     (["plan", {"epsilon": 0.0, "override": _override()}],
+      "a regret bound needs epsilon and delta above 0"),
      (_with(_LOWER_BOUND, "--T", "-100"), _EPOCH),
      (_with(_LOWER_BOUND, "--epsilon", "-1"), _EPOCH),
      (_with(_LOWER_BOUND, "--epsilon", "inf"), _EPOCH),
@@ -187,32 +210,36 @@ def _audit(directory, test, *flags, **config):
       _MEANS),
      (["audit", "marginal", {"adversary": {"kind": "bernoulli", "means": [0.1, {"a": 1}, 0.3]}}],
       _MEANS),
-     (_with(_TUNE_OPE, "--epsilon", "inf"), _TARGET),
-     (_with(_TUNE_OPE, "--epsilon", "nan"), _TARGET),
-     ([*_TUNE_OCO, "--L", "nan"], _L_D),
-     ([*_TUNE_OCO, "--D", "nan"], _L_D)],
-    ids=["account-eta-negative", "account-eta-above-cap", "account-B-0", "account-delta1-0",
-         "account-delta0-nan", "lower-bound-T-negative", "lower-bound-epsilon-negative",
+     (["plan", {"epsilon": 0.0}], _TARGET),
+     (["plan", {"epsilon": -1.0}], _TARGET),
+     (["plan", {"problem": "oco", "adversary": _SPHERE, "lipschitz": 0.0}], _L_D),
+     (["plan", {"problem": "oco", "adversary": _SPHERE, "diameter": -1.0}], _L_D)],
+    ids=["plan-eta-negative", "plan-eta-above-cap", "plan-B-0", "plan-delta-0",
+         "plan-override-epsilon-0", "lower-bound-T-negative", "lower-bound-epsilon-negative",
          "lower-bound-epsilon-inf", "lower-bound-reps-0", "lower-bound-reps-negative",
          "audit-ratio-runs-0", "audit-epsilon-runs-50", "audit-ratio-one-batch",
          "audit-switches-runs-50", "audit-oco-config", "audit-output-dir",
          "audit-epoch-without-epsilon", "audit-bool-means", "audit-object-mean",
-         "tune-ope-epsilon-inf",
-         "tune-ope-epsilon-nan", "tune-oco-L-nan", "tune-oco-D-nan"],
+         "plan-epsilon-0", "plan-epsilon-negative", "plan-oco-lipschitz-0",
+         "plan-oco-diameter-negative"],
 )
 def test_bad_flags_exit_2_writes_nothing(
     tmp_path, tmp_path_factory, monkeypatch, capsys, argv, message
 ):
     # input a command cannot honour ends in its own configuration error: no
     # traceback, no game played, no budget or result printed, no file
-    # written. An audit row names its config's fields, and the config is
-    # written outside the cwd.
+    # written. An audit or plan row names its config's fields, and the
+    # config is written outside the cwd.
     def no_game(self, rng):
         raise AssertionError("a game was played")
 
     monkeypatch.setattr(PreparedRun, "run", no_game)
     if argv[0] == "audit":
         argv = _audit(tmp_path_factory.mktemp("config"), argv[1], **argv[2])
+    elif argv[0] == "plan":
+        path = tmp_path_factory.mktemp("config") / "plan.json"
+        path.write_text(json.dumps(_audit_config(**argv[1])))
+        argv = ["plan", "--config", str(path)]
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -348,60 +375,54 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 3
 
 
+def _plan(tmp_path, capsys, **fields):
+    """``plan`` on ``_write_config(tmp_path, **fields)``: its exit code and printed object."""
+    code = main(["plan", "--config", str(_write_config(tmp_path, **fields))])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if code == 0 else out
+
+
 class TestAccount:
-    def test_golden_key_values(self, capsys):
-        code = main(
-            [
-                "account", "--eta", "0.01", "--p", "0.1", "--T", "1000",
-                "--B", "10", "--delta1", "1e-6",
-            ]
-        )
+    # plan prices an override config as it prices a tuned one
+
+    def test_golden_key_values(self, tmp_path, capsys):
+        code, obj = _plan(tmp_path, capsys, T=1000, delta=0.002, override=_override(10, 0.01, 0.1))
         assert code == 0
-        out = capsys.readouterr().out
-        lines = dict(l.split("=", 1) for l in out.strip().splitlines() if "=" in l)
-        assert float(lines["epsilon"]) == pytest.approx(1.3009, abs=1e-3)
-        assert float(lines["delta"]) == pytest.approx(0.002)
+        assert obj["delta1"] == 1e-6
+        assert obj["budget"]["epsilon"] == pytest.approx(1.3009, abs=1e-3)
+        assert obj["budget"]["delta"] == pytest.approx(0.002)
 
-    def test_degenerate_p_is_flagged(self, capsys):
+    def test_degenerate_p_is_flagged(self, tmp_path, capsys):
         # at p=1 the fake-switch coin hides nothing; the config's own budget says so
-        argv = ["account", "--eta", "0.01", "--p", "1", "--T", "1000", "--B", "1", "--delta1", "1e-6"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert "preconditions_met=False" in out
-        assert out[-1] == "note=degenerate fake-switch probability p=1; run is not private"
-
-    def test_json_mode(self, capsys):
-        main(
-            [
-                "account", "--eta", "0.01", "--p", "0.1", "--T", "1000",
-                "--B", "10", "--delta1", "1e-6", "--json",
-            ]
+        code, obj = _plan(tmp_path, capsys, T=1000, delta=0.002, override=_override(1, 0.01, 1.0))
+        assert code == 0
+        assert obj["budget"]["preconditions_met"] is False
+        assert obj["budget"]["notes"][-1] == (
+            "degenerate fake-switch probability p=1; run is not private"
         )
-        obj = json.loads(capsys.readouterr().out)
-        assert obj["epsilon"] == pytest.approx(1.3009, abs=1e-3)
-        assert obj["preconditions_met"] is False
 
 
 class TestTune:
-    def test_ope(self, capsys):
-        assert main(["tune", "ope", "--T", "100000", "--d", "10",
-                     "--epsilon", "1.0", "--delta", "1e-6"]) == 0
-        obj = json.loads(capsys.readouterr().out)
+    # plan tunes a config without an override block
+
+    def test_ope(self, tmp_path, capsys):
+        code, obj = _plan(tmp_path, capsys, T=100000, d=10)
+        assert code == 0
         assert obj["B"] == 1
         assert obj["budget"]["epsilon"] <= 1.0
 
-    def test_oco(self, capsys):
-        assert main(["tune", "oco", "--T", "10000", "--d", "3",
-                     "--epsilon", "1.0", "--delta", "1e-6"]) == 0
-        obj = json.loads(capsys.readouterr().out)
+    def test_oco(self, tmp_path, capsys):
+        code, obj = _plan(tmp_path, capsys, problem="oco", T=10000, adversary=_SPHERE)
+        assert code == 0
         assert obj["eta_accounted"] > obj["eta"]
         assert obj["budget"]["epsilon"] <= 1.0
 
-    def test_oco_nominal_budget_noted(self, capsys):
+    def test_oco_nominal_budget_noted(self, tmp_path, capsys):
         # this tuned ball config is accepted with its accounted eta above ETA_MAX
-        assert main(["tune", "oco", "--T", "10", "--d", "2",
-                     "--epsilon", "8", "--delta", "0.05"]) == 0
-        obj = json.loads(capsys.readouterr().out)
+        code, obj = _plan(
+            tmp_path, capsys, problem="oco", T=10, d=2, epsilon=8, delta=0.05, adversary=_SPHERE
+        )
+        assert code == 0
         assert obj["eta_accounted"] > 0.1
         assert obj["budget"]["preconditions_met"] is False
         assert (
@@ -409,17 +430,157 @@ class TestTune:
             in obj["budget"]["notes"]
         )
 
-    @pytest.mark.parametrize("flags", [["--L", "5"], ["--D", "9"], ["--L", "1", "--D", "1"]])
-    def test_ope_refuses_L_and_D_exit_2(self, capsys, flags):
-        # the experts tuner has no Lipschitz bound or diameter; these flags were ignored
-        args = ["tune", "ope", "--T", "20000", "--d", "10", "--epsilon", "1", "--delta", "1e-6"]
-        assert main([*args, *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--L and --D apply to oco only" in captured.err
+    def test_infeasible_exit_3(self, tmp_path, capsys):
+        code, out = _plan(tmp_path, capsys, T=10, d=2, epsilon=1e-6)
+        assert (code, out) == (3, "")
 
-    def test_infeasible_exit_3(self, capsys):
-        assert main(["tune", "ope", "--T", "10", "--d", "2",
-                     "--epsilon", "1e-6", "--delta", "1e-6"]) == 3
+
+# What `l2p tune` printed for each of its command lines in the tests, README
+# and CI before plan replaced it, with the run config that names the same
+# tuning.
+_TUNE_LINES = [
+    ({"T": 100000, "d": 10},  # tune ope --T 100000 --d 10 --epsilon 1 --delta 1e-6
+     '{"B": 1, "T": 100000, "beta": null, "budget": {"delta": 1e-06, "epsilon": '
+     '0.3666654007999567, "notes": ["precondition eta*B*log(1/delta1)/p <= 1 not met"], '
+     '"preconditions_met": false}, "delta0": 0.0, "delta1": 5e-12, "eta": '
+     '0.0001894521204484593, "eta_accounted": null, "lam": null, "p": 0.001894521204484593, '
+     '"radius": null}'),
+    ({"T": 1000},  # tune ope --T 1000 --d 3 --epsilon 1 --delta 1e-6
+     '{"B": 1, "T": 1000, "beta": null, "budget": {"delta": 1e-06, "epsilon": '
+     '0.5384724542796423, "notes": ["precondition eta*B*log(1/delta1)/p <= 1 not met"], '
+     '"preconditions_met": false}, "delta0": 0.0, "delta1": 4.999999999999999e-10, "eta": '
+     '0.0015994255455002685, "eta_accounted": null, "lam": null, "p": 0.015994255455002684, '
+     '"radius": null}'),
+    ({"T": 20000, "d": 10},  # tune ope --T 20000 --d 10 --epsilon 1 --delta 1e-6
+     '{"B": 1, "T": 20000, "beta": null, "budget": {"delta": 1e-06, "epsilon": '
+     '0.45843126606152107, "notes": ["precondition eta*B*log(1/delta1)/p <= 1 not met"], '
+     '"preconditions_met": false}, "delta0": 0.0, "delta1": 2.4999999999999998e-11, "eta": '
+     '0.0004523728228932503, "eta_accounted": null, "lam": null, "p": 0.0045237282289325035, '
+     '"radius": null}'),
+    ({"problem": "oco", "T": 1000},  # tune oco --T 1000 --d 3 --epsilon 1 --delta 1e-6
+     '{"B": 1, "T": 1000, "beta": 6.864689885231885e-05, "budget": {"delta": '
+     '6.423485829607179e-07, "epsilon": 0.5930396035985328, "notes": ["precondition '
+     'eta*B*log(1/delta1)/p <= 1 not met"], "preconditions_met": false}, "delta0": '
+     '4.100939185073553e-15, "delta1": 2.4999999999999996e-10, "eta": 0.0003015933902105916, '
+     '"eta_accounted": 0.0011092941445262432, "lam": 15094.101979412573, "p": '
+     '0.004825494243369466, "radius": 0.5}'),
+    ({"problem": "oco", "T": 10000},  # tune oco --T 10000 --d 3 --epsilon 1.0 --delta 1e-6
+     '{"B": 1, "T": 10000, "beta": 3.31130715108839e-05, "budget": {"delta": '
+     '6.450302499912364e-07, "epsilon": 0.6119850621932768, "notes": ["precondition '
+     'eta*B*log(1/delta1)/p <= 1 not met"], "preconditions_met": false}, "delta0": '
+     '1.643213117986731e-16, "delta1": 2.4999999999999998e-11, "eta": 0.00012598852610636133, '
+     '"eta_accounted": 0.0004849370060226307, "lam": 41722.22608048689, "p": '
+     '0.0020158164177017813, "radius": 0.5}'),
+    ({"problem": "oco", "T": 10, "d": 2, "epsilon": 8, "delta": 0.05},
+     # tune oco --T 10 --d 2 --epsilon 8 --delta 0.05
+     '{"B": 1, "T": 10, "beta": 0.005364915065723369, "budget": {"delta": 0.03481208424788421, '
+     '"epsilon": 4.528973550947782, "notes": ["precondition eta*B*log(1/delta1)/p <= 1 not '
+     'met", "accounted eta exceeds the divergence cap; budget is nominal only"], '
+     '"preconditions_met": false}, "delta0": 2.15192331357029e-06, "delta1": 0.00125, "eta": '
+     '0.05, "eta_accounted": 0.11747753828268197, "lam": 42.919320525786944, "p": 0.1, '
+     '"radius": 0.5}'),
+]
+
+# What `l2p account --json` printed for each of its command lines in the
+# tests, README and CI, with the override config that prices the same run:
+# its delta is 2 T delta1, which ope_config halves back to delta1 = 1e-6.
+_ACCOUNT_LINES = [
+    ({"T": 1000, "delta": 0.002, "override": _override(10, 0.01, 0.1)},
+     # account --eta 0.01 --p 0.1 --T 1000 --B 10 --delta1 1e-6
+     '{"delta": 0.002, "epsilon": 1.3008681120439138, "notes": ["precondition '
+     'eta*B*log(1/delta1)/p <= 1 not met"], "preconditions_met": false}'),
+    ({"T": 100, "delta": 2e-4, "override": _override(1, 0.01, 0.5)},
+     # account --eta 0.01 --p 0.5 --T 100 --B 1 --delta1 1e-6
+     '{"delta": 0.00019999999999999998, "epsilon": 2.546532951074569, "notes": [], '
+     '"preconditions_met": true}'),
+    ({"T": 1000, "delta": 0.002, "override": _override(1, 0.01, 1.0)},
+     # account --eta 0.01 --p 1 --T 1000 --B 1 --delta1 1e-6
+     '{"delta": 0.002, "epsilon": 12.803775045764315, "notes": ["degenerate fake-switch '
+     'probability p=1; run is not private"], "preconditions_met": false}'),
+]
+
+
+class TestPlan:
+    @pytest.mark.parametrize(
+        "fields, line", _TUNE_LINES,
+        ids=["ope-1e5-10", "ope-1000-3", "ope-2e4-10", "oco-1000-3", "oco-1e4-3", "oco-10-2"],
+    )
+    def test_tune_lines_gain_only_the_regret_bound(self, tmp_path, capsys, fields, line):
+        if fields.get("problem") == "oco":
+            fields = {**fields, "adversary": _SPHERE}
+        path = _write_config(tmp_path, **fields)
+        assert main(["plan", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        cfg = json.loads(path.read_text())
+        if cfg["problem"] == "ope":
+            bound = regret_bound_ope(cfg["T"], cfg["d"], cfg["epsilon"], cfg["delta"])
+        else:
+            bound = regret_bound_oco(cfg["T"], cfg["d"], cfg["epsilon"], cfg["delta"], 1.0, 1.0)
+        assert out == line[:-1] + f', "regret_bound": {bound!r}}}\n'
+
+    @pytest.mark.parametrize("fields, budget", _ACCOUNT_LINES, ids=["B10-p0.1", "B1-p0.5", "B1-p1"])
+    def test_account_lines_priced_alike(self, tmp_path, capsys, fields, budget):
+        code, obj = _plan(tmp_path, capsys, **fields)
+        assert code == 0
+        assert (obj["delta0"], obj["delta1"]) == (0.0, 1e-6)
+        assert json.dumps(obj["budget"], sort_keys=True) == budget
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{},
+         {"problem": "oco", "T": 200, "lipschitz": 2.0, "diameter": 0.5,
+          "adversary": {"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0}},
+         {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1},
+          "override": _override(1, 0.01, 0.1)}],
+        ids=["tuned-ope", "tuned-oco", "ball-override"],
+    )
+    def test_one_meaning_across_commands(self, tmp_path, capsys, fields):
+        # plan's config and budget are the ones run records, and its bound
+        # is the one sweep prints at the config's epsilon
+        path = _write_config(tmp_path, reps=2, **fields)
+        assert main(["plan", "--config", str(path)]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert main(["run", "--config", str(path)]) == 0
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        tuned = ("B", "eta", "p", "delta0", "delta1", "eta_accounted")
+        assert {k: plan[k] for k in tuned} == provenance["tuned"]
+        assert plan["budget"] == provenance["budget"]
+        # sweep tunes per epsilon, so it reads the config without its override
+        path = _write_config(tmp_path, reps=2, **{**fields, "override": _MISSING})
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(path), "--epsilon-grid", "1.0", "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[1].split(",")[3] == repr(plan["regret_bound"])
+
+    @pytest.mark.parametrize(
+        "fields, code",
+        [({"T": 10, "d": 2, "epsilon": 1e-6}, 3),
+         ({"override": _override(eta=0.5)}, 2),
+         ({"problem": "oco", "adversary": _SPHERE, "override": _override(p=0.0)}, 2)],
+        ids=["infeasible", "eta-above-cap", "ball-p-0"],
+    )
+    def test_refusal_prints_nothing(self, tmp_path, capsys, fields, code):
+        assert _plan(tmp_path, capsys, **fields) == (code, "")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [o for o, i in zip(_MALFORMED, _MALFORMED_IDS) if i != "zero-reps"],
+        ids=[i for i in _MALFORMED_IDS if i != "zero-reps"],
+    )
+    def test_malformed_config_exit_2(self, tmp_path, capsys, overrides):
+        # every config run refuses as it loads; plan plays no replicates, so
+        # a config without any still has a plan
+        path = _write_config(tmp_path, **(overrides or {}))
+        if overrides is None:
+            path.write_text("[1, 2]")
+        assert main(["plan", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "configuration error" in captured.err
+
+    @pytest.mark.parametrize("command", ["tune", "account"])
+    def test_removed_commands_exit_2(self, capsys, command):
+        assert main([command]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSweepAndLowerBound:
