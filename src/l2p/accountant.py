@@ -54,8 +54,9 @@ class PrivacyBudget:
             raise ValueError("delta must lie in [0, 1]")
 
     def to_dict(self) -> dict:
+        """The budget as strict-JSON values: an infinite epsilon is None (JSON null)."""
         return {
-            "epsilon": self.epsilon,
+            "epsilon": None if math.isinf(self.epsilon) else self.epsilon,
             "delta": self.delta,
             "preconditions_met": self.preconditions_met,
             "notes": list(self.notes),
@@ -202,8 +203,6 @@ def tune_oco(
     eta'/p invariant and the loop could never terminate).
     """
     _check_tuner_inputs(T, d, eps, delta)
-    if not (0.0 < lipschitz < math.inf and 0.0 < diameter < math.inf):
-        raise ValueError("lipschitz and diameter must be positive and finite")
     eta = min(eps ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta)), ETA_MAX)
     B = max(1, round(1.0 / (2.0 * eps * math.log(1.0 / delta))))
     p = min(max(eta / eps, B / T), _P_CAP)

@@ -189,7 +189,8 @@ def cmd_run(args) -> int:
         "budget": config_budget(config).to_dict(),
         "seeds": [replicate_seed(base_seed, i) for i in range(reps)],
     }
-    _write(outdir / "provenance.json", json.dumps(provenance, sort_keys=True) + "\n")
+    text = json.dumps(provenance, sort_keys=True, allow_nan=False)
+    _write(outdir / "provenance.json", text + "\n")
     print(f"wrote {outdir}/reps.csv, summary.json, provenance.json")
     return EXIT_OK
 
@@ -269,7 +270,7 @@ def cmd_plan(args) -> int:
     out = {k: getattr(config, k) for k in (*_TUNED, "T", "beta", "lam", "radius")}
     out["budget"] = config_budget(config).to_dict()
     out["regret_bound"] = _regret_bound(cfg, float(cfg["epsilon"]))
-    print(json.dumps(out, sort_keys=True))
+    print(json.dumps(out, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

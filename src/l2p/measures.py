@@ -29,14 +29,19 @@ and scales by ``-eta`` into log-weights where it reads them, as
 the smallest unsigned integer type that holds T; scaled in float64, a
 count gives the same log-weight as the float sum it equals.
 :func:`normalized` turns log-weights into densities and
-:func:`cdf_table` cumulative losses into sampling CDFs, row by row. The experts measure exists only as these
+:func:`cdf_table` cumulative losses into sampling CDFs, row by row.
+:func:`cdf_floor_table` keeps each CDF entry as its float32 floor, the
+largest float32 at or below it with float32 subnormals flushed to 0, at
+half a float64 table's size; the engine picks from the floors and
+re-decides on one exact row the rare uniform that lies less than
+``FLOOR_GAP`` above the floor it counted. The experts measure exists only as these
 tables; :class:`RmwMeasure` is the ball's sampler and exact oracle for one row.
 
 The tables are built ``_CHUNK`` rows at a time, so a build makes no
 temporary the size of a table. Every entry is the double the one-shot
 expression gives: a cumulative sum is one ``np.cumsum`` carried across
 chunks in its own order of additions, and every other step works row
-by row.
+by row, so a CDF row built alone is also the table's row, bit for bit.
 
 All logarithms are natural.
 """
@@ -54,6 +59,14 @@ ETA_MAX = 0.1
 # Rows per chunk of a table build: a chunk's temporaries stay small
 # (160 KB at d = 10) while the per-chunk numpy calls stay few.
 _CHUNK = 2048
+
+# The float32 floor of a CDF entry: an entry below the smallest normal
+# float32 flushes to 0, and any other keeps the sign, the exponent and the
+# top 23 of its 52 fraction bits. Every floor lies less than FLOOR_GAP
+# below its entry.
+_FLOAT32_TINY = 2.0**-126
+_FLOAT32_BITS = np.uint64(0xFFFF_FFFF_E000_0000)
+FLOOR_GAP = 2.0**-23
 
 # Ball sampler: proposals drawn one at a time, then blocks of that many
 # proposals drawn per numpy call, at most REJECTION_BLOCKS of them.
@@ -96,18 +109,43 @@ def normalized(log_weights: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _cdf_chunks(loss_sums: np.ndarray, eta: float):
+    """The rows of :func:`cdf_table`, ``_CHUNK`` at a time, as (first row, float64 CDF rows)."""
+    for a in range(0, loss_sums.shape[0], _CHUNK):
+        log_weights = np.multiply(loss_sums[a : a + _CHUNK], -eta, dtype=np.float64)
+        cdfs = np.cumsum(normalized(log_weights), axis=1, out=log_weights)
+        cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
+        yield a, cdfs
+
+
 def cdf_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
     """Sampling CDFs of every row of the log-weights ``loss_sums * -eta``, each ending in 1.
 
     ``loss_sums`` is a float or a count table; either is scaled in float64.
     """
-    n = loss_sums.shape[0]
     cdfs = np.empty(loss_sums.shape)
-    for a in range(0, n, _CHUNK):
-        log_weights = np.multiply(loss_sums[a : a + _CHUNK], -eta, dtype=np.float64)
-        np.cumsum(normalized(log_weights), axis=1, out=cdfs[a : a + _CHUNK])
-    cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
+    for a, rows in _cdf_chunks(loss_sums, eta):
+        cdfs[a : a + rows.shape[0]] = rows
     return cdfs
+
+
+def cdf_floor_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
+    """The float32 floors of :func:`cdf_table`, each less than ``FLOOR_GAP`` below its entry.
+
+    An entry below ``2**-126``, the smallest normal float32, floors to 0;
+    any other loses the low 29 of its 52 fraction bits, which leaves the
+    largest float32 at or below it, and the float32 cast is then exact.
+    So a floor is below its entry by less than one float32 step, which
+    is under ``2**-24`` in [0, 1), and a float32 table is half a float64 one.
+    """
+    floors = np.empty(loss_sums.shape, dtype=np.float32)
+    for a, cdfs in _cdf_chunks(loss_sums, eta):
+        if cdfs[:, 0].min() < _FLOAT32_TINY:  # a row rises, so its first entry is its least
+            np.copyto(cdfs, 0.0, where=cdfs < _FLOAT32_TINY)
+        bits = cdfs.view(np.uint64)
+        np.bitwise_and(bits, _FLOAT32_BITS, out=bits)
+        floors[a : a + cdfs.shape[0]] = cdfs
+    return floors
 
 
 def step_spread(loss_sums: np.ndarray, eta: float) -> float:

@@ -23,14 +23,15 @@ A :class:`PreparedRun` is built from the config, whose ``measure_kind``
 is ``"mw"`` (experts) or ``"rmw"`` (the ball), and the loss matrix
 alone: the measure of every batch is a row of one cumulative table, so
 set-up makes no per-batch objects. It keeps only the tables the engine reads,
-two per-batch tables for an experts run (cumulative losses and sampling
-CDFs) and one for the ball (gradient sums), built chunk by chunk with
-no temporary of their size; the per-batch loss sums are computed on
-first read. A binary experts run, one whose every loss is +0.0 or 1.0,
-keeps its cumulative losses as integer counts in the smallest unsigned
-type that holds T; a count times ``-eta`` is the double the float sum
-gives, so the run is the one a float table gives, bit for bit. The
-ball sampler is built only for the batch that resamples.
+two per-batch tables for an experts run (cumulative losses and float32
+floors of the sampling CDFs) and one for the ball (gradient sums), built
+chunk by chunk with no temporary of their size; the per-batch loss sums
+and the exact float64 CDFs are computed on first read. A binary experts
+run, one whose every loss is +0.0 or 1.0, keeps its cumulative losses as
+integer counts in the smallest unsigned type that holds T; a count times
+``-eta`` is the double the float sum gives, so the run is the one a
+float table gives, bit for bit. The ball sampler is built only for the
+batch that resamples.
 
 Randomness contract (frozen for reproducibility): at each batch s >= 2
 the engine consumes three uniforms, in the order S, S', A, then at most
@@ -53,8 +54,13 @@ one Python list and steps through every batch. A longer run reads its
 doubles ``_BLOCK`` at a time: one compare per block finds the rare
 doubles, those at or above the lower of ``sure`` and ``1 - p``, and
 the loop visits only the batches they can fail. In a tuned run nearly
-all doubles are below both. Both read the cumulative loss and CDF
-tables through flat memoryviews built at set-up. The S, S', A, x-resample,
+all doubles are below both. Both read the cumulative loss and CDF floor
+tables through flat memoryviews built at set-up. A pick bisects a row of
+CDF floors, each the largest float32 at or below its exact entry (0
+below 2**-126). Only a uniform less than 2**-23 above the last floor
+the pick counted can pick differently on the exact row, so only then is
+that one row's exact CDF built and the pick re-decided on it: every pick
+is the exact table's. The S, S', A, x-resample,
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
@@ -62,8 +68,9 @@ draws normals, which cannot be pre-drawn bit-identically.
 A run returns its switch events as a :class:`Transcript`, and nothing
 per batch. The per-batch columns (models, coins, losses, log ratios)
 are derived from the events on first read. A game reads only its total
-loss. On a binary experts run that is a sum over the switch events of
-differences of the count table, so the game costs its switches alone;
+loss. On a binary experts run that is a sum, over the switch events that
+move the played expert, of differences of the count table, so the game
+costs its switches alone;
 on any other run it is one gather of the played losses. Set-up also
 computes the run's best-in-hindsight comparator, which depends only on
 the loss matrix.
@@ -83,7 +90,9 @@ import numpy as np
 from .adversaries import LIPSCHITZ_RTOL
 from .measures import (
     ETA_MAX,
+    FLOOR_GAP,
     RmwMeasure,
+    cdf_floor_table,
     cdf_table,
     cumulative_table,
     effective_eta_rmw,
@@ -260,19 +269,21 @@ class Transcript:
     def total_loss(self) -> float:
         """``round_losses.sum()``; on a binary run, the same double in O(switches).
 
-        There the model x in force over batches [a, b) played
+        There the expert x played over batches [a, b), from an event that
+        moved it to the next one that does, played
         ``loss_sums[b, x] - loss_sums[a, x]``, the last one up to the column
-        total. Every partial sum is an integer below 2**53, so the sum is
-        exact, and a +0.0/1.0 matrix cannot sum to -0.0, so a zero total
-        is +0.0 as the gather's is.
+        total; an event that keeps x adds nothing. Every partial sum is an
+        integer below 2**53, so the sum is exact, and a +0.0/1.0 matrix
+        cannot sum to -0.0, so a zero total is +0.0 as the gather's is.
         """
         prepared = self.prepared
         if prepared.binary:
-            sums, d, total, a = prepared._sums, prepared.loss_sums.shape[1], 0.0, 0
-            for x, b in zip(self.event_xs, self.rows):
-                total += sums[b * d + x] - sums[a * d + x]
-                a = b
-            x = self.event_xs[-1]
+            sums, d, total = prepared._sums, prepared.loss_sums.shape[1], 0.0
+            xs, a, x = self.event_xs, 0, self.event_xs[0]
+            for b, new in zip(self.rows, xs[1:]):
+                if new != x:
+                    total += sums[b * d + x] - sums[a * d + x]
+                    a, x = b, new
             total += float(prepared.column_totals[x]) - sums[a * d + x]
             return total
         return float(self.round_losses.sum())
@@ -378,9 +389,13 @@ class PreparedRun:
     budget holds on (losses in [0, 1]; gradient norms at most its
     ``lipschitz``), else the message of the :class:`ConfigError` :meth:`run` raises.
     Experts runs keep two n x d tables, the cumulative losses
-    ``loss_sums`` and sampling CDFs of every batch, with one flat
-    memoryview of each that the engine loop reads, and ``sure``, a floor
-    under the keep probability of every batch and every pair of models.
+    ``loss_sums`` and ``cdf_floors``, the float32 floors of every batch's
+    sampling CDF, with one flat memoryview of each that the engine loop
+    reads, and ``sure``, a floor under the keep probability of every batch
+    and every pair of models. The exact float64 CDFs ``cdfs`` are built on
+    first read; a pick builds one exact row only when its uniform lies
+    less than ``FLOOR_GAP`` above the last floor it counted (see
+    :meth:`_exact_pick`).
     The log-weights ``loss_sums * -eta`` are formed in float64 where they
     are read. ``binary`` is whether every loss is +0.0 or 1.0 (a -0.0
     is not); a binary run's ``loss_sums`` holds exact counts in
@@ -421,9 +436,9 @@ class PreparedRun:
             # a binary run's count table cannot hold a non-finite value
             if not self.binary and not np.isfinite(self.loss_sums).all():
                 raise ValueError("cumulative losses must be finite")
-            self.cdfs = cdf_table(self.loss_sums, config.eta)
+            self.cdf_floors = cdf_floor_table(self.loss_sums, config.eta)
             self._sums = memoryview(self.loss_sums.reshape(-1))
-            self._cdf = memoryview(self.cdfs.reshape(-1))
+            self._cdf = memoryview(self.cdf_floors.reshape(-1))
             # A batch's log ratio is r[x] - r[y] for r the difference of two
             # rows, so it is at least minus the widest such row's spread;
             # rounding is monotone, so this holds for the computed values too.
@@ -440,6 +455,11 @@ class PreparedRun:
             self.comparator_loss = _best_ball_point(self.column_totals, config.radius)[1]
             self.grad_sums = cumulative_table(loss_values, config.B)
             self.beta = config.beta
+
+    @cached_property
+    def cdfs(self) -> np.ndarray:
+        """The exact float64 sampling CDFs of every batch, built on first read (experts runs)."""
+        return cdf_table(self.loss_sums, self.config.eta)
 
     @cached_property
     def batch_sums(self) -> np.ndarray:
@@ -465,18 +485,25 @@ class PreparedRun:
         names; every other batch keeps. At a test the exact log ratio is
         computed only if the S double is at or above ``sure``; below it
         S is 1 for every pair of models. A pick is a bisection of one
-        row's span of the flat CDF table.
+        row's span of the flat CDF floor table, screened as
+        :meth:`_exact_pick` says.
         """
         n, d = self.loss_sums.shape
         cap, keep_y, sure, m = self.cap, 1.0 - self.config.p, self.sure, -self.config.eta
-        sums, cdf, exp = self._sums, self._cdf, math.exp
+        sums, cdf, exp, gap = self._sums, self._cdf, math.exp, FLOOR_GAP
         walks = self.walks
         draws = _Uniforms(rng, 3 * n - 1)
         if walks:
             u, start = draws.block.tolist(), 0
         else:
             u, start, visits = _block_visits(draws, sure, keep_y)
-        x, y = bisect_right(cdf, u[0], 0, d), bisect_right(cdf, u[1], 0, d)
+        # a pick bisects a row of CDF floors; see _exact_pick for the screen
+        v, w = u[0], u[1]
+        x, y = bisect_right(cdf, v, 0, d), bisect_right(cdf, w, 0, d)
+        if x and v - cdf[x - 1] < gap:
+            x = self._exact_pick(0, v)
+        if y and w - cdf[y - 1] < gap:
+            y = self._exact_pick(0, w)
         rows, codes, xs, ys = [], [], [x], [y]
         s, c = 2, 2  # next batch to test, position of its S double
         while s <= n:
@@ -516,10 +543,16 @@ class PreparedRun:
                         u, start, visits = _block_visits(draws, sure, keep_y)
                 lo = (s - 1) * d
                 if move_x:
-                    x = bisect_right(cdf, u[c - start], lo, lo + d) - lo
+                    v = u[c - start]
+                    x = bisect_right(cdf, v, lo, lo + d) - lo
+                    if x and v - cdf[lo + x - 1] < gap:
+                        x = self._exact_pick(s - 1, v)
                     c += 1
                 if not A:
-                    y = bisect_right(cdf, u[c - start], lo, lo + d) - lo
+                    v = u[c - start]
+                    y = bisect_right(cdf, v, lo, lo + d) - lo
+                    if y and v - cdf[lo + y - 1] < gap:
+                        y = self._exact_pick(s - 1, v)
                     c += 1
                 rows.append(s - 1)
                 codes.append(4 * S + 2 * Sp + A)
@@ -527,6 +560,22 @@ class PreparedRun:
                 ys.append(y)
             s += 1
         return Transcript(self, rows, codes, xs, ys)
+
+    def _exact_pick(self, row: int, v: float) -> int:
+        """The expert uniform v picks from row ``row`` of the exact CDFs, built for this pick.
+
+        The engine's picks bisect a row of CDF floors instead. Every floor
+        is at or below its exact entry and less than ``FLOOR_GAP`` under
+        it, so a floor pick counts every entry the exact pick counts, and
+        more only if v lies below the exact value of the last floor it
+        counted. That needs v less than ``FLOOR_GAP`` above that floor,
+        and only then does the engine call this: every pick is the exact
+        table's, bit for bit. (The double difference rounds up to
+        ``FLOOR_GAP`` only from within 2**-76 below it, still far above a
+        floor's gap of under 2**-24.)
+        """
+        exact = cdf_table(self.loss_sums[row : row + 1], self.config.eta)
+        return bisect_right(exact[0].tolist(), v)
 
     def _ball(self, rng: np.random.Generator) -> Transcript:
         """A ball run, by the per-batch loop.

@@ -562,6 +562,22 @@ class TestPlan:
     def test_refusal_prints_nothing(self, tmp_path, capsys, fields, code):
         assert _plan(tmp_path, capsys, **fields) == (code, "")
 
+    def test_infinite_epsilon_is_strict_json_null(self, tmp_path, capsys):
+        # p=0 makes no fake switch, so the budget's epsilon is infinite;
+        # plan and run write it as null, which every JSON parser reads
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        path = _write_config(tmp_path, reps=2, override=_override(1, 0.01, 0.0))
+        assert main(["plan", "--config", str(path)]) == 0
+        plan = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert main(["run", "--config", str(path)]) == 0
+        text = (tmp_path / "out" / "provenance.json").read_text()
+        provenance = json.loads(text, parse_constant=refuse)
+        for budget in (plan["budget"], provenance["budget"]):
+            assert budget["epsilon"] is None and "epsilon is infinite" in budget["notes"]
+            assert not budget["preconditions_met"]
+
     @pytest.mark.parametrize(
         "overrides",
         [o for o, i in zip(_MALFORMED, _MALFORMED_IDS) if i != "zero-reps"],

@@ -16,9 +16,11 @@ from l2p import measures
 from l2p.accountant import tune_oco, tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream
 from l2p.measures import (
+    FLOOR_GAP,
     REJECTION_CAP,
     RmwMeasure,
     SamplerError,
+    cdf_table,
     cumulative_table,
     effective_eta_rmw,
     logsumexp,
@@ -501,6 +503,58 @@ class TestChunkedTables:
         lw = mw_log_weights(values, 0.1, 1)
         assert np.signbit(lw[0]).all() and not np.signbit(lw[1:]).any()
 
+    @staticmethod
+    def _assert_floors(config, values):
+        """The engine's CDF floors are the largest float32 at or below each exact
+        entry, and 0 below the float32 normals; every one is under its entry by
+        less than FLOOR_GAP. Returns the exact table."""
+        prepared = PreparedRun(config, "mw", values)
+        exact, floors = prepared.cdfs, prepared.cdf_floors
+        assert floors.dtype == np.float32 and floors.shape == exact.shape
+        # the oracle: round to nearest, then step down where that rounded up
+        want = exact.astype(np.float32)
+        up = want.astype(np.float64) > exact
+        want[up] = np.nextafter(want[up], np.float32(0.0))
+        tiny = exact < 2.0**-126
+        want[tiny] = 0.0
+        assert floors.tobytes() == want.tobytes()
+        wide = floors.astype(np.float64)
+        assert (wide <= exact).all() and (exact - wide < FLOOR_GAP).all()
+        above = np.nextafter(floors, np.float32(2.0)).astype(np.float64)
+        assert (above[~tiny] > exact[~tiny]).all()
+        assert (floors[:, -1] == 1.0).all()
+        # an exact pick builds its one row alone: it is the table's row
+        for row in np.linspace(0, exact.shape[0] - 1, min(exact.shape[0], 40)).astype(int).tolist():
+            one = cdf_table(prepared.loss_sums[row : row + 1], config.eta)
+            assert one.tobytes() == exact[row].tobytes()
+        return exact
+
+    def test_floors_of_the_table_shapes(self, chunk):
+        for shape in sorted(GOLDEN_TABLES):
+            config, kind, values = GOLDEN_TABLES[shape]()
+            if kind == "mw":
+                self._assert_floors(config, values)
+        rng = np.random.default_rng(200 + chunk)
+        for n in sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 2}):
+            for B in (1, 3):
+                T = int(rng.integers((n - 1) * B + 1, n * B + 1))
+                config = L2PConfig(T=T, B=B, eta=0.07, p=0.5, delta0=0.0, delta1=1e-6)
+                for d in (1, 3, 17):
+                    self._assert_floors(config, (rng.random((T, d)) < 0.5).astype(np.float64))
+                    self._assert_floors(config, rng.random((T, d)))
+
+    def test_floors_below_the_float32_normals(self, chunk):
+        # expert 0 loses every round, so its share of batch s is about
+        # e^(-0.1 (s - 1)): below 2**-126 from s = 875 on, and a float32
+        # subnormal, not 0, up to s = 1033
+        values = np.zeros((2000, 2))
+        values[:, 0] = 1.0
+        config = L2PConfig(T=2000, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        exact = self._assert_floors(config, values)
+        column = exact[:, 0]
+        assert ((2.0**-149 <= column) & (column < 2.0**-126)).sum() > 100
+        assert (column < 2.0**-149).sum() > 100
+
 
 def _bits(v: float) -> bytes:
     return np.float64(v).tobytes()
@@ -585,7 +639,9 @@ class TestSetUpMemory:
 
     def test_experts_keep_two_tables(self):
         # at ope-b1's shape a binary run keeps uint16 counts, a quarter of
-        # a float table, and builds them with no float table of their size
+        # a float64 table, and float32 CDF floors, half of one, and builds
+        # them with no float64 table of their size; the exact CDFs are
+        # built on first read
         T, d = 20_000, 10
         values = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), 1).values
         config = tune_ope(T, d, 1.0, 1e-6)
@@ -593,9 +649,11 @@ class TestSetUpMemory:
         table = config.n_batches * d * 8
         assert prepared.binary and prepared.loss_sums.dtype == np.uint16
         assert prepared.loss_sums.nbytes == table / 4
+        assert prepared.cdf_floors.dtype == np.float32 and prepared.cdf_floors.nbytes == table / 2
+        assert "cdfs" not in vars(prepared)
         assert prepared.cdfs.nbytes == table
-        assert retained <= 1.3 * table
-        assert peak <= 1.7 * table
+        assert retained <= 0.8 * table
+        assert peak <= 1.3 * table
 
     def test_fractional_experts_keep_two_float_tables(self):
         T, d = 20_000, 10
@@ -604,9 +662,10 @@ class TestSetUpMemory:
         prepared, retained, peak = _traced(lambda: PreparedRun(config, "mw", values))
         table = config.n_batches * d * 8
         assert not prepared.binary and prepared.loss_sums.dtype == np.float64
+        assert prepared.cdf_floors.nbytes == table / 2
         assert prepared.loss_sums.nbytes == prepared.cdfs.nbytes == table
-        assert retained <= 2.1 * table
-        assert peak <= 2.5 * table
+        assert retained <= 1.6 * table
+        assert peak <= 2.1 * table
 
     def test_ball_keeps_one_table(self):
         T, d = 10**4, 3

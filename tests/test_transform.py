@@ -18,7 +18,7 @@ from l2p.adversaries import (
 )
 from l2p.audit import exact_batch_distributions
 from l2p.harness import best_in_hindsight_oco_ball, best_in_hindsight_ope, play_game
-from l2p.measures import RmwMeasure, effective_eta_rmw, normalized
+from l2p.measures import FLOOR_GAP, RmwMeasure, effective_eta_rmw, normalized
 from l2p.transform import (
     CSV_COLUMNS,
     ConfigError,
@@ -955,6 +955,77 @@ class TestKeepBoundary:
             t = _same_scripted(prepared, doubles)
             assert t.switch_count_x == switched
             assert t.coins[k - 1, 0] == 1 - switched
+
+
+class TestFloorScreen:
+    """A pick bisects a row of float32 CDF floors. A uniform less than
+    FLOOR_GAP above the last floor it counted is re-decided on the exact
+    row, so every pick is the exact table's."""
+
+    K = 30  # the batch whose coins resample in the resample cases
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The (row, uniform) of every exact pick the engine makes."""
+        calls = []
+        exact_pick = PreparedRun._exact_pick
+
+        def counted(prepared, row, v):
+            calls.append((row, v))
+            return exact_pick(prepared, row, v)
+
+        monkeypatch.setattr(PreparedRun, "_exact_pick", counted)
+        return calls
+
+    @staticmethod
+    def _prepared(T, binary):
+        values = np.random.default_rng(T + binary).random((T, 3))
+        if binary:
+            values = (values < 0.5).astype(np.float64)
+        config = L2PConfig(T=T, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", LossStream("bernoulli", 3, T, 0, values))
+        assert prepared.binary == binary and prepared.walks == (T <= _WALK)
+        return prepared
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["fractional", "binary"])
+    @pytest.mark.parametrize("T", [40, 60], ids=["walked", "visited"])
+    @pytest.mark.parametrize("at", ["x1", "y1", "x-resample", "y-resample"])
+    def test_uniforms_at_a_floor(self, fallbacks, T, binary, at):
+        prepared = self._prepared(T, binary)
+        k = self.K
+        # batch 1 picks from row 0 with uniforms 0 and 1; batch k reads its
+        # S, S', A uniforms at 3k - 4, 3k - 3, 3k - 2, and a failed S' (or
+        # A) resamples x (or y) from row k - 1 with uniform 3k - 1
+        row, pos = {"x1": (0, 0), "y1": (0, 1)}.get(at, (k - 1, 3 * k - 1))
+        exact, floors = prepared.cdfs[row], prepared.cdf_floors[row].astype(np.float64)
+        j = int(np.flatnonzero(floors[:-1] < exact[:-1])[0])
+        cases = (
+            (floors[j], j, True),  # counted by the floor, not by the exact entry
+            (np.nextafter(exact[j], 0.0), j, True),
+            (exact[j], j + 1, True),
+            (floors[j] + FLOOR_GAP, j + 1, False),  # the screen passes it
+        )
+        for v, pick, screened in cases:
+            doubles = np.zeros(3 * T + 8)
+            if at == "x-resample":
+                doubles[3 * k - 3] = 0.999
+            elif at == "y-resample":
+                doubles[3 * k - 2] = 0.999
+            doubles[pos] = v
+            del fallbacks[:]
+            t = _same_scripted(prepared, doubles)
+            assert fallbacks == ([(row, v)] if screened else [])
+            models = t.ys if at[0] == "y" else t.models
+            assert models[0 if row == 0 else k - 1] == pick
+
+    def test_screen_runs_no_fallback_on_a_seeded_run(self, fallbacks):
+        # a uniform lands less than FLOOR_GAP above one of a row's d - 1 floors
+        # with probability under (d - 1) 2**-23 per pick
+        prepared = _prepared(*SHAPES["dense"]())
+        for seed in range(3):
+            t = prepared.run(np.random.default_rng(seed))
+            assert len(t.rows) > 1000
+        assert fallbacks == []
 
 
 def _three_views(block, start, sure, keep_y):
