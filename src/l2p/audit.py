@@ -41,17 +41,23 @@ class AuditReport:
         return bool(self.statistic <= self.threshold)
 
     def to_json_line(self) -> str:
+        """The report as one line of strict JSON: a non-finite statistic or threshold is null."""
         return json.dumps(
             {
                 "name": self.name,
                 "n_samples": self.n_samples,
-                "statistic": self.statistic,
-                "threshold": self.threshold,
+                "statistic": _finite_or_none(self.statistic),
+                "threshold": _finite_or_none(self.threshold),
                 "passed": self.passed,
                 "notes": list(self.notes),
             },
             sort_keys=True,
+            allow_nan=False,
         )
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _report(name, n, stat, thr, notes=()) -> AuditReport:

@@ -37,7 +37,7 @@ REP_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class GameResult:
     """One full game: transcript, losses and switch counts; ``regret`` is read off the losses.
 
@@ -89,14 +89,15 @@ def play_game(
     if prepared is None:
         prepared = PreparedRun(config, measure_kind, stream.values)
     transcript = prepared.run(np.random.default_rng(seed))
+    switches_x, switches_y, fake = transcript.switch_counts
     return GameResult(
         transcript=transcript if keep_transcript else None,
         total_loss=transcript.total_loss,
         comparator_loss=prepared.comparator_loss,
-        switch_count_x=transcript.switch_count_x,
-        switch_count_y=transcript.switch_count_y,
+        switch_count_x=switches_x,
+        switch_count_y=switches_y,
         seed=seed,
-        fake_switch_count=transcript.fake_switch_count,
+        fake_switch_count=fake,
     )
 
 

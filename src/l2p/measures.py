@@ -30,11 +30,11 @@ the smallest unsigned integer type that holds T; scaled in float64, a
 count gives the same log-weight as the float sum it equals.
 :func:`normalized` turns log-weights into densities and
 :func:`cdf_table` cumulative losses into sampling CDFs, row by row.
-:func:`cdf_floor_table` keeps each CDF entry as its float32 floor, the
-largest float32 at or below it with float32 subnormals flushed to 0, at
-half a float64 table's size; the engine picks from the floors and
-re-decides on one exact row the rare uniform that lies less than
-``FLOOR_GAP`` above the floor it counted. The experts measure exists only as these
+:func:`cdf_floor_table` keeps the first d - 1 entries of each CDF row,
+the last being 1, as 16-bit fixed-point floors on a ``2**-16`` grid, at
+a quarter of a float64 table's size or less; the engine picks from the
+floors and re-decides on one exact row the rare uniform that lies less
+than ``FLOOR_GAP`` above the floor it counted. The experts measure exists only as these
 tables; :class:`RmwMeasure` is the ball's sampler and exact oracle for one row.
 
 The tables are built ``_CHUNK`` rows at a time, so a build makes no
@@ -60,13 +60,13 @@ ETA_MAX = 0.1
 # (160 KB at d = 10) while the per-chunk numpy calls stay few.
 _CHUNK = 2048
 
-# The float32 floor of a CDF entry: an entry below the smallest normal
-# float32 flushes to 0, and any other keeps the sign, the exponent and the
-# top 23 of its 52 fraction bits. Every floor lies less than FLOOR_GAP
-# below its entry.
-_FLOAT32_TINY = 2.0**-126
-_FLOAT32_BITS = np.uint64(0xFFFF_FFFF_E000_0000)
-FLOOR_GAP = 2.0**-23
+# The floor of a CDF entry F is min(floor(F * 2**16), 2**16 - 1), a
+# uint16. Over 2**16 it lies at or below F, less than one grid step under
+# it below the cap and at most one step under 1 at it, so always less
+# than FLOOR_GAP = two steps under F.
+FLOOR_SCALE = 2.0**16
+FLOOR_GAP = 2.0**-15
+_FLOOR_TOP = 1.0 - 2.0**-16  # the least entry whose floor is the cap, 2**16 - 1
 
 # Ball sampler: proposals drawn one at a time, then blocks of that many
 # proposals drawn per numpy call, at most REJECTION_BLOCKS of them.
@@ -109,42 +109,47 @@ def normalized(log_weights: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _cdf_chunks(loss_sums: np.ndarray, eta: float):
-    """The rows of :func:`cdf_table`, ``_CHUNK`` at a time, as (first row, float64 CDF rows)."""
-    for a in range(0, loss_sums.shape[0], _CHUNK):
-        log_weights = np.multiply(loss_sums[a : a + _CHUNK], -eta, dtype=np.float64)
-        cdfs = np.cumsum(normalized(log_weights), axis=1, out=log_weights)
-        cdfs[:, -1] = 1.0  # guard against cumulative round-off at the top
-        yield a, cdfs
-
-
 def cdf_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
     """Sampling CDFs of every row of the log-weights ``loss_sums * -eta``, each ending in 1.
 
     ``loss_sums`` is a float or a count table; either is scaled in float64.
     """
     cdfs = np.empty(loss_sums.shape)
-    for a, rows in _cdf_chunks(loss_sums, eta):
-        cdfs[a : a + rows.shape[0]] = rows
+    for a in range(0, loss_sums.shape[0], _CHUNK):
+        chunk = loss_sums[a : a + _CHUNK]
+        log_weights = np.multiply(chunk, -eta, dtype=np.float64)
+        rows = np.cumsum(normalized(log_weights), axis=1, out=cdfs[a : a + chunk.shape[0]])
+        rows[:, -1] = 1.0  # guard against cumulative round-off at the top
     return cdfs
 
 
 def cdf_floor_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
-    """The float32 floors of :func:`cdf_table`, each less than ``FLOOR_GAP`` below its entry.
+    """The uint16 floors of the first d - 1 columns of :func:`cdf_table`, as an (n, d - 1) table.
 
-    An entry below ``2**-126``, the smallest normal float32, floors to 0;
-    any other loses the low 29 of its 52 fraction bits, which leaves the
-    largest float32 at or below it, and the float32 cast is then exact.
-    So a floor is below its entry by less than one float32 step, which
-    is under ``2**-24`` in [0, 1), and a float32 table is half a float64 one.
+    A row's first d - 1 entries are the running sums of its first d - 1
+    densities, added in the same order, so they are summed alone, into
+    the spent log-weight buffer of their chunk viewed as a contiguous
+    (rows, d - 1) block. Entry F keeps ``min(floor(F * 2**16), 2**16 - 1)``:
+    it is capped at ``1 - 2**-16``, the least entry whose floor is the
+    cap, scaled by ``2**16``, which is exact, and cast to uint16, which
+    truncates and so floors a nonnegative double. Over ``2**16`` a floor
+    lies at or below its entry and less than ``FLOOR_GAP`` under it. The
+    last column is 1 in every row, and no uniform below 1 counts it, so
+    it is not kept.
     """
-    floors = np.empty(loss_sums.shape, dtype=np.float32)
-    for a, cdfs in _cdf_chunks(loss_sums, eta):
-        if cdfs[:, 0].min() < _FLOAT32_TINY:  # a row rises, so its first entry is its least
-            np.copyto(cdfs, 0.0, where=cdfs < _FLOAT32_TINY)
-        bits = cdfs.view(np.uint64)
-        np.bitwise_and(bits, _FLOAT32_BITS, out=bits)
-        floors[a : a + cdfs.shape[0]] = cdfs
+    n, d = loss_sums.shape
+    floors = np.empty((n, d - 1), dtype=np.uint16)
+    if d == 1:
+        return floors
+    for a in range(0, n, _CHUNK):
+        log_weights = np.multiply(loss_sums[a : a + _CHUNK], -eta, dtype=np.float64)
+        rows = log_weights.shape[0]
+        head = log_weights.reshape(-1)[: rows * (d - 1)].reshape(rows, d - 1)
+        np.cumsum(normalized(log_weights)[:, :-1], axis=1, out=head)
+        if head[:, -1].max() > _FLOOR_TOP:  # a row rises, so its last kept entry is its largest
+            np.minimum(head, _FLOOR_TOP, out=head)
+        np.multiply(head, FLOOR_SCALE, out=head)
+        floors[a : a + rows] = head
     return floors
 
 

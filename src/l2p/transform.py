@@ -23,7 +23,7 @@ A :class:`PreparedRun` is built from the config, whose ``measure_kind``
 is ``"mw"`` (experts) or ``"rmw"`` (the ball), and the loss matrix
 alone: the measure of every batch is a row of one cumulative table, so
 set-up makes no per-batch objects. It keeps only the tables the engine reads,
-two per-batch tables for an experts run (cumulative losses and float32
+two per-batch tables for an experts run (cumulative losses and 16-bit
 floors of the sampling CDFs) and one for the ball (gradient sums), built
 chunk by chunk with no temporary of their size; the per-batch loss sums
 and the exact float64 CDFs are computed on first read. A binary experts
@@ -56,11 +56,12 @@ doubles, those at or above the lower of ``sure`` and ``1 - p``, and
 the loop visits only the batches they can fail. In a tuned run nearly
 all doubles are below both. Both read the cumulative loss and CDF floor
 tables through flat memoryviews built at set-up. A pick bisects a row of
-CDF floors, each the largest float32 at or below its exact entry (0
-below 2**-126). Only a uniform less than 2**-23 above the last floor
-the pick counted can pick differently on the exact row, so only then is
-that one row's exact CDF built and the pick re-decided on it: every pick
-is the exact table's. The S, S', A, x-resample,
+CDF floors, the first d - 1 entries of the exact row each floored to a
+multiple of 2**-16 (capped one step below 1) and kept as a uint16. Only
+a uniform less than 2**-15, two steps, above the last floor the pick
+counted can pick differently on the exact row, so only then is that one
+row's exact CDF built and the pick re-decided on it: every pick is the
+exact table's. The S, S', A, x-resample,
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
@@ -91,6 +92,7 @@ from .adversaries import LIPSCHITZ_RTOL
 from .measures import (
     ETA_MAX,
     FLOOR_GAP,
+    FLOOR_SCALE,
     RmwMeasure,
     cdf_floor_table,
     cdf_table,
@@ -214,7 +216,7 @@ def _format_model(x) -> str:
     return ",".join(repr(float(v)) for v in np.asarray(x).ravel())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Transcript:
     """Record of one run: its switch events, with columns derived on read.
 
@@ -227,7 +229,8 @@ class Transcript:
     are read off the codes: x stays put only at code 6 (S = S' = 1), y
     at the odd codes (A = 1), and only code 3 (S' = A = 1) has no
     data-free refresh on either chain. ``switch_count_x``,
-    ``switch_count_y`` and ``fake_switch_count`` count the other events.
+    ``switch_count_y`` and ``fake_switch_count`` count the other events;
+    ``switch_counts`` reads all three at once.
 
     The per-batch columns are derived from the events and ``prepared``,
     the run that produced them, on first read and then cached, so a
@@ -253,39 +256,45 @@ class Transcript:
         return self.prepared.config.n_batches
 
     @property
+    def switch_counts(self) -> tuple[int, int, int]:
+        """``(switch_count_x, switch_count_y, fake_switch_count)``, counted on one bytes copy of the codes."""
+        codes = bytes(self.codes)  # every code is below 7
+        n, kept_both = len(codes), codes.count(3)
+        return n - codes.count(6), n - codes.count(1) - kept_both - codes.count(5), n - kept_both
+
+    @property
     def switch_count_x(self) -> int:
-        return len(self.codes) - self.codes.count(6)
+        return self.switch_counts[0]
 
     @property
     def switch_count_y(self) -> int:
-        codes = self.codes
-        return len(codes) - codes.count(1) - codes.count(3) - codes.count(5)
+        return self.switch_counts[1]
 
     @property
     def fake_switch_count(self) -> int:
-        return len(self.codes) - self.codes.count(3)
+        return self.switch_counts[2]
 
     @property
     def total_loss(self) -> float:
         """``round_losses.sum()``; on a binary run, the same double in O(switches).
 
-        There the expert x played over batches [a, b), from an event that
-        moved it to the next one that does, played
+        There the expert x played over batches [a, b) played
         ``loss_sums[b, x] - loss_sums[a, x]``, the last one up to the column
-        total; an event that keeps x adds nothing. Every partial sum is an
-        integer below 2**53, so the sum is exact, and a +0.0/1.0 matrix
-        cannot sum to -0.0, so a zero total is +0.0 as the gather's is.
+        total, and row 0 is zero. So the total telescopes to the column
+        total of the last expert played plus, at each event at row b that
+        moves the played expert from x to x', ``loss_sums[b, x] -
+        loss_sums[b, x']``. That sum of counts is an exact integer, and a
+        +0.0/1.0 matrix cannot sum to -0.0, so a zero total is +0.0 as the
+        gather's is.
         """
         prepared = self.prepared
         if prepared.binary:
-            sums, d, total = prepared._sums, prepared.loss_sums.shape[1], 0.0
-            xs, a, x = self.event_xs, 0, self.event_xs[0]
-            for b, new in zip(self.rows, xs[1:]):
+            sums, d, moved, xs = prepared._sums, prepared.loss_sums.shape[1], 0, self.event_xs
+            for b, x, new in zip(self.rows, xs, xs[1:]):
                 if new != x:
-                    total += sums[b * d + x] - sums[a * d + x]
-                    a, x = b, new
-            total += float(prepared.column_totals[x]) - sums[a * d + x]
-            return total
+                    at = b * d
+                    moved += sums[at + x] - sums[at + new]
+            return float(prepared.column_totals[xs[-1]]) + moved
         return float(self.round_losses.sum())
 
     @cached_property
@@ -388,10 +397,11 @@ class PreparedRun:
     ``domain_error`` is None for a matrix in the domain the config's
     budget holds on (losses in [0, 1]; gradient norms at most its
     ``lipschitz``), else the message of the :class:`ConfigError` :meth:`run` raises.
-    Experts runs keep two n x d tables, the cumulative losses
-    ``loss_sums`` and ``cdf_floors``, the float32 floors of every batch's
-    sampling CDF, with one flat memoryview of each that the engine loop
-    reads, and ``sure``, a floor under the keep probability of every batch
+    Experts runs keep two per-batch tables, the n x d cumulative losses
+    ``loss_sums`` and the n x (d - 1) ``cdf_floors``, the uint16 floors on
+    a ``2**-16`` grid of the first d - 1 entries of every batch's sampling
+    CDF (the last is 1), with one flat memoryview of each that the engine
+    loop reads, and ``sure``, a floor under the keep probability of every batch
     and every pair of models. The exact float64 CDFs ``cdfs`` are built on
     first read; a pick builds one exact row only when its uniform lies
     less than ``FLOOR_GAP`` above the last floor it counted (see
@@ -477,48 +487,51 @@ class PreparedRun:
 
         Each draw of the contract is one ``rng.random()`` double, and
         ``rng.random(k)`` yields the same doubles as k scalar calls. A
-        run uses ``3n - 1`` of them plus one per resample, and
-        :class:`_Uniforms` draws no others. A walked run reads them as one
-        Python list, extended by the owed resample doubles when it
-        first reads past it, and tests every batch. A longer run reads
-        them a block at a time and tests the batches :func:`_visits`
-        names; every other batch keeps. At a test the exact log ratio is
-        computed only if the S double is at or above ``sure``; below it
-        S is 1 for every pair of models. A pick is a bisection of one
-        row's span of the flat CDF floor table, screened as
-        :meth:`_exact_pick` says.
+        run uses ``3n - 1`` of them plus one per resample, and draws no
+        others. A walked run reads them as one Python list, extended by
+        every double it is then sure to use when it first reads past
+        it, and tests every batch. A longer run reads them a block at a
+        time through :class:`_Uniforms` and tests the batches
+        :func:`_visits` names; every other batch keeps. At a test the
+        exact log ratio is computed only if the S double is at or above
+        ``sure``; below it S is 1 for every pair of models. A pick
+        bisects one row's span of the flat CDF floor table with the
+        integer key ``floor(v * 2**16)``, screened as :meth:`_exact_pick` says.
         """
         n, d = self.loss_sums.shape
         cap, keep_y, sure, m = self.cap, 1.0 - self.config.p, self.sure, -self.config.eta
-        sums, cdf, exp, gap = self._sums, self._cdf, math.exp, FLOOR_GAP
+        sums, cdf, exp, floor, scale = self._sums, self._cdf, math.exp, math.floor, FLOOR_SCALE
+        k, gap = d - 1, int(FLOOR_GAP * scale)  # floors per row; the screen's width in grid steps
         walks = self.walks
-        draws = _Uniforms(rng, 3 * n - 1)
         if walks:
-            u, start = draws.block.tolist(), 0
+            u, start = rng.random(3 * n - 1).tolist(), 0
         else:
-            u, start, visits = _block_visits(draws, sure, keep_y)
+            draws = _Uniforms(rng, 3 * n - 1)
+            u, start, stop, visits = _block_visits(draws, sure, keep_y)
         # a pick bisects a row of CDF floors; see _exact_pick for the screen
         v, w = u[0], u[1]
-        x, y = bisect_right(cdf, v, 0, d), bisect_right(cdf, w, 0, d)
-        if x and v - cdf[x - 1] < gap:
+        key, wkey = floor(v * scale), floor(w * scale)
+        x, y = bisect_right(cdf, key, 0, k), bisect_right(cdf, wkey, 0, k)
+        if x and key - cdf[x - 1] < gap:
             x = self._exact_pick(0, v)
-        if y and w - cdf[y - 1] < gap:
+        if y and wkey - cdf[y - 1] < gap:
             y = self._exact_pick(0, w)
         rows, codes, xs, ys = [], [], [x], [y]
         s, c = 2, 2  # next batch to test, position of its S double
         while s <= n:
             if walks:
                 if c + 3 > len(u):  # earlier resamples pushed the coins past the list
-                    u += draws.draw(draws.owed).tolist()
+                    # draw to the run's end: three doubles for each batch from s on
+                    u += rng.random(c + 3 * (n - s + 1) - len(u)).tolist()
             else:
                 try:
                     b = visits.send(c)
                 except StopIteration:  # every batch up to the block's end keeps
-                    skip = max(0, -(-(start + len(u) - 2 - c) // 3))
+                    skip = max(0, -(-(stop - 2 - c) // 3))
                     s, c = s + skip, c + 3 * skip
                     if s <= n:
                         draws.refill(c)
-                        u, start, visits = _block_visits(draws, sure, keep_y)
+                        u, start, stop, visits = _block_visits(draws, sure, keep_y)
                     continue
                 s, c = s + (b - c) // 3, b
             i = c - start
@@ -534,24 +547,27 @@ class PreparedRun:
             if not (S and Sp and A):
                 move_x = not (S and Sp)
                 resamples = move_x + (not A)
-                draws.owed += resamples
-                if c + resamples > start + len(u):
-                    if walks:
-                        u += draws.draw(draws.owed).tolist()
-                    else:
+                if walks:
+                    if c + resamples > len(u):  # to the resamples, then three per later batch
+                        u += rng.random(c + resamples + 3 * (n - s) - len(u)).tolist()
+                else:
+                    draws.owed += resamples
+                    if c + resamples > stop:
                         draws.refill(c)
-                        u, start, visits = _block_visits(draws, sure, keep_y)
-                lo = (s - 1) * d
+                        u, start, stop, visits = _block_visits(draws, sure, keep_y)
+                lo = (s - 1) * k
                 if move_x:
                     v = u[c - start]
-                    x = bisect_right(cdf, v, lo, lo + d) - lo
-                    if x and v - cdf[lo + x - 1] < gap:
+                    key = floor(v * scale)
+                    x = bisect_right(cdf, key, lo, lo + k) - lo
+                    if x and key - cdf[lo + x - 1] < gap:
                         x = self._exact_pick(s - 1, v)
                     c += 1
                 if not A:
                     v = u[c - start]
-                    y = bisect_right(cdf, v, lo, lo + d) - lo
-                    if y and v - cdf[lo + y - 1] < gap:
+                    key = floor(v * scale)
+                    y = bisect_right(cdf, key, lo, lo + k) - lo
+                    if y and key - cdf[lo + y - 1] < gap:
                         y = self._exact_pick(s - 1, v)
                     c += 1
                 rows.append(s - 1)
@@ -565,14 +581,16 @@ class PreparedRun:
         """The expert uniform v picks from row ``row`` of the exact CDFs, built for this pick.
 
         The engine's picks bisect a row of CDF floors instead. Every floor
-        is at or below its exact entry and less than ``FLOOR_GAP`` under
-        it, so a floor pick counts every entry the exact pick counts, and
-        more only if v lies below the exact value of the last floor it
-        counted. That needs v less than ``FLOOR_GAP`` above that floor,
-        and only then does the engine call this: every pick is the exact
-        table's, bit for bit. (The double difference rounds up to
-        ``FLOOR_GAP`` only from within 2**-76 below it, still far above a
-        floor's gap of under 2**-24.)
+        over ``2**16`` is at or below its exact entry and less than
+        ``FLOOR_GAP``, two grid steps, under it, so a floor pick counts
+        every entry the exact pick counts, and more only if v lies below
+        the exact value of the last floor it counted. That needs
+        ``v * 2**16``, which is exact, less than two steps above that
+        floor, and only then does the engine call this: every pick is
+        the exact table's, bit for bit. As the floors are integers, the
+        engine compares them with the integer key ``floor(v * 2**16)``:
+        a floor f is at most ``v * 2**16`` exactly when it is at most
+        the key, and ``v * 2**16 < f + 2`` exactly when the key is.
         """
         exact = cdf_table(self.loss_sums[row : row + 1], self.config.eta)
         return bisect_right(exact[0].tolist(), v)
@@ -675,10 +693,10 @@ class _Uniforms:
 
 
 def _block_visits(draws: _Uniforms, sure: float, keep_y: float):
-    """The block ``draws`` holds, as a memoryview; its start; and its primed :func:`_visits`."""
+    """The block ``draws`` holds, as a memoryview; its start and end; and its primed :func:`_visits`."""
     visits = _visits(draws.block, draws.start, sure, keep_y)
     next(visits)
-    return memoryview(draws.block), draws.start, visits
+    return memoryview(draws.block), draws.start, draws.start + draws.block.size, visits
 
 
 def _visits(block: np.ndarray, start: int, sure: float, keep_y: float):

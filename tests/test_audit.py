@@ -48,6 +48,21 @@ class TestReportInvariant:
         obj = json.loads(line)
         assert obj["name"] == "x" and obj["passed"] is True
 
+    @pytest.mark.parametrize(
+        "statistic, threshold, passed",
+        [(0.5, math.inf, True), (math.inf, 1.0, False), (math.nan, 1.0, False),
+         (-math.inf, math.nan, False)],
+    )
+    def test_json_line_is_strict(self, statistic, threshold, passed):
+        # a non-finite term is null; the pass flag is still read off the floats
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        obj = json.loads(AuditReport("x", 10, statistic, threshold).to_json_line(), parse_constant=refuse)
+        assert obj["statistic"] == (statistic if math.isfinite(statistic) else None)
+        assert obj["threshold"] == (threshold if math.isfinite(threshold) else None)
+        assert obj["passed"] is passed
+
 
 class TestExactDistributions:
     def test_uniform_start(self):

@@ -740,6 +740,17 @@ class TestAudit:
         assert main(["audit", "epsilon", "--config", str(path)]) == 0
         assert capsys.readouterr().out == want
 
+    def test_epsilon_at_p_zero_is_strict_json(self, tmp_path, capsys):
+        # p=0 prices an infinite budget epsilon, the audit's threshold, which
+        # the line writes as null, as every JSON parser reads it
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        argv = _audit(tmp_path, "epsilon", T=10, d=2, reps=200, override={"B": 2, "eta": 0.01, "p": 0.0})
+        assert main(argv) == 0
+        obj = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert obj["threshold"] is None and obj["passed"] is True
+
     @pytest.mark.parametrize("s", ["0", "6"])
     def test_marginal_batch_out_of_range_exit_2(self, tmp_path, capsys, s):
         argv = _audit(tmp_path, "marginal", "--s", s, reps=20_000, override=self._OVERRIDE)

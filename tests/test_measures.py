@@ -505,26 +505,24 @@ class TestChunkedTables:
 
     @staticmethod
     def _assert_floors(config, values):
-        """The engine's CDF floors are the largest float32 at or below each exact
-        entry, and 0 below the float32 normals; every one is under its entry by
-        less than FLOOR_GAP. Returns the exact table."""
+        """The engine's CDF floors are min(floor(F * 2**16), 2**16 - 1) of the
+        first d - 1 entries F of each exact row, as uint16; over 2**16 every one
+        is under its entry by less than FLOOR_GAP. Returns the exact table."""
         prepared = PreparedRun(config, "mw", values)
         exact, floors = prepared.cdfs, prepared.cdf_floors
-        assert floors.dtype == np.float32 and floors.shape == exact.shape
-        # the oracle: round to nearest, then step down where that rounded up
-        want = exact.astype(np.float32)
-        up = want.astype(np.float64) > exact
-        want[up] = np.nextafter(want[up], np.float32(0.0))
-        tiny = exact < 2.0**-126
-        want[tiny] = 0.0
+        n, d = exact.shape
+        assert floors.dtype == np.uint16 and floors.shape == (n, d - 1)
+        # the oracle: floor on the grid in float64, then cap
+        head = exact[:, :-1]
+        want = np.minimum(np.floor(head * 2**16), 2**16 - 1).astype(np.uint16)
         assert floors.tobytes() == want.tobytes()
-        wide = floors.astype(np.float64)
-        assert (wide <= exact).all() and (exact - wide < FLOOR_GAP).all()
-        above = np.nextafter(floors, np.float32(2.0)).astype(np.float64)
-        assert (above[~tiny] > exact[~tiny]).all()
-        assert (floors[:, -1] == 1.0).all()
+        grid = floors / 2**16
+        assert (grid <= head).all() and (head - grid < FLOOR_GAP).all()
+        below_cap = floors < 2**16 - 1
+        assert ((floors[below_cap] + 1) / 2**16 > head[below_cap]).all()  # the largest at or below
+        assert (exact[:, -1] == 1.0).all()
         # an exact pick builds its one row alone: it is the table's row
-        for row in np.linspace(0, exact.shape[0] - 1, min(exact.shape[0], 40)).astype(int).tolist():
+        for row in np.linspace(0, n - 1, min(n, 40)).astype(int).tolist():
             one = cdf_table(prepared.loss_sums[row : row + 1], config.eta)
             assert one.tobytes() == exact[row].tobytes()
         return exact
@@ -545,8 +543,9 @@ class TestChunkedTables:
 
     def test_floors_below_the_float32_normals(self, chunk):
         # expert 0 loses every round, so its share of batch s is about
-        # e^(-0.1 (s - 1)): below 2**-126 from s = 875 on, and a float32
-        # subnormal, not 0, up to s = 1033
+        # e^(-0.1 (s - 1)): below one grid step from s = 112 on, below
+        # 2**-126 from s = 875 on, and a float32 subnormal, not 0, up to
+        # s = 1033; every such entry floors to 0
         values = np.zeros((2000, 2))
         values[:, 0] = 1.0
         config = L2PConfig(T=2000, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
@@ -554,6 +553,20 @@ class TestChunkedTables:
         column = exact[:, 0]
         assert ((2.0**-149 <= column) & (column < 2.0**-126)).sum() > 100
         assert (column < 2.0**-149).sum() > 100
+        floors = PreparedRun(config, "mw", values).cdf_floors
+        assert (floors[column < 2.0**-16] == 0).all() and (column < 2.0**-16).sum() > 1800
+
+    def test_floors_of_dominant_entries(self, chunk):
+        # expert 0 wins every round, so from about s = 375 on every entry
+        # before the last rounds up to 1.0 and floors to the cap
+        values = np.ones((600, 3))
+        values[:, 0] = 0.0
+        config = L2PConfig(T=600, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        exact = self._assert_floors(config, values)
+        top = (exact[:, :-1] == 1.0).all(axis=1)
+        assert top.sum() > 100
+        floors = PreparedRun(config, "mw", values).cdf_floors
+        assert (floors[top] == 2**16 - 1).all()
 
 
 def _bits(v: float) -> bytes:
@@ -639,33 +652,37 @@ class TestSetUpMemory:
 
     def test_experts_keep_two_tables(self):
         # at ope-b1's shape a binary run keeps uint16 counts, a quarter of
-        # a float64 table, and float32 CDF floors, half of one, and builds
-        # them with no float64 table of their size; the exact CDFs are
-        # built on first read
+        # a float64 table, and uint16 CDF floors over d - 1 columns, under
+        # a quarter of one, and builds them with no float64 table of their
+        # size; the exact CDFs are built on first read
         T, d = 20_000, 10
         values = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), 1).values
         config = tune_ope(T, d, 1.0, 1e-6)
         prepared, retained, peak = _traced(lambda: PreparedRun(config, "mw", values))
-        table = config.n_batches * d * 8
+        n = config.n_batches
+        table = n * d * 8
         assert prepared.binary and prepared.loss_sums.dtype == np.uint16
         assert prepared.loss_sums.nbytes == table / 4
-        assert prepared.cdf_floors.dtype == np.float32 and prepared.cdf_floors.nbytes == table / 2
+        assert prepared.cdf_floors.dtype == np.uint16
+        assert prepared.cdf_floors.nbytes == 2 * n * (d - 1)
         assert "cdfs" not in vars(prepared)
         assert prepared.cdfs.nbytes == table
-        assert retained <= 0.8 * table
-        assert peak <= 1.3 * table
+        assert retained <= 0.5 * table
+        assert peak <= 0.9 * table
 
     def test_fractional_experts_keep_two_float_tables(self):
+        # the cumulative losses in float64 and the CDF floors in uint16
         T, d = 20_000, 10
         values = np.random.default_rng(1).random((T, d))
         config = tune_ope(T, d, 1.0, 1e-6)
         prepared, retained, peak = _traced(lambda: PreparedRun(config, "mw", values))
-        table = config.n_batches * d * 8
+        n = config.n_batches
+        table = n * d * 8
         assert not prepared.binary and prepared.loss_sums.dtype == np.float64
-        assert prepared.cdf_floors.nbytes == table / 2
+        assert prepared.cdf_floors.nbytes == 2 * n * (d - 1)
         assert prepared.loss_sums.nbytes == prepared.cdfs.nbytes == table
-        assert retained <= 1.6 * table
-        assert peak <= 2.1 * table
+        assert retained <= 1.3 * table
+        assert peak <= 1.7 * table
 
     def test_ball_keeps_one_table(self):
         T, d = 10**4, 3

@@ -958,9 +958,10 @@ class TestKeepBoundary:
 
 
 class TestFloorScreen:
-    """A pick bisects a row of float32 CDF floors. A uniform less than
-    FLOOR_GAP above the last floor it counted is re-decided on the exact
-    row, so every pick is the exact table's."""
+    """A pick bisects a row of uint16 CDF floors on the 2**-16 grid with the
+    key ``v * 2**16``. A uniform less than FLOOR_GAP, two grid steps, above
+    the last floor it counted is re-decided on the exact row, so every pick
+    is the exact table's."""
 
     K = 30  # the batch whose coins resample in the resample cases
 
@@ -987,6 +988,19 @@ class TestFloorScreen:
         assert prepared.binary == binary and prepared.walks == (T <= _WALK)
         return prepared
 
+    @staticmethod
+    def _spaced_floor(floors, exact):
+        """A column j whose floor Q lies below its entry, with the floors either
+        side at least three grid steps away, as an int."""
+        k = floors.size
+        for j in range(k):
+            q = floors[j]
+            below = j == 0 or floors[j - 1] <= q - 3
+            above = (floors[j + 1] if j + 1 < k else 2**16) > q + 2
+            if q / 2**16 < exact[j] and below and above:
+                return j
+        raise AssertionError("no spaced floor in the row")
+
     @pytest.mark.parametrize("binary", [False, True], ids=["fractional", "binary"])
     @pytest.mark.parametrize("T", [40, 60], ids=["walked", "visited"])
     @pytest.mark.parametrize("at", ["x1", "y1", "x-resample", "y-resample"])
@@ -997,13 +1011,15 @@ class TestFloorScreen:
         # S, S', A uniforms at 3k - 4, 3k - 3, 3k - 2, and a failed S' (or
         # A) resamples x (or y) from row k - 1 with uniform 3k - 1
         row, pos = {"x1": (0, 0), "y1": (0, 1)}.get(at, (k - 1, 3 * k - 1))
-        exact, floors = prepared.cdfs[row], prepared.cdf_floors[row].astype(np.float64)
-        j = int(np.flatnonzero(floors[:-1] < exact[:-1])[0])
+        exact, floors = prepared.cdfs[row], prepared.cdf_floors[row].astype(np.int64)
+        j = self._spaced_floor(floors, exact)
+        on_grid = floors[j] / 2**16
         cases = (
-            (floors[j], j, True),  # counted by the floor, not by the exact entry
+            (on_grid, j, True),  # counted by the floor, not by the exact entry
+            (np.nextafter(on_grid, 0.0), j, False),  # below the floor: the screen passes it
             (np.nextafter(exact[j], 0.0), j, True),
             (exact[j], j + 1, True),
-            (floors[j] + FLOOR_GAP, j + 1, False),  # the screen passes it
+            ((floors[j] + 2) / 2**16, j + 1, False),  # two steps above: the screen passes it
         )
         for v, pick, screened in cases:
             doubles = np.zeros(3 * T + 8)
@@ -1018,14 +1034,71 @@ class TestFloorScreen:
             models = t.ys if at[0] == "y" else t.models
             assert models[0 if row == 0 else k - 1] == pick
 
-    def test_screen_runs_no_fallback_on_a_seeded_run(self, fallbacks):
+    @pytest.mark.parametrize("shape", ["binary", "fractional", "ope-b1"])
+    def test_table_invariants(self, shape):
+        if shape == "ope-b1":
+            prepared = _prepared(*SHAPES["ope-b1"]())
+        else:
+            prepared = self._prepared(300, shape == "binary")
+        n, d = prepared.loss_sums.shape
+        floors, exact = prepared.cdf_floors, prepared.cdfs
+        assert floors.dtype == np.uint16 and floors.shape == (n, d - 1)
+        assert floors.nbytes == 2 * n * (d - 1)
+        grid = floors / 2**16
+        assert (grid <= exact[:, :-1]).all()
+        assert (exact[:, :-1] - grid < FLOOR_GAP).all()
+        assert (exact[:, -1] == 1.0).all()
+
+    @pytest.mark.parametrize("v", [65535 / 65536, np.nextafter(1.0, 0.0)])
+    def test_dominant_expert_row(self, fallbacks, v):
+        # expert 0 never loses and the others lose every round, so from about
+        # batch 380 on every entry before the last rounds to 1.0 and every
+        # floor is capped at 2**16 - 1: a uniform at or above the cap counts
+        # every floor, and only the exact row sends it back to expert 0
+        T, k = 500, 450
+        values = np.ones((T, 3))
+        values[:, 0] = 0.0
+        config = L2PConfig(T=T, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", LossStream("bernoulli", 3, T, 0, values))
+        assert (prepared.cdfs[k - 1] == 1.0).all()
+        assert (prepared.cdf_floors[k - 1] == 2**16 - 1).all()
+        doubles = np.zeros(3 * T + 8)
+        doubles[3 * k - 3] = 0.999  # S' fails, so x resamples from row k - 1
+        doubles[3 * k - 1] = v
+        t = _same_scripted(prepared, doubles)
+        assert fallbacks == [(k - 1, v)]
+        assert t.models[k - 1] == 0
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["fractional", "binary"])
+    @pytest.mark.parametrize("T", [40, 300], ids=["walked", "visited"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_narrow_rows_match_the_reference_loop(self, d, T, binary):
+        # d = 1 keeps no floor column, d = 2 one
+        values = np.random.default_rng(d * T + binary).random((T, d))
+        if binary:
+            values = (values < 0.5).astype(np.float64)
+        config = L2PConfig(T=T, B=1, eta=0.1, p=0.3, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", LossStream("bernoulli", d, T, 0, values))
+        assert prepared.cdf_floors.shape == (T, d - 1) and prepared.binary == binary
+        for seed in range(30):
+            TestAgainstReferenceLoop._assert_same(
+                prepared, np.random.default_rng(seed), np.random.default_rng(seed)
+            )
+
+    def test_screen_runs_few_fallbacks_on_a_seeded_run(self, fallbacks):
         # a uniform lands less than FLOOR_GAP above one of a row's d - 1 floors
-        # with probability under (d - 1) 2**-23 per pick
+        # with probability under (d - 1) 2**-15 per pick, and each fallback is
+        # such a close call
         prepared = _prepared(*SHAPES["dense"]())
+        d, picks = prepared.loss_sums.shape[1], 0
         for seed in range(3):
             t = prepared.run(np.random.default_rng(seed))
             assert len(t.rows) > 1000
-        assert fallbacks == []
+            picks += 2 + t.switch_count_x + t.switch_count_y
+        assert len(fallbacks) <= 4 * (d - 1) * FLOOR_GAP * picks
+        for row, v in fallbacks:
+            floors = prepared.cdf_floors[row] / 2**16
+            assert ((0 <= v - floors) & (v - floors < FLOOR_GAP)).any()
 
 
 def _three_views(block, start, sure, keep_y):
