@@ -30,9 +30,7 @@ from .adversaries import (
     bernoulli_experts,
     epoch_lower_bound_stream,
     linear_oco_stream,
-    load_stream,
     neighbor_of,
-    save_stream,
 )
 from .audit import (
     AuditReport,
@@ -87,7 +85,6 @@ __all__ = [
     "epoch_lower_bound_stream",
     "group_privacy",
     "linear_oco_stream",
-    "load_stream",
     "marginal_tv_profile",
     "monte_carlo",
     "neighbor_of",
@@ -97,7 +94,6 @@ __all__ = [
     "regret_bound_oco",
     "regret_bound_ope",
     "replicate_seed",
-    "save_stream",
     "splitmix64",
     "strawman_fixed_switch",
     "switch_statistics",

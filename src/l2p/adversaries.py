@@ -2,26 +2,24 @@
 
 Streams are materialized up front: the whole sequence is a deterministic
 function of (kind, parameters, seed), which both enforces obliviousness
-and makes neighboring-stream experiments exactly reproducible. Two
-streams are neighbors when they differ in exactly one round.
+and makes neighboring-stream experiments exactly reproducible. A stream
+of kind ``"matrix"`` holds losses that no generator made, such as a
+``.npy`` file's. Two streams are neighbors when they differ in exactly
+one round.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-_MAGIC = b"L2PS"
-# Version 1 stored the rows as float32, which loses the low bits of ball
-# gradients; version 2 stores them as float64. Both are read.
-_VERSION = 2
-_ROW_DTYPES = {1: "<f4", 2: "<f8"}
-
 # The relative slack a gradient norm may exceed a lipschitz bound by.
+# Generated sphere rows exceed their bound by a few ulps (at most 3,
+# measured at d in {2, 3, 10, 50}), and unit-norm rows written from
+# float32 exceed 1 by up to about 4.5e-8; the slack covers both.
 LIPSCHITZ_RTOL = 1e-6
 
 _OPE_KINDS = ("bernoulli", "epoch_lower_bound")
@@ -33,7 +31,8 @@ class LossStream:
     """A full horizon of losses: rows of ``values`` are rounds.
 
     For expert streams each row is a loss vector in [0,1]^d; for linear
-    streams each row is a gradient with norm at most ``lipschitz``.
+    streams each row is a gradient with norm at most ``lipschitz``. A
+    ``"matrix"`` stream is linear exactly when it carries a ``lipschitz``.
     ``n_epochs``/``epoch_len`` are set only by the epoch construction.
     """
 
@@ -48,7 +47,7 @@ class LossStream:
     clamped: bool = False
 
     def __post_init__(self):
-        if self.kind not in _OPE_KINDS + _OCO_KINDS:
+        if self.kind not in (*_OPE_KINDS, *_OCO_KINDS, "matrix"):
             raise ValueError(f"unknown stream kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.T, self.d):
@@ -68,6 +67,8 @@ class LossStream:
 
     @property
     def is_oco(self) -> bool:
+        if self.kind == "matrix":
+            return self.lipschitz is not None
         return self.kind in _OCO_KINDS
 
 
@@ -146,64 +147,3 @@ def neighbor_of(stream: LossStream, index: int, replacement) -> LossStream:
     values = stream.values.copy()
     values[index] = row
     return replace(stream, values=values)
-
-
-def save_stream(stream: LossStream, path) -> None:
-    """Binary dump: header (kind, d, T, seed, aux fields), then float64 rows."""
-    kind_bytes = stream.kind.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(kind_bytes)))
-        fh.write(kind_bytes)
-        fh.write(
-            struct.pack(
-                "<qqqdqqB",
-                stream.d,
-                stream.T,
-                stream.seed,
-                stream.lipschitz if stream.lipschitz is not None else float("nan"),
-                stream.n_epochs if stream.n_epochs is not None else -1,
-                stream.epoch_len if stream.epoch_len is not None else -1,
-                int(stream.clamped),
-            )
-        )
-        fh.write(stream.values.astype(_ROW_DTYPES[_VERSION]).tobytes())
-
-
-def _unpack(fh, fmt: str) -> tuple:
-    """The next ``struct.calcsize(fmt)`` bytes of ``fh``, unpacked; ValueError if cut short."""
-    size = struct.calcsize(fmt)
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ValueError("loss-stream file is truncated")
-    return struct.unpack(fmt, raw)
-
-
-def load_stream(path) -> LossStream:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a loss-stream file")
-        (version,) = _unpack(fh, "<I")
-        if version not in _ROW_DTYPES:
-            raise ValueError(f"unsupported stream file version {version}")
-        (kind_len,) = _unpack(fh, "<I")
-        kind = fh.read(kind_len).decode("utf-8")
-        d, T, seed, lip, n_epochs, epoch_len, clamped = _unpack(fh, "<qqqdqqB")
-        row = np.dtype(_ROW_DTYPES[version])
-        values = np.frombuffer(fh.read(row.itemsize * T * d), dtype=row).reshape(T, d)
-        values = values.astype(np.float64)
-        if fh.read(1):
-            raise ValueError("loss-stream file has bytes after its rows")
-    return LossStream(
-        kind,
-        d,
-        T,
-        seed,
-        values,
-        lipschitz=None if np.isnan(lip) else lip,
-        n_epochs=None if n_epochs < 0 else int(n_epochs),
-        epoch_len=None if epoch_len < 0 else int(epoch_len),
-        clamped=bool(clamped),
-    )
-

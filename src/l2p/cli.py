@@ -3,10 +3,13 @@
 Subcommands: run, sweep, lower-bound, audit, plan. Long-form flags
 only. ``run``, ``sweep``, ``audit`` and ``plan`` read the same JSON run
 config (``--config``): one adversary stream, a tuned or overridden
-config, and ``reps`` replicate runs seeded from ``base_seed``. Exit
-codes: 0 success, 2 configuration or usage error, 3 tuner
-infeasibility, 4 sampler failure. All CSV output is RFC-4180, UTF-8,
-LF-terminated, and byte-reproducible from (config, version).
+config, and ``reps`` replicate runs seeded from ``base_seed``. The
+stream is a generator's or, for ``{"kind": "matrix", "path": ...}``, a
+``.npy`` file's (T, d) matrix of expert losses or gradients, as
+``problem`` says. Exit codes: 0 success, 2 configuration or usage
+error, 3 tuner infeasibility, 4 sampler failure. All CSV output is
+RFC-4180, UTF-8, LF-terminated, and byte-reproducible from (config,
+version), and from (config, matrix file, version) for a matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .accountant import (
     tune_ope,
 )
 from .adversaries import (
+    LossStream,
     bernoulli_experts,
     epoch_lower_bound_stream,
     linear_oco_stream,
@@ -107,10 +111,19 @@ def _load_run_config(path: str) -> dict:
     small = [k for k in ("T", "d") if values[k] < 1]
     if small:
         raise ConfigError(f"config fields must be at least 1: {', '.join(small)}")
+    if type(cfg.get("output_dir", "")) is not str:
+        raise ConfigError("output_dir must be a string")
     adversary = cfg["adversary"]
     kind = adversary.get("kind")
-    if kind not in ("bernoulli", "epoch_lower_bound", "iid-sphere", "drift"):
+    if kind not in ("bernoulli", "epoch_lower_bound", "iid-sphere", "drift", "matrix"):
         raise ConfigError(f"unknown adversary kind {kind!r}")
+    if kind == "matrix":
+        # a matrix is its own losses, so a generator's key would be ignored
+        extra = sorted(set(adversary) - {"kind", "path"})
+        if extra:
+            raise ConfigError(f"a matrix adversary takes only kind and path, not {', '.join(extra)}")
+        if type(adversary.get("path")) is not str:
+            raise ConfigError("a matrix adversary needs a path string")
     means = adversary.get("means", [])
     if type(means) is not list or not all(map(_is_number, means)):
         raise ConfigError("adversary.means must be a list of finite numbers")
@@ -119,10 +132,34 @@ def _load_run_config(path: str) -> dict:
     return cfg
 
 
+def _load_matrix(path: str) -> np.ndarray:
+    """The real numeric array a ``.npy`` file holds, memory-mapped read-only.
+
+    Only ``LossStream`` checks its shape and values; this refuses what
+    would reach it as something else: an empty file, an ``.npz``
+    archive, and a complex or structured array, which a float64
+    conversion would cut to its real part or silently flatten.
+    """
+    try:
+        values = np.load(path, allow_pickle=False, mmap_mode="r")
+    except EOFError:
+        raise ConfigError(f"matrix file {path} is empty") from None
+    if not isinstance(values, np.ndarray):
+        values.close()
+        raise ConfigError(f"matrix file {path} is an archive, not one .npy array")
+    if values.dtype.kind not in "biuf":
+        raise ConfigError(f"matrix file {path} holds {values.dtype} values, not real numbers")
+    return values
+
+
 def _build_stream(cfg: dict):
     adv = cfg["adversary"]
     kind = adv.get("kind")
     T, d = int(cfg["T"]), int(cfg["d"])
+    if kind == "matrix":
+        # the problem says what the rows are: gradients carry the config's bound
+        lipschitz = _lipschitz_diameter(cfg)[0] if cfg["problem"] == "oco" else None
+        return LossStream("matrix", d, T, 0, _load_matrix(adv["path"]), lipschitz=lipschitz)
     seed = int(adv.get("seed", 0))
     if kind == "bernoulli":
         means = adv.get("means", list(np.linspace(0.35, 0.65, d)))

@@ -33,8 +33,8 @@ count gives the same log-weight as the float sum it equals.
 :func:`cdf_floor_table` keeps the first d - 1 entries of each CDF row,
 the last being 1, as 16-bit fixed-point floors on a ``2**-16`` grid, at
 a quarter of a float64 table's size or less; the engine picks from the
-floors and re-decides on one exact row the rare uniform that lies less
-than ``FLOOR_GAP`` above the floor it counted. The experts measure exists only as these
+floors and re-decides on one exact row the rare uniform that lies in the
+grid step of the floor it counted. The experts measure exists only as these
 tables; :class:`RmwMeasure` is the ball's sampler and exact oracle for one row.
 
 The tables are built ``_CHUNK`` rows at a time, so a build makes no
@@ -63,7 +63,9 @@ _CHUNK = 2048
 # The floor of a CDF entry F is min(floor(F * 2**16), 2**16 - 1), a
 # uint16. Over 2**16 it lies at or below F, less than one grid step under
 # it below the cap and at most one step under 1 at it, so always less
-# than FLOOR_GAP = two steps under F.
+# than FLOOR_GAP = two steps under F: the table invariant the tests check.
+# The engine's screen needs only the uncapped bound (see
+# PreparedRun._exact_pick).
 FLOOR_SCALE = 2.0**16
 FLOOR_GAP = 2.0**-15
 _FLOOR_TOP = 1.0 - 2.0**-16  # the least entry whose floor is the cap, 2**16 - 1

@@ -58,10 +58,9 @@ all doubles are below both. Both read the cumulative loss and CDF floor
 tables through flat memoryviews built at set-up. A pick bisects a row of
 CDF floors, the first d - 1 entries of the exact row each floored to a
 multiple of 2**-16 (capped one step below 1) and kept as a uint16. Only
-a uniform less than 2**-15, two steps, above the last floor the pick
-counted can pick differently on the exact row, so only then is that one
-row's exact CDF built and the pick re-decided on it: every pick is the
-exact table's. The S, S', A, x-resample,
+a uniform in the grid step of the last floor the pick counted can pick
+differently on the exact row, so only then is that one row's exact CDF
+built and the pick re-decided on it: every pick is the exact table's. The S, S', A, x-resample,
 y-resample order, the transcripts and the generator's end state are
 those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
@@ -91,7 +90,6 @@ import numpy as np
 from .adversaries import LIPSCHITZ_RTOL
 from .measures import (
     ETA_MAX,
-    FLOOR_GAP,
     FLOOR_SCALE,
     RmwMeasure,
     cdf_floor_table,
@@ -404,8 +402,7 @@ class PreparedRun:
     loop reads, and ``sure``, a floor under the keep probability of every batch
     and every pair of models. The exact float64 CDFs ``cdfs`` are built on
     first read; a pick builds one exact row only when its uniform lies
-    less than ``FLOOR_GAP`` above the last floor it counted (see
-    :meth:`_exact_pick`).
+    in the grid step of the last floor it counted (see :meth:`_exact_pick`).
     The log-weights ``loss_sums * -eta`` are formed in float64 where they
     are read. ``binary`` is whether every loss is +0.0 or 1.0 (a -0.0
     is not); a binary run's ``loss_sums`` holds exact counts in
@@ -501,7 +498,7 @@ class PreparedRun:
         n, d = self.loss_sums.shape
         cap, keep_y, sure, m = self.cap, 1.0 - self.config.p, self.sure, -self.config.eta
         sums, cdf, exp, floor, scale = self._sums, self._cdf, math.exp, math.floor, FLOOR_SCALE
-        k, gap = d - 1, int(FLOOR_GAP * scale)  # floors per row; the screen's width in grid steps
+        k = d - 1  # floors per row
         walks = self.walks
         if walks:
             u, start = rng.random(3 * n - 1).tolist(), 0
@@ -512,9 +509,9 @@ class PreparedRun:
         v, w = u[0], u[1]
         key, wkey = floor(v * scale), floor(w * scale)
         x, y = bisect_right(cdf, key, 0, k), bisect_right(cdf, wkey, 0, k)
-        if x and key - cdf[x - 1] < gap:
+        if x and key == cdf[x - 1]:
             x = self._exact_pick(0, v)
-        if y and wkey - cdf[y - 1] < gap:
+        if y and wkey == cdf[y - 1]:
             y = self._exact_pick(0, w)
         rows, codes, xs, ys = [], [], [x], [y]
         s, c = 2, 2  # next batch to test, position of its S double
@@ -560,14 +557,14 @@ class PreparedRun:
                     v = u[c - start]
                     key = floor(v * scale)
                     x = bisect_right(cdf, key, lo, lo + k) - lo
-                    if x and key - cdf[lo + x - 1] < gap:
+                    if x and key == cdf[lo + x - 1]:
                         x = self._exact_pick(s - 1, v)
                     c += 1
                 if not A:
                     v = u[c - start]
                     key = floor(v * scale)
                     y = bisect_right(cdf, key, lo, lo + k) - lo
-                    if y and key - cdf[lo + y - 1] < gap:
+                    if y and key == cdf[lo + y - 1]:
                         y = self._exact_pick(s - 1, v)
                     c += 1
                 rows.append(s - 1)
@@ -580,17 +577,17 @@ class PreparedRun:
     def _exact_pick(self, row: int, v: float) -> int:
         """The expert uniform v picks from row ``row`` of the exact CDFs, built for this pick.
 
-        The engine's picks bisect a row of CDF floors instead. Every floor
-        over ``2**16`` is at or below its exact entry and less than
-        ``FLOOR_GAP``, two grid steps, under it, so a floor pick counts
-        every entry the exact pick counts, and more only if v lies below
-        the exact value of the last floor it counted. That needs
-        ``v * 2**16``, which is exact, less than two steps above that
-        floor, and only then does the engine call this: every pick is
-        the exact table's, bit for bit. As the floors are integers, the
-        engine compares them with the integer key ``floor(v * 2**16)``:
-        a floor f is at most ``v * 2**16`` exactly when it is at most
-        the key, and ``v * 2**16 < f + 2`` exactly when the key is.
+        The engine's picks bisect a row of CDF floors instead, with the
+        integer key ``floor(v * 2**16)``: a floor f is at most
+        ``v * 2**16``, which is exact, exactly when it is at most the key.
+        Every floor over ``2**16`` is at or below its exact entry, so a
+        floor pick counts every entry the exact pick counts, and more
+        only if v lies below the exact entry of the last floor f it
+        counted. An uncapped floor's entry lies below ``(f + 1) / 2**16``,
+        so a key above f counts it exactly; the cap, ``2**16 - 1``, is
+        never below a key. So only a key equal to f can pick
+        differently, and only then does the engine call this: every
+        pick is the exact table's, bit for bit.
         """
         exact = cdf_table(self.loss_sums[row : row + 1], self.config.eta)
         return bisect_right(exact[0].tolist(), v)

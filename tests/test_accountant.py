@@ -331,10 +331,12 @@ class TestPrivacyBudget:
 
 
 def test_package_exports():
-    # every exported name resolves, and the removed composition routines and
-    # the budget function that config_budget replaced stay gone
+    # every exported name resolves, and the removed composition routines, the
+    # budget function that config_budget replaced and the stream-file
+    # functions that .npy matrices replaced stay gone
     assert all(hasattr(l2p, name) for name in l2p.__all__)
-    for name in ("advanced_composition", "modified_advanced_composition", "l2p_privacy"):
+    for name in ("advanced_composition", "modified_advanced_composition", "l2p_privacy",
+                 "save_stream", "load_stream"):
         assert name not in l2p.__all__
         assert not hasattr(l2p, name)
     assert "floor" not in {f.name for f in dataclasses.fields(PrivacyBudget)}

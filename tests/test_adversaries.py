@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -8,9 +6,7 @@ from l2p.adversaries import (
     bernoulli_experts,
     epoch_lower_bound_stream,
     linear_oco_stream,
-    load_stream,
     neighbor_of,
-    save_stream,
 )
 
 
@@ -125,6 +121,17 @@ def test_unknown_stream_kind_refused():
         LossStream("sphere", 2, 1, 0, [[0.5, 0.5]])
 
 
+def test_matrix_stream_is_linear_exactly_with_a_lipschitz():
+    # the same rows are expert losses without a bound and gradients with one
+    rows = [[0.6, 0.8], [1.0, 0.0]]
+    assert not LossStream("matrix", 2, 2, 0, rows).is_oco
+    assert LossStream("matrix", 2, 2, 0, rows, lipschitz=1.0).is_oco
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        LossStream("matrix", 2, 1, 0, [[-0.6, 0.8]])
+    with pytest.raises(ValueError, match="exceeds the lipschitz bound"):
+        LossStream("matrix", 2, 1, 0, [[0.6, 0.8]], lipschitz=0.5)
+
+
 @pytest.mark.parametrize(
     "kind, values, lipschitz, match",
     [("bernoulli", [[0.5, 0.5, 0.5]], None, r"shape \(T, d\)"),
@@ -171,74 +178,3 @@ class TestNeighborOf:
         s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)
         with pytest.raises(ValueError):
             neighbor_of(s, 3, [2.0, 0.0])  # outside [0,1] for expert losses
-
-
-class TestSerialization:
-    def test_roundtrip_ope(self, tmp_path):
-        s = bernoulli_experts(3, 40, [0.2, 0.5, 0.8], seed=6)
-        path = tmp_path / "s.l2ps"
-        save_stream(s, path)
-        loaded = load_stream(path)
-        assert (loaded.kind, loaded.d, loaded.T, loaded.seed) == ("bernoulli", 3, 40, 6)
-        assert np.array_equal(loaded.values, s.values)  # 0/1 exact in float32
-
-    def test_roundtrip_oco(self, tmp_path):
-        s = linear_oco_stream(2, 30, 1.5, seed=7, kind="iid-sphere")
-        path = tmp_path / "g.l2ps"
-        save_stream(s, path)
-        loaded = load_stream(path)
-        assert loaded.lipschitz == 1.5
-        assert np.array_equal(loaded.values, s.values)  # float64 rows, lossless
-
-    def test_roundtrip_epoch_metadata(self, tmp_path):
-        s = epoch_lower_bound_stream(1000, 0.05, 2, seed=1)
-        path = tmp_path / "e.l2ps"
-        save_stream(s, path)
-        loaded = load_stream(path)
-        assert loaded.n_epochs == s.n_epochs and loaded.epoch_len == s.epoch_len
-
-    def test_reads_version_1(self, tmp_path):
-        # a file as version 1 wrote it, float32 rows; other versions are refused
-        values = np.array([[0.6, -0.8], [0.1, 0.2], [0.0, 1.0]])
-
-        def file_bytes(version, rows):
-            return (
-                b"L2PS"
-                + struct.pack("<II", version, len(b"drift"))
-                + b"drift"
-                + struct.pack("<qqqdqqB", 2, 3, 9, 1.0, -1, -1, 0)
-                + rows.tobytes()
-            )
-
-        path = tmp_path / "v1.l2ps"
-        path.write_bytes(file_bytes(1, values.astype("<f4")))
-        loaded = load_stream(path)
-        assert (loaded.kind, loaded.d, loaded.T, loaded.seed) == ("drift", 2, 3, 9)
-        assert loaded.lipschitz == 1.0 and loaded.n_epochs is None and not loaded.clamped
-        assert loaded.values.dtype == np.float64
-        assert np.array_equal(loaded.values, values.astype(np.float32).astype(np.float64))
-        for version in (0, 3):
-            path.write_bytes(file_bytes(version, values.astype("<f8")))
-            with pytest.raises(ValueError, match="version"):
-                load_stream(path)
-
-    def test_misspelt_kind_refused_on_load(self, tmp_path):
-        path = tmp_path / "g.l2ps"
-        save_stream(linear_oco_stream(2, 5, 1.0, seed=7, kind="iid-sphere"), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw.replace(b"iid-sphere", b"iid-spheer", 1))
-        with pytest.raises(ValueError, match="unknown stream kind 'iid-spheer'"):
-            load_stream(path)
-
-    def test_reject_garbage(self, tmp_path):
-        path = tmp_path / "bad.l2ps"
-        path.write_bytes(b"NOPE" + b"\x00" * 60)
-        with pytest.raises(ValueError):
-            load_stream(path)
-        # a header cut short, and rows followed by more bytes
-        save_stream(bernoulli_experts(2, 4, [0.3, 0.7], seed=0), path)
-        raw = path.read_bytes()
-        for cut in (raw[:10], raw[:30], raw + b"\x00"):
-            path.write_bytes(cut)
-            with pytest.raises(ValueError, match="truncated|bytes after its rows"):
-                load_stream(path)

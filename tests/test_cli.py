@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from l2p.audit import (
     ratio_range_check,
     switch_statistics,
 )
-from l2p.cli import main
+from l2p.cli import _build_config, _build_stream, main
 from l2p.harness import monte_carlo
 from l2p.transform import L2PConfig, PreparedRun
 
@@ -78,9 +79,10 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
 # that is not an object; a missing field, an unknown problem or adversary
 # kind, no replicates, T or d below 1, a Bernoulli mean that is null, a
 # bool, an object or beyond a double's range, an epoch adversary without
-# its epsilon, a ball override without a delta to spend, or an experts
+# its epsilon, a ball override without a delta to spend, an experts
 # config that sets the oco problem's lipschitz or diameter, which it would
-# ignore.
+# ignore, an output_dir that is not a string, or a matrix adversary
+# without a path string.
 _MALFORMED = (
     None, {"T": None}, {"epsilon": "1.0"}, {"reps": True}, {"T": math.inf},
     {"delta": math.nan}, {"adversary": "bernoulli"},
@@ -106,6 +108,8 @@ _MALFORMED = (
     {"problem": "oco", "adversary": _SPHERE, "lipschitz": 0.0, "override": _override()},
     {"problem": "oco", "adversary": _SPHERE, "diameter": 0.0, "override": _override()},
     {"lipschitz": 5.0}, {"diameter": 9.0}, {"lipschitz": 1.0, "diameter": 1.0},
+    {"output_dir": 5}, {"output_dir": ["a"]}, {"output_dir": None},
+    {"adversary": {"kind": "matrix", "path": 5}}, {"adversary": {"kind": "matrix"}},
 )
 _MALFORMED_IDS = [
     "array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
@@ -117,6 +121,8 @@ _MALFORMED_IDS = [
     "zero-T-override", "zero-T-ball-override", "zero-d", "negative-T", "zero-delta-ball-override",
     "zero-lipschitz-ball-override", "zero-diameter-ball-override",
     "ope-lipschitz", "ope-diameter", "ope-lipschitz-and-diameter",
+    "number-output_dir", "list-output_dir", "null-output_dir",
+    "number-matrix-path", "matrix-without-path",
 ]
 
 
@@ -145,6 +151,135 @@ def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, cap
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     assert "exceeds the config's lipschitz 1.0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+# The generator configs whose matrices a matrix config plays
+_GENERATORS = {
+    "bernoulli": ("ope", {"kind": "bernoulli", "means": [0.3, 0.5, 0.7]}),
+    "epoch_lower_bound": ("ope", {"kind": "epoch_lower_bound", "epsilon": 0.05}),
+    "iid-sphere": ("oco", {"kind": "iid-sphere"}),
+    "drift": ("oco", {"kind": "drift"}),
+}
+
+
+def _as_matrix(tmp_path, config_path):
+    """A copy of the config at ``config_path`` whose adversary is the
+    matrix its stream holds, saved to ``losses.npy``; the copy's path."""
+    cfg = json.loads(config_path.read_text())
+    matrix = tmp_path / "losses.npy"
+    np.save(matrix, _build_stream(cfg).values)
+    cfg["adversary"] = {"kind": "matrix", "path": str(matrix)}
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("kind", list(_GENERATORS))
+def test_matrix_run_matches_its_generator(tmp_path, capsys, kind, seed):
+    problem, adversary = _GENERATORS[kind]
+    generated = _write_config(
+        tmp_path, problem=problem, reps=3, base_seed=seed, adversary={**adversary, "seed": seed}
+    )
+    matrix = _as_matrix(tmp_path, generated)
+    for name, path in [("generated", generated), ("matrix", matrix)]:
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / name)]) == 0
+    for name in ("reps.csv", "summary.json"):
+        want = (tmp_path / "generated" / name).read_bytes()
+        assert (tmp_path / "matrix" / name).read_bytes() == want
+
+
+def test_matrix_sweep_and_audits_match_their_generator(tmp_path, capsys):
+    # one experts shape that the sweep, the marginal and the epsilon audit all take
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps(_audit_config(T=10, d=2, seed=3)))
+    matrix = _as_matrix(tmp_path, generated)
+    outputs = {}
+    for name, path in [("generated", generated), ("matrix", matrix)]:
+        out = tmp_path / f"{name}.csv"
+        argv = ["sweep", "--config", str(path), "--epsilon-grid", "0.5", "1.0", "--output", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        for test in ("marginal", "epsilon"):
+            assert main(["audit", test, "--config", str(path)]) == 0
+        outputs[name] = (out.read_bytes(), capsys.readouterr().out)
+    assert outputs["matrix"] == outputs["generated"]
+    assert len(outputs["matrix"][1].splitlines()) == 11  # ten marginal batches, one epsilon line
+
+
+@pytest.mark.parametrize("problem, kind", [("ope", "bernoulli"), ("oco", "drift")])
+def test_matrix_reaches_the_engine_without_a_copy(tmp_path, problem, kind):
+    # a float64 C-order file stays file-backed from np.load to the engine
+    generated = _write_config(tmp_path, problem=problem, adversary=_GENERATORS[kind][1])
+    cfg = json.loads(_as_matrix(tmp_path, generated).read_text())
+    stream = _build_stream(cfg)
+    assert isinstance(stream.values.base, np.memmap) and stream.is_oco == (problem == "oco")
+    config = _build_config(cfg)
+    prepared = PreparedRun(config, config.measure_kind, stream.values)
+    assert np.shares_memory(stream.values, prepared.loss_values)
+
+
+def _losses_with(value):
+    """400 x 3 losses of 0.5 with one entry set to ``value``."""
+    values = np.full((400, 3), 0.5)
+    values[7, 1] = value
+    return values
+
+
+def _save(array):
+    """A writer of ``array`` as a ``.npy`` file."""
+    return lambda path: np.save(path, array, allow_pickle=True)
+
+
+def _savez(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, losses=_losses_with(0.5))
+
+
+_STRUCTURED = np.zeros(400, dtype=[("a", "f8"), ("b", "f8"), ("c", "f8")])
+
+# Matrix configs every stream command refuses: (problem, writer of
+# losses.npy or None, adversary keys beside kind and path, message)
+_REFUSED_MATRICES = {
+    "missing-file": ("ope", None, {}, "No such file"),
+    "empty-file": ("ope", lambda path: path.write_bytes(b""), {}, "is empty"),
+    "npz": ("ope", _savez, {}, "an archive"),
+    "object": ("ope", _save(_losses_with(0.5).astype(object)), {}, "Python objects"),
+    "complex": ("ope", _save(_losses_with(0.5).astype(complex)), {}, "complex128 values"),
+    "structured": ("ope", _save(_STRUCTURED), {}, "not real numbers"),
+    "ndim-1": ("ope", _save(_losses_with(0.5).ravel()), {}, r"shape \(T, d\)"),
+    "ndim-3": ("ope", _save(_losses_with(0.5)[..., None]), {}, r"shape \(T, d\)"),
+    "transposed": ("ope", _save(_losses_with(0.5).T), {}, r"shape \(T, d\)"),
+    "short": ("ope", _save(_losses_with(0.5)[:-1]), {}, r"shape \(T, d\)"),
+    "nan": ("ope", _save(_losses_with(math.nan)), {}, "must be finite"),
+    "infinity": ("oco", _save(_losses_with(-math.inf)), {}, "must be finite"),
+    "loss-above-1": ("ope", _save(_losses_with(1.5)), {}, r"in \[0, 1\]"),
+    "negative-loss": ("ope", _save(_losses_with(-0.25)), {}, r"in \[0, 1\]"),
+    "gradient-above-lipschitz": ("oco", _save(_losses_with(1.9)), {}, "lipschitz bound"),
+    **{
+        f"extra-{key}": ("ope", _save(_losses_with(0.5)), {key: value}, "only kind and path")
+        for key, value in [("seed", 1), ("means", [0.5] * 3), ("lipschitz", 1.0),
+                           ("epsilon", 0.05)]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--epsilon-grid", "1.0"]], ids=["run", "sweep"]
+)
+@pytest.mark.parametrize("case", list(_REFUSED_MATRICES))
+def test_refused_matrix_exit_2_writes_nothing(tmp_path, capsys, command, case):
+    problem, write, keys, message = _REFUSED_MATRICES[case]
+    matrix = tmp_path / "losses.npy"
+    if write is not None:
+        write(matrix)
+    path = _write_config(
+        tmp_path, problem=problem, adversary={"kind": "matrix", "path": str(matrix), **keys}
+    )
+    assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and re.search(message, err)
+    assert {p.name for p in tmp_path.iterdir()} <= {"config.json", "losses.npy"}
 
 
 _LOWER_BOUND = ["lower-bound", "--T", "1000", "--epsilon", "0.1", "--d", "2", "--reps", "3"]

@@ -959,9 +959,9 @@ class TestKeepBoundary:
 
 class TestFloorScreen:
     """A pick bisects a row of uint16 CDF floors on the 2**-16 grid with the
-    key ``v * 2**16``. A uniform less than FLOOR_GAP, two grid steps, above
-    the last floor it counted is re-decided on the exact row, so every pick
-    is the exact table's."""
+    key ``floor(v * 2**16)``. A uniform whose key equals the last floor it
+    counted is re-decided on the exact row, so every pick is the exact
+    table's."""
 
     K = 30  # the batch whose coins resample in the resample cases
 
@@ -1019,7 +1019,8 @@ class TestFloorScreen:
             (np.nextafter(on_grid, 0.0), j, False),  # below the floor: the screen passes it
             (np.nextafter(exact[j], 0.0), j, True),
             (exact[j], j + 1, True),
-            ((floors[j] + 2) / 2**16, j + 1, False),  # two steps above: the screen passes it
+            ((floors[j] + 1) / 2**16, j + 1, False),  # one step above: the screen passes it
+            ((floors[j] + 2) / 2**16, j + 1, False),
         )
         for v, pick, screened in cases:
             doubles = np.zeros(3 * T + 8)
