@@ -65,7 +65,7 @@ def _report(name, n, stat, thr, notes=()) -> AuditReport:
 
 
 def _run_many(config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int):
-    prepared = PreparedRun(config, "mw", stream.values)
+    prepared = PreparedRun(config, config.measure_kind, stream.values)
     for i in range(n_runs):
         yield prepared.run(np.random.default_rng(replicate_seed(base_seed, i)))
 

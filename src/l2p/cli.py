@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Subcommands: run, sweep, lower-bound, audit, plan. Long-form flags
-only. ``run``, ``sweep``, ``audit`` and ``plan`` read the same JSON run
-config (``--config``): one adversary stream, a tuned or overridden
-config, and ``reps`` replicate runs seeded from ``base_seed``. The
-stream is a generator's or, for ``{"kind": "matrix", "path": ...}``, a
-``.npy`` file's (T, d) matrix of expert losses or gradients, as
-``problem`` says. Exit codes: 0 success, 2 configuration or usage
-error, 3 tuner infeasibility, 4 sampler failure. All CSV output is
-RFC-4180, UTF-8, LF-terminated, and byte-reproducible from (config,
-version), and from (config, matrix file, version) for a matrix.
+Subcommands: run, sweep, audit, plan. Long-form flags only. Each reads
+one JSON run config (``--config``): an adversary stream, a learner and
+``reps`` replicate runs seeded from ``base_seed``. The learner is l2p,
+tuned or overridden, or, in ``run`` and ``sweep``, the strawman
+(``"learner": "strawman"``). The stream is a generator's or, for
+``{"kind": "matrix", "path": ...}``, a ``.npy`` file's (T, d) matrix of
+expert losses or gradients, as ``problem`` says. A key nothing reads is
+refused. Exit codes: 0 success, 2 configuration or usage error, 3 tuner
+infeasibility, 4 sampler failure. All CSV output is RFC-4180, UTF-8,
+LF-terminated, and byte-reproducible from (config, version), and from
+(config, matrix file, version) for a matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,8 @@ from .audit import (
     ratio_range_check,
     switch_statistics,
 )
-from .harness import monte_carlo, strawman_fixed_switch
+from .harness import MonteCarloSummary, monte_carlo, strawman_fixed_switch
 from .measures import SamplerError
-from .seeding import replicate_seed
 from .transform import ConfigError, L2PConfig
 
 EXIT_OK = 0
@@ -68,6 +68,16 @@ _NUMERIC = (
     "adversary.lipschitz", "adversary.epsilon",
 )
 
+# The keys a run config may set: the required ones, then the top level's
+# others, and each adversary kind's beside "kind". Any other key would go
+# unread, so it is refused.
+_REQUIRED = ("problem", "T", "d", "epsilon", "delta", "reps", "base_seed", "adversary")
+_CONFIG_KEYS = (*_REQUIRED, "schema", "learner", "override", "lipschitz", "diameter", "output_dir")
+_ADVERSARY_KEYS = {
+    "bernoulli": ("seed", "means"), "epoch_lower_bound": ("seed", "epsilon"),
+    "iid-sphere": ("seed", "lipschitz"), "drift": ("seed", "lipschitz"), "matrix": ("path",),
+}
+
 # The fields of a built config that provenance.json records as "tuned"
 _TUNED = ("B", "eta", "p", "delta0", "delta1", "eta_accounted")
 
@@ -85,10 +95,12 @@ def _load_run_config(path: str) -> dict:
     schema = cfg.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
-    required = ["T", "d", "epsilon", "delta", "reps", "base_seed"]
-    missing = [k for k in ["problem", *required, "adversary"] if k not in cfg]
+    missing = [k for k in _REQUIRED if k not in cfg]
     if missing:
         raise ConfigError(f"config missing fields: {', '.join(missing)}")
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     if not isinstance(cfg["adversary"], dict):
         raise ConfigError("adversary must be a JSON object")
     if cfg["problem"] not in ("ope", "oco"):
@@ -115,21 +127,35 @@ def _load_run_config(path: str) -> dict:
         raise ConfigError("output_dir must be a string")
     adversary = cfg["adversary"]
     kind = adversary.get("kind")
-    if kind not in ("bernoulli", "epoch_lower_bound", "iid-sphere", "drift", "matrix"):
+    if type(kind) is not str or kind not in _ADVERSARY_KEYS:
         raise ConfigError(f"unknown adversary kind {kind!r}")
-    if kind == "matrix":
-        # a matrix is its own losses, so a generator's key would be ignored
-        extra = sorted(set(adversary) - {"kind", "path"})
-        if extra:
-            raise ConfigError(f"a matrix adversary takes only kind and path, not {', '.join(extra)}")
-        if type(adversary.get("path")) is not str:
-            raise ConfigError("a matrix adversary needs a path string")
+    keys = ("kind", *_ADVERSARY_KEYS[kind])
+    extra = sorted(set(adversary) - set(keys))
+    if extra:
+        allowed = f"{', '.join(keys[:-1])} and {keys[-1]}"
+        raise ConfigError(f"the {kind} adversary takes only {allowed}, not {', '.join(extra)}")
+    if kind == "matrix" and type(adversary.get("path")) is not str:
+        raise ConfigError("a matrix adversary needs a path string")
     means = adversary.get("means", [])
     if type(means) is not list or not all(map(_is_number, means)):
         raise ConfigError("adversary.means must be a list of finite numbers")
     if kind == "epoch_lower_bound" and "epsilon" not in adversary:
         raise ConfigError("an epoch_lower_bound adversary needs epsilon")
+    if cfg.get("learner", "l2p") not in ("l2p", "strawman"):
+        raise ConfigError("learner must be 'l2p' or 'strawman'")
+    if cfg.get("learner") == "strawman" and (cfg["problem"] != "ope" or "override" in cfg):
+        raise ConfigError("the strawman learner plays experts configs without an override")
     return cfg
+
+
+def _switch_count(T: int, eps: float) -> int:
+    """The strawman's switches at target ``eps``: ``max(1, round((T eps)^(2/3)))``, at most T."""
+    if not (_is_number(eps) and eps > 0):
+        raise ConfigError("the strawman learner needs a finite epsilon above 0")
+    switches = max(1, round((T * eps) ** (2.0 / 3.0)))
+    if switches > T:
+        raise ConfigError(f"the strawman's {switches} switches at epsilon {eps!r} exceed T={T}")
+    return switches
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -137,16 +163,22 @@ def _load_matrix(path: str) -> np.ndarray:
 
     Only ``LossStream`` checks its shape and values; this refuses what
     would reach it as something else: an empty file, an ``.npz``
-    archive, and a complex or structured array, which a float64
+    archive or any other file that is not a ``.npy`` array, one cut
+    short, and a complex or structured array, which a float64
     conversion would cut to its real part or silently flatten.
     """
+    with open(path, "rb") as fh:
+        magic = fh.read(6)
+    if magic != b"\x93NUMPY":
+        what = "an archive, not one .npy array" if magic[:2] == b"PK" else "not a .npy array"
+        raise ConfigError(f"matrix file {path} is {what if magic else 'empty'}")
     try:
         values = np.load(path, allow_pickle=False, mmap_mode="r")
-    except EOFError:
-        raise ConfigError(f"matrix file {path} is empty") from None
-    if not isinstance(values, np.ndarray):
-        values.close()
-        raise ConfigError(f"matrix file {path} is an archive, not one .npy array")
+    except ValueError as exc:
+        # numpy's words for a header, or data, shorter than the header says
+        if "EOF" not in str(exc) and "mmap length" not in str(exc):
+            raise
+        raise ConfigError(f"matrix file {path} is cut short") from None
     if values.dtype.kind not in "biuf":
         raise ConfigError(f"matrix file {path} holds {values.dtype} values, not real numbers")
     return values
@@ -175,6 +207,8 @@ def _lipschitz_diameter(cfg: dict) -> tuple[float, float]:
 
 
 def _build_config(cfg: dict) -> L2PConfig:
+    if cfg.get("learner", "l2p") != "l2p":
+        raise ConfigError("the strawman learner has no l2p config to tune, price or audit")
     T, d = int(cfg["T"]), int(cfg["d"])
     eps, delta = float(cfg["epsilon"]), float(cfg["delta"])
     override = cfg.get("override")
@@ -208,12 +242,21 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _play(cfg: dict, stream: LossStream, eps: float) -> MonteCarloSummary:
+    """The config's replicates at target ``eps``: l2p's tuned or overridden
+    config, or the strawman with ``_switch_count(T, eps)`` switches."""
+    reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
+    if cfg.get("learner", "l2p") == "l2p":
+        return monte_carlo(_build_config({**cfg, "epsilon": eps}), stream, reps, base_seed)
+    play = partial(strawman_fixed_switch, stream, _switch_count(stream.T, eps))
+    return monte_carlo(None, stream, reps, base_seed, play)
+
+
 def cmd_run(args) -> int:
     cfg = _load_run_config(args.config)
     stream = _build_stream(cfg)
-    config = _build_config(cfg)
-    reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
-    summary = monte_carlo(config, stream, reps, base_seed)
+    summary = _play(cfg, stream, float(cfg["epsilon"]))
+    config = summary.config
     outdir = Path(args.output or cfg.get("output_dir", "."))
     buf = io.StringIO()
     summary.write_csv(buf)
@@ -222,9 +265,9 @@ def cmd_run(args) -> int:
     provenance = {
         "config": cfg,
         "library_version": __version__,
-        "tuned": {k: getattr(config, k) for k in _TUNED},
-        "budget": config_budget(config).to_dict(),
-        "seeds": [replicate_seed(base_seed, i) for i in range(reps)],
+        "tuned": None if config is None else {k: getattr(config, k) for k in _TUNED},
+        "budget": None if config is None else config_budget(config).to_dict(),
+        "seeds": [r.seed for r in summary.results],
     }
     text = json.dumps(provenance, sort_keys=True, allow_nan=False)
     _write(outdir / "provenance.json", text + "\n")
@@ -240,36 +283,10 @@ def cmd_sweep(args) -> int:
     stream = _build_stream(cfg)
     rows = ["epsilon,mean_regret,std_regret,theory_bound"]
     for eps in grid:
-        local = dict(cfg)
-        local["epsilon"] = eps
-        config = _build_config(local)
-        summary = monte_carlo(config, stream, int(cfg["reps"]), int(cfg["base_seed"]))
-        bound = _regret_bound(cfg, eps)
-        rows.append(
-            f"{eps!r},{summary.mean_regret!r},{summary.std_regret!r},{bound!r}"
-        )
+        summary, bound = _play(cfg, stream, eps), _regret_bound(cfg, eps)
+        rows.append(f"{eps!r},{summary.mean_regret!r},{summary.std_regret!r},{bound!r}")
     out = Path(args.output or "sweep.csv")
     _write(out, "\n".join(rows) + "\n")
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
-def cmd_lower_bound(args) -> int:
-    T, eps, d, reps = args.T, args.epsilon, args.d, args.reps
-    if reps < 1:
-        raise ConfigError("--reps must be at least 1")
-    stream = epoch_lower_bound_stream(T, eps, d, args.seed)
-    comparator = math.sqrt(stream.n_epochs) * stream.epoch_len
-    budget = max(1, round((T * eps) ** (2.0 / 3.0)))
-    rows = ["rep,seed,strawman_regret,comparator,clamped"]
-    for i in range(reps):
-        seed = replicate_seed(args.seed, i)
-        result = strawman_fixed_switch(stream, budget, seed)
-        rows.append(f"{i},{seed},{result.regret!r},{comparator!r},{int(stream.clamped)}")
-    out = Path(args.output or "lower_bound.csv")
-    _write(out, "\n".join(rows) + "\n")
-    if d == 1:
-        print("note: single expert, regret is identically 0", file=sys.stderr)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -328,15 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--epsilon-grid", nargs="+", required=True)
     p_sweep.add_argument("--output", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_lb = sub.add_parser("lower-bound", help="epoch-stream demo for limited switching")
-    p_lb.add_argument("--T", type=int, required=True)
-    p_lb.add_argument("--epsilon", type=float, required=True)
-    p_lb.add_argument("--d", type=int, required=True)
-    p_lb.add_argument("--reps", type=int, default=100)
-    p_lb.add_argument("--seed", type=int, default=0)
-    p_lb.add_argument("--output", default=None)
-    p_lb.set_defaults(func=cmd_lower_bound)
 
     p_audit = sub.add_parser("audit", help="distribution and privacy checks on a run config")
     p_audit.add_argument("test", choices=["marginal", "ratio", "epsilon", "switches"])

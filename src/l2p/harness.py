@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -107,33 +108,25 @@ def _std(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
+    """Replicated games of one learner; a baseline's has no ``config``."""
+
     results: tuple[GameResult, ...]
     mean_regret: float
     std_regret: float
     mean_switches_x: float
     std_switches_x: float
     mean_switches_y: float
-    config: L2PConfig
+    config: L2PConfig | None
+    T: int
 
     def rep_rows(self) -> list[list]:
-        rows = []
-        for i, r in enumerate(self.results):
-            rows.append(
-                [
-                    i,
-                    r.seed,
-                    self.config.T,
-                    self.config.B,
-                    repr(self.config.eta),
-                    repr(self.config.p),
-                    repr(r.regret),
-                    r.switch_count_x,
-                    r.switch_count_y,
-                    repr(r.total_loss),
-                    repr(r.comparator_loss),
-                ]
-            )
-        return rows
+        c = self.config
+        tuned = ["", "", ""] if c is None else [c.B, repr(c.eta), repr(c.p)]
+        return [
+            [i, r.seed, self.T, *tuned, repr(r.regret), r.switch_count_x, r.switch_count_y,
+             repr(r.total_loss), repr(r.comparator_loss)]
+            for i, r in enumerate(self.results)
+        ]
 
     def write_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -155,20 +148,20 @@ class MonteCarloSummary:
 
 
 def monte_carlo(
-    config: L2PConfig, stream: LossStream, n_reps: int, base_seed: int
+    config: L2PConfig | None, stream: LossStream, n_reps: int, base_seed: int, play=None
 ) -> MonteCarloSummary:
-    """Replicated runs on one fixed stream with derived per-rep seeds, transcripts dropped."""
+    """Replicated runs on one fixed stream with derived per-rep seeds, transcripts dropped.
+
+    ``play(seed)``, when given, plays each replicate in place of the
+    config's learner: a baseline passes it with ``config`` None.
+    """
     if n_reps < 1:
         raise ValueError("need at least one replicate")
-    kind = config.measure_kind
-    prepared = PreparedRun(config, kind, stream.values)
-    results = [
-        play_game(
-            config, kind, stream, replicate_seed(base_seed, i),
-            prepared=prepared, keep_transcript=False,
-        )
-        for i in range(n_reps)
-    ]
+    if play is None:
+        kind = config.measure_kind
+        prepared = PreparedRun(config, kind, stream.values)
+        play = partial(play_game, config, kind, stream, prepared=prepared, keep_transcript=False)
+    results = [play(replicate_seed(base_seed, i)) for i in range(n_reps)]
     regrets = np.array([r.regret for r in results])
     sx = np.array([r.switch_count_x for r in results], dtype=np.float64)
     sy = np.array([r.switch_count_y for r in results], dtype=np.float64)
@@ -180,6 +173,7 @@ def monte_carlo(
         std_switches_x=_std(sx),
         mean_switches_y=float(sy.mean()),
         config=config,
+        T=stream.T,
     )
 
 
@@ -194,19 +188,17 @@ def strawman_fixed_switch(stream: LossStream, switch_budget: int, seed: int) -> 
     if not 1 <= switch_budget <= T:
         raise ValueError("switch budget must lie in [1, T]")
     rng = np.random.default_rng(seed)
-    switch_rounds = sorted({(k * T) // switch_budget for k in range(switch_budget)})
+    # S <= T keeps the S scheduled rounds distinct; bound S is T itself
+    bounds = [(k * T) // switch_budget for k in range(switch_budget + 1)]
     total = 0.0
-    bounds = switch_rounds + [T]
-    for k in range(len(switch_rounds)):
-        expert = int(rng.integers(d))
-        lo, hi = bounds[k], bounds[k + 1]
-        total += float(stream.values[lo:hi, expert].sum())
+    for lo, hi in zip(bounds, bounds[1:]):
+        total += float(stream.values[lo:hi, int(rng.integers(d))].sum())
     _, comp = best_in_hindsight_ope(stream)
     return GameResult(
         transcript=None,
         total_loss=total,
         comparator_loss=comp,
-        switch_count_x=len(switch_rounds),
+        switch_count_x=switch_budget,
         switch_count_y=0,
         seed=seed,
     )

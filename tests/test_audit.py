@@ -135,6 +135,13 @@ class TestRatioAudit:
         report = ratio_range_check(_small_config(T=20), stream, 300, base_seed=1)
         assert report.statistic == 0.0 and report.passed
 
+    def test_ball_config_runs_on_its_measure(self):
+        # the runs take the config's measure kind, so a ball config's ratios are checked
+        config = ball_config(20, 2, 1, 0.05, 0.5, 1e-6, 1.0, 1.0)
+        grads = linear_oco_stream(2, 20, 1.0, 3, "iid-sphere")
+        report = ratio_range_check(config, grads, 200, base_seed=1)
+        assert report.n_samples == 200 * 19 and report.passed
+
 
 class TestEmpiricalEpsilon:
     def test_identical_streams_near_zero(self):

@@ -20,7 +20,8 @@ from l2p.audit import (
     switch_statistics,
 )
 from l2p.cli import _build_config, _build_stream, main
-from l2p.harness import monte_carlo
+from l2p.harness import REP_CSV_COLUMNS, monte_carlo, strawman_fixed_switch
+from l2p.seeding import replicate_seed
 from l2p.transform import L2PConfig, PreparedRun
 
 
@@ -73,6 +74,11 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _epoch(eps=0.1, seed=0):
+    """An epoch adversary at ``eps``."""
+    return {"kind": "epoch_lower_bound", "epsilon": eps, "seed": seed}
+
+
 # Configs every command refuses, each with its id: a top level that is not
 # an object, a schema that is not the int 1, a field that is not a finite
 # number or not a whole one where one is read, or an adversary or override
@@ -81,8 +87,9 @@ def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, prob
 # bool, an object or beyond a double's range, an epoch adversary without
 # its epsilon, a ball override without a delta to spend, an experts
 # config that sets the oco problem's lipschitz or diameter, which it would
-# ignore, an output_dir that is not a string, or a matrix adversary
-# without a path string.
+# ignore, an output_dir that is not a string, a matrix adversary
+# without a path string, or a key that nothing reads: an adversary key
+# its kind ignores, or a misspelt top-level key.
 _MALFORMED = (
     None, {"T": None}, {"epsilon": "1.0"}, {"reps": True}, {"T": math.inf},
     {"delta": math.nan}, {"adversary": "bernoulli"},
@@ -110,6 +117,10 @@ _MALFORMED = (
     {"lipschitz": 5.0}, {"diameter": 9.0}, {"lipschitz": 1.0, "diameter": 1.0},
     {"output_dir": 5}, {"output_dir": ["a"]}, {"output_dir": None},
     {"adversary": {"kind": "matrix", "path": 5}}, {"adversary": {"kind": "matrix"}},
+    {"adversary": {**_epoch(0.05, 1), "means": [0.3, 0.5, 0.7]}},
+    {"adversary": {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": 1, "epsilon": 0.05}},
+    {"adversary": {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": 1, "lipschitz": 1.0}},
+    {"lerner": "strawman"},
 )
 _MALFORMED_IDS = [
     "array", "null-T", "string-epsilon", "bool-reps", "infinite-T", "nan-delta",
@@ -122,7 +133,8 @@ _MALFORMED_IDS = [
     "zero-lipschitz-ball-override", "zero-diameter-ball-override",
     "ope-lipschitz", "ope-diameter", "ope-lipschitz-and-diameter",
     "number-output_dir", "list-output_dir", "null-output_dir",
-    "number-matrix-path", "matrix-without-path",
+    "number-matrix-path", "matrix-without-path", "epoch-means", "bernoulli-epsilon",
+    "bernoulli-lipschitz", "misspelt-top-level-key",
 ]
 
 
@@ -236,6 +248,14 @@ def _savez(path):
         np.savez(fh, losses=_losses_with(0.5))
 
 
+def _cut(size):
+    """A writer of ``_losses_with(0.5)`` as a ``.npy`` file cut to its first ``size`` bytes."""
+    def write(path):
+        np.save(path, _losses_with(0.5))
+        path.write_bytes(path.read_bytes()[:size])
+    return write
+
+
 _STRUCTURED = np.zeros(400, dtype=[("a", "f8"), ("b", "f8"), ("c", "f8")])
 
 # Matrix configs every stream command refuses: (problem, writer of
@@ -243,6 +263,9 @@ _STRUCTURED = np.zeros(400, dtype=[("a", "f8"), ("b", "f8"), ("c", "f8")])
 _REFUSED_MATRICES = {
     "missing-file": ("ope", None, {}, "No such file"),
     "empty-file": ("ope", lambda path: path.write_bytes(b""), {}, "is empty"),
+    "text-file": ("ope", lambda path: path.write_text("0.5,0.5,0.5\n"), {}, "not a .npy array"),
+    "cut-short": ("ope", _cut(-8), {}, "cut short"),
+    "cut-short-header": ("ope", _cut(20), {}, "cut short"),
     "npz": ("ope", _savez, {}, "an archive"),
     "object": ("ope", _save(_losses_with(0.5).astype(object)), {}, "Python objects"),
     "complex": ("ope", _save(_losses_with(0.5).astype(complex)), {}, "complex128 values"),
@@ -282,17 +305,27 @@ def test_refused_matrix_exit_2_writes_nothing(tmp_path, capsys, command, case):
     assert {p.name for p in tmp_path.iterdir()} <= {"config.json", "losses.npy"}
 
 
-_LOWER_BOUND = ["lower-bound", "--T", "1000", "--epsilon", "0.1", "--d", "2", "--reps", "3"]
+def _lower_bound(T=1000, eps=0.1, d=2, reps=3, seed=0):
+    """The fields of the lower-bound experiment's config: the strawman on the
+    epoch stream at ``eps``, with stream and replicates seeded from ``seed``."""
+    return {"learner": "strawman", "T": T, "d": d, "epsilon": eps, "reps": reps,
+            "base_seed": seed, "adversary": _epoch(eps, seed)}
 
 
-def _with(argv, flag, value):
-    """``argv`` with ``flag`` set to ``value``."""
-    i = argv.index(flag)
-    return [*argv[: i + 1], value, *argv[i + 2:]]
-
+# lower-bound's replicate seeds and strawman regrets at --T 1000 --epsilon 0.05
+# --d 4 --reps 10 --seed 3
+_STRAWMAN_SEEDS = [
+    13604808898340030615, 17027085370592858547, 2554043094958247610, 13592992832856903821,
+    10968187914866821265, 14871207630202690639, 11658853342129813110, 16753576447339095367,
+    4974725095440772720, 2501910697915934370,
+]
+_STRAWMAN_REGRETS = ["65.0", "36.0", "42.0", "-7.0", "27.0", "-4.0", "51.0", "56.0", "31.0", "32.0"]
 
 _ETA = "eta must lie in (0, 0.1]"
 _EPOCH = "the epoch construction needs T >= 1, d >= 1 and a finite epsilon > 0"
+_STRAWMAN_EPS = "the strawman learner needs a finite epsilon above 0"
+_LEARNER = "learner must be 'l2p' or 'strawman'"
+_NO_CONFIG = "the strawman learner has no l2p config to tune, price or audit"
 _TARGET = "target epsilon must be positive and finite"
 _L_D = "lipschitz and diameter must be positive and finite"
 _MEANS = "adversary.means must be a list of finite numbers"
@@ -325,11 +358,23 @@ def _audit(directory, test, *flags, **config):
      (["plan", {"delta": 0.0, "override": _override()}], "delta1 must lie in (0, 1)"),
      (["plan", {"epsilon": 0.0, "override": _override()}],
       "a regret bound needs epsilon and delta above 0"),
-     (_with(_LOWER_BOUND, "--T", "-100"), _EPOCH),
-     (_with(_LOWER_BOUND, "--epsilon", "-1"), _EPOCH),
-     (_with(_LOWER_BOUND, "--epsilon", "inf"), _EPOCH),
-     (_with(_LOWER_BOUND, "--reps", "0"), "--reps must be at least 1"),
-     (_with(_LOWER_BOUND, "--reps", "-1"), "--reps must be at least 1"),
+     (["run", {**_lower_bound(), "T": -100}], "config fields must be at least 1: T"),
+     (["run", _lower_bound(eps=-1.0)], _EPOCH),
+     (["run", _lower_bound(eps=math.inf)], "config fields must be finite numbers: epsilon"),
+     (["run", _lower_bound(reps=0)], "need at least one replicate"),
+     (["run", _lower_bound(reps=-1)], "need at least one replicate"),
+     (["run", {"learner": "strawman", "epsilon": 0.0}], _STRAWMAN_EPS),
+     (["run", {"learner": "tree"}], _LEARNER),
+     (["run", {"learner": ["strawman"]}], _LEARNER),
+     (["run", {**_lower_bound(), "problem": "oco", "adversary": _SPHERE}],
+      "the strawman learner plays experts configs without an override"),
+     (["run", {**_lower_bound(), "override": _override()}],
+      "the strawman learner plays experts configs without an override"),
+     (["run", {"learner": "strawman", "T": 4, "epsilon": 100.0}],
+      "the strawman's 54 switches at epsilon 100.0 exceed T=4"),
+     (["sweep", _lower_bound(), "--epsilon-grid", "0"], _STRAWMAN_EPS),
+     (["audit", "marginal", {"learner": "strawman"}], _NO_CONFIG),
+     (["plan", _lower_bound()], _NO_CONFIG),
      (["audit", "ratio", {"reps": 0}], "ratio audit needs at least 1 run"),
      (["audit", "epsilon", {"d": 2, "reps": 50}],
       "bucketing audit needs at least 100 runs per stream"),
@@ -352,6 +397,9 @@ def _audit(directory, test, *flags, **config):
     ids=["plan-eta-negative", "plan-eta-above-cap", "plan-B-0", "plan-delta-0",
          "plan-override-epsilon-0", "lower-bound-T-negative", "lower-bound-epsilon-negative",
          "lower-bound-epsilon-inf", "lower-bound-reps-0", "lower-bound-reps-negative",
+         "strawman-epsilon-0", "unknown-learner", "non-string-learner", "lower-bound-oco",
+         "lower-bound-override", "strawman-switches-above-T", "lower-bound-sweep-epsilon-0",
+         "audit-strawman", "plan-lower-bound",
          "audit-ratio-runs-0", "audit-epsilon-runs-50", "audit-ratio-one-batch",
          "audit-switches-runs-50", "audit-oco-config", "audit-output-dir",
          "audit-epoch-without-epsilon", "audit-bool-means", "audit-object-mean",
@@ -363,18 +411,19 @@ def test_bad_flags_exit_2_writes_nothing(
 ):
     # input a command cannot honour ends in its own configuration error: no
     # traceback, no game played, no budget or result printed, no file
-    # written. An audit or plan row names its config's fields, and the
-    # config is written outside the cwd.
-    def no_game(self, rng):
+    # written. A row names its config's fields beside its command's
+    # flags, and the config is written outside the cwd.
+    def no_game(*args):
         raise AssertionError("a game was played")
 
     monkeypatch.setattr(PreparedRun, "run", no_game)
+    monkeypatch.setattr("l2p.cli.strawman_fixed_switch", no_game)
     if argv[0] == "audit":
         argv = _audit(tmp_path_factory.mktemp("config"), argv[1], **argv[2])
-    elif argv[0] == "plan":
-        path = tmp_path_factory.mktemp("config") / "plan.json"
+    else:
+        path = tmp_path_factory.mktemp("config") / f"{argv[0]}.json"
         path.write_text(json.dumps(_audit_config(**argv[1])))
-        argv = ["plan", "--config", str(path)]
+        argv = [argv[0], "--config", str(path), *argv[2:]]
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -789,34 +838,53 @@ class TestSweepAndLowerBound:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_lower_bound_csv(self, tmp_path, capsys):
-        out = tmp_path / "lb.csv"
-        code = main(
-            ["lower-bound", "--T", "1000", "--epsilon", "0.05", "--d", "4",
-             "--reps", "10", "--output", str(out)]
-        )
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "rep,seed,strawman_regret,comparator,clamped"
-        assert len(lines) == 11
+        # the strawman's switch count is round((T eps)^(2/3)) = 14; the
+        # replicate seeds and regrets are the ones lower-bound wrote at
+        # --T 1000 --epsilon 0.05 --d 4 --reps 10 --seed 3
+        path = _write_config(tmp_path, **_lower_bound(T=1000, eps=0.05, d=4, reps=10, seed=3))
+        assert main(["run", "--config", str(path)]) == 0
+        lines = (tmp_path / "out" / "reps.csv").read_text().splitlines()
+        assert lines[0] == ",".join(REP_CSV_COLUMNS)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(r[1]), r[6]) for r in rows] == list(zip(_STRAWMAN_SEEDS, _STRAWMAN_REGRETS))
+        assert all(r[2:6] == ["1000", "", "", ""] and r[7:9] == ["14", "0"] for r in rows)
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        assert provenance["tuned"] is None and provenance["budget"] is None
+        assert provenance["config"]["learner"] == "strawman"
+        assert provenance["seeds"] == _STRAWMAN_SEEDS
 
-    def test_lower_bound_single_expert_note(self, tmp_path, capsys):
-        out = tmp_path / "lb.csv"
-        args = ["lower-bound", "--T", "100", "--epsilon", "0.1", "--d", "1", "--reps", "2",
-                "--output", str(out)]
-        assert main(args) == 0
-        assert capsys.readouterr().err == "note: single expert, regret is identically 0\n"
-        assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0.0"] * 2
+    def test_lower_bound_single_expert(self, tmp_path, capsys):
+        # one expert is its own best in hindsight: every regret is 0, and
+        # nothing is printed beside it (lower-bound's stderr note went)
+        path = _write_config(tmp_path, **_lower_bound(T=100, eps=0.1, d=1, reps=2))
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "out" / "reps.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[6] for line in lines] == ["0.0"] * 2
 
     def test_lower_bound_clamp_reported_once(self, tmp_path, capsys):
-        # the library's warning is the one report; the CSV marks every row
-        out = tmp_path / "lb.csv"
-        args = ["lower-bound", "--T", "16", "--epsilon", "1", "--d", "2", "--reps", "3",
-                "--output", str(out)]
+        # the library's warning is the one report; the regrets are lower-bound's
+        # at --T 16 --epsilon 1 --d 2 --reps 3 --seed 0
+        path = _write_config(tmp_path, **_lower_bound(T=16, eps=1.0, d=2, reps=3, seed=0))
         with pytest.warns(UserWarning, match="clamped to T") as record:
-            assert main(args) == 0
+            assert main(["run", "--config", str(path)]) == 0
         assert len(record) == 1
         assert capsys.readouterr().err == ""
-        assert [line[-2:] for line in out.read_text().splitlines()[1:]] == [",1"] * 3
+        lines = (tmp_path / "out" / "reps.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[6] for line in lines] == ["3.0", "2.0", "4.0"]
+
+    def test_lower_bound_sweep_switches_per_epsilon(self, tmp_path, capsys):
+        # each grid epsilon sets its own switch count; the bound is the DP-OPE rate
+        path = _write_config(tmp_path, **_lower_bound(T=1000, eps=0.05, d=4, reps=4, seed=3))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(path), "--epsilon-grid", "0.05", "0.5"]
+        assert main([*argv, "--output", str(out)]) == 0
+        stream = epoch_lower_bound_stream(1000, 0.05, 4, 3)
+        for line, (eps, switches) in zip(out.read_text().splitlines()[1:], [(0.05, 14), (0.5, 63)]):
+            regrets = [strawman_fixed_switch(stream, switches, replicate_seed(3, i)).regret
+                       for i in range(4)]
+            mean, std = float(np.mean(regrets)), float(np.std(regrets, ddof=1))
+            assert line == f"{eps!r},{mean!r},{std!r},{regret_bound_ope(1000, 4, eps, 1e-6)!r}"
 
 
 class TestAudit:

@@ -1,5 +1,7 @@
 import io
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -227,6 +229,33 @@ class TestStrawman:
         regrets = [strawman_fixed_switch(s, budget, seed=k).regret for k in range(50)]
         floor = 0.1 * math.sqrt(s.n_epochs) * s.epoch_len
         assert np.mean(regrets) >= floor
+
+    @pytest.mark.parametrize(
+        "T, eps, d, seed, regrets",
+        [(1000, 0.05, 4, 3, [65.0, 36.0, 42.0, -7.0, 27.0, -4.0, 51.0, 56.0, 31.0, 32.0]),
+         (16, 1.0, 2, 0, [3.0, 2.0, 4.0])],
+        ids=["epoch-1000", "clamped-16"],
+    )
+    def test_replicate_regrets_pinned(self, T, eps, d, seed, regrets):
+        # the regrets of the retired lower-bound command, which a strawman
+        # run config reproduces: stream and replicates seeded from one seed
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the clamped case warns
+            s = epoch_lower_bound_stream(T, eps, d, seed)
+        budget = max(1, round((T * eps) ** (2 / 3)))
+        got = [strawman_fixed_switch(s, budget, replicate_seed(seed, i)).regret
+               for i in range(len(regrets))]
+        assert got == regrets
+
+    def test_replicated_as_a_baseline(self):
+        # monte_carlo plays the baseline at the replicate seeds; its rows leave B, eta, p empty
+        s = bernoulli_experts(3, 50, [0.2, 0.5, 0.8], seed=2)
+        summary = monte_carlo(None, s, 3, 5, partial(strawman_fixed_switch, s, 4))
+        seeds = [replicate_seed(5, i) for i in range(3)]
+        assert [r.seed for r in summary.results] == seeds
+        regrets = [strawman_fixed_switch(s, 4, seed).regret for seed in seeds]
+        assert summary.mean_regret == float(np.mean(regrets))
+        assert [row[2:6] for row in summary.rep_rows()] == [[50, "", "", ""]] * 3
 
     def test_budget_bounds(self):
         s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)
