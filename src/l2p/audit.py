@@ -18,7 +18,7 @@ import numpy as np
 from .accountant import config_budget
 from .adversaries import LossStream
 from .harness import monte_carlo
-from .measures import mw_log_weights, normalized
+from .measures import cumulative_table, normalized
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
 
@@ -74,9 +74,9 @@ def exact_batch_distributions(stream: LossStream, eta: float, B: int) -> np.ndar
     """Oracle: the exact normalized expert distribution at each batch start.
 
     The same table the engine samples from: row ``s - 1`` normalizes the
-    batch-s log-weights.
+    batch-s log-weights, ``-eta`` times the cumulative losses.
     """
-    return normalized(mw_log_weights(stream.values, eta, B))
+    return normalized(-eta * cumulative_table(stream.values, B))
 
 
 def marginal_tv_profile(

@@ -279,6 +279,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
     if cfg.get("override") is not None:
         raise ConfigError("sweep tunes a config per epsilon; it takes no override block")
+    if "output_dir" in cfg:
+        raise ConfigError("sweep writes only --output; output_dir is unused")
     grid = [float(v) for v in args.epsilon_grid]
     stream = _build_stream(cfg)
     rows = ["epsilon,mean_regret,std_regret,theory_bound"]
@@ -320,6 +322,8 @@ def cmd_audit(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = _load_run_config(args.config)
+    if "output_dir" in cfg:
+        raise ConfigError("plan writes no files; output_dir is unused")
     config = _build_config(cfg)
     out = {k: getattr(config, k) for k in (*_TUNED, "T", "beta", "lam", "radius")}
     out["budget"] = config_budget(config).to_dict()

@@ -23,19 +23,20 @@ Either measure at a batch start is a function of the cumulative losses
 before that batch alone, so a whole run's measures are one table built
 from the loss matrix by :func:`cumulative_table`: the ball's gradient
 sums, and the experts' cumulative losses, which an experts run keeps
-and scales by ``-eta`` into log-weights where it reads them, as
-:func:`mw_log_weights` does for a whole table. When every loss is 0 or
-1 the cumulative losses are counts, and a table of them can be kept in
-the smallest unsigned integer type that holds T; scaled in float64, a
-count gives the same log-weight as the float sum it equals.
+and scales by ``-eta`` into log-weights where it reads them. When every
+loss is 0 or 1 the cumulative losses are counts, and a table of them
+can be kept in the smallest unsigned integer type that holds T; scaled
+in float64, a count gives the same log-weight as the float sum it equals.
 :func:`normalized` turns log-weights into densities and
 :func:`cdf_table` cumulative losses into sampling CDFs, row by row.
 :func:`cdf_floor_table` keeps the first d - 1 entries of each CDF row,
 the last being 1, as 16-bit fixed-point floors on a ``2**-16`` grid, at
 a quarter of a float64 table's size or less; the engine picks from the
 floors and re-decides on one exact row the rare uniform that lies in the
-grid step of the floor it counted. The experts measure exists only as these
-tables; :class:`RmwMeasure` is the ball's sampler and exact oracle for one row.
+grid step of the floor it counted. The same pass gives the widest spread
+of a row step of the log-weights, which bounds every batch's log ratio.
+The experts measure exists only as these tables; :class:`RmwMeasure` is
+the ball's sampler and exact oracle for one row.
 
 The tables are built ``_CHUNK`` rows at a time, so a build makes no
 temporary the size of a table. Every entry is the double the one-shot
@@ -125,47 +126,38 @@ def cdf_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
     return cdfs
 
 
-def cdf_floor_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
-    """The uint16 floors of the first d - 1 columns of :func:`cdf_table`, as an (n, d - 1) table.
+def cdf_floor_table(loss_sums: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+    """The uint16 floors of :func:`cdf_table`'s first d - 1 columns, and the widest row-step spread.
 
-    A row's first d - 1 entries are the running sums of its first d - 1
-    densities, added in the same order, so they are summed alone, into
-    the spent log-weight buffer of their chunk viewed as a contiguous
+    The spread is max - min of a row step of ``loss_sums * -eta``, 0 for one
+    row. Each chunk is scaled once, with the previous chunk's last row for
+    the step into it. A row's first d - 1 CDF entries are the running sums
+    of its first d - 1 densities, in the same order, so they are summed
+    alone, into the spent log-weight buffer of their chunk viewed as a
     (rows, d - 1) block. Entry F keeps ``min(floor(F * 2**16), 2**16 - 1)``:
-    it is capped at ``1 - 2**-16``, the least entry whose floor is the
-    cap, scaled by ``2**16``, which is exact, and cast to uint16, which
-    truncates and so floors a nonnegative double. Over ``2**16`` a floor
-    lies at or below its entry and less than ``FLOOR_GAP`` under it. The
-    last column is 1 in every row, and no uniform below 1 counts it, so
-    it is not kept.
+    capped at ``1 - 2**-16``, the least entry whose floor is the cap, scaled
+    by ``2**16`` (exact) and cast to uint16, which truncates and so floors a
+    nonnegative double. Over ``2**16`` a floor lies at or below its entry
+    and less than ``FLOOR_GAP`` under it. The last column is 1 in every row,
+    and no uniform below 1 counts it, so it is not kept.
     """
     n, d = loss_sums.shape
     floors = np.empty((n, d - 1), dtype=np.uint16)
-    if d == 1:
-        return floors
+    if d == 1:  # one expert: every step has spread 0
+        return floors, 0.0
+    spread = 0.0
     for a in range(0, n, _CHUNK):
-        log_weights = np.multiply(loss_sums[a : a + _CHUNK], -eta, dtype=np.float64)
-        rows = log_weights.shape[0]
+        lo = max(a - 1, 0)  # the previous chunk's last row, for the step into this chunk
+        log_weights = np.multiply(loss_sums[lo : a + _CHUNK], -eta, dtype=np.float64)
+        spread = max(spread, np.ptp(log_weights[1:] - log_weights[:-1], axis=1).max(initial=0.0))
+        rows = log_weights.shape[0] - (a - lo)
         head = log_weights.reshape(-1)[: rows * (d - 1)].reshape(rows, d - 1)
-        np.cumsum(normalized(log_weights)[:, :-1], axis=1, out=head)
+        np.cumsum(normalized(log_weights[a - lo :])[:, :-1], axis=1, out=head)
         if head[:, -1].max() > _FLOOR_TOP:  # a row rises, so its last kept entry is its largest
             np.minimum(head, _FLOOR_TOP, out=head)
         np.multiply(head, FLOOR_SCALE, out=head)
         floors[a : a + rows] = head
-    return floors
-
-
-def step_spread(loss_sums: np.ndarray, eta: float) -> float:
-    """The widest spread, max - min, of a row step of ``loss_sums * -eta``; 0 for one row.
-
-    ``loss_sums`` is a float or a count table; either is scaled in float64.
-    """
-    spread = 0.0
-    for a in range(0, loss_sums.shape[0], _CHUNK):
-        log_weights = np.multiply(loss_sums[max(a - 1, 0) : a + _CHUNK], -eta, dtype=np.float64)
-        steps = np.diff(log_weights, axis=0)
-        spread = max(spread, float(np.ptp(steps, axis=1).max(initial=0.0)))
-    return spread
+    return floors, float(spread)
 
 
 def cumulative_table(values: np.ndarray, B: int, dtype=np.float64) -> np.ndarray:
@@ -202,19 +194,6 @@ def cumulative_table(values: np.ndarray, B: int, dtype=np.float64) -> np.ndarray
         k = (first + 1) // B
         cum[k : k + kept.shape[0]] = kept
     return cum
-
-
-def mw_log_weights(values: np.ndarray, eta: float, B: int) -> np.ndarray:
-    """Log-weights of the experts measure of every batch: ``-eta`` times the cumulative losses.
-
-    The cumulative table is scaled in place, which gives ``-eta * cum``
-    bit for bit.
-    """
-    log_weights = cumulative_table(values, B)
-    np.multiply(log_weights, -eta, out=log_weights)
-    if not np.isfinite(log_weights).all():
-        raise ValueError("log weights must be finite")
-    return log_weights
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,7 +68,7 @@ def _write_config(tmp_path, **overrides):
 )
 def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, problem, adversary):
     # a problem whose measure kind does not fit its adversary's losses
-    path = _write_config(tmp_path, problem=problem, adversary=adversary)
+    path = _write_config(tmp_path, problem=problem, adversary=adversary, output_dir=_MISSING)
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
@@ -143,7 +143,7 @@ _MALFORMED_IDS = [
 )
 @pytest.mark.parametrize("overrides", _MALFORMED, ids=_MALFORMED_IDS)
 def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overrides):
-    path = _write_config(tmp_path, **(overrides or {}))
+    path = _write_config(tmp_path, **{"output_dir": _MISSING, **(overrides or {})})
     if overrides is None:
         path.write_text("[1, 2]")
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
@@ -158,7 +158,8 @@ def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, cap
     # no top-level lipschitz, so the run is tuned and accounted for L=1;
     # without the check this config ran and reported that budget
     path = _write_config(
-        tmp_path, problem="oco", adversary={"kind": "iid-sphere", "lipschitz": 3.0, "seed": 1}
+        tmp_path, problem="oco", adversary={"kind": "iid-sphere", "lipschitz": 3.0, "seed": 1},
+        output_dir=_MISSING,
     )
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     assert "exceeds the config's lipschitz 1.0" in capsys.readouterr().err
@@ -297,7 +298,8 @@ def test_refused_matrix_exit_2_writes_nothing(tmp_path, capsys, command, case):
     if write is not None:
         write(matrix)
     path = _write_config(
-        tmp_path, problem=problem, adversary={"kind": "matrix", "path": str(matrix), **keys}
+        tmp_path, problem=problem, adversary={"kind": "matrix", "path": str(matrix), **keys},
+        output_dir=_MISSING,
     )
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -384,6 +386,9 @@ def _audit(directory, test, *flags, **config):
      (["audit", "marginal", {"problem": "oco"}], "audits run on experts configs"),
      (["audit", "marginal", {"output_dir": "out"}],
       "an audit writes no files; output_dir is unused"),
+     (["sweep", {"output_dir": "out"}, "--epsilon-grid", "1.0"],
+      "sweep writes only --output; output_dir is unused"),
+     (["plan", {"output_dir": "out"}], "plan writes no files; output_dir is unused"),
      (["audit", "marginal", {"adversary": {"kind": "epoch_lower_bound", "seed": 1}}],
       "an epoch_lower_bound adversary needs epsilon"),
      (["audit", "marginal", {"adversary": {"kind": "bernoulli", "means": [True, False, 0.5]}}],
@@ -402,6 +407,7 @@ def _audit(directory, test, *flags, **config):
          "audit-strawman", "plan-lower-bound",
          "audit-ratio-runs-0", "audit-epsilon-runs-50", "audit-ratio-one-batch",
          "audit-switches-runs-50", "audit-oco-config", "audit-output-dir",
+         "sweep-output-dir", "plan-output-dir",
          "audit-epoch-without-epsilon", "audit-bool-means", "audit-object-mean",
          "plan-epsilon-0", "plan-epsilon-negative", "plan-oco-lipschitz-0",
          "plan-oco-diameter-negative"],
@@ -561,7 +567,7 @@ class TestRun:
 
 def _plan(tmp_path, capsys, **fields):
     """``plan`` on ``_write_config(tmp_path, **fields)``: its exit code and printed object."""
-    code = main(["plan", "--config", str(_write_config(tmp_path, **fields))])
+    code = main(["plan", "--config", str(_write_config(tmp_path, output_dir=_MISSING, **fields))])
     out = capsys.readouterr().out
     return code, json.loads(out) if code == 0 else out
 
@@ -692,7 +698,7 @@ class TestPlan:
     def test_tune_lines_gain_only_the_regret_bound(self, tmp_path, capsys, fields, line):
         if fields.get("problem") == "oco":
             fields = {**fields, "adversary": _SPHERE}
-        path = _write_config(tmp_path, **fields)
+        path = _write_config(tmp_path, output_dir=_MISSING, **fields)
         assert main(["plan", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         cfg = json.loads(path.read_text())
@@ -721,16 +727,18 @@ class TestPlan:
     def test_one_meaning_across_commands(self, tmp_path, capsys, fields):
         # plan's config and budget are the ones run records, and its bound
         # is the one sweep prints at the config's epsilon
-        path = _write_config(tmp_path, reps=2, **fields)
+        path = _write_config(tmp_path, reps=2, output_dir=_MISSING, **fields)
         assert main(["plan", "--config", str(path)]) == 0
         plan = json.loads(capsys.readouterr().out)
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
         tuned = ("B", "eta", "p", "delta0", "delta1", "eta_accounted")
         assert {k: plan[k] for k in tuned} == provenance["tuned"]
         assert plan["budget"] == provenance["budget"]
         # sweep tunes per epsilon, so it reads the config without its override
-        path = _write_config(tmp_path, reps=2, **{**fields, "override": _MISSING})
+        path = _write_config(
+            tmp_path, reps=2, output_dir=_MISSING, **{**fields, "override": _MISSING}
+        )
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(path), "--epsilon-grid", "1.0", "--output", str(out)]
         assert main(argv) == 0
@@ -752,10 +760,12 @@ class TestPlan:
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        path = _write_config(tmp_path, reps=2, override=_override(1, 0.01, 0.0))
+        path = _write_config(
+            tmp_path, reps=2, override=_override(1, 0.01, 0.0), output_dir=_MISSING
+        )
         assert main(["plan", "--config", str(path)]) == 0
         plan = json.loads(capsys.readouterr().out, parse_constant=refuse)
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         text = (tmp_path / "out" / "provenance.json").read_text()
         provenance = json.loads(text, parse_constant=refuse)
         for budget in (plan["budget"], provenance["budget"]):
@@ -770,7 +780,7 @@ class TestPlan:
     def test_malformed_config_exit_2(self, tmp_path, capsys, overrides):
         # every config run refuses as it loads; plan plays no replicates, so
         # a config without any still has a plan
-        path = _write_config(tmp_path, **(overrides or {}))
+        path = _write_config(tmp_path, **{"output_dir": _MISSING, **(overrides or {})})
         if overrides is None:
             path.write_text("[1, 2]")
         assert main(["plan", "--config", str(path)]) == 2
@@ -785,7 +795,7 @@ class TestPlan:
 
 class TestSweepAndLowerBound:
     def test_sweep_rows(self, tmp_path, capsys):
-        path = _write_config(tmp_path, T=300, reps=3)
+        path = _write_config(tmp_path, T=300, reps=3, output_dir=_MISSING)
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--config", str(path), "--epsilon-grid", "0.5", "1.0",
@@ -800,7 +810,7 @@ class TestSweepAndLowerBound:
         # an oco sweep overlays the DP-OCO rate, with L and D from the config
         path = _write_config(
             tmp_path, problem="oco", T=200, reps=2, lipschitz=2.0, diameter=0.5,
-            adversary={"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0},
+            adversary={"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0}, output_dir=_MISSING,
         )
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.5", "1.0",
@@ -814,7 +824,7 @@ class TestSweepAndLowerBound:
 
     def test_sweep_refuses_an_override_exit_2_writes_nothing(self, tmp_path, capsys):
         # the override fixes one config, so every epsilon of the grid ran it
-        path = _write_config(tmp_path, override={"B": 1, "eta": 0.01, "p": 0.5})
+        path = _write_config(tmp_path, override=_override(), output_dir=_MISSING)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.1", "1", "5",
                      "--output", str(out)]) == 2
@@ -823,14 +833,14 @@ class TestSweepAndLowerBound:
 
     def test_empty_epsilon_grid_exit_2(self, tmp_path, capsys):
         # argparse refuses the empty grid before the command runs
-        path = _write_config(tmp_path)
+        path = _write_config(tmp_path, output_dir=_MISSING)
         assert main(["sweep", "--config", str(path), "--epsilon-grid"]) == 2
         assert "--epsilon-grid" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_epsilon_in_grid_exit_2(self, tmp_path, capsys, value):
-        path = _write_config(tmp_path)
+        path = _write_config(tmp_path, output_dir=_MISSING)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(path), "--epsilon-grid", "1.0", value, "--output", str(out)]
         assert main(argv) == 2
@@ -875,7 +885,9 @@ class TestSweepAndLowerBound:
 
     def test_lower_bound_sweep_switches_per_epsilon(self, tmp_path, capsys):
         # each grid epsilon sets its own switch count; the bound is the DP-OPE rate
-        path = _write_config(tmp_path, **_lower_bound(T=1000, eps=0.05, d=4, reps=4, seed=3))
+        path = _write_config(
+            tmp_path, **_lower_bound(T=1000, eps=0.05, d=4, reps=4, seed=3), output_dir=_MISSING
+        )
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(path), "--epsilon-grid", "0.05", "0.5"]
         assert main([*argv, "--output", str(out)]) == 0

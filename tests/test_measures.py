@@ -24,7 +24,6 @@ from l2p.measures import (
     cumulative_table,
     effective_eta_rmw,
     logsumexp,
-    mw_log_weights,
     normalized,
 )
 from l2p.transform import L2PConfig, PreparedRun
@@ -79,19 +78,26 @@ class TestLossTypes:
         assert stream.values[0] @ np.array([0.5, 0.25]) == 0.0
 
 
+def _run_log_weights(losses, eta, B=1):
+    """The log-weights of an experts run on ``losses``, formed as the engine forms them."""
+    losses = np.asarray(losses, dtype=np.float64)
+    config = L2PConfig(T=len(losses), B=B, eta=eta, p=0.5, delta0=0.0, delta1=1e-6)
+    return _log_weights(PreparedRun(config, "mw", losses))
+
+
 class TestMwUpdate:
     """Row s of the log-weight table is row s - 1 moved by -eta times batch s's losses."""
 
     def test_zero_loss_identity(self):
-        assert np.array_equal(mw_log_weights(np.zeros((2, 3)), 0.1, 1), np.zeros((2, 3)))
+        assert np.array_equal(_run_log_weights(np.zeros((2, 3)), 0.1), np.zeros((2, 3)))
 
     def test_single_step(self):
-        table = mw_log_weights(np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.0]]), 0.1, 1)
+        table = _run_log_weights([[1.0, 0.0, 0.5], [0.0, 0.0, 0.0]], 0.1)
         np.testing.assert_allclose(table[1], [-0.1, 0.0, -0.05], rtol=1e-15)
 
     def test_additivity(self):
         losses = np.array([[1.0, 0.0, 0.5], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        table = mw_log_weights(losses, 0.1, 1)
+        table = _run_log_weights(losses, 0.1)
         np.testing.assert_allclose(table[2], [-0.2, -0.1, -0.15], rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -100,8 +106,8 @@ class TestMwUpdate:
         ids=["inf", "nan"],
     )
     def test_refuses_a_table_that_is_not_finite(self, losses):
-        with pytest.raises(ValueError, match="log weights must be finite"):
-            mw_log_weights(np.array(losses), 0.1, 1)
+        with pytest.raises(ValueError, match="cumulative losses must be finite"):
+            _run_log_weights(losses, 0.1)
 
     def test_dimension_mismatch(self):
         config = L2PConfig(T=3, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
@@ -118,7 +124,7 @@ class TestMwUpdate:
     def test_ratio_identity(self, losses, eta):
         # one update moves each unnormalized log-weight by exactly -eta * loss
         d = len(losses)
-        table = mw_log_weights(np.array([losses, [0.0] * d]), eta, 1)
+        table = _run_log_weights([losses, [0.0] * d], eta)
         for x in range(d):
             got = math.exp(table[1, x] - table[0, x])
             np.testing.assert_allclose(got, math.exp(-eta * losses[x]), rtol=1e-12)
@@ -128,7 +134,7 @@ class TestMwUpdate:
     def test_normalized_step_divergence(self, losses, eta):
         # normalized log-densities move by at most eta per update
         d = len(losses)
-        table = mw_log_weights(np.array([losses, [0.0] * d]), eta, 1)
+        table = _run_log_weights([losses, [0.0] * d], eta)
         before, after = table - logsumexp(table)
         assert np.abs(after - before).max() <= eta + 1e-12
 
@@ -339,7 +345,7 @@ class TestSequences:
     def test_mw_sequence_matches_reference(self):
         rng = np.random.default_rng(0)
         losses = rng.random((11, 3))
-        fast = mw_log_weights(losses, 0.07, 4)
+        fast = _run_log_weights(losses, 0.07, 4)
         slow = _reference_log_weights(losses, 0.07, 4)
         assert fast.shape == slow.shape == (3, 3)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
@@ -460,7 +466,7 @@ class TestChunkedTables:
             assert prepared.grad_sums.tobytes() == want.tobytes()
             return
         lw = -config.eta * want
-        assert mw_log_weights(values, config.eta, config.B).tobytes() == lw.tobytes()
+        assert _log_weights(prepared).tobytes() == lw.tobytes()
         # a binary run keeps its cumulative losses as counts
         counts = np.min_scalar_type(config.T) if prepared.binary else np.float64
         assert prepared.loss_sums.dtype == counts
@@ -493,15 +499,48 @@ class TestChunkedTables:
                 values = _signed_zero_gradients(rng, T, 4)
                 want = _one_shot_cumulative(values, B)
                 assert cumulative_table(values, B).tobytes() == want.tobytes()
-                lw = mw_log_weights(values, 0.07, B)
-                assert lw.tobytes() == (-0.07 * want).tobytes()
 
     def test_signed_zeros_survive(self, chunk):
         values = np.full((2 * chunk + 3, 2), -0.0)
         cum = cumulative_table(values, 1)
         assert np.signbit(cum[1:]).all() and not np.signbit(cum[0]).any()
-        lw = mw_log_weights(values, 0.1, 1)
+        lw = _run_log_weights(values, 0.1)
         assert np.signbit(lw[0]).all() and not np.signbit(lw[1:]).any()
+
+    def test_a_step_across_a_chunk_boundary(self, chunk):
+        # the one loss lands in round chunk - 1, so the only non-zero row step
+        # is from row chunk - 1, the last of the first chunk, to row chunk
+        values = np.zeros((2 * chunk + 1, 3))
+        values[chunk - 1, 0] = 1.0
+        config = L2PConfig(T=len(values), B=1, eta=0.07, p=0.5, delta0=0.0, delta1=1e-6)
+        lw = -config.eta * _one_shot_cumulative(values, 1)
+        sure = PreparedRun(config, "mw", values).sure
+        assert sure == _one_shot_sure(lw, config.cap) < _one_shot_sure(lw[:1], config.cap)
+
+    @pytest.mark.parametrize(
+        "bad, refused",
+        [({"mid": math.nan}, True), ({"mid": math.inf}, True),
+         ({1: -math.inf, "end": math.inf}, True), ({"mid": 1e308, "next": 1e308}, True),
+         ({"last": math.nan}, False)],
+        ids=["nan", "inf", "minus-inf-then-inf", "overflow", "nan-in-last-batch"],
+    )
+    @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+    def test_non_finite_losses_reach_the_last_kept_row(self, chunk, bad, refused):
+        # a running sum that meets a NaN or an infinity keeps it, and one that
+        # overflows stays infinite, up to the last kept row; no kept row sums
+        # the last batch's rounds, so a NaN there reaches no table, as before
+        n, B = 3 * chunk + 2, 2
+        T = n * B
+        rounds = {"mid": T // 2, "next": T // 2 + 1, "end": T - B - 1, "last": T - B}
+        values = np.zeros((T, 3))
+        for t, v in bad.items():
+            values[rounds.get(t, t), 1] = v
+        config = L2PConfig(T=T, B=B, eta=0.07, p=0.5, delta0=0.0, delta1=1e-6)
+        if refused:
+            with pytest.raises(ValueError, match="cumulative losses must be finite"):
+                PreparedRun(config, "mw", values)
+        else:
+            assert np.isfinite(PreparedRun(config, "mw", values).loss_sums).all()
 
     @staticmethod
     def _assert_floors(config, values):
@@ -738,7 +777,7 @@ class TestLogsumexp:
         T, d = 20_000, 10
         stream = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), 1)
         config = tune_ope(T, d, 1.0, 1e-6)
-        self._assert_bit_equal(mw_log_weights(stream.values, config.eta, config.B))
+        self._assert_bit_equal(_log_weights(PreparedRun(config, "mw", stream.values)))
 
 
 def test_import_leaves_scipy_unloaded():
