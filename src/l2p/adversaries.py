@@ -6,6 +6,10 @@ and makes neighboring-stream experiments exactly reproducible. A stream
 of kind ``"matrix"`` holds losses that no generator made, such as a
 ``.npy`` file's. Two streams are neighbors when they differ in exactly
 one round.
+
+Every generated experts stream holds only 0s and 1s and keeps them as a
+``bool`` matrix, one byte per loss where float64 takes eight; every
+other loss or gradient matrix is kept in float64.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ LIPSCHITZ_RTOL = 1e-6
 _OPE_KINDS = ("bernoulli", "epoch_lower_bound")
 _OCO_KINDS = ("iid-sphere", "drift")
 
+# Rows per chunk of the Bernoulli draw: its float64 uniforms stay small
+# (160 KB at d = 10), whatever T is.
+_CHUNK = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class LossStream:
@@ -34,6 +42,11 @@ class LossStream:
     streams each row is a gradient with norm at most ``lipschitz``. A
     ``"matrix"`` stream is linear exactly when it carries a ``lipschitz``.
     ``n_epochs``/``epoch_len`` are set only by the epoch construction.
+
+    An experts matrix that arrives as ``bool``, such as a generated one or
+    a bool ``.npy`` file's, stays bool (a memory map stays one); it holds
+    only 0s and 1s, so it skips the finiteness and [0, 1] scans. Every
+    other matrix, and every gradient matrix, is kept in float64.
     """
 
     kind: str
@@ -49,9 +62,14 @@ class LossStream:
     def __post_init__(self):
         if self.kind not in (*_OPE_KINDS, *_OCO_KINDS, "matrix"):
             raise ValueError(f"unknown stream kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.bool_ or self.is_oco:
+            vals = np.asarray(vals, dtype=np.float64)
         if vals.shape != (self.T, self.d):
             raise ValueError("values must have shape (T, d)")
+        object.__setattr__(self, "values", vals)
+        if vals.dtype == np.bool_:  # 0s and 1s are finite and lie in [0, 1]
+            return
         if not np.isfinite(vals).all():
             raise ValueError("stream values must be finite")
         if self.is_oco:
@@ -63,7 +81,6 @@ class LossStream:
         else:
             if vals.min(initial=0.0) < 0 or vals.max(initial=0.0) > 1:
                 raise ValueError("expert losses must lie in [0, 1]")
-        object.__setattr__(self, "values", vals)
 
     @property
     def is_oco(self) -> bool:
@@ -73,14 +90,23 @@ class LossStream:
 
 
 def bernoulli_experts(d: int, T: int, means, seed: int) -> LossStream:
-    """Independent Bernoulli(means[x]) loss per expert and round."""
+    """Independent Bernoulli(means[x]) loss per expert and round, as a bool matrix.
+
+    The losses are ``rng.random((T, d)) < means``, the same uniforms in
+    the same order, compared ``_CHUNK`` rows at a time into the matrix, so
+    no float64 temporary of its size is made and the generator ends where
+    one draw leaves it.
+    """
     means = np.asarray(means, dtype=np.float64)
     if means.shape != (d,):
         raise ValueError("means must have length d")
     if not (means.min() >= 0 and means.max() <= 1):  # NaN fails both
         raise ValueError("means must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    values = (rng.random((T, d)) < means).astype(np.float64)
+    values = np.empty((T, d), dtype=np.bool_)
+    for a in range(0, T, _CHUNK):
+        rows = min(_CHUNK, T - a)
+        np.less(rng.random((rows, d)), means, out=values[a : a + rows])
     return LossStream("bernoulli", d, T, seed, values)
 
 
@@ -104,7 +130,7 @@ def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStrea
     E = min(max(int(raw), 1), T)
     epoch_len = -(-T // E)
     rng = np.random.default_rng(seed)
-    draws = (rng.random((E, d)) < 0.5).astype(np.float64)
+    draws = rng.random((E, d)) < 0.5
     values = np.repeat(draws, epoch_len, axis=0)[:T]
     return LossStream(
         "epoch_lower_bound", d, T, seed, values, n_epochs=E, epoch_len=epoch_len, clamped=clamped
@@ -137,13 +163,16 @@ def neighbor_of(stream: LossStream, index: int, replacement) -> LossStream:
     """Copy of ``stream`` with round ``index`` replaced.
 
     ``replacement`` is a raw vector; it is validated against the
-    stream's loss type.
+    stream's loss type. A bool stream's copy stays bool when every
+    entry of the row is +0.0 or 1.0, and is float64 otherwise, so a 0.3
+    stays 0.3 (and a -0.0 stays -0.0).
     """
     if not 0 <= index < stream.T:
         raise ValueError(f"index {index} outside [0, {stream.T})")
     row = np.asarray(replacement, dtype=np.float64)
     if row.shape != (stream.d,):
         raise ValueError("replacement has the wrong dimension")
-    values = stream.values.copy()
+    binary = ((row == 1.0) | ((row == 0.0) & ~np.signbit(row))).all()
+    values = stream.values.astype(stream.values.dtype if binary else np.float64)
     values[index] = row
     return replace(stream, values=values)

@@ -30,8 +30,11 @@ and the exact float64 CDFs are computed on first read. A binary experts
 run, one whose every loss is +0.0 or 1.0, keeps its cumulative losses as
 integer counts in the smallest unsigned type that holds T; a count times
 ``-eta`` is the double the float sum gives, so the run is the one a
-float table gives, bit for bit. The ball sampler is built only for the
-batch that resamples.
+float table gives, bit for bit. A bool loss matrix, as every generated
+experts stream is, is kept as it is and is binary by its dtype; its
+sums are taken and its played losses gathered in float64, exact
+integers as a float64 matrix of 0s and 1s gives them. The ball sampler
+is built only for the batch that resamples.
 
 Randomness contract (frozen for reproducibility): at each batch s >= 2
 the engine consumes three uniforms, in the order S, S', A, then at most
@@ -81,6 +84,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -348,7 +352,7 @@ class Transcript:
         T, B = prepared.config.T, prepared.config.B
         if prepared.is_mw:
             xs = self._batch_xs if B == 1 else self._batch_xs.repeat(B)[:T]
-            return _picks(prepared.loss_values, xs)
+            return _picks(prepared.loss_values, xs).astype(np.float64, copy=False)
         round_losses = np.empty(T)
         for s, x in enumerate(self._per_batch(self.event_xs)):
             round_losses[s * B : (s + 1) * B] = prepared.loss_values[s * B : (s + 1) * B] @ x
@@ -390,7 +394,8 @@ class PreparedRun:
     if it differs. Every data-dependent table is a function of the
     losses alone, so replicates share them; only the coin and resample
     draws differ between runs. The loss matrix is kept in C order,
-    copied only if it comes in another.
+    copied only if it comes in another, and in float64, except that an
+    experts matrix of dtype bool stays bool.
     ``domain_error`` is None for a matrix in the domain the config's
     budget holds on (losses in [0, 1]; gradient norms at most its
     ``lipschitz``), else the message of the :class:`ConfigError` :meth:`run` raises.
@@ -404,14 +409,16 @@ class PreparedRun:
     in the grid step of the last floor it counted (see :meth:`_exact_pick`).
     The log-weights ``loss_sums * -eta`` are formed in float64 where they
     are read. ``binary`` is whether every loss is +0.0 or 1.0 (a -0.0
-    is not); a binary run's ``loss_sums`` holds exact counts in
+    is not), true of a bool matrix by its dtype and tested on the bits of
+    a float64 one; a binary run's ``loss_sums`` holds exact counts in
     ``np.min_scalar_type(T)``, whose memoryview reads Python ints, and
     any other run's holds float64. Runs of at most ``_WALK`` batches
     (``walks``) step through every batch. Ball runs
     keep one table, the gradient sums. Both kinds keep the column totals
     of the loss matrix and ``comparator_loss``, the best-in-hindsight
     loss they give; the per-batch loss sums ``batch_sums``, which only
-    ``Transcript.batch_losses`` reads, are computed on first read. The
+    ``Transcript.batch_losses`` reads, are computed on first read. Both
+    sums are float64, also on a bool matrix. The
     acceptance cap ``cap`` is the config's, which always uses the full
     ``2 B eta`` exponent, also on a short final batch.
     """
@@ -419,30 +426,40 @@ class PreparedRun:
     def __init__(self, config: L2PConfig, kind: str, loss_values: np.ndarray):
         if kind != config.measure_kind:
             raise ConfigError(f"measure kind {kind!r} is not the config's {config.measure_kind!r}")
+        self.is_mw = config.measure_kind == "mw"
+        loss_values = np.asarray(loss_values)
         # C order, so a gather from the flat matrix copies nothing
-        loss_values = np.ascontiguousarray(loss_values, dtype=np.float64)
+        keeps_bool = self.is_mw and loss_values.dtype == np.bool_
+        loss_values = np.ascontiguousarray(loss_values, np.bool_ if keeps_bool else np.float64)
         if loss_values.ndim != 2 or loss_values.shape[0] != config.T:
             raise ValueError("loss matrix must have T rows of one loss each")
         self.config = config
         self.loss_values = loss_values
-        self.is_mw = config.measure_kind == "mw"
         self.cap = config.cap
         n = config.n_batches
-        self.column_totals = loss_values.sum(axis=0)
         self.walks = self.is_mw and n <= _WALK
         if self.is_mw:
-            bits = loss_values.view(np.uint64)
-            zeros = np.count_nonzero(bits == 0)
-            self.binary = zeros + np.count_nonzero(bits == _ONE_BITS) == loss_values.size
+            if keeps_bool:
+                self.binary = True
+            else:
+                bits = loss_values.view(np.uint64)
+                zeros = np.count_nonzero(bits == 0)
+                self.binary = zeros + np.count_nonzero(bits == _ONE_BITS) == loss_values.size
             inside = self.binary or (loss_values.min() >= 0.0 and loss_values.max() <= 1.0)
             self.domain_error = None if inside else "an experts run needs every loss in [0, 1]"
-            self.comparator_loss = _best_expert(self.column_totals)[1]
             dtype = np.min_scalar_type(config.T) if self.binary else np.float64
-            self.loss_sums = cumulative_table(loss_values, config.B, dtype)
-            # a running sum that meets a NaN or an inf, or overflows, stays so to the last
-            # row; read as Python numbers: np.isfinite on counts cost ope-b1 0.1 MB of peak RSS
+            # A binary matrix sums to exact counts. Any other's running sum that meets a
+            # NaN or an inf, or overflows, stays so to the last row, refused below; one
+            # that hits only a column total is a loss outside [0, 1], a domain error. So
+            # numpy need not warn first. (A binary run skips the errstate: 3% of a tiny set-up.)
+            quiet = nullcontext() if self.binary else np.errstate(over="ignore", invalid="ignore")
+            with quiet:
+                self.column_totals = loss_values.sum(axis=0, dtype=np.float64)
+                self.loss_sums = cumulative_table(loss_values, config.B, dtype)
+            # read as Python numbers: np.isfinite on counts cost ope-b1 0.1 MB of peak RSS
             if not all(map(math.isfinite, self.loss_sums[-1].tolist())):
                 raise ValueError("cumulative losses must be finite")
+            self.comparator_loss = _best_expert(self.column_totals)[1]
             self.cdf_floors, spread = cdf_floor_table(self.loss_sums, config.eta)
             self._sums = memoryview(self.loss_sums.reshape(-1))
             self._cdf = memoryview(self.cdf_floors.reshape(-1))
@@ -453,6 +470,7 @@ class PreparedRun:
             self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
             self.binary = False
+            self.column_totals = loss_values.sum(axis=0)
             largest = float(np.linalg.norm(loss_values, axis=1).max())
             inside = largest <= config.lipschitz * (1.0 + LIPSCHITZ_RTOL)
             self.domain_error = None if inside else (
@@ -472,7 +490,8 @@ class PreparedRun:
     def batch_sums(self) -> np.ndarray:
         """The per-batch sums of the loss matrix, built on first read."""
         starts = np.arange(self.config.n_batches) * self.config.B
-        return np.add.reduceat(self.loss_values, starts, axis=0)
+        # in float64: on bools, a reduceat without it is a logical or
+        return np.add.reduceat(self.loss_values, starts, axis=0, dtype=np.float64)
 
     def run(self, rng: np.random.Generator) -> Transcript:
         if self.domain_error:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from l2p import adversaries
 from l2p.adversaries import (
     LossStream,
     bernoulli_experts,
@@ -29,6 +30,30 @@ class TestBernoulliExperts:
         a = bernoulli_experts(4, 100, [0.2, 0.4, 0.6, 0.8], seed=9)
         b = bernoulli_experts(4, 100, [0.2, 0.4, 0.6, 0.8], seed=9)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize(
+        "T, d",
+        [(1, 3), (adversaries._CHUNK - 1, 3), (adversaries._CHUNK, 3), (adversaries._CHUNK + 1, 3),
+         (20_000, 10)],
+        ids=["one-row", "chunk-less-one", "chunk", "chunk-plus-one", "ope-b1"],
+    )
+    def test_chunked_draw_is_one_draw(self, monkeypatch, T, d):
+        # the bool losses are those of one rng.random((T, d)) compare, and the
+        # generator ends where that draw leaves it
+        made, default_rng = [], np.random.default_rng
+
+        def recorded(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        means = np.linspace(0.35, 0.65, d)
+        s = bernoulli_experts(d, T, means, seed=11)
+        rng = default_rng(11)
+        want = rng.random((T, d)) < means
+        assert s.values.dtype == np.bool_ and s.values.tobytes() == want.tobytes()
+        assert made[0].bit_generator.state == rng.bit_generator.state
+        assert made[0].random() == rng.random()
 
     def test_bad_means(self):
         with pytest.raises(ValueError):
@@ -132,6 +157,14 @@ def test_matrix_stream_is_linear_exactly_with_a_lipschitz():
         LossStream("matrix", 2, 1, 0, [[0.6, 0.8]], lipschitz=0.5)
 
 
+@pytest.mark.parametrize("lipschitz, dtype", [(None, np.bool_), (2.0, np.float64)])
+def test_a_bool_matrix_stays_bool_only_as_losses(lipschitz, dtype):
+    values = np.eye(3, dtype=np.bool_)
+    s = LossStream("matrix", 3, 3, 0, values, lipschitz=lipschitz)
+    assert s.values.dtype == dtype and np.array_equal(s.values, values)
+    assert (s.values is values) == (dtype is np.bool_)
+
+
 @pytest.mark.parametrize(
     "kind, values, lipschitz, match",
     [("bernoulli", [[0.5, 0.5, 0.5]], None, r"shape \(T, d\)"),
@@ -173,6 +206,23 @@ class TestNeighborOf:
         s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)
         with pytest.raises(ValueError, match="wrong dimension"):
             neighbor_of(s, 3, [0.0, 0.0, 0.0])
+
+    def test_bool_stream_stays_bool_for_a_binary_row(self):
+        s = bernoulli_experts(3, 20, [0.5] * 3, seed=4)
+        n = neighbor_of(s, 7, 1.0 - s.values[7])
+        assert n.values.dtype == np.bool_ and s.values.dtype == np.bool_
+        assert (n.values[7] != s.values[7]).all()
+        assert np.array_equal(np.delete(n.values, 7, 0), np.delete(s.values, 7, 0))
+
+    @pytest.mark.parametrize(
+        "row", [[0.3, 1.0, 0.0], [-0.0, 1.0, 0.0]], ids=["fraction", "negative-zero"]
+    )
+    def test_bool_stream_promotes_for_another_row(self, row):
+        s = bernoulli_experts(3, 20, [0.5] * 3, seed=4)
+        n = neighbor_of(s, 7, row)
+        assert n.values.dtype == np.float64 and s.values.dtype == np.bool_
+        assert n.values[7].tobytes() == np.array(row).tobytes()  # 0.3 stays 0.3, -0.0 stays -0.0
+        assert np.array_equal(np.delete(n.values, 7, 0), np.delete(s.values, 7, 0))
 
     def test_validates_loss_type(self):
         s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)

@@ -175,14 +175,17 @@ _GENERATORS = {
 }
 
 
-def _as_matrix(tmp_path, config_path):
+def _as_matrix(tmp_path, config_path, dtype=None):
     """A copy of the config at ``config_path`` whose adversary is the
-    matrix its stream holds, saved to ``losses.npy``; the copy's path."""
+    matrix its stream holds, saved to ``losses.npy``, or cast to ``dtype``
+    and saved to ``losses-<dtype>.npy``; the copy's path."""
     cfg = json.loads(config_path.read_text())
-    matrix = tmp_path / "losses.npy"
-    np.save(matrix, _build_stream(cfg).values)
+    values = _build_stream(cfg).values
+    stem = "losses" if dtype is None else f"losses-{np.dtype(dtype).name}"
+    matrix = tmp_path / f"{stem}.npy"
+    np.save(matrix, values if dtype is None else values.astype(dtype))
     cfg["adversary"] = {"kind": "matrix", "path": str(matrix)}
-    path = tmp_path / "matrix.json"
+    path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(cfg))
     return path
 
@@ -194,12 +197,17 @@ def test_matrix_run_matches_its_generator(tmp_path, capsys, kind, seed):
     generated = _write_config(
         tmp_path, problem=problem, reps=3, base_seed=seed, adversary={**adversary, "seed": seed}
     )
-    matrix = _as_matrix(tmp_path, generated)
-    for name, path in [("generated", generated), ("matrix", matrix)]:
+    # a generated experts stream saves as a bool file; its float64 copy
+    # plays the same games through the float matrix's path
+    matrix, floats = _as_matrix(tmp_path, generated), _as_matrix(tmp_path, generated, np.float64)
+    runs = [("generated", generated), ("matrix", matrix), ("float-matrix", floats)]
+    for name, path in runs:
         assert main(["run", "--config", str(path), "--output", str(tmp_path / name)]) == 0
+    assert np.load(tmp_path / "losses.npy").dtype == (np.float64 if problem == "oco" else np.bool_)
     for name in ("reps.csv", "summary.json"):
         want = (tmp_path / "generated" / name).read_bytes()
         assert (tmp_path / "matrix" / name).read_bytes() == want
+        assert (tmp_path / "float-matrix" / name).read_bytes() == want
 
 
 def test_matrix_sweep_and_audits_match_their_generator(tmp_path, capsys):
@@ -222,7 +230,7 @@ def test_matrix_sweep_and_audits_match_their_generator(tmp_path, capsys):
 
 @pytest.mark.parametrize("problem, kind", [("ope", "bernoulli"), ("oco", "drift")])
 def test_matrix_reaches_the_engine_without_a_copy(tmp_path, problem, kind):
-    # a float64 C-order file stays file-backed from np.load to the engine
+    # a bool or float64 C-order file stays file-backed from np.load to the engine
     generated = _write_config(tmp_path, problem=problem, adversary=_GENERATORS[kind][1])
     cfg = json.loads(_as_matrix(tmp_path, generated).read_text())
     stream = _build_stream(cfg)

@@ -524,7 +524,7 @@ class TestChunkedTables:
          ({"last": math.nan}, False)],
         ids=["nan", "inf", "minus-inf-then-inf", "overflow", "nan-in-last-batch"],
     )
-    @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_losses_reach_the_last_kept_row(self, chunk, bad, refused):
         # a running sum that meets a NaN or an infinity keeps it, and one that
         # overflows stays infinite, up to the last kept row; no kept row sums
@@ -708,6 +708,16 @@ class TestSetUpMemory:
         assert prepared.cdfs.nbytes == table
         assert retained <= 0.5 * table
         assert peak <= 0.9 * table
+
+    def test_bernoulli_draw_is_a_byte_per_loss(self):
+        # the draw fills a bool matrix a chunk of uniforms at a time: its
+        # peak is the matrix and one chunk, under half a float64 matrix
+        T, d, means = 20_000, 10, np.linspace(0.35, 0.65, 10)
+        bernoulli_experts(d, 1, means, 1)  # numpy's first-call allocations are not the draw's
+        stream, retained, peak = _traced(lambda: bernoulli_experts(d, T, means, 1))
+        assert stream.values.dtype == np.bool_ and stream.values.nbytes == T * d
+        assert retained <= T * d + 4096
+        assert peak < 0.5 * T * d * 8
 
     def test_fractional_experts_keep_two_float_tables(self):
         # the cumulative losses in float64 and the CDF floors in uint16

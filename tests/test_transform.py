@@ -1504,3 +1504,50 @@ class TestSpanSums:
         assert not prepared.binary
         t = prepared.run(np.random.default_rng(3))
         assert t.total_loss == float(t.round_losses.sum())
+
+
+class TestBoolMatrix:
+    """A bool loss matrix, as the generators make, runs as its float64 copy
+    does: every table, comparator and transcript byte is the same."""
+
+    @staticmethod
+    def _assert_same_run(config, values, n_seeds):
+        assert values.dtype == np.bool_
+        kept = PreparedRun(config, "mw", values)
+        floats = PreparedRun(config, "mw", values.astype(np.float64))
+        assert kept.loss_values is values and floats.loss_values.dtype == np.float64
+        assert kept.binary and floats.binary
+        for name in ("loss_sums", "cdf_floors", "column_totals", "batch_sums", "cdfs"):
+            a, b = getattr(kept, name), getattr(floats, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert _bits(kept.sure) == _bits(floats.sure)
+        assert _bits(kept.comparator_loss) == _bits(floats.comparator_loss)
+        for seed in range(n_seeds):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            a, b = kept.run(rng_a), floats.run(rng_b)
+            assert _bits(a.total_loss) == _bits(b.total_loss)
+            for name in ("batch_losses", "round_losses"):
+                got, want = getattr(a, name), getattr(b, name)
+                assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert _digest(a, rng_a) == _digest(b, rng_b)
+
+    @pytest.mark.parametrize(
+        "shape, n_seeds",
+        [("marginal", 200), ("epsilon", 200), ("sparse", 50), ("mixed", 50), ("ope-b1", 3),
+         ("dense", 3), ("one-expert", 30), ("epoch", 30)],
+    )
+    def test_reference_shapes(self, shape, n_seeds):
+        config, _, stream = SHAPES[shape]()
+        self._assert_same_run(config, stream.values, n_seeds)
+
+    def test_short_last_batch(self):
+        # B > 1 with T not a multiple of B: the float64 batch sums and round
+        # losses of a bool matrix cover the short last batch
+        config = L2PConfig(T=103, B=5, eta=0.05, p=0.3, delta0=0.0, delta1=1e-6)
+        stream = bernoulli_experts(4, 103, (0.1, 0.4, 0.6, 0.9), 9)
+        self._assert_same_run(config, stream.values, 30)
+
+    def test_a_bool_ball_matrix_is_float64(self):
+        config, kind, stream = SHAPES["ball"]()
+        values = stream.values > 0
+        assert PreparedRun(config, kind, values).loss_values.dtype == np.float64
