@@ -17,7 +17,6 @@ import numpy as np
 
 from .accountant import config_budget
 from .adversaries import LossStream
-from .harness import monte_carlo
 from .measures import cumulative_table, normalized
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
@@ -246,14 +245,15 @@ def switch_statistics(
     The engine's analysis gives each run probability at most delta1 of
     exceeding the bound; the threshold adds binomial slack plus a 3/n
     allowance so that a handful of unlucky runs in a small sample does
-    not flip the audit. The runs are :func:`~l2p.harness.monte_carlo`'s
-    replicates, so a ball config is audited on its own measure.
+    not flip the audit. Each run's fake switches are counted off its
+    transcript's switch events, so a ball config is audited on its own
+    measure and no run gathers its played losses.
     """
     if n_runs < 100:
         raise ValueError("need at least 100 runs from an identical config")
-    results = monte_carlo(config, stream, n_runs, base_seed).results
     bound = 2.0 * config.T * config.p * math.log(1.0 / config.delta1) / config.B
-    exceed = sum(1 for r in results if r.fake_switch_count > bound)
+    runs = _run_many(config, stream, n_runs, base_seed)
+    exceed = sum(1 for t in runs if t.fake_switch_count > bound)
     frac = exceed / n_runs
     d1 = config.delta1
     slack = 3.0 * math.sqrt(d1 * (1.0 - d1) / n_runs) + 3.0 / n_runs

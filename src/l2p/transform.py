@@ -27,14 +27,12 @@ two per-batch tables for an experts run (cumulative losses and 16-bit
 floors of the sampling CDFs) and one for the ball (gradient sums), built
 chunk by chunk with no temporary of their size; the per-batch loss sums
 and the exact float64 CDFs are computed on first read. A binary experts
-run, one whose every loss is +0.0 or 1.0, keeps its cumulative losses as
-integer counts in the smallest unsigned type that holds T; a count times
-``-eta`` is the double the float sum gives, so the run is the one a
-float table gives, bit for bit. A bool loss matrix, as every generated
-experts stream is, is kept as it is and is binary by its dtype; its
-sums are taken and its played losses gathered in float64, exact
-integers as a float64 matrix of 0s and 1s gives them. The ball sampler
-is built only for the batch that resamples.
+run, one whose loss matrix is bool, as every generated experts stream
+is, keeps its cumulative losses as integer counts in the smallest
+unsigned type that holds T; a count times ``-eta`` is the double the
+float sum gives, so the run is the one a float64 matrix of 0s and 1s
+gives, bit for bit. Its sums are taken and its played losses gathered
+in float64. The ball sampler is built only for the batch that resamples.
 
 Randomness contract (frozen for reproducibility): at each batch s >= 2
 the engine consumes three uniforms, in the order S, S', A, then at most
@@ -122,8 +120,6 @@ _CODE_COINS = np.array(
     [(S, Sp, A) for S in (0, 1) for Sp in (0, 1) for A in (0, 1)], dtype=np.int8
 )
 _CODE_SWITCHED = np.array([(1 - (S & Sp), 1 - A) for S, Sp, A in _CODE_COINS], dtype=np.int8)
-# The bits of the double 1.0: a binary loss has these bits or none.
-_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
 class ConfigError(ValueError):
@@ -285,7 +281,7 @@ class Transcript:
         total of the last expert played plus, at each event at row b that
         moves the played expert from x to x', ``loss_sums[b, x] -
         loss_sums[b, x']``. That sum of counts is an exact integer, and a
-        +0.0/1.0 matrix cannot sum to -0.0, so a zero total is +0.0 as the
+        bool matrix cannot sum to -0.0, so a zero total is +0.0 as the
         gather's is.
         """
         prepared = self.prepared
@@ -408,19 +404,18 @@ class PreparedRun:
     first read; a pick builds one exact row only when its uniform lies
     in the grid step of the last floor it counted (see :meth:`_exact_pick`).
     The log-weights ``loss_sums * -eta`` are formed in float64 where they
-    are read. ``binary`` is whether every loss is +0.0 or 1.0 (a -0.0
-    is not), true of a bool matrix by its dtype and tested on the bits of
-    a float64 one; a binary run's ``loss_sums`` holds exact counts in
+    are read. ``binary`` is whether an experts run's loss matrix is bool;
+    a binary run's ``loss_sums`` holds exact counts in
     ``np.min_scalar_type(T)``, whose memoryview reads Python ints, and
-    any other run's holds float64. Runs of at most ``_WALK`` batches
-    (``walks``) step through every batch. Ball runs
-    keep one table, the gradient sums. Both kinds keep the column totals
-    of the loss matrix and ``comparator_loss``, the best-in-hindsight
-    loss they give; the per-batch loss sums ``batch_sums``, which only
-    ``Transcript.batch_losses`` reads, are computed on first read. Both
-    sums are float64, also on a bool matrix. The
-    acceptance cap ``cap`` is the config's, which always uses the full
-    ``2 B eta`` exponent, also on a short final batch.
+    any other run's, a float64 matrix of 0s and 1s included, holds
+    float64. Runs of at most ``_WALK`` batches (``walks``) step through
+    every batch. Ball runs keep one table, the gradient sums. Both kinds
+    keep the column totals of the loss matrix and ``comparator_loss``,
+    the best-in-hindsight loss they give; the per-batch loss sums
+    ``batch_sums``, which only ``Transcript.batch_losses`` reads, are
+    computed on first read. Both sums are float64, also on a bool
+    matrix. The acceptance cap ``cap`` is the config's, which always
+    uses the full ``2 B eta`` exponent, also on a short final batch.
     """
 
     def __init__(self, config: L2PConfig, kind: str, loss_values: np.ndarray):
@@ -428,9 +423,9 @@ class PreparedRun:
             raise ConfigError(f"measure kind {kind!r} is not the config's {config.measure_kind!r}")
         self.is_mw = config.measure_kind == "mw"
         loss_values = np.asarray(loss_values)
+        self.binary = self.is_mw and loss_values.dtype == np.bool_
         # C order, so a gather from the flat matrix copies nothing
-        keeps_bool = self.is_mw and loss_values.dtype == np.bool_
-        loss_values = np.ascontiguousarray(loss_values, np.bool_ if keeps_bool else np.float64)
+        loss_values = np.ascontiguousarray(loss_values, np.bool_ if self.binary else np.float64)
         if loss_values.ndim != 2 or loss_values.shape[0] != config.T:
             raise ValueError("loss matrix must have T rows of one loss each")
         self.config = config
@@ -439,12 +434,6 @@ class PreparedRun:
         n = config.n_batches
         self.walks = self.is_mw and n <= _WALK
         if self.is_mw:
-            if keeps_bool:
-                self.binary = True
-            else:
-                bits = loss_values.view(np.uint64)
-                zeros = np.count_nonzero(bits == 0)
-                self.binary = zeros + np.count_nonzero(bits == _ONE_BITS) == loss_values.size
             inside = self.binary or (loss_values.min() >= 0.0 and loss_values.max() <= 1.0)
             self.domain_error = None if inside else "an experts run needs every loss in [0, 1]"
             dtype = np.min_scalar_type(config.T) if self.binary else np.float64
@@ -469,7 +458,6 @@ class PreparedRun:
             floor = math.exp(min(-self.cap - spread, 0.0))
             self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
-            self.binary = False
             self.column_totals = loss_values.sum(axis=0)
             largest = float(np.linalg.norm(loss_values, axis=1).max())
             inside = largest <= config.lipschitz * (1.0 + LIPSCHITZ_RTOL)

@@ -627,10 +627,10 @@ class TestCountTable:
     @pytest.mark.parametrize(
         "T, counts", [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)]
     )
-    def test_dtype_boundaries(self, monkeypatch, T, counts, B):
+    def test_dtype_boundaries(self, T, counts, B):
         rng = np.random.default_rng(T + B)
-        values = (rng.random((T, 2)) < 0.5).astype(np.float64)
-        values[:, 0] = 1.0  # a column that counts every round, up to the table's top
+        values = rng.random((T, 2)) < 0.5
+        values[:, 0] = True  # a column that counts every round, up to the table's top
         config = L2PConfig(T=T, B=B, eta=0.005, p=0.01, delta0=0.0, delta1=1e-6)
         prepared = PreparedRun(config, "mw", values)
         assert prepared.binary and prepared.loss_sums.dtype == counts
@@ -640,12 +640,9 @@ class TestCountTable:
         assert prepared.loss_sums.astype(np.float64).tobytes() == want.tobytes()
         assert prepared.cdfs.tobytes() == _one_shot_cdfs(lw).tobytes()
         assert _bits(prepared.sure) == _bits(_one_shot_sure(lw, config.cap))
-        # the same run on a float table, as a matrix that is not binary builds it
-        monkeypatch.setattr(
-            "l2p.transform.cumulative_table", lambda v, B, dtype: cumulative_table(v, B)
-        )
-        floats = PreparedRun(config, "mw", values)
-        assert floats.loss_sums.dtype == np.float64
+        # the same run on a float table: a float64 matrix of 0s and 1s is not binary
+        floats = PreparedRun(config, "mw", values.astype(np.float64))
+        assert not floats.binary and floats.loss_sums.dtype == np.float64
         for seed in range(20):
             t = prepared.run(np.random.default_rng(seed))
             f = floats.run(np.random.default_rng(seed))

@@ -258,7 +258,7 @@ def _run(config, stream, seed, kind="mw"):
 
 def _uniform_stream(d, T, seed=0):
     rng = np.random.default_rng(seed)
-    return LossStream("bernoulli", d, T, seed, (rng.random((T, d)) < 0.5).astype(float))
+    return LossStream("bernoulli", d, T, seed, rng.random((T, d)) < 0.5)
 
 
 class TestRunL2p:
@@ -982,7 +982,7 @@ class TestFloorScreen:
     def _prepared(T, binary):
         values = np.random.default_rng(T + binary).random((T, 3))
         if binary:
-            values = (values < 0.5).astype(np.float64)
+            values = values < 0.5
         config = L2PConfig(T=T, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         prepared = _prepared(config, "mw", LossStream("bernoulli", 3, T, 0, values))
         assert prepared.binary == binary and prepared.walks == (T <= _WALK)
@@ -1077,7 +1077,7 @@ class TestFloorScreen:
         # d = 1 keeps no floor column, d = 2 one
         values = np.random.default_rng(d * T + binary).random((T, d))
         if binary:
-            values = (values < 0.5).astype(np.float64)
+            values = values < 0.5
         config = L2PConfig(T=T, B=1, eta=0.1, p=0.3, delta0=0.0, delta1=1e-6)
         prepared = _prepared(config, "mw", LossStream("bernoulli", d, T, 0, values))
         assert prepared.cdf_floors.shape == (T, d - 1) and prepared.binary == binary
@@ -1398,7 +1398,7 @@ class TestSpanSums:
         for rng in rngs:
             t = prepared.run(rng)
             got = t.total_loss
-            # a +0.0/1.0 matrix cannot sum to -0.0, so even a zero total is not gathered
+            # a bool matrix cannot sum to -0.0, so even a zero total is not gathered
             assert "round_losses" not in vars(t)
             assert type(got) is float
             assert _bits(got) == _bits(float(_gathered(t).sum()))
@@ -1459,17 +1459,17 @@ class TestSpanSums:
     def test_constant_matrices(self, fill):
         for T, B, d in ((1, 1, 3), (50, 1, 2), (301, 3, 4)):
             config = L2PConfig(T=T, B=B, eta=0.05, p=0.3, delta0=0.0, delta1=1e-6)
-            prepared = PreparedRun(config, "mw", np.full((T, d), fill))
-            if _bits(fill) == _bits(-0.0):  # -0.0 is not a binary loss
-                runs = self._assert_gathers(prepared, 10)
+            if _bits(fill) == _bits(-0.0):  # -0.0 has no bool twin
+                runs = self._assert_gathers(PreparedRun(config, "mw", np.full((T, d), fill)), 10)
             else:
+                prepared = PreparedRun(config, "mw", np.full((T, d), bool(fill)))
                 runs = self._assert_seeds(prepared, 10)
             for t in runs:
                 assert t.total_loss == T * fill
 
     def test_zeros_of_both_signs(self):
-        # a -0.0 loss makes a run fractional: it keeps a float table and
-        # gathers its total, whose sign only the gather knows
+        # a float64 run is fractional, -0.0 losses included: it keeps a
+        # float table and gathers its total, whose sign only the gather knows
         values = np.full((60, 2), -0.0)
         values[::7, 1] = 0.0
         values[5, 1] = 1.0
@@ -1507,8 +1507,9 @@ class TestSpanSums:
 
 
 class TestBoolMatrix:
-    """A bool loss matrix, as the generators make, runs as its float64 copy
-    does: every table, comparator and transcript byte is the same."""
+    """A bool loss matrix, as the generators make, is binary and keeps counts;
+    its float64 copy is not binary and keeps float64 cumulative losses of the
+    same values. Every other table, comparator and transcript byte is the same."""
 
     @staticmethod
     def _assert_same_run(config, values, n_seeds):
@@ -1516,8 +1517,11 @@ class TestBoolMatrix:
         kept = PreparedRun(config, "mw", values)
         floats = PreparedRun(config, "mw", values.astype(np.float64))
         assert kept.loss_values is values and floats.loss_values.dtype == np.float64
-        assert kept.binary and floats.binary
-        for name in ("loss_sums", "cdf_floors", "column_totals", "batch_sums", "cdfs"):
+        assert kept.binary and floats.binary is False
+        counts, sums = kept.loss_sums, floats.loss_sums
+        assert counts.dtype == np.min_scalar_type(config.T) and sums.dtype == np.float64
+        assert counts.astype(np.float64).tobytes() == sums.tobytes()
+        for name in ("cdf_floors", "column_totals", "batch_sums", "cdfs"):
             a, b = getattr(kept, name), getattr(floats, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert _bits(kept.sure) == _bits(floats.sure)
@@ -1526,6 +1530,7 @@ class TestBoolMatrix:
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             a, b = kept.run(rng_a), floats.run(rng_b)
             assert _bits(a.total_loss) == _bits(b.total_loss)
+            assert "round_losses" not in vars(a) and "round_losses" in vars(b)  # b gathered
             for name in ("batch_losses", "round_losses"):
                 got, want = getattr(a, name), getattr(b, name)
                 assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
