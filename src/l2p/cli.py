@@ -7,10 +7,13 @@ tuned or overridden, or, in ``run`` and ``sweep``, the strawman
 (``"learner": "strawman"``). The stream is a generator's or, for
 ``{"kind": "matrix", "path": ...}``, a ``.npy`` file's (T, d) matrix of
 expert losses or gradients, as ``problem`` says. A key nothing reads is
-refused. Exit codes: 0 success, 2 configuration or usage error, 3 tuner
-infeasibility, 4 sampler failure. All CSV output is RFC-4180, UTF-8,
-LF-terminated, and byte-reproducible from (config, version), and from
-(config, matrix file, version) for a matrix.
+refused. Outputs go where ``--output`` says: ``run`` writes its three
+files into that directory (the current one by default) and ``sweep``
+its CSV into that file (``sweep.csv`` by default). Exit codes: 0
+success, 2 configuration or usage error, 3 tuner infeasibility, 4
+sampler failure. All CSV output is RFC-4180, UTF-8, LF-terminated, and
+byte-reproducible from (config, version), and from (config, matrix
+file, version) for a matrix.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ _NUMERIC = (
 # others, and each adversary kind's beside "kind". Any other key would go
 # unread, so it is refused.
 _REQUIRED = ("problem", "T", "d", "epsilon", "delta", "reps", "base_seed", "adversary")
-_CONFIG_KEYS = (*_REQUIRED, "schema", "learner", "override", "lipschitz", "diameter", "output_dir")
+_CONFIG_KEYS = (*_REQUIRED, "schema", "learner", "override", "lipschitz", "diameter")
 _ADVERSARY_KEYS = {
     "bernoulli": ("seed", "means"), "epoch_lower_bound": ("seed", "epsilon"),
     "iid-sphere": ("seed", "lipschitz"), "drift": ("seed", "lipschitz"), "matrix": ("path",),
@@ -123,8 +126,6 @@ def _load_run_config(path: str) -> dict:
     small = [k for k in ("T", "d") if values[k] < 1]
     if small:
         raise ConfigError(f"config fields must be at least 1: {', '.join(small)}")
-    if type(cfg.get("output_dir", "")) is not str:
-        raise ConfigError("output_dir must be a string")
     adversary = cfg["adversary"]
     kind = adversary.get("kind")
     if type(kind) is not str or kind not in _ADVERSARY_KEYS:
@@ -257,7 +258,7 @@ def cmd_run(args) -> int:
     stream = _build_stream(cfg)
     summary = _play(cfg, stream, float(cfg["epsilon"]))
     config = summary.config
-    outdir = Path(args.output or cfg.get("output_dir", "."))
+    outdir = Path(args.output)
     buf = io.StringIO()
     summary.write_csv(buf)
     _write(outdir / "reps.csv", buf.getvalue())
@@ -279,8 +280,6 @@ def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
     if cfg.get("override") is not None:
         raise ConfigError("sweep tunes a config per epsilon; it takes no override block")
-    if "output_dir" in cfg:
-        raise ConfigError("sweep writes only --output; output_dir is unused")
     grid = [float(v) for v in args.epsilon_grid]
     stream = _build_stream(cfg)
     rows = ["epsilon,mean_regret,std_regret,theory_bound"]
@@ -294,21 +293,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.s is not None and args.test != "marginal":
-        raise ConfigError("--s applies to the marginal audit only")
     cfg = _load_run_config(args.config)
     if cfg["problem"] != "ope":
         raise ConfigError("audits run on experts configs")
-    if "output_dir" in cfg:
-        raise ConfigError("an audit writes no files; output_dir is unused")
     stream = _build_stream(cfg)
     config = _build_config(cfg)
     reps, base_seed = int(cfg["reps"]), int(cfg["base_seed"])
     if args.test == "marginal":
-        if args.s is not None and not 1 <= args.s <= config.n_batches:
-            raise ConfigError(f"--s must lie in 1..{config.n_batches}")
-        reports = marginal_tv_profile(config, stream, reps, base_seed)
-        for report in reports if args.s is None else [reports[args.s - 1]]:
+        for report in marginal_tv_profile(config, stream, reps, base_seed):
             print(report.to_json_line())
     elif args.test == "epsilon":
         t = config.T // 2
@@ -322,8 +314,6 @@ def cmd_audit(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = _load_run_config(args.config)
-    if "output_dir" in cfg:
-        raise ConfigError("plan writes no files; output_dir is unused")
     config = _build_config(cfg)
     out = {k: getattr(config, k) for k in (*_TUNED, "T", "beta", "lam", "radius")}
     out["budget"] = config_budget(config).to_dict()
@@ -341,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run replicated games from a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--output", default=None)
+    p_run.add_argument("--output", default=".")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="regret vs epsilon over a grid")
@@ -353,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="distribution and privacy checks on a run config")
     p_audit.add_argument("test", choices=["marginal", "ratio", "epsilon", "switches"])
     p_audit.add_argument("--config", required=True)
-    p_audit.add_argument("--s", type=int, default=None)
     p_audit.set_defaults(func=cmd_audit)
 
     p_plan = sub.add_parser("plan", help="tuned config, budget and regret bound of a run config")

@@ -45,7 +45,6 @@ def _write_config(tmp_path, **overrides):
         "reps": 5,
         "base_seed": 0,
         "adversary": {"kind": "bernoulli", "means": [0.3, 0.5, 0.7], "seed": 1},
-        "output_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
     cfg = {k: v for k, v in cfg.items() if v is not _MISSING}
@@ -68,7 +67,7 @@ def _write_config(tmp_path, **overrides):
 )
 def test_mismatched_stream_exit_2_writes_nothing(tmp_path, capsys, command, problem, adversary):
     # a problem whose measure kind does not fit its adversary's losses
-    path = _write_config(tmp_path, problem=problem, adversary=adversary, output_dir=_MISSING)
+    path = _write_config(tmp_path, problem=problem, adversary=adversary)
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
@@ -87,9 +86,9 @@ def _epoch(eps=0.1, seed=0):
 # bool, an object or beyond a double's range, an epoch adversary without
 # its epsilon, a ball override without a delta to spend, an experts
 # config that sets the oco problem's lipschitz or diameter, which it would
-# ignore, an output_dir that is not a string, a matrix adversary
-# without a path string, or a key that nothing reads: an adversary key
-# its kind ignores, or a misspelt top-level key.
+# ignore, a matrix adversary without a path string, or a key that nothing
+# reads: an adversary key its kind ignores, a misspelt top-level key, or
+# an output_dir of any value (the files go where --output says).
 _MALFORMED = (
     None, {"T": None}, {"epsilon": "1.0"}, {"reps": True}, {"T": math.inf},
     {"delta": math.nan}, {"adversary": "bernoulli"},
@@ -143,7 +142,7 @@ _MALFORMED_IDS = [
 )
 @pytest.mark.parametrize("overrides", _MALFORMED, ids=_MALFORMED_IDS)
 def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overrides):
-    path = _write_config(tmp_path, **{"output_dir": _MISSING, **(overrides or {})})
+    path = _write_config(tmp_path, **(overrides or {}))
     if overrides is None:
         path.write_text("[1, 2]")
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
@@ -158,8 +157,7 @@ def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, cap
     # no top-level lipschitz, so the run is tuned and accounted for L=1;
     # without the check this config ran and reported that budget
     path = _write_config(
-        tmp_path, problem="oco", adversary={"kind": "iid-sphere", "lipschitz": 3.0, "seed": 1},
-        output_dir=_MISSING,
+        tmp_path, problem="oco", adversary={"kind": "iid-sphere", "lipschitz": 3.0, "seed": 1}
     )
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     assert "exceeds the config's lipschitz 1.0" in capsys.readouterr().err
@@ -306,8 +304,7 @@ def test_refused_matrix_exit_2_writes_nothing(tmp_path, capsys, command, case):
     if write is not None:
         write(matrix)
     path = _write_config(
-        tmp_path, problem=problem, adversary={"kind": "matrix", "path": str(matrix), **keys},
-        output_dir=_MISSING,
+        tmp_path, problem=problem, adversary={"kind": "matrix", "path": str(matrix), **keys}
     )
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -339,6 +336,7 @@ _NO_CONFIG = "the strawman learner has no l2p config to tune, price or audit"
 _TARGET = "target epsilon must be positive and finite"
 _L_D = "lipschitz and diameter must be positive and finite"
 _MEANS = "adversary.means must be a list of finite numbers"
+_OUTPUT_DIR = "unknown config fields: output_dir"
 
 
 def _audit_config(T=5, d=3, reps=10_000, seed=0, **fields):
@@ -392,11 +390,10 @@ def _audit(directory, test, *flags, **config):
       "ratio audit needs at least two batches"),
      (["audit", "switches", {"reps": 50}], "need at least 100 runs from an identical config"),
      (["audit", "marginal", {"problem": "oco"}], "audits run on experts configs"),
-     (["audit", "marginal", {"output_dir": "out"}],
-      "an audit writes no files; output_dir is unused"),
-     (["sweep", {"output_dir": "out"}, "--epsilon-grid", "1.0"],
-      "sweep writes only --output; output_dir is unused"),
-     (["plan", {"output_dir": "out"}], "plan writes no files; output_dir is unused"),
+     (["audit", "marginal", {"output_dir": "out"}], _OUTPUT_DIR),
+     (["sweep", {"output_dir": "out"}, "--epsilon-grid", "1.0"], _OUTPUT_DIR),
+     (["plan", {"output_dir": "out"}], _OUTPUT_DIR),
+     (["run", {"output_dir": "out"}], _OUTPUT_DIR),
      (["audit", "marginal", {"adversary": {"kind": "epoch_lower_bound", "seed": 1}}],
       "an epoch_lower_bound adversary needs epsilon"),
      (["audit", "marginal", {"adversary": {"kind": "bernoulli", "means": [True, False, 0.5]}}],
@@ -415,7 +412,7 @@ def _audit(directory, test, *flags, **config):
          "audit-strawman", "plan-lower-bound",
          "audit-ratio-runs-0", "audit-epsilon-runs-50", "audit-ratio-one-batch",
          "audit-switches-runs-50", "audit-oco-config", "audit-output-dir",
-         "sweep-output-dir", "plan-output-dir",
+         "sweep-output-dir", "plan-output-dir", "run-output-dir",
          "audit-epoch-without-epsilon", "audit-bool-means", "audit-object-mean",
          "plan-epsilon-0", "plan-epsilon-negative", "plan-oco-lipschitz-0",
          "plan-oco-diameter-negative"],
@@ -450,7 +447,7 @@ def test_bad_flags_exit_2_writes_nothing(
 class TestRun:
     def test_smoke_writes_three_files(self, tmp_path, capsys):
         path = _write_config(tmp_path)
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         out = tmp_path / "out"
         assert (out / "reps.csv").exists()
         assert (out / "summary.json").exists()
@@ -460,18 +457,18 @@ class TestRun:
 
     def test_rerun_byte_identical(self, tmp_path):
         path = _write_config(tmp_path)
-        main(["run", "--config", str(path)])
+        main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
         first = (tmp_path / "out" / "reps.csv").read_bytes()
-        main(["run", "--config", str(path)])
+        main(["run", "--config", str(path), "--output", str(tmp_path / "out")])
         assert (tmp_path / "out" / "reps.csv").read_bytes() == first
 
     def test_partial_override_rejected(self, tmp_path, capsys):
         path = _write_config(tmp_path, override={"B": 1, "eta": 0.01})
-        assert main(["run", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
 
     def test_full_override_accepted(self, tmp_path):
         path = _write_config(tmp_path, override={"B": 1, "eta": 0.01, "p": 0.5})
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
 
     def test_ball_override_reports_accounted_budget(self, tmp_path, capsys):
         # the budget of a ball override uses the divergence bound of its measure;
@@ -481,7 +478,7 @@ class TestRun:
             adversary={"kind": "iid-sphere", "seed": 1},
             override={"B": 1, "eta": 0.01, "p": 0.1},
         )
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
         tuned, budget = provenance["tuned"], provenance["budget"]
         config = ball_config(400, 3, 1, 0.01, 0.1, 1e-6, 1.0, 1.0)
@@ -496,7 +493,7 @@ class TestRun:
     def test_degenerate_override_is_flagged(self, tmp_path, capsys):
         # at p=1 every batch refreshes both chains, so the coin hides nothing
         path = _write_config(tmp_path, T=200, reps=2, override={"B": 1, "eta": 0.05, "p": 1.0})
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         budget = json.loads((tmp_path / "out" / "provenance.json").read_text())["budget"]
         assert budget["preconditions_met"] is False
         assert "degenerate fake-switch probability p=1; run is not private" in budget["notes"]
@@ -508,7 +505,7 @@ class TestRun:
             adversary={"kind": "iid-sphere", "seed": 1},
             override={"B": 1, "eta": 0.05, "p": 0.5},
         )
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert provenance["tuned"]["eta_accounted"] > 0.1
         budget = provenance["budget"]
@@ -519,7 +516,7 @@ class TestRun:
 
     def test_invalid_override_exit_2_writes_nothing(self, tmp_path, capsys):
         path = _write_config(tmp_path, override={"B": 1, "eta": 0.5, "p": 0.5})
-        assert main(["run", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
         assert "eta must lie in (0, 0.1]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -530,18 +527,24 @@ class TestRun:
             tmp_path, problem="oco", T=1000, d=50, reps=1,
             adversary={"kind": "iid-sphere", "seed": 1},
         )
-        assert main(["run", "--config", str(path)]) == 4
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 4
         assert "sampler failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_output_flag_beats_output_dir(self, tmp_path, capsys):
-        # the config names out/, the flag flag/: the files go to flag/ only
+    def test_output_flag_beats_output_dir(self, tmp_path, monkeypatch, capsys):
+        # without --output, run writes into the working directory the bytes
+        # it writes into --output's
         path = _write_config(tmp_path)
         flag = tmp_path / "flag"
         assert main(["run", "--config", str(path), "--output", str(flag)]) == 0
-        for name in ("reps.csv", "summary.json", "provenance.json"):
-            assert (flag / name).exists()
-        assert not (tmp_path / "out").exists()
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--config", str(path)]) == 0
+        names = ["provenance.json", "reps.csv", "summary.json"]
+        assert sorted(p.name for p in cwd.iterdir()) == names
+        for name in names:
+            assert (cwd / name).read_bytes() == (flag / name).read_bytes()
 
     def test_integral_floats_accepted(self, tmp_path, capsys):
         # 4e2 and 3.0 are whole numbers, so they run as the integers do
@@ -556,26 +559,26 @@ class TestRun:
         path = _write_config(
             tmp_path, reps=3, adversary={"kind": "epoch_lower_bound", "epsilon": 0.05, "seed": 1}
         )
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         stream = epoch_lower_bound_stream(400, 0.05, 3, 1)
         want = monte_carlo(tune_ope(400, 3, 1.0, 1e-6), stream, 3, 0).to_json() + "\n"
         assert (tmp_path / "out" / "summary.json").read_text() == want
 
     def test_bad_schema(self, tmp_path):
         path = _write_config(tmp_path, schema=2)
-        assert main(["run", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
 
     def test_missing_file(self):
         assert main(["run", "--config", "/nonexistent.json"]) == 2
 
     def test_tuner_infeasible_exit_code(self, tmp_path):
         path = _write_config(tmp_path, T=10, epsilon=1e-6)
-        assert main(["run", "--config", str(path)]) == 3
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
 
 
 def _plan(tmp_path, capsys, **fields):
     """``plan`` on ``_write_config(tmp_path, **fields)``: its exit code and printed object."""
-    code = main(["plan", "--config", str(_write_config(tmp_path, output_dir=_MISSING, **fields))])
+    code = main(["plan", "--config", str(_write_config(tmp_path, **fields))])
     out = capsys.readouterr().out
     return code, json.loads(out) if code == 0 else out
 
@@ -706,7 +709,7 @@ class TestPlan:
     def test_tune_lines_gain_only_the_regret_bound(self, tmp_path, capsys, fields, line):
         if fields.get("problem") == "oco":
             fields = {**fields, "adversary": _SPHERE}
-        path = _write_config(tmp_path, output_dir=_MISSING, **fields)
+        path = _write_config(tmp_path, **fields)
         assert main(["plan", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         cfg = json.loads(path.read_text())
@@ -735,7 +738,7 @@ class TestPlan:
     def test_one_meaning_across_commands(self, tmp_path, capsys, fields):
         # plan's config and budget are the ones run records, and its bound
         # is the one sweep prints at the config's epsilon
-        path = _write_config(tmp_path, reps=2, output_dir=_MISSING, **fields)
+        path = _write_config(tmp_path, reps=2, **fields)
         assert main(["plan", "--config", str(path)]) == 0
         plan = json.loads(capsys.readouterr().out)
         assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
@@ -744,9 +747,7 @@ class TestPlan:
         assert {k: plan[k] for k in tuned} == provenance["tuned"]
         assert plan["budget"] == provenance["budget"]
         # sweep tunes per epsilon, so it reads the config without its override
-        path = _write_config(
-            tmp_path, reps=2, output_dir=_MISSING, **{**fields, "override": _MISSING}
-        )
+        path = _write_config(tmp_path, reps=2, **{**fields, "override": _MISSING})
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(path), "--epsilon-grid", "1.0", "--output", str(out)]
         assert main(argv) == 0
@@ -768,9 +769,7 @@ class TestPlan:
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        path = _write_config(
-            tmp_path, reps=2, override=_override(1, 0.01, 0.0), output_dir=_MISSING
-        )
+        path = _write_config(tmp_path, reps=2, override=_override(1, 0.01, 0.0))
         assert main(["plan", "--config", str(path)]) == 0
         plan = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
@@ -788,7 +787,7 @@ class TestPlan:
     def test_malformed_config_exit_2(self, tmp_path, capsys, overrides):
         # every config run refuses as it loads; plan plays no replicates, so
         # a config without any still has a plan
-        path = _write_config(tmp_path, **{"output_dir": _MISSING, **(overrides or {})})
+        path = _write_config(tmp_path, **(overrides or {}))
         if overrides is None:
             path.write_text("[1, 2]")
         assert main(["plan", "--config", str(path)]) == 2
@@ -803,7 +802,7 @@ class TestPlan:
 
 class TestSweepAndLowerBound:
     def test_sweep_rows(self, tmp_path, capsys):
-        path = _write_config(tmp_path, T=300, reps=3, output_dir=_MISSING)
+        path = _write_config(tmp_path, T=300, reps=3)
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--config", str(path), "--epsilon-grid", "0.5", "1.0",
@@ -818,7 +817,7 @@ class TestSweepAndLowerBound:
         # an oco sweep overlays the DP-OCO rate, with L and D from the config
         path = _write_config(
             tmp_path, problem="oco", T=200, reps=2, lipschitz=2.0, diameter=0.5,
-            adversary={"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0}, output_dir=_MISSING,
+            adversary={"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0},
         )
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.5", "1.0",
@@ -832,7 +831,7 @@ class TestSweepAndLowerBound:
 
     def test_sweep_refuses_an_override_exit_2_writes_nothing(self, tmp_path, capsys):
         # the override fixes one config, so every epsilon of the grid ran it
-        path = _write_config(tmp_path, override=_override(), output_dir=_MISSING)
+        path = _write_config(tmp_path, override=_override())
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.1", "1", "5",
                      "--output", str(out)]) == 2
@@ -841,14 +840,14 @@ class TestSweepAndLowerBound:
 
     def test_empty_epsilon_grid_exit_2(self, tmp_path, capsys):
         # argparse refuses the empty grid before the command runs
-        path = _write_config(tmp_path, output_dir=_MISSING)
+        path = _write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--epsilon-grid"]) == 2
         assert "--epsilon-grid" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_epsilon_in_grid_exit_2(self, tmp_path, capsys, value):
-        path = _write_config(tmp_path, output_dir=_MISSING)
+        path = _write_config(tmp_path)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(path), "--epsilon-grid", "1.0", value, "--output", str(out)]
         assert main(argv) == 2
@@ -860,7 +859,7 @@ class TestSweepAndLowerBound:
         # replicate seeds and regrets are the ones lower-bound wrote at
         # --T 1000 --epsilon 0.05 --d 4 --reps 10 --seed 3
         path = _write_config(tmp_path, **_lower_bound(T=1000, eps=0.05, d=4, reps=10, seed=3))
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "reps.csv").read_text().splitlines()
         assert lines[0] == ",".join(REP_CSV_COLUMNS)
         rows = [line.split(",") for line in lines[1:]]
@@ -875,7 +874,7 @@ class TestSweepAndLowerBound:
         # one expert is its own best in hindsight: every regret is 0, and
         # nothing is printed beside it (lower-bound's stderr note went)
         path = _write_config(tmp_path, **_lower_bound(T=100, eps=0.1, d=1, reps=2))
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
         lines = (tmp_path / "out" / "reps.csv").read_text().splitlines()[1:]
         assert [line.split(",")[6] for line in lines] == ["0.0"] * 2
@@ -885,7 +884,7 @@ class TestSweepAndLowerBound:
         # at --T 16 --epsilon 1 --d 2 --reps 3 --seed 0
         path = _write_config(tmp_path, **_lower_bound(T=16, eps=1.0, d=2, reps=3, seed=0))
         with pytest.warns(UserWarning, match="clamped to T") as record:
-            assert main(["run", "--config", str(path)]) == 0
+            assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
         assert len(record) == 1
         assert capsys.readouterr().err == ""
         lines = (tmp_path / "out" / "reps.csv").read_text().splitlines()[1:]
@@ -893,9 +892,7 @@ class TestSweepAndLowerBound:
 
     def test_lower_bound_sweep_switches_per_epsilon(self, tmp_path, capsys):
         # each grid epsilon sets its own switch count; the bound is the DP-OPE rate
-        path = _write_config(
-            tmp_path, **_lower_bound(T=1000, eps=0.05, d=4, reps=4, seed=3), output_dir=_MISSING
-        )
+        path = _write_config(tmp_path, **_lower_bound(T=1000, eps=0.05, d=4, reps=4, seed=3))
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(path), "--epsilon-grid", "0.05", "0.5"]
         assert main([*argv, "--output", str(out)]) == 0
@@ -911,22 +908,22 @@ class TestAudit:
     _OVERRIDE = {"B": 1, "eta": 0.1, "p": 0.5}
 
     def test_marginal_json_lines(self, tmp_path, capsys):
-        argv = _audit(tmp_path, "marginal", "--s", "2", reps=20_000, override=self._OVERRIDE)
+        # one JSON line per batch, each naming its batch
+        argv = _audit(tmp_path, "marginal", reps=20_000, override=self._OVERRIDE)
         assert main(argv) == 0
-        obj = json.loads(capsys.readouterr().out.strip())
-        assert obj["passed"] is True
+        objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [obj["name"] for obj in objs] == [f"marginal_tv[s={s}]" for s in range(1, 6)]
+        assert all(obj["passed"] is True for obj in objs)
 
     def test_marginal_prints_the_profile(self, tmp_path, capsys):
-        # every row of marginal_tv_profile on the config's run, stream and seed;
-        # --s picks one of them
+        # every row of marginal_tv_profile on the config's run, stream and
+        # seed, each naming its batch
         argv = _audit(tmp_path, "marginal", reps=20_000, seed=3, override=self._OVERRIDE)
         stream = bernoulli_experts(3, 5, np.linspace(0.3, 0.7, 3), 3)
         config = L2PConfig(T=5, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6 / 10)
         want = [r.to_json_line() for r in marginal_tv_profile(config, stream, 20_000, 3)]
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines() == want
-        assert main([*argv, "--s", "4"]) == 0
-        assert capsys.readouterr().out.splitlines() == [want[3]]
 
     def test_tuned_marginal_prints_the_profile(self, tmp_path, capsys):
         stream = bernoulli_experts(3, 5, np.linspace(0.3, 0.7, 3), 2)
@@ -953,7 +950,7 @@ class TestAudit:
     def test_epoch_adversary(self, tmp_path, capsys):
         # the lower bound's epoch stream, with the replicates seeded apart from it
         path = _write_config(
-            tmp_path, T=20, d=2, reps=300, base_seed=7, output_dir=_MISSING,
+            tmp_path, T=20, d=2, reps=300, base_seed=7,
             adversary={"kind": "epoch_lower_bound", "epsilon": 0.2, "seed": 1},
         )
         stream = epoch_lower_bound_stream(20, 0.2, 2, 1)
@@ -976,17 +973,19 @@ class TestAudit:
 
     @pytest.mark.parametrize("s", ["0", "6"])
     def test_marginal_batch_out_of_range_exit_2(self, tmp_path, capsys, s):
+        # no audit takes --s: argparse refuses it, in or out of 1..5
         argv = _audit(tmp_path, "marginal", "--s", s, reps=20_000, override=self._OVERRIDE)
         assert main(argv) == 2
-        assert "--s must lie in 1..5" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --s" in captured.err
 
     @pytest.mark.parametrize("test", ["ratio", "epsilon", "switches"])
     def test_s_outside_marginal_exit_2(self, tmp_path, capsys, test):
-        # only the marginal audit reads one batch; the others ignored --s
+        # no audit takes --s; argparse refuses it before the config is read
         argv = _audit(tmp_path, test, "--s", "3", T=20, reps=50, seed=1)
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--s applies to the marginal audit only" in captured.err
+        assert captured.out == "" and "unrecognized arguments: --s" in captured.err
 
     def test_invalid_override_exit_2(self, tmp_path, capsys):
         argv = _audit(tmp_path, "ratio", reps=10, override={"B": 1, "eta": 0.5, "p": 0.5})

@@ -654,6 +654,9 @@ class TestCountTable:
             assert _bits(t.total_loss) == _bits(float(t.round_losses.sum()))
 
     def test_a_negative_zero_keeps_floats(self):
+        # a float64 matrix is fractional whatever its values, so a 0/1
+        # matrix with -0.0 losses in one column keeps a float table and
+        # gathers each total, as any float64 matrix does
         values = (np.random.default_rng(3).random((300, 3)) < 0.5).astype(np.float64)
         values[values[:, 1] == 0.0, 1] = -0.0
         config = L2PConfig(T=300, B=2, eta=0.05, p=0.2, delta0=0.0, delta1=1e-6)

@@ -1489,6 +1489,8 @@ class TestSpanSums:
         if kind == "fractional":
             values = rng.random((300, 4))
         else:
+            # a float64 matrix is fractional whatever its values: this 0/1
+            # matrix with one 0.5 gathers its totals as the fractional one does
             values = (rng.random((300, 4)) < 0.5).astype(float)
             values[150, 2] = 0.5
         config = L2PConfig(T=300, B=2, eta=0.05, p=0.2, delta0=0.0, delta1=1e-6)
