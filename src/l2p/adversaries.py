@@ -1,11 +1,12 @@
 """Oblivious loss-sequence generators.
 
-Streams are materialized up front: the whole sequence is a deterministic
-function of (kind, parameters, seed), which both enforces obliviousness
-and makes neighboring-stream experiments exactly reproducible. A stream
-of kind ``"matrix"`` holds losses that no generator made, such as a
-``.npy`` file's. Two streams are neighbors when they differ in exactly
-one round.
+Streams are materialized up front: a generated sequence is a
+deterministic function of its generator's parameters and seed, which
+both enforces obliviousness and makes neighboring-stream experiments
+exactly reproducible. A stream is its (T, d) matrix, whoever made it (a
+generator or a ``.npy`` file), plus what the matrix cannot say: the
+gradient bound of a linear stream and the epoch construction's layout.
+Two streams are neighbors when they differ in exactly one round.
 
 Every generated experts stream holds only 0s and 1s and keeps them as a
 ``bool`` matrix, one byte per loss where float64 takes eight; every
@@ -26,9 +27,6 @@ import numpy as np
 # float32 exceed 1 by up to about 4.5e-8; the slack covers both.
 LIPSCHITZ_RTOL = 1e-6
 
-_OPE_KINDS = ("bernoulli", "epoch_lower_bound")
-_OCO_KINDS = ("iid-sphere", "drift")
-
 # Rows per chunk of the Bernoulli draw: its float64 uniforms stay small
 # (160 KB at d = 10), whatever T is.
 _CHUNK = 2048
@@ -36,12 +34,13 @@ _CHUNK = 2048
 
 @dataclass(frozen=True, eq=False)
 class LossStream:
-    """A full horizon of losses: rows of ``values`` are rounds.
+    """A full horizon of losses: a (T, d) matrix whose rows are rounds.
 
-    For expert streams each row is a loss vector in [0,1]^d; for linear
-    streams each row is a gradient with norm at most ``lipschitz``. A
-    ``"matrix"`` stream is linear exactly when it carries a ``lipschitz``.
-    ``n_epochs``/``epoch_len`` are set only by the epoch construction.
+    ``T`` and ``d`` are read off the matrix. A stream is linear
+    exactly when it carries a ``lipschitz`` bound: each row is then a
+    gradient with norm at most ``lipschitz``, and otherwise a loss vector
+    in [0, 1]^d. ``n_epochs``/``epoch_len`` are set only by the epoch
+    construction.
 
     An experts matrix that arrives as ``bool``, such as a generated one or
     a bool ``.npy`` file's, stays bool (a memory map stays one); it holds
@@ -49,10 +48,6 @@ class LossStream:
     other matrix, and every gradient matrix, is kept in float64.
     """
 
-    kind: str
-    d: int
-    T: int
-    seed: int
     values: np.ndarray
     lipschitz: float | None = None
     n_epochs: int | None = None
@@ -60,12 +55,10 @@ class LossStream:
     clamped: bool = False
 
     def __post_init__(self):
-        if self.kind not in (*_OPE_KINDS, *_OCO_KINDS, "matrix"):
-            raise ValueError(f"unknown stream kind {self.kind!r}")
         vals = np.asarray(self.values)
         if vals.dtype != np.bool_ or self.is_oco:
             vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != (self.T, self.d):
+        if vals.ndim != 2:
             raise ValueError("values must have shape (T, d)")
         object.__setattr__(self, "values", vals)
         if vals.dtype == np.bool_:  # 0s and 1s are finite and lie in [0, 1]
@@ -73,20 +66,25 @@ class LossStream:
         if not np.isfinite(vals).all():
             raise ValueError("stream values must be finite")
         if self.is_oco:
-            if self.lipschitz is None or self.lipschitz <= 0:
+            if self.lipschitz <= 0:
                 raise ValueError("linear streams need a positive lipschitz bound")
             norms = np.linalg.norm(vals, axis=1)
             if norms.max(initial=0.0) > self.lipschitz * (1 + LIPSCHITZ_RTOL):
                 raise ValueError("gradient norm exceeds the lipschitz bound")
-        else:
-            if vals.min(initial=0.0) < 0 or vals.max(initial=0.0) > 1:
-                raise ValueError("expert losses must lie in [0, 1]")
+        elif vals.min(initial=0.0) < 0 or vals.max(initial=0.0) > 1:
+            raise ValueError("expert losses must lie in [0, 1]")
+
+    @property
+    def T(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.values.shape[1]
 
     @property
     def is_oco(self) -> bool:
-        if self.kind == "matrix":
-            return self.lipschitz is not None
-        return self.kind in _OCO_KINDS
+        return self.lipschitz is not None
 
 
 def bernoulli_experts(d: int, T: int, means, seed: int) -> LossStream:
@@ -107,7 +105,7 @@ def bernoulli_experts(d: int, T: int, means, seed: int) -> LossStream:
     for a in range(0, T, _CHUNK):
         rows = min(_CHUNK, T - a)
         np.less(rng.random((rows, d)), means, out=values[a : a + rows])
-    return LossStream("bernoulli", d, T, seed, values)
+    return LossStream(values)
 
 
 def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStream:
@@ -132,9 +130,7 @@ def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStrea
     rng = np.random.default_rng(seed)
     draws = rng.random((E, d)) < 0.5
     values = np.repeat(draws, epoch_len, axis=0)[:T]
-    return LossStream(
-        "epoch_lower_bound", d, T, seed, values, n_epochs=E, epoch_len=epoch_len, clamped=clamped
-    )
+    return LossStream(values, n_epochs=E, epoch_len=epoch_len, clamped=clamped)
 
 
 def linear_oco_stream(d: int, T: int, lipschitz: float, seed: int, kind: str) -> LossStream:
@@ -156,7 +152,7 @@ def linear_oco_stream(d: int, T: int, lipschitz: float, seed: int, kind: str) ->
         values *= lipschitz
     else:
         raise ValueError(f"unknown linear stream kind {kind!r}")
-    return LossStream(kind, d, T, seed, values, lipschitz=lipschitz)
+    return LossStream(values, lipschitz=lipschitz)
 
 
 def neighbor_of(stream: LossStream, index: int, replacement) -> LossStream:

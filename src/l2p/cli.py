@@ -162,10 +162,10 @@ def _switch_count(T: int, eps: float) -> int:
 def _load_matrix(path: str) -> np.ndarray:
     """The real numeric array a ``.npy`` file holds, memory-mapped read-only.
 
-    Only ``LossStream`` checks its shape and values; this refuses what
-    would reach it as something else: an empty file, an ``.npz``
-    archive or any other file that is not a ``.npy`` array, one cut
-    short, and a complex or structured array, which a float64
+    ``_build_stream`` checks its shape and ``LossStream`` its values;
+    this refuses what would reach them as something else: an empty file,
+    an ``.npz`` archive or any other file that is not a ``.npy`` array,
+    one cut short, and a complex or structured array, which a float64
     conversion would cut to its real part or silently flatten.
     """
     with open(path, "rb") as fh:
@@ -192,7 +192,10 @@ def _build_stream(cfg: dict):
     if kind == "matrix":
         # the problem says what the rows are: gradients carry the config's bound
         lipschitz = _lipschitz_diameter(cfg)[0] if cfg["problem"] == "oco" else None
-        return LossStream("matrix", d, T, 0, _load_matrix(adv["path"]), lipschitz=lipschitz)
+        values = _load_matrix(adv["path"])
+        if values.shape != (T, d):
+            raise ConfigError(f"matrix of shape {values.shape} must have shape (T, d) = {(T, d)}")
+        return LossStream(values, lipschitz=lipschitz)
     seed = int(adv.get("seed", 0))
     if kind == "bernoulli":
         means = adv.get("means", list(np.linspace(0.35, 0.65, d)))

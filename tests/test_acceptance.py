@@ -40,7 +40,7 @@ def test_criterion_01_exact_oracle_marginal():
     vals = np.array(
         [[1.0, 0.0, 0.5], [0.0, 1.0, 0.2], [0.3, 0.3, 1.0], [1.0, 0.2, 0.0], [0.5, 0.5, 0.5]]
     )
-    stream = LossStream("bernoulli", 3, 5, 0, vals)
+    stream = LossStream(vals)
     config = L2PConfig(T=5, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
     start = time.perf_counter()
     reports = marginal_tv_profile(config, stream, 100_000, base_seed=11)

@@ -140,43 +140,58 @@ class TestLinearStream:
             linear_oco_stream(2, 10, lipschitz, seed=0, kind="iid-sphere")
 
 
-def test_unknown_stream_kind_refused():
-    # a misspelt gradient kind whose rows lie in [0, 1] would pass as expert losses
-    with pytest.raises(ValueError, match="unknown stream kind 'sphere'"):
-        LossStream("sphere", 2, 1, 0, [[0.5, 0.5]])
-
-
 def test_matrix_stream_is_linear_exactly_with_a_lipschitz():
+    # every stream is its matrix: generated or not, it holds gradients
+    # exactly when it carries a bound, and T and d are its shape
+    losses = [bernoulli_experts(3, 7, [0.5] * 3, seed=0),
+              epoch_lower_bound_stream(100, 0.1, 3, seed=0)]
+    gradients = [linear_oco_stream(3, 7, 1.0, seed=0, kind=kind)
+                 for kind in ("iid-sphere", "drift")]
+    assert [s.is_oco for s in losses + gradients] == [False, False, True, True]
+    assert [(s.T, s.d) for s in losses + gradients] == [(7, 3), (100, 3), (7, 3), (7, 3)]
     # the same rows are expert losses without a bound and gradients with one
     rows = [[0.6, 0.8], [1.0, 0.0]]
-    assert not LossStream("matrix", 2, 2, 0, rows).is_oco
-    assert LossStream("matrix", 2, 2, 0, rows, lipschitz=1.0).is_oco
+    assert not LossStream(rows).is_oco
+    assert LossStream(rows, lipschitz=1.0).is_oco
     with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-        LossStream("matrix", 2, 1, 0, [[-0.6, 0.8]])
+        LossStream([[-0.6, 0.8]])
     with pytest.raises(ValueError, match="exceeds the lipschitz bound"):
-        LossStream("matrix", 2, 1, 0, [[0.6, 0.8]], lipschitz=0.5)
+        LossStream([[0.6, 0.8]], lipschitz=0.5)
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["array", "memmap"])
+@pytest.mark.parametrize("dtype", [np.bool_, np.float64], ids=["bool", "float64"])
+def test_shape_is_read_off_the_matrix(tmp_path, dtype, on_disk):
+    # a bool or float64 matrix, in memory or memory-mapped from a .npy
+    # file, is kept as it comes: a bool memory map stays one
+    values = (np.arange(15).reshape(5, 3) % 2).astype(dtype)
+    if on_disk:
+        np.save(tmp_path / "losses.npy", values)
+        values = np.load(tmp_path / "losses.npy", mmap_mode="r")
+    s = LossStream(values)
+    assert (s.T, s.d) == (5, 3) and type(s.T) is int and type(s.d) is int
+    assert s.values.dtype == dtype and np.shares_memory(s.values, values)
+    assert isinstance(s.values.base, np.memmap) == on_disk
 
 
 @pytest.mark.parametrize("lipschitz, dtype", [(None, np.bool_), (2.0, np.float64)])
 def test_a_bool_matrix_stays_bool_only_as_losses(lipschitz, dtype):
     values = np.eye(3, dtype=np.bool_)
-    s = LossStream("matrix", 3, 3, 0, values, lipschitz=lipschitz)
+    s = LossStream(values, lipschitz=lipschitz)
     assert s.values.dtype == dtype and np.array_equal(s.values, values)
     assert (s.values is values) == (dtype is np.bool_)
 
 
 @pytest.mark.parametrize(
-    "kind, values, lipschitz, match",
-    [("bernoulli", [[0.5, 0.5, 0.5]], None, r"shape \(T, d\)"),
-     ("bernoulli", [0.5, 0.5], None, r"shape \(T, d\)"),
-     ("iid-sphere", [[0.3, 0.4]], None, "positive lipschitz"),
-     ("iid-sphere", [[0.0, 0.0]], 0.0, "positive lipschitz")],
-    ids=["experts-wrong-width", "experts-flat", "gradients-no-lipschitz",
-         "gradients-zero-lipschitz"],
+    "values, lipschitz, match",
+    [([0.5, 0.5], None, r"shape \(T, d\)"),
+     ([[[0.5, 0.5]]], None, r"shape \(T, d\)"),
+     ([[0.0, 0.0]], 0.0, "positive lipschitz")],
+    ids=["experts-flat", "experts-cube", "gradients-zero-lipschitz"],
 )
-def test_malformed_stream_refused(kind, values, lipschitz, match):
+def test_malformed_stream_refused(values, lipschitz, match):
     with pytest.raises(ValueError, match=match):
-        LossStream(kind, 2, 1, 0, values, lipschitz=lipschitz)
+        LossStream(values, lipschitz=lipschitz)
 
 
 class TestNeighborOf:
@@ -186,7 +201,7 @@ class TestNeighborOf:
         assert np.array_equal(n.values, s.values)
 
     def test_single_round_differs(self):
-        s = LossStream("bernoulli", 2, 5, 0, np.zeros((5, 2)))
+        s = LossStream(np.zeros((5, 2)))
         n = neighbor_of(s, 0, [1.0, 1.0])
         diff = (n.values != s.values).any(axis=1)
         assert diff.tolist() == [True, False, False, False, False]
@@ -228,3 +243,18 @@ class TestNeighborOf:
         s = bernoulli_experts(2, 10, [0.5, 0.5], seed=0)
         with pytest.raises(ValueError):
             neighbor_of(s, 3, [2.0, 0.0])  # outside [0,1] for expert losses
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: epoch_lower_bound_stream(100, 0.1, 2, seed=3),
+         lambda: epoch_lower_bound_stream(16, 1.0, 2, seed=3),
+         lambda: linear_oco_stream(2, 10, 2.0, seed=3, kind="iid-sphere")],
+        ids=["epochs", "clamped-epochs", "gradients"],
+    )
+    @pytest.mark.filterwarnings("ignore:epoch count")
+    def test_keeps_what_the_matrix_cannot_say(self, make):
+        s = make()
+        n = neighbor_of(s, 5, [0.0, 1.0])
+        kept = ("lipschitz", "n_epochs", "epoch_len", "clamped")
+        assert [getattr(n, f) for f in kept] == [getattr(s, f) for f in kept]
+        assert (n.T, n.d, n.is_oco) == (s.T, s.d, s.is_oco)

@@ -26,7 +26,7 @@ def _fixed_stream():
     vals = np.array(
         [[1.0, 0.0, 0.5], [0.0, 1.0, 0.2], [0.3, 0.3, 1.0], [1.0, 0.2, 0.0], [0.5, 0.5, 0.5]]
     )
-    return LossStream("bernoulli", 3, 5, 0, vals)
+    return LossStream(vals)
 
 
 def _small_config(p=0.5, eta=0.1, B=1, T=5):
@@ -124,7 +124,7 @@ class TestMarginalAudit:
 
 class TestRatioAudit:
     def test_zero_losses_always_inside(self):
-        stream = LossStream("bernoulli", 2, 10, 0, np.zeros((10, 2)))
+        stream = LossStream(np.zeros((10, 2)))
         config = _small_config(T=10)
         report = ratio_range_check(config, stream, 500, base_seed=0)
         assert report.statistic == 0.0 and report.passed
@@ -246,7 +246,7 @@ class TestSwitchStatistics:
 
 def _shifted(stream):
     """``stream`` one round shorter: a neighbour of another shape."""
-    return LossStream(stream.kind, stream.d, stream.T - 1, stream.seed, stream.values[1:])
+    return LossStream(stream.values[1:])
 
 
 _EPS_STREAM = bernoulli_experts(2, 10, [0.3, 0.7], seed=4)

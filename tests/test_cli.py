@@ -281,6 +281,7 @@ _REFUSED_MATRICES = {
     "ndim-3": ("ope", _save(_losses_with(0.5)[..., None]), {}, r"shape \(T, d\)"),
     "transposed": ("ope", _save(_losses_with(0.5).T), {}, r"shape \(T, d\)"),
     "short": ("ope", _save(_losses_with(0.5)[:-1]), {}, r"shape \(T, d\)"),
+    "wide": ("ope", _save(np.full((400, 4), 0.5)), {}, r"shape \(T, d\)"),
     "nan": ("ope", _save(_losses_with(math.nan)), {}, "must be finite"),
     "infinity": ("oco", _save(_losses_with(-math.inf)), {}, "must be finite"),
     "loss-above-1": ("ope", _save(_losses_with(1.5)), {}, r"in \[0, 1\]"),
@@ -531,7 +532,7 @@ class TestRun:
         assert "sampler failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_output_flag_beats_output_dir(self, tmp_path, monkeypatch, capsys):
+    def test_default_output_is_the_working_directory(self, tmp_path, monkeypatch, capsys):
         # without --output, run writes into the working directory the bytes
         # it writes into --output's
         path = _write_config(tmp_path)

@@ -44,43 +44,43 @@ class TestSeeding:
 
 class TestComparators:
     def test_ope_all_zero_tie_break(self):
-        s = LossStream("bernoulli", 3, 5, 0, np.zeros((5, 3)))
+        s = LossStream(np.zeros((5, 3)))
         assert best_in_hindsight_ope(s) == (0, 0.0)
 
     def test_ope_brute_force(self):
         vals = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        s = LossStream("bernoulli", 2, 3, 0, vals)
+        s = LossStream(vals)
         assert best_in_hindsight_ope(s) == (0, 1.0)
 
     def test_ope_single_expert(self):
         vals = np.array([[0.5], [0.25]])
-        s = LossStream("bernoulli", 1, 2, 0, vals)
+        s = LossStream(vals)
         idx, loss = best_in_hindsight_ope(s)
         assert idx == 0 and loss == 0.75
 
     def test_oco_zero_gradients(self):
-        s = LossStream("iid-sphere", 2, 4, 0, np.zeros((4, 2)), lipschitz=1.0)
+        s = LossStream(np.zeros((4, 2)), lipschitz=1.0)
         point, loss = best_in_hindsight_oco_ball(s, 1.0)
         assert loss == 0.0 and np.array_equal(point, np.zeros(2))
 
     def test_oco_closed_form(self):
         vals = np.array([[3.0, 4.0]]) / 5.0  # one gradient of norm 1
         vals = np.repeat(vals, 5, axis=0)  # total (3, 4)
-        s = LossStream("iid-sphere", 2, 5, 0, vals, lipschitz=1.0)
+        s = LossStream(vals, lipschitz=1.0)
         point, loss = best_in_hindsight_oco_ball(s, 1.0)
         np.testing.assert_allclose(point, [-0.6, -0.8], rtol=1e-12)
         np.testing.assert_allclose(loss, -5.0, rtol=1e-12)
 
     def test_oco_antipodal_cancellation(self):
         g = np.array([[0.6, 0.8], [-0.6, -0.8]])
-        s = LossStream("iid-sphere", 2, 2, 0, g, lipschitz=1.0)
+        s = LossStream(g, lipschitz=1.0)
         _, loss = best_in_hindsight_oco_ball(s, 1.0)
         assert loss == 0.0
 
 
 class TestPlayGame:
     def test_zero_losses_zero_regret(self):
-        s = LossStream("bernoulli", 2, 8, 0, np.zeros((8, 2)))
+        s = LossStream(np.zeros((8, 2)))
         cfg = L2PConfig(T=8, B=2, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         g = play_game(cfg, "mw", s, seed=0)
         assert g.regret == 0.0
@@ -103,7 +103,7 @@ class TestPlayGame:
         # the classical multiplicative-weights regret envelope
         T, d = 100, 2
         vals = np.tile(np.array([[1.0, 0.0], [0.0, 1.0]]), (T // 2, 1))
-        s = LossStream("bernoulli", d, T, 0, vals)
+        s = LossStream(vals)
         eta = min(0.1, math.sqrt(math.log(d) / T))
         cfg = L2PConfig(T=T, B=1, eta=eta, p=1.0, delta0=0.0, delta1=1e-6)
         regrets = [play_game(cfg, "mw", s, seed=k).regret for k in range(100)]
@@ -129,7 +129,7 @@ class TestMonteCarlo:
         assert a.to_json() == b.to_json()
 
     def test_zero_loss_stream(self):
-        s = LossStream("bernoulli", 2, 10, 0, np.zeros((10, 2)))
+        s = LossStream(np.zeros((10, 2)))
         cfg = L2PConfig(T=10, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         summary = monte_carlo(cfg, s, 7, base_seed=0)
         assert summary.mean_regret == 0.0 and summary.std_regret == 0.0

@@ -55,26 +55,26 @@ class TestLossTypes:
     """Losses are rows of a stream, validated once for the whole matrix."""
 
     def test_loss_vector_bounds(self):
-        LossStream("bernoulli", 3, 1, 0, [[0.0, 1.0, 0.5]])
+        LossStream([[0.0, 1.0, 0.5]])
         with pytest.raises(ValueError):
-            LossStream("bernoulli", 2, 1, 0, [[1.2, 0.0]])
+            LossStream([[1.2, 0.0]])
         with pytest.raises(ValueError):
-            LossStream("bernoulli", 1, 1, 0, [[-0.1]])
+            LossStream([[-0.1]])
         # NaN passes every comparison of the range check
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite"):
-                LossStream("bernoulli", 2, 1, 0, [[bad, 0.0]])
+                LossStream([[bad, 0.0]])
 
     def test_linear_loss_norm_cap(self):
-        LossStream("iid-sphere", 2, 1, 0, [[0.3, 0.4]], lipschitz=0.5)
+        LossStream([[0.3, 0.4]], lipschitz=0.5)
         with pytest.raises(ValueError):
-            LossStream("iid-sphere", 2, 1, 0, [[3.0, 4.0]], lipschitz=1.0)
+            LossStream([[3.0, 4.0]], lipschitz=1.0)
         for bad in (math.nan, -math.inf):
             with pytest.raises(ValueError, match="must be finite"):
-                LossStream("iid-sphere", 2, 1, 0, [[0.0, bad]], lipschitz=1.0)
+                LossStream([[0.0, bad]], lipschitz=1.0)
 
     def test_linear_loss_value(self):
-        stream = LossStream("iid-sphere", 2, 1, 0, [[1.0, -2.0]], lipschitz=3.0)
+        stream = LossStream([[1.0, -2.0]], lipschitz=3.0)
         assert stream.values[0] @ np.array([0.5, 0.25]) == 0.0
 
 
@@ -219,7 +219,7 @@ class TestRmw:
 
     def test_rejects_oversized_gradient(self):
         with pytest.raises(ValueError):
-            LossStream("iid-sphere", 2, 1, 0, [[2.0, 0.0]], lipschitz=1.0)
+            LossStream([[2.0, 0.0]], lipschitz=1.0)
 
     def test_log_density_identity(self):
         state = RmwMeasure(np.array([1.0, -2.0]), 0.2, 1.5, 1.0)

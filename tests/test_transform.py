@@ -85,7 +85,7 @@ class TestAcceptanceProbability:
         assert 0.0 < a <= 1.0
 
     def test_rmw_ratio(self):
-        stream = LossStream("iid-sphere", 2, 2, 0, [[1.0, 0.0], [0.0, 0.0]], lipschitz=1.0)
+        stream = LossStream([[1.0, 0.0], [0.0, 0.0]], lipschitz=1.0)
         config = L2PConfig(
             T=2, B=1, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
             beta=0.2, lam=1.0, radius=1.0, lipschitz=1.0,
@@ -245,7 +245,7 @@ class TestDomain:
         # the run checks the losses, not the stream's label: one-hot 0/1 rows
         # are gradients of norm 1, a valid ball game
         values = np.eye(2)[[0, 1, 1, 0, 0, 1]]
-        stream = LossStream("bernoulli", 2, 6, 0, values)
+        stream = LossStream(values)
         config = self.CONFIGS["rmw"]()
         game = play_game(config, "rmw", stream, 3)
         assert game.transcript.n_batches == config.n_batches
@@ -258,7 +258,7 @@ def _run(config, stream, seed, kind="mw"):
 
 def _uniform_stream(d, T, seed=0):
     rng = np.random.default_rng(seed)
-    return LossStream("bernoulli", d, T, seed, rng.random((T, d)) < 0.5)
+    return LossStream(rng.random((T, d)) < 0.5)
 
 
 class TestRunL2p:
@@ -274,7 +274,7 @@ class TestRunL2p:
     def test_forced_keep_branch(self):
         # all-zero losses keep the acceptance ratio at e^{-2B eta}; with a
         # seed whose first coins are all "keep", the model never moves
-        stream = LossStream("bernoulli", 2, 6, 0, np.zeros((6, 2)))
+        stream = LossStream(np.zeros((6, 2)))
         config = L2PConfig(T=6, B=2, eta=0.001, p=0.0, delta0=0.0, delta1=1e-6)
         prepared = PreparedRun(config, "mw", stream.values)
         for seed in range(20):
@@ -296,7 +296,7 @@ class TestRunL2p:
     def test_switch_rate_zero_losses(self):
         # with prev == cur each batch: P(switch) = 1 - e^{-2B eta} (1-p), p=0
         T, B, eta = 4, 2, 0.1
-        stream = LossStream("bernoulli", 2, T, 0, np.zeros((T, 2)))
+        stream = LossStream(np.zeros((T, 2)))
         config = L2PConfig(T=T, B=B, eta=eta, p=0.0, delta0=0.0, delta1=1e-6)
         prepared = PreparedRun(config, "mw", stream.values)
         n = 40_000
@@ -372,7 +372,7 @@ class TestRunL2p:
         rng = np.random.default_rng(0)
         grads = rng.standard_normal((6, 2))
         grads /= np.linalg.norm(grads, axis=1, keepdims=True)
-        stream = LossStream("iid-sphere", 2, 6, 0, grads, lipschitz=1.0)
+        stream = LossStream(grads, lipschitz=1.0)
         config = L2PConfig(
             T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
             beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
@@ -600,7 +600,7 @@ SHAPES = {
     "flat": lambda: (
         L2PConfig(T=400, B=1, eta=0.05, p=0.05, delta0=0.0, delta1=1e-6),
         "mw",
-        LossStream("bernoulli", 3, 400, 0, np.full((400, 3), 0.5)),
+        LossStream(np.full((400, 3), 0.5)),
     ),
     "epoch": lambda: (
         L2PConfig(T=2000, B=2, eta=0.02, p=0.02, delta0=0.0, delta1=1e-6),
@@ -862,7 +862,7 @@ class TestKeepBoundary:
         nothing has resampled."""
         values = np.asarray(values, dtype=float)
         config = L2PConfig(T=len(values), B=1, eta=eta, p=p, delta0=0.0, delta1=1e-6)
-        prepared = _prepared(config, "mw", LossStream("bernoulli", 2, len(values), 0, values))
+        prepared = _prepared(config, "mw", LossStream(values))
         assert config.n_batches > _WALK
         doubles = np.zeros(3 * config.n_batches + 8)
         doubles[1] = 0.999
@@ -984,7 +984,7 @@ class TestFloorScreen:
         if binary:
             values = values < 0.5
         config = L2PConfig(T=T, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        prepared = _prepared(config, "mw", LossStream("bernoulli", 3, T, 0, values))
+        prepared = _prepared(config, "mw", LossStream(values))
         assert prepared.binary == binary and prepared.walks == (T <= _WALK)
         return prepared
 
@@ -1060,7 +1060,7 @@ class TestFloorScreen:
         values = np.ones((T, 3))
         values[:, 0] = 0.0
         config = L2PConfig(T=T, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        prepared = _prepared(config, "mw", LossStream("bernoulli", 3, T, 0, values))
+        prepared = _prepared(config, "mw", LossStream(values))
         assert (prepared.cdfs[k - 1] == 1.0).all()
         assert (prepared.cdf_floors[k - 1] == 2**16 - 1).all()
         doubles = np.zeros(3 * T + 8)
@@ -1079,7 +1079,7 @@ class TestFloorScreen:
         if binary:
             values = values < 0.5
         config = L2PConfig(T=T, B=1, eta=0.1, p=0.3, delta0=0.0, delta1=1e-6)
-        prepared = _prepared(config, "mw", LossStream("bernoulli", d, T, 0, values))
+        prepared = _prepared(config, "mw", LossStream(values))
         assert prepared.cdf_floors.shape == (T, d - 1) and prepared.binary == binary
         for seed in range(30):
             TestAgainstReferenceLoop._assert_same(
@@ -1342,7 +1342,7 @@ class TestShortRuns:
         # its total loss is summed from a numpy gather
         config = L2PConfig(T=100_000, B=5000, eta=1e-4, p=0.5, delta0=0.0, delta1=1e-6)
         values = np.random.default_rng(9).random((100_000, 10))
-        stream = LossStream("bernoulli", 10, 100_000, 9, values)
+        stream = LossStream(values)
         prepared = PreparedRun(config, "mw", stream.values)
         assert prepared.walks and not prepared.binary
         gathers = []
