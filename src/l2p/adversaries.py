@@ -66,8 +66,8 @@ class LossStream:
         if not np.isfinite(vals).all():
             raise ValueError("stream values must be finite")
         if self.is_oco:
-            if self.lipschitz <= 0:
-                raise ValueError("linear streams need a positive lipschitz bound")
+            if not 0 < self.lipschitz < math.inf:
+                raise ValueError("linear streams need a finite positive lipschitz bound")
             norms = np.linalg.norm(vals, axis=1)
             if norms.max(initial=0.0) > self.lipschitz * (1 + LIPSCHITZ_RTOL):
                 raise ValueError("gradient norm exceeds the lipschitz bound")

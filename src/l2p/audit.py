@@ -3,7 +3,8 @@
 Each audit compares a Monte-Carlo statistic of real engine runs against
 the theoretical bound plus an explicitly separated sampling slack, and
 reports both numbers so "claim violated" and "not enough samples" stay
-distinguishable.
+distinguishable. Each plays one :class:`PreparedRun` per stream, and the
+marginal audit reads its exact oracle off that run's cumulative table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .accountant import config_budget
 from .adversaries import LossStream
-from .measures import cumulative_table, normalized
+from .measures import normalized
 from .seeding import replicate_seed
 from .transform import L2PConfig, PreparedRun, Transcript
 
@@ -63,19 +64,22 @@ def _report(name, n, stat, thr, notes=()) -> AuditReport:
     return AuditReport(name, n, float(stat), float(thr), tuple(notes))
 
 
-def _run_many(config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int):
-    prepared = PreparedRun(config, config.measure_kind, stream.values)
+def _prepared(config: L2PConfig, stream: LossStream) -> PreparedRun:
+    return PreparedRun(config, config.measure_kind, stream.values)
+
+
+def _run_many(prepared: PreparedRun, n_runs: int, base_seed: int):
     for i in range(n_runs):
         yield prepared.run(np.random.default_rng(replicate_seed(base_seed, i)))
 
 
-def exact_batch_distributions(stream: LossStream, eta: float, B: int) -> np.ndarray:
+def exact_batch_distributions(prepared: PreparedRun) -> np.ndarray:
     """Oracle: the exact normalized expert distribution at each batch start.
 
-    The same table the engine samples from: row ``s - 1`` normalizes the
-    batch-s log-weights, ``-eta`` times the cumulative losses.
+    Row ``s - 1`` normalizes the batch-s log-weights, ``-eta`` times the
+    run's cumulative losses, formed in float64 as the engine forms them.
     """
-    return normalized(-eta * cumulative_table(stream.values, B))
+    return normalized(np.multiply(prepared.loss_sums, -prepared.config.eta, dtype=np.float64))
 
 
 def marginal_tv_profile(
@@ -95,8 +99,9 @@ def marginal_tv_profile(
         raise ValueError("marginal audit is exact-oracle only: d <= 8 and s <= 10")
     if n_runs < 10_000:
         raise ValueError("need at least 1e4 runs for a meaningful TV estimate")
-    counts = _marginal_counts(config, stream, n_runs, base_seed)
-    exact = exact_batch_distributions(stream, config.eta, config.B)
+    prepared = _prepared(config, stream)
+    counts = _marginal_counts(prepared, n_runs, base_seed)
+    exact = exact_batch_distributions(prepared)
     slack = 3.0 * math.sqrt(stream.d / n_runs)
     reports = []
     for s in range(1, config.n_batches + 1):
@@ -113,18 +118,16 @@ def marginal_tv_profile(
     return reports
 
 
-def _marginal_counts(
-    config: L2PConfig, stream: LossStream, n_runs: int, base_seed: int
-) -> np.ndarray:
+def _marginal_counts(prepared: PreparedRun, n_runs: int, base_seed: int) -> np.ndarray:
     """How many of the runs play expert x at batch s, as ``counts[s - 1, x]``.
 
     Counted from each run's switch events: its k-th model pair is in
     force from batch ``rows[k - 1] + 1`` (batch 1 for k = 0) up to the
     next event, so the per-batch model column is never built.
     """
-    n, d = config.n_batches, stream.d
+    n, d = prepared.loss_sums.shape
     counts = [0] * (n * d)
-    for transcript in _run_many(config, stream, n_runs, base_seed):
+    for transcript in _run_many(prepared, n_runs, base_seed):
         since = 0
         for x, until in zip(transcript.event_xs, [*transcript.rows, n]):
             for i in range(since * d + x, until * d, d):
@@ -148,7 +151,7 @@ def ratio_range_check(
     cap = config.cap
     outside = 0
     total = 0
-    for transcript in _run_many(config, stream, n_runs, base_seed):
+    for transcript in _run_many(_prepared(config, stream), n_runs, base_seed):
         lr = transcript.raw_log_ratios
         total += lr.size
         outside += int(np.count_nonzero(np.abs(lr) > cap + 1e-12))
@@ -207,12 +210,8 @@ def empirical_epsilon(
         raise ValueError("neighbor stream has mismatched shape")
     if np.count_nonzero((stream.values != neighbor.values).any(axis=1)) > 1:
         raise ValueError("neighbor stream differs in more than one round")
-    counts_a: Counter = Counter()
-    counts_b: Counter = Counter()
-    for transcript in _run_many(config, stream, n_runs, base_seed):
-        counts_a[_bucket(transcript)] += 1
-    for transcript in _run_many(config, neighbor, n_runs, base_seed + 1):
-        counts_b[_bucket(transcript)] += 1
+    counts_a = Counter(map(_bucket, _run_many(_prepared(config, stream), n_runs, base_seed)))
+    counts_b = Counter(map(_bucket, _run_many(_prepared(config, neighbor), n_runs, base_seed + 1)))
     eps_budget = config_budget(config).epsilon
     best = 0.0
     best_se = 0.0
@@ -252,7 +251,7 @@ def switch_statistics(
     if n_runs < 100:
         raise ValueError("need at least 100 runs from an identical config")
     bound = 2.0 * config.T * config.p * math.log(1.0 / config.delta1) / config.B
-    runs = _run_many(config, stream, n_runs, base_seed)
+    runs = _run_many(_prepared(config, stream), n_runs, base_seed)
     exceed = sum(1 for t in runs if t.fake_switch_count > bound)
     frac = exceed / n_runs
     d1 = config.delta1

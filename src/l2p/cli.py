@@ -6,14 +6,15 @@ one JSON run config (``--config``): an adversary stream, a learner and
 tuned or overridden, or, in ``run`` and ``sweep``, the strawman
 (``"learner": "strawman"``). The stream is a generator's or, for
 ``{"kind": "matrix", "path": ...}``, a ``.npy`` file's (T, d) matrix of
-expert losses or gradients, as ``problem`` says. A key nothing reads is
-refused. Outputs go where ``--output`` says: ``run`` writes its three
-files into that directory (the current one by default) and ``sweep``
-its CSV into that file (``sweep.csv`` by default). Exit codes: 0
-success, 2 configuration or usage error, 3 tuner infeasibility, 4
-sampler failure. All CSV output is RFC-4180, UTF-8, LF-terminated, and
-byte-reproducible from (config, version), and from (config, matrix
-file, version) for a matrix.
+expert losses or gradients, as ``problem`` says; an oco problem's
+gradients, generated or read, take its one ``lipschitz`` bound. A key
+nothing reads is refused. Outputs go where ``--output`` says: ``run``
+writes its three files into that directory (the current one by default)
+and ``sweep`` its CSV into that file (``sweep.csv`` by default). Exit
+codes: 0 success, 2 configuration or usage error, 3 tuner infeasibility,
+4 sampler failure. All CSV output is RFC-4180, UTF-8, LF-terminated, and
+byte-reproducible from (config, version), and from (config, matrix file,
+version) for a matrix.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ SCHEMA_VERSION = 1
 _INTEGRAL = ("T", "d", "reps", "base_seed", "override.B", "adversary.seed")
 _NUMERIC = (
     *_INTEGRAL, "epsilon", "delta", "lipschitz", "diameter", "override.eta", "override.p",
-    "adversary.lipschitz", "adversary.epsilon",
+    "adversary.epsilon",
 )
 
 # The keys a run config may set: the required ones, then the top level's
@@ -78,7 +79,7 @@ _REQUIRED = ("problem", "T", "d", "epsilon", "delta", "reps", "base_seed", "adve
 _CONFIG_KEYS = (*_REQUIRED, "schema", "learner", "override", "lipschitz", "diameter")
 _ADVERSARY_KEYS = {
     "bernoulli": ("seed", "means"), "epoch_lower_bound": ("seed", "epsilon"),
-    "iid-sphere": ("seed", "lipschitz"), "drift": ("seed", "lipschitz"), "matrix": ("path",),
+    "iid-sphere": ("seed",), "drift": ("seed",), "matrix": ("path",),
 }
 
 # The fields of a built config that provenance.json records as "tuned"
@@ -189,20 +190,20 @@ def _build_stream(cfg: dict):
     adv = cfg["adversary"]
     kind = adv.get("kind")
     T, d = int(cfg["T"]), int(cfg["d"])
+    # gradients carry the problem's bound, whoever made them
+    lipschitz = _lipschitz_diameter(cfg)[0]
     if kind == "matrix":
-        # the problem says what the rows are: gradients carry the config's bound
-        lipschitz = _lipschitz_diameter(cfg)[0] if cfg["problem"] == "oco" else None
         values = _load_matrix(adv["path"])
         if values.shape != (T, d):
             raise ConfigError(f"matrix of shape {values.shape} must have shape (T, d) = {(T, d)}")
-        return LossStream(values, lipschitz=lipschitz)
+        return LossStream(values, lipschitz=lipschitz if cfg["problem"] == "oco" else None)
     seed = int(adv.get("seed", 0))
     if kind == "bernoulli":
         means = adv.get("means", list(np.linspace(0.35, 0.65, d)))
         return bernoulli_experts(d, T, means, seed)
     if kind == "epoch_lower_bound":
         return epoch_lower_bound_stream(T, float(adv["epsilon"]), d, seed)
-    return linear_oco_stream(d, T, float(adv.get("lipschitz", 1.0)), seed, kind)
+    return linear_oco_stream(d, T, lipschitz, seed, kind)
 
 
 def _lipschitz_diameter(cfg: dict) -> tuple[float, float]:

@@ -21,9 +21,9 @@ Two families are implemented:
 
 Either measure at a batch start is a function of the cumulative losses
 before that batch alone, so a whole run's measures are one table built
-from the loss matrix by :func:`cumulative_table`: the ball's gradient
-sums, and the experts' cumulative losses, which an experts run keeps
-and scales by ``-eta`` into log-weights where it reads them. When every
+from the loss matrix by :func:`cumulative_table`, which a run of either
+kind keeps: the ball's gradient sums, or the experts' cumulative losses,
+scaled by ``-eta`` into log-weights where they are read. When every
 loss is 0 or 1 the cumulative losses are counts, and a table of them
 can be kept in the smallest unsigned integer type that holds T; scaled
 in float64, a count gives the same log-weight as the float sum it equals.

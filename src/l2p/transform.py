@@ -21,12 +21,12 @@ the min() then acts on an exact quantity.
 
 A :class:`PreparedRun` is built from the config, whose ``measure_kind``
 is ``"mw"`` (experts) or ``"rmw"`` (the ball), and the loss matrix
-alone: the measure of every batch is a row of one cumulative table, so
-set-up makes no per-batch objects. It keeps only the tables the engine reads,
-two per-batch tables for an experts run (cumulative losses and 16-bit
-floors of the sampling CDFs) and one for the ball (gradient sums), built
-chunk by chunk with no temporary of their size; the per-batch loss sums
-and the exact float64 CDFs are computed on first read. A binary experts
+alone: the measure of every batch is a row of one cumulative table,
+``loss_sums`` (cumulative losses for experts, gradient sums for the
+ball), so set-up makes no per-batch objects. An experts run also keeps
+the 16-bit floors of its sampling CDFs. Both tables are built chunk by
+chunk with no temporary of their size; the per-batch loss sums and the
+exact float64 CDFs are computed on first read. A binary experts
 run, one whose loss matrix is bool, as every generated experts stream
 is, keeps its cumulative losses as integer counts in the smallest
 unsigned type that holds T; a count times ``-eta`` is the double the
@@ -170,7 +170,7 @@ class L2PConfig:
             errors.append("delta1 must lie in (0, 1)")
         oco_fields = (self.beta, self.lam, self.radius, self.lipschitz)
         if any(v is not None for v in oco_fields):
-            if any(v is None or v <= 0.0 for v in oco_fields):
+            if any(v is None or not 0.0 < v < math.inf for v in oco_fields):
                 errors.append("ball runs need beta, lam, radius and lipschitz, all positive")
             if not 0.0 < self.delta0 < 1.0:
                 errors.append("ball runs need delta0 in (0, 1), their divergence bound's domain")
@@ -360,7 +360,7 @@ class Transcript:
         if prepared.is_mw:
             ys = np.array(self.event_ys).repeat(self._spans)
             return prepared._log_ratios(self._batch_xs, ys)
-        n, g, beta = self.n_batches, prepared.grad_sums, prepared.beta
+        n, g, beta = self.n_batches, prepared.loss_sums, prepared.config.beta
         xs, ys = self._per_batch(self.event_xs), self._per_batch(self.event_ys)
         ratios = [_ball_log_ratio(g, beta, s, x, y) for s, x, y in zip(range(2, n + 1), xs, ys)]
         return np.array(ratios, dtype=np.float64)
@@ -395,8 +395,8 @@ class PreparedRun:
     ``domain_error`` is None for a matrix in the domain the config's
     budget holds on (losses in [0, 1]; gradient norms at most its
     ``lipschitz``), else the message of the :class:`ConfigError` :meth:`run` raises.
-    Experts runs keep two per-batch tables, the n x d cumulative losses
-    ``loss_sums`` and the n x (d - 1) ``cdf_floors``, the uint16 floors on
+    Both kinds keep the n x d cumulative table ``loss_sums`` (of losses or
+    gradients); experts runs also keep the n x (d - 1) ``cdf_floors``, the uint16 floors on
     a ``2**-16`` grid of the first d - 1 entries of every batch's sampling
     CDF (the last is 1), with one flat memoryview of each that the engine
     loop reads, and ``sure``, a floor under the keep probability of every batch
@@ -408,8 +408,8 @@ class PreparedRun:
     a binary run's ``loss_sums`` holds exact counts in
     ``np.min_scalar_type(T)``, whose memoryview reads Python ints, and
     any other run's, a float64 matrix of 0s and 1s included, holds
-    float64. Runs of at most ``_WALK`` batches (``walks``) step through
-    every batch. Ball runs keep one table, the gradient sums. Both kinds
+    float64; a table whose last row is not finite is refused. Runs of at
+    most ``_WALK`` batches (``walks``) step through every batch. Both kinds
     keep the column totals of the loss matrix and ``comparator_loss``,
     the best-in-hindsight loss they give; the per-batch loss sums
     ``batch_sums``, which only ``Transcript.batch_losses`` reads, are
@@ -436,38 +436,37 @@ class PreparedRun:
         if self.is_mw:
             inside = self.binary or (loss_values.min() >= 0.0 and loss_values.max() <= 1.0)
             self.domain_error = None if inside else "an experts run needs every loss in [0, 1]"
-            dtype = np.min_scalar_type(config.T) if self.binary else np.float64
-            # A binary matrix sums to exact counts. Any other's running sum that meets a
-            # NaN or an inf, or overflows, stays so to the last row, refused below; one
-            # that hits only a column total is a loss outside [0, 1], a domain error. So
-            # numpy need not warn first. (A binary run skips the errstate: 3% of a tiny set-up.)
-            quiet = nullcontext() if self.binary else np.errstate(over="ignore", invalid="ignore")
-            with quiet:
-                self.column_totals = loss_values.sum(axis=0, dtype=np.float64)
-                self.loss_sums = cumulative_table(loss_values, config.B, dtype)
-            # read as Python numbers: np.isfinite on counts cost ope-b1 0.1 MB of peak RSS
-            if not all(map(math.isfinite, self.loss_sums[-1].tolist())):
-                raise ValueError("cumulative losses must be finite")
-            self.comparator_loss = _best_expert(self.column_totals)[1]
-            self.cdf_floors, spread = cdf_floor_table(self.loss_sums, config.eta)
-            self._sums = memoryview(self.loss_sums.reshape(-1))
-            self._cdf = memoryview(self.cdf_floors.reshape(-1))
-            # A batch's log ratio is r[x] - r[y] for r the difference of two
-            # rows, so it is at least minus the widest such row's spread;
-            # rounding is monotone, so this holds for the computed values too.
-            floor = math.exp(min(-self.cap - spread, 0.0))
-            self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
         else:
-            self.column_totals = loss_values.sum(axis=0)
             largest = float(np.linalg.norm(loss_values, axis=1).max())
             inside = largest <= config.lipschitz * (1.0 + LIPSCHITZ_RTOL)
             self.domain_error = None if inside else (
                 f"largest gradient norm {largest!r} exceeds the config's "
                 f"lipschitz {config.lipschitz!r}"
             )
+        dtype = np.min_scalar_type(config.T) if self.binary else np.float64
+        # A binary matrix sums to exact counts. Any other's running sum that meets a
+        # NaN or an inf, or overflows, stays so to the last row, refused below; one that
+        # hits only a column total is a value outside the run's domain. So numpy need
+        # not warn first. (A binary run skips the errstate: 3% of a tiny set-up.)
+        quiet = nullcontext() if self.binary else np.errstate(over="ignore", invalid="ignore")
+        with quiet:
+            self.column_totals = loss_values.sum(axis=0, dtype=np.float64)
+            self.loss_sums = cumulative_table(loss_values, config.B, dtype)
+        # read as Python numbers: np.isfinite on counts cost ope-b1 0.1 MB of peak RSS
+        if not all(map(math.isfinite, self.loss_sums[-1].tolist())):
+            raise ValueError("cumulative losses must be finite")
+        if not self.is_mw:
             self.comparator_loss = _best_ball_point(self.column_totals, config.radius)[1]
-            self.grad_sums = cumulative_table(loss_values, config.B)
-            self.beta = config.beta
+            return
+        self.comparator_loss = _best_expert(self.column_totals)[1]
+        self.cdf_floors, spread = cdf_floor_table(self.loss_sums, config.eta)
+        self._sums = memoryview(self.loss_sums.reshape(-1))
+        self._cdf = memoryview(self.cdf_floors.reshape(-1))
+        # A batch's log ratio is r[x] - r[y] for r the difference of two
+        # rows, so it is at least minus the widest such row's spread;
+        # rounding is monotone, so this holds for the computed values too.
+        floor = math.exp(min(-self.cap - spread, 0.0))
+        self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
 
     @cached_property
     def cdfs(self) -> np.ndarray:
@@ -607,7 +606,7 @@ class PreparedRun:
         """
         n = self.config.n_batches
         cap, keep_y = self.cap, 1.0 - self.config.p
-        g, beta = self.grad_sums, self.beta
+        g, beta = self.loss_sums, self.config.beta
         x = self._ball_sample(1, rng)
         y = self._ball_sample(1, rng)
         rows, codes, xs, ys = [], [], [x], [y]
@@ -643,7 +642,7 @@ class PreparedRun:
     def _ball_sample(self, s: int, rng: np.random.Generator) -> np.ndarray:
         """A draw from the batch-s ball measure, built for this one draw."""
         config = self.config
-        return RmwMeasure(self.grad_sums[s - 1], self.beta, config.lam, config.radius).sample(rng)
+        return RmwMeasure(self.loss_sums[s - 1], config.beta, config.lam, config.radius).sample(rng)
 
 
 def _best_expert(totals: np.ndarray) -> tuple[int, float]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,11 @@ def test_a_bool_matrix_stays_bool_only_as_losses(lipschitz, dtype):
     "values, lipschitz, match",
     [([0.5, 0.5], None, r"shape \(T, d\)"),
      ([[[0.5, 0.5]]], None, r"shape \(T, d\)"),
-     ([[0.0, 0.0]], 0.0, "positive lipschitz")],
-    ids=["experts-flat", "experts-cube", "gradients-zero-lipschitz"],
+     ([[0.0, 0.0]], 0.0, "positive lipschitz"),
+     ([[3.0, 4.0]], math.nan, "positive lipschitz"),
+     ([[3.0, 4.0]], math.inf, "positive lipschitz")],
+    ids=["experts-flat", "experts-cube", "gradients-zero-lipschitz",
+         "gradients-nan-lipschitz", "gradients-infinite-lipschitz"],
 )
 def test_malformed_stream_refused(values, lipschitz, match):
     with pytest.raises(ValueError, match=match):

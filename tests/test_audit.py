@@ -19,6 +19,7 @@ from l2p.audit import (
     switch_statistics,
 )
 from l2p.harness import monte_carlo
+from l2p.measures import cumulative_table, normalized
 from l2p.transform import L2PConfig, PreparedRun
 
 
@@ -31,6 +32,10 @@ def _fixed_stream():
 
 def _small_config(p=0.5, eta=0.1, B=1, T=5):
     return L2PConfig(T=T, B=B, eta=eta, p=p, delta0=0.0, delta1=1e-6)
+
+
+def _prepared(config, stream):
+    return PreparedRun(config, "mw", stream.values)
 
 
 class TestReportInvariant:
@@ -66,15 +71,33 @@ class TestReportInvariant:
 
 class TestExactDistributions:
     def test_uniform_start(self):
-        exact = exact_batch_distributions(_fixed_stream(), 0.1, 1)
+        exact = exact_batch_distributions(_prepared(_small_config(), _fixed_stream()))
         np.testing.assert_allclose(exact[0], np.ones(3) / 3, rtol=1e-12)
 
     def test_matches_direct_softmax(self):
         stream = _fixed_stream()
-        exact = exact_batch_distributions(stream, 0.1, 2)
+        exact = exact_batch_distributions(_prepared(_small_config(B=2), stream))
         cum = stream.values[:2].sum(axis=0)  # batch 2 sees rounds 1..2
         w = np.exp(-0.1 * cum)
         np.testing.assert_allclose(exact[1], w / w.sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("matrix", ["bool", "float-0-1", "fractional"])
+    @pytest.mark.parametrize(
+        "T, B, d", [(5, 1, 3), (9, 2, 4), (10, 4, 2), (7, 7, 3), (1, 1, 3)],
+        ids=["B1", "B2-short-last", "B4-short-last", "one-batch", "T1"],
+    )
+    def test_read_off_the_run_as_off_its_own_table(self, matrix, T, B, d):
+        # the oracle read off the run's table (counts on a bool matrix) is,
+        # byte for byte, the one a float64 cumulative table of the matrix gives
+        rng = np.random.default_rng(T * B * d)
+        values = rng.random((T, d)) if matrix == "fractional" else rng.random((T, d)) < 0.5
+        if matrix == "float-0-1":
+            values = values.astype(np.float64)
+        prepared = _prepared(_small_config(T=T, B=B), LossStream(values))
+        assert prepared.binary == (matrix == "bool")
+        want = normalized(-0.1 * cumulative_table(values, B))
+        got = exact_batch_distributions(prepared)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMarginalAudit:
@@ -108,10 +131,11 @@ class TestMarginalAudit:
     def test_counts_from_events(self, config, stream):
         # the event-built counts equal those of the per-batch model column
         want = np.zeros((config.n_batches, stream.d))
-        for transcript in _run_many(config, stream, 2000, 9):
+        prepared = _prepared(config, stream)
+        for transcript in _run_many(prepared, 2000, 9):
             for i, x in enumerate(transcript.models):
                 want[i, x] += 1
-        got = _marginal_counts(config, stream, 2000, 9)
+        got = _marginal_counts(prepared, 2000, 9)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_report_lines_pinned(self):

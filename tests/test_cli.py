@@ -12,7 +12,12 @@ from l2p.accountant import (
     regret_bound_ope,
     tune_ope,
 )
-from l2p.adversaries import bernoulli_experts, epoch_lower_bound_stream, neighbor_of
+from l2p.adversaries import (
+    LIPSCHITZ_RTOL,
+    bernoulli_experts,
+    epoch_lower_bound_stream,
+    neighbor_of,
+)
 from l2p.audit import (
     empirical_epsilon,
     marginal_tv_profile,
@@ -155,12 +160,42 @@ def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overr
 )
 def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, capsys, command):
     # no top-level lipschitz, so the run is tuned and accounted for L=1;
-    # without the check this config ran and reported that budget
-    path = _write_config(
-        tmp_path, problem="oco", adversary={"kind": "iid-sphere", "lipschitz": 3.0, "seed": 1}
-    )
+    # a matrix of norm-3 gradients is refused against that bound
+    matrix = tmp_path / "grads.npy"
+    np.save(matrix, np.tile([2.0, 2.0, 1.0], (400, 1)))
+    path = _write_config(tmp_path, problem="oco", adversary={"kind": "matrix", "path": str(matrix)})
     assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
-    assert "exceeds the config's lipschitz 1.0" in capsys.readouterr().err
+    assert "gradient norm exceeds the lipschitz bound" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} == {"config.json", "grads.npy"}
+
+
+@pytest.mark.parametrize("kind", ["iid-sphere", "drift"])
+def test_generated_gradients_take_the_problems_lipschitz(tmp_path, kind):
+    # the bound is stated once: a generated stream's rows are as long as the
+    # problem's lipschitz, the bound its run is tuned and accounted for
+    path = _write_config(
+        tmp_path, problem="oco", T=200, reps=2, lipschitz=2.0, adversary={"kind": kind, "seed": 1}
+    )
+    stream = _build_stream(json.loads(path.read_text()))
+    assert stream.lipschitz == 2.0
+    assert abs(np.linalg.norm(stream.values, axis=1).max() - 2.0) <= 2.0 * LIPSCHITZ_RTOL
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--epsilon-grid", "1.0"], ["plan"]], ids=["run", "sweep", "plan"]
+)
+@pytest.mark.parametrize("kind", ["iid-sphere", "drift"])
+def test_adversary_lipschitz_is_an_unknown_key(tmp_path, capsys, command, kind):
+    # the problem's lipschitz is the one bound; an adversary that sets its own is refused
+    path = _write_config(
+        tmp_path, problem="oco", lipschitz=2.0, adversary={"kind": kind, "seed": 1, "lipschitz": 2.0}
+    )
+    output = [] if command == ["plan"] else ["--output", str(tmp_path / "out")]
+    assert main([*command, "--config", str(path), *output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the {kind} adversary takes only kind and seed, not lipschitz" in captured.err
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -731,7 +766,7 @@ class TestPlan:
         "fields",
         [{},
          {"problem": "oco", "T": 200, "lipschitz": 2.0, "diameter": 0.5,
-          "adversary": {"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0}},
+          "adversary": {"kind": "iid-sphere", "seed": 1}},
          {"problem": "oco", "adversary": {"kind": "iid-sphere", "seed": 1},
           "override": _override(1, 0.01, 0.1)}],
         ids=["tuned-ope", "tuned-oco", "ball-override"],
@@ -818,7 +853,7 @@ class TestSweepAndLowerBound:
         # an oco sweep overlays the DP-OCO rate, with L and D from the config
         path = _write_config(
             tmp_path, problem="oco", T=200, reps=2, lipschitz=2.0, diameter=0.5,
-            adversary={"kind": "iid-sphere", "seed": 1, "lipschitz": 2.0},
+            adversary={"kind": "iid-sphere", "seed": 1},
         )
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(path), "--epsilon-grid", "0.5", "1.0",

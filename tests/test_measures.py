@@ -376,7 +376,7 @@ class TestSequences:
             beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
         )
         prepared = PreparedRun(config, "rmw", grads.values)
-        np.testing.assert_allclose(prepared.grad_sums, _reference_sums(grads.values, B), atol=1e-12)
+        np.testing.assert_allclose(prepared.loss_sums, _reference_sums(grads.values, B), atol=1e-12)
 
     def test_ratio_cross_family_rejected(self):
         # a run is of one family: unknown kinds, and ball runs on a config
@@ -463,7 +463,7 @@ class TestChunkedTables:
         want = _one_shot_cumulative(values, config.B)
         assert cumulative_table(values, config.B).tobytes() == want.tobytes()
         if kind == "rmw":
-            assert prepared.grad_sums.tobytes() == want.tobytes()
+            assert prepared.loss_sums.tobytes() == want.tobytes()
             return
         lw = -config.eta * want
         assert _log_weights(prepared).tobytes() == lw.tobytes()
@@ -739,7 +739,7 @@ class TestSetUpMemory:
         config = tune_oco(T, d, 1.0, 1e-6, 1.0, 1.0)
         prepared, retained, _ = _traced(lambda: PreparedRun(config, "rmw", values))
         table = config.n_batches * d * 8
-        assert prepared.grad_sums.nbytes == table
+        assert prepared.loss_sums.nbytes == table
         assert retained <= 1.1 * table + 4096  # and a few O(d) arrays
 
     def test_batch_sums_built_on_first_read(self):

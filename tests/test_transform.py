@@ -38,8 +38,8 @@ def _log_ratio(prepared: PreparedRun, s: int, x) -> float:
     if prepared.is_mw:
         col = prepared.loss_sums[:, x] * -prepared.config.eta
         return float(col[s - 1] - col[s - 2])
-    delta_g = prepared.grad_sums[s - 1] - prepared.grad_sums[s - 2]
-    return float(-prepared.beta * (delta_g @ x))
+    delta_g = prepared.loss_sums[s - 1] - prepared.loss_sums[s - 2]
+    return float(-prepared.config.beta * (delta_g @ x))
 
 
 def _acceptance(prepared: PreparedRun, s: int, x, y) -> float:
@@ -98,6 +98,12 @@ class TestAcceptanceProbability:
         np.testing.assert_allclose(got, math.exp(-0.1 - 0.1 - config.cap), rtol=1e-12)
 
 
+# The ball fields of a valid ball config, and the message any missing, nonpositive
+# or non-finite one of them gives
+_BALL = {"beta": 0.05, "lam": 10.0, "radius": 1.0, "lipschitz": 1.0}
+_BALL_FIELDS = "ball runs need beta, lam, radius and lipschitz, all positive"
+
+
 class TestConfigValidation:
     """Hard constraints raise at construction; the accountant notes the soft ones."""
 
@@ -124,10 +130,13 @@ class TestConfigValidation:
          ({"T": True}, "T must be a positive integer"),
          ({"delta0": math.nan}, r"delta0 must lie in \[0, 1\)"),
          ({"delta0": math.inf}, r"delta0 must lie in \[0, 1\)"),
-         ({"delta0": 5.0}, r"delta0 must lie in \[0, 1\)")],
+         ({"delta0": 5.0}, r"delta0 must lie in \[0, 1\)"),
+         *(({"delta0": 1e-9, **_BALL, field: value}, _BALL_FIELDS)
+           for field in _BALL for value in (math.nan, math.inf))],
         ids=["delta0-negative", "delta1-0", "delta1-1", "ball-without-lipschitz",
              "T-nan", "B-nan", "T-fractional", "B-fractional", "T-bool",
-             "delta0-nan", "delta0-inf", "delta0-5"],
+             "delta0-nan", "delta0-inf", "delta0-5",
+             *(f"{field}-{value}" for field in _BALL for value in ("nan", "inf"))],
     )
     def test_each_broken_constraint_named(self, fields, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -419,7 +428,7 @@ class TestRunL2p:
                 counts[s, x] += 1
         from scipy.stats import chisquare
 
-        exact = exact_batch_distributions(stream, config.eta, config.B)
+        exact = exact_batch_distributions(prepared)
         for s in range(T):
             expected = n * exact[s]
             _, pval = chisquare(counts[s], expected)
@@ -459,8 +468,8 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> _Record:
         if prepared.is_mw:
             idx = int(prepared.cdfs[s - 1].searchsorted(rng.random(), side="right"))
             return min(idx, prepared.cdfs.shape[1] - 1)
-        g = prepared.grad_sums[s - 1]
-        return RmwMeasure(g, prepared.beta, config.lam, config.radius).sample(rng)
+        g = prepared.loss_sums[s - 1]
+        return RmwMeasure(g, config.beta, config.lam, config.radius).sample(rng)
 
     x, y = sample(1), sample(1)
     models, ys = [x], [y]
@@ -653,6 +662,15 @@ class TestLossLayout:
             values[2, 1] = bad
             with pytest.raises(ValueError, match="cumulative losses must be finite"):
                 PreparedRun(config, "mw", values)
+
+    def test_non_finite_gradients_refused(self):
+        # the ball keeps the same cumulative table, and set-up checks it alike
+        config = L2PConfig(T=4, B=1, eta=0.1, p=0.5, delta0=1e-9, delta1=1e-6, **_BALL)
+        for bad in (math.inf, math.nan):
+            values = np.zeros((4, 2))
+            values[2, 1] = bad
+            with pytest.raises(ValueError, match="cumulative losses must be finite"):
+                PreparedRun(config, "rmw", values)
 
     def test_c_matrix_is_not_copied(self):
         config, kind, stream = SHAPES["ope-b1"]()
