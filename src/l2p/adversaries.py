@@ -135,8 +135,8 @@ def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStrea
 
 def linear_oco_stream(d: int, T: int, lipschitz: float, seed: int, kind: str) -> LossStream:
     """Linear-loss gradients: iid on the sphere, or a deterministic slow drift."""
-    if lipschitz <= 0:
-        raise ValueError("lipschitz must be positive")
+    if not 0 < lipschitz < math.inf:
+        raise ValueError("lipschitz must be positive and finite")
     if kind == "iid-sphere":
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((T, d))

@@ -82,7 +82,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -447,9 +446,8 @@ class PreparedRun:
         # A binary matrix sums to exact counts. Any other's running sum that meets a
         # NaN or an inf, or overflows, stays so to the last row, refused below; one that
         # hits only a column total is a value outside the run's domain. So numpy need
-        # not warn first. (A binary run skips the errstate: 3% of a tiny set-up.)
-        quiet = nullcontext() if self.binary else np.errstate(over="ignore", invalid="ignore")
-        with quiet:
+        # not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
             self.column_totals = loss_values.sum(axis=0, dtype=np.float64)
             self.loss_sums = cumulative_table(loss_values, config.B, dtype)
         # read as Python numbers: np.isfinite on counts cost ope-b1 0.1 MB of peak RSS

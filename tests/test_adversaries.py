@@ -136,10 +136,12 @@ class TestLinearStream:
         with pytest.raises(ValueError):
             linear_oco_stream(2, 10, 1.0, seed=0, kind="mystery")
 
-    @pytest.mark.parametrize("lipschitz", [0.0, -1.0])
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_lipschitz(self, lipschitz):
-        with pytest.raises(ValueError, match="lipschitz must be positive"):
-            linear_oco_stream(2, 10, lipschitz, seed=0, kind="iid-sphere")
+        # a NaN or infinite bound is refused as a bound, not as the values it would make
+        for kind in ("iid-sphere", "drift"):
+            with pytest.raises(ValueError, match="lipschitz must be positive"):
+                linear_oco_stream(2, 10, lipschitz, seed=0, kind=kind)
 
 
 def test_matrix_stream_is_linear_exactly_with_a_lipschitz():
