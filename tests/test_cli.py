@@ -172,6 +172,20 @@ def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, command, overr
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--epsilon-grid", "1.0"]], ids=["run", "sweep"]
+)
+def test_gradients_above_the_lipschitz_bound_exit_2_writes_nothing(tmp_path, capsys, command):
+    # no top-level lipschitz, so the run is tuned and accounted for L=1;
+    # a matrix of norm-3 gradients is refused against that bound
+    matrix = tmp_path / "grads.npy"
+    np.save(matrix, np.tile([2.0, 2.0, 1.0], (400, 1)))
+    path = _write_config(tmp_path, problem="oco", adversary={"kind": "matrix", "path": str(matrix)})
+    assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "gradient norm exceeds the lipschitz bound" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} == {"config.json", "grads.npy"}
+
+
 @pytest.mark.parametrize("kind", ["iid-sphere", "drift"])
 def test_generated_gradients_take_the_problems_lipschitz(tmp_path, kind):
     # the bound is stated once: a generated stream's rows are as long as the
