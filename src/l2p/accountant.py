@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .transform import L2PConfig
+from .transform import ConfigError, L2PConfig
 from .measures import ETA_MAX
 
 _E = math.e
@@ -112,7 +112,10 @@ def _first_feasible(problem: str, eps: float, delta: float, eta: float, candidat
     and T p / B >= 1; eta is halved at most ``_MAX_SHRINKS`` times.
     """
     for _ in range(_MAX_SHRINKS + 1):
-        config = candidate(eta)
+        try:
+            config = candidate(eta)
+        except ConfigError as exc:  # a tiny eps takes beta to 0; a smaller eta only lowers it
+            raise TunerError(f"no feasible {problem} tuning for eps={eps:g}: {exc}") from None
         budget = config_budget(config)
         feasible = config.T * config.p / config.B >= 1.0
         if budget.epsilon <= eps and budget.delta <= delta and feasible:
@@ -123,6 +126,12 @@ def _first_feasible(problem: str, eps: float, delta: float, eta: float, candidat
     )
 
 
+def _batch_length(T: int, rate: float) -> int:
+    """``max(1, round(1 / rate))`` rounds, capped at T: as p < 1, no longer batch meets
+    T p / B >= 1, and a 0 rate or a 1 / rate past a double's range still makes a count."""
+    return max(1, round(min(1.0 / rate, T))) if rate > 0.0 else T
+
+
 def ope_config(T: int, B: int, eta: float, p: float, delta: float) -> L2PConfig:
     """The experts run for step ``eta``, with delta0 = 0 and delta1 = delta / (2T)."""
     return L2PConfig(T=T, B=B, eta=eta, p=p, delta0=0.0, delta1=delta / (2.0 * T))
@@ -131,7 +140,7 @@ def ope_config(T: int, B: int, eta: float, p: float, delta: float) -> L2PConfig:
 def tune_ope(T: int, d: int, eps: float, delta: float) -> L2PConfig:
     """Closed-form experts tuning, self-verified through the accountant.
 
-    Sets B = max(1, round(1/eps)), eta = min(eps0, eps)^{2/3} /
+    Sets B = max(1, round(1/eps)), at most T, eta = min(eps0, eps)^{2/3} /
     (T^{1/3} log(T/delta)) with eps0 = T^{-1/4} log^{3/4}(d),
     p = min(10 eta / eps, 1 - 1e-9) and :func:`ope_config`'s slacks.
     ``p`` is floored at B/T: below that the switch-rate precondition
@@ -143,7 +152,7 @@ def tune_ope(T: int, d: int, eps: float, delta: float) -> L2PConfig:
     _check_tuner_inputs(T, d, eps, delta)
     eps0 = T ** -0.25 * math.log(d) ** 0.75
     eta = min(eps0, eps) ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta))
-    B = max(1, round(1.0 / eps))
+    B = _batch_length(T, eps)
     return _first_feasible(
         "experts", eps, delta, min(eta, ETA_MAX),
         lambda eta: ope_config(T, B, eta, min(max(10.0 * eta / eps, B / T), _P_CAP), delta),
@@ -195,7 +204,7 @@ def tune_oco(
     """Ball tuning for linear losses, self-verified through the accountant.
 
     The nominal step is eta = eps^{2/3} / (T^{1/3} log(T/delta)) with
-    B = max(1, round(1 / (2 eps log(1/delta)))) and p = min(eta/eps,
+    B = max(1, round(1 / (2 eps log(1/delta)))), at most T, and p = min(eta/eps,
     1 - 1e-9); :func:`ball_config` derives the measure and the slacks, and
     its config the accounted divergence ``eta'``. That exceeds the nominal eta, so
     the verification loop halves the nominal eta (with p frozen at its
@@ -204,7 +213,7 @@ def tune_oco(
     """
     _check_tuner_inputs(T, d, eps, delta)
     eta = min(eps ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta)), ETA_MAX)
-    B = max(1, round(1.0 / (2.0 * eps * math.log(1.0 / delta))))
+    B = _batch_length(T, 2.0 * eps * math.log(1.0 / delta))
     p = min(max(eta / eps, B / T), _P_CAP)
     return _first_feasible(
         "ball", eps, delta, eta,

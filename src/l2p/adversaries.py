@@ -112,7 +112,7 @@ def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStrea
     """Piecewise-constant fair-coin losses: the hard instance for low switching.
 
     Splits the horizon into ``E = round((T*eps)^(4/3))`` epochs (clamped
-    to [1, T], short last epoch) and draws one Ber(1/2)^d loss per
+    to [1, T], however large; short last epoch) and draws one Ber(1/2)^d loss per
     epoch, repeated for every round of that epoch. A low-switching
     learner must either sit out an epoch at expected loss 1/2 per round
     or spend privacy budget on a switch inside it.
@@ -121,11 +121,14 @@ def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStrea
         raise ValueError("the epoch construction needs T >= 1, d >= 1 and a finite epsilon > 0")
     if (T * eps) ** (2.0 / 3.0) < 1.0:
         raise ValueError("need (T*eps)^(2/3) >= 1 for the epoch construction")
-    raw = round((T * eps) ** (4.0 / 3.0))
+    try:
+        raw = round((T * eps) ** (4.0 / 3.0))
+    except OverflowError:  # the count, or T*eps itself, is past a double's range
+        raw = math.inf
     clamped = raw > T
     if clamped:
         warnings.warn(f"epoch count {raw} exceeds T={T}; clamped to T", stacklevel=2)
-    E = min(max(int(raw), 1), T)
+    E = T if clamped else max(raw, 1)
     epoch_len = -(-T // E)
     rng = np.random.default_rng(seed)
     draws = rng.random((E, d)) < 0.5

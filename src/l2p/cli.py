@@ -154,7 +154,8 @@ def _switch_count(T: int, eps: float) -> int:
     """The strawman's switches at target ``eps``: ``max(1, round((T eps)^(2/3)))``, at most T."""
     if not (_is_number(eps) and eps > 0):
         raise ConfigError("the strawman learner needs a finite epsilon above 0")
-    switches = max(1, round((T * eps) ** (2.0 / 3.0)))
+    power = (T * eps) ** (2.0 / 3.0)  # inf once T eps is past a double's range
+    switches = max(1, round(power)) if _is_number(power) else power
     if switches > T:
         raise ConfigError(f"the strawman's {switches} switches at epsilon {eps!r} exceed T={T}")
     return switches

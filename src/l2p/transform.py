@@ -43,15 +43,18 @@ transcripts.
 The experts path does Python work per switch, not per batch. Each of
 its draws is one ``rng.random()`` double, so a run's doubles are drawn
 ahead and read in contract order. Every batch takes three and every
-resample one more, so the engine draws ahead only doubles the run is
-sure to use. The S' and A coins and the resamples use no data, and the
-S coin's keep probability is never below ``sure``, a floor set-up
-derives from the widest spread of the log ratios. So a batch whose S
-double is below ``sure`` and whose S' and A doubles are below ``1 - p``
-keeps, whatever x and y are: its exact ratio is never computed. One
-loop runs every experts run, and only two things in it depend on the
-run's length. A run of at most ``_WALK`` batches reads its doubles as
-one Python list and steps through every batch. A longer run reads its
+resample one more, so a run that reads past what it has drawn draws up
+to the count its position says it is sure to use, and no further:
+``c + 3(n - s + 1)`` at batch s's S double c, and ``c + r + 3(n - s)``
+just past batch s's coins with r resamples pending. The S' and A coins
+and the resamples use no data, and the S coin's keep probability is
+never below ``sure``, a floor set-up derives from the widest spread of
+the log ratios. So a batch whose S double is below ``sure`` and whose
+S' and A doubles are below ``1 - p`` keeps, whatever x and y are: its
+exact ratio is never computed. One loop runs every experts run, and
+only two things in it depend on the run's length. A run of at most
+``_WALK`` batches reads its doubles as one Python list and steps
+through every batch. A longer run reads its
 doubles ``_BLOCK`` at a time: one compare per block finds the rare
 doubles, those at or above the lower of ``sure`` and ``1 - p``, and
 the loop visits only the batches they can fail. In a tuned run nearly
@@ -101,11 +104,11 @@ from .measures import (
 
 # Runs of at most _WALK batches step through every batch: finding a
 # block's rare doubles costs a few numpy calls, more than testing so few
-# batches, and their doubles fit one short Python list. Longer runs draw
-# doubles _BLOCK (512 KB) at a time, so a run's memory does not grow with
-# its length, and visit only the batches a rare double can fail. Each
-# block costs a draw, a compare and a hit list, so a block holds the
-# doubles of a 20,000-batch run.
+# batches, and their doubles fit one short Python list. Longer runs hold
+# at most _BLOCK doubles (512 KB) at a time, so a run's memory does not
+# grow with its length, and visit only the batches a rare double can
+# fail. Each block costs a draw, a compare and a hit list, so a block
+# holds the doubles of a 20,000-batch run. Both draw by the same rule.
 _WALK = 48
 _BLOCK = 65536
 # The screen's floor under every keep probability is shrunk by this
@@ -489,10 +492,10 @@ class PreparedRun:
         Each draw of the contract is one ``rng.random()`` double, and
         ``rng.random(k)`` yields the same doubles as k scalar calls. A
         run uses ``3n - 1`` of them plus one per resample, and draws no
-        others. A walked run reads them as one Python list, extended by
-        every double it is then sure to use when it first reads past
-        it, and tests every batch. A longer run reads them a block at a
-        time through :class:`_Uniforms` and tests the batches
+        others, by the position rule of the module docstring. A walked
+        run reads them as one Python list and tests every batch. A
+        longer run reads them a block of at most ``_BLOCK`` at a time,
+        refilled by :func:`_refill`, and tests the batches
         :func:`_visits` names; every other batch keeps. At a test the
         exact log ratio is computed only if the S double is at or above
         ``sure``; below it S is 1 for every pair of models. A pick
@@ -507,8 +510,8 @@ class PreparedRun:
         if walks:
             u, start = rng.random(3 * n - 1).tolist(), 0
         else:
-            draws = _Uniforms(rng, 3 * n - 1)
-            u, start, stop, visits = _block_visits(draws, sure, keep_y)
+            block = rng.random(min(_BLOCK, 3 * n - 1))
+            u, start, stop, visits = _block_visits(block, 0, sure, keep_y)
         # a pick bisects a row of CDF floors; see _exact_pick for the screen
         v, w = u[0], u[1]
         key, wkey = floor(v * scale), floor(w * scale)
@@ -530,9 +533,9 @@ class PreparedRun:
                 except StopIteration:  # every batch up to the block's end keeps
                     skip = max(0, -(-(stop - 2 - c) // 3))
                     s, c = s + skip, c + 3 * skip
-                    if s <= n:
-                        draws.refill(c)
-                        u, start, stop, visits = _block_visits(draws, sure, keep_y)
+                    if s <= n:  # from batch s on, three doubles each
+                        block = _refill(rng, block, start, c, c + 3 * (n - s + 1))
+                        u, start, stop, visits = _block_visits(block, c, sure, keep_y)
                     continue
                 s, c = s + (b - c) // 3, b
             i = c - start
@@ -551,11 +554,9 @@ class PreparedRun:
                 if walks:
                     if c + resamples > len(u):  # to the resamples, then three per later batch
                         u += rng.random(c + resamples + 3 * (n - s) - len(u)).tolist()
-                else:
-                    draws.owed += resamples
-                    if c + resamples > stop:
-                        draws.refill(c)
-                        u, start, stop, visits = _block_visits(draws, sure, keep_y)
+                elif c + resamples > stop:  # the resamples run past the block
+                    block = _refill(rng, block, start, c, c + resamples + 3 * (n - s))
+                    u, start, stop, visits = _block_visits(block, c, sure, keep_y)
                 lo = (s - 1) * k
                 if move_x:
                     v = u[c - start]
@@ -665,39 +666,18 @@ def _picks(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return table.ravel().take(at)
 
 
-class _Uniforms:
-    """A run's uniforms in contract order, drawn from its generator in blocks.
-
-    ``block`` holds uniforms ``start`` to ``start + block.size - 1`` of
-    the run. Only uniforms the run is sure to use are drawn: ``owed``
-    counts those not drawn yet, the caller adds one per resample, and a
-    run that ends has drawn exactly what it used.
-    """
-
-    __slots__ = ("rng", "owed", "block", "start")
-
-    def __init__(self, rng: np.random.Generator, owed: int):
-        self.rng, self.owed, self.start = rng, owed, 0
-        self.block = self.draw(_BLOCK)
-
-    def draw(self, k: int) -> np.ndarray:
-        """The next k uniforms owed, or all of them if fewer are."""
-        k = min(k, self.owed)
-        self.owed -= k
-        return self.rng.random(k)
-
-    def refill(self, c: int) -> None:
-        """Start the block at uniform c and fill it to ``_BLOCK`` uniforms, as far as owed."""
-        rest = self.block[c - self.start :]
-        self.block = np.concatenate((rest, self.draw(_BLOCK - rest.size)))
-        self.start = c
+def _refill(rng: np.random.Generator, block: np.ndarray, start: int, c: int, need: int):
+    """The uniforms from c on: the rest of ``block``, which starts at ``start``, then fresh
+    doubles up to ``_BLOCK`` in all and to ``need``, the count the run is sure to use."""
+    rest = block[c - start :]
+    return np.concatenate((rest, rng.random(min(_BLOCK - rest.size, need - start - block.size))))
 
 
-def _block_visits(draws: _Uniforms, sure: float, keep_y: float):
-    """The block ``draws`` holds, as a memoryview; its start and end; and its primed :func:`_visits`."""
-    visits = _visits(draws.block, draws.start, sure, keep_y)
+def _block_visits(block: np.ndarray, start: int, sure: float, keep_y: float):
+    """``block`` as a memoryview; its start and end; and its primed :func:`_visits`."""
+    visits = _visits(block, start, sure, keep_y)
     next(visits)
-    return memoryview(draws.block), draws.start, draws.start + draws.block.size, visits
+    return memoryview(block), start, start + block.size, visits
 
 
 def _visits(block: np.ndarray, start: int, sure: float, keep_y: float):

@@ -111,6 +111,23 @@ class TestEpochStream:
         with pytest.raises(ValueError):
             epoch_lower_bound_stream(10, 0.001, 2, seed=0)
 
+    @pytest.mark.parametrize(
+        "T, eps, count",
+        [(16, 1.0, "40"), (16, 1e250, "inf"), (1000, 1e250, "inf"), (16, 1e308, "inf")],
+        ids=["count-40", "count-past-a-double", "count-past-a-double-T-1000",
+             "T-eps-past-a-double"],
+    )
+    def test_clamped_count(self, T, eps, count):
+        # a count past a double's range, or a T eps past it, is clamped as any
+        # count above T is: T epochs of one round, one Ber(1/2)^d draw each
+        with pytest.warns(UserWarning) as record:
+            s = epoch_lower_bound_stream(T, eps, 2, seed=0)
+        assert [str(w.message) for w in record] == [
+            f"epoch count {count} exceeds T={T}; clamped to T"
+        ]
+        assert s.n_epochs == T and s.epoch_len == 1 and s.clamped
+        assert np.array_equal(s.values, np.random.default_rng(0).random((T, 2)) < 0.5)
+
 
 class TestLinearStream:
     def test_sphere_norms(self):

@@ -44,3 +44,16 @@ def test_ope_b1_command(workloads, tmp_path):
     w.check(checks, files, SEED)
     assert checks.failures == []
     assert checks.attempted == 2
+
+
+def test_audit_tiny_command(workloads, tmp_path):
+    # the marginal_tv_profile and empirical_epsilon calls the benchmark makes:
+    # five marginal reports and the epsilon report, all passing
+    w = workloads.get("audit-tiny", smoke=True)
+    code, files = w.command(SEED, tmp_path)
+    assert code == 0
+    assert len(files["audit.jsonl"].splitlines()) == 6
+    checks = workloads.Checks()
+    w.check(checks, files, SEED)
+    assert checks.failures == []
+    assert checks.attempted == 2

@@ -385,6 +385,8 @@ _STRAWMAN_REGRETS = ["65.0", "36.0", "42.0", "-7.0", "27.0", "-4.0", "51.0", "56
 _ETA = "eta must lie in (0, 0.1]"
 _EPOCH = "the epoch construction needs T >= 1, d >= 1 and a finite epsilon > 0"
 _STRAWMAN_EPS = "the strawman learner needs a finite epsilon above 0"
+# T eps = 1000 * 1e308 is past a double's range, and so is its switch count
+_STRAWMAN_PAST_A_DOUBLE = "the strawman's inf switches at epsilon 1e+308 exceed T=1000"
 _LEARNER = "learner must be 'l2p' or 'strawman'"
 _NO_CONFIG = "the strawman learner has no l2p config to tune, price or audit"
 _TARGET = "target epsilon must be positive and finite"
@@ -434,6 +436,8 @@ def _audit(directory, test, *flags, **config):
       "the strawman learner plays experts configs without an override"),
      (["run", {"learner": "strawman", "T": 4, "epsilon": 100.0}],
       "the strawman's 54 switches at epsilon 100.0 exceed T=4"),
+     (["run", {**_lower_bound(), "epsilon": 1e308}], _STRAWMAN_PAST_A_DOUBLE),
+     (["sweep", _lower_bound(), "--epsilon-grid", "1e308"], _STRAWMAN_PAST_A_DOUBLE),
      (["sweep", _lower_bound(), "--epsilon-grid", "0"], _STRAWMAN_EPS),
      (["audit", "marginal", {"learner": "strawman"}], _NO_CONFIG),
      (["plan", _lower_bound()], _NO_CONFIG),
@@ -462,7 +466,8 @@ def _audit(directory, test, *flags, **config):
          "plan-override-epsilon-0", "lower-bound-T-negative", "lower-bound-epsilon-negative",
          "lower-bound-epsilon-inf", "lower-bound-reps-0", "lower-bound-reps-negative",
          "strawman-epsilon-0", "unknown-learner", "non-string-learner", "lower-bound-oco",
-         "lower-bound-override", "strawman-switches-above-T", "lower-bound-sweep-epsilon-0",
+         "lower-bound-override", "strawman-switches-above-T", "strawman-T-epsilon-past-a-double",
+         "strawman-grid-T-epsilon-past-a-double", "lower-bound-sweep-epsilon-0",
          "audit-strawman", "plan-lower-bound",
          "audit-ratio-runs-0", "audit-epsilon-runs-50", "audit-ratio-one-batch",
          "audit-switches-runs-50", "audit-oco-config", "audit-output-dir",
@@ -629,65 +634,39 @@ class TestRun:
         path = _write_config(tmp_path, T=10, epsilon=1e-6)
         assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--epsilon-grid", "1e-310"]], ids=["run", "sweep"]
+    )
+    @pytest.mark.parametrize("fields", [{}, {"problem": "oco", "adversary": _SPHERE}],
+                             ids=["ope", "oco"])
+    def test_batch_past_a_double_exit_3_writes_nothing(self, tmp_path, capsys, command, fields):
+        # at epsilon 1e-310 a tuner's 1/eps batch is past a double's range, and
+        # no tuning is feasible, as at any epsilon too small for T
+        path = _write_config(tmp_path, epsilon=1e-310, **fields)
+        assert main([*command, "--config", str(path), "--output", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tuner infeasibility: no feasible")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("eps", [1e250, 1e308])
+    def test_epoch_count_past_a_double_is_clamped(self, tmp_path, capsys, eps):
+        # (T eps)^(4/3), and at 1e308 T eps itself, is past a double's range, so
+        # the stream has T epochs, as at eps 1, where 400^(4/3) = 2947 is clamped
+        runs = {}
+        for name, epoch_eps in (("past", eps), ("one", 1.0)):
+            path = _write_config(tmp_path, reps=2, adversary=_epoch(epoch_eps, 1))
+            with pytest.warns(UserWarning, match="exceeds T=400; clamped to T"):
+                assert main(["run", "--config", str(path), "--output", str(tmp_path / name)]) == 0
+            runs[name] = (tmp_path / name / "reps.csv").read_bytes()
+        assert runs["past"] == runs["one"]
+
 
 def _plan(tmp_path, capsys, **fields):
     """``plan`` on ``_write_config(tmp_path, **fields)``: its exit code and printed object."""
     code = main(["plan", "--config", str(_write_config(tmp_path, **fields))])
     out = capsys.readouterr().out
     return code, json.loads(out) if code == 0 else out
-
-
-class TestAccount:
-    # plan prices an override config as it prices a tuned one
-
-    def test_golden_key_values(self, tmp_path, capsys):
-        code, obj = _plan(tmp_path, capsys, T=1000, delta=0.002, override=_override(10, 0.01, 0.1))
-        assert code == 0
-        assert obj["delta1"] == 1e-6
-        assert obj["budget"]["epsilon"] == pytest.approx(1.3009, abs=1e-3)
-        assert obj["budget"]["delta"] == pytest.approx(0.002)
-
-    def test_degenerate_p_is_flagged(self, tmp_path, capsys):
-        # at p=1 the fake-switch coin hides nothing; the config's own budget says so
-        code, obj = _plan(tmp_path, capsys, T=1000, delta=0.002, override=_override(1, 0.01, 1.0))
-        assert code == 0
-        assert obj["budget"]["preconditions_met"] is False
-        assert obj["budget"]["notes"][-1] == (
-            "degenerate fake-switch probability p=1; run is not private"
-        )
-
-
-class TestTune:
-    # plan tunes a config without an override block
-
-    def test_ope(self, tmp_path, capsys):
-        code, obj = _plan(tmp_path, capsys, T=100000, d=10)
-        assert code == 0
-        assert obj["B"] == 1
-        assert obj["budget"]["epsilon"] <= 1.0
-
-    def test_oco(self, tmp_path, capsys):
-        code, obj = _plan(tmp_path, capsys, problem="oco", T=10000, adversary=_SPHERE)
-        assert code == 0
-        assert obj["eta_accounted"] > obj["eta"]
-        assert obj["budget"]["epsilon"] <= 1.0
-
-    def test_oco_nominal_budget_noted(self, tmp_path, capsys):
-        # this tuned ball config is accepted with its accounted eta above ETA_MAX
-        code, obj = _plan(
-            tmp_path, capsys, problem="oco", T=10, d=2, epsilon=8, delta=0.05, adversary=_SPHERE
-        )
-        assert code == 0
-        assert obj["eta_accounted"] > 0.1
-        assert obj["budget"]["preconditions_met"] is False
-        assert (
-            "accounted eta exceeds the divergence cap; budget is nominal only"
-            in obj["budget"]["notes"]
-        )
-
-    def test_infeasible_exit_3(self, tmp_path, capsys):
-        code, out = _plan(tmp_path, capsys, T=10, d=2, epsilon=1e-6)
-        assert (code, out) == (3, "")
 
 
 # What `l2p tune` printed for each of its command lines in the tests, README
@@ -810,9 +789,12 @@ class TestPlan:
     @pytest.mark.parametrize(
         "fields, code",
         [({"T": 10, "d": 2, "epsilon": 1e-6}, 3),
+         ({"epsilon": 1e-310}, 3),
+         ({"problem": "oco", "adversary": _SPHERE, "epsilon": 1e-310}, 3),
          ({"override": _override(eta=0.5)}, 2),
          ({"problem": "oco", "adversary": _SPHERE, "override": _override(p=0.0)}, 2)],
-        ids=["infeasible", "eta-above-cap", "ball-p-0"],
+        ids=["infeasible", "ope-batch-past-a-double", "oco-batch-past-a-double",
+             "eta-above-cap", "ball-p-0"],
     )
     def test_refusal_prints_nothing(self, tmp_path, capsys, fields, code):
         assert _plan(tmp_path, capsys, **fields) == (code, "")

@@ -142,6 +142,9 @@ def test_tune_oco_pinned(args):
     assert _reprs(tune_oco(*args)) == OCO_PINS[args]
 
 
+_NO_BALL = "ball runs need beta, lam, radius and lipschitz, all positive"
+
+
 @pytest.mark.parametrize(
     "tuner, args, message",
     [
@@ -149,6 +152,15 @@ def test_tune_oco_pinned(args):
          "no feasible experts tuning for T=10, eps=1e-06 within 10 shrinks"),
         (tune_oco, (10, 2, 1e-3, 1e-6, 1.0, 1.0),
          "no feasible ball tuning for T=10, eps=0.001 within 10 shrinks"),
+        # the batch length, 1 / eps or 1 / (2 eps log(1/delta)), is past a double's range
+        (tune_ope, (400, 3, 1e-310, 1e-6),
+         "no feasible experts tuning for T=400, eps=1e-310 within 10 shrinks"),
+        # and beta underflows to 0, so no candidate is a config
+        (tune_oco, (400, 3, 1e-310, 1e-6, 1.0, 1.0),
+         "no feasible ball tuning for eps=1e-310: " + _NO_BALL),
+        # 2 eps log(1/delta) underflows to 0
+        (tune_oco, (400, 3, 5e-324, 1.0 - 1e-15, 1.0, 1.0),
+         "no feasible ball tuning for eps=4.94066e-324: " + _NO_BALL),
     ],
 )
 def test_infeasible_message_pinned(tuner, args, message):
