@@ -4,11 +4,16 @@
 Builds a small Bernoulli stream, tunes the engine, plays a single seeded
 game, and dissects the transcript: which batches kept the model, which
 switched for real, and which switches were fakes forced by the data-free
-coin. Ends by dumping the run's CSV, a diagnostic log: its batch_loss
-column is the played expert's raw loss, so it is not a private release.
-"""
+coin. A transcript is its switch events, so the coins of each batch are
+decoded from the event codes (4 S + 2 S' + A; a batch with no event
+kept every coin).
 
-import io
+Ends with the head of a per-batch diagnostic log built from the events:
+one CSV row per batch with columns s, x, S, Sprime, A, switched_x,
+switched_y and batch_loss (blank coins in batch 1). Its coins and its
+batch_loss column, the played expert's raw loss, are outside what the
+budget covers, so it is not a private release.
+"""
 
 import numpy as np
 
@@ -34,11 +39,20 @@ print(f"model switches: {game.switch_count_x} "
       f"(reference chain: {game.switch_count_y}), fakes: {game.fake_switch_count}")
 print()
 
+codes = dict(zip(t.rows, t.codes))
+
+
+def coins(s):
+    """(S, S', A) of batch s >= 2: its event's code, or all 1 if it kept."""
+    code = codes.get(s - 1, 7)
+    return code >> 2, code >> 1 & 1, code & 1
+
+
 print("first switching decisions (S=keep coin, S'=fake coin, A=reference coin):")
 shown = 0
 for s in range(2, t.n_batches + 1):
-    S, Sp, A = t.coins[s - 1].tolist()
-    switched_x = t.switched[s - 1, 0]
+    S, Sp, A = coins(s)
+    switched_x = 1 - (S & Sp)
     if switched_x or shown < 3:
         kind = "real" if switched_x and S == 0 else ("fake" if switched_x else "kept")
         print(f"  s={s:3d} x={t.models[s - 1]} S={S} S'={Sp} A={A}  -> {kind}")
@@ -47,10 +61,15 @@ for s in range(2, t.n_batches + 1):
         break
 print()
 
-buf = io.StringIO()
-t.write_csv(buf)
-lines = buf.getvalue().splitlines()
 print("diagnostic log (head):")
-for line in lines[:6]:
-    print(" ", line)
-print(f"  ... {len(lines) - 6} more rows")
+print("  s,x,S,Sprime,A,switched_x,switched_y,batch_loss")
+for s in range(1, 6):
+    x = t.models[s - 1]
+    batch = stream.values[(s - 1) * config.B : s * config.B, x]
+    if s == 1:
+        row = [s, x, "", "", "", 0, 0]
+    else:
+        S, Sp, A = coins(s)
+        row = [s, x, S, Sp, A, 1 - (S & Sp), 1 - A]
+    print("  " + ",".join(map(str, row + [repr(float(batch.sum(dtype=np.float64)))])))
+print(f"  ... {t.n_batches - 5} more rows")

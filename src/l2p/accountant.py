@@ -114,7 +114,7 @@ def _first_feasible(problem: str, eps: float, delta: float, eta: float, candidat
     for _ in range(_MAX_SHRINKS + 1):
         try:
             config = candidate(eta)
-        except ConfigError as exc:  # a tiny eps takes beta to 0; a smaller eta only lowers it
+        except ConfigError as exc:  # a tiny eps or delta takes beta or eta to 0; halving keeps it
             raise TunerError(f"no feasible {problem} tuning for eps={eps:g}: {exc}") from None
         budget = config_budget(config)
         feasible = config.T * config.p / config.B >= 1.0
@@ -175,9 +175,10 @@ def ball_config(
     and beta = eta^2 lam / (20 L^2) on the ball of radius D/2.
     ``delta0`` is chosen so the budget's delta0 term spends at most a quarter
     of the target ``delta``, and ``delta1 = delta / (4T)`` at most half.
+    A step, rate or delta it cannot price is a :class:`ConfigError`.
     """
     if eta <= 0.0 or not 0.0 < p <= 1.0 or not delta > 0.0:
-        raise ValueError("ball accounting needs eta > 0, p in (0, 1] and delta > 0")
+        raise ConfigError("ball accounting needs eta > 0, p in (0, 1] and delta > 0")
     if not (0.0 < lipschitz < math.inf and 0.0 < diameter < math.inf):
         raise ValueError("lipschitz and diameter must be positive and finite")
     lam = (lipschitz / diameter) * max(math.sqrt(T), math.sqrt(d * math.log(T)) / eta)

@@ -111,8 +111,8 @@ def bernoulli_experts(d: int, T: int, means, seed: int) -> LossStream:
 def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStream:
     """Piecewise-constant fair-coin losses: the hard instance for low switching.
 
-    Splits the horizon into ``E = round((T*eps)^(4/3))`` epochs (clamped
-    to [1, T], however large; short last epoch) and draws one Ber(1/2)^d loss per
+    Splits the horizon into ``E = round((T*eps)^(4/3))`` epochs (at least
+    1, clamped to T however large; short last epoch) and draws one Ber(1/2)^d loss per
     epoch, repeated for every round of that epoch. A low-switching
     learner must either sit out an epoch at expected loss 1/2 per round
     or spend privacy budget on a switch inside it.
@@ -128,7 +128,7 @@ def epoch_lower_bound_stream(T: int, eps: float, d: int, seed: int) -> LossStrea
     clamped = raw > T
     if clamped:
         warnings.warn(f"epoch count {raw} exceeds T={T}; clamped to T", stacklevel=2)
-    E = T if clamped else max(raw, 1)
+    E = T if clamped else raw  # at least 1: T*eps >= 1 is checked above
     epoch_len = -(-T // E)
     rng = np.random.default_rng(seed)
     draws = rng.random((E, d)) < 0.5

@@ -20,7 +20,7 @@ from .accountant import config_budget
 from .adversaries import LossStream
 from .measures import normalized
 from .seeding import replicate_seed
-from .transform import L2PConfig, PreparedRun, Transcript
+from .transform import L2PConfig, PreparedRun, Transcript, _ball_log_ratio
 
 _MIN_BUCKET = 100
 _WILSON_Z = 2.0
@@ -142,7 +142,8 @@ def ratio_range_check(
     """Fraction of raw correlated-sampling ratios outside [e^{-2B eta}, e^{2B eta}].
 
     A ratio is drawn at each batch after the first, so a one-batch
-    config, which has none to check, is refused.
+    config, which has none to check, is refused. Each run's ratios are
+    formed from its switch events by :func:`_raw_log_ratios`.
     """
     if n_runs < 1:
         raise ValueError("ratio audit needs at least 1 run")
@@ -152,7 +153,7 @@ def ratio_range_check(
     outside = 0
     total = 0
     for transcript in _run_many(_prepared(config, stream), n_runs, base_seed):
-        lr = transcript.raw_log_ratios
+        lr = _raw_log_ratios(transcript)
         total += lr.size
         outside += int(np.count_nonzero(np.abs(lr) > cap + 1e-12))
     frac = outside / max(total, 1)
@@ -164,6 +165,33 @@ def ratio_range_check(
         config.delta1 + slack,
         (f"claim bound {config.delta1:g}, monte-carlo slack {slack:.4g}",),
     )
+
+
+def _raw_log_ratios(transcript: Transcript) -> np.ndarray:
+    """The log ratio of every batch s >= 2 before the acceptance cap, as the keep test forms it.
+
+    Batch s tests the models in force over batch s - 1, read off the
+    switch events, on rows s - 1 and s - 2 of the run's cumulative
+    table. An experts entry is ``(lw[s-1, x] - lw[s-2, x]) - (lw[s-1, y]
+    - lw[s-2, y])`` with each log-weight ``lw = loss_sums * -eta`` formed
+    in float64 as the engine forms it, so the values are the engine's
+    bit for bit; a ball entry is the engine's own :func:`_ball_log_ratio`.
+    """
+    prepared = transcript.prepared
+    sums, n = prepared.loss_sums, transcript.n_batches
+    spans = np.diff([0, *transcript.rows, n - 1])  # of batches 1 to n - 1, per model pair
+    if not prepared.is_mw:
+        pairs = zip(transcript.event_xs, transcript.event_ys, spans.tolist())
+        models = [(x, y) for x, y, span in pairs for _ in range(span)]
+        beta = prepared.config.beta
+        return np.array([_ball_log_ratio(sums, beta, s, x, y) for s, (x, y) in enumerate(models, 2)])
+    xs, ys = np.repeat(transcript.event_xs, spans), np.repeat(transcript.event_ys, spans)
+    flat, d, m = sums.ravel(), sums.shape[1], -prepared.config.eta
+    at_x = np.arange(d, n * d, d) + xs
+    at_y = at_x + (ys - xs)
+    ats = (at_x, at_x - d, at_y, at_y - d)
+    x1, x0, y1, y0 = (np.multiply(flat.take(at), m, dtype=np.float64) for at in ats)
+    return (x1 - x0) - (y1 - y0)
 
 
 def _bucket(transcript: Transcript):

@@ -25,8 +25,7 @@ alone: the measure of every batch is a row of one cumulative table,
 ``loss_sums`` (cumulative losses for experts, gradient sums for the
 ball), so set-up makes no per-batch objects. An experts run also keeps
 the 16-bit floors of its sampling CDFs. Both tables are built chunk by
-chunk with no temporary of their size; the per-batch loss sums and the
-exact float64 CDFs are computed on first read. A binary experts
+chunk with no temporary of their size. A binary experts
 run, one whose loss matrix is bool, as every generated experts stream
 is, keeps its cumulative losses as integer counts in the smallest
 unsigned type that holds T; a count times ``-eta`` is the double the
@@ -70,11 +69,10 @@ those of a batch-by-batch loop. Ball runs keep that loop: their sampler
 draws normals, which cannot be pre-drawn bit-identically.
 
 A run returns its switch events as a :class:`Transcript`, and nothing
-per batch. The per-batch columns (models, coins, losses, log ratios)
-are derived from the events on first read. A game reads only its total
-loss. On a binary experts run that is a sum, over the switch events that
-move the played expert, of differences of the count table, so the game
-costs its switches alone;
+per batch: the played models and losses are derived from the events on
+first read. A game reads only its total loss. On a binary experts run
+that is a sum, over the switch events that move the played expert, of
+differences of the count table, so the game costs its switches alone;
 on any other run it is one gather of the played losses. Set-up also
 computes the run's best-in-hindsight comparator, which depends only on
 the loss matrix.
@@ -82,7 +80,6 @@ the loss matrix.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -116,12 +113,6 @@ _BLOCK = 65536
 # makes a floor at or near the subnormal range screen nothing out.
 _FLOOR_RTOL = 1e-12
 _FLOOR_ATOL = 1e-300
-# An event's coins coded as 4 S + 2 S' + A index its (S, S', A) row and
-# its (switched_x, switched_y) bits; every other batch keeps.
-_CODE_COINS = np.array(
-    [(S, Sp, A) for S in (0, 1) for Sp in (0, 1) for A in (0, 1)], dtype=np.int8
-)
-_CODE_SWITCHED = np.array([(1 - (S & Sp), 1 - A) for S, Sp, A in _CODE_COINS], dtype=np.int8)
 
 
 class ConfigError(ValueError):
@@ -205,19 +196,9 @@ class L2PConfig:
         return "mw" if self.beta is None else "rmw"
 
 
-# CSV column order is part of the file contract; never reorder.
-CSV_COLUMNS = ("s", "x", "S", "Sprime", "A", "switched_x", "switched_y", "batch_loss")
-
-
-def _format_model(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return ",".join(repr(float(v)) for v in np.asarray(x).ravel())
-
-
 @dataclass(eq=False)
 class Transcript:
-    """Record of one run: its switch events, with columns derived on read.
+    """Record of one run: its switch events, and the played models they give.
 
     A run is its switch events; every other batch keeps both models.
     Event k happens at 0-based batch ``rows[k]`` with coins coded as
@@ -231,17 +212,13 @@ class Transcript:
     ``switch_count_y`` and ``fake_switch_count`` count the other events;
     ``switch_counts`` reads all three at once.
 
-    The per-batch columns are derived from the events and ``prepared``,
-    the run that produced them, on first read and then cached, so a
-    transcript costs O(switches) until they are read. ``models[s-1]``
-    is the played model of batch s, ``coins`` holds (S, S', A) per batch
-    with -1 sentinels in batch 1, ``switched`` holds the (switched_x,
-    switched_y) bits, and ``batch_losses`` and ``round_losses`` the
-    played losses, gathered from the loss matrix. ``ys`` and
-    ``raw_log_ratios`` (the log correlated-sampling ratio before the
-    acceptance cap, one entry per batch s >= 2, computed as the keep
-    test computes it) are diagnostics for audits and are never
-    serialized. ``total_loss`` is a sum over the events on a binary run.
+    ``models[s-1]``, the played model of batch s, and ``round_losses``,
+    the played losses gathered from the loss matrix, are derived from
+    the events and ``prepared``, the run that produced them, on first
+    read and then cached, so a transcript costs O(switches) until they
+    are read. ``total_loss`` is a sum over the events on a binary run.
+    The budget covers the played models, so a transcript derives no
+    per-batch coin, reference model or log ratio.
     """
 
     prepared: PreparedRun = field(repr=False)
@@ -306,81 +283,20 @@ class Transcript:
         return chain.from_iterable(map(repeat, models, self._spans.tolist()))
 
     @cached_property
-    def _batch_xs(self) -> np.ndarray:
-        """The played expert of every batch, as an index array (experts runs)."""
-        return np.array(self.event_xs).repeat(self._spans)
-
-    @cached_property
     def models(self) -> tuple:
         return tuple(self._per_batch(self.event_xs))
-
-    @cached_property
-    def ys(self) -> tuple:
-        return tuple(self._per_batch(self.event_ys))
-
-    @cached_property
-    def coins(self) -> np.ndarray:
-        coins = np.empty((self.n_batches, 3), dtype=np.int8)
-        coins.fill(1)
-        coins[0] = -1
-        if self.rows:
-            coins[self.rows] = _CODE_COINS.take(self.codes, axis=0)
-        return coins
-
-    @cached_property
-    def switched(self) -> np.ndarray:
-        switched = np.zeros((self.n_batches, 2), dtype=np.int8)
-        if self.rows:
-            switched[self.rows] = _CODE_SWITCHED.take(self.codes, axis=0)
-        return switched
-
-    @cached_property
-    def batch_losses(self) -> np.ndarray:
-        prepared, n = self.prepared, self.n_batches
-        if prepared.is_mw:
-            return _picks(prepared.batch_sums, self._batch_xs)
-        batch_losses = np.empty(n)
-        for s, x in enumerate(self._per_batch(self.event_xs)):
-            batch_losses[s] = prepared.batch_sums[s] @ x
-        return batch_losses
 
     @cached_property
     def round_losses(self) -> np.ndarray:
         prepared = self.prepared
         T, B = prepared.config.T, prepared.config.B
         if prepared.is_mw:
-            xs = self._batch_xs if B == 1 else self._batch_xs.repeat(B)[:T]
+            xs = np.array(self.event_xs).repeat(self._spans * B)[:T]
             return _picks(prepared.loss_values, xs).astype(np.float64, copy=False)
         round_losses = np.empty(T)
         for s, x in enumerate(self._per_batch(self.event_xs)):
             round_losses[s * B : (s + 1) * B] = prepared.loss_values[s * B : (s + 1) * B] @ x
         return round_losses
-
-    @cached_property
-    def raw_log_ratios(self) -> np.ndarray:
-        prepared = self.prepared
-        if prepared.is_mw:
-            ys = np.array(self.event_ys).repeat(self._spans)
-            return prepared._log_ratios(self._batch_xs, ys)
-        n, g, beta = self.n_batches, prepared.loss_sums, prepared.config.beta
-        xs, ys = self._per_batch(self.event_xs), self._per_batch(self.event_ys)
-        ratios = [_ball_log_ratio(g, beta, s, x, y) for s, x, y in zip(range(2, n + 1), xs, ys)]
-        return np.array(ratios, dtype=np.float64)
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for i, x in enumerate(self.models):
-            coins = ["", "", ""] if i == 0 else [int(v) for v in self.coins[i]]
-            writer.writerow(
-                [i + 1, _format_model(x)]
-                + coins
-                + [
-                    int(self.switched[i, 0]),
-                    int(self.switched[i, 1]),
-                    repr(float(self.batch_losses[i])),
-                ]
-            )
 
 
 class PreparedRun:
@@ -402,9 +318,9 @@ class PreparedRun:
     a ``2**-16`` grid of the first d - 1 entries of every batch's sampling
     CDF (the last is 1), with one flat memoryview of each that the engine
     loop reads, and ``sure``, a floor under the keep probability of every batch
-    and every pair of models. The exact float64 CDFs ``cdfs`` are built on
-    first read; a pick builds one exact row only when its uniform lies
-    in the grid step of the last floor it counted (see :meth:`_exact_pick`).
+    and every pair of models. No exact float64 CDF table is kept: a pick
+    builds one exact row only when its uniform lies in the grid step of
+    the last floor it counted (see :meth:`_exact_pick`).
     The log-weights ``loss_sums * -eta`` are formed in float64 where they
     are read. ``binary`` is whether an experts run's loss matrix is bool;
     a binary run's ``loss_sums`` holds exact counts in
@@ -412,11 +328,9 @@ class PreparedRun:
     any other run's, a float64 matrix of 0s and 1s included, holds
     float64; a table whose last row is not finite is refused. Runs of at
     most ``_WALK`` batches (``walks``) step through every batch. Both kinds
-    keep the column totals of the loss matrix and ``comparator_loss``,
-    the best-in-hindsight loss they give; the per-batch loss sums
-    ``batch_sums``, which only ``Transcript.batch_losses`` reads, are
-    computed on first read. Both sums are float64, also on a bool
-    matrix. The acceptance cap ``cap`` is the config's, which always
+    keep the column totals of the loss matrix, in float64 also on a bool
+    matrix, and ``comparator_loss``, the best-in-hindsight loss they
+    give. The acceptance cap ``cap`` is the config's, which always
     uses the full ``2 B eta`` exponent, also on a short final batch.
     """
 
@@ -468,18 +382,6 @@ class PreparedRun:
         # rounding is monotone, so this holds for the computed values too.
         floor = math.exp(min(-self.cap - spread, 0.0))
         self.sure = floor * (1.0 - _FLOOR_RTOL) - _FLOOR_ATOL
-
-    @cached_property
-    def cdfs(self) -> np.ndarray:
-        """The exact float64 sampling CDFs of every batch, built on first read (experts runs)."""
-        return cdf_table(self.loss_sums, self.config.eta)
-
-    @cached_property
-    def batch_sums(self) -> np.ndarray:
-        """The per-batch sums of the loss matrix, built on first read."""
-        starts = np.arange(self.config.n_batches) * self.config.B
-        # in float64: on bools, a reduceat without it is a logical or
-        return np.add.reduceat(self.loss_values, starts, axis=0, dtype=np.float64)
 
     def run(self, rng: np.random.Generator) -> Transcript:
         if self.domain_error:
@@ -622,21 +524,6 @@ class PreparedRun:
             xs.append(x)
             ys.append(y)
         return Transcript(self, rows, codes, xs, ys)
-
-    def _log_ratios(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The raw log ratio of every batch s >= 2 from the models in force before it.
-
-        Batch s tests the models of batch s - 1 on log-weight rows s - 1 and
-        s - 2, in the order (lw[s-1, x] - lw[s-2, x]) - (lw[s-1, y] - lw[s-2, y])
-        of the keep test, each lw entry formed as it forms them, so the
-        values are its values bit for bit.
-        """
-        flat, d, m = self.loss_sums.ravel(), self.loss_sums.shape[1], -self.config.eta
-        at_x = np.arange(d, xs.size * d, d) + xs[:-1]
-        at_y = at_x + (ys[:-1] - xs[:-1])
-        ats = (at_x, at_x - d, at_y, at_y - d)
-        x1, x0, y1, y0 = (np.multiply(flat.take(at), m, dtype=np.float64) for at in ats)
-        return (x1 - x0) - (y1 - y0)
 
     def _ball_sample(self, s: int, rng: np.random.Generator) -> np.ndarray:
         """A draw from the batch-s ball measure, built for this one draw."""

@@ -300,6 +300,19 @@ class TestConfigBudgetPreconditions:
         assert {c.eta_effective > ETA_MAX for c in configs} == {True, False}
         assert any(c.T * c.p / c.B == 1.0 for c in configs)
 
+    def test_ratio_precondition_at_equality(self):
+        # eta B log(1/delta1) / p is exactly 1.0 here, which meets the
+        # precondition; a p one double lower puts it one ulp above 1
+        p = 0.05 * math.log(1e6)
+        at = L2PConfig(T=100, B=1, eta=0.05, p=p, delta0=0.0, delta1=1e-6)
+        assert at.eta * at.B * math.log(1.0 / at.delta1) / at.p == 1.0
+        budget = config_budget(at)
+        assert budget.preconditions_met and budget.notes == ()
+        below = dataclasses.replace(at, p=math.nextafter(p, 0.0))
+        budget = config_budget(below)
+        assert not budget.preconditions_met
+        assert budget.notes == ("precondition eta*B*log(1/delta1)/p <= 1 not met",)
+
     def test_notes_name_each_extra_precondition(self):
         above = ball_config(200, 3, 1, 0.05, 0.5, 1e-6, 1.0, 1.0)
         assert above.eta_accounted > ETA_MAX

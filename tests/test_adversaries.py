@@ -79,6 +79,13 @@ class TestEpochStream:
         s = epoch_lower_bound_stream(10_000, 0.01, 4, seed=0)
         assert s.n_epochs == 464 and s.epoch_len == 22 and not s.clamped
 
+    def test_one_epoch_at_t_eps_one(self):
+        # (4 * 0.25)^{4/3} = 1: the smallest count the construction takes, one
+        # epoch that spans the horizon
+        s = epoch_lower_bound_stream(4, 0.25, 3, seed=0)
+        assert s.n_epochs == 1 and s.epoch_len == 4 and not s.clamped
+        assert (s.values == s.values[0]).all()
+
     def test_constant_within_epochs(self):
         s = epoch_lower_bound_stream(10_000, 0.01, 4, seed=5)
         for e in range(0, s.n_epochs, 37):

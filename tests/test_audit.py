@@ -179,12 +179,25 @@ class TestEmpiricalEpsilon:
 
     @pytest.mark.parametrize("T, B, p", [(10, 2, None), (1, 1, 0.5), (20, 1, 0.9), (9, 2, 0.05)])
     def test_bucket_from_events(self, T, B, p):
-        # the bucket read off the switch events is the one the columns give
+        # the bucket read off the switch events is the one the decoded coins
+        # and the played models give: x switches where S or S' is 0
         config = tune_ope(10, 2, 0.5, 0.05) if p is None else _small_config(p=p, B=B, T=T)
         prepared = PreparedRun(config, "mw", bernoulli_experts(2, T, [0.3, 0.7], seed=4).values)
         for seed in range(300):
             t = prepared.run(np.random.default_rng(seed))
-            assert _bucket(t) == (tuple(t.switched[1:, 0].tolist()), int(t.models[-1]))
+            switched = [0] * (t.n_batches - 1)
+            for row, code in zip(t.rows, t.codes):
+                switched[row - 1] = 1 - (code >> 2 & code >> 1 & 1)
+            assert _bucket(t) == (tuple(switched), int(t.models[-1]))
+
+    def test_report_line_pinned(self):
+        # the benchmark's audit-tiny shape: the statistic, the Wilson-shrunk
+        # threshold and the notes, as one JSON line
+        stream = bernoulli_experts(2, 10, (0.25, 0.75), 1)
+        neighbor = neighbor_of(stream, 5, 1.0 - stream.values[5])
+        report = empirical_epsilon(tune_ope(10, 2, 0.5, 0.05), stream, neighbor, 1000, base_seed=1)
+        digest = hashlib.sha256(report.to_json_line().encode()).hexdigest()
+        assert digest == "368d2d3ea266c6ca97f175f8e6296c275c34c1beb58d52a43ab99b900eb74e7a"
 
     def test_shape_preconditions(self):
         stream = bernoulli_experts(3, 10, [0.3, 0.5, 0.7], seed=0)

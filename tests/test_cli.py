@@ -791,10 +791,12 @@ class TestPlan:
         [({"T": 10, "d": 2, "epsilon": 1e-6}, 3),
          ({"epsilon": 1e-310}, 3),
          ({"problem": "oco", "adversary": _SPHERE, "epsilon": 1e-310}, 3),
+         ({"delta": 5e-324}, 3),
+         ({"problem": "oco", "adversary": _SPHERE, "delta": 5e-324}, 3),
          ({"override": _override(eta=0.5)}, 2),
          ({"problem": "oco", "adversary": _SPHERE, "override": _override(p=0.0)}, 2)],
         ids=["infeasible", "ope-batch-past-a-double", "oco-batch-past-a-double",
-             "eta-above-cap", "ball-p-0"],
+             "ope-vanishing-delta", "oco-vanishing-delta", "eta-above-cap", "ball-p-0"],
     )
     def test_refusal_prints_nothing(self, tmp_path, capsys, fields, code):
         assert _plan(tmp_path, capsys, **fields) == (code, "")

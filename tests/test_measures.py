@@ -26,6 +26,7 @@ from l2p.measures import (
     logsumexp,
     normalized,
 )
+from l2p.audit import _raw_log_ratios
 from l2p.transform import L2PConfig, PreparedRun
 
 
@@ -151,9 +152,14 @@ def _log_weights(prepared):
     return prepared.loss_sums * -prepared.config.eta
 
 
+def _cdfs(prepared):
+    """A prepared experts run's exact float64 sampling CDFs, every batch's row."""
+    return cdf_table(prepared.loss_sums, prepared.config.eta)
+
+
 def _draws(prepared, rng, n=100_000):
     """``n`` batch-2 picks, made as the engine makes them."""
-    cdf = prepared.cdfs[1].tolist()
+    cdf = _cdfs(prepared)[1].tolist()
     return np.array([bisect_right(cdf, u) for u in rng.random(n)])
 
 
@@ -366,7 +372,7 @@ class TestSequences:
         prepared = PreparedRun(config, "mw", stream.values)
         slow = _reference_log_weights(stream.values, 0.05, B)
         np.testing.assert_allclose(_log_weights(prepared), slow, atol=1e-12)
-        for row, cdf in zip(slow, prepared.cdfs):
+        for row, cdf in zip(slow, _cdfs(prepared)):
             want = np.cumsum(scipy.special.softmax(row))
             np.testing.assert_allclose(cdf, want, atol=1e-12)
             assert cdf[-1] == 1.0
@@ -471,7 +477,7 @@ class TestChunkedTables:
         counts = np.min_scalar_type(config.T) if prepared.binary else np.float64
         assert prepared.loss_sums.dtype == counts
         assert prepared.loss_sums.astype(np.float64).tobytes() == want.tobytes()
-        assert prepared.cdfs.tobytes() == _one_shot_cdfs(lw).tobytes()
+        assert _cdfs(prepared).tobytes() == _one_shot_cdfs(lw).tobytes()
         assert prepared.sure == _one_shot_sure(lw, config.cap)
 
     @pytest.mark.parametrize("shape", sorted(GOLDEN_TABLES))
@@ -548,7 +554,7 @@ class TestChunkedTables:
         first d - 1 entries F of each exact row, as uint16; over 2**16 every one
         is under its entry by less than FLOOR_GAP. Returns the exact table."""
         prepared = PreparedRun(config, "mw", values)
-        exact, floors = prepared.cdfs, prepared.cdf_floors
+        exact, floors = _cdfs(prepared), prepared.cdf_floors
         n, d = exact.shape
         assert floors.dtype == np.uint16 and floors.shape == (n, d - 1)
         # the oracle: floor on the grid in float64, then cap
@@ -638,7 +644,7 @@ class TestCountTable:
         want = _one_shot_cumulative(values, B)
         lw = -config.eta * want
         assert prepared.loss_sums.astype(np.float64).tobytes() == want.tobytes()
-        assert prepared.cdfs.tobytes() == _one_shot_cdfs(lw).tobytes()
+        assert _cdfs(prepared).tobytes() == _one_shot_cdfs(lw).tobytes()
         assert _bits(prepared.sure) == _bits(_one_shot_sure(lw, config.cap))
         # the same run on a float table: a float64 matrix of 0s and 1s is not binary
         floats = PreparedRun(config, "mw", values.astype(np.float64))
@@ -649,8 +655,9 @@ class TestCountTable:
             assert (t.rows, t.codes, t.event_xs, t.event_ys) == (
                 f.rows, f.codes, f.event_xs, f.event_ys
             )
-            ratios = _one_shot_ratios(lw, np.asarray(t.models), np.asarray(t.ys))
-            assert t.raw_log_ratios.tobytes() == ratios.tobytes()
+            ys = np.repeat(t.event_ys, np.diff([0, *t.rows, config.n_batches]))
+            ratios = _one_shot_ratios(lw, np.asarray(t.models), ys)
+            assert _raw_log_ratios(t).tobytes() == ratios.tobytes()
             assert _bits(t.total_loss) == _bits(float(t.round_losses.sum()))
 
     def test_a_negative_zero_keeps_floats(self):
@@ -693,7 +700,7 @@ class TestSetUpMemory:
         # at ope-b1's shape a binary run keeps uint16 counts, a quarter of
         # a float64 table, and uint16 CDF floors over d - 1 columns, under
         # a quarter of one, and builds them with no float64 table of their
-        # size; the exact CDFs are built on first read
+        # size; it keeps no exact CDF table
         T, d = 20_000, 10
         values = bernoulli_experts(d, T, np.linspace(0.35, 0.65, d), 1).values
         config = tune_ope(T, d, 1.0, 1e-6)
@@ -704,8 +711,6 @@ class TestSetUpMemory:
         assert prepared.loss_sums.nbytes == table / 4
         assert prepared.cdf_floors.dtype == np.uint16
         assert prepared.cdf_floors.nbytes == 2 * n * (d - 1)
-        assert "cdfs" not in vars(prepared)
-        assert prepared.cdfs.nbytes == table
         assert retained <= 0.5 * table
         assert peak <= 0.9 * table
 
@@ -729,7 +734,7 @@ class TestSetUpMemory:
         table = n * d * 8
         assert not prepared.binary and prepared.loss_sums.dtype == np.float64
         assert prepared.cdf_floors.nbytes == 2 * n * (d - 1)
-        assert prepared.loss_sums.nbytes == prepared.cdfs.nbytes == table
+        assert prepared.loss_sums.nbytes == table
         assert retained <= 1.3 * table
         assert peak <= 1.7 * table
 
@@ -741,16 +746,6 @@ class TestSetUpMemory:
         table = config.n_batches * d * 8
         assert prepared.loss_sums.nbytes == table
         assert retained <= 1.1 * table + 4096  # and a few O(d) arrays
-
-    def test_batch_sums_built_on_first_read(self):
-        rng = np.random.default_rng(6)
-        values = rng.random((11, 3))
-        config = L2PConfig(T=11, B=4, eta=0.05, p=0.5, delta0=0.0, delta1=1e-6)
-        prepared = PreparedRun(config, "mw", values)
-        assert "batch_sums" not in vars(prepared)
-        want = np.add.reduceat(values, [0, 4, 8], axis=0)
-        assert prepared.batch_sums.tobytes() == want.tobytes()
-        assert prepared.batch_sums is prepared.batch_sums
 
 
 class TestLogsumexp:

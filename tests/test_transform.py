@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import math
@@ -16,11 +17,10 @@ from l2p.adversaries import (
     epoch_lower_bound_stream,
     linear_oco_stream,
 )
-from l2p.audit import exact_batch_distributions
+from l2p.audit import _raw_log_ratios, exact_batch_distributions
 from l2p.harness import best_in_hindsight_oco_ball, best_in_hindsight_ope, play_game
-from l2p.measures import FLOOR_GAP, RmwMeasure, effective_eta_rmw, normalized
+from l2p.measures import FLOOR_GAP, RmwMeasure, cdf_table, effective_eta_rmw, normalized
 from l2p.transform import (
-    CSV_COLUMNS,
     ConfigError,
     L2PConfig,
     PreparedRun,
@@ -276,8 +276,7 @@ class TestRunL2p:
         config = L2PConfig(T=4, B=4, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         t = _run(config, stream, 0)
         assert t.n_batches == 1
-        assert t.coins.tolist() == [[-1, -1, -1]]
-        assert t.switched.tolist() == [[0, 0]]
+        assert t.rows == [] and t.codes == [] and len(t.event_xs) == len(t.event_ys) == 1
         np.testing.assert_allclose(t.total_loss, stream.values[:, t.models[0]].sum(), rtol=1e-12)
 
     def test_forced_keep_branch(self):
@@ -300,7 +299,9 @@ class TestRunL2p:
         t = _run(config, stream, 1)
         assert t.switch_count_x == t.n_batches - 1
         assert t.switch_count_y == t.n_batches - 1
-        assert (t.coins[1:, 1:] == 0).all()
+        # every batch s >= 2 is an event whose S' and A coins are 0
+        assert t.rows == list(range(1, t.n_batches))
+        assert all(code & 3 == 0 for code in t.codes)
 
     def test_switch_rate_zero_losses(self):
         # with prev == cur each batch: P(switch) = 1 - e^{-2B eta} (1-p), p=0
@@ -327,29 +328,29 @@ class TestRunL2p:
         for t in (_run(config, stream, 2), _run(ball, grads, 2, "rmw")):
             assert t.n_batches == 4  # ceil(11/3), short last batch
             assert t.round_losses.shape == (11,)
-            S, Sp, A = t.coins[1:].T
-            assert t.switched[1:, 0].tolist() == ((S == 0) | (Sp == 0)).tolist()
-            assert t.switched[1:, 1].tolist() == (A == 0).tolist()
-            # the counts read off the event codes agree with the columns
-            assert t.codes and t.switch_count_x == t.switched[:, 0].sum()
-            assert t.switch_count_y == t.switched[:, 1].sum()
+            assert len(t.rows) == len(t.codes) == len(t.event_xs) - 1 == len(t.event_ys) - 1
+            assert t.rows == sorted(set(t.rows)) and all(1 <= r < t.n_batches for r in t.rows)
+            # the counts read off the event codes agree with the decoded coins
+            codes = np.array(t.codes)
+            S, Sp, A = codes >> 2, codes >> 1 & 1, codes & 1
+            assert t.codes and ((S & Sp & A) == 0).all()  # every event fails a coin
+            assert t.switch_count_x == ((S == 0) | (Sp == 0)).sum()
+            assert t.switch_count_y == (A == 0).sum()
             assert t.fake_switch_count == ((Sp == 0) | (A == 0)).sum()
-            # per-batch losses recompute from round losses
-            for s in range(1, t.n_batches + 1):
-                lo, hi = (s - 1) * 3, min(s * 3, 11)
-                np.testing.assert_allclose(
-                    t.batch_losses[s - 1], t.round_losses[lo:hi].sum(), rtol=1e-12
-                )
 
     def test_no_switch_means_same_model(self):
         stream = _uniform_stream(3, 20, seed=9)
         config = L2PConfig(T=20, B=2, eta=0.1, p=0.3, delta0=0.0, delta1=1e-6)
         t = _run(config, stream, 4)
         for i in range(1, t.n_batches):
-            if not t.switched[i, 0]:
+            if i not in t.rows:
                 assert t.models[i] == t.models[i - 1]
-            if not t.switched[i, 1]:
-                assert t.ys[i] == t.ys[i - 1]
+        # x stays put at an event with S = S' = 1, and y at one with A = 1
+        for k, code in enumerate(t.codes):
+            if code >= 6:
+                assert t.event_xs[k + 1] == t.event_xs[k]
+            if code & 1:
+                assert t.event_ys[k + 1] == t.event_ys[k]
 
     def test_bit_identical_replay(self):
         stream = _uniform_stream(4, 30, seed=11)
@@ -358,40 +359,8 @@ class TestRunL2p:
         t1 = prepared.run(np.random.default_rng(99))
         t2 = prepared.run(np.random.default_rng(99))
         assert t1.models == t2.models
-        assert np.array_equal(t1.coins, t2.coins)
+        assert _events(t1) == _events(t2)
         assert np.array_equal(t1.round_losses, t2.round_losses)
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        t1.write_csv(buf1)
-        t2.write_csv(buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-
-    def test_csv_format(self):
-        stream = _uniform_stream(2, 4, seed=1)
-        config = L2PConfig(T=4, B=2, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
-        t = _run(config, stream, 0)
-        buf = io.StringIO()
-        t.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 1 + t.n_batches
-        first = lines[1].split(",")
-        assert first[2] == first[3] == first[4] == ""  # no coins in batch 1
-
-    def test_oco_vector_models_quoted_in_csv(self):
-        rng = np.random.default_rng(0)
-        grads = rng.standard_normal((6, 2))
-        grads /= np.linalg.norm(grads, axis=1, keepdims=True)
-        stream = LossStream(grads, lipschitz=1.0)
-        config = L2PConfig(
-            T=6, B=2, eta=0.05, p=0.5, delta0=1e-12, delta1=1e-6,
-            beta=0.05, lam=10.0, radius=1.0, lipschitz=1.0,
-        )
-        t = _run(config, stream, 1, kind="rmw")
-        buf = io.StringIO()
-        t.write_csv(buf)
-        row = buf.getvalue().splitlines()[1]
-        assert row.split(",")[0] == "1"
-        assert '"' in row  # vector model carries commas, so the field is quoted
 
     def test_switch_count_bound(self):
         # E[#switches] <= (n_batches - 1) * (2p + 1 - E[acceptance]), since the
@@ -406,7 +375,7 @@ class TestRunL2p:
         for i in range(n):
             t = prepared.run(np.random.default_rng(i))
             switches[i] = t.switch_count_x
-            acc_sum += np.minimum(1.0, np.exp(t.raw_log_ratios - cap)).sum()
+            acc_sum += np.minimum(1.0, np.exp(_raw_log_ratios(t) - cap)).sum()
         n_coins = prepared.config.n_batches - 1
         mean_acc = acc_sum / (n * n_coins)
         bound = n_coins * (2 * config.p + 1 - mean_acc)
@@ -437,19 +406,28 @@ class TestRunL2p:
 
 @dataclass(frozen=True)
 class _Record:
-    """The columns of a transcript, built batch by batch; ``Transcript.write_csv``
-    serializes it as it does an engine transcript."""
+    """A run as the per-batch loop records it: its switch events, noted as
+    they happen, and its per-batch columns, built batch by batch."""
 
+    rows: list
+    codes: list
+    event_xs: list
+    event_ys: list
     models: tuple
+    ys: tuple
     coins: np.ndarray
     switched: np.ndarray
     batch_losses: np.ndarray
     round_losses: np.ndarray
+    raw_log_ratios: np.ndarray
     switch_count_x: int
     switch_count_y: int
     fake_switch_count: int
-    ys: tuple
-    raw_log_ratios: np.ndarray
+
+
+def _cdfs(prepared: PreparedRun) -> np.ndarray:
+    """The exact float64 sampling CDFs of every batch of an experts run."""
+    return cdf_table(prepared.loss_sums, prepared.config.eta)
 
 
 def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> _Record:
@@ -463,16 +441,18 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> _Record:
     T, B, n = config.T, config.B, config.n_batches
     cap = 2.0 * B * config.eta_effective
     keep_y = 1.0 - config.p
+    cdfs = _cdfs(prepared) if prepared.is_mw else None
 
     def sample(s):
         if prepared.is_mw:
-            idx = int(prepared.cdfs[s - 1].searchsorted(rng.random(), side="right"))
-            return min(idx, prepared.cdfs.shape[1] - 1)
+            idx = int(cdfs[s - 1].searchsorted(rng.random(), side="right"))
+            return min(idx, cdfs.shape[1] - 1)
         g = prepared.loss_sums[s - 1]
         return RmwMeasure(g, config.beta, config.lam, config.radius).sample(rng)
 
     x, y = sample(1), sample(1)
     models, ys = [x], [y]
+    rows, codes, event_xs, event_ys = [], [], [x], [y]
     coins = np.full((n, 3), -1, dtype=np.int8)
     switched = np.zeros((n, 2), dtype=np.int8)
     batch_losses = np.empty(n)
@@ -491,44 +471,91 @@ def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> _Record:
         if not A:
             y = sample(s)
             switched[s - 1, 1] = 1
+        if not (S and Sp and A):
+            rows.append(s - 1)
+            codes.append(int(4 * S + 2 * Sp + A))
+            event_xs.append(x)
+            event_ys.append(y)
         models.append(x)
         ys.append(y)
+    # in float64: on bools, a reduceat without it is a logical or
+    batch_sums = np.add.reduceat(prepared.loss_values, np.arange(n) * B, axis=0, dtype=np.float64)
     for s in range(1, n + 1):
         x = models[s - 1]
         lo, hi = (s - 1) * B, min(s * B, T)
         if prepared.is_mw:
             round_losses[lo:hi] = prepared.loss_values[lo:hi, x]
-            batch_losses[s - 1] = prepared.batch_sums[s - 1, x]
+            batch_losses[s - 1] = batch_sums[s - 1, x]
         else:
             round_losses[lo:hi] = prepared.loss_values[lo:hi] @ x
-            batch_losses[s - 1] = prepared.batch_sums[s - 1] @ x
+            batch_losses[s - 1] = batch_sums[s - 1] @ x
     c = coins[1:]
     return _Record(
+        rows,
+        codes,
+        event_xs,
+        event_ys,
         tuple(models),
+        tuple(ys),
         coins,
         switched,
         batch_losses,
         round_losses,
+        raw_log_ratios,
         int(switched[:, 0].sum()),
         int(switched[:, 1].sum()),
         int(np.count_nonzero((c[:, 1] == 0) | (c[:, 2] == 0))),
-        tuple(ys),
-        raw_log_ratios,
     )
 
 
-def _csv(t: Transcript | _Record) -> str:
+def _events(t: Transcript) -> tuple:
+    return t.rows, t.codes, t.event_xs, t.event_ys
+
+
+def _assert_events(got: Transcript, want: _Record) -> None:
+    """The engine's switch events, played models, round losses, counts and raw
+    log ratios (as the ratio audit forms them) are the per-batch loop's exactly."""
+    assert got.rows == want.rows and got.codes == want.codes
+    for name in ("event_xs", "event_ys", "models"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b), name
+        for u, v in zip(a, b):
+            assert type(u) is type(v) and np.asarray(u).tobytes() == np.asarray(v).tobytes(), name
+    for a, b in ((got.round_losses, want.round_losses), (_raw_log_ratios(got), want.raw_log_ratios)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for name in ("switch_count_x", "switch_count_y", "fake_switch_count"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a == b, name
+
+
+# The per-batch log the golden hashes were recorded over, as a CSV with one
+# row per batch and blank coins in batch 1; a ball model is its coordinates.
+CSV_COLUMNS = ("s", "x", "S", "Sprime", "A", "switched_x", "switched_y", "batch_loss")
+
+
+def _format_model(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return ",".join(repr(float(v)) for v in np.asarray(x).ravel())
+
+
+def _csv(record: _Record) -> str:
     buf = io.StringIO()
-    Transcript.write_csv(t, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for i, x in enumerate(record.models):
+        coins = ["", "", ""] if i == 0 else [int(v) for v in record.coins[i]]
+        switched = [int(v) for v in record.switched[i]]
+        writer.writerow([i + 1, _format_model(x), *coins, *switched, repr(float(record.batch_losses[i]))])
     return buf.getvalue()
 
 
-def _digest(t: Transcript, rng: np.random.Generator) -> str:
+def _digest(record: _Record, rng: np.random.Generator) -> str:
     """SHA-256 of the CSV, the diagnostics and four doubles drawn after the run."""
-    h = hashlib.sha256(_csv(t).encode())
-    h.update(np.ascontiguousarray(t.raw_log_ratios).tobytes())
-    h.update(np.asarray(t.ys, dtype=np.float64).tobytes())
-    h.update(t.round_losses.tobytes())
+    h = hashlib.sha256(_csv(record).encode())
+    h.update(np.ascontiguousarray(record.raw_log_ratios).tobytes())
+    h.update(np.asarray(record.ys, dtype=np.float64).tobytes())
+    h.update(record.round_losses.tobytes())
     h.update(rng.random(4).tobytes())
     return h.hexdigest()
 
@@ -541,6 +568,23 @@ def _same_state(a, b) -> bool:
 
 def _prepared(config, kind, stream):
     return PreparedRun(config, kind, stream.values)
+
+
+def _same_run(prepared: PreparedRun, rng_a, rng_b) -> tuple[Transcript, _Record]:
+    """The engine's run on ``rng_a`` and the per-batch loop's on ``rng_b``,
+    checked equal, generator end states included."""
+    got, want = prepared.run(rng_a), _reference_run(prepared, rng_b)
+    _assert_events(got, want)
+    assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+    return got, want
+
+
+def _golden(prepared: PreparedRun, seed: int) -> str:
+    """The digest of the per-batch loop's record of a seeded run, once the
+    engine's run on the same seed has matched it exactly."""
+    rng = np.random.default_rng(seed)
+    _, want = _same_run(prepared, np.random.default_rng(seed), rng)
+    return _digest(want, rng)
 
 
 # (config, measure kind, stream) triples pinned by the golden hashes and
@@ -620,7 +664,8 @@ SHAPES = {
 
 
 class TestGoldenTranscripts:
-    """Transcripts and generator end states recorded from the per-batch loop."""
+    """Transcripts and generator end states recorded from the per-batch loop,
+    hashed from its record once the engine's events and end state match it."""
 
     GOLDEN = {
         ("ope-b1", 11): "51dc8818308505316e6d4bfac2cb583963cd3593ed9e6bf27dda82b6798d75a2",
@@ -631,9 +676,7 @@ class TestGoldenTranscripts:
 
     @pytest.mark.parametrize("shape, seed", sorted(GOLDEN))
     def test_hash(self, shape, seed):
-        prepared = _prepared(*SHAPES[shape]())
-        rng = np.random.default_rng(seed)
-        assert _digest(prepared.run(rng), rng) == self.GOLDEN[shape, seed]
+        assert _golden(_prepared(*SHAPES[shape]()), seed) == self.GOLDEN[shape, seed]
 
 
 class TestLossLayout:
@@ -643,16 +686,14 @@ class TestLossLayout:
     def test_strided_matrix_runs_as_the_c_one(self, shape):
         config, kind, stream = SHAPES[shape]()
         want = PreparedRun(config, kind, stream.values)
-        rng = np.random.default_rng(7)
-        digest, total = _digest(want.run(rng), rng), want.run(np.random.default_rng(8)).total_loss
+        digest, total = _golden(want, 7), want.run(np.random.default_rng(8)).total_loss
         fortran = np.asfortranarray(stream.values)
         strided = np.repeat(stream.values, 2, axis=1)[:, ::2]
         for values in (fortran, strided):
             assert not values.flags.c_contiguous
             prepared = PreparedRun(config, kind, values)
             assert prepared.loss_values.flags.c_contiguous
-            rng = np.random.default_rng(7)
-            assert _digest(prepared.run(rng), rng) == digest
+            assert _golden(prepared, 7) == digest
             assert prepared.run(np.random.default_rng(8)).total_loss == total
 
     def test_non_finite_losses_refused(self):
@@ -709,7 +750,7 @@ class TestGameResults:
 
 
 # the per-batch columns a transcript derives from its switch events
-COLUMNS = ("models", "ys", "coins", "switched", "batch_losses", "round_losses", "raw_log_ratios")
+COLUMNS = ("models", "round_losses")
 
 
 class TestLazyColumns:
@@ -732,11 +773,10 @@ class TestLazyColumns:
     @pytest.mark.parametrize("shape, seed", sorted(TestGoldenTranscripts.GOLDEN))
     def test_reverse_read_order(self, shape, seed):
         prepared = _prepared(*SHAPES[shape]())
-        rng = np.random.default_rng(seed)
-        t = prepared.run(rng)
+        t = prepared.run(np.random.default_rng(seed))
         for name in reversed(COLUMNS):
             assert getattr(t, name) is getattr(t, name)  # built once, then cached
-        assert _digest(t, rng) == TestGoldenTranscripts.GOLDEN[shape, seed]
+        _assert_events(t, _reference_run(prepared, np.random.default_rng(seed)))
 
     def test_n_batches_without_models(self):
         config, kind, stream = SHAPES["mixed"]()
@@ -760,20 +800,7 @@ def small_block(monkeypatch):
 class TestAgainstReferenceLoop:
     @staticmethod
     def _assert_same(prepared, rng_a, rng_b):
-        got, want = prepared.run(rng_a), _reference_run(prepared, rng_b)
-        assert _csv(got) == _csv(want)
-        assert len(got.ys) == len(want.ys)
-        for a, b in zip(got.ys, want.ys):
-            assert np.array_equal(a, b)
-        assert type(got.models[0]) is type(want.models[0])
-        for name in ("coins", "switched", "batch_losses", "round_losses", "raw_log_ratios"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), name
-        for name in ("switch_count_x", "switch_count_y", "fake_switch_count"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert type(a) is type(b) and a == b, name
-        assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+        _same_run(prepared, rng_a, rng_b)
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize(
@@ -851,10 +878,8 @@ class _Scripted:
 def _same_scripted(prepared: PreparedRun, values) -> Transcript:
     """The engine's transcript on preset doubles, checked against the per-batch loop."""
     a, b = _Scripted(values), _Scripted(values)
-    got, want = prepared.run(a), _reference_run(prepared, b)
-    assert _csv(got) == _csv(want)
-    assert got.ys == want.ys
-    assert got.raw_log_ratios.tobytes() == want.raw_log_ratios.tobytes()
+    got = prepared.run(a)
+    _assert_events(got, _reference_run(prepared, b))
     assert a.used == b.used
     return got
 
@@ -908,7 +933,7 @@ class TestKeepBoundary:
             acc = math.exp(float(lr[k - 2]) - cap)
             doubles[3 * k - 4] = acc
             t = _same_scripted(prepared, doubles)
-            assert t.coins[k - 1].tolist() == [0, 1, 1] and t.switch_count_x == 1
+            assert t.rows == [k - 1] and t.codes == [3]  # S fails; S' and A keep
             doubles[3 * k - 4] = np.nextafter(acc, 0.0)
             t = _same_scripted(prepared, doubles)
             assert t.switch_count_x == t.switch_count_y == 0
@@ -927,7 +952,7 @@ class TestKeepBoundary:
         for k in (2, 40, small_block // 3 + 1, prepared.config.n_batches):
             doubles[3 * k - 4] = acc[k - 2]
             t = _same_scripted(prepared, doubles)
-            assert t.switched[:, 0].argmax() == k - 1
+            assert t.rows[0] == k - 1 and t.codes[0] < 6  # the first event switches x
             doubles[3 * k - 4] = np.nextafter(acc[k - 2], 0.0)
 
     def test_reference_coins(self):
@@ -936,7 +961,7 @@ class TestKeepBoundary:
         for k, coin in ((30, 1), (31, 2), (60, 1)):
             doubles[3 * k - 4 + coin] = 0.75
             t = _same_scripted(prepared, doubles)
-            assert t.coins[k - 1, coin] == 0 and t.coins[k - 1].sum() == 2
+            assert t.rows == [k - 1] and t.codes == [7 - (4 >> coin)]  # only that coin fails
             doubles[3 * k - 4 + coin] = np.nextafter(0.75, 0.0)
             t = _same_scripted(prepared, doubles)
             assert t.switch_count_x == t.switch_count_y == 0
@@ -972,7 +997,7 @@ class TestKeepBoundary:
             doubles[3 * k - 4] = u
             t = _same_scripted(prepared, doubles)
             assert t.switch_count_x == switched
-            assert t.coins[k - 1, 0] == 1 - switched
+            assert (t.rows, t.codes) == (([k - 1], [3]) if switched else ([], []))
 
 
 class TestFloorScreen:
@@ -1029,7 +1054,7 @@ class TestFloorScreen:
         # S, S', A uniforms at 3k - 4, 3k - 3, 3k - 2, and a failed S' (or
         # A) resamples x (or y) from row k - 1 with uniform 3k - 1
         row, pos = {"x1": (0, 0), "y1": (0, 1)}.get(at, (k - 1, 3 * k - 1))
-        exact, floors = prepared.cdfs[row], prepared.cdf_floors[row].astype(np.int64)
+        exact, floors = _cdfs(prepared)[row], prepared.cdf_floors[row].astype(np.int64)
         j = self._spaced_floor(floors, exact)
         on_grid = floors[j] / 2**16
         cases = (
@@ -1050,8 +1075,8 @@ class TestFloorScreen:
             del fallbacks[:]
             t = _same_scripted(prepared, doubles)
             assert fallbacks == ([(row, v)] if screened else [])
-            models = t.ys if at[0] == "y" else t.models
-            assert models[0 if row == 0 else k - 1] == pick
+            models = t.event_ys if at[0] == "y" else t.event_xs
+            assert models[0 if row == 0 else t.rows.index(k - 1) + 1] == pick
 
     @pytest.mark.parametrize("shape", ["binary", "fractional", "ope-b1"])
     def test_table_invariants(self, shape):
@@ -1060,7 +1085,7 @@ class TestFloorScreen:
         else:
             prepared = self._prepared(300, shape == "binary")
         n, d = prepared.loss_sums.shape
-        floors, exact = prepared.cdf_floors, prepared.cdfs
+        floors, exact = prepared.cdf_floors, _cdfs(prepared)
         assert floors.dtype == np.uint16 and floors.shape == (n, d - 1)
         assert floors.nbytes == 2 * n * (d - 1)
         grid = floors / 2**16
@@ -1079,7 +1104,7 @@ class TestFloorScreen:
         values[:, 0] = 0.0
         config = L2PConfig(T=T, B=1, eta=0.1, p=0.5, delta0=0.0, delta1=1e-6)
         prepared = _prepared(config, "mw", LossStream(values))
-        assert (prepared.cdfs[k - 1] == 1.0).all()
+        assert (_cdfs(prepared)[k - 1] == 1.0).all()
         assert (prepared.cdf_floors[k - 1] == 2**16 - 1).all()
         doubles = np.zeros(3 * T + 8)
         doubles[3 * k - 3] = 0.999  # S' fails, so x resamples from row k - 1
@@ -1224,7 +1249,7 @@ class TestRareWalk:
         """The per-batch loop's transcript, with one exact test per S uniform at or above sure."""
         t = _same_scripted(prepared, values)
         got, n_exact = _exact_tests(prepared, _Scripted(values), monkeypatch)
-        assert _csv(got) == _csv(t)
+        assert _events(got) == _events(t)
         noted = _Noted(_Scripted(values))
         _reference_run(prepared, noted)
         assert n_exact == sum(u >= prepared.sure for u in noted.s_uniforms)
@@ -1298,7 +1323,7 @@ class TestRareWalk:
         for seed in range(3 if shape == "ope-b1" else 20):
             t, n_exact = _exact_tests(prepared, np.random.default_rng(seed), monkeypatch)
             noted = _Noted(np.random.default_rng(seed))
-            assert _csv(_reference_run(prepared, noted)) == _csv(t)
+            _assert_events(t, _reference_run(prepared, noted))
             above = sum(u >= prepared.sure for u in noted.s_uniforms)
             assert n_exact == above
             if shape == "ope-b1":
@@ -1541,7 +1566,7 @@ class TestBoolMatrix:
         counts, sums = kept.loss_sums, floats.loss_sums
         assert counts.dtype == np.min_scalar_type(config.T) and sums.dtype == np.float64
         assert counts.astype(np.float64).tobytes() == sums.tobytes()
-        for name in ("cdf_floors", "column_totals", "batch_sums", "cdfs"):
+        for name in ("cdf_floors", "column_totals"):
             a, b = getattr(kept, name), getattr(floats, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert _bits(kept.sure) == _bits(floats.sure)
@@ -1551,10 +1576,11 @@ class TestBoolMatrix:
             a, b = kept.run(rng_a), floats.run(rng_b)
             assert _bits(a.total_loss) == _bits(b.total_loss)
             assert "round_losses" not in vars(a) and "round_losses" in vars(b)  # b gathered
-            for name in ("batch_losses", "round_losses"):
-                got, want = getattr(a, name), getattr(b, name)
-                assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
-            assert _digest(a, rng_a) == _digest(b, rng_b)
+            got, want = a.round_losses, b.round_losses
+            assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert _events(a) == _events(b)
+            assert _raw_log_ratios(a).tobytes() == _raw_log_ratios(b).tobytes()
+            assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
 
     @pytest.mark.parametrize(
         "shape, n_seeds",
@@ -1566,8 +1592,8 @@ class TestBoolMatrix:
         self._assert_same_run(config, stream.values, n_seeds)
 
     def test_short_last_batch(self):
-        # B > 1 with T not a multiple of B: the float64 batch sums and round
-        # losses of a bool matrix cover the short last batch
+        # B > 1 with T not a multiple of B: the float64 round losses of a
+        # bool matrix cover the short last batch
         config = L2PConfig(T=103, B=5, eta=0.05, p=0.3, delta0=0.0, delta1=1e-6)
         stream = bernoulli_experts(4, 103, (0.1, 0.4, 0.6, 0.9), 9)
         self._assert_same_run(config, stream.values, 30)

@@ -161,6 +161,9 @@ _NO_BALL = "ball runs need beta, lam, radius and lipschitz, all positive"
         # 2 eps log(1/delta) underflows to 0
         (tune_oco, (400, 3, 5e-324, 1.0 - 1e-15, 1.0, 1.0),
          "no feasible ball tuning for eps=4.94066e-324: " + _NO_BALL),
+        # log(T / delta) is infinite, so the nominal step is 0
+        (tune_oco, (400, 3, 1.0, 5e-324, 1.0, 1.0),
+         "no feasible ball tuning for eps=1: ball accounting needs eta > 0, p in (0, 1] and delta > 0"),
     ],
 )
 def test_infeasible_message_pinned(tuner, args, message):
