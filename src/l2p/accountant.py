@@ -105,25 +105,31 @@ def _check_tuner_inputs(T: int, d: int, eps: float, delta: float) -> None:
         raise ValueError("target delta must lie in (0, 1)")
 
 
-def _first_feasible(problem: str, eps: float, delta: float, eta: float, candidate) -> L2PConfig:
+def _first_feasible(
+    problem: str, T: int, eps: float, delta: float, eta: float, candidate
+) -> L2PConfig:
     """The first of ``candidate(eta)``, ``candidate(eta / 2)``, ... that the accountant accepts.
 
     A candidate is accepted if its recomputed budget meets (eps, delta)
-    and T p / B >= 1; eta is halved at most ``_MAX_SHRINKS`` times.
+    and T p / B >= 1; eta is halved at most ``_MAX_SHRINKS`` times. A
+    failure names the target and why: a candidate's ``ConfigError``
+    (a tiny eps or delta takes beta or eta to 0, and halving keeps it
+    there), or the shrinks spent.
     """
     for _ in range(_MAX_SHRINKS + 1):
         try:
             config = candidate(eta)
-        except ConfigError as exc:  # a tiny eps or delta takes beta or eta to 0; halving keeps it
-            raise TunerError(f"no feasible {problem} tuning for eps={eps:g}: {exc}") from None
+        except ConfigError as exc:
+            reason = str(exc)
+            break
         budget = config_budget(config)
         feasible = config.T * config.p / config.B >= 1.0
         if budget.epsilon <= eps and budget.delta <= delta and feasible:
             return config
         eta /= 2.0
-    raise TunerError(
-        f"no feasible {problem} tuning for T={config.T}, eps={eps:g} within {_MAX_SHRINKS} shrinks"
-    )
+    else:
+        reason = f"no candidate met the target within {_MAX_SHRINKS} shrinks"
+    raise TunerError(f"no feasible {problem} tuning for T={T}, eps={eps!r}, delta={delta!r}: {reason}")
 
 
 def _batch_length(T: int, rate: float) -> int:
@@ -154,7 +160,7 @@ def tune_ope(T: int, d: int, eps: float, delta: float) -> L2PConfig:
     eta = min(eps0, eps) ** (2.0 / 3.0) / (T ** (1.0 / 3.0) * math.log(T / delta))
     B = _batch_length(T, eps)
     return _first_feasible(
-        "experts", eps, delta, min(eta, ETA_MAX),
+        "experts", T, eps, delta, min(eta, ETA_MAX),
         lambda eta: ope_config(T, B, eta, min(max(10.0 * eta / eps, B / T), _P_CAP), delta),
     )
 
@@ -217,7 +223,7 @@ def tune_oco(
     B = _batch_length(T, 2.0 * eps * math.log(1.0 / delta))
     p = min(max(eta / eps, B / T), _P_CAP)
     return _first_feasible(
-        "ball", eps, delta, eta,
+        "ball", T, eps, delta, eta,
         lambda eta: ball_config(T, d, B, eta, p, delta, lipschitz, diameter),
     )
 

@@ -209,8 +209,8 @@ class RmwMeasure:
         g = _as_float_vector(self.grad_sum, "gradient sum")
         for name in ("beta", "lam", "radius"):
             val = float(getattr(self, name))
-            if val <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < val < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
             object.__setattr__(self, name, val)
         object.__setattr__(self, "grad_sum", g)
 
@@ -265,8 +265,8 @@ def effective_eta_rmw(beta: float, lam: float, lipschitz: float, delta0: float) 
     delta0-approximate max divergence, which is strictly larger than the
     nominal step size for any small ``delta0``.
     """
-    if beta <= 0 or lam <= 0 or lipschitz <= 0:
-        raise ValueError("beta, lam and lipschitz must be positive")
+    if not all(0.0 < v < math.inf for v in (beta, lam, lipschitz)):
+        raise ValueError("beta, lam and lipschitz must be positive and finite")
     if not 0.0 < delta0 < 1.0:
         raise ValueError("delta0 must lie in (0, 1)")
     bl2 = beta * lipschitz * lipschitz

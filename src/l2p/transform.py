@@ -51,13 +51,13 @@ never below ``sure``, a floor set-up derives from the widest spread of
 the log ratios. So a batch whose S double is below ``sure`` and whose
 S' and A doubles are below ``1 - p`` keeps, whatever x and y are: its
 exact ratio is never computed. One loop runs every experts run, and
-only two things in it depend on the run's length. A run of at most
+only its reader depends on the run's length. A run of at most
 ``_WALK`` batches reads its doubles as one Python list and steps
-through every batch. A longer run reads its
-doubles ``_BLOCK`` at a time: one compare per block finds the rare
-doubles, those at or above the lower of ``sure`` and ``1 - p``, and
-the loop visits only the batches they can fail. In a tuned run nearly
-all doubles are below both. Both read the cumulative loss and CDF floor
+through every batch. A longer run reads its doubles ``_BLOCK`` at a
+time: one compare per block finds the rare doubles, those at or above
+the lower of ``sure`` and ``1 - p``, and the loop visits only the
+batches they can fail. In a tuned run nearly all doubles are below
+both. Both read the cumulative loss and CDF floor
 tables through flat memoryviews built at set-up. A pick bisects a row of
 CDF floors, the first d - 1 entries of the exact row each floored to a
 multiple of 2**-16 (capped one step below 1) and kept as a uint16. Only
@@ -105,7 +105,7 @@ from .measures import (
 # at most _BLOCK doubles (512 KB) at a time, so a run's memory does not
 # grow with its length, and visit only the batches a rare double can
 # fail. Each block costs a draw, a compare and a hit list, so a block
-# holds the doubles of a 20,000-batch run. Both draw by the same rule.
+# holds the doubles of a 20,000-batch run. Both share one loop and draw rule.
 _WALK = 48
 _BLOCK = 65536
 # The screen's floor under every keep probability is shrunk by this
@@ -394,12 +394,16 @@ class PreparedRun:
         Each draw of the contract is one ``rng.random()`` double, and
         ``rng.random(k)`` yields the same doubles as k scalar calls. A
         run uses ``3n - 1`` of them plus one per resample, and draws no
-        others, by the position rule of the module docstring. A walked
-        run reads them as one Python list and tests every batch. A
-        longer run reads them a block of at most ``_BLOCK`` at a time,
-        refilled by :func:`_refill`, and tests the batches
-        :func:`_visits` names; every other batch keeps. At a test the
-        exact log ratio is computed only if the S double is at or above
+        others, by the position rule of the module docstring, in the
+        form ``walks`` picks. A walked run reads them as one Python list
+        and tests every batch. A longer run reads a block of at most
+        ``_BLOCK`` at a time, and each pass resumes the block's iterator
+        of rare doubles at the first that fails its role (S from
+        ``sure`` on, S' and A from ``1 - p`` on): only that double's
+        batch is tested, and every batch before it keeps. When the batch
+        at the cursor is not all read, or resamples run past the end,
+        both kinds read on through :func:`_refill`. At a test the exact
+        log ratio is computed only if the S double is at or above
         ``sure``; below it S is 1 for every pair of models. A pick
         bisects one row's span of the flat CDF floor table with the
         integer key ``floor(v * 2**16)``, screened as :meth:`_exact_pick` says.
@@ -408,12 +412,11 @@ class PreparedRun:
         cap, keep_y, sure, m = self.cap, 1.0 - self.config.p, self.sure, -self.config.eta
         sums, cdf, exp, floor, scale = self._sums, self._cdf, math.exp, math.floor, FLOOR_SCALE
         k = d - 1  # floors per row
-        walks = self.walks
-        if walks:
-            u, start = rng.random(3 * n - 1).tolist(), 0
+        need = 3 * n - 1  # batch 1 reads two doubles, later ones three
+        if self.walks:  # read inline: on a run of a few batches a call is a visible share
+            block, u, start, stop, hits = None, rng.random(need).tolist(), 0, need, None
         else:
-            block = rng.random(min(_BLOCK, 3 * n - 1))
-            u, start, stop, visits = _block_visits(block, 0, sure, keep_y)
+            block, u, start, stop, hits = _refill(rng, np.empty(0), None, 0, 0, need, sure, keep_y)
         # a pick bisects a row of CDF floors; see _exact_pick for the screen
         v, w = u[0], u[1]
         key, wkey = floor(v * scale), floor(w * scale)
@@ -425,21 +428,22 @@ class PreparedRun:
         rows, codes, xs, ys = [], [], [x], [y]
         s, c = 2, 2  # next batch to test, position of its S double
         while s <= n:
-            if walks:
-                if c + 3 > len(u):  # earlier resamples pushed the coins past the list
-                    # draw to the run's end: three doubles for each batch from s on
-                    u += rng.random(c + 3 * (n - s + 1) - len(u)).tolist()
-            else:
-                try:
-                    b = visits.send(c)
-                except StopIteration:  # every batch up to the block's end keeps
-                    skip = max(0, -(-(stop - 2 - c) // 3))
+            if hits is not None:  # to the first batch from c on that a rare double fails
+                for j, v in hits:
+                    if j >= c:
+                        role = (j - c) % 3  # 0 for S, 1 for S', 2 for A
+                        if v >= (keep_y if role else sure):
+                            s, c = s + (j - c) // 3, j - role
+                            break
+                else:  # no batch in the block can fail: to the first it does not hold whole
+                    skip = -(-(stop - 2 - c) // 3)  # c is at most stop
                     s, c = s + skip, c + 3 * skip
-                    if s <= n:  # from batch s on, three doubles each
-                        block = _refill(rng, block, start, c, c + 3 * (n - s + 1))
-                        u, start, stop, visits = _block_visits(block, c, sure, keep_y)
-                    continue
-                s, c = s + (b - c) // 3, b
+            if c + 3 > stop:  # the batch's doubles are not all read
+                if s <= n:  # from batch s on, three doubles each
+                    block, u, start, stop, hits = _refill(
+                        rng, block, u, start, c, c + 3 * (n - s + 1), sure, keep_y
+                    )
+                continue
             i = c - start
             u0 = u[i]
             if u0 < sure:  # below every pair's keep probability
@@ -453,12 +457,10 @@ class PreparedRun:
             if not (S and Sp and A):
                 move_x = not (S and Sp)
                 resamples = move_x + (not A)
-                if walks:
-                    if c + resamples > len(u):  # to the resamples, then three per later batch
-                        u += rng.random(c + resamples + 3 * (n - s) - len(u)).tolist()
-                elif c + resamples > stop:  # the resamples run past the block
-                    block = _refill(rng, block, start, c, c + resamples + 3 * (n - s))
-                    u, start, stop, visits = _block_visits(block, c, sure, keep_y)
+                if c + resamples > stop:  # to the resamples, then three per later batch
+                    block, u, start, stop, hits = _refill(
+                        rng, block, u, start, c, c + resamples + 3 * (n - s), sure, keep_y
+                    )
                 lo = (s - 1) * k
                 if move_x:
                     v = u[c - start]
@@ -553,45 +555,27 @@ def _picks(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return table.ravel().take(at)
 
 
-def _refill(rng: np.random.Generator, block: np.ndarray, start: int, c: int, need: int):
-    """The uniforms from c on: the rest of ``block``, which starts at ``start``, then fresh
-    doubles up to ``_BLOCK`` in all and to ``need``, the count the run is sure to use."""
-    rest = block[c - start :]
-    return np.concatenate((rest, rng.random(min(_BLOCK - rest.size, need - start - block.size))))
+def _refill(rng, block, u, start: int, c: int, need: int, sure: float, keep_y: float):
+    """The run's doubles from c on, drawn up to ``need``, the count the run is sure to use.
 
-
-def _block_visits(block: np.ndarray, start: int, sure: float, keep_y: float):
-    """``block`` as a memoryview; its start and end; and its primed :func:`_visits`."""
-    visits = _visits(block, start, sure, keep_y)
-    next(visits)
-    return memoryview(block), start, start + block.size, visits
-
-
-def _visits(block: np.ndarray, start: int, sure: float, keep_y: float):
-    """The batches of a block of uniforms whose keep test can fail, as a coroutine.
-
-    ``block`` holds the run's uniforms from position ``start`` on.
-    Prime it with ``next``; then each ``send(c)`` of the cursor c (the
-    S position of the next batch to test) returns the S position of the
-    next batch at or after c that can fail, and StopIteration once no
-    batch that starts below the block's last two doubles, and so lies
-    in the block, can. A batch can fail only through a rare uniform:
-    its S at or above ``sure``, or its S' or A at or above ``keep_y``.
-    So one compare finds the uniforms at or above the lower of the two,
-    and a rare uniform j sits in the batch that starts at
-    j - (j - c) % 3, in the role (j - c) % 3 (0 for S, 1 for S', 2 for A).
+    Returns the block, the doubles the loop indexes, their start and
+    stop positions, and the block's rare doubles. A walked run has no
+    block (None) and no rare doubles: it extends its list ``u``. A
+    screened run keeps the rest of ``block``, which starts at
+    ``start``, draws fresh doubles up to ``_BLOCK`` in all, and finds
+    the rare ones, at or above the lower of ``sure`` and ``keep_y``, as
+    one iterator of (position, value) pairs: a batch can fail only
+    through an S double at or above ``sure`` or an S' or A double at or
+    above ``keep_y``.
     """
-    hits = np.flatnonzero(block >= min(sure, keep_y))
-    end = start + block.size - 2
-    c = yield
-    for j, v in zip((hits + start).tolist(), block[hits].tolist()):
-        if j < c:  # a uniform of a batch already tested, or a resample's
-            continue
-        role = (j - c) % 3
-        if j - role >= end:
-            return
-        if v >= (keep_y if role else sure):
-            c = yield j - role
+    if block is None:
+        u += rng.random(need - start - len(u)).tolist()
+        return None, u, start, start + len(u), None
+    rest = block[c - start :]
+    fresh = rng.random(min(_BLOCK - rest.size, need - start - block.size))
+    block = np.concatenate((rest, fresh)) if rest.size else fresh  # a first read copies nothing
+    at = np.flatnonzero(block >= min(sure, keep_y))
+    return block, memoryview(block), c, c + block.size, zip((at + c).tolist(), block[at].tolist())
 
 
 def _ball_log_ratio(g: np.ndarray, beta: float, s: int, x: np.ndarray, y: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from l2p.accountant import ball_config, tune_ope
+from l2p.accountant import ball_config, config_budget, tune_ope
 from l2p.adversaries import LossStream, bernoulli_experts, linear_oco_stream, neighbor_of
 from l2p.audit import (
     AuditReport,
@@ -279,6 +279,50 @@ class TestSwitchStatistics:
         want = AuditReport("switch_statistics", n, statistic, threshold,
                            (f"bound {bound} fake switches per run",))
         assert switch_statistics(config, stream, n, seed) == want
+
+
+class TestSCoin:
+    """The budget covers the played models, not the per-batch S coin: at
+    B = 1 the coin's failure law, in closed form, moves between neighbouring
+    streams by more than the claimed delta allows."""
+
+    @staticmethod
+    def _law(config, row):
+        """P(S_2 = s, x_1 = a, y_1 = b) as ``law[1 - s, a, b]`` when batch 1's losses are ``row``.
+
+        Batch 1's measure is uniform, and batch 2 keeps with probability
+        min(1, exp(lr - 2 B eta)), where lr = eta (row[b] - row[a]) at B = 1.
+        """
+        lr = -config.eta * (row[:, None] - row[None, :])
+        q = np.minimum(1.0, np.exp(lr - config.cap))
+        return np.stack([q, 1.0 - q]) / row.size**2
+
+    def test_engine_meets_the_closed_form(self):
+        # P(x_1 = 0, y_1 = 1, S_2 = 0) is (1 - e^{-3 eta}) / 4 on the stream and
+        # (1 - e^{-eta}) / 4 on its neighbour, which flips round 0
+        eta, n = 0.05, 40_000
+        config = L2PConfig(T=2, B=1, eta=eta, p=0.5, delta0=0.0, delta1=1e-6)
+        for row, want in (([1.0, 0.0], 0.034823), ([0.0, 1.0], 0.012193)):
+            assert self._law(config, np.array(row))[1, 0, 1] == pytest.approx(want, abs=5e-7)
+            prepared = PreparedRun(config, "mw", np.array([row, [0.0, 0.0]]) > 0.5)
+            hits = 0
+            for seed in range(n):
+                t = prepared.run(np.random.default_rng(seed))
+                hits += t.event_xs[0] == 0 and t.event_ys[0] == 1 and t.rows == [1] and t.codes[0] < 4
+            assert abs(hits / n - want) < 4 * math.sqrt(want * (1 - want) / n)
+
+    def test_exceeds_the_claimed_delta_at_ope_b1(self):
+        # batch 1 is a row of five 1s and five 0s, and the neighbour flips it:
+        # at the accounted epsilon, (x_1, y_1, S_2) alone needs a delta of
+        # 1.602e-4, where the config claims 1e-6
+        config = tune_ope(20_000, 10, 1.0, 1e-6)
+        budget = config_budget(config)
+        assert config.B == 1 and budget.epsilon == pytest.approx(0.4584, abs=1e-4)
+        row = np.repeat([1.0, 0.0], 5)
+        law, neighbour = self._law(config, row), self._law(config, 1.0 - row)
+        excess = np.maximum(0.0, law - math.exp(budget.epsilon) * neighbour).sum()
+        assert excess == pytest.approx(1.602e-4, rel=1e-3)
+        assert excess > budget.delta == 1e-6
 
 
 def _shifted(stream):

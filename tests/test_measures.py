@@ -216,8 +216,13 @@ class TestRmw:
          ([0.0, math.nan], 0.1, 1.0, 1.0, "must be finite"),
          ([0.0, 0.0], 0.0, 1.0, 1.0, "beta must be positive"),
          ([0.0, 0.0], 0.1, -1.0, 1.0, "lam must be positive"),
-         ([0.0, 0.0], 0.1, 1.0, 0.0, "radius must be positive")],
-        ids=["empty", "matrix", "nan", "beta-0", "lam-negative", "radius-0"],
+         ([0.0, 0.0], 0.1, 1.0, 0.0, "radius must be positive"),
+         ([0.0, 0.0], math.nan, 1.0, 1.0, "beta must be positive and finite"),
+         ([0.0, 0.0], 0.1, math.inf, 1.0, "lam must be positive and finite"),
+         ([0.0, 0.0], 0.1, math.nan, 1.0, "lam must be positive and finite"),
+         ([0.0, 0.0], 0.1, 1.0, math.inf, "radius must be positive and finite")],
+        ids=["empty", "matrix", "nan", "beta-0", "lam-negative", "radius-0",
+             "beta-nan", "lam-inf", "lam-nan", "radius-inf"],
     )
     def test_refuses_bad_parameters(self, grad_sum, beta, lam, radius, match):
         with pytest.raises(ValueError, match=match):
@@ -343,6 +348,11 @@ class TestEffectiveEta:
             effective_eta_rmw(0.0, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             effective_eta_rmw(0.01, 1.0, 1.0, 1.5)
+        # a NaN or infinite parameter has no divergence bound: nan, or 0.0 at lam = inf
+        for args in ((math.nan, 1.0, 1.0, 0.1), (1.0, math.inf, 1.0, 0.1), (1.0, 1.0, math.inf, 0.1),
+                     (math.inf, 1.0, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="must"):
+                effective_eta_rmw(*args)
 
 
 class TestSequences:

@@ -29,7 +29,6 @@ from l2p.transform import (
     _WALK,
     _keep_test,
     _picks,
-    _visits,
 )
 
 
@@ -967,16 +966,15 @@ class TestKeepBoundary:
             assert t.switch_count_x == t.switch_count_y == 0
             doubles[3 * k - 4 + coin] = 0.0
 
-    def test_uniform_at_the_floor(self):
+    def test_uniform_at_the_floor(self, monkeypatch):
         # the screen passes over an S uniform one double below sure and tests
-        # one at or above it; every one of them keeps
+        # one at or above it exactly; every one of them keeps
         prepared, doubles, _ = self._two_experts(np.random.default_rng(3).random((60, 2)))
         sure = prepared.sure
         k = 30
-        for u, candidate in ((np.nextafter(sure, 0.0), False), (sure, True),
-                             (np.nextafter(sure, 1.0), True)):
+        for u, n_exact in ((np.nextafter(sure, 0.0), 0), (sure, 1), (np.nextafter(sure, 1.0), 1)):
             doubles[3 * k - 4] = u
-            assert (3 * k - 4 in _visited(doubles, 0, 2, sure, 0.5)) == candidate
+            assert _exact_tests(prepared, _Scripted(doubles), monkeypatch)[1] == n_exact
             t = _same_scripted(prepared, doubles)
             assert t.switch_count_x == t.switch_count_y == 0
 
@@ -1145,42 +1143,24 @@ class TestFloorScreen:
             assert ((0 <= v - floors) & (v - floors < FLOOR_GAP)).any()
 
 
-def _three_views(block, start, sure, keep_y):
-    """The screen as three passes over strided views of the flag, one per phase."""
-    flag = block[:-2] >= sure
-    flag |= block[1:-1] >= keep_y
-    flag |= block[2:] >= keep_y
-    found = []
-    for r in range(3):
-        off = (r - start) % 3
-        found.append((np.flatnonzero(flag[off::3]) * 3 + (start + off)).tolist())
-    return found, start + flag.size
-
-
-def _visited(block, start, c, sure, keep_y) -> list[int]:
-    """The S positions the screen visits in a block from cursor c, if every visited batch keeps."""
-    visits = _visits(block, start, sure, keep_y)
-    next(visits)
-    found = []
-    try:
-        while True:
-            found.append(visits.send(c))
-            c = found[-1] + 3
-    except StopIteration:
-        return found
-
-
 class TestCandidates:
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 6143, 6145, 20_000])
-    def test_matches_strided_views(self, start):
+    def test_matches_strided_views(self, start, monkeypatch):
+        # from double `start` on, one double in six is at sure or 1 - p, one ulp
+        # either side, and every other double is below both; in blocks of 61
+        # doubles the screen meets rare doubles in every role at every phase
+        # of the cursor and of the block, and the run is the per-batch loop's
+        T = start // 3 + 150
+        config = L2PConfig(T=T, B=1, eta=0.05, p=0.3, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", LossStream(np.random.default_rng(start).random((T, 3))))
+        monkeypatch.setattr(transform, "_BLOCK", 61)
+        edges = TestRareWalk._edges(prepared)
         rng = np.random.default_rng(start)
-        for size, sure, keep_y in ((_BLOCK, 0.99, 0.995), (_BLOCK, 0.5, 0.4), (40, 0.9, 0.9)):
-            block = rng.random(size)
-            block[-3] = 0.9999  # the last screened position is a candidate
-            found, end = _three_views(block, start, sure, keep_y)
-            assert end - 1 in found[(end - 1) % 3]
-            for c in (start, start + 1, start + 2, start + size // 2):
-                assert _visited(block, start, c, sure, keep_y) == [i for i in found[c % 3] if i >= c]
+        values = rng.random(start + 300) * min(prepared.sure, 1.0 - config.p)
+        rare = np.flatnonzero(rng.random(300) < 1 / 6) + start
+        values[rare] = rng.choice(edges, rare.size)
+        t = TestRareWalk._check(prepared, values, monkeypatch)
+        assert t.rows
 
 
 class _Noted:
@@ -1335,16 +1315,22 @@ class TestRareWalk:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_visits_match_the_oracle(self, data):
-        sure = data.draw(st.floats(-0.01, 1.0), label="sure")
-        keep_y = data.draw(st.floats(0.0, 1.0), label="keep_y")
-        edges = [v for t in (sure, keep_y) for v in (np.nextafter(t, -1.0), t, np.nextafter(t, 2.0))]
+        # a screened run on doubles at sure and 1 - p, one ulp either side, or
+        # uniform, in blocks small enough that the run crosses block ends in
+        # every phase of the cursor: the per-batch loop's events, with one
+        # exact test per S double at or above sure
+        p = data.draw(st.one_of(st.sampled_from([0.0, 0.01, 0.5, 1.0]), st.floats(0.0, 1.0)), label="p")
+        eta = data.draw(st.floats(1e-3, 0.1), label="eta")
+        config = L2PConfig(T=60, B=1, eta=eta, p=p, delta0=0.0, delta1=1e-6)
+        prepared = _prepared(config, "mw", LossStream(np.random.default_rng(0).random((60, 3))))
+        assert not prepared.walks
+        edges = [v for v in self._edges(prepared) if 0.0 <= v < 1.0]
         uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
-        values = data.draw(st.lists(uniform, min_size=1, max_size=60), label="block")
-        block = np.array([v for v in values if 0.0 <= v < 1.0] or [0.5])
-        start = data.draw(st.integers(0, 10**6), label="start")
-        c = start + data.draw(st.integers(0, block.size), label="cursor")
-        found, _ = _three_views(block, start, sure, keep_y)
-        assert _visited(block, start, c, sure, keep_y) == [i for i in found[c % 3] if i >= c]
+        values = data.draw(st.lists(uniform, max_size=3 * config.n_batches + 8), label="doubles")
+        block = data.draw(st.integers(3, 40), label="block")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(transform, "_BLOCK", block)
+            self._check(prepared, values, monkeypatch)
 
 
 def _gathered(t: Transcript) -> np.ndarray:

@@ -143,27 +143,29 @@ def test_tune_oco_pinned(args):
 
 
 _NO_BALL = "ball runs need beta, lam, radius and lipschitz, all positive"
+_SHRINKS = "no candidate met the target within 10 shrinks"
 
 
 @pytest.mark.parametrize(
     "tuner, args, message",
     [
         (tune_ope, (10, 2, 1e-6, 1e-6),
-         "no feasible experts tuning for T=10, eps=1e-06 within 10 shrinks"),
+         "no feasible experts tuning for T=10, eps=1e-06, delta=1e-06: " + _SHRINKS),
         (tune_oco, (10, 2, 1e-3, 1e-6, 1.0, 1.0),
-         "no feasible ball tuning for T=10, eps=0.001 within 10 shrinks"),
+         "no feasible ball tuning for T=10, eps=0.001, delta=1e-06: " + _SHRINKS),
         # the batch length, 1 / eps or 1 / (2 eps log(1/delta)), is past a double's range
         (tune_ope, (400, 3, 1e-310, 1e-6),
-         "no feasible experts tuning for T=400, eps=1e-310 within 10 shrinks"),
+         "no feasible experts tuning for T=400, eps=1e-310, delta=1e-06: " + _SHRINKS),
         # and beta underflows to 0, so no candidate is a config
         (tune_oco, (400, 3, 1e-310, 1e-6, 1.0, 1.0),
-         "no feasible ball tuning for eps=1e-310: " + _NO_BALL),
+         "no feasible ball tuning for T=400, eps=1e-310, delta=1e-06: " + _NO_BALL),
         # 2 eps log(1/delta) underflows to 0
         (tune_oco, (400, 3, 5e-324, 1.0 - 1e-15, 1.0, 1.0),
-         "no feasible ball tuning for eps=4.94066e-324: " + _NO_BALL),
+         "no feasible ball tuning for T=400, eps=5e-324, delta=0.999999999999999: " + _NO_BALL),
         # log(T / delta) is infinite, so the nominal step is 0
         (tune_oco, (400, 3, 1.0, 5e-324, 1.0, 1.0),
-         "no feasible ball tuning for eps=1: ball accounting needs eta > 0, p in (0, 1] and delta > 0"),
+         "no feasible ball tuning for T=400, eps=1.0, delta=5e-324: "
+         "ball accounting needs eta > 0, p in (0, 1] and delta > 0"),
     ],
 )
 def test_infeasible_message_pinned(tuner, args, message):
