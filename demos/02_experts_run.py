@@ -10,9 +10,12 @@ kept every coin).
 
 Ends with the head of a per-batch diagnostic log built from the events:
 one CSV row per batch with columns s, x, S, Sprime, A, switched_x,
-switched_y and batch_loss (blank coins in batch 1). Its coins and its
-batch_loss column, the played expert's raw loss, are outside what the
-budget covers, so it is not a private release.
+switched_y and batch_loss (blank coins in batch 1). The budget is stated
+for the played models, the x column. The coins, switched_y, the
+reference-chain and fake switch counts and the batch_loss column, the
+played expert's raw loss, are engine diagnostics outside it: at ope-b1's
+accounted epsilon, (x_1, y_1, S_2) alone needs delta = 1.602e-4
+(tests/test_audit.py::TestSCoin). So the log is not a private release.
 """
 
 import numpy as np

@@ -228,8 +228,14 @@ def tune_oco(
     )
 
 
+def _check_rate_inputs(eps: float, delta: float) -> None:
+    if not (eps > 0.0 and delta > 0.0):  # NaN fails both
+        raise ValueError("a regret bound needs epsilon and delta above 0")
+
+
 def regret_bound_ope(T: int, d: int, eps: float, delta: float) -> float:
     """The experts regret rate ``sqrt(T log d) + T^{1/3} log(d) log(T/delta) / eps^{2/3}``."""
+    _check_rate_inputs(eps, delta)
     return math.sqrt(T * math.log(d)) + T ** (1.0 / 3.0) * math.log(d) * math.log(
         T / delta
     ) / eps ** (2.0 / 3.0)
@@ -239,6 +245,7 @@ def regret_bound_oco(
     T: int, d: int, eps: float, delta: float, lipschitz: float, diameter: float
 ) -> float:
     """The DP-OCO regret rate ``L D (sqrt(T) + T^{1/3} sqrt(d) log(T/delta) / eps^{2/3})``."""
+    _check_rate_inputs(eps, delta)
     return lipschitz * diameter * (
         math.sqrt(T) + T ** (1.0 / 3.0) * math.sqrt(d) * math.log(T / delta) / eps ** (2.0 / 3.0)
     )

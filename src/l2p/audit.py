@@ -20,7 +20,7 @@ from .accountant import config_budget
 from .adversaries import LossStream
 from .measures import normalized
 from .seeding import replicate_seed
-from .transform import L2PConfig, PreparedRun, Transcript, _ball_log_ratio
+from .transform import L2PConfig, PreparedRun, Transcript, _ball_log_ratio, _picks
 
 _MIN_BUCKET = 100
 _WILSON_Z = 2.0
@@ -186,11 +186,9 @@ def _raw_log_ratios(transcript: Transcript) -> np.ndarray:
         beta = prepared.config.beta
         return np.array([_ball_log_ratio(sums, beta, s, x, y) for s, (x, y) in enumerate(models, 2)])
     xs, ys = np.repeat(transcript.event_xs, spans), np.repeat(transcript.event_ys, spans)
-    flat, d, m = sums.ravel(), sums.shape[1], -prepared.config.eta
-    at_x = np.arange(d, n * d, d) + xs
-    at_y = at_x + (ys - xs)
-    ats = (at_x, at_x - d, at_y, at_y - d)
-    x1, x0, y1, y0 = (np.multiply(flat.take(at), m, dtype=np.float64) for at in ats)
+    m = -prepared.config.eta
+    gathers = ((rows, cols) for cols in (xs, ys) for rows in (sums[1:], sums[:-1]))
+    x1, x0, y1, y0 = (np.multiply(_picks(*g), m, dtype=np.float64) for g in gathers)
     return (x1 - x0) - (y1 - y0)
 
 

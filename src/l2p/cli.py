@@ -235,8 +235,6 @@ def _build_config(cfg: dict) -> L2PConfig:
 def _regret_bound(cfg: dict, eps: float) -> float:
     """The regret rate of the config's problem at target ``eps``."""
     T, d, delta = int(cfg["T"]), int(cfg["d"]), float(cfg["delta"])
-    if not (eps > 0.0 and delta > 0.0):
-        raise ConfigError("a regret bound needs epsilon and delta above 0")
     if cfg["problem"] == "ope":
         return regret_bound_ope(T, d, eps, delta)
     return regret_bound_oco(T, d, eps, delta, *_lipschitz_diameter(cfg))

@@ -27,14 +27,14 @@ scaled by ``-eta`` into log-weights where they are read. When every
 loss is 0 or 1 the cumulative losses are counts, and a table of them
 can be kept in the smallest unsigned integer type that holds T; scaled
 in float64, a count gives the same log-weight as the float sum it equals.
-:func:`normalized` turns log-weights into densities and
-:func:`cdf_table` cumulative losses into sampling CDFs, row by row.
-:func:`cdf_floor_table` keeps the first d - 1 entries of each CDF row,
-the last being 1, as 16-bit fixed-point floors on a ``2**-16`` grid, at
-a quarter of a float64 table's size or less; the engine picks from the
-floors and re-decides on one exact row the rare uniform that lies in the
-grid step of the floor it counted. The same pass gives the widest spread
-of a row step of the log-weights, which bounds every batch's log ratio.
+:func:`normalized` turns log-weights into densities, and ``_cdf_heads``
+into the first d - 1 entries of each sampling CDF row, the last being 1.
+:func:`cdf_floor_table` keeps them as 16-bit fixed-point floors on a
+``2**-16`` grid, at a quarter of a float64 table's size or less; the
+engine picks from the floors and re-decides, on one exact row from the
+same builder, the rare uniform that lies in the grid step of the floor
+it counted. The same pass gives the widest spread of a row step of the
+log-weights, which bounds every batch's log ratio.
 The experts measure exists only as these tables; :class:`RmwMeasure` is
 the ball's sampler and exact oracle for one row.
 
@@ -112,34 +112,24 @@ def normalized(log_weights: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def cdf_table(loss_sums: np.ndarray, eta: float) -> np.ndarray:
-    """Sampling CDFs of every row of the log-weights ``loss_sums * -eta``, each ending in 1.
-
-    ``loss_sums`` is a float or a count table; either is scaled in float64.
-    """
-    cdfs = np.empty(loss_sums.shape)
-    for a in range(0, loss_sums.shape[0], _CHUNK):
-        chunk = loss_sums[a : a + _CHUNK]
-        log_weights = np.multiply(chunk, -eta, dtype=np.float64)
-        rows = np.cumsum(normalized(log_weights), axis=1, out=cdfs[a : a + chunk.shape[0]])
-        rows[:, -1] = 1.0  # guard against cumulative round-off at the top
-    return cdfs
+def _cdf_heads(log_weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The first d - 1 entries of each row's sampling CDF (the last is 1): the one CDF builder."""
+    return np.cumsum(normalized(log_weights)[..., :-1], axis=-1, out=out)
 
 
 def cdf_floor_table(loss_sums: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
-    """The uint16 floors of :func:`cdf_table`'s first d - 1 columns, and the widest row-step spread.
+    """The uint16 floors of the CDF heads of ``loss_sums * -eta``, and the widest row-step spread.
 
     The spread is max - min of a row step of ``loss_sums * -eta``, 0 for one
     row. Each chunk is scaled once, with the previous chunk's last row for
-    the step into it. A row's first d - 1 CDF entries are the running sums
-    of its first d - 1 densities, in the same order, so they are summed
-    alone, into the spent log-weight buffer of their chunk viewed as a
+    the step into it, and :func:`_cdf_heads` sums its rows' first d - 1 CDF
+    entries into the spent log-weight buffer of the chunk, viewed as a
     (rows, d - 1) block. Entry F keeps ``min(floor(F * 2**16), 2**16 - 1)``:
     capped at ``1 - 2**-16``, the least entry whose floor is the cap, scaled
     by ``2**16`` (exact) and cast to uint16, which truncates and so floors a
     nonnegative double. Over ``2**16`` a floor lies at or below its entry
-    and less than ``FLOOR_GAP`` under it. The last column is 1 in every row,
-    and no uniform below 1 counts it, so it is not kept.
+    and less than ``FLOOR_GAP`` under it. The last CDF entry is 1 in every
+    row, and no uniform below 1 counts it, so it is not kept.
     """
     n, d = loss_sums.shape
     floors = np.empty((n, d - 1), dtype=np.uint16)
@@ -152,7 +142,7 @@ def cdf_floor_table(loss_sums: np.ndarray, eta: float) -> tuple[np.ndarray, floa
         spread = max(spread, np.ptp(log_weights[1:] - log_weights[:-1], axis=1).max(initial=0.0))
         rows = log_weights.shape[0] - (a - lo)
         head = log_weights.reshape(-1)[: rows * (d - 1)].reshape(rows, d - 1)
-        np.cumsum(normalized(log_weights[a - lo :])[:, :-1], axis=1, out=head)
+        _cdf_heads(log_weights[a - lo :], out=head)
         if head[:, -1].max() > _FLOOR_TOP:  # a row rises, so its last kept entry is its largest
             np.minimum(head, _FLOOR_TOP, out=head)
         np.multiply(head, FLOOR_SCALE, out=head)

@@ -93,8 +93,8 @@ from .measures import (
     ETA_MAX,
     FLOOR_SCALE,
     RmwMeasure,
+    _cdf_heads,
     cdf_floor_table,
-    cdf_table,
     cumulative_table,
     effective_eta_rmw,
 )
@@ -217,8 +217,12 @@ class Transcript:
     the events and ``prepared``, the run that produced them, on first
     read and then cached, so a transcript costs O(switches) until they
     are read. ``total_loss`` is a sum over the events on a binary run.
-    The budget covers the played models, so a transcript derives no
-    per-batch coin, reference model or log ratio.
+    The budget is stated for the played models, ``models``, from ``rows``
+    and ``event_xs``. ``codes`` (each event's S, S' and A coins), ``event_ys``
+    and ``switch_count_y`` and ``fake_switch_count``, read off them, are
+    engine diagnostics outside it: at ope-b1's accounted epsilon, (x_1, y_1,
+    S_2) alone needs delta = 1.602e-4 (``tests/test_audit.py::TestSCoin``).
+    A transcript derives no per-batch coin, reference model or log ratio.
     """
 
     prepared: PreparedRun = field(repr=False)
@@ -484,7 +488,7 @@ class PreparedRun:
         return Transcript(self, rows, codes, xs, ys)
 
     def _exact_pick(self, row: int, v: float) -> int:
-        """The expert uniform v picks from row ``row`` of the exact CDFs, built for this pick.
+        """The expert uniform v picks from the exact CDF of row ``row``, built for this pick.
 
         The engine's picks bisect a row of CDF floors instead, with the
         integer key ``floor(v * 2**16)``: a floor f is at most
@@ -495,11 +499,11 @@ class PreparedRun:
         counted. An uncapped floor's entry lies below ``(f + 1) / 2**16``,
         so a key above f counts it exactly; the cap, ``2**16 - 1``, is
         never below a key. So only a key equal to f can pick
-        differently, and only then does the engine call this: every
-        pick is the exact table's, bit for bit.
+        differently, and only then does the engine call this, on a row
+        from the floors' own builder: every pick is exact, bit for bit.
         """
-        exact = cdf_table(self.loss_sums[row : row + 1], self.config.eta)
-        return bisect_right(exact[0].tolist(), v)
+        log_weights = np.multiply(self.loss_sums[row], -self.config.eta, dtype=np.float64)
+        return bisect_right(_cdf_heads(log_weights).tolist(), v)
 
     def _ball(self, rng: np.random.Generator) -> Transcript:
         """A ball run, by the per-batch loop.

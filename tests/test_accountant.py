@@ -15,6 +15,8 @@ from l2p.accountant import (
     config_budget,
     group_privacy,
     ope_config,
+    regret_bound_oco,
+    regret_bound_ope,
     tune_oco,
     tune_ope,
 )
@@ -242,6 +244,23 @@ class TestTuneOco:
         # each of these divided by zero before it was refused
         with pytest.raises(ValueError):
             ball_config(100, 3, 1, 0.01, 0.5, delta, L, D)
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [regret_bound_ope, lambda T, d, eps, delta: regret_bound_oco(T, d, eps, delta, 1.0, 1.0)],
+    ids=["ope", "oco"],
+)
+@pytest.mark.parametrize(
+    "eps, delta",
+    [(0.0, 1e-6), (-1.0, 1e-6), (math.nan, 1e-6), (1.0, 0.0), (1.0, math.nan)],
+    ids=["eps-0", "eps-negative", "eps-nan", "delta-0", "delta-nan"],
+)
+def test_regret_bound_refuses_what_it_cannot_price(rate, eps, delta):
+    # a negative epsilon made a complex rate, a NaN a NaN one and a zero a
+    # ZeroDivisionError; each is refused with the one message the CLI prints
+    with pytest.raises(ValueError, match="^a regret bound needs epsilon and delta above 0$"):
+        rate(100, 3, eps, delta)
 
 
 def _report_preconditions_met(c: L2PConfig) -> bool:

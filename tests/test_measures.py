@@ -20,7 +20,7 @@ from l2p.measures import (
     REJECTION_CAP,
     RmwMeasure,
     SamplerError,
-    cdf_table,
+    _cdf_heads,
     cumulative_table,
     effective_eta_rmw,
     logsumexp,
@@ -154,7 +154,7 @@ def _log_weights(prepared):
 
 def _cdfs(prepared):
     """A prepared experts run's exact float64 sampling CDFs, every batch's row."""
-    return cdf_table(prepared.loss_sums, prepared.config.eta)
+    return _one_shot_cdfs(_log_weights(prepared))
 
 
 def _draws(prepared, rng, n=100_000):
@@ -487,7 +487,7 @@ class TestChunkedTables:
         counts = np.min_scalar_type(config.T) if prepared.binary else np.float64
         assert prepared.loss_sums.dtype == counts
         assert prepared.loss_sums.astype(np.float64).tobytes() == want.tobytes()
-        assert _cdfs(prepared).tobytes() == _one_shot_cdfs(lw).tobytes()
+        assert _cdf_heads(lw).tobytes() == _one_shot_cdfs(lw)[:, :-1].tobytes()
         assert prepared.sure == _one_shot_sure(lw, config.cap)
 
     @pytest.mark.parametrize("shape", sorted(GOLDEN_TABLES))
@@ -578,8 +578,8 @@ class TestChunkedTables:
         assert (exact[:, -1] == 1.0).all()
         # an exact pick builds its one row alone: it is the table's row
         for row in np.linspace(0, n - 1, min(n, 40)).astype(int).tolist():
-            one = cdf_table(prepared.loss_sums[row : row + 1], config.eta)
-            assert one.tobytes() == exact[row].tobytes()
+            one = _cdf_heads(np.multiply(prepared.loss_sums[row], -config.eta, dtype=np.float64))
+            assert one.tobytes() == exact[row, :-1].tobytes()
         return exact
 
     def test_floors_of_the_table_shapes(self, chunk):

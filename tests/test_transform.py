@@ -19,7 +19,7 @@ from l2p.adversaries import (
 )
 from l2p.audit import _raw_log_ratios, exact_batch_distributions
 from l2p.harness import best_in_hindsight_oco_ball, best_in_hindsight_ope, play_game
-from l2p.measures import FLOOR_GAP, RmwMeasure, cdf_table, effective_eta_rmw, normalized
+from l2p.measures import FLOOR_GAP, RmwMeasure, effective_eta_rmw, normalized
 from l2p.transform import (
     ConfigError,
     L2PConfig,
@@ -426,7 +426,9 @@ class _Record:
 
 def _cdfs(prepared: PreparedRun) -> np.ndarray:
     """The exact float64 sampling CDFs of every batch of an experts run."""
-    return cdf_table(prepared.loss_sums, prepared.config.eta)
+    cdfs = np.cumsum(normalized(prepared.loss_sums * -prepared.config.eta), axis=1)
+    cdfs[:, -1] = 1.0
+    return cdfs
 
 
 def _reference_run(prepared: PreparedRun, rng: np.random.Generator) -> _Record:
